@@ -688,6 +688,24 @@ let core_metric_policy_ack_registry () =
   | Ok p -> core_metric_policy_ack p.Tcp.Policy.cong_avoid
   | Error e -> invalid_arg e
 
+(* The same million ACKs through Reno's per-round rule, 200 per call —
+   the many-flows engine's avoidance round at a ~200-segment window.
+   Reported per ACK, so it reads against policy/ack-direct-1M; the fold
+   runs over an unboxed float, leaving one boxed window in and one out
+   per call (~0.02 words/ACK). *)
+let core_metric_policy_round_reno () =
+  let mss = Tcp.Config.default.Tcp.Config.mss in
+  let on_round = Option.get (Tcp.Cong_avoid.reno ()).Tcp.Cong_avoid.on_round in
+  let srtt = Sim.Time.ms 60 in
+  let batch = 200 and n = 1_000_000 in
+  time_and_alloc (fun () ->
+      let cwnd = ref (100. *. float_of_int mss) in
+      for _ = 1 to n / batch do
+        cwnd := on_round ~acks:batch ~cwnd:!cwnd ~mss ~srtt;
+        if !cwnd > 1e7 then cwnd := 100. *. float_of_int mss
+      done;
+      n)
+
 (* Best of three: a single ~50 ms wall-clock sample is at the mercy of
    transient machine load, which would make the regression gate flaky. *)
 let core_metric_e2e f =
@@ -922,6 +940,7 @@ let write_core_json path =
               metric "policy/ack-direct-1M" (core_metric_policy_ack_direct ());
               metric "policy/ack-registry-1M"
                 (core_metric_policy_ack_registry ());
+              metric "policy/round-reno-1M" (core_metric_policy_round_reno ());
               e2e "e2e/fig1-2s"
                 (core_metric_e2e (fun () ->
                      ignore (Core.Experiments.Fig1.run ~duration ())));

@@ -226,6 +226,11 @@ let pairs_of = function
   | Dumbbell d -> d.pairs
   | Multi_dumbbell m -> (m.segments * m.m_pairs) + m.cross_pairs
 
+let resolve_cong_avoid = function
+  | Reno -> Tcp.Cong_avoid.reno ()
+  | Cubic -> Tcp.Cong_avoid.cubic ()
+  | Vegas -> Tcp.Cong_avoid.vegas ()
+
 let validate_flow ~pairs i f =
   if f.pair < 0 || f.pair >= pairs then
     err "Spec.build: flow %d: pair %d outside 0..%d" i f.pair (pairs - 1);
@@ -235,15 +240,19 @@ let validate_flow ~pairs i f =
   (match Tcp.Slow_start.by_name ?restricted_config:f.restricted f.slow_start with
   | Ok _ -> ()
   | Error e -> err "Spec.build: flow %d: %s" i e);
-  (match f.policy with
-  | None -> ()
-  | Some p -> (
-      if f.shared_rss then
-        err "Spec.build: flow %d: policy and shared_rss are mutually exclusive"
-          i;
-      match Tcp.Policy.by_name ?restricted_config:f.restricted p with
-      | Ok _ -> ()
-      | Error e -> err "Spec.build: flow %d: %s" i e));
+  (* The congestion avoidance the flow will run, resolved as
+     [bundle_for] does. *)
+  let cong_avoid =
+    match f.policy with
+    | None -> resolve_cong_avoid f.cong_avoid
+    | Some p -> (
+        if f.shared_rss then
+          err "Spec.build: flow %d: policy and shared_rss are mutually exclusive"
+            i;
+        match Tcp.Policy.by_name ?restricted_config:f.restricted p with
+        | Ok p -> p.Tcp.Policy.cong_avoid
+        | Error e -> err "Spec.build: flow %d: %s" i e)
+  in
   match f.workload with
   | Bulk { bytes = Some b } when b <= 0 ->
       err "Spec.build: flow %d: bytes %d must be positive" i b
@@ -285,6 +294,9 @@ let validate_flow ~pairs i f =
         size_pareto_shape } ->
       if flows <= 0 then
         err "Spec.build: flow %d: flows %d must be positive" i flows;
+      Option.iter
+        (err "Spec.build: flow %d: many_flows: %s" i)
+        (Workload.Many_flows.cong_avoid_error cong_avoid);
       (match arrival_rate with
       | Some r when not (r > 0.) ->
           err "Spec.build: flow %d: arrival rate %g must be positive" i r
@@ -578,11 +590,6 @@ let config_of_flow ?pace_gains (f : flow) =
       | Some rto -> rto
       | None -> Tcp.Config.default.Tcp.Config.max_rto);
   }
-
-let resolve_cong_avoid = function
-  | Reno -> Tcp.Cong_avoid.reno ()
-  | Cubic -> Tcp.Cong_avoid.cubic ()
-  | Vegas -> Tcp.Cong_avoid.vegas ()
 
 let resolve_policy (f : flow) =
   match Tcp.Slow_start.by_name ?restricted_config:f.restricted f.slow_start with

@@ -3,6 +3,8 @@ type t = {
   on_ack :
     newly_acked:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t option ->
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
+  on_round :
+    (acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float) option;
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
   on_rto : cwnd:float -> flight:int -> mss:int -> float * float;
@@ -11,11 +13,29 @@ type t = {
 
 let floor_window ~mss w = Float.max (2. *. float_of_int mss) w
 
+(* The additive-increase step of the Reno family: +k/cwnd per ACK, with
+   k = MSS² (scaled, for small-RTT). [on_ack] takes one step; [on_round]
+   folds [acks] of them over an unboxed accumulator. Both evaluate the
+   same expression on the same operands in the same order, so a round
+   is bit-identical to its ACKs applied one by one. *)
+let ai_step k cwnd = cwnd +. (k /. cwnd)
+
+let ai_round k ~acks cwnd =
+  let w = ref cwnd in
+  for _ = 1 to acks do
+    w := ai_step k !w
+  done;
+  !w
+
+let reno_k mss =
+  let m = float_of_int mss in
+  m *. m
+
 let reno () =
   let on_ack ~newly_acked:_ ~cwnd ~mss ~srtt:_ ~min_rtt:_ ~now:_ =
-    let m = float_of_int mss in
-    cwnd +. (m *. m /. cwnd)
+    ai_step (reno_k mss) cwnd
   in
+  let on_round ~acks ~cwnd ~mss ~srtt:_ = ai_round (reno_k mss) ~acks cwnd in
   let halve ~flight ~mss =
     floor_window ~mss (float_of_int flight /. 2.)
   in
@@ -26,7 +46,14 @@ let reno () =
   let on_rto ~cwnd:_ ~flight ~mss =
     (halve ~flight ~mss, float_of_int mss)
   in
-  { name = "reno"; on_ack; on_loss; on_rto; reset = (fun () -> ()) }
+  {
+    name = "reno";
+    on_ack;
+    on_round = Some on_round;
+    on_loss;
+    on_rto;
+    reset = (fun () -> ());
+  }
 
 (* RFC 8312. Internal arithmetic in segments; time in seconds. *)
 let cubic ?(c = 0.4) ?(beta = 0.7) () =
@@ -92,7 +119,7 @@ let cubic ?(c = 0.4) ?(beta = 0.7) () =
     k := 0.;
     w_est_base := 0.
   in
-  { name = "cubic"; on_ack; on_loss; on_rto; reset }
+  { name = "cubic"; on_ack; on_round = None; on_loss; on_rto; reset }
 
 (* Relentless congestion control (Mathis, arXiv 1102.3270): additive
    increase as Reno, but a loss event costs only the segments actually
@@ -113,6 +140,7 @@ let relentless () =
   {
     name = "relentless";
     on_ack = base.on_ack;
+    on_round = base.on_round;
     on_loss;
     on_rto = base.on_rto;
     reset = (fun () -> ());
@@ -130,17 +158,22 @@ let relentless () =
    short-RTT flows instead of being RTT-blind. *)
 let small_rtt ?(ref_rtt = Sim.Time.ms 25) () =
   let base = reno () in
+  let k ~mss rtt =
+    if Sim.Time.(rtt < ref_rtt) then
+      let m = float_of_int mss in
+      Sim.Time.to_sec rtt /. Sim.Time.to_sec ref_rtt *. m *. m
+    else reno_k mss
+  in
   let on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now =
     match srtt with
-    | Some rtt when Sim.Time.(rtt < ref_rtt) ->
-        let m = float_of_int mss in
-        let scale = Sim.Time.to_sec rtt /. Sim.Time.to_sec ref_rtt in
-        cwnd +. (scale *. m *. m /. cwnd)
-    | _ -> base.on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now
+    | Some rtt -> ai_step (k ~mss rtt) cwnd
+    | None -> base.on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now
   in
+  let on_round ~acks ~cwnd ~mss ~srtt = ai_round (k ~mss srtt) ~acks cwnd in
   {
     name = "small-rtt";
     on_ack;
+    on_round = Some on_round;
     on_loss = base.on_loss;
     on_rto = base.on_rto;
     reset = (fun () -> ());
@@ -185,7 +218,14 @@ let fast ?(alpha_seg = 16.) ?(gamma = 0.5) () =
     avg_rtt := None;
     next_update := Sim.Time.zero
   in
-  { name = "fast"; on_ack; on_loss = base.on_loss; on_rto = base.on_rto; reset }
+  {
+    name = "fast";
+    on_ack;
+    on_round = None;
+    on_loss = base.on_loss;
+    on_rto = base.on_rto;
+    reset;
+  }
 
 (* Vegas: delay-based backlog estimation, adjusted once per RTT. *)
 let vegas ?(alpha = 2.) ?(beta_seg = 4.) () =
@@ -212,6 +252,7 @@ let vegas ?(alpha = 2.) ?(beta_seg = 4.) () =
   {
     name = "vegas";
     on_ack;
+    on_round = None;
     on_loss = base.on_loss;
     on_rto = base.on_rto;
     reset = (fun () -> next_adjust := Sim.Time.zero);

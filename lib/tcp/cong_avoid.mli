@@ -12,6 +12,15 @@ type t = {
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
       (** new cwnd after an ACK of new data while in congestion
           avoidance *)
+  on_round :
+    (acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float) option;
+      (** new cwnd after [acks] consecutive full-MSS ACKs at [srtt]:
+          bit-identical to folding [on_ack] [acks] times with
+          [newly_acked = mss] and [srtt = Some srtt], computed in one
+          call. [Some] only for algorithms whose per-ACK rule reads
+          nothing but its arguments (reno, relentless, small-rtt), so
+          one instance may serve any number of flows; [None] for those
+          with per-connection state (cubic, vegas, fast). *)
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
       (** (ssthresh, cwnd) after a fast-retransmit loss event *)

@@ -294,6 +294,14 @@ let ca_on_ack t i (cc : Cong_avoid.t) ~newly_acked ~mss ~srtt ~min_rtt ~now =
     (cc.Cong_avoid.on_ack ~newly_acked ~cwnd:(cwnd t i) ~mss ~srtt ~min_rtt
        ~now)
 
+let ca_on_round t i (cc : Cong_avoid.t) ~acks ~mss ~srtt =
+  match cc.Cong_avoid.on_round with
+  | Some on_round -> set_cwnd t i (on_round ~acks ~cwnd:(cwnd t i) ~mss ~srtt)
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Flow_table.ca_on_round: %S has no per-round rule"
+           cc.Cong_avoid.name)
+
 let ca_on_loss t i (cc : Cong_avoid.t) ~flight ~mss ~now =
   let ssthresh', cwnd' =
     cc.Cong_avoid.on_loss ~cwnd:(cwnd t i) ~flight ~mss ~now

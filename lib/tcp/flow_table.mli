@@ -128,6 +128,12 @@ val ca_on_ack :
   now:Sim.Time.t ->
   unit
 
+val ca_on_round :
+  t -> int -> Cong_avoid.t -> acks:int -> mss:int -> srtt:Sim.Time.t -> unit
+(** [acks] full-MSS ACKs in one {!Cong_avoid.t.on_round} call — the
+    flow-level engines' loss-free avoidance round. Raises
+    [Invalid_argument] when the algorithm has no per-round rule. *)
+
 val ca_on_loss :
   t -> int -> Cong_avoid.t -> flight:int -> mss:int -> now:Sim.Time.t -> unit
 

@@ -23,9 +23,13 @@
      off — so a round of W bytes survives with (1−p)^(W/mss).
 
    - Each flow's round timer re-arms every RTT: slow start doubles the
-     window per round until ssthresh, congestion avoidance applies the
-     policy's per-ACK on_ack hook once per packet of the round, and a
-     lost round applies on_loss and drops to avoidance.
+     window per round until ssthresh, congestion avoidance makes one
+     call to the policy's per-round rule (on_round: the round's W/mss
+     per-ACK steps folded over an unboxed float, bit-identical to
+     applying on_ack once per packet), and a lost round applies
+     on_loss and drops to avoidance. Every row shares one controller,
+     so only avoidances whose per-ACK rule keeps no state — exactly
+     those with an on_round — are accepted.
 
    Everything is deterministic for a fixed seed: arrivals and sizes
    come from one dedicated stream, loss draws from per-row streams
@@ -210,20 +214,15 @@ let round t row =
     end
     else Ft.set_cwnd t.table row next
   end
-  else begin
-    (* The policy hooks are per-ACK (Reno adds mss²/cwnd per segment
-       acked), so a loss-free round applies one hook call per packet of
-       the window — matching a packet-level sender's growth of ~1
-       mss/RTT in avoidance. The work per real-time unit is bounded by
-       the line rate in packets, not by the flow count. *)
-    let srtt = Some (Sim.Time.of_sec (rtt_s t)) in
-    let min_rtt = Some t.p.base_rtt in
-    let acks = Stdlib.max 1 (int_of_float pkts) in
-    for _ = 1 to acks do
-      Ft.ca_on_ack t.table row t.cc ~newly_acked:t.p.mss ~mss:t.p.mss ~srtt
-        ~min_rtt ~now
-    done
-  end;
+  else
+    (* A loss-free round acks every packet of the window: one call to
+       the policy's per-round rule applies that many per-ACK steps
+       (Reno adds mss²/cwnd per segment), bit-identical to a
+       packet-level sender's ~1 mss/RTT growth in avoidance. *)
+    Ft.ca_on_round t.table row t.cc
+      ~acks:(Stdlib.max 1 (int_of_float pkts))
+      ~mss:t.p.mss
+      ~srtt:(Sim.Time.of_sec (rtt_s t));
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
   t.delivered <- t.delivered +. got;
@@ -266,7 +265,21 @@ let default_params =
     red = None;
   }
 
+let cong_avoid_error (cc : Tcp.Cong_avoid.t) =
+  match cc.Tcp.Cong_avoid.on_round with
+  | Some _ -> None
+  | None ->
+      Some
+        (Printf.sprintf
+           "congestion avoidance %S keeps per-connection state, but every \
+            many-flows row shares one controller (use reno, relentless or \
+            small-rtt)"
+           cc.Tcp.Cong_avoid.name)
+
 let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
+  Option.iter
+    (fun e -> invalid_arg ("Many_flows.start: " ^ e))
+    (cong_avoid_error cong_avoid);
   if params.flows <= 0 then
     invalid_arg "Many_flows.start: need a positive flow count";
   if params.capacity_bytes_per_sec <= 0. then

@@ -11,8 +11,8 @@
     queueing delay): the round's W bytes face Bernoulli loss with the
     per-packet probability of the shared RED curve (or the tail-drop
     overflow fraction), slow start doubles per round, congestion
-    avoidance applies the {!Tcp.Cong_avoid} policy hooks by row index,
-    and finite-size flows retire when their budget drains.
+    avoidance makes one {!Tcp.Cong_avoid.t.on_round} call per round by
+    row index, and finite-size flows retire when their budget drains.
 
     Deterministic for a fixed seed: arrivals/sizes from the one [rng]
     stream, per-flow loss draws from row-derived xorshift streams. *)
@@ -42,6 +42,12 @@ val default_params : params
 (** 1000 persistent flows on the paper path (100 Mbit/s, 60 ms RTT,
     250-packet buffer, tail drop). *)
 
+val cong_avoid_error : Tcp.Cong_avoid.t -> string option
+(** Why the engine cannot run this congestion avoidance, if it cannot:
+    every row shares one controller, so its per-ACK rule must keep no
+    per-connection state — exactly the algorithms with an [on_round]
+    rule (reno, relentless, small-rtt; not cubic, vegas or fast). *)
+
 val start :
   sched:Sim.Scheduler.t ->
   rng:Sim.Rng.t ->
@@ -54,9 +60,9 @@ val start :
     scheduler, each with its own wheel), and launches or schedules the
     flows. [seed] roots the per-flow loss streams; [rng] drives
     arrivals and sizes only. The [cong_avoid] bundle (default Reno) is
-    shared by all flows — use stateless bundles. Raises
-    [Invalid_argument] on non-positive [flows], [capacity], [mss],
-    [init_cwnd_segments], [base_rtt] or [arrival_rate]/[mean_size]
+    shared by all flows. Raises [Invalid_argument] when
+    {!cong_avoid_error} rejects it, on non-positive [flows], [capacity],
+    [mss], [init_cwnd_segments], [base_rtt] or [arrival_rate]/[mean_size]
     (when given), a [buffer_packets] below 1, or a Pareto shape — for
     arrivals or sizes — at or below 1 (infinite mean). *)
 

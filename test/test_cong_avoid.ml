@@ -150,6 +150,56 @@ let qcheck_reno_monotone =
         ~min_rtt:None ~now:Sim.Time.zero
       > cwnd)
 
+let test_on_round_presence () =
+  let has (cc : Tcp.Cong_avoid.t) = Option.is_some cc.Tcp.Cong_avoid.on_round in
+  List.iter
+    (fun (cc, expected) ->
+      Alcotest.(check bool) cc.Tcp.Cong_avoid.name expected (has cc))
+    [
+      (Tcp.Cong_avoid.reno (), true);
+      (Tcp.Cong_avoid.relentless (), true);
+      (Tcp.Cong_avoid.small_rtt (), true);
+      (Tcp.Cong_avoid.cubic (), false);
+      (Tcp.Cong_avoid.vegas (), false);
+      (Tcp.Cong_avoid.fast (), false);
+    ]
+
+(* The per-round rule against its reference: for every registered
+   policy that offers one, [on_round ~acks:k] must be bit-for-bit the
+   window [k] folds of [on_ack] reach. srtt spans 0.1-100 ms, both sides
+   of small-rtt's 25 ms reference. *)
+let qcheck_on_round_bitwise =
+  QCheck.Test.make ~name:"on_round = k folds of on_ack, bit for bit"
+    ~count:200
+    QCheck.(
+      quad (float_range 2. 1e5) (int_range 1 5_000)
+        (oneofl [ 536; 1448; 1460; 1500 ])
+        (int_range 100 100_000))
+    (fun (segs, k, mss, srtt_us) ->
+      let srtt = Sim.Time.us srtt_us in
+      let cwnd = segs *. float_of_int mss in
+      let cong_avoid name =
+        match Tcp.Policy.by_name name with
+        | Ok p -> p.Tcp.Policy.cong_avoid
+        | Error e -> failwith e
+      in
+      List.for_all
+        (fun name ->
+          match (cong_avoid name).Tcp.Cong_avoid.on_round with
+          | None -> true
+          | Some on_round ->
+              let cc = cong_avoid name in
+              let folded = ref cwnd in
+              for _ = 1 to k do
+                folded :=
+                  cc.Tcp.Cong_avoid.on_ack ~newly_acked:mss ~cwnd:!folded ~mss
+                    ~srtt:(Some srtt) ~min_rtt:(Some srtt) ~now:Sim.Time.zero
+              done;
+              Int64.equal
+                (Int64.bits_of_float !folded)
+                (Int64.bits_of_float (on_round ~acks:k ~cwnd ~mss ~srtt)))
+        (Tcp.Policy.names ()))
+
 let suite =
   [
     Alcotest.test_case "reno additive increase" `Quick
@@ -167,4 +217,7 @@ let suite =
     Alcotest.test_case "vegas once per RTT" `Quick test_vegas_once_per_rtt;
     Alcotest.test_case "vegas fallback" `Quick test_vegas_fallback_without_rtt;
     QCheck_alcotest.to_alcotest qcheck_reno_monotone;
+    Alcotest.test_case "on_round only for stateless rules" `Quick
+      test_on_round_presence;
+    QCheck_alcotest.to_alcotest qcheck_on_round_bitwise;
   ]

@@ -79,10 +79,56 @@ let test_policy_matrix_golden () =
   Alcotest.(check string) "matrix identical on a 4-domain pool" sequential
     (with_parallel matrix_csv)
 
+(* The many-flows goldens: every artifact `rss_sim run --spec --out`
+   writes for two pinned flow-level specs — 2,000 persistent flows deep
+   in congestion avoidance on the RED duplex, and a budgeted population
+   sharded over four dumbbell segments. A speed-only change to the
+   engine must leave them byte-identical; regenerate (only for a
+   deliberate model change) with
+     rss_sim run --spec test/golden_many_flows/mf_wide.json \
+       --out test/golden_many_flows
+   and likewise for mf_sharded.json. *)
+let mf_golden_dir = "golden_many_flows"
+
+let test_many_flows_golden file () =
+  let spec =
+    match
+      Report.Json.of_string
+        (In_channel.with_open_text
+           (Filename.concat mf_golden_dir file)
+           In_channel.input_all)
+    with
+    | Error e -> Alcotest.failf "%s: %s" file e
+    | Ok j -> (
+        match Core.Spec.of_json j with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" file e)
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rss_mf_golden_%d" (Unix.getpid ()))
+  in
+  let written = Serve.Artifacts.write_outcome ~dir spec (Core.Spec.run spec) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun path ->
+      let name = Filename.basename path in
+      Alcotest.(check string)
+        (name ^ " matches the committed golden")
+        (read (Filename.concat mf_golden_dir name))
+        (read path);
+      Sys.remove path)
+    written;
+  Unix.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "fig1 golden replay" `Quick test_fig1_replay;
     Alcotest.test_case "e2 golden replay" `Quick test_e2_replay;
     Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
       test_policy_matrix_golden;
+    Alcotest.test_case "many-flows golden: wide windows" `Quick
+      (test_many_flows_golden "mf_wide.json");
+    Alcotest.test_case "many-flows golden: budgeted, sharded" `Quick
+      (test_many_flows_golden "mf_sharded.json");
   ]

@@ -178,6 +178,31 @@ let test_param_validation () =
      flows, where no size is ever drawn. *)
   start { Mf.default_params with flows = 2; size_pareto_shape = 0.5 }
 
+(* Every row shares the engine's one controller, so an avoidance with
+   per-connection state (CUBIC's epoch, Vegas's and FAST's RTT
+   averages) would let one flow's loss reset every other flow's. *)
+let test_rejects_stateful_cong_avoid () =
+  let start cong_avoid =
+    let sched = Sim.Scheduler.create ~seed:1 () in
+    ignore
+      (Mf.start ~sched ~rng:(Sim.Scheduler.derive_rng sched) ~seed:1
+         ~cong_avoid Mf.default_params)
+  in
+  Alcotest.check_raises "cubic"
+    (Invalid_argument
+       "Many_flows.start: congestion avoidance \"cubic\" keeps \
+        per-connection state, but every many-flows row shares one \
+        controller (use reno, relentless or small-rtt)")
+    (fun () -> start (Tcp.Cong_avoid.cubic ()));
+  List.iter
+    (fun cc ->
+      match start cc with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s accepted" cc.Tcp.Cong_avoid.name)
+    [ Tcp.Cong_avoid.vegas (); Tcp.Cong_avoid.fast () ];
+  start (Tcp.Cong_avoid.relentless ());
+  start (Tcp.Cong_avoid.small_rtt ())
+
 let test_spec_rejects_two_many_flows () =
   let f = (mf_spec ~jobs:1 ~seed:1).flows |> List.hd in
   let bad = { (mf_spec ~jobs:1 ~seed:1) with flows = [ f; f ] } in
@@ -197,6 +222,8 @@ let suite =
     Alcotest.test_case "outcome independent of --jobs" `Quick
       test_jobs_independent;
     Alcotest.test_case "parameter validation" `Quick test_param_validation;
+    Alcotest.test_case "stateful avoidance rejected" `Quick
+      test_rejects_stateful_cong_avoid;
     Alcotest.test_case "at most one many_flows per spec" `Quick
       test_spec_rejects_two_many_flows;
   ]

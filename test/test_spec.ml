@@ -472,6 +472,48 @@ let test_validation () =
         ];
     }
 
+(* A many_flows population shares one controller across its rows, so
+   validation refuses an avoidance with per-connection state by name,
+   whichever field picked it; packet-level flows keep every choice. *)
+let test_many_flows_cong_avoid () =
+  let many =
+    Spec.Many_flows
+      {
+        flows = 100;
+        arrival_rate = None;
+        arrival_pareto_shape = None;
+        mean_size = None;
+        size_pareto_shape = 1.2;
+      }
+  in
+  let spec f = { Spec.default with Spec.flows = [ f ] } in
+  let mf = { Spec.default_flow with Spec.workload = many } in
+  let rejects what avoidance f =
+    match Spec.validate (spec f) with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument e ->
+        Alcotest.(check string) what
+          (Printf.sprintf
+             "Spec.build: flow 0: many_flows: congestion avoidance %S keeps \
+              per-connection state, but every many-flows row shares one \
+              controller (use reno, relentless or small-rtt)"
+             avoidance)
+          e
+  in
+  rejects "legacy cong_avoid cubic" "cubic"
+    { mf with Spec.cong_avoid = Spec.Cubic };
+  rejects "legacy cong_avoid vegas" "vegas"
+    { mf with Spec.cong_avoid = Spec.Vegas };
+  rejects "policy hystart-cubic" "cubic"
+    { mf with Spec.policy = Some "hystart-cubic" };
+  rejects "policy fast" "fast" { mf with Spec.policy = Some "fast" };
+  List.iter
+    (fun p -> Spec.validate (spec { mf with Spec.policy = Some p }))
+    [ "standard"; "relentless"; "small-rtt" ];
+  Spec.validate (spec { Spec.default_flow with Spec.cong_avoid = Spec.Cubic });
+  Spec.validate
+    (spec { Spec.default_flow with Spec.policy = Some "hystart-cubic" })
+
 (* Bulk and Chunked flows share one TCP-result collector whose driver
    dispatch reports a descriptive error (not an assert) on mismatch;
    pin the legitimate arms: both kinds collect side by side. *)
@@ -537,6 +579,8 @@ let suite =
     Alcotest.test_case "Run.bulk is the one-flow spec" `Slow
       test_bulk_equals_one_flow_spec;
     Alcotest.test_case "build validates the spec" `Quick test_validation;
+    Alcotest.test_case "many_flows refuses stateful avoidance" `Quick
+      test_many_flows_cong_avoid;
     Alcotest.test_case "bulk + chunked collect side by side" `Slow
       test_mixed_tcp_collect;
   ]
