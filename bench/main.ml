@@ -1,10 +1,11 @@
 (* Experiment harness: regenerates every figure and table of the paper
    (Fig. 1 and the §4 throughput claim) plus the extended experiments
-   indexed in DESIGN.md §5, then runs Bechamel microbenchmarks of the
-   substrate. CSV artefacts land in results/.
+   indexed in DESIGN.md §5, then measures the simulation core into
+   results/BENCH_core.json (the baseline bench/gate.exe checks). CSV
+   artefacts land in results/.
 
    Usage: dune exec bench/main.exe -- [--jobs N] [section ...]
-   Sections: fig1 table1 e2 e3 e4 e5 e6 e7 e8 micro (default: all).
+   Sections: fig1 table1 e2 ... e14 micro (default: all).
 
    --jobs N runs the independent experiment cells of each section on an
    N-domain Engine.Pool (default: Domain.recommended_domain_count; 1
@@ -18,18 +19,18 @@ let section title =
 
 let pct x = Printf.sprintf "%.1f%%" x
 
-let run_row (r : Core.Run.result) =
+let run_row (r : Core.Spec.flow_result) =
   [
-    r.Core.Run.label;
-    Report.Table.cell_f r.Core.Run.goodput_mbps;
-    pct (100. *. r.Core.Run.utilization);
-    Report.Table.cell_i r.Core.Run.send_stalls;
-    Report.Table.cell_i r.Core.Run.congestion_signals;
-    Report.Table.cell_i r.Core.Run.retransmits;
-    Report.Table.cell_i r.Core.Run.timeouts;
-    Report.Table.cell_f r.Core.Run.final_cwnd_segments;
-    Report.Table.cell_f r.Core.Run.mean_ifq;
-    (match r.Core.Run.time_to_90pct_util with
+    r.Core.Spec.label;
+    Report.Table.cell_f r.Core.Spec.goodput_mbps;
+    pct (100. *. r.Core.Spec.utilization);
+    Report.Table.cell_i r.Core.Spec.send_stalls;
+    Report.Table.cell_i r.Core.Spec.congestion_signals;
+    Report.Table.cell_i r.Core.Spec.retransmits;
+    Report.Table.cell_i r.Core.Spec.timeouts;
+    Report.Table.cell_f r.Core.Spec.final_cwnd_segments;
+    Report.Table.cell_f r.Core.Spec.mean_ifq;
+    (match r.Core.Spec.time_to_90pct_util with
     | Some s -> Report.Table.cell_f s
     | None -> "never");
   ]
@@ -64,9 +65,9 @@ let fig1 pool =
        ~x_label:"time (s)" ~y_label:"send-stalls"
        [
          Report.Ascii_chart.of_series ~label:"Standard TCP"
-           std.Core.Run.stalls_series;
+           std.Core.Spec.stalls_series;
          Report.Ascii_chart.of_series ~label:"Proposed Scheme (RSS)"
-           rss.Core.Run.stalls_series;
+           rss.Core.Spec.stalls_series;
        ]);
   print_newline ();
   print_runs [ run_row std; run_row rss ];
@@ -77,19 +78,19 @@ let fig1 pool =
      A saturating flow stalls once per window-recovery cycle; the paper's\n\
      0..4 staircase appears verbatim for a disk-paced application — see\n\
      section e13.\n"
-    std.Core.Run.send_stalls rss.Core.Run.send_stalls;
+    std.Core.Spec.send_stalls rss.Core.Spec.send_stalls;
   Report.Csv.write_series
     ~path:(Filename.concat results_dir "fig1_standard_stalls.csv")
-    ~name:"cum_send_stalls" std.Core.Run.stalls_series;
+    ~name:"cum_send_stalls" std.Core.Spec.stalls_series;
   Report.Csv.write_series
     ~path:(Filename.concat results_dir "fig1_restricted_stalls.csv")
-    ~name:"cum_send_stalls" rss.Core.Run.stalls_series;
+    ~name:"cum_send_stalls" rss.Core.Spec.stalls_series;
   Report.Csv.write_series
     ~path:(Filename.concat results_dir "fig1_standard_cwnd.csv")
-    ~name:"cwnd_segments" std.Core.Run.cwnd_series;
+    ~name:"cwnd_segments" std.Core.Spec.cwnd_series;
   Report.Csv.write_series
     ~path:(Filename.concat results_dir "fig1_restricted_cwnd.csv")
-    ~name:"cwnd_segments" rss.Core.Run.cwnd_series
+    ~name:"cwnd_segments" rss.Core.Spec.cwnd_series
 
 let table1 pool =
   section "Table 1 — §4 throughput claim (paper: ~40% improvement)";
@@ -147,14 +148,14 @@ let e3 pool =
         let x = r.Core.Experiments.Ifq_sweep.restricted in
         [
           Report.Table.cell_i r.Core.Experiments.Ifq_sweep.ifq_capacity;
-          Report.Table.cell_f s.Core.Run.goodput_mbps;
-          Report.Table.cell_i s.Core.Run.send_stalls;
-          Report.Table.cell_f x.Core.Run.goodput_mbps;
-          Report.Table.cell_i x.Core.Run.send_stalls;
+          Report.Table.cell_f s.Core.Spec.goodput_mbps;
+          Report.Table.cell_i s.Core.Spec.send_stalls;
+          Report.Table.cell_f x.Core.Spec.goodput_mbps;
+          Report.Table.cell_i x.Core.Spec.send_stalls;
           Report.Table.cell_f
             (100.
-            *. (x.Core.Run.goodput_mbps -. s.Core.Run.goodput_mbps)
-            /. Float.max 1e-9 s.Core.Run.goodput_mbps);
+            *. (x.Core.Spec.goodput_mbps -. s.Core.Spec.goodput_mbps)
+            /. Float.max 1e-9 s.Core.Spec.goodput_mbps);
         ])
       rows
   in
@@ -178,8 +179,8 @@ let e3 pool =
          (fun (r : Core.Experiments.Ifq_sweep.row) ->
            [
              float_of_int r.Core.Experiments.Ifq_sweep.ifq_capacity;
-             r.Core.Experiments.Ifq_sweep.standard.Core.Run.goodput_mbps;
-             r.Core.Experiments.Ifq_sweep.restricted.Core.Run.goodput_mbps;
+             r.Core.Experiments.Ifq_sweep.standard.Core.Spec.goodput_mbps;
+             r.Core.Experiments.Ifq_sweep.restricted.Core.Spec.goodput_mbps;
            ])
          rows)
 
@@ -193,11 +194,11 @@ let e4 pool =
         let x = r.Core.Experiments.Rtt_sweep.restricted in
         [
           Report.Table.cell_i r.Core.Experiments.Rtt_sweep.rtt_ms;
-          Report.Table.cell_f s.Core.Run.goodput_mbps;
-          Report.Table.cell_f x.Core.Run.goodput_mbps;
+          Report.Table.cell_f s.Core.Spec.goodput_mbps;
+          Report.Table.cell_f x.Core.Spec.goodput_mbps;
           Report.Table.cell_f
-            (x.Core.Run.goodput_mbps
-            /. Float.max 1e-9 s.Core.Run.goodput_mbps);
+            (x.Core.Spec.goodput_mbps
+            /. Float.max 1e-9 s.Core.Spec.goodput_mbps);
         ])
       rows
   in
@@ -214,8 +215,8 @@ let e4 pool =
          (fun (r : Core.Experiments.Rtt_sweep.row) ->
            [
              float_of_int r.Core.Experiments.Rtt_sweep.rtt_ms;
-             r.Core.Experiments.Rtt_sweep.standard.Core.Run.goodput_mbps;
-             r.Core.Experiments.Rtt_sweep.restricted.Core.Run.goodput_mbps;
+             r.Core.Experiments.Rtt_sweep.standard.Core.Spec.goodput_mbps;
+             r.Core.Experiments.Rtt_sweep.restricted.Core.Spec.goodput_mbps;
            ])
          rows)
 
@@ -270,10 +271,10 @@ let e6 pool =
           row.Core.Experiments.Pid_ablation.label;
           Format.asprintf "%a" Control.Pid.pp_gains
             row.Core.Experiments.Pid_ablation.gains;
-          Report.Table.cell_f res.Core.Run.goodput_mbps;
-          Report.Table.cell_i res.Core.Run.send_stalls;
-          Report.Table.cell_f res.Core.Run.mean_ifq;
-          Report.Table.cell_f res.Core.Run.peak_ifq;
+          Report.Table.cell_f res.Core.Spec.goodput_mbps;
+          Report.Table.cell_i res.Core.Spec.send_stalls;
+          Report.Table.cell_f res.Core.Spec.mean_ifq;
+          Report.Table.cell_f res.Core.Spec.peak_ifq;
         ])
       r.Core.Experiments.Pid_ablation.rows
   in
@@ -318,11 +319,11 @@ let e9 pool =
         let a = r.Core.Experiments.Adaptive_gains.restricted_adaptive in
         [
           Report.Table.cell_i r.Core.Experiments.Adaptive_gains.rtt_ms;
-          Report.Table.cell_f s.Core.Run.goodput_mbps;
-          Report.Table.cell_f f.Core.Run.goodput_mbps;
-          Report.Table.cell_i f.Core.Run.send_stalls;
-          Report.Table.cell_f a.Core.Run.goodput_mbps;
-          Report.Table.cell_i a.Core.Run.send_stalls;
+          Report.Table.cell_f s.Core.Spec.goodput_mbps;
+          Report.Table.cell_f f.Core.Spec.goodput_mbps;
+          Report.Table.cell_i f.Core.Spec.send_stalls;
+          Report.Table.cell_f a.Core.Spec.goodput_mbps;
+          Report.Table.cell_i a.Core.Spec.send_stalls;
         ])
       rows
   in
@@ -347,11 +348,11 @@ let e9 pool =
          (fun (r : Core.Experiments.Adaptive_gains.row) ->
            [
              float_of_int r.Core.Experiments.Adaptive_gains.rtt_ms;
-             r.Core.Experiments.Adaptive_gains.standard.Core.Run.goodput_mbps;
+             r.Core.Experiments.Adaptive_gains.standard.Core.Spec.goodput_mbps;
              r.Core.Experiments.Adaptive_gains.restricted_fixed
-               .Core.Run.goodput_mbps;
+               .Core.Spec.goodput_mbps;
              r.Core.Experiments.Adaptive_gains.restricted_adaptive
-               .Core.Run.goodput_mbps;
+               .Core.Spec.goodput_mbps;
            ])
          rows)
 
@@ -414,11 +415,11 @@ let e12 pool =
         let res = r.Core.Experiments.Local_ecn.result in
         [
           r.Core.Experiments.Local_ecn.label;
-          Report.Table.cell_f res.Core.Run.goodput_mbps;
-          Report.Table.cell_i res.Core.Run.send_stalls;
-          Report.Table.cell_i res.Core.Run.congestion_signals;
+          Report.Table.cell_f res.Core.Spec.goodput_mbps;
+          Report.Table.cell_i res.Core.Spec.send_stalls;
+          Report.Table.cell_i res.Core.Spec.congestion_signals;
           Report.Table.cell_i r.Core.Experiments.Local_ecn.ce_marks;
-          Report.Table.cell_f res.Core.Run.mean_ifq;
+          Report.Table.cell_f res.Core.Spec.mean_ifq;
         ])
       rows
   in
@@ -528,7 +529,7 @@ let e14 pool =
 (* Direct measurements of the simulation core: deterministic loops timed
    with the wall clock, allocation counted with [Gc.minor_words]. These
    are the numbers the CI bench-gate diffs against bench/baseline.json,
-   so they avoid Bechamel's sampling noise in favour of one long run. *)
+   each taken from one long run. *)
 
 let time_and_alloc f =
   let w0 = Gc.minor_words () in
@@ -1009,149 +1010,6 @@ let print_core_json json =
   | Some _ | None -> ()
 
 let microbenches _pool =
-  section "Microbenchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let test_event_queue =
-    Test.make ~name:"sim/event-queue-1k"
-      (Staged.stage @@ fun () ->
-       let q = Sim.Event_queue.create () in
-       for i = 0 to 999 do
-         ignore
-           (Sim.Event_queue.add q
-              ~time:(Sim.Time.ns (i * 977 mod 7919))
-              (fun () -> ()))
-       done;
-       let rec drain () =
-         match Sim.Event_queue.pop q with Some _ -> drain () | None -> ()
-       in
-       drain ())
-  in
-  let test_eq_cancel =
-    Test.make ~name:"sim/event-queue-cancel-1k"
-      (Staged.stage @@ fun () ->
-       let q = Sim.Event_queue.create () in
-       let hs =
-         Array.init 1024 (fun i ->
-             Sim.Event_queue.add q
-               ~time:(Sim.Time.ns (i * 977 mod 7919))
-               (fun () -> ()))
-       in
-       Array.iteri
-         (fun i h -> if i land 1 = 0 then Sim.Event_queue.cancel q h)
-         hs;
-       let rec drain () =
-         match Sim.Event_queue.pop q with Some _ -> drain () | None -> ()
-       in
-       drain ())
-  in
-  let test_eq_periodic =
-    Test.make ~name:"sim/periodic-timer-10k"
-      (Staged.stage @@ fun () ->
-       let s = Sim.Scheduler.create () in
-       let count = ref 0 in
-       ignore (Sim.Scheduler.every s (Sim.Time.us 10) (fun () -> incr count));
-       Sim.Scheduler.run ~until:(Sim.Time.ms 100) s)
-  in
-  let test_pid =
-    Test.make ~name:"control/pid-1k-steps"
-      (Staged.stage @@ fun () ->
-       let pid =
-         Control.Pid.create
-           (Control.Pid.config (Control.Pid.pid ~kp:0.3 ~ti:0.1 ~td:0.05))
-       in
-       for i = 0 to 999 do
-         ignore
-           (Control.Pid.step pid ~dt:0.001
-              ~error:(Float.sin (float_of_int i /. 50.)))
-       done)
-  in
-  let test_interval_set =
-    Test.make ~name:"tcp/interval-set-512"
-      (Staged.stage @@ fun () ->
-       let s = Tcp.Interval_set.create () in
-       for i = 0 to 511 do
-         let lo = i * 3000 mod 65536 in
-         Tcp.Interval_set.add s ~lo ~hi:(lo + 1460)
-       done;
-       ignore (Tcp.Interval_set.total s))
-  in
-  let mini_sim slow_start () =
-    let spec =
-      {
-        Core.Run.default_spec with
-        duration = Sim.Time.ms 1500;
-        slow_start;
-        sample_period = Sim.Time.ms 500;
-      }
-    in
-    ignore (Core.Run.bulk spec)
-  in
-  (* One scenario bench per reproduced figure/table: fig1 and table1
-     share the paper path (standard and RSS legs); e5's dumbbell is the
-     third distinct scenario. *)
-  let test_fig1_std =
-    Test.make ~name:"scenario/fig1+table1-standard-1.5s"
-      (Staged.stage (mini_sim "standard"))
-  in
-  let test_fig1_rss =
-    Test.make ~name:"scenario/fig1+table1-restricted-1.5s"
-      (Staged.stage (mini_sim "restricted"))
-  in
-  let test_dumbbell =
-    Test.make ~name:"scenario/e5-dumbbell-1.5s"
-      (Staged.stage @@ fun () ->
-       ignore
-         (Core.Experiments.Burst_loss.run ~rates_mbps:[ 100. ]
-            ~duration:(Sim.Time.ms 1500) ()))
-  in
-  let test_e2 =
-    Test.make ~name:"scenario/e2-variants-1.5s"
-      (Staged.stage @@ fun () ->
-       ignore (Core.Experiments.Variants.run ~duration:(Sim.Time.ms 1500) ()))
-  in
-  let grouped =
-    Test.make_grouped ~name:"rss"
-      [
-        test_event_queue; test_eq_cancel; test_eq_periodic; test_pid;
-        test_interval_set; test_fig1_std; test_fig1_rss; test_dumbbell;
-        test_e2;
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:64 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let est =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> e
-          | Some [] | None -> Float.nan
-        in
-        (name, est) :: acc)
-      analyzed []
-    |> List.sort compare
-  in
-  let cells =
-    List.map
-      (fun (name, ns) ->
-        [
-          name;
-          (if Float.is_nan ns then "n/a"
-           else if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-           else Printf.sprintf "%.0f ns" ns);
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:[ Report.Table.Left; Report.Table.Right ]
-       ~headers:[ "benchmark"; "time/run" ] ~rows:cells ());
   section "Simulation-core metrics (BENCH_core.json)";
   let json = write_core_json (Filename.concat results_dir "BENCH_core.json") in
   print_core_json json

@@ -33,15 +33,23 @@ let loss =
   let doc = "Independent forward-path loss probability (0..1)." in
   Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P" ~doc)
 
-let spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss =
+(* One [flow] on the duplex path the shared options describe. *)
+let spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss flow =
   {
-    Core.Run.default_spec with
-    rate = Sim.Units.mbps rate_mbps;
-    one_way_delay = Sim.Time.ms (rtt_ms / 2);
-    ifq_capacity = ifq;
-    duration = Sim.Time.of_sec duration_s;
+    Core.Spec.default with
+    Core.Spec.name = flow.Core.Spec.slow_start;
     seed;
-    loss_rate = loss;
+    duration = Sim.Time.of_sec duration_s;
+    topology =
+      Core.Spec.Duplex
+        {
+          Core.Spec.default_duplex with
+          Core.Spec.rate = Sim.Units.mbps rate_mbps;
+          one_way_delay = Sim.Time.ms (rtt_ms / 2);
+          ifq_capacity = ifq;
+          loss_rate = loss;
+        };
+    flows = [ flow ];
   }
 
 let positive_int =
@@ -53,15 +61,15 @@ let positive_int =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let print_result (r : Core.Run.result) =
+let print_result (r : Core.Spec.flow_result) =
   Printf.printf
     "%-11s  goodput %7.2f Mbit/s  util %5.1f%%  stalls %-3d cong.signals \
      %-3d retx %-4d timeouts %-2d cwnd %7.1f seg  mean IFQ %6.1f\n"
-    r.Core.Run.label r.Core.Run.goodput_mbps
-    (100. *. r.Core.Run.utilization)
-    r.Core.Run.send_stalls r.Core.Run.congestion_signals
-    r.Core.Run.retransmits r.Core.Run.timeouts r.Core.Run.final_cwnd_segments
-    r.Core.Run.mean_ifq
+    r.Core.Spec.label r.Core.Spec.goodput_mbps
+    (100. *. r.Core.Spec.utilization)
+    r.Core.Spec.send_stalls r.Core.Spec.congestion_signals
+    r.Core.Spec.retransmits r.Core.Spec.timeouts
+    r.Core.Spec.final_cwnd_segments r.Core.Spec.mean_ifq
 
 (* --- run --spec --------------------------------------------------------- *)
 
@@ -280,9 +288,9 @@ let run_cmd =
     end;
     let cong_avoid =
       match cc with
-      | "reno" -> Core.Run.Reno
-      | "cubic" -> Core.Run.Cubic
-      | "vegas" -> Core.Run.Vegas
+      | "reno" -> Core.Spec.Reno
+      | "cubic" -> Core.Spec.Cubic
+      | "vegas" -> Core.Spec.Vegas
       | other ->
           Printf.eprintf "unknown congestion avoidance %S\n" other;
           exit 2
@@ -293,19 +301,20 @@ let run_cmd =
         exit 2
     | Ok policy -> (
         let spec =
-          {
-            (spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss) with
-            Core.Run.slow_start;
-            local_congestion = policy;
-            bytes;
-            pacing;
-            cong_avoid;
-          }
+          spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss
+            {
+              Core.Spec.default_flow with
+              Core.Spec.slow_start;
+              local_congestion = policy;
+              pacing;
+              cong_avoid;
+              workload = Core.Spec.Bulk { bytes };
+            }
         in
         try
-          let r = Core.Run.bulk spec in
+          let r = List.hd (Core.Spec.run spec).Core.Spec.results in
           print_result r;
-          (match r.Core.Run.completion with
+          (match r.Core.Spec.completion with
           | Some t ->
               Printf.printf "transfer completed at t=%.3f s\n"
                 (Sim.Time.to_sec t)
@@ -316,8 +325,8 @@ let run_cmd =
                  ~title:"congestion window (segments)" ~x_label:"time (s)"
                  ~y_label:"cwnd"
                  [
-                   Report.Ascii_chart.of_series ~label:r.Core.Run.label
-                     r.Core.Run.cwnd_series;
+                   Report.Ascii_chart.of_series ~label:r.Core.Spec.label
+                     r.Core.Spec.cwnd_series;
                  ]);
           match csv_prefix with
           | None -> ()
@@ -328,10 +337,10 @@ let run_cmd =
                   Report.Csv.write_series ~path ~name:tag series;
                   Printf.printf "wrote %s\n" path)
                 [
-                  ("cwnd", r.Core.Run.cwnd_series);
-                  ("stalls", r.Core.Run.stalls_series);
-                  ("ifq", r.Core.Run.ifq_series);
-                  ("throughput", r.Core.Run.throughput_series);
+                  ("cwnd", r.Core.Spec.cwnd_series);
+                  ("stalls", r.Core.Spec.stalls_series);
+                  ("ifq", r.Core.Spec.ifq_series);
+                  ("throughput", r.Core.Spec.throughput_series);
                 ]
         with Invalid_argument e ->
           prerr_endline e;
@@ -437,19 +446,24 @@ let compare_cmd =
     if matrix then
       run_matrix ~jobs ~policies ~scenarios ~out_dir ~duration_s ~seed
     else begin
-      let spec = spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss in
       let cells =
         List.map
-          (fun name -> (Some name, { spec with Core.Run.slow_start = name }))
+          (fun slow_start ->
+            spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss
+              { Core.Spec.default_flow with Core.Spec.slow_start })
           [ "standard"; "limited"; "hystart"; "restricted" ]
       in
       let verdicts =
         if jobs > 1 then
           Engine.Pool.with_pool ~jobs (fun pool ->
-              Core.Run.bulk_batch_collect ~pool cells)
-        else Core.Run.bulk_batch_collect cells
+              Core.Spec.run_batch_collect ~pool cells)
+        else Core.Spec.run_batch_collect cells
       in
-      List.iter (function Ok r -> print_result r | Error _ -> ()) verdicts;
+      List.iter
+        (function
+          | Ok o -> List.iter print_result o.Core.Spec.results
+          | Error _ -> ())
+        verdicts;
       let failures =
         List.filter_map
           (function Ok _ -> None | Error f -> Some f)
@@ -853,9 +867,9 @@ let list_cmd =
       ("e10", "does pacing alone prevent send-stalls?");
       ("e11", "parallel GridFTP-style streams sharing one host");
       ("e12", "ECN marking on the local qdisc vs the RSS controller");
-      ("e13", "robustness sweeps (cross-traffic, faults, short flows)");
+      ("e13", "disk-paced chunked transfer: the figure 1 stall staircase");
       ("e14", "the latency cost of a standing queue");
-      ("micro", "microbenchmarks (Bechamel, monotonic clock)");
+      ("micro", "simulation-core metrics (results/BENCH_core.json)");
     ]
   in
   let action () =

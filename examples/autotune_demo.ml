@@ -12,15 +12,24 @@
 let evaluate label config =
   let spec =
     {
-      Core.Run.default_spec with
+      Core.Spec.default with
+      Core.Spec.name = label;
       duration = Sim.Time.sec 15;
-      slow_start = "restricted";
-      restricted = Some config;
+      flows =
+        [
+          {
+            Core.Spec.default_flow with
+            Core.Spec.label = Some label;
+            slow_start = "restricted";
+            restricted = Some config;
+          };
+        ];
     }
   in
-  let r = Core.Run.bulk ~label spec in
+  let r = List.hd (Core.Spec.run spec).Core.Spec.results in
   Printf.printf "  %-28s %6.2f Mbit/s, %d stall(s), mean IFQ %5.1f pkts\n"
-    label r.Core.Run.goodput_mbps r.Core.Run.send_stalls r.Core.Run.mean_ifq
+    label r.Core.Spec.goodput_mbps r.Core.Spec.send_stalls
+    r.Core.Spec.mean_ifq
 
 let () =
   print_endline "Step 1: ultimate-gain experiment on the simulated IFQ plant";

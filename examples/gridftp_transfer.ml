@@ -7,52 +7,54 @@
 
 let transfer_bytes = 250 * 1000 * 1000 (* 250 MB *)
 
-let run_leg ~slow_start_name =
-  let scenario = Core.Scenario.anl_lbnl () in
-  let sched = scenario.Core.Scenario.sched in
-  let slow_start =
-    match Tcp.Slow_start.by_name slow_start_name with
-    | Ok ss -> ss
-    | Error e -> failwith e
-  in
-  let transfer =
-    Workload.Bulk.start
-      ~src:(Core.Scenario.sender_host scenario)
-      ~dst:(Core.Scenario.receiver_host scenario)
-      ~flow:1 ~ids:scenario.Core.Scenario.ids ~slow_start
-      ~bytes:transfer_bytes ~name:slow_start_name ()
+let run_leg slow_start =
+  let built =
+    Core.Spec.build
+      {
+        Core.Spec.default with
+        Core.Spec.duration = Sim.Time.sec 60;
+        record_series = false;
+        flows =
+          [
+            {
+              Core.Spec.default_flow with
+              Core.Spec.slow_start;
+              workload = Core.Spec.Bulk { bytes = Some transfer_bytes };
+            };
+          ];
+      }
   in
   (* Poll the connection's web100 variables like a userland monitor. *)
   let logger =
-    Web100.Logger.start sched ~period:(Sim.Time.ms 250)
+    Web100.Logger.start (Core.Spec.sched built) ~period:(Sim.Time.ms 250)
       ~vars:
         [
           Web100.Kis.pkts_out; Web100.Kis.data_bytes_out;
           Web100.Kis.send_stall; Web100.Kis.congestion_signals;
           Web100.Kis.cur_cwnd; Web100.Kis.smoothed_rtt; Web100.Kis.cur_ifq;
         ]
-      (Tcp.Sender.stats (Workload.Bulk.sender transfer))
+      (Tcp.Sender.stats (List.hd (Core.Spec.tcp_senders built)))
   in
-  Sim.Scheduler.run ~until:(Sim.Time.sec 60) sched;
+  let r = List.hd (Core.Spec.execute built).Core.Spec.results in
   Web100.Logger.stop logger;
-  (transfer, logger)
+  (r, logger)
 
 let () =
   Printf.printf "Transferring %d MB over the ANL->LBNL path...\n\n"
     (transfer_bytes / 1_000_000);
   List.iter
     (fun name ->
-      let transfer, logger = run_leg ~slow_start_name:name in
-      (match Workload.Bulk.completion_time transfer with
+      let r, logger = run_leg name in
+      (match r.Core.Spec.completion with
       | Some t ->
           Printf.printf "%-11s finished in %6.2f s (%6.2f Mbit/s), %d \
                          send-stalls\n"
             name (Sim.Time.to_sec t)
             (float_of_int (8 * transfer_bytes) /. Sim.Time.to_sec t /. 1e6)
-            (Tcp.Sender.send_stalls (Workload.Bulk.sender transfer))
+            r.Core.Spec.send_stalls
       | None ->
           Printf.printf "%-11s did not finish within 60 s (%d stalls)\n" name
-            (Tcp.Sender.send_stalls (Workload.Bulk.sender transfer)));
+            r.Core.Spec.send_stalls);
       let path = Printf.sprintf "results/gridftp_web100_%s.csv" name in
       Report.Csv.write_string ~path (Web100.Logger.to_csv logger);
       Printf.printf "  web100 samples -> %s\n" path)

@@ -3,13 +3,13 @@
 
      dune exec examples/quickstart.exe *)
 
-let describe name (r : Core.Run.result) =
+let describe name (r : Core.Spec.flow_result) =
   Printf.printf
     "%-11s %6.2f Mbit/s (%4.1f%% of line rate), %d send-stall(s), final \
      cwnd %.0f segments\n"
-    name r.Core.Run.goodput_mbps
-    (100. *. r.Core.Run.utilization)
-    r.Core.Run.send_stalls r.Core.Run.final_cwnd_segments
+    name r.Core.Spec.goodput_mbps
+    (100. *. r.Core.Spec.utilization)
+    r.Core.Spec.send_stalls r.Core.Spec.final_cwnd_segments
 
 let () =
   print_endline "Restricted Slow-Start quickstart";
@@ -18,9 +18,18 @@ let () =
     "Path: 100 Mbit/s, 60 ms RTT (ANL->LBNL), interface queue 100 packets.\n";
   (* A 10-second saturating transfer with each slow-start policy. The
      spec is a plain record: change any field and rerun. *)
-  let spec = { Core.Run.default_spec with duration = Sim.Time.sec 10 } in
-  let standard = Core.Run.bulk { spec with slow_start = "standard" } in
-  let restricted = Core.Run.bulk { spec with slow_start = "restricted" } in
+  let run slow_start =
+    let spec =
+      {
+        Core.Spec.default with
+        Core.Spec.duration = Sim.Time.sec 10;
+        flows = [ { Core.Spec.default_flow with Core.Spec.slow_start } ];
+      }
+    in
+    List.hd (Core.Spec.run spec).Core.Spec.results
+  in
+  let standard = run "standard" in
+  let restricted = run "restricted" in
   describe "standard" standard;
   describe "restricted" restricted;
   Printf.printf
@@ -28,11 +37,11 @@ let () =
      slow-start; Linux treats the failed enqueue as network congestion\n\
      and halves the window. The PID-controlled sender holds the queue\n\
      at 90%% of capacity (measured mean: %.1f packets) and never stalls.\n"
-    restricted.Core.Run.mean_ifq;
+    restricted.Core.Spec.mean_ifq;
   let improvement =
     100.
-    *. (restricted.Core.Run.goodput_mbps -. standard.Core.Run.goodput_mbps)
-    /. standard.Core.Run.goodput_mbps
+    *. (restricted.Core.Spec.goodput_mbps -. standard.Core.Spec.goodput_mbps)
+    /. standard.Core.Spec.goodput_mbps
   in
   Printf.printf "Throughput improvement: %.0f%% (paper reports ~40%%).\n"
     improvement

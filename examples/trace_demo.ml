@@ -5,21 +5,19 @@
      dune exec examples/trace_demo.exe *)
 
 let () =
-  let scenario = Core.Scenario.anl_lbnl () in
-  let sched = scenario.Core.Scenario.sched in
-  let tracer = Netsim.Tracer.create ~capacity:48 () in
-  Netsim.Tracer.tap tracer ~label:"anl>lbl"
-    scenario.Core.Scenario.path.Netsim.Topology.Duplex.a_to_b;
-  Netsim.Tracer.tap tracer ~label:"lbl>anl"
-    scenario.Core.Scenario.path.Netsim.Topology.Duplex.b_to_a;
-  let _conn =
-    Tcp.Connection.establish
-      ~src:(Core.Scenario.sender_host scenario)
-      ~dst:(Core.Scenario.receiver_host scenario)
-      ~flow:1 ~ids:scenario.Core.Scenario.ids ()
-  in
   (* A quarter second: handshake plus the first few slow-start rounds. *)
-  Sim.Scheduler.run ~until:(Sim.Time.ms 250) sched;
+  let built =
+    Core.Spec.build
+      {
+        Core.Spec.default with
+        Core.Spec.duration = Sim.Time.ms 250;
+        record_series = false;
+      }
+  in
+  let tracer = Netsim.Tracer.create ~capacity:48 () in
+  Netsim.Tracer.tap tracer ~label:"anl>lbl" (Core.Spec.forward_link built);
+  Netsim.Tracer.tap tracer ~label:"lbl>anl" (Core.Spec.reverse_link built);
+  ignore (Core.Spec.execute built);
   print_endline "first moments of a transfer on the ANL->LBNL path";
   print_endline "(SYN handshake, then watch cwnd double each 60 ms round):";
   print_newline ();

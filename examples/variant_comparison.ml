@@ -6,24 +6,24 @@
 let () =
   let results =
     List.map
-      (fun name ->
+      (fun slow_start ->
         let spec =
           {
-            Core.Run.default_spec with
-            duration = Sim.Time.sec 20;
-            slow_start = name;
+            Core.Spec.default with
+            Core.Spec.duration = Sim.Time.sec 20;
+            flows = [ { Core.Spec.default_flow with Core.Spec.slow_start } ];
           }
         in
-        Core.Run.bulk ~label:name spec)
+        List.hd (Core.Spec.run spec).Core.Spec.results)
       [ "standard"; "limited"; "hystart"; "restricted" ]
   in
   print_string
     (Report.Ascii_chart.line_chart ~title:"congestion window (segments)"
        ~x_label:"time (s)" ~y_label:"cwnd"
        (List.map
-          (fun (r : Core.Run.result) ->
-            Report.Ascii_chart.of_series ~label:r.Core.Run.label
-              r.Core.Run.cwnd_series)
+          (fun (r : Core.Spec.flow_result) ->
+            Report.Ascii_chart.of_series ~label:r.Core.Spec.label
+              r.Core.Spec.cwnd_series)
           results));
   print_newline ();
   print_string
@@ -36,13 +36,13 @@ let () =
        ~headers:[ "policy"; "goodput(Mb/s)"; "stalls"; "mean IFQ"; "t90(s)" ]
        ~rows:
          (List.map
-            (fun (r : Core.Run.result) ->
+            (fun (r : Core.Spec.flow_result) ->
               [
-                r.Core.Run.label;
-                Report.Table.cell_f r.Core.Run.goodput_mbps;
-                Report.Table.cell_i r.Core.Run.send_stalls;
-                Report.Table.cell_f r.Core.Run.mean_ifq;
-                (match r.Core.Run.time_to_90pct_util with
+                r.Core.Spec.label;
+                Report.Table.cell_f r.Core.Spec.goodput_mbps;
+                Report.Table.cell_i r.Core.Spec.send_stalls;
+                Report.Table.cell_f r.Core.Spec.mean_ifq;
+                (match r.Core.Spec.time_to_90pct_util with
                 | Some s -> Report.Table.cell_f s
                 | None -> "never");
               ])

@@ -1,16 +1,15 @@
 let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
     ?(one_way_delay = Sim.Time.ms 30) ?(ifq_capacity = 100) () =
   fun () ->
-  let scenario =
-    Scenario.anl_lbnl ~seed ~rate ~one_way_delay ~ifq_capacity ()
+  let sched = Sim.Scheduler.create ~seed () in
+  let path =
+    Netsim.Topology.Duplex.create sched ~rate ~one_way_delay ~ifq_capacity ()
   in
-  let sched = scenario.Scenario.sched in
   let target = ref 2. in
   let conn =
-    Tcp.Connection.establish
-      ~src:(Scenario.sender_host scenario)
-      ~dst:(Scenario.receiver_host scenario)
-      ~flow:1 ~ids:scenario.Scenario.ids
+    Tcp.Connection.establish ~src:path.Netsim.Topology.Duplex.a
+      ~dst:path.Netsim.Topology.Duplex.b ~flow:1
+      ~ids:(Netsim.Packet.Id_source.create ())
       ~config:
         {
           Tcp.Config.default with
@@ -22,7 +21,7 @@ let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
       ~name:"zn-probe" ()
   in
   ignore conn;
-  let ifq = Scenario.sender_ifq scenario in
+  let ifq = Netsim.Host.ifq path.Netsim.Topology.Duplex.a in
   fun ~dt ~u ->
     target := Float.max 2. u;
     let horizon = Sim.Time.add (Sim.Scheduler.now sched) (Sim.Time.of_sec dt) in

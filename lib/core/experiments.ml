@@ -1,34 +1,80 @@
-(* Each driver submits its independent experiment cells (variant ×
-   duration × parameter point) as tasks on an optional Engine pool;
-   [?pool = None] is the sequential path. Cells at the same parameter
-   point share one seed (fair variant comparison); distinct points get
-   seeds derived with [Sim.Rng.derive_seed] so no two cells ever share
-   a random stream. Results are aggregated in the cell list's order,
-   so parallel output is bit-identical to sequential. *)
+(* Each driver builds its independent experiment cells (variant ×
+   duration × parameter point) as specs and runs them as tasks on an
+   optional Engine pool; [?pool = None] is the sequential path. Cells at
+   the same parameter point share one seed (fair variant comparison);
+   distinct points get seeds derived with [Sim.Rng.derive_seed] so no
+   two cells ever share a random stream. Every cell builds its own
+   scheduler and results are looked up by cell key, so parallel output
+   is bit-identical to sequential. *)
 
 let pmap ?pool ~label f xs =
   match pool with
   | None -> List.map f xs
   | Some pool -> Engine.Pool.map pool ~label ~f xs
 
+(* One flow on a duplex path (default: the paper's) for [duration]:
+   [flow] (default: a saturating bulk transfer) running [slow_start],
+   labelled [label] (default: the slow-start name). The spec name adds
+   the path, so a failing pool task names its scenario. *)
+let one_flow ?label ?(seed = Spec.default.Spec.seed)
+    ?(path = Spec.default_duplex) ?(flow = Spec.default_flow) ~duration
+    slow_start =
+  let label = Option.value label ~default:slow_start in
+  {
+    Spec.default with
+    Spec.name =
+      Printf.sprintf "%s (rate=%g Mb/s, rtt=%g ms, ifq=%d, seed=%d, dur=%gs)"
+        label
+        (Sim.Units.rate_to_mbps path.Spec.rate)
+        (2. *. Sim.Time.to_ms path.Spec.one_way_delay)
+        path.Spec.ifq_capacity seed (Sim.Time.to_sec duration);
+    seed;
+    duration;
+    topology = Spec.Duplex path;
+    flows = [ { flow with Spec.label = Some label; slow_start } ];
+  }
+
+(* Run each [(key, spec)] cell as one task and look its flow results up
+   by key — aggregation never depends on the cells' positions. *)
+let run_cells ?pool cells =
+  let outcomes = Spec.run_batch ?pool (List.map snd cells) in
+  let table = List.combine (List.map fst cells) outcomes in
+  fun key -> (List.assoc key table).Spec.results
+
+(* [run_cells] for one-flow cells: the key's single result. *)
+let run_flows ?pool cells =
+  let find = run_cells ?pool cells in
+  fun key -> List.hd (find key)
+
+(* One cell per variant at each point of a sweep, keyed
+   [(point, variant)]; point [i] gets its own derived seed, shared by
+   the variants at that point. *)
+let sweep ?pool ~variants ~spec points =
+  run_flows ?pool
+    (List.concat
+       (List.mapi
+          (fun i point ->
+            let seed =
+              Sim.Rng.derive_seed ~root:Spec.default.Spec.seed ~stream:i
+            in
+            List.map (fun ss -> ((point, ss), spec ~seed point ss)) variants)
+          points))
+
 module Fig1 = struct
   type t = {
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
     duration : Sim.Time.t;
   }
 
   let run ?pool ?(duration = Sim.Time.sec 25) () =
-    let spec = { Run.default_spec with duration } in
-    match
-      Run.bulk_batch ?pool
-        [
-          (Some "standard", { spec with Run.slow_start = "standard" });
-          (Some "restricted", { spec with Run.slow_start = "restricted" });
-        ]
-    with
-    | [ standard; restricted ] -> { standard; restricted; duration }
-    | _ -> assert false
+    let find =
+      run_flows ?pool
+        (List.map
+           (fun ss -> (ss, one_flow ~duration ss))
+           [ "standard"; "restricted" ])
+    in
+    { standard = find "standard"; restricted = find "restricted"; duration }
 end
 
 module Table1 = struct
@@ -42,137 +88,95 @@ module Table1 = struct
   }
 
   let run ?pool ?(durations = [ 25.; 60. ]) () =
-    let specs =
-      List.concat
-        (List.mapi
-           (fun i d ->
-             let spec =
-               {
-                 Run.default_spec with
-                 duration = Sim.Time.of_sec d;
-                 seed =
-                   Sim.Rng.derive_seed ~root:Run.default_spec.Run.seed
-                     ~stream:i;
-               }
-             in
-             [
-               (None, { spec with Run.slow_start = "standard" });
-               (None, { spec with Run.slow_start = "restricted" });
-             ])
-           durations)
+    let find =
+      sweep ?pool ~variants:[ "standard"; "restricted" ]
+        ~spec:(fun ~seed d ss ->
+          one_flow ~seed ~duration:(Sim.Time.of_sec d) ss)
+        durations
     in
-    let results = Run.bulk_batch ?pool specs in
-    let rec rows ds rs =
-      match (ds, rs) with
-      | [], [] -> []
-      | d :: ds, std :: rss :: rs ->
-          {
-            duration_s = d;
-            standard_mbps = std.Run.goodput_mbps;
-            restricted_mbps = rss.Run.goodput_mbps;
-            improvement_pct =
-              (if std.Run.goodput_mbps > 0. then
-                 100.
-                 *. (rss.Run.goodput_mbps -. std.Run.goodput_mbps)
-                 /. std.Run.goodput_mbps
-               else 0.);
-            standard_stalls = std.Run.send_stalls;
-            restricted_stalls = rss.Run.send_stalls;
-          }
-          :: rows ds rs
-      | _ -> assert false
-    in
-    rows durations results
+    List.map
+      (fun d ->
+        let std = find (d, "standard") and rss = find (d, "restricted") in
+        {
+          duration_s = d;
+          standard_mbps = std.Spec.goodput_mbps;
+          restricted_mbps = rss.Spec.goodput_mbps;
+          improvement_pct =
+            (if std.Spec.goodput_mbps > 0. then
+               100.
+               *. (rss.Spec.goodput_mbps -. std.Spec.goodput_mbps)
+               /. std.Spec.goodput_mbps
+             else 0.);
+          standard_stalls = std.Spec.send_stalls;
+          restricted_stalls = rss.Spec.send_stalls;
+        })
+      durations
 end
 
 module Variants = struct
+  let names = [ "standard"; "abc"; "limited"; "hystart"; "restricted" ]
+
   let run ?pool ?(duration = Sim.Time.sec 25) () =
-    let spec = { Run.default_spec with duration } in
-    Run.bulk_batch ?pool
-      (List.map
-         (fun name -> (Some name, { spec with Run.slow_start = name }))
-         [ "standard"; "abc"; "limited"; "hystart"; "restricted" ])
+    let find =
+      run_flows ?pool (List.map (fun ss -> (ss, one_flow ~duration ss)) names)
+    in
+    List.map find names
 end
 
 module Ifq_sweep = struct
   type row = {
     ifq_capacity : int;
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
   }
 
   let run ?pool ?(sizes = [ 25; 50; 100; 200; 400; 800 ])
       ?(duration = Sim.Time.sec 20) () =
-    let specs =
-      List.concat
-        (List.mapi
-           (fun i size ->
-             let spec =
-               {
-                 Run.default_spec with
-                 duration;
-                 ifq_capacity = size;
-                 seed =
-                   Sim.Rng.derive_seed ~root:Run.default_spec.Run.seed
-                     ~stream:i;
-               }
-             in
-             [
-               (None, { spec with Run.slow_start = "standard" });
-               (None, { spec with Run.slow_start = "restricted" });
-             ])
-           sizes)
+    let find =
+      sweep ?pool ~variants:[ "standard"; "restricted" ]
+        ~spec:(fun ~seed size ss ->
+          one_flow ~seed
+            ~path:{ Spec.default_duplex with Spec.ifq_capacity = size }
+            ~duration ss)
+        sizes
     in
-    let results = Run.bulk_batch ?pool specs in
-    let rec rows ss rs =
-      match (ss, rs) with
-      | [], [] -> []
-      | size :: ss, std :: rss :: rs ->
-          { ifq_capacity = size; standard = std; restricted = rss }
-          :: rows ss rs
-      | _ -> assert false
-    in
-    rows sizes results
+    List.map
+      (fun size ->
+        {
+          ifq_capacity = size;
+          standard = find (size, "standard");
+          restricted = find (size, "restricted");
+        })
+      sizes
 end
+
+(* The paper path at round-trip time [rtt] ms. *)
+let rtt_path rtt =
+  { Spec.default_duplex with Spec.one_way_delay = Sim.Time.ms (rtt / 2) }
 
 module Rtt_sweep = struct
   type row = {
     rtt_ms : int;
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
   }
 
   let run ?pool ?(rtts_ms = [ 10; 30; 60; 120; 200 ])
       ?(duration = Sim.Time.sec 20) () =
-    let specs =
-      List.concat
-        (List.mapi
-           (fun i rtt ->
-             let spec =
-               {
-                 Run.default_spec with
-                 duration;
-                 one_way_delay = Sim.Time.ms (rtt / 2);
-                 seed =
-                   Sim.Rng.derive_seed ~root:Run.default_spec.Run.seed
-                     ~stream:i;
-               }
-             in
-             [
-               (None, { spec with Run.slow_start = "standard" });
-               (None, { spec with Run.slow_start = "restricted" });
-             ])
-           rtts_ms)
+    let find =
+      sweep ?pool ~variants:[ "standard"; "restricted" ]
+        ~spec:(fun ~seed rtt ss ->
+          one_flow ~seed ~path:(rtt_path rtt) ~duration ss)
+        rtts_ms
     in
-    let results = Run.bulk_batch ?pool specs in
-    let rec rows rtts rs =
-      match (rtts, rs) with
-      | [], [] -> []
-      | rtt :: rtts, std :: rss :: rs ->
-          { rtt_ms = rtt; standard = std; restricted = rss } :: rows rtts rs
-      | _ -> assert false
-    in
-    rows rtts_ms results
+    List.map
+      (fun rtt ->
+        {
+          rtt_ms = rtt;
+          standard = find (rtt, "standard");
+          restricted = find (rtt, "restricted");
+        })
+      rtts_ms
 end
 
 module Burst_loss = struct
@@ -259,7 +263,7 @@ module Pid_ablation = struct
   type row = {
     label : string;
     gains : Control.Pid.gains;
-    result : Run.result;
+    result : Spec.flow_result;
   }
 
   type t = {
@@ -295,23 +299,24 @@ module Pid_ablation = struct
           ]
       | Error _ -> []
     in
-    let rows =
-      pmap ?pool
-        ~label:(fun (label, _) -> "e6 " ^ label)
-        (fun (label, gains) ->
-          let config = { base with Tcp.Slow_start.gains } in
-          let spec =
-            {
-              Run.default_spec with
-              duration;
-              slow_start = "restricted";
-              restricted = Some config;
-            }
-          in
-          { label; gains; result = Run.bulk ~label spec })
-        cells
+    let find =
+      run_flows ?pool
+        (List.map
+           (fun (label, gains) ->
+             let restricted = Some { base with Tcp.Slow_start.gains } in
+             ( label,
+               one_flow ~label
+                 ~flow:{ Spec.default_flow with Spec.restricted }
+                 ~duration "restricted" ))
+           cells)
     in
-    { measured; rows }
+    {
+      measured;
+      rows =
+        List.map
+          (fun (label, gains) -> { label; gains; result = find label })
+          cells;
+    }
 end
 
 module Local_cong_ablation = struct
@@ -323,84 +328,64 @@ module Local_cong_ablation = struct
         Tcp.Local_congestion.Ignore;
       ]
     in
-    let results =
-      Run.bulk_batch ?pool
-        (List.map
-           (fun policy ->
-             ( Some (Tcp.Local_congestion.to_string policy),
-               {
-                 Run.default_spec with
-                 duration;
-                 slow_start = "standard";
-                 local_congestion = policy;
-               } ))
-           policies)
+    let labels = List.map Tcp.Local_congestion.to_string policies in
+    let find =
+      run_flows ?pool
+        (List.map2
+           (fun label local_congestion ->
+             ( label,
+               one_flow ~label
+                 ~flow:{ Spec.default_flow with Spec.local_congestion }
+                 ~duration "standard" ))
+           labels policies)
     in
-    List.map2
-      (fun policy r -> (Tcp.Local_congestion.to_string policy, r))
-      policies results
+    List.map (fun label -> (label, find label)) labels
 end
 
 module Adaptive_gains = struct
   type row = {
     rtt_ms : int;
-    standard : Run.result;
-    restricted_fixed : Run.result;
-    restricted_adaptive : Run.result;
+    standard : Spec.flow_result;
+    restricted_fixed : Spec.flow_result;
+    restricted_adaptive : Spec.flow_result;
   }
 
   let run ?pool ?(rtts_ms = [ 10; 30; 60; 120; 200 ])
       ?(duration = Sim.Time.sec 20) () =
-    let specs =
-      List.concat
-        (List.mapi
-           (fun i rtt ->
-             let spec =
-               {
-                 Run.default_spec with
-                 duration;
-                 one_way_delay = Sim.Time.ms (rtt / 2);
-                 seed =
-                   Sim.Rng.derive_seed ~root:Run.default_spec.Run.seed
-                     ~stream:i;
-               }
-             in
-             [
-               (None, { spec with Run.slow_start = "standard" });
-               (None, { spec with Run.slow_start = "restricted" });
-               (None, { spec with Run.slow_start = "restricted-adaptive" });
-             ])
-           rtts_ms)
+    let find =
+      sweep ?pool
+        ~variants:[ "standard"; "restricted"; "restricted-adaptive" ]
+        ~spec:(fun ~seed rtt ss ->
+          one_flow ~seed ~path:(rtt_path rtt) ~duration ss)
+        rtts_ms
     in
-    let results = Run.bulk_batch ?pool specs in
-    let rec rows rtts rs =
-      match (rtts, rs) with
-      | [], [] -> []
-      | rtt :: rtts, std :: fixed :: adaptive :: rs ->
-          {
-            rtt_ms = rtt;
-            standard = std;
-            restricted_fixed = fixed;
-            restricted_adaptive = adaptive;
-          }
-          :: rows rtts rs
-      | _ -> assert false
-    in
-    rows rtts_ms results
+    List.map
+      (fun rtt ->
+        {
+          rtt_ms = rtt;
+          standard = find (rtt, "standard");
+          restricted_fixed = find (rtt, "restricted");
+          restricted_adaptive = find (rtt, "restricted-adaptive");
+        })
+      rtts_ms
 end
 
 module Pacing = struct
   let run ?pool ?(duration = Sim.Time.sec 25) () =
-    let spec = { Run.default_spec with duration } in
-    Run.bulk_batch ?pool
-      [
-        (Some "standard", { spec with Run.slow_start = "standard" });
-        ( Some "standard+pacing",
-          { spec with Run.slow_start = "standard"; pacing = true } );
-        (Some "restricted", { spec with Run.slow_start = "restricted" });
-        ( Some "restricted+pacing",
-          { spec with Run.slow_start = "restricted"; pacing = true } );
-      ]
+    let cells =
+      List.map
+        (fun (label, ss, pacing) ->
+          ( label,
+            one_flow ~label ~flow:{ Spec.default_flow with Spec.pacing }
+              ~duration ss ))
+        [
+          ("standard", "standard", false);
+          ("standard+pacing", "standard", true);
+          ("restricted", "restricted", false);
+          ("restricted+pacing", "restricted", true);
+        ]
+    in
+    List.map (run_flows ?pool cells) (List.map fst cells)
 end
 
 module Parallel_streams = struct
@@ -468,7 +453,7 @@ module Parallel_streams = struct
 end
 
 module Local_ecn = struct
-  type row = { label : string; result : Run.result; ce_marks : int }
+  type row = { label : string; result : Spec.flow_result; ce_marks : int }
 
   (* RED thresholds scaled to the 100-packet IFQ; a heavier EWMA weight
      than WAN RED because the queue is small and fast-moving. *)
@@ -481,26 +466,24 @@ module Local_ecn = struct
     }
 
   let run ?pool ?(duration = Sim.Time.sec 25) () =
-    let spec = { Run.default_spec with duration } in
-    let results =
-      Run.bulk_batch ?pool
+    let red =
+      { Spec.default_duplex with Spec.ifq_red_ecn = Some qdisc_params }
+    in
+    let cells =
+      List.map
+        (fun (label, path, ss) -> (label, one_flow ~label ~path ~duration ss))
         [
-          ( Some "standard/drop-tail",
-            { spec with Run.slow_start = "standard" } );
-          ( Some "standard/red-ecn qdisc",
-            {
-              spec with
-              Run.slow_start = "standard";
-              ifq_red_ecn = Some qdisc_params;
-            } );
-          ( Some "restricted/drop-tail",
-            { spec with Run.slow_start = "restricted" } );
+          ("standard/drop-tail", Spec.default_duplex, "standard");
+          ("standard/red-ecn qdisc", red, "standard");
+          ("restricted/drop-tail", Spec.default_duplex, "restricted");
         ]
     in
+    let find = run_flows ?pool cells in
     List.map
-      (fun (r : Run.result) ->
-        { label = r.Run.label; result = r; ce_marks = r.Run.ce_marks })
-      results
+      (fun (label, _) ->
+        let result = find label in
+        { label; result; ce_marks = result.Spec.ce_marks })
+      cells
 end
 
 module Chunked_app = struct
@@ -512,58 +495,39 @@ module Chunked_app = struct
     stalls_series : Sim.Stats.Series.t;
   }
 
-  let run_one ~label ~slow_start_name ~restart ~pacing ~chunk_bytes
-      ~interval ~duration =
-    let scenario = Scenario.anl_lbnl ~seed:3 () in
-    let sched = scenario.Scenario.sched in
-    let slow_start =
-      match Tcp.Slow_start.by_name slow_start_name with
-      | Ok ss -> ss
-      | Error e -> invalid_arg e
-    in
-    let config =
-      { Tcp.Config.default with slow_start_restart = restart; pacing }
-    in
-    let source =
-      Workload.Chunked.start
-        ~src:(Scenario.sender_host scenario)
-        ~dst:(Scenario.receiver_host scenario)
-        ~flow:1 ~ids:scenario.Scenario.ids ~chunk_bytes ~interval ~config
-        ~slow_start ~name:label ()
-    in
-    let sender = Workload.Chunked.sender source in
-    let stalls_series = Sim.Stats.Series.create ~name:"send_stalls" () in
-    ignore
-      (Sim.Scheduler.every sched (Sim.Time.ms 250) (fun () ->
-           Sim.Stats.Series.add stalls_series (Sim.Scheduler.now sched)
-             (float_of_int (Tcp.Sender.send_stalls sender))));
-    Sim.Scheduler.run ~until:duration sched;
-    {
-      label;
-      goodput_mbps =
-        Tcp.Receiver.goodput_mbps
-          (Workload.Chunked.receiver source)
-          ~at:duration;
-      send_stalls = Tcp.Sender.send_stalls sender;
-      congestion_signals = Tcp.Sender.congestion_signals sender;
-      stalls_series;
-    }
-
   let run ?pool ?(chunk_bytes = 6_000_000) ?(interval = Sim.Time.sec 3)
       ?(duration = Sim.Time.sec 25) () =
     let cells =
-      [
-        ("standard/restart-on", "standard", true, false);
-        ("standard/restart-off", "standard", false, false);
-        ("standard/restart-off+pacing", "standard", false, true);
-        ("restricted/restart-on", "restricted", true, false);
-      ]
+      List.map
+        (fun (label, ss, slow_start_restart, pacing) ->
+          let flow =
+            {
+              Spec.default_flow with
+              Spec.slow_start_restart;
+              pacing;
+              workload =
+                Spec.Chunked { chunk_bytes; interval; chunks = None };
+            }
+          in
+          (label, one_flow ~label ~seed:3 ~flow ~duration ss))
+        [
+          ("standard/restart-on", "standard", true, false);
+          ("standard/restart-off", "standard", false, false);
+          ("standard/restart-off+pacing", "standard", false, true);
+          ("restricted/restart-on", "restricted", true, false);
+        ]
     in
-    pmap ?pool
-      ~label:(fun (label, _, _, _) -> "e13 " ^ label)
-      (fun (label, slow_start_name, restart, pacing) ->
-        run_one ~label ~slow_start_name ~restart ~pacing ~chunk_bytes
-          ~interval ~duration)
+    let find = run_flows ?pool cells in
+    List.map
+      (fun (label, _) ->
+        let r = find label in
+        {
+          label;
+          goodput_mbps = r.Spec.goodput_mbps;
+          send_stalls = r.Spec.send_stalls;
+          congestion_signals = r.Spec.congestion_signals;
+          stalls_series = r.Spec.stalls_series;
+        })
       cells
 end
 
@@ -576,9 +540,7 @@ module Latency = struct
   }
 
   let run_one ~label ~slow_start_name ~setpoint ~duration =
-    let scenario = Scenario.anl_lbnl ~seed:5 () in
-    let sched = scenario.Scenario.sched in
-    let restricted_config =
+    let restricted =
       Option.map
         (fun fraction ->
           {
@@ -587,22 +549,20 @@ module Latency = struct
           })
         setpoint
     in
-    let slow_start =
-      match Tcp.Slow_start.by_name ?restricted_config slow_start_name with
-      | Ok ss -> ss
-      | Error e -> invalid_arg e
+    let spec =
+      one_flow ~label ~seed:5
+        ~flow:{ Spec.default_flow with Spec.restricted }
+        ~duration slow_start_name
     in
+    let built = Spec.build { spec with Spec.record_series = false } in
     (* One-way delay of data segments, sampled where the forward link
        begins (after the IFQ and serialization — where the standing
        queue lives) plus the constant propagation delay. *)
     let summary = Sim.Stats.Summary.create () in
     let histogram = Sim.Stats.Histogram.create ~lo:0. ~hi:200. ~bins:2000 in
-    let owd_ms =
-      Sim.Time.to_ms
-        (Netsim.Link.delay scenario.Scenario.path.Netsim.Topology.Duplex.a_to_b)
-    in
-    Netsim.Link.add_tap scenario.Scenario.path.Netsim.Topology.Duplex.a_to_b
-      (fun now pkt ->
+    let link = Spec.forward_link built in
+    let owd_ms = Sim.Time.to_ms (Netsim.Link.delay link) in
+    Netsim.Link.add_tap link (fun now pkt ->
         match pkt.Netsim.Packet.payload with
         | Proto.Payload.Tcp h when h.Proto.Tcp_header.payload_len > 0 ->
             let ms =
@@ -612,17 +572,10 @@ module Latency = struct
             Sim.Stats.Summary.add summary ms;
             Sim.Stats.Histogram.add histogram ms
         | Proto.Payload.Tcp _ | Proto.Payload.Udp _ -> ());
-    let conn =
-      Tcp.Connection.establish
-        ~src:(Scenario.sender_host scenario)
-        ~dst:(Scenario.receiver_host scenario)
-        ~flow:1 ~ids:scenario.Scenario.ids ~slow_start ~name:label ()
-    in
-    Sim.Scheduler.run ~until:duration sched;
+    let r = List.hd (Spec.execute built).Spec.results in
     {
       label;
-      goodput_mbps =
-        Tcp.Receiver.goodput_mbps conn.Tcp.Connection.receiver ~at:duration;
+      goodput_mbps = r.Spec.goodput_mbps;
       mean_delay_ms = Sim.Stats.Summary.mean summary;
       p99_delay_ms = Sim.Stats.Histogram.quantile histogram 0.99;
     }
@@ -657,7 +610,7 @@ module Fairness = struct
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
     if s2 <= 0. then 1. else s *. s /. (n *. s2)
 
-  let pair ~ss_a ~ss_b ~duration =
+  let pair ~duration (ss_a, ss_b) =
     let flow i ss_name =
       {
         Spec.default_flow with
@@ -666,45 +619,42 @@ module Fairness = struct
         slow_start = ss_name;
       }
     in
-    let spec =
-      {
-        Spec.default with
-        Spec.name = Printf.sprintf "e8-%s-vs-%s" ss_a ss_b;
-        seed = 23;
-        duration;
-        record_series = false;
-        topology =
-          Spec.Dumbbell
-            {
-              Spec.pairs = 2;
-              access_rate = Sim.Units.mbps 100.;
-              access_delay = Sim.Time.ms 1;
-              bottleneck_rate = Sim.Units.mbps 100.;
-              bottleneck_delay = Sim.Time.ms 28;
-              buffer_packets = 250;
-              host_ifq_capacity = 100;
-              red = None;
-            };
-        flows = [ flow 0 ss_a; flow 1 ss_b ];
-      }
-    in
-    match (Spec.run spec).Spec.results with
-    | [ a; b ] -> (a.Spec.goodput_mbps, b.Spec.goodput_mbps)
-    | _ -> assert false
+    {
+      Spec.default with
+      Spec.name = Printf.sprintf "e8-%s-vs-%s" ss_a ss_b;
+      seed = 23;
+      duration;
+      record_series = false;
+      topology =
+        Spec.Dumbbell
+          {
+            Spec.pairs = 2;
+            access_rate = Sim.Units.mbps 100.;
+            access_delay = Sim.Time.ms 1;
+            bottleneck_rate = Sim.Units.mbps 100.;
+            bottleneck_delay = Sim.Time.ms 28;
+            buffer_packets = 250;
+            host_ifq_capacity = 100;
+            red = None;
+          };
+      flows = [ flow 0 ss_a; flow 1 ss_b ];
+    }
 
   let run ?pool ?(duration = Sim.Time.sec 40) () =
-    match
-      pmap ?pool
-        ~label:(fun (ss_a, ss_b) -> Printf.sprintf "e8 %s vs %s" ss_a ss_b)
-        (fun (ss_a, ss_b) -> pair ~ss_a ~ss_b ~duration)
-        [ ("standard", "restricted"); ("standard", "standard") ]
-    with
-    | [ (reno_mbps, restricted_mbps); (ctrl_a, ctrl_b) ] ->
-        {
-          reno_mbps;
-          restricted_mbps;
-          jain_index = jain [ reno_mbps; restricted_mbps ];
-          reno_vs_reno_jain = jain [ ctrl_a; ctrl_b ];
-        }
-    | _ -> assert false
+    let mixed = ("standard", "restricted")
+    and control = ("standard", "standard") in
+    let find =
+      run_cells ?pool
+        (List.map (fun cell -> (cell, pair ~duration cell)) [ mixed; control ])
+    in
+    let goodputs key =
+      List.map (fun (r : Spec.flow_result) -> r.Spec.goodput_mbps) (find key)
+    in
+    let mixed_mbps = goodputs mixed in
+    {
+      reno_mbps = List.nth mixed_mbps 0;
+      restricted_mbps = List.nth mixed_mbps 1;
+      jain_index = jain mixed_mbps;
+      reno_vs_reno_jain = jain (goodputs control);
+    }
 end

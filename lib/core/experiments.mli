@@ -11,8 +11,8 @@
     TCP vs the proposed scheme. *)
 module Fig1 : sig
   type t = {
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
     duration : Sim.Time.t;
   }
 
@@ -37,16 +37,17 @@ end
 
 (** E2: slow-start variant comparison on the paper's path. *)
 module Variants : sig
-  val run : ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> unit -> Run.result list
-  (** standard, limited, hystart, restricted — in that order. *)
+  val run :
+    ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> unit -> Spec.flow_result list
+  (** standard, abc, limited, hystart, restricted — in that order. *)
 end
 
 (** E3: throughput vs interface-queue size, standard vs RSS. *)
 module Ifq_sweep : sig
   type row = {
     ifq_capacity : int;
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
   }
 
   val run :
@@ -61,8 +62,8 @@ end
 module Rtt_sweep : sig
   type row = {
     rtt_ms : int;
-    standard : Run.result;
-    restricted : Run.result;
+    standard : Spec.flow_result;
+    restricted : Spec.flow_result;
   }
 
   val run :
@@ -103,7 +104,7 @@ module Pid_ablation : sig
   type row = {
     label : string;
     gains : Control.Pid.gains;
-    result : Run.result;
+    result : Spec.flow_result;
   }
 
   type t = {
@@ -116,7 +117,11 @@ end
 
 (** E7: reaction-to-stall ablation under standard slow-start. *)
 module Local_cong_ablation : sig
-  val run : ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> unit -> (string * Run.result) list
+  val run :
+    ?pool:Engine.Pool.t ->
+    ?duration:Sim.Time.t ->
+    unit ->
+    (string * Spec.flow_result) list
 end
 
 (** E9: gain scheduling — fixed-gain RSS vs the RTT-adaptive variant
@@ -124,9 +129,9 @@ end
 module Adaptive_gains : sig
   type row = {
     rtt_ms : int;
-    standard : Run.result;
-    restricted_fixed : Run.result;
-    restricted_adaptive : Run.result;
+    standard : Spec.flow_result;
+    restricted_fixed : Spec.flow_result;
+    restricted_adaptive : Spec.flow_result;
   }
 
   val run :
@@ -141,7 +146,8 @@ end
     pacing vs plain standard vs RSS. Pacing smooths the bursts but not
     the exponential overshoot itself. *)
 module Pacing : sig
-  val run : ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> unit -> Run.result list
+  val run :
+    ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> unit -> Spec.flow_result list
   (** standard, standard+pacing, restricted, restricted+pacing. *)
 end
 
@@ -174,7 +180,7 @@ end
 module Local_ecn : sig
   type row = {
     label : string;
-    result : Run.result;
+    result : Spec.flow_result;
     ce_marks : int;
   }
 

@@ -1,9 +1,10 @@
 (* Declarative scenario pipeline: spec value -> built network -> outcome.
 
    Compilation is ordered so that a spec reproducing one of the legacy
-   hand-wired assemblies (Run.bulk, experiments E5/E8/E11, the chaos
-   harness) performs the same scheduler/RNG operations in the same
-   sequence, keeping results byte-identical through the refactor:
+   hand-wired assemblies (the one-flow paper path, experiments
+   E5/E8/E11/E13/E14, the chaos harness) performs the same
+   scheduler/RNG operations in the same sequence, keeping results
+   byte-identical through the refactor:
    scheduler -> topology -> fault models (forward, then reverse) ->
    flows in list order -> instrumentation timers -> run. *)
 
@@ -231,6 +232,31 @@ let resolve_cong_avoid = function
   | Cubic -> Tcp.Cong_avoid.cubic ()
   | Vegas -> Tcp.Cong_avoid.vegas ()
 
+(* (slow_start, cong_avoid, pacing hints) for one connection. A [policy]
+   name resolves through the registry as a fresh bundle; without one the
+   legacy slow_start/cong_avoid fields are resolved exactly as before,
+   keeping pre-policy specs byte-identical. [shared] yields the sending
+   host's shared RSS controller for a [shared_rss] flow; validation,
+   which instantiates nothing, omits it. Raises [Invalid_argument] on an
+   unknown name. *)
+let bundle_for ?shared (f : flow) =
+  let ok = function Ok x -> x | Error e -> invalid_arg e in
+  let restricted_config = f.restricted in
+  match (f.policy, shared) with
+  | Some name, _ ->
+      let p = ok (Tcp.Policy.by_name ?restricted_config name) in
+      ( p.Tcp.Policy.slow_start,
+        p.Tcp.Policy.cong_avoid,
+        p.Tcp.Policy.pace_gains )
+  | None, Some controller when f.shared_rss ->
+      ( Tcp.Shared_rss.policy (controller ()),
+        resolve_cong_avoid f.cong_avoid,
+        None )
+  | None, _ ->
+      ( ok (Tcp.Slow_start.by_name ?restricted_config f.slow_start),
+        resolve_cong_avoid f.cong_avoid,
+        None )
+
 let validate_flow ~pairs i f =
   if f.pair < 0 || f.pair >= pairs then
     err "Spec.build: flow %d: pair %d outside 0..%d" i f.pair (pairs - 1);
@@ -240,18 +266,11 @@ let validate_flow ~pairs i f =
   (match Tcp.Slow_start.by_name ?restricted_config:f.restricted f.slow_start with
   | Ok _ -> ()
   | Error e -> err "Spec.build: flow %d: %s" i e);
-  (* The congestion avoidance the flow will run, resolved as
-     [bundle_for] does. *)
-  let cong_avoid =
-    match f.policy with
-    | None -> resolve_cong_avoid f.cong_avoid
-    | Some p -> (
-        if f.shared_rss then
-          err "Spec.build: flow %d: policy and shared_rss are mutually exclusive"
-            i;
-        match Tcp.Policy.by_name ?restricted_config:f.restricted p with
-        | Ok p -> p.Tcp.Policy.cong_avoid
-        | Error e -> err "Spec.build: flow %d: %s" i e)
+  if f.policy <> None && f.shared_rss then
+    err "Spec.build: flow %d: policy and shared_rss are mutually exclusive" i;
+  let _, cong_avoid, _ =
+    try bundle_for f
+    with Invalid_argument e -> err "Spec.build: flow %d: %s" i e
   in
   match f.workload with
   | Bulk { bytes = Some b } when b <= 0 ->
@@ -427,9 +446,7 @@ let validate (t : t) =
 (* --- compilation -------------------------------------------------------- *)
 
 type net =
-  | Net_duplex of Scenario.t
-  | Net_duplex_split of Netsim.Topology.Duplex.t
-      (* the duplex path rebuilt across two partition schedulers *)
+  | Net_duplex of Netsim.Topology.Duplex.t
   | Net_dumbbell of Netsim.Topology.Dumbbell.t
   | Net_multi of Netsim.Topology.Multi_dumbbell.t
 
@@ -490,9 +507,7 @@ let trace b = b.btrace
 
 let pair_hosts net pair =
   match net with
-  | Net_duplex s -> (Scenario.sender_host s, Scenario.receiver_host s)
-  | Net_duplex_split d ->
-      (d.Netsim.Topology.Duplex.a, d.Netsim.Topology.Duplex.b)
+  | Net_duplex d -> (d.Netsim.Topology.Duplex.a, d.Netsim.Topology.Duplex.b)
   | Net_dumbbell d ->
       ( d.Netsim.Topology.Dumbbell.left.(pair),
         d.Netsim.Topology.Dumbbell.right.(pair) )
@@ -533,8 +548,7 @@ let dst_host b ~pair = snd (pair_hosts b.net pair)
 
 let forward_link b =
   match b.net with
-  | Net_duplex s -> Scenario.forward_link s
-  | Net_duplex_split d -> d.Netsim.Topology.Duplex.a_to_b
+  | Net_duplex d -> d.Netsim.Topology.Duplex.a_to_b
   | Net_dumbbell d -> d.Netsim.Topology.Dumbbell.bottleneck_lr
   | Net_multi md ->
       md.Netsim.Topology.Multi_dumbbell.segments.(0)
@@ -542,8 +556,7 @@ let forward_link b =
 
 let reverse_link b =
   match b.net with
-  | Net_duplex s -> Scenario.reverse_link s
-  | Net_duplex_split d -> d.Netsim.Topology.Duplex.b_to_a
+  | Net_duplex d -> d.Netsim.Topology.Duplex.b_to_a
   | Net_dumbbell d -> d.Netsim.Topology.Dumbbell.bottleneck_rl
   | Net_multi md ->
       md.Netsim.Topology.Multi_dumbbell.segments.(0)
@@ -591,11 +604,6 @@ let config_of_flow ?pace_gains (f : flow) =
       | None -> Tcp.Config.default.Tcp.Config.max_rto);
   }
 
-let resolve_policy (f : flow) =
-  match Tcp.Slow_start.by_name ?restricted_config:f.restricted f.slow_start with
-  | Ok ss -> ss
-  | Error e -> invalid_arg e
-
 (* One shared controller per sending host, created when the first
    shared flow on that host starts (so its sampling clock begins before
    any member connection exists, matching the legacy E11 assembly). *)
@@ -616,26 +624,6 @@ let controller_for b bf =
       Hashtbl.add b.shared key c;
       c
 
-let policy_for b bf =
-  if bf.fspec.shared_rss then Tcp.Shared_rss.policy (controller_for b bf)
-  else resolve_policy bf.fspec
-
-(* (slow_start, cong_avoid, pacing hints) for one connection. A [policy]
-   name resolves through the registry as a fresh bundle; without one the
-   legacy slow_start/cong_avoid fields are resolved exactly as before,
-   keeping pre-policy specs byte-identical. *)
-let bundle_for b bf =
-  match bf.fspec.policy with
-  | Some name -> (
-      match
-        Tcp.Policy.by_name ?restricted_config:bf.fspec.restricted name
-      with
-      | Ok p ->
-          (p.Tcp.Policy.slow_start, p.Tcp.Policy.cong_avoid,
-           p.Tcp.Policy.pace_gains)
-      | Error e -> invalid_arg e)
-  | None -> (policy_for b bf, resolve_cong_avoid bf.fspec.cong_avoid, None)
-
 (* Derived RNG stream for stochastic workloads (on_off, short_flows);
    offset keeps flow streams clear of the chaos fault streams 0xFA1/2
    and the small indices sweeps use for their cells. *)
@@ -648,16 +636,17 @@ let start_flow b bf =
   let flow_id = bf.index + 1 in
   let ids = b.pids.(bf.fsrc_part) in
   let rx_ids = b.pids.(bf.fdst_part) in
+  let bundle () = bundle_for ~shared:(fun () -> controller_for b bf) f in
   let driver =
     match f.workload with
     | Bulk { bytes } ->
-        let ss, cc, pace_gains = bundle_for b bf in
+        let ss, cc, pace_gains = bundle () in
         Bulk_driver
           (Workload.Bulk.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
              ~ids ~rx_ids ~config:(config_of_flow ?pace_gains f)
              ~slow_start:ss ~cong_avoid:cc ?bytes ~name:bf.flabel ())
     | Chunked { chunk_bytes; interval; chunks } ->
-        let ss, cc, pace_gains = bundle_for b bf in
+        let ss, cc, pace_gains = bundle () in
         Chunked_driver
           (Workload.Chunked.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
              ~ids ~rx_ids ~chunk_bytes ~interval ?chunks
@@ -678,14 +667,14 @@ let start_flow b bf =
         (* Each mouse gets a fresh slow-start instance; the bundle's
            congestion avoidance stays at the driver's internal default
            (mice rarely leave slow-start). *)
-        let _, _, pace_gains = bundle_for b bf in
+        let _, _, pace_gains = bundle () in
         Short_driver
           (Workload.Short_flows.start ~src:bf.src ~dst:bf.dst ~ids
              ~rng:(flow_rng b bf.index) ~arrival_rate ~mean_size ~pareto_shape
              ~first_flow:(10_000 + (1_000 * bf.index))
              ~config:(config_of_flow ?pace_gains f)
              ~slow_start:(fun () ->
-               let ss, _, _ = bundle_for b bf in
+               let ss, _, _ = bundle () in
                ss)
              ?stop_at ())
     | Many_flows
@@ -756,7 +745,7 @@ let start_flow b bf =
                        (Sim.Rng.derive_seed ~root:b.bspec.seed
                           ~stream:(0x6F0000 + (bf.index * 0x100) + k)) )
                in
-               let _, cc, _ = bundle_for b bf in
+               let _, cc, _ = bundle () in
                Workload.Many_flows.start ~sched:(sched_of k) ~rng ~seed
                  ~cong_avoid:cc
                  {
@@ -830,8 +819,9 @@ let build spec =
   let net, cut =
     match (spec.topology, psync) with
     | Duplex d, None ->
+        let sched = Sim.Scheduler.create ~seed:spec.seed () in
         ( Net_duplex
-            (Scenario.anl_lbnl ~seed:spec.seed ~rate:d.rate
+            (Netsim.Topology.Duplex.create sched ~rate:d.rate
                ~one_way_delay:d.one_way_delay ~ifq_capacity:d.ifq_capacity
                ~loss_rate:d.loss_rate ?ifq_red_ecn:d.ifq_red_ecn ()),
           Netsim.Topology.Cut.single )
@@ -844,7 +834,7 @@ let build spec =
             ~ifq_capacity:d.ifq_capacity ~loss_rate:d.loss_rate
             ?ifq_red_ecn:d.ifq_red_ecn ()
         in
-        (Net_duplex_split path, cut)
+        (Net_duplex path, cut)
     | Dumbbell d, _ ->
         let sched = Sim.Scheduler.create ~seed:spec.seed () in
         ( Net_dumbbell
@@ -883,12 +873,7 @@ let build spec =
     | Some p -> Sim.Partition.scheduler p 0
     | None -> (
         match net with
-        | Net_duplex s -> s.Scenario.sched
-        | Net_duplex_split _ ->
-            err
-              "Spec.build: a split duplex path was assembled without a \
-               partition synchronizer — split topologies exist only under \
-               domains > 1"
+        | Net_duplex d -> Netsim.Host.scheduler d.Netsim.Topology.Duplex.a
         | Net_dumbbell d ->
             Netsim.Host.scheduler d.Netsim.Topology.Dumbbell.left.(0)
         | Net_multi md ->
@@ -896,12 +881,7 @@ let build spec =
               md.Netsim.Topology.Multi_dumbbell.segments.(0)
                 .Netsim.Topology.Multi_dumbbell.left.(0))
   in
-  let pids =
-    match net with
-    | Net_duplex s -> [| s.Scenario.ids |]
-    | Net_duplex_split _ | Net_dumbbell _ | Net_multi _ ->
-        Array.init nparts (fun _ -> Netsim.Packet.Id_source.create ())
-  in
+  let pids = Array.init nparts (fun _ -> Netsim.Packet.Id_source.create ()) in
   (* Rewire each boundary link of the cut as a channel endpoint: the
      transmit side hands finished packets to the channel (due = now +
      propagation delay, the channel's lookahead), and the destination
@@ -1626,7 +1606,7 @@ let execute_core ?checkpoint ~resume ~identity b =
   in
   let router_drops =
     match b.net with
-    | Net_duplex _ | Net_duplex_split _ -> 0
+    | Net_duplex _ -> 0
     | Net_dumbbell d ->
         Netsim.Router.dropped d.Netsim.Topology.Dumbbell.router_l
         + Netsim.Router.dropped d.Netsim.Topology.Dumbbell.router_r

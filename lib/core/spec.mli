@@ -5,11 +5,12 @@
     and instrumentation options. {!build} compiles it into a live
     network (scheduler, hosts, links, connections, workload drivers),
     {!execute} runs the clock and harvests one {!flow_result} per flow
-    plus aggregate {!path_stats}. Everything the experiment suite used
-    to hand-wire — [Run.bulk]'s duplex path, E5's dumbbell, E8's
-    fairness pair, E11's parallel streams, the chaos harness's faulted
-    scenarios — is a value of this type, and {!of_json} makes the same
-    scenarios loadable from a file ([rss_sim run --spec FILE.json]).
+    plus aggregate {!path_stats}. Every experiment — the one-flow
+    paper path most sweeps vary, E5's dumbbell, E8's fairness pair,
+    E11's parallel streams, E13's chunked source, the chaos harness's
+    faulted scenarios — is a value of this type, and {!of_json} makes
+    the same scenarios loadable from a file
+    ([rss_sim run --spec FILE.json]).
 
     Running a spec is a pure function of the spec value: results are
     byte-identical across runs, worker counts and replay. *)
@@ -197,8 +198,8 @@ val default_flow : flow
     Reno, [Halve] local congestion, delayed ACKs, SACK, no pacing. *)
 
 val default : t
-(** [default_duplex] carrying one [default_flow] for 25 s, 250 ms
-    sampling, no faults — exactly [Run.default_spec]. *)
+(** The paper's testbed: [default_duplex] carrying one [default_flow]
+    for 25 s, seed 1, 250 ms sampling, no faults. *)
 
 val workload_kinds : string list
 (** JSON [kind] names, for CLIs. *)

@@ -1,63 +1,61 @@
-(* Scenario construction, Run harness and experiment drivers (short
-   horizons to stay fast — the full horizons run in bench/). *)
+(* Spec runs of the paper path, experiment drivers (short horizons to
+   stay fast — the full horizons run in bench/) and the paper's headline
+   claims at full horizon. *)
 
-let test_scenario_defaults () =
-  let s = Core.Scenario.anl_lbnl () in
-  Alcotest.(check (float 1e-6)) "BDP = 500 pkts" 500.
-    (Core.Scenario.bdp_packets s);
-  Alcotest.(check int) "sender id" 0
-    (Netsim.Host.id (Core.Scenario.sender_host s));
-  Alcotest.(check int) "receiver id" 1
-    (Netsim.Host.id (Core.Scenario.receiver_host s));
-  Alcotest.(check int) "ifq capacity" 100
-    (Netsim.Ifq.capacity (Core.Scenario.sender_ifq s))
-
-let short_spec slow_start =
+let short_spec ?(flow = Core.Spec.default_flow) slow_start =
   {
-    Core.Run.default_spec with
+    Core.Spec.default with
+    Core.Spec.name = slow_start;
     duration = Sim.Time.sec 3;
-    slow_start;
     sample_period = Sim.Time.ms 100;
+    flows = [ { flow with Core.Spec.slow_start } ];
   }
 
+let run_one spec = List.hd (Core.Spec.run spec).Core.Spec.results
+
 let test_run_bulk_standard () =
-  let r = Core.Run.bulk (short_spec "standard") in
+  let r = run_one (short_spec "standard") in
   Alcotest.(check string) "label defaults to policy" "standard"
-    r.Core.Run.label;
-  Alcotest.(check bool) "goodput positive" true (r.Core.Run.goodput_mbps > 1.);
+    r.Core.Spec.label;
+  Alcotest.(check bool) "goodput positive" true (r.Core.Spec.goodput_mbps > 1.);
   Alcotest.(check bool) "utilization consistent" true
-    (Float.abs (r.Core.Run.utilization -. (r.Core.Run.goodput_mbps /. 100.))
+    (Float.abs (r.Core.Spec.utilization -. (r.Core.Spec.goodput_mbps /. 100.))
      < 1e-9);
   Alcotest.(check bool) "series populated" true
-    (Sim.Stats.Series.length r.Core.Run.cwnd_series > 20)
+    (Sim.Stats.Series.length r.Core.Spec.cwnd_series > 20)
 
 let test_run_bulk_restricted_beats_standard () =
-  let std = Core.Run.bulk (short_spec "standard") in
-  let rss = Core.Run.bulk (short_spec "restricted") in
+  let std = run_one (short_spec "standard") in
+  let rss = run_one (short_spec "restricted") in
   Alcotest.(check bool) "RSS ahead after 3s" true
-    (rss.Core.Run.goodput_mbps > std.Core.Run.goodput_mbps);
-  Alcotest.(check int) "RSS stall-free" 0 rss.Core.Run.send_stalls
+    (rss.Core.Spec.goodput_mbps > std.Core.Spec.goodput_mbps);
+  Alcotest.(check int) "RSS stall-free" 0 rss.Core.Spec.send_stalls
 
 let test_run_completion () =
-  let spec = { (short_spec "standard") with Core.Run.bytes = Some 100_000 } in
-  let r = Core.Run.bulk spec in
-  match r.Core.Run.completion with
+  let flow =
+    {
+      Core.Spec.default_flow with
+      Core.Spec.workload = Core.Spec.Bulk { bytes = Some 100_000 };
+    }
+  in
+  let r = run_one (short_spec ~flow "standard") in
+  match r.Core.Spec.completion with
   | Some t -> Alcotest.(check bool) "completed quickly" true
                 (Sim.Time.to_sec t < 1.)
   | None -> Alcotest.fail "transfer did not complete"
 
 let test_run_determinism () =
-  let a = Core.Run.bulk (short_spec "standard") in
-  let b = Core.Run.bulk (short_spec "standard") in
-  Alcotest.(check (float 0.)) "identical goodput" a.Core.Run.goodput_mbps
-    b.Core.Run.goodput_mbps;
-  Alcotest.(check int) "identical stalls" a.Core.Run.send_stalls
-    b.Core.Run.send_stalls
+  let a = run_one (short_spec "standard") in
+  let b = run_one (short_spec "standard") in
+  Alcotest.(check (float 0.)) "identical goodput" a.Core.Spec.goodput_mbps
+    b.Core.Spec.goodput_mbps;
+  Alcotest.(check int) "identical stalls" a.Core.Spec.send_stalls
+    b.Core.Spec.send_stalls
 
 let test_run_rejects_bogus_policy () =
   Alcotest.(check bool) "invalid_arg on bogus policy" true
     (try
-       ignore (Core.Run.bulk (short_spec "bogus"));
+       ignore (run_one (short_spec "bogus"));
        false
      with Invalid_argument _ -> true)
 
@@ -65,10 +63,10 @@ let test_fig1_short () =
   let r = Core.Experiments.Fig1.run ~duration:(Sim.Time.sec 3) () in
   let std = r.Core.Experiments.Fig1.standard in
   let rss = r.Core.Experiments.Fig1.restricted in
-  Alcotest.(check bool) "standard stalls" true (std.Core.Run.send_stalls >= 1);
-  Alcotest.(check int) "RSS clean" 0 rss.Core.Run.send_stalls;
+  Alcotest.(check bool) "standard stalls" true (std.Core.Spec.send_stalls >= 1);
+  Alcotest.(check int) "RSS clean" 0 rss.Core.Spec.send_stalls;
   (* The stalls series is a cumulative counter: non-decreasing. *)
-  let v = Sim.Stats.Series.values std.Core.Run.stalls_series in
+  let v = Sim.Stats.Series.values std.Core.Spec.stalls_series in
   let monotone = ref true in
   Array.iteri (fun i x -> if i > 0 && x < v.(i - 1) then monotone := false) v;
   Alcotest.(check bool) "cumulative monotone" true !monotone
@@ -85,7 +83,7 @@ let test_variants_short () =
   let rows = Core.Experiments.Variants.run ~duration:(Sim.Time.sec 3) () in
   Alcotest.(check (list string)) "order and labels"
     [ "standard"; "abc"; "limited"; "hystart"; "restricted" ]
-    (List.map (fun r -> r.Core.Run.label) rows)
+    (List.map (fun r -> r.Core.Spec.label) rows)
 
 let test_ifq_sweep_short () =
   let rows =
@@ -96,9 +94,9 @@ let test_ifq_sweep_short () =
   List.iter
     (fun (r : Core.Experiments.Ifq_sweep.row) ->
       Alcotest.(check bool) "RSS >= std on paper path" true
-        (r.Core.Experiments.Ifq_sweep.restricted.Core.Run.goodput_mbps
+        (r.Core.Experiments.Ifq_sweep.restricted.Core.Spec.goodput_mbps
          >= 0.8
-            *. r.Core.Experiments.Ifq_sweep.standard.Core.Run.goodput_mbps))
+            *. r.Core.Experiments.Ifq_sweep.standard.Core.Spec.goodput_mbps))
     rows
 
 let test_fairness_short () =
@@ -152,9 +150,49 @@ let test_tuned_config () =
   Alcotest.(check (float 1e-9)) "setpoint fraction" 0.9
     cfg.Tcp.Slow_start.setpoint_fraction
 
+(* The paper's headline claims at full horizon. §4: RSS improves on
+   standard TCP by ~40 % over a 25 s transfer (measured +51.75 %);
+   standard stalls, RSS never does. *)
+let test_claim_table1 () =
+  match Core.Experiments.Table1.run ~durations:[ 25. ] () with
+  | [ row ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "improvement %.2f%% >= 40%%"
+           row.Core.Experiments.Table1.improvement_pct)
+        true
+        (row.Core.Experiments.Table1.improvement_pct >= 40.);
+      Alcotest.(check bool) "standard stalls" true
+        (row.Core.Experiments.Table1.standard_stalls >= 1);
+      Alcotest.(check int) "RSS never stalls" 0
+        row.Core.Experiments.Table1.restricted_stalls
+  | _ -> Alcotest.fail "expected one row"
+
+(* Figure 1's staircase: a disk-paced transfer under standard
+   slow-start (idle restart off) accumulates send-stalls 0, 1, 2, 3, 4
+   over 25 s, one per chunk burst and never decreasing; RSS stays at
+   zero. *)
+let test_claim_fig1_staircase () =
+  let rows = Core.Experiments.Chunked_app.run () in
+  let series label =
+    match
+      List.find_opt (fun r -> r.Core.Experiments.Chunked_app.label = label) rows
+    with
+    | Some r ->
+        Array.to_list
+          (Sim.Stats.Series.values r.Core.Experiments.Chunked_app.stalls_series)
+    | None -> Alcotest.failf "no %s row" label
+  in
+  let staircase = series "standard/restart-off" in
+  Alcotest.(check bool) "never decreases" true
+    (List.sort compare staircase = staircase);
+  Alcotest.(check (list (float 0.))) "climbs 0 -> 4"
+    [ 0.; 1.; 2.; 3.; 4. ]
+    (List.sort_uniq compare staircase);
+  Alcotest.(check bool) "restricted stays at 0" true
+    (List.for_all (fun v -> v = 0.) (series "restricted/restart-on"))
+
 let suite =
   [
-    Alcotest.test_case "scenario defaults" `Quick test_scenario_defaults;
     Alcotest.test_case "run bulk standard" `Quick test_run_bulk_standard;
     Alcotest.test_case "run: RSS beats standard" `Quick
       test_run_bulk_restricted_beats_standard;
@@ -172,4 +210,7 @@ let suite =
     Alcotest.test_case "calibration plant responds" `Slow
       test_calibrate_plant_responds;
     Alcotest.test_case "tuned config" `Quick test_tuned_config;
+    Alcotest.test_case "paper claim: T1 +40% at 25 s" `Slow test_claim_table1;
+    Alcotest.test_case "paper claim: F1 stall staircase" `Slow
+      test_claim_fig1_staircase;
   ]

@@ -1,53 +1,221 @@
-(* Golden replay: fig1 and e2 run once sequentially and once on a
-   4-domain pool must emit identical CSV rows — the guard on the
-   paper-reproduction numbers in EXPERIMENTS.md. Short horizons keep
-   the suite fast; the full horizons run in bench/ and in CI's
-   parallel-determinism job. *)
+(* Experiment goldens: every Experiments driver (fig1, table1, e2–e14)
+   at a 2 s horizon, rendered to text — scalar rows in "%.9f" plus the
+   series fig1 and e13 plot — and compared byte-for-byte with the files
+   committed under test/golden_experiments/. The goldens were generated
+   on the sequential path; the check replays the drivers on a 4-domain
+   pool, so one comparison pins both the reproduced numbers and their
+   independence from the worker count. On a mismatch the fresh
+   rendering is written to the temp directory (named in the failure) —
+   copy it over the golden only for a deliberate model change. *)
 
 let duration = Sim.Time.sec 2
 
-let series_csv s =
-  let path = Filename.temp_file "rss_determinism" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Report.Csv.write_series ~path ~name:"v" s;
-      In_channel.with_open_text path In_channel.input_all)
-
 let with_parallel f = Engine.Pool.with_pool ~jobs:4 (fun pool -> f (Some pool))
+let f9 = Printf.sprintf "%.9f"
+let opt_f9 = function Some x -> f9 x | None -> "-"
+let row cells = String.concat "," cells ^ "\n"
 
-let fig1_artifacts pool =
-  let r = Core.Experiments.Fig1.run ?pool ~duration () in
-  let std = r.Core.Experiments.Fig1.standard in
-  let rss = r.Core.Experiments.Fig1.restricted in
-  List.map series_csv
+let flow_row (r : Core.Spec.flow_result) =
+  row
     [
-      std.Core.Run.stalls_series;
-      std.Core.Run.cwnd_series;
-      rss.Core.Run.stalls_series;
-      rss.Core.Run.cwnd_series;
+      r.Core.Spec.label;
+      f9 r.Core.Spec.goodput_mbps;
+      f9 r.Core.Spec.utilization;
+      string_of_int r.Core.Spec.send_stalls;
+      string_of_int r.Core.Spec.congestion_signals;
+      string_of_int r.Core.Spec.retransmits;
+      string_of_int r.Core.Spec.timeouts;
+      f9 r.Core.Spec.final_cwnd_segments;
+      f9 r.Core.Spec.mean_ifq;
+      f9 r.Core.Spec.peak_ifq;
+      string_of_int r.Core.Spec.ce_marks;
+      opt_f9 (Option.map Sim.Time.to_sec r.Core.Spec.completion);
+      opt_f9 r.Core.Spec.time_to_90pct_util;
     ]
 
-let test_fig1_replay () =
-  Alcotest.(check (list string))
-    "fig1 CSVs byte-identical, sequential vs 4 domains"
-    (fig1_artifacts None)
-    (with_parallel fig1_artifacts)
+let series_csv label s =
+  String.concat ""
+    (Printf.sprintf "# %s %s\n" label (Sim.Stats.Series.name s)
+    :: List.map
+         (fun (t, v) -> row [ f9 t; f9 v ])
+         (Sim.Stats.Series.to_csv_rows s))
 
-let e2_rows pool =
-  let rows = Core.Experiments.Variants.run ?pool ~duration () in
-  List.map
-    (fun (r : Core.Run.result) ->
-      Printf.sprintf "%s,%.9f,%d,%d,%d,%d,%.9f" r.Core.Run.label
-        r.Core.Run.goodput_mbps r.Core.Run.send_stalls
-        r.Core.Run.congestion_signals r.Core.Run.retransmits
-        r.Core.Run.timeouts r.Core.Run.final_cwnd_segments)
-    rows
+let flow_series (r : Core.Spec.flow_result) =
+  String.concat ""
+    (List.map
+       (series_csv r.Core.Spec.label)
+       [
+         r.Core.Spec.stalls_series;
+         r.Core.Spec.cwnd_series;
+         r.Core.Spec.ifq_series;
+         r.Core.Spec.throughput_series;
+         r.Core.Spec.srtt_series;
+       ])
 
-let test_e2_replay () =
-  Alcotest.(check (list string))
-    "e2 rows identical, sequential vs 4 domains" (e2_rows None)
-    (with_parallel e2_rows)
+let concat_map f xs = String.concat "" (List.map f xs)
+
+module E = Core.Experiments
+
+let renderings =
+  [
+    ( "fig1",
+      fun pool ->
+        let r = E.Fig1.run ?pool ~duration () in
+        concat_map
+          (fun res -> flow_row res ^ flow_series res)
+          [ r.E.Fig1.standard; r.E.Fig1.restricted ] );
+    ( "table1",
+      fun pool ->
+        concat_map
+          (fun (r : E.Table1.row) ->
+            row
+              [
+                f9 r.E.Table1.duration_s;
+                f9 r.E.Table1.standard_mbps;
+                f9 r.E.Table1.restricted_mbps;
+                f9 r.E.Table1.improvement_pct;
+                string_of_int r.E.Table1.standard_stalls;
+                string_of_int r.E.Table1.restricted_stalls;
+              ])
+          (E.Table1.run ?pool ~durations:[ Sim.Time.to_sec duration ] ()) );
+    ("e2", fun pool -> concat_map flow_row (E.Variants.run ?pool ~duration ()));
+    ( "e3",
+      fun pool ->
+        concat_map
+          (fun (r : E.Ifq_sweep.row) ->
+            row [ string_of_int r.E.Ifq_sweep.ifq_capacity ]
+            ^ flow_row r.E.Ifq_sweep.standard
+            ^ flow_row r.E.Ifq_sweep.restricted)
+          (E.Ifq_sweep.run ?pool ~duration ()) );
+    ( "e4",
+      fun pool ->
+        concat_map
+          (fun (r : E.Rtt_sweep.row) ->
+            row [ string_of_int r.E.Rtt_sweep.rtt_ms ]
+            ^ flow_row r.E.Rtt_sweep.standard
+            ^ flow_row r.E.Rtt_sweep.restricted)
+          (E.Rtt_sweep.run ?pool ~duration ()) );
+    ( "e5",
+      fun pool ->
+        concat_map
+          (fun (r : E.Burst_loss.row) ->
+            row
+              [
+                f9 r.E.Burst_loss.bottleneck_mbps;
+                string_of_int r.E.Burst_loss.buffer_packets;
+                r.E.Burst_loss.slow_start;
+                string_of_int r.E.Burst_loss.router_drops;
+                string_of_int r.E.Burst_loss.retransmits;
+                f9 r.E.Burst_loss.goodput_mbps;
+              ])
+          (E.Burst_loss.run ?pool ~duration ()) );
+    ( "e6",
+      fun pool ->
+        let t = E.Pid_ablation.run ?pool ~duration () in
+        (match t.E.Pid_ablation.measured with
+        | Ok c ->
+            row [ "measured"; f9 c.Control.Tuning.kc; f9 c.Control.Tuning.tc ]
+        | Error e -> row [ "measured"; "error"; e ])
+        ^ concat_map
+            (fun (r : E.Pid_ablation.row) ->
+              let g = r.E.Pid_ablation.gains in
+              row
+                [
+                  r.E.Pid_ablation.label;
+                  f9 g.Control.Pid.kp;
+                  f9 g.Control.Pid.ti;
+                  f9 g.Control.Pid.td;
+                ]
+              ^ flow_row r.E.Pid_ablation.result)
+            t.E.Pid_ablation.rows );
+    ( "e7",
+      fun pool ->
+        concat_map
+          (fun (name, r) -> row [ name ] ^ flow_row r)
+          (E.Local_cong_ablation.run ?pool ~duration ()) );
+    ( "e8",
+      fun pool ->
+        let t = E.Fairness.run ?pool ~duration () in
+        row
+          [
+            f9 t.E.Fairness.reno_mbps;
+            f9 t.E.Fairness.restricted_mbps;
+            f9 t.E.Fairness.jain_index;
+            f9 t.E.Fairness.reno_vs_reno_jain;
+          ] );
+    ( "e9",
+      fun pool ->
+        concat_map
+          (fun (r : E.Adaptive_gains.row) ->
+            row [ string_of_int r.E.Adaptive_gains.rtt_ms ]
+            ^ flow_row r.E.Adaptive_gains.standard
+            ^ flow_row r.E.Adaptive_gains.restricted_fixed
+            ^ flow_row r.E.Adaptive_gains.restricted_adaptive)
+          (E.Adaptive_gains.run ?pool ~duration ()) );
+    ("e10", fun pool -> concat_map flow_row (E.Pacing.run ?pool ~duration ()));
+    ( "e11",
+      fun pool ->
+        concat_map
+          (fun (r : E.Parallel_streams.row) ->
+            row
+              [
+                string_of_int r.E.Parallel_streams.streams;
+                r.E.Parallel_streams.slow_start;
+                f9 r.E.Parallel_streams.aggregate_mbps;
+                string_of_int r.E.Parallel_streams.total_stalls;
+                f9 r.E.Parallel_streams.jain_index;
+                f9 r.E.Parallel_streams.mean_ifq;
+              ])
+          (E.Parallel_streams.run ?pool ~duration ()) );
+    ( "e12",
+      fun pool ->
+        concat_map
+          (fun (r : E.Local_ecn.row) ->
+            row [ r.E.Local_ecn.label; string_of_int r.E.Local_ecn.ce_marks ]
+            ^ flow_row r.E.Local_ecn.result)
+          (E.Local_ecn.run ?pool ~duration ()) );
+    ( "e13",
+      fun pool ->
+        concat_map
+          (fun (r : E.Chunked_app.row) ->
+            row
+              [
+                r.E.Chunked_app.label;
+                f9 r.E.Chunked_app.goodput_mbps;
+                string_of_int r.E.Chunked_app.send_stalls;
+                string_of_int r.E.Chunked_app.congestion_signals;
+              ]
+            ^ series_csv r.E.Chunked_app.label r.E.Chunked_app.stalls_series)
+          (E.Chunked_app.run ?pool ~duration ()) );
+    ( "e14",
+      fun pool ->
+        concat_map
+          (fun (r : E.Latency.row) ->
+            row
+              [
+                r.E.Latency.label;
+                f9 r.E.Latency.goodput_mbps;
+                f9 r.E.Latency.mean_delay_ms;
+                f9 r.E.Latency.p99_delay_ms;
+              ])
+          (E.Latency.run ?pool ~duration ()) );
+  ]
+
+let golden_dir = "golden_experiments"
+
+let test_experiment_golden (id, render) () =
+  let file = id ^ ".txt" in
+  let golden =
+    In_channel.with_open_bin (Filename.concat golden_dir file)
+      In_channel.input_all
+  in
+  let actual = with_parallel render in
+  if actual <> golden then begin
+    let fresh = Filename.concat (Filename.get_temp_dir_name ()) file in
+    Out_channel.with_open_bin fresh (fun oc -> output_string oc actual);
+    Alcotest.failf "%s differs from the committed golden (fresh rendering: %s)"
+      file fresh
+  end
 
 (* The policy-matrix golden: the full zoo on the paper path and the
    chaos profile at a fixed seed, rendered through Arena.to_csv's
@@ -122,13 +290,16 @@ let test_many_flows_golden file () =
   Unix.rmdir dir
 
 let suite =
-  [
-    Alcotest.test_case "fig1 golden replay" `Quick test_fig1_replay;
-    Alcotest.test_case "e2 golden replay" `Quick test_e2_replay;
-    Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
-      test_policy_matrix_golden;
-    Alcotest.test_case "many-flows golden: wide windows" `Quick
-      (test_many_flows_golden "mf_wide.json");
-    Alcotest.test_case "many-flows golden: budgeted, sharded" `Quick
-      (test_many_flows_golden "mf_sharded.json");
-  ]
+  List.map
+    (fun ((id, _) as case) ->
+      Alcotest.test_case (id ^ " golden replay") `Quick
+        (test_experiment_golden case))
+    renderings
+  @ [
+      Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
+        test_policy_matrix_golden;
+      Alcotest.test_case "many-flows golden: wide windows" `Quick
+        (test_many_flows_golden "mf_wide.json");
+      Alcotest.test_case "many-flows golden: budgeted, sharded" `Quick
+        (test_many_flows_golden "mf_sharded.json");
+    ]

@@ -1,5 +1,5 @@
 (* Core.Spec: JSON round-trips, fixed-seed goldens, worker-count
-   determinism, Run.bulk equivalence and build-time validation. *)
+   determinism and build-time validation. *)
 
 module Spec = Core.Spec
 module Fm = Netsim.Fault_model
@@ -384,44 +384,6 @@ let test_jobs_determinism () =
   Alcotest.(check bool) "pool of 4 matches sequential" true
     (sequential = pooled)
 
-(* --- Run.bulk is the one-flow special case ----------------------------- *)
-
-let test_bulk_equals_one_flow_spec () =
-  let run_spec =
-    {
-      Core.Run.default_spec with
-      Core.Run.duration = sec 3;
-      slow_start = "restricted";
-      seed = 11;
-    }
-  in
-  let r = Core.Run.bulk run_spec in
-  let hand_built =
-    {
-      Spec.default with
-      Spec.name = "restricted";
-      seed = 11;
-      duration = sec 3;
-      flows =
-        [
-          { Spec.default_flow with Spec.label = Some "restricted";
-            slow_start = "restricted" };
-        ];
-    }
-  in
-  match (Spec.run hand_built).Spec.results with
-  | [ r' ] ->
-      Alcotest.(check (float 0.)) "same goodput" r.Core.Run.goodput_mbps
-        r'.Spec.goodput_mbps;
-      Alcotest.(check int) "same stalls" r.Core.Run.send_stalls
-        r'.Spec.send_stalls;
-      Alcotest.(check (float 0.)) "same cwnd" r.Core.Run.final_cwnd_segments
-        r'.Spec.final_cwnd_segments;
-      Alcotest.(check int) "same series length"
-        (Sim.Stats.Series.length r.Core.Run.cwnd_series)
-        (Sim.Stats.Series.length r'.Spec.cwnd_series)
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
-
 (* --- validation -------------------------------------------------------- *)
 
 let test_validation () =
@@ -576,8 +538,6 @@ let suite =
       test_golden_dumbbell;
     Alcotest.test_case "identical at any worker count" `Slow
       test_jobs_determinism;
-    Alcotest.test_case "Run.bulk is the one-flow spec" `Slow
-      test_bulk_equals_one_flow_spec;
     Alcotest.test_case "build validates the spec" `Quick test_validation;
     Alcotest.test_case "many_flows refuses stateful avoidance" `Quick
       test_many_flows_cong_avoid;
