@@ -248,35 +248,38 @@ let test_policy_matrix_golden () =
     (with_parallel matrix_csv)
 
 (* The many-flows goldens: every artifact `rss_sim run --spec --out`
-   writes for two pinned flow-level specs — 2,000 persistent flows deep
-   in congestion avoidance on the RED duplex, and a budgeted population
-   sharded over four dumbbell segments. A speed-only change to the
-   engine must leave them byte-identical; regenerate (only for a
-   deliberate model change) with
+   writes for three pinned flow-level specs — 2,000 persistent flows deep
+   in congestion avoidance on the RED duplex, a budgeted population
+   sharded over four dumbbell segments, and 300 persistent flows with
+   Pareto arrivals on a RED duplex whose base RTT is about three wheel
+   ticks (so arrival timers share wheel slots with round timers). A
+   speed-only change to the engine must leave them byte-identical;
+   regenerate (only for a deliberate model change) with
      rss_sim run --spec test/golden_many_flows/mf_wide.json \
        --out test/golden_many_flows
-   and likewise for mf_sharded.json. *)
+   and likewise for mf_sharded.json and mf_pareto.json. *)
 let mf_golden_dir = "golden_many_flows"
 
-let test_many_flows_golden file () =
-  let spec =
-    match
-      Report.Json.of_string
-        (In_channel.with_open_text
-           (Filename.concat mf_golden_dir file)
-           In_channel.input_all)
-    with
-    | Error e -> Alcotest.failf "%s: %s" file e
-    | Ok j -> (
-        match Core.Spec.of_json j with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "%s: %s" file e)
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rss_mf_golden_%d" (Unix.getpid ()))
-  in
-  let written = Serve.Artifacts.write_outcome ~dir spec (Core.Spec.run spec) in
+let load_golden_spec file =
+  match
+    Report.Json.of_string
+      (In_channel.with_open_text
+         (Filename.concat mf_golden_dir file)
+         In_channel.input_all)
+  with
+  | Error e -> Alcotest.failf "%s: %s" file e
+  | Ok j -> (
+      match Core.Spec.of_json j with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "%s: %s" file e)
+
+let mf_tmp name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "rss_mf_golden_%d_%s" (Unix.getpid ()) name)
+
+let check_against_goldens spec outcome =
+  let dir = mf_tmp "out" in
+  let written = Serve.Artifacts.write_outcome ~dir spec outcome in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   List.iter
     (fun path ->
@@ -288,6 +291,36 @@ let test_many_flows_golden file () =
       Sys.remove path)
     written;
   Unix.rmdir dir
+
+let test_many_flows_golden file () =
+  let spec = load_golden_spec file in
+  check_against_goldens spec (Core.Spec.run spec)
+
+(* The same golden reached through a snapshot: drain at the first
+   0.7 s checkpoint, resume from the image, and the artifacts must still
+   match byte for byte. *)
+let test_many_flows_golden_resumed file () =
+  let spec = load_golden_spec file in
+  let path = mf_tmp "resume.snap" in
+  let checkpoint =
+    {
+      Core.Spec.snapshot_path = path;
+      interval = Sim.Time.ms 700;
+      should_stop = (fun () -> true);
+    }
+  in
+  let snapshot =
+    match Core.Spec.run ~checkpoint spec with
+    | _ -> Alcotest.fail "expected a drain at the first checkpoint"
+    | exception Core.Spec.Drained { at; snapshot } ->
+        Alcotest.(check int) "drained mid-run" 700_000_000
+          (Sim.Time.to_ns_int at);
+        snapshot
+  in
+  check_against_goldens spec (Core.Spec.run ~resume_from:snapshot spec);
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ path; path ^ ".prev" ]
 
 let suite =
   List.map
@@ -302,4 +335,9 @@ let suite =
         (test_many_flows_golden "mf_wide.json");
       Alcotest.test_case "many-flows golden: budgeted, sharded" `Quick
         (test_many_flows_golden "mf_sharded.json");
+      Alcotest.test_case "many-flows golden: Pareto arrivals, short RTT"
+        `Quick
+        (test_many_flows_golden "mf_pareto.json");
+      Alcotest.test_case "many-flows golden: Pareto arrivals, resumed" `Quick
+        (test_many_flows_golden_resumed "mf_pareto.json");
     ]
