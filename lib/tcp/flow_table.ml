@@ -16,9 +16,10 @@
              budget acct next_pace_ns last_send_ns rng timer flags
 
    [flags] packs the connection phase in bits 0-1 and the boolean
-   latches above it; [timer] holds a Timer_wheel or Event_queue handle;
-   [rng] is a per-flow xorshift state so flow-level engines can draw
-   per-flow randomness without touching a shared stream. *)
+   latches above it; [timer] is the engine's timer bookkeeping (the
+   many_flows engine links each round cohort's rows through it); [rng]
+   is a per-flow xorshift state so flow-level engines can draw per-flow
+   randomness without touching a shared stream. *)
 
 (* flags layout *)
 let phase_mask = 0b11
@@ -45,7 +46,7 @@ type t = {
   mutable next_pace_ns : int array;
   mutable last_send_ns : int array;
   mutable rng : int array; (* xorshift state, never 0 while in use *)
-  mutable timer : int array; (* foreign timer handle; -1 = none *)
+  mutable timer : int array; (* engine timer bookkeeping; -1 = none *)
   mutable flags : int array; (* -1 = free row *)
 }
 

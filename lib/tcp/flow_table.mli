@@ -69,8 +69,9 @@ val last_send_ns : t -> int -> int
 val set_last_send_ns : t -> int -> int -> unit
 
 val timer : t -> int -> int
-(** A foreign timer handle ({!Sim.Timer_wheel} or {!Sim.Event_queue});
-    −1 = none. The table only stores it. *)
+(** A free int per row for the engine's timer bookkeeping; −1 = none
+    (the {!alloc} default). The table only stores it. [many_flows]
+    keeps the link to the next row of the row's round cohort here. *)
 
 val set_timer : t -> int -> int -> unit
 

@@ -10,9 +10,9 @@
    - Per-flow state is a Flow_table row: cwnd/ssthresh driven through
      the {!Tcp.Cong_avoid} policy hooks by index, a budget column for
      finite transfer sizes, a per-row xorshift stream for loss draws
-     and the row's round-timer handle. No per-flow closure exists
-     anywhere: all rounds dispatch through the engine's single
-     [on_fire] callback.
+     and the row's link in its round cohort (below). No per-flow
+     closure exists anywhere: all rounds dispatch through the engine's
+     single [on_fire] callback.
 
    - The bottleneck is a fluid integrator: between events the backlog
      changes at (Σcwnd/RTT − C), clamped to [0, buffer]; RTT is the
@@ -22,7 +22,7 @@
      of the queue, or from the tail-drop overflow fraction when RED is
      off — so a round of W bytes survives with (1−p)^(W/mss).
 
-   - Each flow's round timer re-arms every RTT: slow start doubles the
+   - Each flow's round re-arms every RTT: slow start doubles the
      window per round until ssthresh, congestion avoidance makes one
      call to the policy's per-round rule (on_round: the round's W/mss
      per-ACK steps folded over an unboxed float, bit-identical to
@@ -30,6 +30,19 @@
      on_loss and drops to avoidance. Every row shares one controller,
      so only avoidances whose per-ACK rule keeps no state — exactly
      those with an on_round — are accepted.
+
+   - Round timers are per cohort, not per row. The rows re-armed back
+     to back at one instant share one due time (the RTT only moves
+     when the fluid queue is integrated, which happens once per
+     instant), so the wheel holds one timer for them: it carries the
+     cohort's first row, and each row's Flow_table [timer] column links
+     to the next row (−1 ends the cohort). A row joins the open cohort
+     only while no other timer has been armed on the wheel since and
+     the cohort has not fired; a per-row wheel would then hold exactly
+     these rows, consecutively, in one slot, so firing the cohort in
+     link order is the per-row firing order. [Timer_wheel.pending]
+     counts cohorts plus the pending arrival; snapshots expand each
+     cohort into the per-row entries.
 
    Everything is deterministic for a fixed seed: arrivals and sizes
    come from one dedicated stream, loss draws from per-row streams
@@ -58,6 +71,24 @@ type params = {
 let kind_round = 0
 let kind_arrival = 1
 
+(* The engine's float state, in one all-float record: OCaml stores it
+   flat, so updating a field writes a double in place, where a mutable
+   float field of the mixed record [t] would box a fresh one on every
+   write. [rtt_s] and [early] are functions of the queue state, cached
+   where it changes ([refresh]); the memo holds the last round's
+   survival probability, keyed on its exact inputs. *)
+type totals = {
+  mutable q_bytes : float;
+  mutable avg_pkts : float; (* RED's EWMA of the queue, packets *)
+  mutable sum_cwnd : float; (* bytes across active flows *)
+  mutable delivered : float; (* goodput bytes across all flows *)
+  mutable rtt_s : float; (* base RTT + q/C *)
+  mutable early : float; (* RED early-drop probability at avg_pkts *)
+  mutable memo_p : float;
+  mutable memo_pkts : float;
+  mutable memo_keep : float; (* (1 − memo_p)^memo_pkts *)
+}
+
 type t = {
   sched : Sim.Scheduler.t;
   wheel : Wheel.t;
@@ -66,16 +97,20 @@ type t = {
   p : params;
   seed : int;
   rng : Sim.Rng.t; (* arrivals + sizes only *)
-  mutable q_bytes : float;
-  mutable avg_pkts : float; (* RED's EWMA of the queue, packets *)
+  f : totals;
   mutable last_update_ns : int;
-  mutable sum_cwnd : float; (* bytes across active flows *)
+  mutable rtt_ns : int; (* [f.rtt_s], truncated: the round timers' delay *)
+  mutable srtt : Sim.Time.t; (* [f.rtt_s], rounded: on_round's srtt *)
   mutable active : int;
   mutable created : int;
   mutable completed : int;
-  mutable delivered : float; (* goodput bytes across all flows *)
   mutable loss_events : int;
   mutable stopped : bool;
+  (* The open cohort: the one rows may still join. *)
+  mutable open_head : int; (* its wheel timer's row; -1 = none open *)
+  mutable open_tail : int;
+  mutable open_ns : int; (* the instant it was armed *)
+  mutable open_due_ns : int;
 }
 
 let mssf t = float_of_int t.p.mss
@@ -84,20 +119,29 @@ let buffer_bytes t = float_of_int t.p.buffer_packets *. mssf t
 (* Serialization time of one mss packet — RED's idle-decay clock. *)
 let pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
 
-let rtt_s t =
-  Sim.Time.to_sec t.p.base_rtt +. (t.q_bytes /. t.p.capacity_bytes_per_sec)
+(* Re-derive the cached functions of the queue state. *)
+let refresh t =
+  let f = t.f in
+  f.rtt_s <-
+    Sim.Time.to_sec t.p.base_rtt +. (f.q_bytes /. t.p.capacity_bytes_per_sec);
+  t.rtt_ns <- int_of_float (f.rtt_s *. 1e9);
+  t.srtt <- Sim.Time.of_sec f.rtt_s;
+  match t.p.red with
+  | None -> ()
+  | Some rp -> f.early <- Netsim.Queue_disc.red_drop_probability rp ~avg:f.avg_pkts
 
 (* Fluid integration of the backlog since the last event, then the
-   line-rate EWMA the RED curve reads. One multiply-adds per event, no
-   allocation. *)
+   line-rate EWMA the RED curve reads. A few multiply-adds per instant,
+   no allocation. *)
 let update_queue t ~now_ns =
   let dt = float_of_int (now_ns - t.last_update_ns) *. 1e-9 in
   if dt > 0. then begin
-    let inflow = t.sum_cwnd /. rtt_s t in
-    let q = t.q_bytes +. ((inflow -. t.p.capacity_bytes_per_sec) *. dt) in
+    let f = t.f in
+    let inflow = f.sum_cwnd /. f.rtt_s in
+    let q = f.q_bytes +. ((inflow -. t.p.capacity_bytes_per_sec) *. dt) in
     let q = if q < 0. then 0. else q in
     let cap = buffer_bytes t in
-    t.q_bytes <- (if q > cap then cap else q);
+    f.q_bytes <- (if q > cap then cap else q);
     (match t.p.red with
     | None -> ()
     | Some rp ->
@@ -105,8 +149,9 @@ let update_queue t ~now_ns =
            elapsed: avg ← q + (avg−q)·(1−w)^(dt/pkt_time). *)
         let m = dt /. pkt_time t in
         let keep = (1. -. rp.Netsim.Queue_disc.weight) ** m in
-        let q_pkts = t.q_bytes /. mssf t in
-        t.avg_pkts <- q_pkts +. ((t.avg_pkts -. q_pkts) *. keep));
+        let q_pkts = f.q_bytes /. mssf t in
+        f.avg_pkts <- q_pkts +. ((f.avg_pkts -. q_pkts) *. keep));
+    refresh t;
     t.last_update_ns <- now_ns
   end
 
@@ -116,35 +161,57 @@ let update_queue t ~now_ns =
    overload RED alone may not shed enough (its curve tops out against
    a clamped average), and without the overflow term delivered bytes
    would exceed the link capacity. *)
-let drop_probability t =
+let[@inline] drop_probability t =
+  let f = t.f in
   let overflow =
-    if t.q_bytes >= buffer_bytes t -. (0.5 *. mssf t) then
-      let inflow = t.sum_cwnd /. rtt_s t in
+    if f.q_bytes >= buffer_bytes t -. (0.5 *. mssf t) then
+      let inflow = f.sum_cwnd /. f.rtt_s in
       if inflow <= t.p.capacity_bytes_per_sec then 0.
       else (inflow -. t.p.capacity_bytes_per_sec) /. inflow
     else 0.
   in
   match t.p.red with
   | None -> overflow
-  | Some rp ->
-      let early = Netsim.Queue_disc.red_drop_probability rp ~avg:t.avg_pkts in
-      1. -. ((1. -. early) *. (1. -. overflow))
+  | Some _ -> 1. -. ((1. -. f.early) *. (1. -. overflow))
+
+(* (1−p)^pkts, memoised on its exact inputs: flows in lockstep see the
+   same p and window, so most rounds skip the [**]. *)
+let[@inline] survival f p pkts =
+  if p = f.memo_p && pkts = f.memo_pkts then f.memo_keep
+  else begin
+    let keep = (1. -. p) ** pkts in
+    f.memo_p <- p;
+    f.memo_pkts <- pkts;
+    f.memo_keep <- keep;
+    keep
+  end
 
 let phase_slow_start = 1
 let phase_cong_avoid = 2
 
-let arm_round t row =
-  let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
-  let due_ns = now_ns + int_of_float (rtt_s t *. 1e9) in
-  Ft.set_timer t.table row (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row :> int)
+(* Arm [row]'s next round: append it to the open cohort when that is
+   indistinguishable from a per-row timer, else arm a wheel timer for a
+   new cohort headed by [row]. *)
+let arm_round t row ~now_ns =
+  let due_ns = now_ns + t.rtt_ns in
+  Ft.set_timer t.table row (-1);
+  if t.open_head >= 0 && t.open_ns = now_ns && t.open_due_ns = due_ns then
+    Ft.set_timer t.table t.open_tail row
+  else begin
+    ignore (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row);
+    t.open_head <- row;
+    t.open_ns <- now_ns;
+    t.open_due_ns <- due_ns
+  end;
+  t.open_tail <- row
 
 let retire t row =
-  t.sum_cwnd <- t.sum_cwnd -. Ft.cwnd t.table row;
+  t.f.sum_cwnd <- t.f.sum_cwnd -. Ft.cwnd t.table row;
   t.active <- t.active - 1;
   t.completed <- t.completed + 1;
   Ft.free t.table row
 
-let launch t =
+let launch t ~now_ns =
   let row = Ft.alloc t.table in
   let idx = t.created in
   t.created <- idx + 1;
@@ -167,10 +234,10 @@ let launch t =
          Stdlib.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale))
    in
    Ft.set_budget t.table row size);
-  t.sum_cwnd <- t.sum_cwnd +. cwnd;
-  arm_round t row
+  t.f.sum_cwnd <- t.f.sum_cwnd +. cwnd;
+  arm_round t row ~now_ns
 
-let schedule_arrival t =
+let schedule_arrival t ~now_ns =
   if t.created < t.p.flows && not t.stopped then
     match t.p.arrival_rate with
     | None -> ()
@@ -183,7 +250,9 @@ let schedule_arrival t =
               let scale = mean *. (shape -. 1.) /. shape in
               Sim.Rng.pareto t.rng ~shape ~scale
         in
-        let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
+        (* Another timer on the wheel: rows armed after it must not
+           join a cohort armed before it. *)
+        t.open_head <- -1;
         ignore
           (Wheel.arm t.wheel
              ~due_ns:(now_ns + int_of_float (gap *. 1e9))
@@ -192,63 +261,75 @@ let schedule_arrival t =
 (* One RTT round of flow [row]: Bernoulli loss over the W/mss packets
    of the round, then the policy's growth or decrease, delivered-byte
    accounting, and re-arm — all through table columns, no closure. *)
-let round t row =
-  let now = Sim.Scheduler.now t.sched in
-  let w = Ft.cwnd t.table row in
+let round t row ~now_ns =
+  let tbl = t.table and f = t.f in
+  let w = Ft.cwnd tbl row in
   let p = drop_probability t in
   let pkts = w /. mssf t in
-  let p_round = 1. -. ((1. -. p) ** pkts) in
-  let lost = p_round > 0. && Ft.rng_float t.table row < p_round in
+  let p_round = 1. -. survival f p pkts in
+  let lost = p_round > 0. && Ft.rng_float tbl row < p_round in
   if lost then begin
     t.loss_events <- t.loss_events + 1;
-    Ft.ca_on_loss t.table row t.cc ~flight:(int_of_float w) ~mss:t.p.mss ~now;
-    Ft.set_phase t.table row phase_cong_avoid
+    Ft.ca_on_loss tbl row t.cc ~flight:(int_of_float w) ~mss:t.p.mss
+      ~now:(Sim.Time.of_ns_int now_ns);
+    Ft.set_phase tbl row phase_cong_avoid
   end
-  else if Ft.phase t.table row = phase_slow_start then begin
+  else if Ft.phase tbl row = phase_slow_start then begin
     (* Every byte of the round acked: the window doubles. *)
     let next = w *. 2. in
-    let ss = Ft.ssthresh t.table row in
+    let ss = Ft.ssthresh tbl row in
     if next >= ss then begin
-      Ft.set_cwnd t.table row ss;
-      Ft.set_phase t.table row phase_cong_avoid
+      Ft.set_cwnd tbl row ss;
+      Ft.set_phase tbl row phase_cong_avoid
     end
-    else Ft.set_cwnd t.table row next
+    else Ft.set_cwnd tbl row next
   end
   else
     (* A loss-free round acks every packet of the window: one call to
        the policy's per-round rule applies that many per-ACK steps
        (Reno adds mss²/cwnd per segment), bit-identical to a
        packet-level sender's ~1 mss/RTT growth in avoidance. *)
-    Ft.ca_on_round t.table row t.cc
+    Ft.ca_on_round tbl row t.cc
       ~acks:(Stdlib.max 1 (int_of_float pkts))
       ~mss:t.p.mss
-      ~srtt:(Sim.Time.of_sec (rtt_s t));
+      ~srtt:t.srtt;
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
-  t.delivered <- t.delivered +. got;
+  f.delivered <- f.delivered +. got;
   let done_ =
-    let b = Ft.budget t.table row in
+    let b = Ft.budget tbl row in
     b >= 0
     &&
     let b' = b - int_of_float got in
-    Ft.set_budget t.table row (Stdlib.max 0 b');
+    Ft.set_budget tbl row (Stdlib.max 0 b');
     b' <= 0
   in
   if done_ then retire t row
   else begin
-    t.sum_cwnd <- t.sum_cwnd +. (Ft.cwnd t.table row -. w);
-    arm_round t row
+    f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd tbl row -. w);
+    arm_round t row ~now_ns
   end
 
+(* A round timer fires its whole cohort, in link order. Each row's link
+   is read before its round, which re-arms the row into a new cohort. *)
 let on_fire t ~kind ~flow =
-  update_queue t ~now_ns:(Sim.Time.to_ns_int (Sim.Scheduler.now t.sched));
+  let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
+  update_queue t ~now_ns;
   if kind = kind_arrival then begin
     if t.created < t.p.flows && not t.stopped then begin
-      launch t;
-      schedule_arrival t
+      launch t ~now_ns;
+      schedule_arrival t ~now_ns
     end
   end
-  else if Ft.is_live t.table flow then round t flow
+  else begin
+    if flow = t.open_head then t.open_head <- -1;
+    let row = ref flow in
+    while !row >= 0 do
+      let r = !row in
+      row := Ft.timer t.table r;
+      if Ft.is_live t.table r then round t r ~now_ns
+    done
+  end
 
 let default_params =
   {
@@ -315,7 +396,6 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
         sched;
         wheel =
           Wheel.create
-            ~initial_capacity:(Stdlib.min 65536 (Stdlib.max 16 params.flows))
             ~on_fire:(fun ~kind ~flow -> on_fire (Lazy.force t) ~kind ~flow)
             ();
         table = Ft.create ~initial_capacity:(Stdlib.max 16 params.flows) ();
@@ -323,23 +403,39 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
         p = params;
         seed;
         rng;
-        q_bytes = 0.;
-        avg_pkts = 0.;
+        f =
+          {
+            q_bytes = 0.;
+            avg_pkts = 0.;
+            sum_cwnd = 0.;
+            delivered = 0.;
+            rtt_s = 0.;
+            early = 0.;
+            memo_p = nan;
+            memo_pkts = nan;
+            memo_keep = nan;
+          };
         last_update_ns = Sim.Time.to_ns_int (Sim.Scheduler.now sched);
-        sum_cwnd = 0.;
+        rtt_ns = 0;
+        srtt = Sim.Time.zero;
         active = 0;
         created = 0;
         completed = 0;
-        delivered = 0.;
         loss_events = 0;
         stopped = false;
+        open_head = -1;
+        open_tail = -1;
+        open_ns = 0;
+        open_due_ns = 0;
       }
   in
   let t = Lazy.force t in
+  refresh t;
   Sim.Scheduler.attach_wheel sched t.wheel;
+  let now_ns = t.last_update_ns in
   (match params.arrival_rate with
-  | None -> for _ = 1 to params.flows do launch t done
-  | Some _ -> schedule_arrival t);
+  | None -> for _ = 1 to params.flows do launch t ~now_ns done
+  | Some _ -> schedule_arrival t ~now_ns);
   t
 
 let stop t = t.stopped <- true
@@ -348,18 +444,34 @@ let stop t = t.stopped <- true
 
 (* The engine's whole dynamic state: fluid-queue scalars, counters, the
    arrivals stream position, every flow-table column and every pending
-   wheel timer. Deliberately *not* integrated to the snapshot time —
+   timer. Deliberately *not* integrated to the snapshot time —
    [update_queue] advances the fluid backlog from [last_update_ns] using
    the RTT at that instant, so integrating here (as [poll] would) splits
    one integration interval in two and diverges from an unbroken run.
-   Raw state + the saved [last_update_ns] replays identically. *)
+   Raw state + the saved [last_update_ns] replays identically.
+
+   The wheel sections list one (due, kind, row) entry per pending round,
+   the entries a per-row wheel would list: each cohort expands, in link
+   order, at its timer's place in wheel order. The image therefore does
+   not depend on how rows were grouped. *)
+
+let iter_entries t ~f =
+  Wheel.iter_pending t.wheel ~f:(fun ~due_ns ~kind ~flow ->
+      if kind = kind_round then begin
+        let row = ref flow in
+        while !row >= 0 do
+          f ~due_ns ~kind ~flow:!row;
+          row := Ft.timer t.table !row
+        done
+      end
+      else f ~due_ns ~kind ~flow)
 
 let save ?(prefix = "mf.") t w =
   let p name = prefix ^ name in
-  Sim.Snapshot.put_float w (p "q_bytes") t.q_bytes;
-  Sim.Snapshot.put_float w (p "avg_pkts") t.avg_pkts;
-  Sim.Snapshot.put_float w (p "sum_cwnd") t.sum_cwnd;
-  Sim.Snapshot.put_float w (p "delivered") t.delivered;
+  Sim.Snapshot.put_float w (p "q_bytes") t.f.q_bytes;
+  Sim.Snapshot.put_float w (p "avg_pkts") t.f.avg_pkts;
+  Sim.Snapshot.put_float w (p "sum_cwnd") t.f.sum_cwnd;
+  Sim.Snapshot.put_float w (p "delivered") t.f.delivered;
   Sim.Snapshot.put_int w (p "last_update_ns") t.last_update_ns;
   Sim.Snapshot.put_int w (p "active") t.active;
   Sim.Snapshot.put_int w (p "created") t.created;
@@ -367,12 +479,13 @@ let save ?(prefix = "mf.") t w =
   Sim.Snapshot.put_int w (p "loss_events") t.loss_events;
   Sim.Snapshot.put_int w (p "stopped") (if t.stopped then 1 else 0);
   Sim.Snapshot.put_i64 w (p "rng_state") (Sim.Rng.state t.rng);
-  let n = Wheel.pending t.wheel in
-  let due = Array.make n 0
-  and kinds = Array.make n 0
-  and flows = Array.make n 0 in
+  let n = ref 0 in
+  iter_entries t ~f:(fun ~due_ns:_ ~kind:_ ~flow:_ -> incr n);
+  let due = Array.make !n 0
+  and kinds = Array.make !n 0
+  and flows = Array.make !n 0 in
   let i = ref 0 in
-  Wheel.iter_pending t.wheel ~f:(fun ~due_ns ~kind ~flow ->
+  iter_entries t ~f:(fun ~due_ns ~kind ~flow ->
       due.(!i) <- due_ns;
       kinds.(!i) <- kind;
       flows.(!i) <- flow;
@@ -387,15 +500,17 @@ let save ?(prefix = "mf.") t w =
    and seed. The wheel is drained, advanced (empty, so nothing fires)
    to the saved tick, and re-armed in serialization order — which
    rebuilds every slot's FIFO list, and therefore the firing order,
-   exactly. Round timers write their fresh handle back into the row;
-   handle values never influence simulation output (the engine stores
-   but never cancels them). *)
+   exactly. Consecutive round entries with one due time regroup into a
+   cohort (a per-row wheel would hold them consecutively in one slot),
+   which rewrites the [timer] link of every row with a pending round;
+   an image whose [timer] column holds anything else (per-row wheel
+   handles, say) restores the same. No cohort is left open. *)
 let restore ?(prefix = "mf.") t r =
   let p name = prefix ^ name in
-  t.q_bytes <- Sim.Snapshot.get_float r (p "q_bytes");
-  t.avg_pkts <- Sim.Snapshot.get_float r (p "avg_pkts");
-  t.sum_cwnd <- Sim.Snapshot.get_float r (p "sum_cwnd");
-  t.delivered <- Sim.Snapshot.get_float r (p "delivered");
+  t.f.q_bytes <- Sim.Snapshot.get_float r (p "q_bytes");
+  t.f.avg_pkts <- Sim.Snapshot.get_float r (p "avg_pkts");
+  t.f.sum_cwnd <- Sim.Snapshot.get_float r (p "sum_cwnd");
+  t.f.delivered <- Sim.Snapshot.get_float r (p "delivered");
   t.last_update_ns <- Sim.Snapshot.get_int r (p "last_update_ns");
   t.active <- Sim.Snapshot.get_int r (p "active");
   t.created <- Sim.Snapshot.get_int r (p "created");
@@ -403,8 +518,10 @@ let restore ?(prefix = "mf.") t r =
   t.loss_events <- Sim.Snapshot.get_int r (p "loss_events");
   t.stopped <- Sim.Snapshot.get_int r (p "stopped") <> 0;
   Sim.Rng.set_state t.rng (Sim.Snapshot.get_i64 r (p "rng_state"));
+  refresh t;
   Ft.restore t.table ~prefix:(p "ft.") r;
   Wheel.drain t.wheel;
+  t.open_head <- -1;
   let tick = Sim.Snapshot.get_int r (p "wheel_tick") in
   Wheel.advance t.wheel ~now_ns:(tick * Wheel.tick_ns t.wheel);
   let due = Sim.Snapshot.get_int_array r (p "wheel_due_ns") in
@@ -412,12 +529,23 @@ let restore ?(prefix = "mf.") t r =
   let flows = Sim.Snapshot.get_int_array r (p "wheel_flow") in
   if Array.length kinds <> Array.length due || Array.length flows <> Array.length due
   then raise (Sim.Snapshot.Corrupt "Many_flows: ragged wheel sections");
+  let tail = ref (-1) in
   Array.iteri
     (fun i due_ns ->
-      let h =
-        (Wheel.arm t.wheel ~due_ns ~kind:kinds.(i) ~flow:flows.(i) :> int)
-      in
-      if kinds.(i) = kind_round then Ft.set_timer t.table flows.(i) h)
+      let kind = kinds.(i) and row = flows.(i) in
+      if kind = kind_round then begin
+        (* A repeated row would link to itself and fire forever. *)
+        if row = !tail || not (Ft.is_live t.table row) then
+          raise (Sim.Snapshot.Corrupt "Many_flows: bad round timer row");
+        Ft.set_timer t.table row (-1);
+        if !tail >= 0 && due.(i - 1) = due_ns then Ft.set_timer t.table !tail row
+        else ignore (Wheel.arm t.wheel ~due_ns ~kind ~flow:row);
+        tail := row
+      end
+      else begin
+        ignore (Wheel.arm t.wheel ~due_ns ~kind ~flow:row);
+        tail := -1
+      end)
     due
 
 (* --- observation -------------------------------------------------------- *)
@@ -427,26 +555,26 @@ let poll t =
 
 let queue_packets t =
   poll t;
-  t.q_bytes /. mssf t
+  t.f.q_bytes /. mssf t
 
 let avg_queue_packets t =
   poll t;
-  match t.p.red with Some _ -> t.avg_pkts | None -> t.q_bytes /. mssf t
+  match t.p.red with Some _ -> t.f.avg_pkts | None -> t.f.q_bytes /. mssf t
 
-let sum_cwnd_bytes t = t.sum_cwnd
+let sum_cwnd_bytes t = t.f.sum_cwnd
 
 let mean_cwnd_segments t =
   if t.active = 0 then 0.
-  else t.sum_cwnd /. mssf t /. float_of_int t.active
+  else t.f.sum_cwnd /. mssf t /. float_of_int t.active
 
 let active t = t.active
 let created t = t.created
 let completed t = t.completed
-let delivered_bytes t = t.delivered
+let delivered_bytes t = t.f.delivered
 let loss_events t = t.loss_events
 let table t = t.table
 let wheel t = t.wheel
 
 let goodput_mbps t ~duration =
   let s = Sim.Time.to_sec duration in
-  if s <= 0. then 0. else t.delivered *. 8. /. s /. 1e6
+  if s <= 0. then 0. else t.f.delivered *. 8. /. s /. 1e6

@@ -7,12 +7,18 @@
     so a million concurrent flows cost ~16 words each and the timer
     path allocates nothing.
 
-    Each flow's round timer fires once per RTT (base RTT + fluid
-    queueing delay): the round's W bytes face Bernoulli loss with the
-    per-packet probability of the shared RED curve (or the tail-drop
-    overflow fraction), slow start doubles per round, congestion
-    avoidance makes one {!Tcp.Cong_avoid.t.on_round} call per round by
-    row index, and finite-size flows retire when their budget drains.
+    Each flow's round comes once per RTT (base RTT + fluid queueing
+    delay): the round's W bytes face Bernoulli loss with the per-packet
+    probability of the shared RED curve (or the tail-drop overflow
+    fraction), slow start doubles per round, congestion avoidance makes
+    one {!Tcp.Cong_avoid.t.on_round} call per round by row index, and
+    finite-size flows retire when their budget drains.
+
+    Round timers are per {e cohort}: the rows re-armed back to back at
+    one instant for one due time share one wheel timer, which fires
+    them in the order a per-row timer each would have. Firing order,
+    outcomes and snapshot images are those of one timer per row; only
+    {!Sim.Timer_wheel.pending} on {!wheel} differs — it counts cohorts.
 
     Deterministic for a fixed seed: arrivals/sizes from the one [rng]
     stream, per-flow loss draws from row-derived xorshift streams. *)
@@ -71,8 +77,9 @@ val stop : t -> unit
 
 (** {2 Snapshot} — the engine's full dynamic state (fluid queue,
     counters, arrivals-stream position, flow-table columns, pending
-    wheel timers) in a {!Sim.Snapshot} image, without perturbing the
-    fluid integration. Restoring into a freshly-{!start}ed engine built
+    timers with one entry per row, as a per-row wheel would list them)
+    in a {!Sim.Snapshot} image, without perturbing the fluid
+    integration. Restoring into a freshly-{!start}ed engine built
     from the same params and seed continues the run byte-identically to
     one that was never snapshotted. *)
 
@@ -84,9 +91,12 @@ val save : ?prefix:string -> t -> Sim.Snapshot.writer -> unit
 
 val restore : ?prefix:string -> t -> Sim.Snapshot.reader -> unit
 (** Overwrite a freshly-started engine's state in place: drains and
-    re-arms the wheel (all prior handles become stale; round timers get
-    their fresh handle written back into the row) and rewinds the
-    arrivals stream. Raises {!Sim.Snapshot.Corrupt} on bad images. *)
+    re-arms the wheel, regrouping consecutive rounds with one due time
+    into cohorts (which rewrites the [timer] link of every row with a
+    pending round), and rewinds the arrivals stream. Images that stored
+    a per-row wheel handle in the [timer] column restore the same way.
+    Raises {!Sim.Snapshot.Corrupt} on bad images, including a round
+    timer for a free or repeated row. *)
 
 (** {2 Observation} — queue readings integrate the fluid model up to
     the current scheduler time first. *)
@@ -104,4 +114,10 @@ val delivered_bytes : t -> float
 val loss_events : t -> int
 val goodput_mbps : t -> duration:Sim.Time.t -> float
 val table : t -> Tcp.Flow_table.t
+
 val wheel : t -> Sim.Timer_wheel.t
+(** The engine's wheel: at most one arrival timer (kind 1) plus one
+    round timer (kind 0) per cohort, whose [flow] is the cohort's first
+    row. Each row's {!Tcp.Flow_table.timer} links to the cohort's next
+    row, and −1 ends the cohort, so walking the links from every round
+    timer reaches every live row exactly once. *)
