@@ -277,20 +277,25 @@ let mf_tmp name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "rss_mf_golden_%d_%s" (Unix.getpid ()) name)
 
-let check_against_goldens spec outcome =
-  let dir = mf_tmp "out" in
+(* Each spec writes into its own directory, removed even when a
+   comparison fails, so one failing golden cannot break the next. *)
+let check_against_goldens (spec : Core.Spec.t) outcome =
+  let dir = mf_tmp spec.Core.Spec.name in
   let written = Serve.Artifacts.write_outcome ~dir spec outcome in
   let read path = In_channel.with_open_bin path In_channel.input_all in
-  List.iter
-    (fun path ->
-      let name = Filename.basename path in
-      Alcotest.(check string)
-        (name ^ " matches the committed golden")
-        (read (Filename.concat mf_golden_dir name))
-        (read path);
-      Sys.remove path)
-    written;
-  Unix.rmdir dir
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove written;
+      Unix.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun path ->
+          let name = Filename.basename path in
+          Alcotest.(check string)
+            (name ^ " matches the committed golden")
+            (read (Filename.concat mf_golden_dir name))
+            (read path))
+        written)
 
 let test_many_flows_golden file () =
   let spec = load_golden_spec file in
