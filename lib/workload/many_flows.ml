@@ -304,11 +304,10 @@ let round t row ~now_ns =
     Ft.set_budget tbl row (Stdlib.max 0 b');
     b' <= 0
   in
-  if done_ then retire t row
-  else begin
-    f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd tbl row -. w);
-    arm_round t row ~now_ns
-  end
+  (* The window change counts before a retiring flow leaves: [retire]
+     subtracts the post-round window. *)
+  f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd tbl row -. w);
+  if done_ then retire t row else arm_round t row ~now_ns
 
 (* A round timer fires its whole cohort, in link order. Each row's link
    is read before its round, which re-arms the row into a new cohort. *)
