@@ -257,7 +257,9 @@ let test_policy_matrix_golden () =
    regenerate (only for a deliberate model change) with
      rss_sim run --spec test/golden_many_flows/mf_wide.json \
        --out test/golden_many_flows
-   and likewise for mf_sharded.json and mf_pareto.json. *)
+   and likewise for mf_sharded.json and mf_pareto.json (a model change
+   also retires mf_pareto_at_0.7s.snap, which pins resuming an older
+   image). *)
 let mf_golden_dir = "golden_many_flows"
 
 let load_golden_spec file =
@@ -327,6 +329,15 @@ let test_many_flows_golden_resumed file () =
     (fun f -> if Sys.file_exists f then Sys.remove f)
     [ path; path ^ ".prev" ]
 
+(* An image of the Pareto spec at its first 0.7 s checkpoint, written
+   by the engine before round timers were grouped into cohorts: one
+   wheel timer per row, whose handle the Flow_table [timer] column held.
+   It must still resume to the golden artifacts. *)
+let test_many_flows_golden_from_image file image () =
+  let spec = load_golden_spec file in
+  check_against_goldens spec
+    (Core.Spec.run ~resume_from:(Filename.concat mf_golden_dir image) spec)
+
 let suite =
   List.map
     (fun ((id, _) as case) ->
@@ -345,4 +356,9 @@ let suite =
         (test_many_flows_golden "mf_pareto.json");
       Alcotest.test_case "many-flows golden: Pareto arrivals, resumed" `Quick
         (test_many_flows_golden_resumed "mf_pareto.json");
+      Alcotest.test_case
+        "many-flows golden: Pareto arrivals, resumed from a per-row image"
+        `Quick
+        (test_many_flows_golden_from_image "mf_pareto.json"
+           "mf_pareto_at_0.7s.snap");
     ]

@@ -211,6 +211,187 @@ let test_spec_rejects_two_many_flows () =
     (fun () ->
       ignore (Core.Spec.build bad))
 
+(* --- running totals against a recount ----------------------------------- *)
+
+(* Random populations split over 1-3 engines ("shards") on one
+   scheduler, as Core.Spec lays out a sharded many_flows flow at
+   domains 1. At every sample, and after a snapshot of every shard is
+   restored into fresh engines, each shard's tracked totals must equal a
+   recount over its live Flow_table rows:
+   - [active] is the number of live rows;
+   - [sum_cwnd_bytes] is the sum of their windows, to within 1e-3 bytes
+     per flow ever created. A running float sum picks up rounding error
+     of order 1e-16 of its size per update, far below that bound, while
+     a retiring flow whose last window change goes uncounted leaves at
+     least hundreds of bytes behind;
+   - walking every pending round timer (kind 0) through its cohort's
+     [timer] links reaches every live row exactly once, and no free
+     row. *)
+
+type shard_case = {
+  shards : int;
+  flows : int;
+  arrival_rate : float option;
+  arrival_pareto_shape : float option;
+  mean_size : int option;
+  size_pareto_shape : float;
+  red : Netsim.Queue_disc.red_params option;
+  capacity_mbps : float;
+  base_rtt_ms : int;
+  buffer_packets : int;
+  seed : int;
+}
+
+let print_shard_case c =
+  let opt f = function None -> "none" | Some x -> f x in
+  Printf.sprintf
+    "shards=%d flows=%d arrivals=%s pareto=%s size=%s/%.2f red=%s C=%.1f \
+     Mbit/s rtt=%d ms buffer=%d seed=%d"
+    c.shards c.flows
+    (opt (Printf.sprintf "%.1f/s") c.arrival_rate)
+    (opt (Printf.sprintf "%.2f") c.arrival_pareto_shape)
+    (opt string_of_int c.mean_size)
+    c.size_pareto_shape
+    (opt
+       (fun (r : Netsim.Queue_disc.red_params) ->
+         Printf.sprintf "%.0f..%.0f p%.2f" r.min_th r.max_th r.max_p)
+       c.red)
+    c.capacity_mbps c.base_rtt_ms c.buffer_packets c.seed
+
+(* Floats come from scaled integer ranges, which shrink cleanly. *)
+let gen_shard_case =
+  let open QCheck2.Gen in
+  let scaled lo hi ~by = map (fun i -> float_of_int i /. by) (int_range lo hi) in
+  let* shards = int_range 1 3 in
+  let* flows = int_range 20 400 in
+  let* arrival_rate = opt (scaled 50 2000 ~by:1.) in
+  let* arrival_pareto_shape = opt (scaled 120 250 ~by:100.) in
+  let* mean_size = opt (int_range 5_000 200_000) in
+  let* size_pareto_shape = scaled 110 200 ~by:100. in
+  let* red =
+    opt
+      (let* min_th = scaled 5 30 ~by:1. in
+       let* span = scaled 10 60 ~by:1. in
+       let* max_p = scaled 5 30 ~by:100. in
+       return
+         { Netsim.Queue_disc.min_th; max_th = min_th +. span; max_p; weight = 0.002 })
+  in
+  let* capacity_mbps = scaled 5 100 ~by:1. in
+  let* base_rtt_ms = int_range 2 60 in
+  let* buffer_packets = int_range 20 200 in
+  let* seed = int_range 1 1_000_000 in
+  return
+    {
+      shards;
+      flows = Stdlib.max flows shards;
+      arrival_rate;
+      arrival_pareto_shape;
+      mean_size;
+      size_pareto_shape;
+      red;
+      capacity_mbps;
+      base_rtt_ms;
+      buffer_packets;
+      seed;
+    }
+
+(* Shard [k] of case [c] on [sched], split like Core.Spec splits flows
+   and arrival rate over segments. *)
+let start_shards c sched =
+  Array.init c.shards (fun k ->
+      let seed = c.seed + (1000 * k) in
+      Mf.start ~sched ~rng:(Sim.Rng.of_seed seed) ~seed
+        {
+          Mf.default_params with
+          flows = (c.flows / c.shards) + (if k < c.flows mod c.shards then 1 else 0);
+          arrival_rate =
+            Option.map (fun r -> r /. float_of_int c.shards) c.arrival_rate;
+          arrival_pareto_shape = c.arrival_pareto_shape;
+          mean_size = c.mean_size;
+          size_pareto_shape = c.size_pareto_shape;
+          capacity_bytes_per_sec = c.capacity_mbps *. 1e6 /. 8.;
+          base_rtt = Sim.Time.ms c.base_rtt_ms;
+          buffer_packets = c.buffer_packets;
+          red = c.red;
+        })
+
+let check_recount ~where t =
+  let tbl = Mf.table t in
+  let cap = Tcp.Flow_table.capacity tbl in
+  let live = ref 0 and sum = ref 0. in
+  for i = 0 to cap - 1 do
+    if Tcp.Flow_table.is_live tbl i then begin
+      incr live;
+      sum := !sum +. Tcp.Flow_table.cwnd tbl i
+    end
+  done;
+  if Mf.active t <> !live then
+    QCheck2.Test.fail_reportf "%s: active %d but %d live rows" where
+      (Mf.active t) !live;
+  let tol = 1e-3 *. float_of_int (Stdlib.max 1 (Mf.created t)) in
+  if Float.abs (Mf.sum_cwnd_bytes t -. !sum) > tol then
+    QCheck2.Test.fail_reportf "%s: sum_cwnd %.6f but the live rows sum to %.6f"
+      where (Mf.sum_cwnd_bytes t) !sum;
+  let seen = Array.make cap 0 and steps = ref 0 in
+  Sim.Timer_wheel.iter_pending (Mf.wheel t) ~f:(fun ~due_ns:_ ~kind ~flow ->
+      if kind = 0 then begin
+        let row = ref flow in
+        while !row >= 0 do
+          incr steps;
+          if !steps > cap || !row >= cap then
+            QCheck2.Test.fail_reportf "%s: cohort links leave the table or loop"
+              where;
+          seen.(!row) <- seen.(!row) + 1;
+          row := Tcp.Flow_table.timer tbl !row
+        done
+      end);
+  Array.iteri
+    (fun i n ->
+      let want = if Tcp.Flow_table.is_live tbl i then 1 else 0 in
+      if n <> want then
+        QCheck2.Test.fail_reportf "%s: row %d reached %d times by round timers"
+          where i n)
+    seen
+
+let fingerprint_shards shards = Array.map fingerprint shards
+
+let qcheck_totals_match_recount =
+  QCheck2.Test.make ~count:25 ~print:print_shard_case
+    ~name:"active, sum_cwnd and round timers match a recount of live rows"
+    gen_shard_case
+    (fun c ->
+      let sample = Sim.Time.ms 250 and snapshot_at = 4 and samples = 8 in
+      let check_all ~where shards =
+        Array.iteri
+          (fun k t -> check_recount ~where:(Printf.sprintf "%s, shard %d" where k) t)
+          shards
+      in
+      let run_samples sched shards ~from ~until =
+        for i = from to until do
+          Sim.Scheduler.run ~until:(Sim.Time.mul_int sample i) sched;
+          check_all ~where:(Printf.sprintf "sample %d" i) shards
+        done
+      in
+      let sched = Sim.Scheduler.create ~seed:c.seed () in
+      let shards = start_shards c sched in
+      check_all ~where:"start" shards;
+      run_samples sched shards ~from:1 ~until:snapshot_at;
+      let w = Sim.Snapshot.writer () in
+      Array.iteri
+        (fun k t -> Mf.save ~prefix:(Printf.sprintf "mf.%d." k) t w)
+        shards;
+      let r = Sim.Snapshot.of_string (Sim.Snapshot.to_string w) in
+      let sched' = Sim.Scheduler.create ~seed:c.seed () in
+      let restored = start_shards c sched' in
+      Array.iteri
+        (fun k t -> Mf.restore ~prefix:(Printf.sprintf "mf.%d." k) t r)
+        restored;
+      Sim.Scheduler.restore_clock sched' (Sim.Time.mul_int sample snapshot_at);
+      check_all ~where:"after restore" restored;
+      run_samples sched shards ~from:(snapshot_at + 1) ~until:samples;
+      run_samples sched' restored ~from:(snapshot_at + 1) ~until:samples;
+      fingerprint_shards shards = fingerprint_shards restored)
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -226,4 +407,5 @@ let suite =
       test_rejects_stateful_cong_avoid;
     Alcotest.test_case "at most one many_flows per spec" `Quick
       test_spec_rejects_two_many_flows;
+    QCheck_alcotest.to_alcotest qcheck_totals_match_recount;
   ]
