@@ -37,12 +37,13 @@
      instant), so the wheel holds one timer for them: it carries the
      cohort's first row, and each row's Flow_table [timer] column links
      to the next row (−1 ends the cohort). A row joins the open cohort
-     only while no other timer has been armed on the wheel since and
-     the cohort has not fired; a per-row wheel would then hold exactly
-     these rows, consecutively, in one slot, so firing the cohort in
-     link order is the per-row firing order. [Timer_wheel.pending]
-     counts cohorts plus the pending arrival; snapshots expand each
-     cohort into the per-row entries.
+     only for the same due time, while no other timer has been armed
+     on the wheel since and the cohort has not fired. A per-row wheel
+     keeps timers with one due tick in one slot in arm order, so it
+     would hold exactly these rows there, consecutively: firing the
+     cohort in link order is the per-row firing order.
+     [Timer_wheel.pending] counts cohorts plus the pending arrival;
+     snapshots expand each cohort into the per-row entries.
 
    Everything is deterministic for a fixed seed: arrivals and sizes
    come from one dedicated stream, loss draws from per-row streams
@@ -99,8 +100,6 @@ type t = {
   rng : Sim.Rng.t; (* arrivals + sizes only *)
   f : totals;
   mutable last_update_ns : int;
-  mutable rtt_ns : int; (* [f.rtt_s], truncated: the round timers' delay *)
-  mutable srtt : Sim.Time.t; (* [f.rtt_s], rounded: on_round's srtt *)
   mutable active : int;
   mutable created : int;
   mutable completed : int;
@@ -109,7 +108,6 @@ type t = {
   (* The open cohort: the one rows may still join. *)
   mutable open_head : int; (* its wheel timer's row; -1 = none open *)
   mutable open_tail : int;
-  mutable open_ns : int; (* the instant it was armed *)
   mutable open_due_ns : int;
 }
 
@@ -124,8 +122,6 @@ let refresh t =
   let f = t.f in
   f.rtt_s <-
     Sim.Time.to_sec t.p.base_rtt +. (f.q_bytes /. t.p.capacity_bytes_per_sec);
-  t.rtt_ns <- int_of_float (f.rtt_s *. 1e9);
-  t.srtt <- Sim.Time.of_sec f.rtt_s;
   match t.p.red with
   | None -> ()
   | Some rp -> f.early <- Netsim.Queue_disc.red_drop_probability rp ~avg:f.avg_pkts
@@ -193,14 +189,13 @@ let phase_cong_avoid = 2
    indistinguishable from a per-row timer, else arm a wheel timer for a
    new cohort headed by [row]. *)
 let arm_round t row ~now_ns =
-  let due_ns = now_ns + t.rtt_ns in
+  let due_ns = now_ns + int_of_float (t.f.rtt_s *. 1e9) in
   Ft.set_timer t.table row (-1);
-  if t.open_head >= 0 && t.open_ns = now_ns && t.open_due_ns = due_ns then
+  if t.open_head >= 0 && t.open_due_ns = due_ns then
     Ft.set_timer t.table t.open_tail row
   else begin
     ignore (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row);
     t.open_head <- row;
-    t.open_ns <- now_ns;
     t.open_due_ns <- due_ns
   end;
   t.open_tail <- row
@@ -292,7 +287,7 @@ let round t row ~now_ns =
     Ft.ca_on_round tbl row t.cc
       ~acks:(Stdlib.max 1 (int_of_float pkts))
       ~mss:t.p.mss
-      ~srtt:t.srtt;
+      ~srtt:(Sim.Time.of_sec f.rtt_s);
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
   f.delivered <- f.delivered +. got;
@@ -326,7 +321,7 @@ let on_fire t ~kind ~flow =
     while !row >= 0 do
       let r = !row in
       row := Ft.timer t.table r;
-      if Ft.is_live t.table r then round t r ~now_ns
+      round t r ~now_ns
     done
   end
 
@@ -415,8 +410,6 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
             memo_keep = nan;
           };
         last_update_ns = Sim.Time.to_ns_int (Sim.Scheduler.now sched);
-        rtt_ns = 0;
-        srtt = Sim.Time.zero;
         active = 0;
         created = 0;
         completed = 0;
@@ -424,7 +417,6 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
         stopped = false;
         open_head = -1;
         open_tail = -1;
-        open_ns = 0;
         open_due_ns = 0;
       }
   in
