@@ -392,6 +392,33 @@ let qcheck_totals_match_recount =
       run_samples sched' restored ~from:(snapshot_at + 1) ~until:samples;
       fingerprint_shards shards = fingerprint_shards restored)
 
+(* A round timer naming a free row, or the same row twice in a row,
+   would link a cohort through garbage or to itself: restore must refuse
+   it. The reader keeps the last section of a name, so appending a
+   section overrides the saved one. *)
+let test_restore_rejects_bad_round_rows () =
+  let fresh () =
+    let sched = Sim.Scheduler.create ~seed:1 () in
+    Mf.start ~sched ~rng:(Sim.Rng.of_seed 1) ~seed:1
+      { Mf.default_params with flows = 10 }
+  in
+  let image rows =
+    let w = Sim.Snapshot.writer () in
+    Mf.save (fresh ()) w;
+    Sim.Snapshot.put_int_array w "mf.wheel_flow" rows;
+    Sim.Snapshot.of_string (Sim.Snapshot.to_string w)
+  in
+  Mf.restore (fresh ()) (image (Array.init 10 Fun.id));
+  List.iter
+    (fun (what, rows) ->
+      Alcotest.check_raises what
+        (Sim.Snapshot.Corrupt "Many_flows: bad round timer row") (fun () ->
+          Mf.restore (fresh ()) (image rows)))
+    [
+      ("free row", Array.init 10 (fun i -> if i = 4 then 12 else i));
+      ("repeated row", Array.init 10 (fun i -> if i = 5 then 4 else i));
+    ]
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -408,4 +435,6 @@ let suite =
     Alcotest.test_case "at most one many_flows per spec" `Quick
       test_spec_rejects_two_many_flows;
     QCheck_alcotest.to_alcotest qcheck_totals_match_recount;
+    Alcotest.test_case "restore rejects bad round timer rows" `Quick
+      test_restore_rejects_bad_round_rows;
   ]
