@@ -127,8 +127,8 @@ let refresh t =
   | Some rp -> f.early <- Netsim.Queue_disc.red_drop_probability rp ~avg:f.avg_pkts
 
 (* Fluid integration of the backlog since the last event, then the
-   line-rate EWMA the RED curve reads. A few multiply-adds per instant,
-   no allocation. *)
+   line-rate EWMA the RED curve reads: a few multiply-adds, once per
+   instant. *)
 let update_queue t ~now_ns =
   let dt = float_of_int (now_ns - t.last_update_ns) *. 1e-9 in
   if dt > 0. then begin
@@ -257,34 +257,34 @@ let schedule_arrival t ~now_ns =
    of the round, then the policy's growth or decrease, delivered-byte
    accounting, and re-arm — all through table columns, no closure. *)
 let round t row ~now_ns =
-  let tbl = t.table and f = t.f in
-  let w = Ft.cwnd tbl row in
+  let f = t.f in
+  let w = Ft.cwnd t.table row in
   let p = drop_probability t in
   let pkts = w /. mssf t in
   let p_round = 1. -. survival f p pkts in
-  let lost = p_round > 0. && Ft.rng_float tbl row < p_round in
+  let lost = p_round > 0. && Ft.rng_float t.table row < p_round in
   if lost then begin
     t.loss_events <- t.loss_events + 1;
-    Ft.ca_on_loss tbl row t.cc ~flight:(int_of_float w) ~mss:t.p.mss
+    Ft.ca_on_loss t.table row t.cc ~flight:(int_of_float w) ~mss:t.p.mss
       ~now:(Sim.Time.of_ns_int now_ns);
-    Ft.set_phase tbl row phase_cong_avoid
+    Ft.set_phase t.table row phase_cong_avoid
   end
-  else if Ft.phase tbl row = phase_slow_start then begin
+  else if Ft.phase t.table row = phase_slow_start then begin
     (* Every byte of the round acked: the window doubles. *)
     let next = w *. 2. in
-    let ss = Ft.ssthresh tbl row in
+    let ss = Ft.ssthresh t.table row in
     if next >= ss then begin
-      Ft.set_cwnd tbl row ss;
-      Ft.set_phase tbl row phase_cong_avoid
+      Ft.set_cwnd t.table row ss;
+      Ft.set_phase t.table row phase_cong_avoid
     end
-    else Ft.set_cwnd tbl row next
+    else Ft.set_cwnd t.table row next
   end
   else
     (* A loss-free round acks every packet of the window: one call to
        the policy's per-round rule applies that many per-ACK steps
        (Reno adds mss²/cwnd per segment), bit-identical to a
        packet-level sender's ~1 mss/RTT growth in avoidance. *)
-    Ft.ca_on_round tbl row t.cc
+    Ft.ca_on_round t.table row t.cc
       ~acks:(Stdlib.max 1 (int_of_float pkts))
       ~mss:t.p.mss
       ~srtt:(Sim.Time.of_sec f.rtt_s);
@@ -292,16 +292,16 @@ let round t row ~now_ns =
   let got = w *. (1. -. p) in
   f.delivered <- f.delivered +. got;
   let done_ =
-    let b = Ft.budget tbl row in
+    let b = Ft.budget t.table row in
     b >= 0
     &&
     let b' = b - int_of_float got in
-    Ft.set_budget tbl row (Stdlib.max 0 b');
+    Ft.set_budget t.table row (Stdlib.max 0 b');
     b' <= 0
   in
   (* The window change counts before a retiring flow leaves: [retire]
      subtracts the post-round window. *)
-  f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd tbl row -. w);
+  f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd t.table row -. w);
   if done_ then retire t row else arm_round t row ~now_ns
 
 (* A round timer fires its whole cohort, in link order. Each row's link

@@ -353,8 +353,6 @@ let check_recount ~where t =
           where i n)
     seen
 
-let fingerprint_shards shards = Array.map fingerprint shards
-
 let qcheck_totals_match_recount =
   QCheck2.Test.make ~count:25 ~print:print_shard_case
     ~name:"active, sum_cwnd and round timers match a recount of live rows"
@@ -390,7 +388,7 @@ let qcheck_totals_match_recount =
       check_all ~where:"after restore" restored;
       run_samples sched shards ~from:(snapshot_at + 1) ~until:samples;
       run_samples sched' restored ~from:(snapshot_at + 1) ~until:samples;
-      fingerprint_shards shards = fingerprint_shards restored)
+      Array.map fingerprint shards = Array.map fingerprint restored)
 
 (* A round timer naming a free row, or the same row twice in a row,
    would link a cohort through garbage or to itself: restore must refuse
