@@ -16,9 +16,10 @@
 
     Round timers are per {e cohort}: the rows re-armed back to back at
     one instant for one due time share one wheel timer, which fires
-    them in the order a per-row timer each would have. Firing order,
-    outcomes and snapshot images are those of one timer per row; only
-    {!Sim.Timer_wheel.pending} on {!wheel} differs — it counts cohorts.
+    them in the order a per-row timer each would have. Firing order and
+    outcomes are those of one timer per row, and snapshots list the
+    same per-row timer entries; {!Sim.Timer_wheel.pending} on {!wheel}
+    counts cohorts.
 
     Deterministic for a fixed seed: arrivals/sizes from the one [rng]
     stream, per-flow loss draws from row-derived xorshift streams. *)
