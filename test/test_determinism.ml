@@ -262,18 +262,17 @@ let test_policy_matrix_golden () =
    image). *)
 let mf_golden_dir = "golden_many_flows"
 
-let load_golden_spec file =
+let load_spec_file path =
   match
-    Report.Json.of_string
-      (In_channel.with_open_text
-         (Filename.concat mf_golden_dir file)
-         In_channel.input_all)
+    Report.Json.of_string (In_channel.with_open_text path In_channel.input_all)
   with
-  | Error e -> Alcotest.failf "%s: %s" file e
+  | Error e -> Alcotest.failf "%s: %s" path e
   | Ok j -> (
       match Core.Spec.of_json j with
       | Ok s -> s
-      | Error e -> Alcotest.failf "%s: %s" file e)
+      | Error e -> Alcotest.failf "%s: %s" path e)
+
+let load_golden_spec file = load_spec_file (Filename.concat mf_golden_dir file)
 
 let mf_tmp name =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -338,6 +337,50 @@ let test_many_flows_golden_from_image file image () =
   check_against_goldens spec
     (Core.Spec.run ~resume_from:(Filename.concat mf_golden_dir image) spec)
 
+(* The trace golden: what `rss_sim trace --spec examples/dumbbell_mixed.json`
+   writes — three TCP flows, two with delayed starts, under burst loss,
+   with the event ring and the metrics registry attached. The metrics
+   CSV is committed whole under test/golden_trace/; the event CSV and
+   the Chrome JSON (2 MB and 7 MB) as MD5 digests, in md5sum's format,
+   in dumbbell-mixed.md5. The registry columns pin every sender's
+   counters and gauges at each sample tick. Regenerate (only for a
+   deliberate model change) with
+     rss_sim trace --spec examples/dumbbell_mixed.json --out test/golden_trace
+   then write the md5sum of the two large files to dumbbell-mixed.md5
+   and delete them. *)
+let trace_golden_dir = "golden_trace"
+
+let test_trace_golden () =
+  let spec =
+    { (load_spec_file "../examples/dumbbell_mixed.json") with
+      Core.Spec.record_trace = true }
+  in
+  let outcome = Core.Spec.run spec in
+  let tr = Option.get outcome.Core.Spec.trace in
+  let m = Option.get outcome.Core.Spec.metrics in
+  let base = Serve.Artifacts.sanitize spec.Core.Spec.name in
+  let metrics_path = mf_tmp (base ^ "_metrics.csv") in
+  Report.Csv.write ~path:metrics_path
+    ~header:("time_s" :: m.Core.Spec.metric_names)
+    ~rows:
+      (List.map
+         (fun (t, values) -> t :: Array.to_list values)
+         m.Core.Spec.samples);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let metrics = read metrics_path in
+  Sys.remove metrics_path;
+  Alcotest.(check string) "metrics CSV matches the committed golden"
+    (read (Filename.concat trace_golden_dir (base ^ "_metrics.csv")))
+    metrics;
+  let md5sum name content =
+    Printf.sprintf "%s  %s%s\n" (Digest.to_hex (Digest.string content)) base
+      name
+  in
+  Alcotest.(check string) "event CSV and Chrome JSON digests"
+    (read (Filename.concat trace_golden_dir (base ^ ".md5")))
+    (md5sum "_events.csv" (Report.Trace_event.to_csv tr)
+    ^ md5sum "_trace.json" (Report.Trace_event.to_chrome ~name:base tr))
+
 let suite =
   List.map
     (fun ((id, _) as case) ->
@@ -361,4 +404,6 @@ let suite =
         `Quick
         (test_many_flows_golden_from_image "mf_pareto.json"
            "mf_pareto_at_0.7s.snap");
+      Alcotest.test_case "trace golden: dumbbell_mixed" `Quick
+        test_trace_golden;
     ]
