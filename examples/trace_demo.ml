@@ -1,6 +1,7 @@
-(* Packet-level tracing: watch the first round-trips of a connection
-   tcpdump-style — handshake, the slow-start doubling pattern, delayed
-   ACKs. Taps both directions of the paper path.
+(* Event tracing: watch the first round trips of a connection in the
+   run's trace ring — handshake, the slow-start doubling pattern,
+   delayed ACKs. Records both directions of the paper path and the
+   sender's window.
 
      dune exec examples/trace_demo.exe *)
 
@@ -12,16 +13,23 @@ let () =
         Core.Spec.default with
         Core.Spec.duration = Sim.Time.ms 250;
         record_series = false;
+        record_trace = true;
+        trace_capacity = 64;
       }
   in
-  let tracer = Netsim.Tracer.create ~capacity:48 () in
-  Netsim.Tracer.tap tracer ~label:"anl>lbl" (Core.Spec.forward_link built);
-  Netsim.Tracer.tap tracer ~label:"lbl>anl" (Core.Spec.reverse_link built);
+  let tr = Option.get (Core.Spec.trace built) in
+  Trace.set_mask tr Trace.Code.(cat_link lor cat_tcp);
   ignore (Core.Spec.execute built);
   print_endline "first moments of a transfer on the ANL->LBNL path";
   print_endline "(SYN handshake, then watch cwnd double each 60 ms round):";
   print_newline ();
-  List.iter print_endline (Netsim.Tracer.lines tracer);
-  Printf.printf "\n(%d packets captured in total; ring keeps the last %d)\n"
-    (Netsim.Tracer.captured tracer)
-    (List.length (Netsim.Tracer.lines tracer))
+  (* Trace source 1 is the forward (data) pipe, 2 the reverse one. *)
+  let pipe src = if src = 1 then "anl>lbl" else "lbl>anl" in
+  Trace.iter tr (fun ~time_ns ~code ~src ~arg1 ~arg2 ->
+      let t = float_of_int time_ns /. 1e9 in
+      if code = Trace.Code.link_tx then
+        Printf.printf "%.6f %s flow=%d %d bytes\n" t (pipe src) arg1 arg2
+      else if code = Trace.Code.tcp_cwnd then
+        Printf.printf "%.6f flow %d cwnd %d bytes\n" t src arg1);
+  Printf.printf "\n(%d records in total; ring keeps the last %d)\n"
+    (Trace.total tr) (Trace.length tr)

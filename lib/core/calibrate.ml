@@ -18,7 +18,7 @@ let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
           local_congestion = Tcp.Local_congestion.Ignore;
         }
       ~slow_start:(Tcp.Slow_start.commanded ~target_segments:target)
-      ~name:"zn-probe" ()
+      ()
   in
   ignore conn;
   let ifq = Netsim.Host.ifq path.Netsim.Topology.Duplex.a in

@@ -644,14 +644,14 @@ let start_flow b bf =
         Bulk_driver
           (Workload.Bulk.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
              ~ids ~rx_ids ~config:(config_of_flow ?pace_gains f)
-             ~slow_start:ss ~cong_avoid:cc ?bytes ~name:bf.flabel ())
+             ~slow_start:ss ~cong_avoid:cc ?bytes ())
     | Chunked { chunk_bytes; interval; chunks } ->
         let ss, cc, pace_gains = bundle () in
         Chunked_driver
           (Workload.Chunked.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
              ~ids ~rx_ids ~chunk_bytes ~interval ?chunks
              ~config:(config_of_flow ?pace_gains f)
-             ~slow_start:ss ~cong_avoid:cc ~name:bf.flabel ())
+             ~slow_start:ss ~cong_avoid:cc ())
     | Cbr { rate; packet_bytes; stop_at } ->
         Cbr_driver
           ( Workload.Cbr.start ~host:bf.src ~dst:(Netsim.Host.id bf.dst)
@@ -1248,7 +1248,8 @@ let collect_flow b inst =
       }
 
 (* One namespace over everything the run can report, in a fixed order:
-   web100 per-connection variables (conn/<label>/<Var>, flow order),
+   web100 per-connection variables (conn/<label>/<Var>, flow order, each
+   flow's in Tcp.Sender.kis order),
    then pipe counters (link/<dir>/<what>), then per-host soft-component
    gauges (host/<id>/<what>, pair order). Registration rejects
    duplicates, so two flows sharing a label fail loudly instead of
@@ -1259,18 +1260,16 @@ let build_registry b =
     (fun bf ->
       if is_tcp_workload bf.fspec.workload then
         List.iter
-          (fun var ->
+          (fun (var, read) ->
             (* The sender may not exist yet (start_at timer pending);
                probes resolve it at sampling time and read 0 until. *)
             Trace.Registry.register reg
               ~name:(Printf.sprintf "conn/%s/%s" bf.flabel var)
               (fun () ->
                 match sender_receiver bf with
-                | Some (sender, _) ->
-                    Option.value ~default:0.
-                      (Web100.Group.read (Tcp.Sender.stats sender) var)
+                | Some (sender, _) -> read sender
                 | None -> 0.))
-          Web100.Kis.all)
+          Tcp.Sender.kis)
     b.bflows;
   let link_metrics dir link =
     List.iter

@@ -244,7 +244,8 @@ type path_stats = {
 type metrics = {
   metric_names : string list;
       (** registry namespace in registration order — the export column
-          order: [conn/<label>/<Var>] (web100, flow order), then
+          order: [conn/<label>/<Var>] (flow order, each flow's
+          variables in {!Tcp.Sender.kis} order), then
           [link/<dir>/<what>], then [host/<id>/<what>] *)
   samples : (float * float array) list;
       (** (time_s, values in [metric_names] order), one per

@@ -17,5 +17,5 @@ val write_series :
 (** Two columns: time_s, <name>. *)
 
 val write_string : path:string -> string -> unit
-(** Write pre-formatted CSV content (e.g. {!Web100.Logger.to_csv}),
+(** Write pre-formatted content (e.g. a {!Trace_event.to_csv} export),
     creating parent directories as needed. *)

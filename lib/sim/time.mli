@@ -7,8 +7,8 @@
 
     Timestamps are native 63-bit [int]s (~±146 years of range), so they
     are immediate values: records that carry a [Time.t] — event-queue
-    entries, packets, RTT samples, web100 snapshots — hold it unboxed,
-    and time arithmetic on the simulation hot path allocates nothing. *)
+    entries, packets, RTT samples — hold it unboxed, and time
+    arithmetic on the simulation hot path allocates nothing. *)
 
 type t = private int
 

@@ -17,7 +17,6 @@ val establish :
   ?slow_start:Slow_start.t ->
   ?cong_avoid:Cong_avoid.t ->
   ?bytes:int ->
-  ?name:string ->
   unit ->
   t
 (** Creates both endpoints, registers them for [flow], and starts the

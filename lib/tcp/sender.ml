@@ -19,10 +19,23 @@ let phase_of_code = function
   | 2 -> Cong_avoid_p
   | _ -> Fast_recovery
 
+(* The web100 gauges, refreshed by [update_gauges]. An all-float
+   record is stored flat, so writing a gauge never boxes. *)
+type gauges = {
+  mutable cur_cwnd : float;  (* bytes *)
+  mutable cur_ssthresh : float;  (* bytes *)
+  mutable smoothed_rtt : float;  (* ms *)
+  mutable cur_rto : float;  (* ms *)
+  mutable min_rtt : float;  (* ms *)
+  mutable max_rwin_rcvd : float;  (* bytes *)
+  mutable cur_ifq : float;  (* packets *)
+}
+
 (* The numeric fast-path state (windows, offsets, counters, latches)
    lives in a {!Flow_table} row — flat SoA storage shared by every
    sender built over the same table — while this record keeps the
-   boxed wiring: host, policies, estimators, callbacks. *)
+   boxed wiring: host, policies, estimators, callbacks, and the web100
+   counters and gauges that {!kis} exposes. *)
 type t = {
   host : Netsim.Host.t;
   sched : Sim.Scheduler.t;
@@ -32,7 +45,6 @@ type t = {
   cfg : Config.t;
   ss : Slow_start.t;
   cc : Cong_avoid.t;
-  group : Web100.Group.t;
   rtt : Rtt_estimator.t;
   scoreboard : Sack_scoreboard.t;
   retx_done : Interval_set.t;
@@ -48,6 +60,19 @@ type t = {
   mutable pace_timer : Sim.Scheduler.handle option;
   mutable tracer : Trace.t option;
   mutable last_traced_cwnd : float; (* dedupe tcp.cwnd records *)
+  mutable pkts_out : int;
+  mutable data_bytes_out : int;
+  mutable pkts_retrans : int;
+  mutable bytes_retrans : int;
+  mutable congestion_signals : int;
+  mutable send_stall : int;
+  mutable timeouts : int;
+  mutable dup_acks_in : int;
+  mutable fast_retran : int;
+  mutable acks_in : int;
+  mutable slow_start_acks : int;  (* SlowStart: ACKs taken in slow start *)
+  mutable cong_avoid_acks : int;  (* CongAvoid: ACKs taken in avoidance *)
+  gauges : gauges;
 }
 
 (* Row accessors, named after the mutable fields they replaced.
@@ -110,12 +135,6 @@ let flight_bytes t =
   if t.cfg.Config.use_sack then raw - Sack_scoreboard.sacked_bytes t.scoreboard
   else raw
 
-(* --- web100 plumbing ------------------------------------------------- *)
-
-let counter t name = Web100.Group.counter t.group name
-let gauge t name = Web100.Group.gauge t.group name
-let bump ?by t name = Web100.Group.Counter.incr ?by (counter t name)
-
 (* --- trace plumbing --------------------------------------------------- *)
 
 let set_tracer t tracer = t.tracer <- tracer
@@ -145,19 +164,18 @@ let trace_cwnd t =
       end
 
 let update_gauges t =
-  let set name v = Web100.Group.Gauge.set (gauge t name) v in
-  set Web100.Kis.cur_cwnd (cwnd_b t);
-  set Web100.Kis.cur_ssthresh
+  let g = t.gauges in
+  g.cur_cwnd <- cwnd_b t;
+  g.cur_ssthresh <-
     (if ssthresh_b t = infinity then Float.max_float else ssthresh_b t);
   (match Rtt_estimator.srtt t.rtt with
-  | Some s -> set Web100.Kis.smoothed_rtt (Sim.Time.to_ms s)
+  | Some s -> g.smoothed_rtt <- Sim.Time.to_ms s
   | None -> ());
   (match Rtt_estimator.min_rtt t.rtt with
-  | Some s -> set Web100.Kis.min_rtt (Sim.Time.to_ms s)
+  | Some s -> g.min_rtt <- Sim.Time.to_ms s
   | None -> ());
-  set Web100.Kis.cur_rto (Sim.Time.to_ms (Rtt_estimator.rto t.rtt));
-  set Web100.Kis.cur_ifq
-    (float_of_int (Netsim.Ifq.occupancy (Netsim.Host.ifq t.host)));
+  g.cur_rto <- Sim.Time.to_ms (Rtt_estimator.rto t.rtt);
+  g.cur_ifq <- float_of_int (Netsim.Ifq.occupancy (Netsim.Host.ifq t.host));
   trace_cwnd t
 
 (* --- segment construction -------------------------------------------- *)
@@ -196,9 +214,8 @@ let view t : Slow_start.view =
 (* --- local congestion (send-stall) ----------------------------------- *)
 
 let react_to_stall t =
-  bump t Web100.Kis.send_stall;
-  trace t ~code:Trace.Code.tcp_send_stall
-    ~arg1:(Web100.Group.Counter.value (counter t Web100.Kis.send_stall))
+  t.send_stall <- t.send_stall + 1;
+  trace t ~code:Trace.Code.tcp_send_stall ~arg1:t.send_stall
     ~arg2:(Netsim.Ifq.occupancy (Netsim.Host.ifq t.host));
   if una t >= reaction_mark t then begin
     (* At most one window reduction per round trip, like the kernel. *)
@@ -207,13 +224,13 @@ let react_to_stall t =
     let floor = 2. *. float_of_int mss in
     match t.cfg.Config.local_congestion with
     | Local_congestion.Halve ->
-        bump t Web100.Kis.congestion_signals;
+        t.congestion_signals <- t.congestion_signals + 1;
         set_ssthresh_b t
           (Float.max floor (float_of_int (flight_bytes t) /. 2.));
         set_cwnd_b t (ssthresh_b t);
         if ph t = Slow_start_p then set_ph t Cong_avoid_p
     | Local_congestion.Cwr ->
-        bump t Web100.Kis.congestion_signals;
+        t.congestion_signals <- t.congestion_signals + 1;
         set_cwnd_b t (Float.max floor (cwnd_b t *. 0.7));
         if ph t = Slow_start_p then set_ph t Cong_avoid_p
     | Local_congestion.Ignore -> ()
@@ -238,12 +255,12 @@ let transmit_range t ~retx (lo, hi) =
   | `Sent ->
       set_cwr_pending t false;
       set_last_data_send t (Sim.Scheduler.now t.sched);
-      bump t Web100.Kis.pkts_out;
-      bump ~by:len t Web100.Kis.data_bytes_out;
+      t.pkts_out <- t.pkts_out + 1;
+      t.data_bytes_out <- t.data_bytes_out + len;
       add_bytes_sent t len;
       if retx then begin
-        bump t Web100.Kis.pkts_retrans;
-        bump ~by:len t Web100.Kis.bytes_retrans;
+        t.pkts_retrans <- t.pkts_retrans + 1;
+        t.bytes_retrans <- t.bytes_retrans + len;
         trace t ~code:Trace.Code.tcp_retransmit ~arg1:lo ~arg2:len
       end;
       true
@@ -274,14 +291,14 @@ let rec on_rto t =
   t.rto_handle <- None;
   if ph t = Syn_sent then begin
     (* Lost SYN: back off and retry. *)
-    bump t Web100.Kis.timeouts;
+    t.timeouts <- t.timeouts + 1;
     Rtt_estimator.backoff t.rtt;
     send_syn t;
     arm_rto t
   end
   else if flight_bytes t > 0 || nxt t > una t then begin
-    bump t Web100.Kis.timeouts;
-    bump t Web100.Kis.congestion_signals;
+    t.timeouts <- t.timeouts + 1;
+    t.congestion_signals <- t.congestion_signals + 1;
     trace t ~code:Trace.Code.tcp_rto
       ~arg1:(Rtt_estimator.backoff_factor t.rtt)
       ~arg2:(flight_bytes t);
@@ -317,7 +334,7 @@ and send_syn t =
       (Proto.Payload.Tcp header)
   in
   (match Netsim.Host.send t.host pkt with
-  | `Sent -> bump t Web100.Kis.pkts_out
+  | `Sent -> t.pkts_out <- t.pkts_out + 1
   | `Stalled -> react_to_stall t)
 
 (* During SACK recovery: fill holes first, then new data, respecting the
@@ -465,8 +482,8 @@ let check_complete t =
   | Some _ | None -> ()
 
 let enter_fast_recovery t =
-  bump t Web100.Kis.fast_retran;
-  bump t Web100.Kis.congestion_signals;
+  t.fast_retran <- t.fast_retran + 1;
+  t.congestion_signals <- t.congestion_signals + 1;
   trace t ~code:Trace.Code.tcp_fast_retransmit ~arg1:(una t) ~arg2:(nxt t);
   let mss = t.cfg.Config.mss in
   let ssthresh', cwnd' =
@@ -494,7 +511,7 @@ let enter_fast_recovery t =
   arm_rto t
 
 let on_dupack t header =
-  bump t Web100.Kis.dup_acks_in;
+  t.dup_acks_in <- t.dup_acks_in + 1;
   set_dupacks t (dupacks t + 1);
   (if t.cfg.Config.use_sack then
      let blocks =
@@ -550,7 +567,7 @@ let on_new_ack t ~newly ~rtt_sample header =
         arm_rto t
       end
   | Slow_start_p ->
-      bump t Web100.Kis.slow_start;
+      t.slow_start_acks <- t.slow_start_acks + 1;
       let decision =
         t.ss.Slow_start.on_ack (view t) ~newly_acked:newly ~rtt_sample
       in
@@ -562,7 +579,7 @@ let on_new_ack t ~newly ~rtt_sample header =
       end
       else if cwnd_b t >= ssthresh_b t then set_ph t Cong_avoid_p
   | Cong_avoid_p ->
-      bump t Web100.Kis.cong_avoid;
+      t.cong_avoid_acks <- t.cong_avoid_acks + 1;
       Flow_table.ca_on_ack t.table t.row t.cc ~newly_acked:newly ~mss
         ~srtt:(Rtt_estimator.srtt t.rtt)
         ~min_rtt:(Rtt_estimator.min_rtt t.rtt)
@@ -573,7 +590,7 @@ let on_new_ack t ~newly ~rtt_sample header =
   try_send t
 
 let handle_ack t header =
-  bump t Web100.Kis.acks_in;
+  t.acks_in <- t.acks_in + 1;
   let now = Sim.Scheduler.now t.sched in
   (* Karn's rule, timestamp form: only an ACK that advances snd_una (or
      the SYN-ACK) feeds the estimator. A duplicated or long-delayed old
@@ -591,11 +608,8 @@ let handle_ack t header =
   in
   let prev_rwnd = rwnd t in
   set_rwnd t (Stdlib.max 0 header.Proto.Tcp_header.wnd);
-  Web100.Group.Gauge.set
-    (gauge t Web100.Kis.max_rwin_rcvd)
-    (Float.max
-       (Web100.Group.Gauge.value (gauge t Web100.Kis.max_rwin_rcvd))
-       (float_of_int (rwnd t)));
+  t.gauges.max_rwin_rcvd <-
+    Float.max t.gauges.max_rwin_rcvd (float_of_int (rwnd t));
   (* ECN echo: same once-per-window multiplicative decrease as a loss,
      but nothing needs retransmitting (RFC 3168 §6.1.2). *)
   if
@@ -604,7 +618,7 @@ let handle_ack t header =
     && una t >= reaction_mark t
   then begin
     set_reaction_mark t (nxt t);
-    bump t Web100.Kis.congestion_signals;
+    t.congestion_signals <- t.congestion_signals + 1;
     Flow_table.ca_on_loss t.table t.row t.cc ~flight:(flight_bytes t)
       ~mss:t.cfg.Config.mss ~now;
     if ph t = Slow_start_p then set_ph t Cong_avoid_p;
@@ -660,7 +674,7 @@ let handle_packet t pkt =
 
 let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
     ?(slow_start = Slow_start.standard ()) ?(cong_avoid = Cong_avoid.reno ())
-    ?(name = "sender") () =
+    () =
   let sched = Netsim.Host.scheduler host in
   let table =
     match table with
@@ -678,7 +692,6 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
       cfg = config;
       ss = slow_start;
       cc = cong_avoid;
-      group = Web100.Group.create ~conn_name:name ();
       rtt =
         Rtt_estimator.create ~min_rto:config.Config.min_rto
           ~max_rto:config.Config.max_rto ();
@@ -696,6 +709,28 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
       pace_timer = None;
       tracer = None;
       last_traced_cwnd = nan;
+      pkts_out = 0;
+      data_bytes_out = 0;
+      pkts_retrans = 0;
+      bytes_retrans = 0;
+      congestion_signals = 0;
+      send_stall = 0;
+      timeouts = 0;
+      dup_acks_in = 0;
+      fast_retran = 0;
+      acks_in = 0;
+      slow_start_acks = 0;
+      cong_avoid_acks = 0;
+      gauges =
+        {
+          cur_cwnd = 0.;
+          cur_ssthresh = 0.;
+          smoothed_rtt = 0.;
+          cur_rto = 0.;
+          min_rtt = 0.;
+          max_rwin_rcvd = 0.;
+          cur_ifq = 0.;
+        };
     }
   in
   t.rto_cb <- (fun () -> on_rto t);
@@ -748,17 +783,34 @@ let srtt t = Rtt_estimator.srtt t.rtt
 let min_rtt t = Rtt_estimator.min_rtt t.rtt
 let rto t = Rtt_estimator.rto t.rtt
 let rto_backoff t = Rtt_estimator.backoff_factor t.rtt
-let send_stalls t = Web100.Group.Counter.value (counter t Web100.Kis.send_stall)
+let send_stalls t = t.send_stall
+let congestion_signals t = t.congestion_signals
+let timeouts t = t.timeouts
+let retransmits t = t.pkts_retrans
 
-let congestion_signals t =
-  Web100.Group.Counter.value (counter t Web100.Kis.congestion_signals)
-
-let timeouts t = Web100.Group.Counter.value (counter t Web100.Kis.timeouts)
-
-let retransmits t =
-  Web100.Group.Counter.value (counter t Web100.Kis.pkts_retrans)
-
-let stats t = t.group
+let kis =
+  let count f t = float_of_int (f t) in
+  [
+    ("PktsOut", count (fun t -> t.pkts_out));
+    ("DataBytesOut", count (fun t -> t.data_bytes_out));
+    ("PktsRetrans", count (fun t -> t.pkts_retrans));
+    ("BytesRetrans", count (fun t -> t.bytes_retrans));
+    ("CongestionSignals", count (fun t -> t.congestion_signals));
+    ("SendStall", count (fun t -> t.send_stall));
+    ("Timeouts", count (fun t -> t.timeouts));
+    ("DupAcksIn", count (fun t -> t.dup_acks_in));
+    ("FastRetran", count (fun t -> t.fast_retran));
+    ("AcksIn", count (fun t -> t.acks_in));
+    ("CurCwnd", fun t -> t.gauges.cur_cwnd);
+    ("CurSsthresh", fun t -> t.gauges.cur_ssthresh);
+    ("SmoothedRTT", fun t -> t.gauges.smoothed_rtt);
+    ("CurRTO", fun t -> t.gauges.cur_rto);
+    ("MinRTT", fun t -> t.gauges.min_rtt);
+    ("MaxRwinRcvd", fun t -> t.gauges.max_rwin_rcvd);
+    ("SlowStart", count (fun t -> t.slow_start_acks));
+    ("CongAvoid", count (fun t -> t.cong_avoid_acks));
+    ("CurIFQ", fun t -> t.gauges.cur_ifq);
+  ]
 let slow_start_name t = t.ss.Slow_start.name
 let flow_table t = t.table
 let row t = t.row

@@ -25,7 +25,6 @@ val create :
   ?config:Config.t ->
   ?slow_start:Slow_start.t ->
   ?cong_avoid:Cong_avoid.t ->
-  ?name:string ->
   unit ->
   t
 (** Builds the endpoint and registers it for [flow] on [host]. The
@@ -79,8 +78,18 @@ val send_stalls : t -> int
 val congestion_signals : t -> int
 val timeouts : t -> int
 val retransmits : t -> int
-val stats : t -> Web100.Group.t
-(** The web100 instrument group; gauges are refreshed on every event. *)
+
+val kis : (string * (t -> float)) list
+(** The web100 Kernel Instrument Set this sender maintains, as (name,
+    read) pairs in a stable order — the per-connection column order of
+    every metrics export. Names follow the web100 / draft-mathis-tcp-mib
+    spelling. Twelve counters: PktsOut, DataBytesOut, PktsRetrans,
+    BytesRetrans, CongestionSignals, SendStall, Timeouts, DupAcksIn,
+    FastRetran, AcksIn, SlowStart and CongAvoid (ACKs taken in each
+    phase). Seven gauges: CurCwnd, CurSsthresh and MaxRwinRcvd in
+    bytes, SmoothedRTT, CurRTO and MinRTT in ms, and CurIFQ in packets;
+    they refresh at the end of every send attempt and ACK, and read 0
+    until first set. *)
 
 val set_tracer : t -> Trace.t option -> unit
 (** Install (or remove) an event tracer. The sender emits

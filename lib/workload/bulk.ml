@@ -5,7 +5,7 @@ type t = {
 }
 
 let start ~src ~dst ~flow ~ids ?rx_ids ?config ?slow_start ?cong_avoid ?bytes
-    ?name () =
+    () =
   let sched = Netsim.Host.scheduler src in
   (* Completion fires on the receiver's side, so it must be stamped from
      the receiver host's clock — the same clock as [sched] on a single
@@ -14,7 +14,7 @@ let start ~src ~dst ~flow ~ids ?rx_ids ?config ?slow_start ?cong_avoid ?bytes
   let dst_sched = Netsim.Host.scheduler dst in
   let conn =
     Tcp.Connection.establish ~src ~dst ~flow ~ids ?rx_ids ?config ?slow_start
-      ?cong_avoid ?bytes ?name ()
+      ?cong_avoid ?bytes ()
   in
   let t = { conn; sched; finished_at = None } in
   (match bytes with

@@ -14,7 +14,6 @@ val start :
   ?slow_start:Tcp.Slow_start.t ->
   ?cong_avoid:Tcp.Cong_avoid.t ->
   ?bytes:int ->
-  ?name:string ->
   unit ->
   t
 (** [rx_ids] (default [ids]): id source for the receiver's ACKs — pass

@@ -22,14 +22,14 @@ let rec schedule_next t =
          end))
 
 let start ~src ~dst ~flow ~ids ?rx_ids ~chunk_bytes ~interval ?chunks ?config
-    ?slow_start ?cong_avoid ?(name = "chunked") () =
+    ?slow_start ?cong_avoid () =
   assert (chunk_bytes > 0 && Sim.Time.is_positive interval);
   let sched = Netsim.Host.scheduler src in
   let rx_ids = match rx_ids with Some r -> r | None -> ids in
   let rcv = Tcp.Receiver.create ~host:dst ~flow ~ids:rx_ids ?config () in
   let snd =
     Tcp.Sender.create ~host:src ~dst:(Netsim.Host.id dst) ~flow ~ids ?config
-      ?slow_start ?cong_avoid ~name ()
+      ?slow_start ?cong_avoid ()
   in
   Tcp.Sender.start snd ~bytes:chunk_bytes ();
   let t =

@@ -19,7 +19,6 @@ val start :
   ?config:Tcp.Config.t ->
   ?slow_start:Tcp.Slow_start.t ->
   ?cong_avoid:Tcp.Cong_avoid.t ->
-  ?name:string ->
   unit ->
   t
 (** The first chunk is written immediately, subsequent ones every

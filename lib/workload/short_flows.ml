@@ -41,9 +41,7 @@ let launch t =
   in
   let sender =
     Tcp.Sender.create ~host:t.src ~dst:(Netsim.Host.id t.dst) ~flow
-      ~ids:t.ids ~config:t.config ~slow_start:(t.slow_start ())
-      ~name:(Printf.sprintf "short-%d" flow)
-      ()
+      ~ids:t.ids ~config:t.config ~slow_start:(t.slow_start ()) ()
   in
   Tcp.Receiver.expect receiver ~bytes:size (fun () ->
       t.finished <-

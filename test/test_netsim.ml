@@ -176,36 +176,15 @@ let test_dumbbell_cross_traffic () =
   Alcotest.(check (list int)) "pairwise delivery" [ 1; 1 ]
     (Array.to_list got)
 
-let test_flow_monitor () =
-  let s = Sim.Scheduler.create () in
-  let m = Netsim.Flow_monitor.create s ~name:"m" () in
-  let inner = ref 0 in
-  let handler = Netsim.Flow_monitor.wrap m (fun _ -> incr inner) in
-  ignore (Sim.Scheduler.at s (Sim.Time.ms 10) (fun () ->
-      handler (udp_pkt ~id:0 ~src:0 ~dst:1 ())));
-  ignore (Sim.Scheduler.at s (Sim.Time.ms 20) (fun () ->
-      handler (udp_pkt ~id:1 ~src:0 ~dst:1 ())));
-  Sim.Scheduler.run s;
-  Alcotest.(check int) "wrapped handler called" 2 !inner;
-  Alcotest.(check int) "packets" 2 (Netsim.Flow_monitor.packets m);
-  Alcotest.(check int) "bytes" 2056 (Netsim.Flow_monitor.bytes m);
-  (* 2056 bytes over the 10ms first-to-last window = 1.6448 Mbit/s. *)
-  Alcotest.(check (float 1e-3)) "throughput" 1.6448
-    (Netsim.Flow_monitor.throughput_mbps m)
-
-let string_contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-  in
-  go 0
-
+(* A tap and the link's trace ring both see every transmitted packet;
+   the ring also records each delivery, stamped with the link's source
+   id. *)
 let test_link_tap_and_tracer () =
   let s = Sim.Scheduler.create () in
   let link = Netsim.Link.create s ~delay:(Sim.Time.ms 1) () in
   Netsim.Link.connect link (fun _ -> ());
-  let tracer = Netsim.Tracer.create ~capacity:4 () in
-  Netsim.Tracer.tap tracer ~label:"a->b" link;
+  let tr = Trace.create ~capacity:64 () in
+  Netsim.Link.set_tracer link ~src:7 (Some tr);
   let seen = ref 0 in
   Netsim.Link.add_tap link (fun _ _ -> incr seen);
   for i = 0 to 9 do
@@ -213,19 +192,17 @@ let test_link_tap_and_tracer () =
   done;
   Sim.Scheduler.run s;
   Alcotest.(check int) "tap saw everything" 10 !seen;
-  Alcotest.(check int) "total captured" 10 (Netsim.Tracer.captured tracer);
-  let lines = Netsim.Tracer.lines tracer in
-  Alcotest.(check int) "ring keeps last 4" 4 (List.length lines);
-  (* Oldest surviving line is packet #6 (datagram seq 6). *)
-  (match lines with
-  | first :: _ ->
-      Alcotest.(check bool) "ring evicts oldest" true
-        (string_contains first "UDP(#6");
-      Alcotest.(check bool) "label present" true
-        (string_contains first "a->b")
-  | [] -> Alcotest.fail "no lines");
-  Alcotest.(check bool) "to_string renders" true
-    (String.length (Netsim.Tracer.to_string tracer) > 0)
+  let count code =
+    let n = ref 0 in
+    Trace.iter tr (fun ~time_ns:_ ~code:c ~src ~arg1:_ ~arg2:_ ->
+        if c = code && src = 7 then incr n);
+    !n
+  in
+  Alcotest.(check int) "ring saw every transmit" 10
+    (count Trace.Code.link_tx);
+  Alcotest.(check int) "ring saw every delivery" (Netsim.Link.delivered link)
+    (count Trace.Code.link_deliver);
+  Alcotest.(check int) "nothing else" 20 (Trace.total tr)
 
 let test_drop_filter () =
   let s = Sim.Scheduler.create () in
@@ -310,29 +287,10 @@ let test_per_link_derived_seeds () =
   Alcotest.(check bool) "different scheduler seed, different pattern" false
     (p1 = r1)
 
-let qcheck_tracer_ring =
-  QCheck.Test.make ~name:"tracer ring keeps exactly min(total,capacity)"
-    ~count:100
-    QCheck.(pair (int_range 1 50) (int_range 0 200))
-    (fun (capacity, events) ->
-      let t = Netsim.Tracer.create ~capacity () in
-      for i = 0 to events - 1 do
-        Netsim.Tracer.record t ~now:(Sim.Time.us i) (string_of_int i)
-      done;
-      let lines = Netsim.Tracer.lines t in
-      List.length lines = Stdlib.min events capacity
-      && Netsim.Tracer.captured t = events
-      &&
-      (* Surviving lines are the most recent, in order. *)
-      match List.rev lines with
-      | [] -> events = 0
-      | last :: _ -> string_contains last (string_of_int (events - 1)))
-
 let suite =
   [
     Alcotest.test_case "link tap + tracer" `Quick test_link_tap_and_tracer;
     Alcotest.test_case "drop filter" `Quick test_drop_filter;
-    QCheck_alcotest.to_alcotest qcheck_tracer_ring;
     Alcotest.test_case "link delay" `Quick test_link_delay;
     Alcotest.test_case "link loss" `Quick test_link_loss;
     Alcotest.test_case "link loss-rate validation" `Quick
@@ -348,5 +306,4 @@ let suite =
     Alcotest.test_case "router routing and drops" `Quick
       test_router_routing_and_drops;
     Alcotest.test_case "dumbbell pairwise" `Quick test_dumbbell_cross_traffic;
-    Alcotest.test_case "flow monitor" `Quick test_flow_monitor;
   ]

@@ -41,10 +41,7 @@ let test_single_loss_fast_retransmit () =
     (Tcp.Sender.retransmits sender);
   Alcotest.(check int) "no timeout (fast retransmit did it)" 0
     (Tcp.Sender.timeouts sender);
-  let fast =
-    Option.value ~default:0.
-      (Web100.Group.read (Tcp.Sender.stats sender) Web100.Kis.fast_retran)
-  in
+  let fast = List.assoc "FastRetran" Tcp.Sender.kis sender in
   Alcotest.(check (float 0.)) "one fast-retransmit event" 1. fast
 
 let test_single_loss_newreno () =

@@ -514,6 +514,116 @@ let test_mixed_tcp_collect () =
         (r.Spec.goodput_mbps > 0.))
     o.results
 
+(* The sender's web100 variables: 19 unique, non-empty names in a fixed
+   order, which is also the order of each flow's conn/<label>/* columns
+   in the registry. *)
+let test_kis_names () =
+  let names = List.map fst Tcp.Sender.kis in
+  Alcotest.(check (list string)) "the instrument set, in order"
+    [
+      "PktsOut"; "DataBytesOut"; "PktsRetrans"; "BytesRetrans";
+      "CongestionSignals"; "SendStall"; "Timeouts"; "DupAcksIn";
+      "FastRetran"; "AcksIn"; "CurCwnd"; "CurSsthresh"; "SmoothedRTT";
+      "CurRTO"; "MinRTT"; "MaxRwinRcvd"; "SlowStart"; "CongAvoid"; "CurIFQ";
+    ]
+    names;
+  Alcotest.(check bool) "all nonempty" true
+    (List.for_all (fun n -> n <> "") names);
+  Alcotest.(check int) "no duplicates" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let flow label = { Spec.default_flow with Spec.label = Some label } in
+  let o =
+    Spec.run
+      {
+        Spec.default with
+        Spec.duration = ms 500;
+        record_trace = true;
+        trace_capacity = 1;
+        flows = [ flow "a"; flow "b" ];
+      }
+  in
+  let m = Option.get o.Spec.metrics in
+  let columns label = List.map (fun n -> "conn/" ^ label ^ "/" ^ n) names in
+  Alcotest.(check (list string)) "registry columns, flow by flow"
+    (columns "a" @ columns "b")
+    (List.filteri (fun i _ -> i < 2 * List.length names) m.Spec.metric_names)
+
+(* Running totals against a recount: with a ring large enough to drop
+   nothing, the records of each kind must equal the counters of the
+   component that emitted them — per pipe, per host and per flow. *)
+let check_ring_recount (spec : Spec.t) =
+  let built =
+    Spec.build { spec with Spec.record_trace = true; trace_capacity = 1 lsl 18 }
+  in
+  let o = Spec.execute built in
+  let tr = Option.get o.Spec.trace in
+  Alcotest.(check int) "ring dropped nothing" 0 (Trace.dropped tr);
+  let counts = Hashtbl.create 64 in
+  Trace.iter tr (fun ~time_ns:_ ~code ~src ~arg1:_ ~arg2:_ ->
+      let k = (code, src) in
+      Hashtbl.replace counts k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)));
+  let ring code src =
+    Option.value ~default:0 (Hashtbl.find_opt counts (code, src))
+  in
+  let check what code src counter =
+    Alcotest.(check int) (Printf.sprintf "%s %d" what src) counter
+      (ring code src)
+  in
+  List.iter
+    (fun (src, link) ->
+      check "link.deliver" Trace.Code.link_deliver src
+        (Netsim.Link.delivered link);
+      check "link.drop" Trace.Code.link_drop src (Netsim.Link.lost link))
+    [ (1, Spec.forward_link built); (2, Spec.reverse_link built) ];
+  let pairs =
+    match spec.Spec.topology with
+    | Spec.Duplex _ -> 1
+    | Spec.Dumbbell d -> d.Spec.pairs
+    | Spec.Multi_dumbbell _ -> Alcotest.fail "recount: unsupported topology"
+  in
+  for pair = 0 to pairs - 1 do
+    List.iter
+      (fun host ->
+        let id = Netsim.Host.id host in
+        check "nic.tx" Trace.Code.nic_tx id
+          (Netsim.Nic.tx_packets (Netsim.Host.nic host));
+        check "ifq.stall" Trace.Code.ifq_stall id
+          (Netsim.Ifq.stalls (Netsim.Host.ifq host)))
+      [ Spec.src_host built ~pair; Spec.dst_host built ~pair ]
+  done;
+  (* Every flow is a started TCP flow, so flow i has trace source i+1. *)
+  let senders = Spec.tcp_senders built in
+  Alcotest.(check int) "every flow started" (List.length spec.Spec.flows)
+    (List.length senders);
+  List.iteri
+    (fun i sender ->
+      let kis name = int_of_float (List.assoc name Tcp.Sender.kis sender) in
+      check "tcp.send_stall" Trace.Code.tcp_send_stall (i + 1)
+        (kis "SendStall");
+      check "tcp.retransmit" Trace.Code.tcp_retransmit (i + 1)
+        (kis "PktsRetrans"))
+    senders
+
+(* The paper path cut to 5 s (one send-stall; the path loses nothing),
+   so that the ring holds all ~117k records. *)
+let test_ring_recount_paper_path () =
+  check_ring_recount { Spec.default with Spec.duration = sec 5 }
+
+(* Three flows under burst loss: 14,209 forward and 7,989 reverse
+   deliveries, 83 drops, 36 retransmissions. *)
+let test_ring_recount_dumbbell_mixed () =
+  match
+    Report.Json.of_string
+      (In_channel.with_open_text "../examples/dumbbell_mixed.json"
+         In_channel.input_all)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok j -> (
+      match Spec.of_json j with
+      | Error e -> Alcotest.fail e
+      | Ok spec -> check_ring_recount spec)
+
 let suite =
   [
     Alcotest.test_case "round-trip: default" `Quick test_round_trip_default;
@@ -539,6 +649,11 @@ let suite =
     Alcotest.test_case "identical at any worker count" `Slow
       test_jobs_determinism;
     Alcotest.test_case "build validates the spec" `Quick test_validation;
+    Alcotest.test_case "KIS names" `Quick test_kis_names;
+    Alcotest.test_case "ring recount: paper path" `Quick
+      test_ring_recount_paper_path;
+    Alcotest.test_case "ring recount: dumbbell_mixed" `Quick
+      test_ring_recount_dumbbell_mixed;
     Alcotest.test_case "many_flows refuses stateful avoidance" `Quick
       test_many_flows_cong_avoid;
     Alcotest.test_case "bulk + chunked collect side by side" `Slow
