@@ -377,6 +377,8 @@ let validate (t : t) =
       if m.m_host_ifq_capacity < 1 then
         err "Spec.build: ifq_capacity %d must be >= 1" m.m_host_ifq_capacity);
   if t.domains < 1 then err "Spec.build: domains %d must be >= 1" t.domains;
+  if t.trace_capacity < 1 then
+    err "Spec.build: trace_capacity %d must be >= 1" t.trace_capacity;
   (* Partitioned runs keep every piece of shared mutable state off the
      table: no global trace ring, no fault models straddling the cut,
      and no wheel-owning or receiver-spawning workloads. Everything

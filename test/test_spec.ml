@@ -514,6 +514,24 @@ let test_mixed_tcp_collect () =
         (r.Spec.goodput_mbps > 0.))
     o.results
 
+(* A ring needs room for one record: validation names the field rather
+   than letting Trace.create raise from inside build. *)
+let test_trace_capacity_validated () =
+  let traced capacity =
+    { Spec.default with Spec.record_trace = true; trace_capacity = capacity }
+  in
+  List.iter
+    (fun capacity ->
+      match Spec.validate (traced capacity) with
+      | () -> Alcotest.failf "trace_capacity %d accepted" capacity
+      | exception Invalid_argument e ->
+          Alcotest.(check string) "named error"
+            (Printf.sprintf "Spec.build: trace_capacity %d must be >= 1"
+               capacity)
+            e)
+    [ 0; -1 ];
+  Spec.validate (traced 1)
+
 (* The sender's web100 variables: 19 unique, non-empty names in a fixed
    order, which is also the order of each flow's conn/<label>/* columns
    in the registry. *)
@@ -649,6 +667,8 @@ let suite =
     Alcotest.test_case "identical at any worker count" `Slow
       test_jobs_determinism;
     Alcotest.test_case "build validates the spec" `Quick test_validation;
+    Alcotest.test_case "trace_capacity below 1 rejected" `Quick
+      test_trace_capacity_validated;
     Alcotest.test_case "KIS names" `Quick test_kis_names;
     Alcotest.test_case "ring recount: paper path" `Quick
       test_ring_recount_paper_path;
