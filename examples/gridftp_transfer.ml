@@ -37,7 +37,9 @@ let run_leg slow_start =
      keep the connection's columns for [vars]. *)
   let m = Option.get outcome.Core.Spec.metrics in
   let index = List.mapi (fun i name -> (name, i)) m.Core.Spec.metric_names in
-  let columns = List.map (fun v -> List.assoc ("conn/gridftp/" ^ v) index) vars in
+  let columns =
+    List.map (fun v -> List.assoc ("conn/gridftp/" ^ v) index) vars
+  in
   let rows =
     List.map
       (fun (t, values) -> t :: List.map (fun i -> values.(i)) columns)

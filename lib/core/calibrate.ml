@@ -17,8 +17,7 @@ let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
              study: stalls are absorbed, not punished. *)
           local_congestion = Tcp.Local_congestion.Ignore;
         }
-      ~slow_start:(Tcp.Slow_start.commanded ~target_segments:target)
-      ()
+      ~slow_start:(Tcp.Slow_start.commanded ~target_segments:target) ()
   in
   ignore conn;
   let ifq = Netsim.Host.ifq path.Netsim.Topology.Duplex.a in

@@ -1251,11 +1251,11 @@ let collect_flow b inst =
 
 (* One namespace over everything the run can report, in a fixed order:
    web100 per-connection variables (conn/<label>/<Var>, flow order, each
-   flow's in Tcp.Sender.kis order),
-   then pipe counters (link/<dir>/<what>), then per-host soft-component
-   gauges (host/<id>/<what>, pair order). Registration rejects
-   duplicates, so two flows sharing a label fail loudly instead of
-   silently misaligning every exported column after them. *)
+   flow's in Tcp.Sender.kis order), then pipe counters
+   (link/<dir>/<what>), then per-host soft-component gauges
+   (host/<id>/<what>, pair order). Registration rejects duplicates, so
+   two flows sharing a label fail loudly instead of silently misaligning
+   every exported column after them. *)
 let build_registry b =
   let reg = Trace.Registry.create () in
   List.iter

@@ -379,7 +379,8 @@ let test_trace_golden () =
   Alcotest.(check string) "event CSV and Chrome JSON digests"
     (read (Filename.concat trace_golden_dir (base ^ ".md5")))
     (md5sum "_events.csv" (Report.Trace_event.to_csv tr)
-    ^ md5sum "_trace.json" (Report.Trace_event.to_chrome ~name:base tr))
+    ^ md5sum "_trace.json"
+        (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr))
 
 let suite =
   List.map
