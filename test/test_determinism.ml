@@ -263,14 +263,10 @@ let test_policy_matrix_golden () =
 let mf_golden_dir = "golden_many_flows"
 
 let load_spec_file path =
-  match
-    Report.Json.of_string (In_channel.with_open_text path In_channel.input_all)
-  with
+  let text = In_channel.with_open_text path In_channel.input_all in
+  match Result.bind (Report.Json.of_string text) Core.Spec.of_json with
+  | Ok s -> s
   | Error e -> Alcotest.failf "%s: %s" path e
-  | Ok j -> (
-      match Core.Spec.of_json j with
-      | Ok s -> s
-      | Error e -> Alcotest.failf "%s: %s" path e)
 
 let load_golden_spec file = load_spec_file (Filename.concat mf_golden_dir file)
 

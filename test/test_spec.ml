@@ -631,16 +631,13 @@ let test_ring_recount_paper_path () =
 (* Three flows under burst loss: 14,209 forward and 7,989 reverse
    deliveries, 83 drops, 36 retransmissions. *)
 let test_ring_recount_dumbbell_mixed () =
-  match
-    Report.Json.of_string
-      (In_channel.with_open_text "../examples/dumbbell_mixed.json"
-         In_channel.input_all)
-  with
+  let text =
+    In_channel.with_open_text "../examples/dumbbell_mixed.json"
+      In_channel.input_all
+  in
+  match Result.bind (Report.Json.of_string text) Spec.of_json with
+  | Ok spec -> check_ring_recount spec
   | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Spec.of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok spec -> check_ring_recount spec)
 
 let suite =
   [
