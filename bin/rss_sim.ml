@@ -183,7 +183,11 @@ let run_spec_file ~path ~jobs ~domains ~out_dir ~checkpoint ~checkpoint_every
 
 let run_cmd =
   let slow_start =
-    let doc = "Slow-start policy: standard | limited | hystart | restricted." in
+    let doc =
+      "Congestion-control policy: a slow-start rule alone (with Reno), \
+       RULE+AVOIDANCE (e.g. hystart+cubic) or a named bundle; see $(b,rss_sim \
+       list)."
+    in
     Arg.(value & opt string "restricted" & info [ "slow-start"; "s" ] ~doc)
   in
   let local_congestion =
@@ -201,10 +205,6 @@ let run_cmd =
   let pacing =
     let doc = "Pace data segments (sch_fq-style)." in
     Arg.(value & flag & info [ "pacing" ] ~doc)
-  in
-  let cc =
-    let doc = "Congestion avoidance: reno | cubic | vegas." in
-    Arg.(value & opt string "reno" & info [ "cc" ] ~doc)
   in
   let chart =
     let doc = "Draw an ASCII chart of the window trajectory." in
@@ -270,8 +270,7 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
-  let action slow_start local_congestion bytes csv_prefix pacing cc
-      chart spec_file jobs domains out_dir checkpoint checkpoint_every resume
+  let action slow_start local_congestion bytes csv_prefix pacing chart spec_file jobs domains out_dir checkpoint checkpoint_every resume
       rate_mbps rtt_ms ifq duration_s seed loss =
     match spec_file with
     | Some path ->
@@ -286,15 +285,6 @@ let run_cmd =
       prerr_endline "--domains requires --spec";
       exit 2
     end;
-    let cong_avoid =
-      match cc with
-      | "reno" -> Core.Spec.Reno
-      | "cubic" -> Core.Spec.Cubic
-      | "vegas" -> Core.Spec.Vegas
-      | other ->
-          Printf.eprintf "unknown congestion avoidance %S\n" other;
-          exit 2
-    in
     match Tcp.Local_congestion.of_string local_congestion with
     | Error e ->
         prerr_endline e;
@@ -307,7 +297,6 @@ let run_cmd =
               Core.Spec.slow_start;
               local_congestion = policy;
               pacing;
-              cong_avoid;
               workload = Core.Spec.Bulk { bytes };
             }
         in
@@ -349,7 +338,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ slow_start $ local_congestion $ bytes $ csv_prefix
-      $ pacing $ cc $ chart $ spec_file $ jobs $ domains $ out_dir
+      $ pacing $ chart $ spec_file $ jobs $ domains $ out_dir
       $ checkpoint $ checkpoint_every $ resume $ rate_mbps $ rtt_ms $ ifq
       $ duration_s $ seed $ loss)
   in
@@ -375,7 +364,7 @@ let compare_cmd =
   in
   let matrix =
     let doc =
-      "Full arena: every registered congestion-control policy crossed \
+      "Full arena: every named congestion-control bundle crossed \
        with every arena scenario (paper-path, lossy-wan, \
        shared-bottleneck and the chaos-bursty fault profile), scored \
        into a league table. --rate/--rtt-ms/--ifq/--loss are ignored \
@@ -386,8 +375,8 @@ let compare_cmd =
   in
   let policies =
     let doc =
-      "With --matrix: restrict to a comma-separated subset of the \
-       registered policies (see $(b,rss_sim list))."
+      "With --matrix: run these comma-separated policies instead of the \
+       named bundles; any policy name works (see $(b,rss_sim list))."
     in
     Arg.(
       value
@@ -880,22 +869,22 @@ let list_cmd =
       (fun (name, doc) -> Printf.printf "  %-8s %s\n" name doc)
       experiments;
     print_endline "";
+    let print_docs title docs =
+      print_endline title;
+      List.iter (fun (name, doc) -> Printf.printf "  %-19s %s\n" name doc) docs
+    in
     print_endline
-      "slow-start policies (--slow-start NAME / spec flow \"slow_start\"):";
-    List.iter (Printf.printf "  %s\n") Tcp.Slow_start.names;
+      "congestion-control policies (run -s NAME / spec flow \"slow_start\" \
+       or \"policy\"): a slow-start rule alone (with reno), \
+       RULE+AVOIDANCE (e.g. limited+cubic) or a named bundle";
+    print_docs "slow-start rules:" Tcp.Policy.slow_starts;
+    print_docs "avoidance rules:" Tcp.Policy.avoidances;
+    print_docs "named bundles (compare --matrix rows):" Tcp.Policy.bundles;
     print_endline "";
-    print_endline
-      "congestion-control policies (compare --matrix / spec flow \
-       \"policy\"):";
-    List.iter
-      (fun (name, doc) -> Printf.printf "  %-19s %s\n" name doc)
-      (Tcp.Policy.docs ());
-    print_endline "";
-    print_endline "arena scenarios (compare --matrix columns):";
-    List.iter
-      (fun (s : Core.Arena.scenario) ->
-        Printf.printf "  %-19s %s\n" s.Core.Arena.sname s.Core.Arena.sdoc)
-      Core.Arena.scenarios;
+    print_docs "arena scenarios (compare --matrix columns):"
+      (List.map
+         (fun (s : Core.Arena.scenario) -> (s.Core.Arena.sname, s.Core.Arena.sdoc))
+         Core.Arena.scenarios);
     print_endline "";
     print_endline "workload kinds (spec flow \"workload\".\"kind\"):";
     List.iter (Printf.printf "  %s\n") Core.Spec.workload_kinds
@@ -903,8 +892,8 @@ let list_cmd =
   Cmd.v
     (Cmd.info "list"
        ~doc:
-         "List the experiment catalog, slow-start policies and workload \
-          kinds.")
+         "List the experiment catalog, congestion-control policies, arena \
+          scenarios and workload kinds.")
     Term.(const action $ const ())
 
 (* --- spec ---------------------------------------------------------------- *)

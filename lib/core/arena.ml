@@ -1,4 +1,4 @@
-(* The head-to-head arena: every registered congestion-control policy
+(* The head-to-head arena: every named congestion-control bundle
    crossed with a fixed set of Spec scenarios, scored into one league
    table. Each cell is an independent Spec.run — the pool fans the whole
    matrix out over domains and Pool.map's order preservation keeps every
@@ -226,7 +226,7 @@ let cell_of_outcome ~policy ~scenario (o : Spec.outcome) =
 let run_collect ?pool ?policies ?scenarios:scenario_filter
     ?(duration = Sim.Time.sec 15) ?(seed = 1) () =
   let policies =
-    match policies with Some ps -> ps | None -> Tcp.Policy.names ()
+    match policies with Some ps -> ps | None -> Tcp.Policy.names
   in
   let chosen = find_scenarios scenario_filter in
   let cells_in =

@@ -1,6 +1,6 @@
 (** Head-to-head congestion-control arena.
 
-    Crosses every registered {!Tcp.Policy} with a fixed set of
+    Crosses the named {!Tcp.Policy} bundles with a fixed set of
     {!Spec} scenarios (the paper path, a lossy WAN, a two-flow fairness
     dumbbell and a chaos fault profile) and scores the results into a
     league table. Each cell is an independent [Spec.run] with the same
@@ -60,7 +60,8 @@ val run :
   ?seed:int ->
   unit ->
   table
-(** Run the matrix: defaults are every registered policy, every built-in
+(** Run the matrix: defaults are every named bundle
+    ({!Tcp.Policy.names}), every built-in
     scenario, 15 s, seed 1. Cells run as one [Spec.run_batch] over
     [pool] (sequential when [None]) in policy-major order. Raises
     [Invalid_argument] on an unknown policy or scenario name and

@@ -40,8 +40,8 @@ val make_case :
 (** A single-bulk-flow duplex case. Defaults are the paper's testbed
     path (100 Mbit/s, 60 ms RTT, IFQ 100), 20 s horizon, 400-segment
     transfer ([bytes]), 2 s RTO ceiling, 4-RTO progress window,
-    completion checked, no faults. [variant] is the flow's slow-start
-    policy ({!Tcp.Slow_start.by_name}). *)
+    completion checked, no faults. [variant] names the flow's
+    controllers ({!Tcp.Policy.by_name}). *)
 
 val default_case : case
 (** [make_case ()]. *)

@@ -11,8 +11,6 @@
 module Json = Report.Json
 module Fm = Netsim.Fault_model
 
-type cong_avoid = Reno | Cubic | Vegas
-
 type duplex = {
   rate : Sim.Units.rate;
   one_way_delay : Sim.Time.t;
@@ -92,7 +90,6 @@ type flow = {
   slow_start : string;
   restricted : Tcp.Slow_start.restricted_config option;
   shared_rss : bool;
-  cong_avoid : cong_avoid;
   local_congestion : Tcp.Local_congestion.policy;
   delayed_ack : Sim.Time.t option;
   use_sack : bool;
@@ -136,7 +133,6 @@ let default_flow =
     slow_start = "standard";
     restricted = None;
     shared_rss = false;
-    cong_avoid = Reno;
     local_congestion = Tcp.Local_congestion.Halve;
     delayed_ack = Tcp.Config.default.Tcp.Config.delayed_ack;
     use_sack = true;
@@ -227,35 +223,18 @@ let pairs_of = function
   | Dumbbell d -> d.pairs
   | Multi_dumbbell m -> (m.segments * m.m_pairs) + m.cross_pairs
 
-let resolve_cong_avoid = function
-  | Reno -> Tcp.Cong_avoid.reno ()
-  | Cubic -> Tcp.Cong_avoid.cubic ()
-  | Vegas -> Tcp.Cong_avoid.vegas ()
-
-(* (slow_start, cong_avoid, pacing hints) for one connection. A [policy]
-   name resolves through the registry as a fresh bundle; without one the
-   legacy slow_start/cong_avoid fields are resolved exactly as before,
-   keeping pre-policy specs byte-identical. [shared] yields the sending
-   host's shared RSS controller for a [shared_rss] flow; validation,
-   which instantiates nothing, omits it. Raises [Invalid_argument] on an
-   unknown name. *)
+(* A fresh instance of the flow's controllers: [policy] if set, else
+   [slow_start]. [shared] yields the sending host's shared RSS
+   controller, which replaces the slow-start half of a [shared_rss]
+   flow; validation, which instantiates nothing, omits it. Raises
+   [Invalid_argument] on an unknown name. *)
 let bundle_for ?shared (f : flow) =
-  let ok = function Ok x -> x | Error e -> invalid_arg e in
-  let restricted_config = f.restricted in
-  match (f.policy, shared) with
-  | Some name, _ ->
-      let p = ok (Tcp.Policy.by_name ?restricted_config name) in
-      ( p.Tcp.Policy.slow_start,
-        p.Tcp.Policy.cong_avoid,
-        p.Tcp.Policy.pace_gains )
-  | None, Some controller when f.shared_rss ->
-      ( Tcp.Shared_rss.policy (controller ()),
-        resolve_cong_avoid f.cong_avoid,
-        None )
-  | None, _ ->
-      ( ok (Tcp.Slow_start.by_name ?restricted_config f.slow_start),
-        resolve_cong_avoid f.cong_avoid,
-        None )
+  let name = Option.value f.policy ~default:f.slow_start in
+  match (Tcp.Policy.by_name ?restricted_config:f.restricted name, shared) with
+  | Error e, _ -> invalid_arg e
+  | Ok p, Some controller when f.shared_rss ->
+      { p with Tcp.Policy.slow_start = Tcp.Shared_rss.policy (controller ()) }
+  | Ok p, _ -> p
 
 let validate_flow ~pairs i f =
   if f.pair < 0 || f.pair >= pairs then
@@ -263,12 +242,9 @@ let validate_flow ~pairs i f =
   if Sim.Time.is_negative f.start_at then
     err "Spec.build: flow %d: start time %gs must be non-negative" i
       (Sim.Time.to_sec f.start_at);
-  (match Tcp.Slow_start.by_name ?restricted_config:f.restricted f.slow_start with
-  | Ok _ -> ()
-  | Error e -> err "Spec.build: flow %d: %s" i e);
   if f.policy <> None && f.shared_rss then
     err "Spec.build: flow %d: policy and shared_rss are mutually exclusive" i;
-  let _, cong_avoid, _ =
+  let policy =
     try bundle_for f
     with Invalid_argument e -> err "Spec.build: flow %d: %s" i e
   in
@@ -315,7 +291,7 @@ let validate_flow ~pairs i f =
         err "Spec.build: flow %d: flows %d must be positive" i flows;
       Option.iter
         (err "Spec.build: flow %d: many_flows: %s" i)
-        (Workload.Many_flows.cong_avoid_error cong_avoid);
+        (Workload.Many_flows.cong_avoid_error policy.Tcp.Policy.cong_avoid);
       (match arrival_rate with
       | Some r when not (r > 0.) ->
           err "Spec.build: flow %d: arrival rate %g must be positive" i r
@@ -583,9 +559,9 @@ let many_flows_engines b =
       | _ -> [])
     b.bflows
 
-let config_of_flow ?pace_gains (f : flow) =
+let config_of_flow (p : Tcp.Policy.t) (f : flow) =
   let pace_ss_gain, pace_ca_gain =
-    match pace_gains with
+    match p.Tcp.Policy.pace_gains with
     | Some gains -> gains
     | None ->
         ( Tcp.Config.default.Tcp.Config.pace_ss_gain,
@@ -642,18 +618,17 @@ let start_flow b bf =
   let driver =
     match f.workload with
     | Bulk { bytes } ->
-        let ss, cc, pace_gains = bundle () in
+        let ({ Tcp.Policy.slow_start; cong_avoid; _ } as p) = bundle () in
         Bulk_driver
           (Workload.Bulk.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
-             ~ids ~rx_ids ~config:(config_of_flow ?pace_gains f)
-             ~slow_start:ss ~cong_avoid:cc ?bytes ())
+             ~ids ~rx_ids ~config:(config_of_flow p f)
+             ~slow_start ~cong_avoid ?bytes ())
     | Chunked { chunk_bytes; interval; chunks } ->
-        let ss, cc, pace_gains = bundle () in
+        let ({ Tcp.Policy.slow_start; cong_avoid; _ } as p) = bundle () in
         Chunked_driver
           (Workload.Chunked.start ~src:bf.src ~dst:bf.dst ~flow:flow_id
              ~ids ~rx_ids ~chunk_bytes ~interval ?chunks
-             ~config:(config_of_flow ?pace_gains f)
-             ~slow_start:ss ~cong_avoid:cc ())
+             ~config:(config_of_flow p f) ~slow_start ~cong_avoid ())
     | Cbr { rate; packet_bytes; stop_at } ->
         Cbr_driver
           ( Workload.Cbr.start ~host:bf.src ~dst:(Netsim.Host.id bf.dst)
@@ -666,19 +641,13 @@ let start_flow b bf =
               ~mean_on ~mean_off ~packet_bytes (),
             packet_bytes )
     | Short_flows { arrival_rate; mean_size; pareto_shape; stop_at } ->
-        (* Each mouse gets a fresh slow-start instance; the bundle's
-           congestion avoidance stays at the driver's internal default
-           (mice rarely leave slow-start). *)
-        let _, _, pace_gains = bundle () in
+        (* Each mouse gets a fresh instance of both halves. *)
         Short_driver
           (Workload.Short_flows.start ~src:bf.src ~dst:bf.dst ~ids
              ~rng:(flow_rng b bf.index) ~arrival_rate ~mean_size ~pareto_shape
              ~first_flow:(10_000 + (1_000 * bf.index))
-             ~config:(config_of_flow ?pace_gains f)
-             ~slow_start:(fun () ->
-               let ss, _, _ = bundle () in
-               ss)
-             ?stop_at ())
+             ~config:(config_of_flow (bundle ()) f)
+             ~policy:bundle ?stop_at ())
     | Many_flows
         { flows; arrival_rate; arrival_pareto_shape; mean_size;
           size_pareto_shape } ->
@@ -747,9 +716,8 @@ let start_flow b bf =
                        (Sim.Rng.derive_seed ~root:b.bspec.seed
                           ~stream:(0x6F0000 + (bf.index * 0x100) + k)) )
                in
-               let _, cc, _ = bundle () in
                Workload.Many_flows.start ~sched:(sched_of k) ~rng ~seed
-                 ~cong_avoid:cc
+                 ~cong_avoid:(bundle ()).Tcp.Policy.cong_avoid
                  {
                    Workload.Many_flows.default_params with
                    Workload.Many_flows.flows =
@@ -783,7 +751,7 @@ let start_flow b bf =
 
 let default_label spec i (f : flow) =
   let base =
-    match f.policy with Some p -> p | None -> f.slow_start
+    match f.policy with Some p -> p | None -> fst (Tcp.Policy.split f.slow_start)
   in
   match f.label with
   | Some l -> l
@@ -1805,22 +1773,20 @@ let restricted_to_json (c : Tcp.Slow_start.restricted_config) =
         time_to_json c.Tcp.Slow_start.sample_min_interval );
     ]
 
-let cong_avoid_to_string = function
-  | Reno -> "reno"
-  | Cubic -> "cubic"
-  | Vegas -> "vegas"
-
+(* [slow_start] goes out as the legacy key pair, so a spec's bytes (its
+   snapshot identity) and its default labels never change. *)
 let flow_to_json (f : flow) =
+  let slow_start, cong_avoid = Tcp.Policy.split f.slow_start in
   Json.Obj
     [
       ("label", opt_to_json (fun l -> Json.String l) f.label);
       ("pair", int_to_json f.pair);
       ("start_at_ns", time_to_json f.start_at);
       ("policy", opt_to_json (fun p -> Json.String p) f.policy);
-      ("slow_start", Json.String f.slow_start);
+      ("slow_start", Json.String slow_start);
       ("restricted", opt_to_json restricted_to_json f.restricted);
       ("shared_rss", Json.Bool f.shared_rss);
-      ("cong_avoid", Json.String (cong_avoid_to_string f.cong_avoid));
+      ("cong_avoid", Json.String cong_avoid);
       ( "local_congestion",
         Json.String (Tcp.Local_congestion.to_string f.local_congestion) );
       ("delayed_ack_ns", opt_to_json time_to_json f.delayed_ack);
@@ -2185,13 +2151,6 @@ let restricted_of_json j =
       sample_min_interval;
     }
 
-let cong_avoid_of_string = function
-  | "reno" -> Ok Reno
-  | "cubic" -> Ok Cubic
-  | "vegas" -> Ok Vegas
-  | other ->
-      Error (Printf.sprintf "unknown cong_avoid %S (reno|cubic|vegas)" other)
-
 let flow_of_json j =
   let d = default_flow in
   let* label =
@@ -2210,13 +2169,15 @@ let flow_of_json j =
         | None -> Error "field \"policy\" is not a string")
       j
   in
-  let* slow_start = str_default d.slow_start "slow_start" j in
+  (* The legacy [cong_avoid] key names the avoidance half of
+     [slow_start]; "reno" (the default) adds nothing. *)
+  let* slow_start =
+    let* ss = str_default d.slow_start "slow_start" j in
+    let* ca = str_default "reno" "cong_avoid" j in
+    Ok (if ca = "reno" then ss else ss ^ "+" ^ ca)
+  in
   let* restricted = opt_field "restricted" restricted_of_json j in
   let* shared_rss = bool_default d.shared_rss "shared_rss" j in
-  let* cong_avoid =
-    let* s = str_default (cong_avoid_to_string d.cong_avoid) "cong_avoid" j in
-    cong_avoid_of_string s
-  in
   let* local_congestion =
     let* s =
       str_default
@@ -2246,7 +2207,6 @@ let flow_of_json j =
       slow_start;
       restricted;
       shared_rss;
-      cong_avoid;
       local_congestion;
       delayed_ack;
       use_sack;
@@ -2375,7 +2335,7 @@ let template () =
     "buffer_packets": 250,
     "ifq_capacity": 100
   },
-  "_doc_flows": "one entry per flow; pair selects the host pair; slow_start is any `rss_sim list` slow-start; policy (optional) instead selects a full Tcp.Policy bundle (slow-start + congestion avoidance + pacing hints) by registry name; shared_rss=true steers the flow from a host-wide restricted controller; workload.kind is bulk|chunked|cbr|on_off|short_flows|many_flows (many_flows: N abstract AIMD flows through a fluid bottleneck — flows, arrival_rate flows/s or null for all-at-zero, arrival_pareto_shape or null for Poisson, mean_size bytes or null for persistent, size_pareto_shape)",
+  "_doc_flows": "one entry per flow; pair selects the host pair; slow_start names the flow's congestion control (see `rss_sim list`): a slow-start rule alone (with reno), RULE+AVOIDANCE such as hystart+cubic, or a named bundle; the older key cong_avoid (e.g. cubic) is the same as appending +cubic to slow_start; policy (optional) takes the same names and overrides slow_start; restricted {kp, ti (null: no integral action), td, setpoint_fraction, max_step_segments, sample_min_interval_s} retunes the restricted rules; shared_rss=true steers the flow from a host-wide restricted controller; workload.kind is bulk|chunked|cbr|on_off|short_flows|many_flows (many_flows: N abstract AIMD flows through a fluid bottleneck — flows, arrival_rate flows/s or null for all-at-zero, arrival_pareto_shape or null for Poisson, mean_size bytes or null for persistent, size_pareto_shape)",
   "flows": [
     {
       "label": "restricted",

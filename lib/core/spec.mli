@@ -17,8 +17,6 @@
 
 (* --- the specification ----------------------------------------------- *)
 
-type cong_avoid = Reno | Cubic | Vegas
-
 (** The paper's ANL→LBNL testbed shape: two hosts joined by a
     symmetric pipe whose bottleneck is the sender's NIC, so queueing
     happens in the sender's interface queue. *)
@@ -115,33 +113,35 @@ type workload =
           timer wheel) rather than per-packet connections, scaling to
           millions of flows. The bottleneck (capacity, base RTT,
           buffer, optional RED) derives from the spec topology; the
-          flow's policy/cong_avoid selects the congestion-avoidance
-          rule. At most one per spec (the engine owns the scheduler's
-          timer wheel). *)
+          avoidance half of the flow's policy applies to every row. At
+          most one per spec (the engine owns the scheduler's timer
+          wheel). *)
 
 type flow = {
   label : string option;
-      (** [None]: the slow-start name (suffixed [-index] when the spec
-          has several flows) *)
+      (** [None]: [policy] if set, else the slow-start part of
+          [slow_start] (suffixed [-index] when the spec has several
+          flows) *)
   pair : int;
       (** endpoint pair: 0 on a duplex; 0..pairs-1 on a dumbbell *)
   start_at : Sim.Time.t;
   policy : string option;
-      (** {!Tcp.Policy.by_name} key — one name selecting the flow's
-          whole window-update rule (slow-start + congestion avoidance +
-          pacing hints). [None] (default) keeps the legacy
-          [slow_start]/[cong_avoid] pair, byte-identical to pre-policy
-          specs. Mutually exclusive with [shared_rss]; [restricted]
-          still overrides the PID tuning of restricted policies. *)
+      (** {!Tcp.Policy.by_name} name of the flow's controllers, used
+          instead of [slow_start] when set. Mutually exclusive with
+          [shared_rss]. *)
   slow_start : string;
-      (** {!Tcp.Slow_start.by_name} key (ignored when [policy] is set) *)
+      (** {!Tcp.Policy.by_name} name, used when [policy] is [None]:
+          ["restricted"] (with Reno), ["hystart+cubic"], ... In JSON it
+          travels as the legacy key pair: ["slow_start"] holds the part
+          before the ['+'] and ["cong_avoid"] the part after it
+          (["reno"] when there is none). *)
   restricted : Tcp.Slow_start.restricted_config option;
-      (** override for the restricted policies' controller *)
+      (** override for the restricted rules' PID tuning *)
   shared_rss : bool;
       (** steer this flow from its host's shared RSS controller (one
           {!Tcp.Shared_rss.t} per sending host, created at the first
-          shared flow) instead of a per-connection policy *)
-  cong_avoid : cong_avoid;
+          shared flow), which replaces the slow-start half of
+          [slow_start]'s policy *)
   local_congestion : Tcp.Local_congestion.policy;
   delayed_ack : Sim.Time.t option;
   use_sack : bool;

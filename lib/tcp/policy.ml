@@ -1,95 +1,98 @@
 (* A congestion-control policy is the complete window-update rule of a
-   connection: the slow-start phase (entry growth + voluntary exit), the
-   congestion-avoidance phase (per-ACK growth, loss and RTO reactions)
-   and pacing hints. Bundling the two existing policy records keeps the
-   sender's hot path unchanged — it still dispatches through the same
-   Slow_start.t / Cong_avoid.t closures — while giving sweeps and CLIs
-   one name for one behaviour. *)
+   connection: a slow-start rule (entry growth + voluntary exit) paired
+   with an avoidance rule (per-ACK growth, loss and RTO reactions), plus
+   the avoidance rule's pacing hints. The sender's hot path is unchanged
+   — it still dispatches through the same Slow_start.t / Cong_avoid.t
+   closures — while every CLI, spec and sweep names a controller here,
+   and nowhere else. *)
 
 type t = {
   name : string;
-  doc : string;
   slow_start : Slow_start.t;
   cong_avoid : Cong_avoid.t;
   pace_gains : (float * float) option;
 }
 
-type entry = {
-  ename : string;
-  edoc : string;
-  make : Slow_start.restricted_config option -> t;
-}
-
-let builtin =
-  let bundle ?pace_gains ~name ~doc ss cc =
-    {
-      ename = name;
-      edoc = doc;
-      make =
-        (fun rc ->
-          { name; doc; slow_start = ss rc; cong_avoid = cc (); pace_gains });
-    }
-  in
+let ss_rules =
   [
-    bundle ~name:"standard"
-      ~doc:"RFC 5681 slow-start + Reno AIMD (the classic baseline)"
-      (fun _ -> Slow_start.standard ())
-      Cong_avoid.reno;
-    bundle ~name:"restricted"
-      ~doc:"the paper's PID-restricted slow-start + Reno"
-      (fun rc -> Slow_start.restricted ?config:rc ())
-      Cong_avoid.reno;
-    bundle ~name:"restricted-adaptive"
-      ~doc:"gain-scheduled restricted slow-start (Ti/Td track RTT) + Reno"
-      (fun rc -> Slow_start.restricted_adaptive ?config:rc ())
-      Cong_avoid.reno;
-    bundle ~name:"hystart-cubic"
-      ~doc:"HyStart exit detection + CUBIC avoidance (the Linux default)"
-      (fun _ -> Slow_start.hystart ())
-      Cong_avoid.cubic;
-    bundle ~name:"ssthreshless"
-      ~doc:
-        "SSthreshless Start (arXiv 1401.7146): path-measured slow-start \
-         exit onto the BDP estimate + Reno"
-      (fun _ -> Slow_start.ssthreshless ())
-      Cong_avoid.reno;
-    bundle ~name:"relentless"
-      ~doc:
-        "Relentless CC (arXiv 1102.3270): loss costs only the lost \
-         segments, W* = 1/p"
-      (fun _ -> Slow_start.standard ())
-      Cong_avoid.relentless;
-    (* FAST regulates queueing delay, so when pacing is on it should
-       release the window smoothly at the ACK rate rather than with the
-       loss-probing 1.2 headroom. *)
-    bundle ~name:"fast" ~pace_gains:(2.0, 1.0)
-      ~doc:
-        "FAST-style delay-based avoidance: w <- (1-g)w + \
-         g(baseRTT/avgRTT*w + alpha)"
-      (fun _ -> Slow_start.standard ())
-      Cong_avoid.fast;
-    bundle ~name:"small-rtt"
-      ~doc:
-        "small-RTT cwnd scaling (arXiv 1904.07598): additive increase \
-         scaled by srtt/25ms below the reference RTT"
-      (fun _ -> Slow_start.standard ())
-      (fun () -> Cong_avoid.small_rtt ());
+    ("standard", "RFC 5681 slow-start", fun _ -> Slow_start.standard ());
+    ("abc", "RFC 3465 byte counting", fun _ -> Slow_start.abc ());
+    ("limited", "RFC 3742 limited slow-start", fun _ -> Slow_start.limited ());
+    ("hystart", "HyStart exit detection", fun _ -> Slow_start.hystart ());
+    ( "ssthreshless",
+      "SSthreshless Start (arXiv 1401.7146): exit onto the BDP estimate",
+      fun _ -> Slow_start.ssthreshless () );
+    ( "restricted",
+      "the paper's PID-restricted slow-start",
+      fun rc -> Slow_start.restricted ?config:rc () );
+    ( "restricted-adaptive",
+      "restricted, with Ti/Td tracking the RTT",
+      fun rc -> Slow_start.restricted_adaptive ?config:rc () );
   ]
 
-let registry = ref builtin
+(* FAST regulates queueing delay, so when pacing is on it should release
+   the window smoothly at the ACK rate rather than with the loss-probing
+   1.2 headroom: the pacing hint belongs to the avoidance rule. *)
+let ca_rules =
+  [
+    ("reno", "Reno AIMD", Cong_avoid.reno, None);
+    ("cubic", "RFC 8312 CUBIC", (fun () -> Cong_avoid.cubic ()), None);
+    ("vegas", "Vegas backlog control", (fun () -> Cong_avoid.vegas ()), None);
+    ( "relentless",
+      "Relentless CC (arXiv 1102.3270): a loss costs one MSS, W* = 1/p",
+      Cong_avoid.relentless,
+      None );
+    ( "fast",
+      "FAST-style delay-based avoidance",
+      (fun () -> Cong_avoid.fast ()),
+      Some (2.0, 1.0) );
+    ( "small-rtt",
+      "small-RTT scaling (arXiv 1904.07598): increase scaled by srtt/25ms",
+      (fun () -> Cong_avoid.small_rtt ()),
+      None );
+  ]
 
-let register ~name ~doc make =
-  if List.exists (fun e -> e.ename = name) !registry then
-    invalid_arg (Printf.sprintf "Policy.register: %S already registered" name);
-  registry := !registry @ [ { ename = name; edoc = doc; make } ]
+let slow_starts = List.map (fun (n, d, _) -> (n, d)) ss_rules
+let avoidances = List.map (fun (n, d, _, _) -> (n, d)) ca_rules
 
-let names () = List.map (fun e -> e.ename) !registry
-let docs () = List.map (fun e -> (e.ename, e.edoc)) !registry
+let bundles =
+  [
+    ("standard", "standard+reno");
+    ("restricted", "restricted+reno");
+    ("restricted-adaptive", "restricted-adaptive+reno");
+    ("hystart-cubic", "hystart+cubic");
+    ("ssthreshless", "ssthreshless+reno");
+    ("relentless", "standard+relentless");
+    ("fast", "standard+fast");
+    ("small-rtt", "standard+small-rtt");
+  ]
+
+let names = List.map fst bundles
+
+let split name =
+  match String.index_opt name '+' with
+  | Some i ->
+      (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  | None -> (name, "reno")
 
 let by_name ?restricted_config name =
-  match List.find_opt (fun e -> e.ename = name) !registry with
-  | Some e -> Ok (e.make restricted_config)
-  | None ->
+  let ss, ca = split (Option.value (List.assoc_opt name bundles) ~default:name) in
+  match
+    ( List.find_opt (fun (n, _, _) -> n = ss) ss_rules,
+      List.find_opt (fun (n, _, _, _) -> n = ca) ca_rules )
+  with
+  | Some (_, _, make_ss), Some (_, _, make_ca, pace_gains) ->
+      Ok
+        {
+          name;
+          slow_start = make_ss restricted_config;
+          cong_avoid = make_ca ();
+          pace_gains;
+        }
+  | _ ->
+      let keys l = String.concat ", " (List.map fst l) in
       Error
-        (Printf.sprintf "unknown congestion-control policy %S (have: %s)" name
-           (String.concat ", " (names ())))
+        (Printf.sprintf
+           "unknown congestion-control policy %S: want SLOW_START[+AVOIDANCE] \
+            or a bundle (slow-start: %s; avoidance: %s; bundles: %s)"
+           name (keys slow_starts) (keys avoidances) (keys bundles))

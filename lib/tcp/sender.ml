@@ -811,6 +811,5 @@ let kis =
     ("CongAvoid", count (fun t -> t.cong_avoid_acks));
     ("CurIFQ", fun t -> t.gauges.cur_ifq);
   ]
-let slow_start_name t = t.ss.Slow_start.name
 let flow_table t = t.table
 let row t = t.row

@@ -101,8 +101,6 @@ val set_tracer : t -> Trace.t option -> unit
     bytes) per timeout. Records use the flow id as [src]. With [None]
     tracing costs one pattern match and allocates nothing. *)
 
-val slow_start_name : t -> string
-
 val flow_table : t -> Flow_table.t
 (** The table holding this sender's numeric state… *)
 

@@ -268,19 +268,3 @@ let commanded ~target_segments =
     no_exit (target -. view.cwnd ())
   in
   { name = "commanded"; on_ack; reset = (fun () -> ()) }
-
-let names =
-  [ "standard"; "abc"; "limited"; "hystart"; "ssthreshless"; "restricted";
-    "restricted-adaptive" ]
-
-let by_name ?restricted_config name =
-  match name with
-  | "standard" -> Ok (standard ())
-  | "abc" -> Ok (abc ())
-  | "limited" -> Ok (limited ())
-  | "hystart" -> Ok (hystart ())
-  | "ssthreshless" -> Ok (ssthreshless ())
-  | "restricted" -> Ok (restricted ?config:restricted_config ())
-  | "restricted-adaptive" ->
-      Ok (restricted_adaptive ?config:restricted_config ())
-  | other -> Error (Printf.sprintf "unknown slow-start policy %S" other)

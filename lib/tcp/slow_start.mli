@@ -113,11 +113,3 @@ val commanded : target_segments:float ref -> t
     [!target_segments]·MSS (floored at 2·MSS by the sender). This is how
     the Ziegler–Nichols harness drives the real simulated IFQ plant with
     an externally chosen window. Never exits slow-start. *)
-
-val by_name :
-  ?restricted_config:restricted_config -> string -> (t, string) result
-(** "standard" | "abc" | "limited" | "hystart" | "ssthreshless" |
-    "restricted" | "restricted-adaptive" — for CLIs. *)
-
-val names : string list
-(** Every key {!by_name} accepts, in documentation order. *)

@@ -15,7 +15,7 @@ type t = {
   mean_size : int;
   pareto_shape : float;
   config : Tcp.Config.t;
-  slow_start : unit -> Tcp.Slow_start.t;
+  policy : unit -> Tcp.Policy.t;
   stop_at : Sim.Time.t option;
   mutable next_flow : int;
   mutable launched : int;
@@ -40,8 +40,10 @@ let launch t =
     Tcp.Receiver.create ~host:t.dst ~flow ~ids:t.ids ~config:t.config ()
   in
   let sender =
+    let p = t.policy () in
     Tcp.Sender.create ~host:t.src ~dst:(Netsim.Host.id t.dst) ~flow
-      ~ids:t.ids ~config:t.config ~slow_start:(t.slow_start ()) ()
+      ~ids:t.ids ~config:t.config ~slow_start:p.Tcp.Policy.slow_start
+      ~cong_avoid:p.Tcp.Policy.cong_avoid ()
   in
   Tcp.Receiver.expect receiver ~bytes:size (fun () ->
       t.finished <-
@@ -71,7 +73,8 @@ let rec arrival t () =
 let start ~src ~dst ~ids ~rng ~arrival_rate ?(mean_size = 30 * 1024)
     ?(pareto_shape = 1.2) ?(first_flow = 10_000)
     ?(config = Tcp.Config.default)
-    ?(slow_start = fun () -> Tcp.Slow_start.standard ()) ?stop_at () =
+    ?(policy = fun () -> Result.get_ok (Tcp.Policy.by_name "standard"))
+    ?stop_at () =
   assert (arrival_rate > 0.);
   let t =
     {
@@ -84,7 +87,7 @@ let start ~src ~dst ~ids ~rng ~arrival_rate ?(mean_size = 30 * 1024)
       mean_size;
       pareto_shape;
       config;
-      slow_start;
+      policy;
       stop_at;
       next_flow = first_flow;
       launched = 0;

@@ -22,13 +22,15 @@ val start :
   ?pareto_shape:float ->
   ?first_flow:int ->
   ?config:Tcp.Config.t ->
-  ?slow_start:(unit -> Tcp.Slow_start.t) ->
+  ?policy:(unit -> Tcp.Policy.t) ->
   ?stop_at:Sim.Time.t ->
   unit ->
   t
 (** [arrival_rate] is flows per second; sizes are Pareto with the given
     [mean_size] (default 30 KiB) and [pareto_shape] (default 1.2, heavy
-    tail). Flow ids count up from [first_flow] (default 10_000). *)
+    tail). Flow ids count up from [first_flow] (default 10_000). Each
+    connection gets a fresh [policy ()] (default ["standard"]): both its
+    slow-start and its avoidance rule. *)
 
 val stop : t -> unit
 val launched : t -> int

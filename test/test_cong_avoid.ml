@@ -198,7 +198,7 @@ let qcheck_on_round_bitwise =
               Int64.equal
                 (Int64.bits_of_float !folded)
                 (Int64.bits_of_float (on_round ~acks:k ~cwnd ~mss ~srtt)))
-        (Tcp.Policy.names ()))
+        Tcp.Policy.names)
 
 let suite =
   [

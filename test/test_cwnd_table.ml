@@ -44,19 +44,12 @@ let pairs =
       (fun ca -> if ca = "reno" then None else Some ("standard", ca))
       avoidances
 
-let cong_avoid_of_name = function
-  | "reno" -> Tcp.Cong_avoid.reno ()
-  | "cubic" -> Tcp.Cong_avoid.cubic ()
-  | "vegas" -> Tcp.Cong_avoid.vegas ()
-  | "relentless" -> Tcp.Cong_avoid.relentless ()
-  | "fast" -> Tcp.Cong_avoid.fast ()
-  | "small-rtt" -> Tcp.Cong_avoid.small_rtt ()
-  | other -> invalid_arg other
-
 let controllers (ss, ca) =
-  match Tcp.Slow_start.by_name ss with
-  | Ok slow_start -> (slow_start, cong_avoid_of_name ca)
+  match Tcp.Policy.by_name (ss ^ "+" ^ ca) with
+  | Ok p -> (p.Tcp.Policy.slow_start, p.Tcp.Policy.cong_avoid)
   | Error e -> invalid_arg e
+
+let cong_avoid_of_name ca = snd (controllers ("standard", ca))
 
 type row = { time_ns : int; cwnd : int; ssthresh : int }
 

@@ -217,14 +217,14 @@ let test_experiment_golden (id, render) () =
       file fresh
   end
 
-(* The policy-matrix golden: the full zoo on the paper path and the
-   chaos profile at a fixed seed, rendered through Arena.to_csv's
-   round-trip float format. The file is committed
-   (test/golden_policy_matrix.csv); regenerate with
+(* The policy-matrix golden: the first seven named bundles on the paper
+   path and the chaos profile at a fixed seed, rendered through
+   Arena.to_csv's round-trip float format. small-rtt became a bundle
+   after the golden was recorded, hence the explicit list. The file is
+   committed (test/golden_policy_matrix.csv); regenerate with
      rss_sim compare --matrix --scenarios paper-path,chaos-bursty \
-       --duration 2 --seed 1 --out <dir>
-   The explicit policy list keeps the golden stable even when other
-   suites extend the registry. *)
+       --policies standard,restricted,restricted-adaptive,hystart-cubic,\
+   ssthreshless,relentless,fast --duration 2 --seed 1 --out <dir> *)
 let matrix_policies =
   [
     "standard"; "restricted"; "restricted-adaptive"; "hystart-cubic";

@@ -1,8 +1,7 @@
-(* Tcp.Policy registry units plus differential tests: the standard and
-   restricted controllers, re-expressed as registry policies, must
-   replay byte-identical runs against the legacy slow_start/cong_avoid
-   spec fields on the experiment shapes (E5 bottleneck, E8 friendliness,
-   E11 parallel streams). *)
+(* Tcp.Policy registry units plus differential tests: a flow named
+   through the spec's [policy] field must replay byte-identical runs
+   against the same name in its [slow_start] field on the experiment
+   shapes (E5 bottleneck, E8 friendliness, E11 parallel streams). *)
 
 module Spec = Core.Spec
 
@@ -23,18 +22,54 @@ let builtin_names =
   ]
 
 let test_registry_names () =
-  let names = Tcp.Policy.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (Printf.sprintf "%s registered" n) true
-        (List.mem n names))
-    builtin_names;
-  Alcotest.(check bool) "at least five policies" true (List.length names >= 5);
+  Alcotest.(check (list string)) "the named bundles, in matrix order"
+    builtin_names Tcp.Policy.names;
+  Alcotest.(check (list string)) "one pair per bundle" builtin_names
+    (List.map fst Tcp.Policy.bundles);
   List.iter
     (fun (n, doc) ->
       Alcotest.(check bool) (n ^ " has a doc line") true
         (String.length doc > 0))
-    (Tcp.Policy.docs ())
+    (Tcp.Policy.slow_starts @ Tcp.Policy.avoidances)
+
+(* A slow-start name alone pairs it with Reno, "ss+ca" names both
+   halves, and the four aliases expand to the pairs they name. *)
+let test_name_grammar () =
+  let halves name =
+    match Tcp.Policy.by_name name with
+    | Ok p ->
+        ( p.Tcp.Policy.slow_start.Tcp.Slow_start.name,
+          p.Tcp.Policy.cong_avoid.Tcp.Cong_avoid.name,
+          p.Tcp.Policy.pace_gains )
+    | Error e -> Alcotest.fail e
+  in
+  let check name expected =
+    Alcotest.(check (triple string string (option (pair (float 0.) (float 0.)))))
+      name expected (halves name)
+  in
+  check "restricted" ("restricted", "reno", None);
+  check "abc" ("abc", "reno", None);
+  check "limited+cubic" ("limited", "cubic", None);
+  check "restricted+vegas" ("restricted", "vegas", None);
+  check "hystart-cubic" ("hystart", "cubic", None);
+  check "relentless" ("standard", "relentless", None);
+  check "small-rtt" ("standard", "small-rtt", None);
+  (* The pacing hint belongs to the avoidance rule. *)
+  check "fast" ("standard", "fast", Some (2.0, 1.0));
+  check "hystart+fast" ("hystart", "fast", Some (2.0, 1.0));
+  List.iter
+    (fun bad ->
+      match Tcp.Policy.by_name bad with
+      | Ok _ -> Alcotest.failf "%S accepted" bad
+      | Error e ->
+          Alcotest.(check bool) (bad ^ ": error names it") true
+            (contains e (Printf.sprintf "%S" bad)))
+    [ "standard+bogus"; "bogus+reno"; "relentless+cubic"; "reno"; "" ];
+  Alcotest.(check (pair string string)) "split" ("hystart", "cubic")
+    (Tcp.Policy.split "hystart+cubic");
+  Alcotest.(check (pair string string)) "split, no avoidance part"
+    ("restricted", "reno")
+    (Tcp.Policy.split "restricted")
 
 let test_by_name_fresh_instances () =
   List.iter
@@ -102,30 +137,6 @@ let test_restricted_config_threads () =
     Alcotest.(check (float 0.)) "zero-step tuning freezes the window" 0.
       d.Tcp.Slow_start.cwnd_delta
   done
-
-let test_register_and_duplicate () =
-  Tcp.Policy.register ~name:"zoo-test" ~doc:"registry extension probe"
-    (fun _ ->
-      {
-        Tcp.Policy.name = "zoo-test";
-        doc = "registry extension probe";
-        slow_start = Tcp.Slow_start.standard ();
-        cong_avoid = Tcp.Cong_avoid.reno ();
-        pace_gains = None;
-      });
-  Alcotest.(check bool) "appended" true
-    (List.mem "zoo-test" (Tcp.Policy.names ()));
-  (match Tcp.Policy.by_name "zoo-test" with
-  | Ok p -> Alcotest.(check string) "resolves" "zoo-test" p.Tcp.Policy.name
-  | Error e -> Alcotest.fail e);
-  match
-    Tcp.Policy.register ~name:"zoo-test" ~doc:"dup" (fun _ ->
-        match Tcp.Policy.by_name "standard" with
-        | Ok p -> p
-        | Error e -> invalid_arg e)
-  with
-  | () -> Alcotest.fail "duplicate registration accepted"
-  | exception Invalid_argument _ -> ()
 
 let test_small_rtt_scaling () =
   (* The registered bundle resolves, and its avoidance rule scales the
@@ -213,7 +224,7 @@ let test_flow_policy_json_round_trip () =
           Alcotest.(check bool) "policy carried" true
             ((List.hd spec'.Spec.flows).Spec.policy = Some "relentless"))
 
-(* --- differential replay: policy path vs legacy fields ----------------- *)
+(* --- differential replay: policy field vs slow_start field -------------- *)
 
 (* Byte-level fingerprint of an outcome: every scalar counter plus the
    full cwnd time series, rendered through the round-trip CSV float
@@ -350,7 +361,7 @@ let test_differential_e11 () =
          (Spec.Duplex Spec.default_duplex)
          (flows (fun n -> policy_flow n)))
 
-(* Every registered policy must drive a clean paper-path run to a sane
+(* Every named bundle must drive a clean paper-path run to a sane
    outcome: bytes flow and the window respects the 2-segment floor. *)
 let test_all_policies_run () =
   List.iter
@@ -368,7 +379,7 @@ let test_all_policies_run () =
         (r.Spec.goodput_mbps > 0.1);
       Alcotest.(check bool) (name ^ " respects the window floor") true
         (r.Spec.final_cwnd_segments >= 2.))
-    (Tcp.Policy.names ())
+    Tcp.Policy.names
 
 let suite =
   [
@@ -378,8 +389,8 @@ let suite =
     Alcotest.test_case "by_name rejects unknown" `Quick test_by_name_unknown;
     Alcotest.test_case "restricted_config reaches the controller" `Quick
       test_restricted_config_threads;
-    Alcotest.test_case "register appends, rejects duplicates" `Quick
-      test_register_and_duplicate;
+    Alcotest.test_case "name grammar: ss, ss+ca, aliases" `Quick
+      test_name_grammar;
     Alcotest.test_case "small-rtt scales the additive increase" `Quick
       test_small_rtt_scaling;
     Alcotest.test_case "spec rejects unknown policy" `Quick

@@ -310,17 +310,25 @@ let test_commanded () =
     ((10. -. 2.) *. float_of_int mss)
     d.Tcp.Slow_start.cwnd_delta
 
+(* Every slow-start rule is a policy name on its own, paired with Reno. *)
 let test_by_name () =
   List.iter
-    (fun name ->
-      match Tcp.Slow_start.by_name name with
-      | Ok ss -> Alcotest.(check string) "name" name ss.Tcp.Slow_start.name
+    (fun (name, _) ->
+      match Tcp.Policy.by_name name with
+      | Ok p ->
+          Alcotest.(check string) "name" name
+            p.Tcp.Policy.slow_start.Tcp.Slow_start.name;
+          Alcotest.(check string) "with Reno" "reno"
+            p.Tcp.Policy.cong_avoid.Tcp.Cong_avoid.name
       | Error e -> Alcotest.fail e)
+    Tcp.Policy.slow_starts;
+  Alcotest.(check (list string)) "every rule"
     [
       "standard"; "abc"; "limited"; "hystart"; "ssthreshless"; "restricted";
       "restricted-adaptive";
-    ];
-  match Tcp.Slow_start.by_name "bogus" with
+    ]
+    (List.map fst Tcp.Policy.slow_starts);
+  match Tcp.Policy.by_name "bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus accepted"
 

@@ -205,7 +205,7 @@ let test_round_trip_dumbbell_red () =
             Spec.label = Some "tuned";
             pair = 2;
             start_at = ms 250;
-            slow_start = "restricted-adaptive";
+            slow_start = "restricted-adaptive+cubic";
             restricted =
               Some
                 {
@@ -215,7 +215,6 @@ let test_round_trip_dumbbell_red () =
                   sample_min_interval = ms 2;
                 };
             shared_rss = true;
-            cong_avoid = Spec.Cubic;
             local_congestion = Tcp.Local_congestion.Cwr;
             delayed_ack = None;
             use_sack = false;
@@ -462,17 +461,18 @@ let test_many_flows_cong_avoid () =
              avoidance)
           e
   in
-  rejects "legacy cong_avoid cubic" "cubic"
-    { mf with Spec.cong_avoid = Spec.Cubic };
-  rejects "legacy cong_avoid vegas" "vegas"
-    { mf with Spec.cong_avoid = Spec.Vegas };
+  rejects "slow_start standard+cubic" "cubic"
+    { mf with Spec.slow_start = "standard+cubic" };
+  rejects "slow_start standard+vegas" "vegas"
+    { mf with Spec.slow_start = "standard+vegas" };
   rejects "policy hystart-cubic" "cubic"
     { mf with Spec.policy = Some "hystart-cubic" };
   rejects "policy fast" "fast" { mf with Spec.policy = Some "fast" };
   List.iter
     (fun p -> Spec.validate (spec { mf with Spec.policy = Some p }))
     [ "standard"; "relentless"; "small-rtt" ];
-  Spec.validate (spec { Spec.default_flow with Spec.cong_avoid = Spec.Cubic });
+  Spec.validate
+    (spec { Spec.default_flow with Spec.slow_start = "standard+cubic" });
   Spec.validate
     (spec { Spec.default_flow with Spec.policy = Some "hystart-cubic" })
 
@@ -639,6 +639,121 @@ let test_ring_recount_dumbbell_mixed () =
   | Ok spec -> check_ring_recount spec
   | Error e -> Alcotest.fail e
 
+(* --- legacy controller keys ------------------------------------------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+let to_bytes spec = Report.Json.to_string (Spec.to_json spec)
+
+let parse text =
+  match Result.bind (Report.Json.of_string text) Spec.of_json with
+  | Ok spec -> spec
+  | Error e -> Alcotest.fail e
+
+(* Specs may spell a non-Reno avoidance in a separate "cong_avoid" key.
+   It decodes into the slow_start name at parse time, and to_json writes
+   the key pair back, so the spec's bytes (its snapshot identity), its
+   default labels and its outcome match the digests taken when
+   "cong_avoid" was an enum field of its own. *)
+let legacy_pair_json =
+  {|{"name": "legacy-pair", "duration_s": 0.5,
+ "flows": [
+   {"slow_start": "hystart", "cong_avoid": "cubic"},
+   {"slow_start": "restricted", "cong_avoid": "vegas"},
+   {"shared_rss": true, "slow_start": "restricted", "cong_avoid": "cubic"},
+   {}]}|}
+
+let test_legacy_cong_avoid_key () =
+  let spec = parse legacy_pair_json in
+  Alcotest.(check (list string)) "decoded into slow_start"
+    [ "hystart+cubic"; "restricted+vegas"; "restricted+cubic"; "standard" ]
+    (List.map (fun (f : Spec.flow) -> f.Spec.slow_start) spec.Spec.flows);
+  Alcotest.(check string) "to_json bytes" "23d5c635ff8c4d8f8496e9294608e6de"
+    (md5 (to_bytes spec));
+  let o = Spec.run spec in
+  Alcotest.(check (list string)) "default labels"
+    [ "hystart-0"; "restricted-1"; "restricted-2"; "standard-3" ]
+    (List.map (fun (r : Spec.flow_result) -> r.Spec.label) o.Spec.results);
+  Alcotest.(check string) "outcome" "45998cf1203cb475e7ef9f741aa548f2"
+    (md5 (Report.Json.to_string (Spec.outcome_to_json o)))
+
+let test_examples_to_json_unchanged () =
+  List.iter
+    (fun (file, digest) ->
+      let text =
+        In_channel.with_open_bin (Filename.concat "../examples" file)
+          In_channel.input_all
+      in
+      Alcotest.(check string) file digest (md5 (to_bytes (parse text))))
+    [
+      ("dumbbell_mixed.json", "fd22e264f2f476debe44758ec8de00e3");
+      ("dumbbell_of_dumbbells.json", "6b14514fc5f11ef3891a3598c795e0e3");
+      ("many_flows_red.json", "8bdcb7c2cf976699fda9250aed657ede");
+      ("many_flows_sharded.json", "38b5245097eb33d5f397f53c682cd56a");
+    ]
+
+(* "slow_start": "hystart+cubic" is the key pair in one string: the same
+   spec bytes and the same run --out artifacts, file for file. *)
+let test_plus_name_matches_key_pair () =
+  let spec flow =
+    parse
+      (Printf.sprintf {|{"name": "pair", "duration_s": 1, "flows": [%s]}|}
+         flow)
+  in
+  let pair = spec {|{"slow_start": "hystart", "cong_avoid": "cubic"}|} in
+  let plus = spec {|{"slow_start": "hystart+cubic"}|} in
+  Alcotest.(check string) "spec bytes" (to_bytes pair) (to_bytes plus);
+  let artifacts tag spec =
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "rss_spec_pair_%d_%s" (Unix.getpid ()) tag)
+    in
+    List.map
+      (fun path ->
+        ( Filename.basename path,
+          In_channel.with_open_bin path In_channel.input_all ))
+      (Serve.Artifacts.write_outcome ~dir spec (Spec.run spec))
+  in
+  let a = artifacts "pair" pair and b = artifacts "plus" plus in
+  Alcotest.(check (list string)) "same files" (List.map fst a) (List.map fst b);
+  Alcotest.(check bool) "byte-identical artifacts" true (a = b)
+
+(* short_flows mice take both halves of the flow's policy: on a lossy
+   path, Relentless's one-segment loss reaction must show against
+   Reno's halving. *)
+let test_short_flows_policy () =
+  let run policy =
+    let o =
+      Spec.run
+        {
+          Spec.default with
+          Spec.name = "mice";
+          duration = sec 5;
+          record_series = false;
+          topology =
+            Spec.Duplex { Spec.default_duplex with Spec.loss_rate = 0.02 };
+          flows =
+            [
+              {
+                Spec.default_flow with
+                Spec.label = Some "mice";
+                policy = Some policy;
+                workload =
+                  Spec.Short_flows
+                    {
+                      arrival_rate = 20.;
+                      mean_size = 100_000;
+                      pareto_shape = 1.5;
+                      stop_at = None;
+                    };
+              };
+            ];
+        }
+    in
+    Report.Json.to_string (Spec.outcome_to_json o)
+  in
+  Alcotest.(check bool) "relentless and standard mice differ" false
+    (run "relentless" = run "standard")
+
 let suite =
   [
     Alcotest.test_case "round-trip: default" `Quick test_round_trip_default;
@@ -675,4 +790,12 @@ let suite =
       test_many_flows_cong_avoid;
     Alcotest.test_case "bulk + chunked collect side by side" `Slow
       test_mixed_tcp_collect;
+    Alcotest.test_case "legacy cong_avoid key: bytes, labels, outcome" `Quick
+      test_legacy_cong_avoid_key;
+    Alcotest.test_case "examples: to_json bytes unchanged" `Quick
+      test_examples_to_json_unchanged;
+    Alcotest.test_case "hystart+cubic = the legacy key pair" `Quick
+      test_plus_name_matches_key_pair;
+    Alcotest.test_case "short_flows mice take the policy's avoidance" `Quick
+      test_short_flows_policy;
   ]

@@ -451,8 +451,8 @@ let qcheck_policy_matrix =
         (pair bool (int_range 5 120)))
     (fun (seed, loss_pct, policy_idx, (use_sack, ifq)) ->
       let slow_start =
-        match Tcp.Slow_start.by_name (List.nth policies policy_idx) with
-        | Ok ss -> ss
+        match Tcp.Policy.by_name (List.nth policies policy_idx) with
+        | Ok p -> p.Tcp.Policy.slow_start
         | Error e -> failwith e
       in
       let config =
