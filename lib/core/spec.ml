@@ -236,6 +236,26 @@ let bundle_for ?shared (f : flow) =
       { p with Tcp.Policy.slow_start = Tcp.Shared_rss.policy (controller ()) }
   | Ok p, _ -> p
 
+(* The restricted rules' PID tuning, range by range, so a bad value
+   fails here and not inside build or mid-run. ti = infinity (no
+   integral action) passes; max_step_segments = 0 freezes the window. *)
+let validate_restricted i
+    { Tcp.Slow_start.gains = { Control.Pid.kp; ti; td }; setpoint_fraction;
+      max_step_segments; sample_min_interval } =
+  let check ok name v rule =
+    if not ok then
+      err "Spec.build: flow %d: restricted %s %g must be %s" i name v rule
+  in
+  check (kp >= 0.) "kp" kp ">= 0";
+  check (ti > 0.) "ti" ti "> 0";
+  check (td >= 0.) "td" td ">= 0";
+  check (setpoint_fraction > 0. && setpoint_fraction <= 1.)
+    "setpoint_fraction" setpoint_fraction "within (0, 1]";
+  check (max_step_segments >= 0.) "max_step_segments" max_step_segments
+    ">= 0";
+  check (Sim.Time.is_positive sample_min_interval) "sample_min_interval (ms)"
+    (Sim.Time.to_ms sample_min_interval) "> 0"
+
 let validate_flow ~pairs i f =
   if f.pair < 0 || f.pair >= pairs then
     err "Spec.build: flow %d: pair %d outside 0..%d" i f.pair (pairs - 1);
@@ -244,6 +264,7 @@ let validate_flow ~pairs i f =
       (Sim.Time.to_sec f.start_at);
   if f.policy <> None && f.shared_rss then
     err "Spec.build: flow %d: policy and shared_rss are mutually exclusive" i;
+  Option.iter (validate_restricted i) f.restricted;
   let policy =
     try bundle_for f
     with Invalid_argument e -> err "Spec.build: flow %d: %s" i e
@@ -2138,7 +2159,10 @@ let workload_of_json j =
 
 let restricted_of_json j =
   let* kp = num "kp" j in
-  let* ti = num "ti" j in
+  (* A P-only controller's ti = infinity is written as null. *)
+  let* ti =
+    match Json.member "ti" j with Some Json.Null -> Ok infinity | _ -> num "ti" j
+  in
   let* td = num "td" j in
   let* setpoint_fraction = num "setpoint_fraction" j in
   let* max_step_segments = num "max_step_segments" j in

@@ -136,7 +136,10 @@ type flow = {
           before the ['+'] and ["cong_avoid"] the part after it
           (["reno"] when there is none). *)
   restricted : Tcp.Slow_start.restricted_config option;
-      (** override for the restricted rules' PID tuning *)
+      (** override for the restricted rules' PID tuning; validation
+          checks kp >= 0, ti > 0 (infinity: no integral action),
+          td >= 0, setpoint_fraction in (0, 1], max_step_segments >= 0
+          and sample_min_interval > 0 *)
   shared_rss : bool;
       (** steer this flow from its host's shared RSS controller (one
           {!Tcp.Shared_rss.t} per sending host, created at the first

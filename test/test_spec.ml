@@ -639,6 +639,98 @@ let test_ring_recount_dumbbell_mixed () =
   | Ok spec -> check_ring_recount spec
   | Error e -> Alcotest.fail e
 
+(* --- the restricted PID tuning ------------------------------------------ *)
+
+(* Each range check fails at validation with a named error — with a
+   per-connection restricted rule and with a host's shared controller —
+   while the edge values that mean something (ti = infinity: no integral
+   action; max_step_segments = 0: a frozen window; setpoint_fraction =
+   1) pass. *)
+let test_restricted_validated () =
+  let d = Tcp.Slow_start.default_restricted_config in
+  let spec ?(shared_rss = false) c =
+    {
+      Spec.default with
+      Spec.flows =
+        [
+          {
+            Spec.default_flow with
+            Spec.slow_start = "restricted";
+            restricted = Some c;
+            shared_rss;
+          };
+        ];
+    }
+  in
+  let gains ?(kp = 0.33) ?(ti = 0.06) ?(td = 0.04) () =
+    { d with Tcp.Slow_start.gains = Control.Pid.pid ~kp ~ti ~td }
+  in
+  let rejects what expected c =
+    List.iter
+      (fun shared_rss ->
+        match Spec.validate (spec ~shared_rss c) with
+        | () -> Alcotest.failf "%s accepted" what
+        | exception Invalid_argument e ->
+            Alcotest.(check string) what ("Spec.build: flow 0: " ^ expected) e)
+      [ false; true ]
+  in
+  rejects "negative kp" "restricted kp -0.5 must be >= 0" (gains ~kp:(-0.5) ());
+  rejects "zero ti" "restricted ti 0 must be > 0" (gains ~ti:0. ());
+  rejects "negative td" "restricted td -0.1 must be >= 0" (gains ~td:(-0.1) ());
+  rejects "negative setpoint"
+    "restricted setpoint_fraction -1 must be within (0, 1]"
+    { d with Tcp.Slow_start.setpoint_fraction = -1. };
+  rejects "setpoint above 1"
+    "restricted setpoint_fraction 1.5 must be within (0, 1]"
+    { d with Tcp.Slow_start.setpoint_fraction = 1.5 };
+  rejects "negative step clamp" "restricted max_step_segments -1 must be >= 0"
+    { d with Tcp.Slow_start.max_step_segments = -1. };
+  rejects "zero sampling floor"
+    "restricted sample_min_interval (ms) 0 must be > 0"
+    { d with Tcp.Slow_start.sample_min_interval = Sim.Time.zero };
+  rejects "negative sampling floor"
+    "restricted sample_min_interval (ms) -5e-06 must be > 0"
+    { d with Tcp.Slow_start.sample_min_interval = Sim.Time.of_ns_int (-5) };
+  List.iter
+    (fun c -> Spec.validate (spec c))
+    [
+      { d with Tcp.Slow_start.gains = Control.Pid.p_only 0.33 };
+      { d with Tcp.Slow_start.max_step_segments = 0. };
+      { d with Tcp.Slow_start.setpoint_fraction = 1. };
+    ]
+
+(* Control.Pid.p_only sets ti = infinity, which JSON writes as null; it
+   must read back as infinity. *)
+let test_round_trip_p_only () =
+  let spec =
+    {
+      Spec.default with
+      Spec.flows =
+        [
+          {
+            Spec.default_flow with
+            Spec.slow_start = "restricted";
+            restricted =
+              Some
+                {
+                  Tcp.Slow_start.default_restricted_config with
+                  Tcp.Slow_start.gains = Control.Pid.p_only 0.33;
+                };
+          };
+        ];
+    }
+  in
+  let text = Report.Json.to_string (Spec.to_json spec) in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "ti is written as null" true (contains {|"ti": null|});
+  check_round_trip "P-only gains" spec
+
 (* --- legacy controller keys ------------------------------------------- *)
 
 let md5 s = Digest.to_hex (Digest.string s)
@@ -790,6 +882,9 @@ let suite =
       test_many_flows_cong_avoid;
     Alcotest.test_case "bulk + chunked collect side by side" `Slow
       test_mixed_tcp_collect;
+    Alcotest.test_case "restricted tuning is range-checked" `Quick
+      test_restricted_validated;
+    Alcotest.test_case "round-trip: P-only gains" `Quick test_round_trip_p_only;
     Alcotest.test_case "legacy cong_avoid key: bytes, labels, outcome" `Quick
       test_legacy_cong_avoid_key;
     Alcotest.test_case "examples: to_json bytes unchanged" `Quick
