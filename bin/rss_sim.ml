@@ -270,7 +270,8 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
-  let action slow_start local_congestion bytes csv_prefix pacing chart spec_file jobs domains out_dir checkpoint checkpoint_every resume
+  let action slow_start local_congestion bytes csv_prefix pacing chart
+      spec_file jobs domains out_dir checkpoint checkpoint_every resume
       rate_mbps rtt_ms ifq duration_s seed loss =
     match spec_file with
     | Some path ->

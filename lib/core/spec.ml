@@ -772,7 +772,9 @@ let start_flow b bf =
 
 let default_label spec i (f : flow) =
   let base =
-    match f.policy with Some p -> p | None -> fst (Tcp.Policy.split f.slow_start)
+    match f.policy with
+    | Some p -> p
+    | None -> fst (Tcp.Policy.split f.slow_start)
   in
   match f.label with
   | Some l -> l

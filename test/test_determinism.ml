@@ -223,8 +223,8 @@ let test_experiment_golden (id, render) () =
    after the golden was recorded, hence the explicit list. The file is
    committed (test/golden_policy_matrix.csv); regenerate with
      rss_sim compare --matrix --scenarios paper-path,chaos-bursty \
-       --policies standard,restricted,restricted-adaptive,hystart-cubic,\
-   ssthreshless,relentless,fast --duration 2 --seed 1 --out <dir> *)
+       --policies standard,restricted,restricted-adaptive,hystart-cubic,ssthreshless,relentless,fast \
+       --duration 2 --seed 1 --out <dir> *)
 let matrix_policies =
   [
     "standard"; "restricted"; "restricted-adaptive"; "hystart-cubic";

@@ -10,8 +10,6 @@ open QCheck2
 let mss = Tcp.Config.default.Tcp.Config.mss
 let mss_f = float_of_int mss
 
-let policy_names = Tcp.Policy.names
-
 let fresh name =
   match Tcp.Policy.by_name name with
   | Ok p -> p
@@ -47,7 +45,7 @@ let gen_event =
 
 let gen_scenario =
   Gen.(
-    triple (oneofl policy_names)
+    triple (oneofl Tcp.Policy.names)
       (list_size (int_range 1 120) gen_event)
       (int_range 2 200))
 
@@ -103,7 +101,7 @@ let window_floor =
 let loss_never_raises =
   Test.make ~name:"ssthresh moves only downward on loss events" ~count:400
     ~print:Print.(pair string int)
-    Gen.(pair (oneofl policy_names) (int_range 4 10_000))
+    Gen.(pair (oneofl Tcp.Policy.names) (int_range 4 10_000))
     (fun (name, segments) ->
       let p = fresh name in
       let cc = p.Tcp.Policy.cong_avoid in
@@ -119,7 +117,7 @@ let loss_never_raises =
 let loss_free_monotone =
   Test.make ~name:"loss-free round keeps cwnd monotone" ~count:200
     ~print:Print.(triple string int int)
-    Gen.(triple (oneofl policy_names) (int_range 2 64) (int_range 4 80))
+    Gen.(triple (oneofl Tcp.Policy.names) (int_range 2 64) (int_range 4 80))
     (fun (name, start_segments, acks) ->
       let p = fresh name in
       let ss = p.Tcp.Policy.slow_start in
@@ -166,7 +164,7 @@ let flight_within_rcv_wnd =
   Test.make ~name:"flight stays within the advertised window" ~count:20
     ~print:Print.(triple string int (pair int int))
     Gen.(
-      triple (oneofl policy_names) (int_range 1 1000)
+      triple (oneofl Tcp.Policy.names) (int_range 1 1000)
         (pair (int_range 0 3) (int_range 8 64)))
     (fun (name, seed, (loss_pct, rcv_segments)) ->
       let p = fresh name in

@@ -721,14 +721,8 @@ let test_round_trip_p_only () =
     }
   in
   let text = Report.Json.to_string (Spec.to_json spec) in
-  let contains needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length text && (String.sub text i n = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "ti is written as null" true (contains {|"ti": null|});
+  Alcotest.(check bool) "ti is written as null" true
+    (Test_policy.contains text {|"ti": null|});
   check_round_trip "P-only gains" spec
 
 (* --- legacy controller keys ------------------------------------------- *)
