@@ -191,6 +191,37 @@ let test_claim_fig1_staircase () =
   Alcotest.(check bool) "restricted stays at 0" true
     (List.for_all (fun v -> v = 0.) (series "restricted/restart-on"))
 
+(* --- allocation on the packet path -------------------------------------- *)
+
+(* Minor words of one 2 s run of the paper path: one bulk flow, no
+   series. The spec is built before the measured region and a warm-up
+   run goes first. Exact for a given build: the values were read on
+   OCaml 5.1.1 with the dev profile, which compiles with -opaque; other
+   profiles read other numbers (tcp.cwnd-table's cubic pin already
+   differs under --profile release). *)
+let packet_path_words slow_start =
+  let spec =
+    {
+      Core.Spec.default with
+      Core.Spec.duration = Sim.Time.sec 2;
+      record_series = false;
+      flows = [ { Core.Spec.default_flow with Core.Spec.slow_start } ];
+    }
+  in
+  ignore (Core.Spec.run spec);
+  let before = Gc.minor_words () in
+  ignore (Core.Spec.run spec);
+  int_of_float (Gc.minor_words () -. before)
+
+let test_packet_path_words () =
+  List.iter
+    (fun (slow_start, words) ->
+      Alcotest.(check int)
+        (slow_start ^ ": minor words over 2 s")
+        words
+        (packet_path_words slow_start))
+    [ ("standard", 1_002_168); ("restricted", 2_274_665) ]
+
 let suite =
   [
     Alcotest.test_case "run bulk standard" `Quick test_run_bulk_standard;
@@ -213,4 +244,6 @@ let suite =
     Alcotest.test_case "paper claim: T1 +40% at 25 s" `Slow test_claim_table1;
     Alcotest.test_case "paper claim: F1 stall staircase" `Slow
       test_claim_fig1_staircase;
+    Alcotest.test_case "packet path minor words (2 s)" `Quick
+      test_packet_path_words;
   ]

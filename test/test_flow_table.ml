@@ -100,6 +100,13 @@ let test_flag_bits_independent () =
   Alcotest.(check bool) "clearing one flag keeps others" true (Ft.completed t r);
   Alcotest.(check int) "and the phase" 1 (Ft.phase t r)
 
+(* Footprint: each row costs one word per column, all unboxed. *)
+let test_words_per_row () =
+  let words cap =
+    Obj.reachable_words (Obj.repr (Ft.create ~initial_capacity:cap ()))
+  in
+  Alcotest.(check int) "1,000 more rows" (16 * 1000) (words 2000 - words 1000)
+
 let suite =
   [
     Alcotest.test_case "alloc resets a recycled row" `Quick test_alloc_reset;
@@ -108,4 +115,5 @@ let suite =
     Alcotest.test_case "cong-avoid hooks apply by index" `Quick test_ca_hooks;
     Alcotest.test_case "phase and flag bits are independent" `Quick
       test_flag_bits_independent;
+    Alcotest.test_case "words per row" `Quick test_words_per_row;
   ]
