@@ -748,7 +748,7 @@ let core_metric_snapshot_roundtrip () =
     for i = 0 to n - 1 do
       let r = Tcp.Flow_table.alloc t in
       Tcp.Flow_table.set_cwnd t r (float_of_int (1 + (i mod 97)));
-      Tcp.Flow_table.set_una t r (i * 1448);
+      Tcp.Flow_table.set_budget t r (i * 1448);
       Tcp.Flow_table.set_timer t r i;
       Tcp.Flow_table.seed_rng t r (i + 1)
     done;

@@ -21,18 +21,13 @@ val create :
   dst:int ->
   flow:int ->
   ids:Netsim.Packet.Id_source.source ->
-  ?table:Flow_table.t ->
   ?config:Config.t ->
   ?slow_start:Slow_start.t ->
   ?cong_avoid:Cong_avoid.t ->
   unit ->
   t
 (** Builds the endpoint and registers it for [flow] on [host]. The
-    default policies are [Slow_start.standard] and [Cong_avoid.reno].
-    The sender's numeric state (windows, offsets, counters, latches)
-    occupies one row of [table] — pass a shared {!Flow_table} so many
-    senders' state packs into the same flat arrays; by default each
-    sender gets a private single-row table. *)
+    default policies are [Slow_start.standard] and [Cong_avoid.reno]. *)
 
 val start : t -> ?bytes:int -> unit -> unit
 (** Open the connection (SYN) and stream [bytes] of application data
@@ -100,9 +95,3 @@ val set_tracer : t -> Trace.t option -> unit
     on fast-recovery entry, and [tcp.rto] (backoff multiplier, flight
     bytes) per timeout. Records use the flow id as [src]. With [None]
     tracing costs one pattern match and allocates nothing. *)
-
-val flow_table : t -> Flow_table.t
-(** The table holding this sender's numeric state… *)
-
-val row : t -> int
-(** …and its row index within it. *)

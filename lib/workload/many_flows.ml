@@ -7,12 +7,12 @@
    flows fit in a {!Tcp.Flow_table} and advance through a
    {!Sim.Timer_wheel} with O(1) allocation-free timer churn:
 
-   - Per-flow state is a Flow_table row: cwnd/ssthresh driven through
-     the {!Tcp.Cong_avoid} policy hooks by index, a budget column for
-     finite transfer sizes, a per-row xorshift stream for loss draws
-     and the row's link in its round cohort (below). No per-flow
-     closure exists anywhere: all rounds dispatch through the engine's
-     single [on_fire] callback.
+   - Per-flow state is a Flow_table row: cwnd/ssthresh, which [round]
+     updates through the shared {!Tcp.Cong_avoid} rules, a budget
+     column for finite transfer sizes, a per-row xorshift stream for
+     loss draws, the phase, and the row's link in its round cohort
+     (below). No per-flow closure exists anywhere: all rounds
+     dispatch through the engine's single [on_fire] callback.
 
    - The bottleneck is a fluid integrator: between events the backlog
      changes at (Σcwnd/RTT − C), clamped to [0, buffer]; RTT is the
@@ -95,6 +95,8 @@ type t = {
   wheel : Wheel.t;
   table : Ft.t;
   cc : Tcp.Cong_avoid.t;
+  on_round : acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float;
+      (* [cc]'s per-round rule; [start] refuses rules without one *)
   p : params;
   seed : int;
   rng : Sim.Rng.t; (* arrivals + sizes only *)
@@ -265,8 +267,12 @@ let round t row ~now_ns =
   let lost = p_round > 0. && Ft.rng_float t.table row < p_round in
   if lost then begin
     t.loss_events <- t.loss_events + 1;
-    Ft.ca_on_loss t.table row t.cc ~flight:(int_of_float w) ~mss:t.p.mss
-      ~now:(Sim.Time.of_ns_int now_ns);
+    let ssthresh, cwnd =
+      t.cc.Tcp.Cong_avoid.on_loss ~cwnd:w ~flight:(int_of_float w)
+        ~mss:t.p.mss ~now:(Sim.Time.of_ns_int now_ns)
+    in
+    Ft.set_ssthresh t.table row ssthresh;
+    Ft.set_cwnd t.table row cwnd;
     Ft.set_phase t.table row phase_cong_avoid
   end
   else if Ft.phase t.table row = phase_slow_start then begin
@@ -284,10 +290,11 @@ let round t row ~now_ns =
        the policy's per-round rule applies that many per-ACK steps
        (Reno adds mss²/cwnd per segment), bit-identical to a
        packet-level sender's ~1 mss/RTT growth in avoidance. *)
-    Ft.ca_on_round t.table row t.cc
-      ~acks:(Stdlib.max 1 (int_of_float pkts))
-      ~mss:t.p.mss
-      ~srtt:(Sim.Time.of_sec f.rtt_s);
+    Ft.set_cwnd t.table row
+      (t.on_round
+         ~acks:(Stdlib.max 1 (int_of_float pkts))
+         ~cwnd:w ~mss:t.p.mss
+         ~srtt:(Sim.Time.of_sec f.rtt_s));
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
   f.delivered <- f.delivered +. got;
@@ -355,6 +362,7 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
   Option.iter
     (fun e -> invalid_arg ("Many_flows.start: " ^ e))
     (cong_avoid_error cong_avoid);
+  let on_round = Option.get cong_avoid.Tcp.Cong_avoid.on_round in
   if params.flows <= 0 then
     invalid_arg "Many_flows.start: need a positive flow count";
   if params.capacity_bytes_per_sec <= 0. then
@@ -394,6 +402,7 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
             ();
         table = Ft.create ~initial_capacity:(Stdlib.max 16 params.flows) ();
         cc = cong_avoid;
+        on_round;
         p = params;
         seed;
         rng;

@@ -4,14 +4,14 @@
     abstraction of the mean-field RED literature (Reynier) — with
     per-flow state in a {!Tcp.Flow_table} and round timers on a
     {!Sim.Timer_wheel}: no per-flow closures or heap objects anywhere,
-    so a million concurrent flows cost ~16 words each and the timer
-    path allocates nothing.
+    so a million concurrent flows cost 7 words each (one per table
+    column) and the timer path allocates nothing.
 
     Each flow's round comes once per RTT (base RTT + fluid queueing
     delay): the round's W bytes face Bernoulli loss with the per-packet
     probability of the shared RED curve (or the tail-drop overflow
     fraction), slow start doubles per round, congestion avoidance makes
-    one {!Tcp.Cong_avoid.t.on_round} call per round by row index, and
+    one {!Tcp.Cong_avoid.t.on_round} call per round, and
     finite-size flows retire when their budget drains.
 
     Round timers are per {e cohort}: the rows re-armed back to back at

@@ -220,7 +220,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 1_002_168); ("restricted", 2_274_665) ]
+    [ ("standard", 963_758); ("restricted", 2_179_441) ]
 
 let suite =
   [
