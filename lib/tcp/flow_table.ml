@@ -159,29 +159,79 @@ let save t ~prefix w =
   Sim.Snapshot.put_int_array w (p "timer") t.timer;
   Sim.Snapshot.put_int_array w (p "flags") t.phase
 
+(* A restored image is input from disk: check the counters and the free
+   list before [alloc] trusts them. The list from [free_head] must end
+   at -1 after exactly [cap - in_use] rows, each marked free; a list
+   that revisits a row never ends, so ending in time means its rows are
+   distinct. Together with the count of rows marked free, that makes
+   them exactly the free rows. *)
+let check_free_list ~p ~cap ~in_use ~free_head ~next_free ~phase =
+  let corrupt fmt =
+    Printf.ksprintf
+      (fun s -> raise (Sim.Snapshot.Corrupt ("Flow_table: " ^ s)))
+      fmt
+  in
+  if in_use < 0 || in_use > cap then
+    corrupt "%s = %d outside 0..%d" (p "in_use") in_use cap;
+  if free_head < -1 || free_head >= cap then
+    corrupt "%s = %d outside -1..%d" (p "free_head") free_head (cap - 1);
+  Array.iteri
+    (fun i l ->
+      if l < -1 || l >= cap then
+        corrupt "%s: row %d links to %d, outside -1..%d" (p "una") i l
+          (cap - 1))
+    next_free;
+  let want = cap - in_use in
+  let i = ref free_head and n = ref 0 in
+  while !i >= 0 do
+    if !n = want then
+      corrupt "the free list from %s holds more than the %d rows %s leaves"
+        (p "free_head") want (p "in_use");
+    if phase.(!i) >= 0 then
+      corrupt "the free list from %s reaches row %d, live in %s"
+        (p "free_head") !i (p "flags");
+    incr n;
+    i := next_free.(!i)
+  done;
+  if !n <> want then
+    corrupt "the free list from %s holds %d rows, %s leaves %d"
+      (p "free_head") !n (p "in_use") want;
+  let marked =
+    Array.fold_left (fun k f -> if f < 0 then k + 1 else k) 0 phase
+  in
+  if marked <> want then
+    corrupt "%s marks %d rows free, the free list holds %d" (p "flags")
+      marked want
+
 let restore t ~prefix r =
   let p name = prefix ^ name in
   let cap = Sim.Snapshot.get_int r (p "cap") in
   if cap <= 0 then raise (Sim.Snapshot.Corrupt "Flow_table: bad capacity");
-  let ints name =
-    let a = Sim.Snapshot.get_int_array r (p name) in
+  let column get name =
+    let a = get r (p name) in
     if Array.length a <> cap then
       raise (Sim.Snapshot.Corrupt ("Flow_table: short column " ^ name));
     a
   in
-  let floats name =
-    let a = Sim.Snapshot.get_float_array r (p name) in
-    if Array.length a <> cap then
-      raise (Sim.Snapshot.Corrupt ("Flow_table: short column " ^ name));
-    a
-  in
+  let ints = column Sim.Snapshot.get_int_array
+  and floats = column Sim.Snapshot.get_float_array in
+  let in_use = Sim.Snapshot.get_int r (p "in_use")
+  and free_head = Sim.Snapshot.get_int r (p "free_head")
+  and cwnd = floats "cwnd"
+  and ssthresh = floats "ssthresh"
+  and budget = ints "budget"
+  and rng = ints "rng"
+  and timer = ints "timer"
+  and phase = ints "flags"
+  and next_free = ints "una" in
+  check_free_list ~p ~cap ~in_use ~free_head ~next_free ~phase;
   t.cap <- cap;
-  t.in_use <- Sim.Snapshot.get_int r (p "in_use");
-  t.free_head <- Sim.Snapshot.get_int r (p "free_head");
-  t.cwnd <- floats "cwnd";
-  t.ssthresh <- floats "ssthresh";
-  t.next_free <- ints "una";
-  t.budget <- ints "budget";
-  t.rng <- ints "rng";
-  t.timer <- ints "timer";
-  t.phase <- ints "flags"
+  t.in_use <- in_use;
+  t.free_head <- free_head;
+  t.cwnd <- cwnd;
+  t.ssthresh <- ssthresh;
+  t.budget <- budget;
+  t.rng <- rng;
+  t.timer <- timer;
+  t.phase <- phase;
+  t.next_free <- next_free

@@ -76,4 +76,8 @@ val save : t -> prefix:string -> Sim.Snapshot.writer -> unit
 
 val restore : t -> prefix:string -> Sim.Snapshot.reader -> unit
 (** Overwrite [t] in place with the saved table. Raises
-    {!Sim.Snapshot.Corrupt} on missing or inconsistent sections. *)
+    {!Sim.Snapshot.Corrupt}, naming the section, on a missing or short
+    section, on an [in_use] outside 0..capacity or a free-list link
+    outside −1..capacity−1, and unless the list from [free_head]
+    visits exactly capacity − [in_use] distinct rows and those are
+    exactly the rows marked free. *)

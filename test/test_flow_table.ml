@@ -1,6 +1,8 @@
 (* Unit tests for the structure-of-arrays flow table: row lifecycle
    (alloc resets every column, free recycles through the free list),
-   the per-row xorshift streams and the footprint per row. *)
+   the per-row xorshift streams, the footprint per row, and snapshot
+   restore, which must refuse counters and free lists it cannot
+   trust. *)
 
 module Ft = Tcp.Flow_table
 
@@ -65,10 +67,70 @@ let test_words_per_row () =
   in
   Alcotest.(check int) "1,000 more rows" (7 * 1000) (words 2000 - words 1000)
 
+(* --- snapshot ------------------------------------------------------------ *)
+
+let image ?(tamper = ignore) t =
+  let w = Sim.Snapshot.writer () in
+  Ft.save t ~prefix:"ft." w;
+  tamper w;
+  Sim.Snapshot.of_string (Sim.Snapshot.to_string w)
+
+(* A 4-row image with rows 0 and 1 live, one section overwritten: the
+   restore must fail with a message naming [section]. *)
+let check_refused ~section tamper () =
+  let t = Ft.create ~initial_capacity:4 () in
+  ignore (Ft.alloc t);
+  ignore (Ft.alloc t);
+  match Ft.restore (Ft.create ()) ~prefix:"ft." (image ~tamper t) with
+  | () -> Alcotest.failf "an image with a bad %s restored" section
+  | exception Sim.Snapshot.Corrupt msg ->
+      if not (Test_policy.contains msg section) then
+        Alcotest.failf "%S does not name %s" msg section
+
+let put_int name v w = Sim.Snapshot.put_int w name v
+
+(* Random alloc/free sequences: [in_use] equals a recount of live rows,
+   and a save -> restore copy hands out the same rows in the same
+   order as the original, through growth. *)
+let qcheck_restore_allocates_alike =
+  QCheck2.Test.make ~count:200
+    ~name:"in_use recounts; a restored copy allocates the same rows"
+    QCheck2.Gen.(list_size (int_range 0 60) (pair bool nat))
+    (fun ops ->
+      let t = Ft.create ~initial_capacity:2 () in
+      let live = ref [] in
+      List.iter
+        (fun (alloc, k) ->
+          match !live with
+          | _ :: _ when not alloc ->
+              let r = List.nth !live (k mod List.length !live) in
+              Ft.free t r;
+              live := List.filter (( <> ) r) !live
+          | _ -> live := Ft.alloc t :: !live)
+        ops;
+      let recount = ref 0 in
+      for i = 0 to Ft.capacity t - 1 do
+        if Ft.is_live t i then incr recount
+      done;
+      if Ft.in_use t <> !recount then
+        QCheck2.Test.fail_reportf "in_use %d but %d live rows" (Ft.in_use t)
+          !recount;
+      let copy = Ft.create () in
+      Ft.restore copy ~prefix:"ft." (image t);
+      let next tbl = List.init (Ft.capacity t + 3) (fun _ -> Ft.alloc tbl) in
+      next t = next copy)
+
 let suite =
   [
     Alcotest.test_case "alloc resets a recycled row" `Quick test_alloc_reset;
     Alcotest.test_case "growth preserves rows" `Quick test_growth_and_many_rows;
     Alcotest.test_case "per-row xorshift streams" `Quick test_rng_streams;
     Alcotest.test_case "words per row" `Quick test_words_per_row;
+    Alcotest.test_case "restore: free_head = 99" `Quick
+      (check_refused ~section:"ft.free_head" (put_int "ft.free_head" 99));
+    Alcotest.test_case "restore: free_head at a live row" `Quick
+      (check_refused ~section:"ft.free_head" (put_int "ft.free_head" 0));
+    Alcotest.test_case "restore: in_use = -7" `Quick
+      (check_refused ~section:"ft.in_use" (put_int "ft.in_use" (-7)));
+    QCheck_alcotest.to_alcotest qcheck_restore_allocates_alike;
   ]
