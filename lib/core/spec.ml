@@ -346,7 +346,10 @@ let validate (t : t) =
       if not (d.loss_rate >= 0. && d.loss_rate <= 1.) then
         err "Spec.build: loss_rate %g must be within [0, 1]" d.loss_rate
   | Dumbbell d ->
-      if d.pairs < 1 then err "Spec.build: pairs %d must be >= 1" d.pairs;
+      (* Right host i has id 100 + i: past 100 pairs it would share an
+         id with a left host. *)
+      if d.pairs < 1 || d.pairs > 100 then
+        err "Spec.build: pairs %d must be within 1..100" d.pairs;
       check_positive_rate "access rate" d.access_rate;
       check_positive_rate "bottleneck rate" d.bottleneck_rate;
       check_delay "access_delay" d.access_delay;

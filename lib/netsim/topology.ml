@@ -90,7 +90,8 @@ module Dumbbell = struct
 
   let create sched ~pairs ~access_rate ~access_delay ~bottleneck_rate
       ~bottleneck_delay ~buffer_packets ~ifq_capacity ?red () =
-    assert (pairs > 0);
+    if pairs < 1 || pairs > 100 then
+      invalid_arg "Dumbbell.create: pairs outside 1..100";
     let left =
       Array.init pairs (fun i ->
           Host.create sched ~id:i ~nic_rate:access_rate ~ifq_capacity ())

@@ -98,7 +98,8 @@ module Dumbbell : sig
     t
   (** Node ids: left hosts 0..pairs-1, right hosts 100..100+pairs-1,
       routers 1000/1001. With [?red], the bottleneck queues run RED
-      instead of drop-tail. *)
+      instead of drop-tail. Raises [Invalid_argument] on [pairs]
+      outside 1..100, where the two id ranges would overlap. *)
 
   val right_id : int -> int
   (** Node id of right host [i]. *)

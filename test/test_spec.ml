@@ -532,6 +532,37 @@ let test_trace_capacity_validated () =
     [ 0; -1 ];
   Spec.validate (traced 1)
 
+(* Right host i has id 100 + i, so a dumbbell of 101 pairs would give
+   left host 100 and right host 0 one id and carry nothing. Validation
+   refuses it by name, as it does for dumbbell_of_dumbbells; 100 pairs
+   pass. *)
+let test_dumbbell_pairs_validated () =
+  let spec pairs =
+    {
+      Spec.default with
+      Spec.topology =
+        Spec.Dumbbell
+          {
+            Spec.pairs;
+            access_rate = Sim.Units.mbps 1000.;
+            access_delay = ms 1;
+            bottleneck_rate = Sim.Units.mbps 100.;
+            bottleneck_delay = ms 28;
+            buffer_packets = 250;
+            host_ifq_capacity = 100;
+            red = None;
+          };
+      flows =
+        [ Spec.default_flow; { Spec.default_flow with Spec.pair = pairs - 1 } ];
+    }
+  in
+  (match Spec.validate (spec 101) with
+  | () -> Alcotest.fail "101 pairs accepted"
+  | exception Invalid_argument e ->
+      Alcotest.(check string) "named error"
+        "Spec.build: pairs 101 must be within 1..100" e);
+  Spec.validate (spec 100)
+
 (* The sender's web100 variables: 19 unique, non-empty names in a fixed
    order, which is also the order of each flow's conn/<label>/* columns
    in the registry. *)
@@ -867,6 +898,8 @@ let suite =
     Alcotest.test_case "build validates the spec" `Quick test_validation;
     Alcotest.test_case "trace_capacity below 1 rejected" `Quick
       test_trace_capacity_validated;
+    Alcotest.test_case "dumbbell pairs above 100 rejected" `Quick
+      test_dumbbell_pairs_validated;
     Alcotest.test_case "KIS names" `Quick test_kis_names;
     Alcotest.test_case "ring recount: paper path" `Quick
       test_ring_recount_paper_path;
