@@ -111,10 +111,7 @@ let set_budget t i v = Array.unsafe_set t.budget i v
 let timer t i = Array.unsafe_get t.timer i
 let set_timer t i v = Array.unsafe_set t.timer i v
 let phase t i = Array.unsafe_get t.phase i
-
-let set_phase t i p =
-  if p < 0 then invalid_arg "Flow_table.set_phase: negative phase";
-  Array.unsafe_set t.phase i p
+let set_phase t i p = Array.unsafe_set t.phase i p
 
 (* --- per-flow randomness ----------------------------------------------- *)
 

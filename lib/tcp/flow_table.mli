@@ -47,11 +47,10 @@ val timer : t -> int -> int
 val set_timer : t -> int -> int -> unit
 
 val phase : t -> int -> int
-(** The engine's code for the row's phase; 0 after {!alloc}. *)
+(** The engine's code for the row's phase; 0 after {!alloc}. Codes are
+    non-negative: the table marks free rows with −1. *)
 
 val set_phase : t -> int -> int -> unit
-(** Raises [Invalid_argument] on a negative code, which marks free
-    rows. *)
 
 (** {1 Per-flow randomness} — an inline xorshift stream per row, so
     flow-level engines draw per-flow randomness without a shared-stream
