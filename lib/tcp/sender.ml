@@ -26,9 +26,10 @@ type windows = {
   mutable last_traced_cwnd : float; (* dedupe tcp.cwnd records *)
 }
 
-(* Every other mutable field is an immediate value (int, bool,
-   [Sim.Time.t], [phase]), so no write allocates. Byte offsets are
-   unwrapped: data byte 0 maps to seqno iss+1. *)
+(* The per-ACK state (offsets, counters, phase, latches and pacing
+   times) is immediate: ints, bools, [Sim.Time.t] and [phase], so no
+   write to it allocates. Byte offsets are unwrapped: data byte 0 maps
+   to seqno iss+1. *)
 type t = {
   host : Netsim.Host.t;
   sched : Sim.Scheduler.t;
