@@ -155,23 +155,26 @@ let test_router_routing_and_drops () =
 let test_dumbbell_cross_traffic () =
   let s = Sim.Scheduler.create () in
   let net =
-    Netsim.Topology.Dumbbell.create s ~pairs:2
+    Netsim.Topology.Multi_dumbbell.create ~sched_of:(fun _ -> s) ~segments:1
+      ~pairs:2
       ~access_rate:(Sim.Units.mbps 100.)
       ~access_delay:(Sim.Time.ms 1)
       ~bottleneck_rate:(Sim.Units.mbps 10.)
-      ~bottleneck_delay:(Sim.Time.ms 5) ~buffer_packets:20 ~ifq_capacity:50 ()
+      ~bottleneck_delay:(Sim.Time.ms 5) ~core_rate:(Sim.Units.mbps 10.)
+      ~core_delay:Sim.Time.zero ~buffer_packets:20 ~ifq_capacity:50 ()
   in
+  let seg = net.Netsim.Topology.Multi_dumbbell.segments.(0) in
   let got = Array.make 2 0 in
   Array.iteri
     (fun i host ->
       Netsim.Host.register_flow host ~flow:9 (fun _ -> got.(i) <- got.(i) + 1))
-    net.Netsim.Topology.Dumbbell.right;
+    seg.Netsim.Topology.Multi_dumbbell.right;
   (* Each left host sends one datagram to its partner. *)
   Array.iteri
     (fun i host ->
-      let dst = Netsim.Topology.Dumbbell.right_id i in
+      let dst = Netsim.Topology.Multi_dumbbell.right_id 0 i in
       ignore (Netsim.Host.send host (udp_pkt ~id:i ~src:(Netsim.Host.id host) ~dst ())))
-    net.Netsim.Topology.Dumbbell.left;
+    seg.Netsim.Topology.Multi_dumbbell.left;
   Sim.Scheduler.run s;
   Alcotest.(check (list int)) "pairwise delivery" [ 1; 1 ]
     (Array.to_list got)

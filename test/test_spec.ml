@@ -353,6 +353,110 @@ let test_golden_dumbbell () =
   Alcotest.(check (float 1e-9)) "jain" 0.97818497816417027
     o.Spec.path.Spec.jain_index
 
+(* --- a dumbbell is the one-segment chain -------------------------------- *)
+
+(* The dumbbell_of_dumbbells twin of a dumbbell spec: one segment, no
+   cross pairs, the dumbbell's own per-segment fields. The core rate and
+   delay are arbitrary, since a one-segment chain has no core link. *)
+let one_segment_twin (spec : Spec.t) =
+  match spec.Spec.topology with
+  | Spec.Dumbbell d ->
+      {
+        spec with
+        Spec.topology =
+          Spec.Multi_dumbbell
+            {
+              Spec.segments = 1;
+              m_pairs = d.Spec.pairs;
+              m_access_rate = d.Spec.access_rate;
+              m_access_delay = d.Spec.access_delay;
+              m_bottleneck_rate = d.Spec.bottleneck_rate;
+              m_bottleneck_delay = d.Spec.bottleneck_delay;
+              core_rate = Sim.Units.mbps 7.;
+              core_delay = ms 3;
+              m_buffer_packets = d.Spec.buffer_packets;
+              m_host_ifq_capacity = d.Spec.host_ifq_capacity;
+              m_red = d.Spec.red;
+              cross_pairs = 0;
+            };
+      }
+  | Spec.Duplex _ | Spec.Multi_dumbbell _ ->
+      Alcotest.fail "one_segment_twin: not a dumbbell"
+
+(* Everything a run reports: the outcome JSON, each flow's series, the
+   registry samples and the trace ring. *)
+let observed (o : Spec.outcome) =
+  ( Report.Json.to_string (Spec.outcome_to_json o),
+    List.map
+      (fun (r : Spec.flow_result) ->
+        List.map
+          (fun s -> (Sim.Stats.Series.times s, Sim.Stats.Series.values s))
+          [
+            r.Spec.stalls_series; r.Spec.cwnd_series; r.Spec.ifq_series;
+            r.Spec.throughput_series; r.Spec.srtt_series;
+          ])
+      o.Spec.results,
+    Option.map (fun m -> (m.Spec.metric_names, m.Spec.samples)) o.Spec.metrics,
+    Option.map Report.Trace_event.to_csv o.Spec.trace )
+
+let mf_dumbbell_red_spec =
+  {
+    Spec.default with
+    Spec.name = "mf-dumbbell-red";
+    seed = 5;
+    duration = sec 2;
+    topology =
+      Spec.Dumbbell
+        {
+          Spec.pairs = 1;
+          access_rate = Sim.Units.mbps 1000.;
+          access_delay = ms 1;
+          bottleneck_rate = Sim.Units.mbps 100.;
+          bottleneck_delay = ms 28;
+          buffer_packets = 250;
+          host_ifq_capacity = 100;
+          red = Some Netsim.Queue_disc.default_red;
+        };
+    flows =
+      [
+        {
+          Spec.default_flow with
+          Spec.label = Some "crowd";
+          workload =
+            Spec.Many_flows
+              {
+                flows = 500;
+                arrival_rate = None;
+                arrival_pareto_shape = None;
+                mean_size = None;
+                size_pareto_shape = 1.2;
+              };
+        };
+      ];
+  }
+
+(* Segment 0 of a one-segment chain has the dumbbell's node ids and
+   construction order, so a dumbbell and its twin report the same run
+   byte for byte: a faulted two-pair golden, the traced example and a
+   many_flows crowd behind RED. *)
+let test_dumbbell_is_one_segment_chain () =
+  let mixed =
+    let text =
+      In_channel.with_open_text "../examples/dumbbell_mixed.json"
+        In_channel.input_all
+    in
+    match Result.bind (Report.Json.of_string text) Spec.of_json with
+    | Ok spec -> { spec with Spec.record_trace = true }
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (spec : Spec.t) ->
+      let dumbbell = observed (Spec.run spec) in
+      let chain = observed (Spec.run (one_segment_twin spec)) in
+      Alcotest.(check bool) (spec.Spec.name ^ ": identical runs") true
+        (dumbbell = chain))
+    [ golden_dumbbell_spec; mixed; mf_dumbbell_red_spec ]
+
 (* --- determinism across worker counts ---------------------------------- *)
 
 let scalars (o : Spec.outcome) =
@@ -920,4 +1024,6 @@ let suite =
       test_plus_name_matches_key_pair;
     Alcotest.test_case "short_flows mice take the policy's avoidance" `Quick
       test_short_flows_policy;
+    Alcotest.test_case "dumbbell = its one-segment chain" `Slow
+      test_dumbbell_is_one_segment_chain;
   ]
