@@ -218,10 +218,45 @@ let check_delay what d =
   if Sim.Time.is_negative d then
     err "Spec.build: %s %gms must be non-negative" what (Sim.Time.to_ms d)
 
+(* A dumbbell is built as the one-segment dumbbell_of_dumbbells:
+   segment 0 of a one-segment chain has the dumbbell's node ids and
+   construction order, and there is no core link. The core fields only
+   have to pass the chain's checks: the core rate is the bottleneck rate,
+   checked just before it, and a zero core delay is valid. So the chain
+   checks raise the same first error as the dumbbell's own would. *)
+let chain_of_dumbbell (d : dumbbell) =
+  {
+    segments = 1;
+    m_pairs = d.pairs;
+    m_access_rate = d.access_rate;
+    m_access_delay = d.access_delay;
+    m_bottleneck_rate = d.bottleneck_rate;
+    m_bottleneck_delay = d.bottleneck_delay;
+    core_rate = d.bottleneck_rate;
+    core_delay = Sim.Time.zero;
+    m_buffer_packets = d.buffer_packets;
+    m_host_ifq_capacity = d.host_ifq_capacity;
+    m_red = d.red;
+    cross_pairs = 0;
+  }
+
+(* The chain every topology but the duplex path builds as. Only a
+   dumbbell is converted, so the duplex path allocates nothing here. *)
+let chain = function
+  | Multi_dumbbell m -> m
+  | Dumbbell d -> chain_of_dumbbell d
+  | Duplex _ -> invalid_arg "Spec.chain: a duplex path is not a chain"
+
 let pairs_of = function
   | Duplex _ -> 1
-  | Dumbbell d -> d.pairs
-  | Multi_dumbbell m -> (m.segments * m.m_pairs) + m.cross_pairs
+  | topo ->
+      let m = chain topo in
+      (m.segments * m.m_pairs) + m.cross_pairs
+
+(* Many-flows shards: one sub-population per segment of a chain, a
+   single one on the duplex path. A function of the topology alone, so
+   every domain count builds the identical shard layout. *)
+let shards_of = function Duplex _ -> 1 | topo -> (chain topo).segments
 
 (* A fresh instance of the flow's controllers: [policy] if set, else
    [slow_start]. [shared] yields the sending host's shared RSS
@@ -345,22 +380,12 @@ let validate (t : t) =
         err "Spec.build: ifq_capacity %d must be >= 1" d.ifq_capacity;
       if not (d.loss_rate >= 0. && d.loss_rate <= 1.) then
         err "Spec.build: loss_rate %g must be within [0, 1]" d.loss_rate
-  | Dumbbell d ->
-      (* Right host i has id 100 + i: past 100 pairs it would share an
-         id with a left host. *)
-      if d.pairs < 1 || d.pairs > 100 then
-        err "Spec.build: pairs %d must be within 1..100" d.pairs;
-      check_positive_rate "access rate" d.access_rate;
-      check_positive_rate "bottleneck rate" d.bottleneck_rate;
-      check_delay "access_delay" d.access_delay;
-      check_delay "bottleneck_delay" d.bottleneck_delay;
-      if d.buffer_packets < 1 then
-        err "Spec.build: buffer_packets %d must be >= 1" d.buffer_packets;
-      if d.host_ifq_capacity < 1 then
-        err "Spec.build: ifq_capacity %d must be >= 1" d.host_ifq_capacity
-  | Multi_dumbbell m ->
+  | topo ->
+      let m = chain topo in
       if m.segments < 1 then
         err "Spec.build: segments %d must be >= 1" m.segments;
+      (* Right host i has id 100 + i: past 100 pairs it would share an
+         id with a left host. *)
       if m.m_pairs < 1 || m.m_pairs > 100 then
         err "Spec.build: pairs %d must be within 1..100" m.m_pairs;
       if m.cross_pairs < 0 || m.cross_pairs > m.segments - 1 then
@@ -436,20 +461,20 @@ let validate (t : t) =
   (* The per-segment sub-populations are a function of the topology
      alone (so any domain count replays the identical shard layout);
      every shard needs at least one flow. *)
-  (match (many, t.topology) with
-  | [ { workload = Many_flows { flows; _ }; _ } ], Multi_dumbbell m
-    when flows < m.segments ->
-      err
-        "Spec.build: many_flows needs flows >= segments (%d < %d): the \
-         population is sharded into one sub-population per segment"
-        flows m.segments
-  | _ -> ())
+  match many with
+  | [ { workload = Many_flows { flows; _ }; _ } ] ->
+      let shards = shards_of t.topology in
+      if flows < shards then
+        err
+          "Spec.build: many_flows needs flows >= segments (%d < %d): the \
+           population is sharded into one sub-population per segment"
+          flows shards
+  | _ -> ()
 
 (* --- compilation -------------------------------------------------------- *)
 
 type net =
   | Net_duplex of Netsim.Topology.Duplex.t
-  | Net_dumbbell of Netsim.Topology.Dumbbell.t
   | Net_multi of Netsim.Topology.Multi_dumbbell.t
 
 type driver =
@@ -459,9 +484,9 @@ type driver =
   | On_off_driver of Workload.On_off.t * int
   | Short_driver of Workload.Short_flows.t
   | Many_driver of Workload.Many_flows.t array
-      (* one engine per shard: per-segment sub-populations on a
-         multi_dumbbell (shard k lives on partition k's scheduler when
-         domains > 1), a single shard elsewhere. The shard layout is a
+      (* one engine per shard: per-segment sub-populations on a chain
+         (shard k lives on partition k's scheduler when domains > 1), a
+         single shard on the duplex path. The shard layout is a
          function of the topology alone, never of [domains]. *)
 
 type built_flow = {
@@ -510,9 +535,6 @@ let trace b = b.btrace
 let pair_hosts net pair =
   match net with
   | Net_duplex d -> (d.Netsim.Topology.Duplex.a, d.Netsim.Topology.Duplex.b)
-  | Net_dumbbell d ->
-      ( d.Netsim.Topology.Dumbbell.left.(pair),
-        d.Netsim.Topology.Dumbbell.right.(pair) )
   | Net_multi md ->
       (* Pairs 0..segments*pairs-1 stay inside their segment (segment
          s, local pair i at pair = s*pairs + i); the cross_pairs after
@@ -537,8 +559,8 @@ let pair_parts spec pair =
   else
     match spec.topology with
     | Duplex _ -> (0, 1)
-    | Dumbbell _ -> (0, 0) (* unreachable: rejected by validate *)
-    | Multi_dumbbell m ->
+    | topo ->
+        let m = chain topo in
         let base = m.segments * m.m_pairs in
         if pair < base then (pair / m.m_pairs, pair / m.m_pairs)
         else
@@ -551,7 +573,6 @@ let dst_host b ~pair = snd (pair_hosts b.net pair)
 let forward_link b =
   match b.net with
   | Net_duplex d -> d.Netsim.Topology.Duplex.a_to_b
-  | Net_dumbbell d -> d.Netsim.Topology.Dumbbell.bottleneck_lr
   | Net_multi md ->
       md.Netsim.Topology.Multi_dumbbell.segments.(0)
         .Netsim.Topology.Multi_dumbbell.bottleneck_lr
@@ -559,7 +580,6 @@ let forward_link b =
 let reverse_link b =
   match b.net with
   | Net_duplex d -> d.Netsim.Topology.Duplex.b_to_a
-  | Net_dumbbell d -> d.Netsim.Topology.Dumbbell.bottleneck_rl
   | Net_multi md ->
       md.Netsim.Topology.Multi_dumbbell.segments.(0)
         .Netsim.Topology.Multi_dumbbell.bottleneck_rl
@@ -676,8 +696,8 @@ let start_flow b bf =
         { flows; arrival_rate; arrival_pareto_shape; mean_size;
           size_pareto_shape } ->
         (* The fluid engine models the bottleneck itself, derived from
-           the spec topology: a duplex path's egress IFQ, or a
-           dumbbell's bottleneck buffer. The slow-start phase is the
+           the spec topology: a duplex path's egress IFQ, or a chain
+           segment's bottleneck buffer. The slow-start phase is the
            classic doubling round, so only the bundle's congestion
            avoidance applies. *)
         let capacity_bytes_per_sec, base_rtt, buffer_packets, red =
@@ -687,17 +707,9 @@ let start_flow b bf =
                 Sim.Time.mul_int d.one_way_delay 2,
                 d.ifq_capacity,
                 d.ifq_red_ecn )
-          | Dumbbell d ->
-              ( d.bottleneck_rate /. 8.,
-                Sim.Time.mul_int
-                  (Sim.Time.add
-                     (Sim.Time.mul_int d.access_delay 2)
-                     d.bottleneck_delay)
-                  2,
-                d.buffer_packets,
-                d.red )
-          | Multi_dumbbell m ->
+          | topo ->
               (* Each shard abstracts its own segment's bottleneck. *)
+              let m = chain topo in
               ( m.m_bottleneck_rate /. 8.,
                 Sim.Time.mul_int
                   (Sim.Time.add
@@ -707,16 +719,10 @@ let start_flow b bf =
                 m.m_buffer_packets,
                 m.m_red )
         in
-        (* One sub-population per segment on a multi_dumbbell, a single
-           shard elsewhere — a topology-only decision, so every domain
-           count builds the identical shard layout. Flows and arrival
-           rate split evenly (thinned Poisson arrivals stay Poisson);
-           the remainder lands on the low shards. *)
-        let shards =
-          match b.bspec.topology with
-          | Multi_dumbbell m -> m.segments
-          | Duplex _ | Dumbbell _ -> 1
-        in
+        (* Flows and arrival rate split evenly over the shards (thinned
+           Poisson arrivals stay Poisson); the remainder lands on the
+           low shards. *)
+        let shards = shards_of b.bspec.topology in
         let sched_of k =
           match b.parts with
           | Some p -> Sim.Partition.scheduler p.psync k
@@ -796,8 +802,7 @@ let build spec =
     else
       match spec.topology with
       | Duplex _ -> 2
-      | Dumbbell _ -> 1 (* unreachable: rejected by validate *)
-      | Multi_dumbbell m -> m.segments
+      | topo -> (chain topo).segments
   in
   (* Partition 0 always carries the spec seed, so every stream derived
      from it (the duplex loss stream, derived workload streams) lands on
@@ -831,17 +836,8 @@ let build spec =
             ?ifq_red_ecn:d.ifq_red_ecn ()
         in
         (Net_duplex path, cut)
-    | Dumbbell d, _ ->
-        let sched = Sim.Scheduler.create ~seed:spec.seed () in
-        ( Net_dumbbell
-            (Netsim.Topology.Dumbbell.create sched ~pairs:d.pairs
-               ~access_rate:d.access_rate ~access_delay:d.access_delay
-               ~bottleneck_rate:d.bottleneck_rate
-               ~bottleneck_delay:d.bottleneck_delay
-               ~buffer_packets:d.buffer_packets
-               ~ifq_capacity:d.host_ifq_capacity ?red:d.red ()),
-          Netsim.Topology.Cut.single )
-    | Multi_dumbbell m, _ ->
+    | topo, _ ->
+        let m = chain topo in
         let sched_of =
           match psync with
           | Some p -> Sim.Partition.scheduler p
@@ -870,8 +866,6 @@ let build spec =
     | None -> (
         match net with
         | Net_duplex d -> Netsim.Host.scheduler d.Netsim.Topology.Duplex.a
-        | Net_dumbbell d ->
-            Netsim.Host.scheduler d.Netsim.Topology.Dumbbell.left.(0)
         | Net_multi md ->
             Netsim.Host.scheduler
               md.Netsim.Topology.Multi_dumbbell.segments.(0)
@@ -919,8 +913,7 @@ let build spec =
   let line_mbps =
     match spec.topology with
     | Duplex d -> Sim.Units.rate_to_mbps d.rate
-    | Dumbbell d -> Sim.Units.rate_to_mbps d.bottleneck_rate
-    | Multi_dumbbell m -> Sim.Units.rate_to_mbps m.m_bottleneck_rate
+    | topo -> Sim.Units.rate_to_mbps (chain topo).m_bottleneck_rate
   in
   let btrace =
     if spec.record_trace then
@@ -1602,9 +1595,6 @@ let execute_core ?checkpoint ~resume ~identity b =
   let router_drops =
     match b.net with
     | Net_duplex _ -> 0
-    | Net_dumbbell d ->
-        Netsim.Router.dropped d.Netsim.Topology.Dumbbell.router_l
-        + Netsim.Router.dropped d.Netsim.Topology.Dumbbell.router_r
     | Net_multi md ->
         Array.fold_left
           (fun acc (s : Netsim.Topology.Multi_dumbbell.segment) ->

@@ -31,7 +31,9 @@ type duplex = {
 
 (** N left hosts — router — bottleneck — router — N right hosts; left
     host [i] talks to right host [i]. Queueing happens in the routers'
-    bottleneck queues. *)
+    bottleneck queues. It is built, and validated, as the one-segment
+    {!multi_dumbbell} with the same fields: the same node ids and no
+    core link. Having no partition cut, it refuses [domains > 1]. *)
 type dumbbell = {
   pairs : int;
   access_rate : Sim.Units.rate;
@@ -352,7 +354,8 @@ val src_host : built -> pair:int -> Netsim.Host.t
 val dst_host : built -> pair:int -> Netsim.Host.t
 
 val forward_link : built -> Netsim.Link.t
-(** Data-direction pipe (duplex a→b; dumbbell left→right bottleneck). *)
+(** Data-direction pipe (duplex a→b; a dumbbell's, or a chain's first
+    segment's, left→right bottleneck). *)
 
 val reverse_link : built -> Netsim.Link.t
 

@@ -68,100 +68,12 @@ module Duplex = struct
     (t, cut)
 end
 
-module Dumbbell = struct
-  type t = {
-    left : Host.t array;
-    right : Host.t array;
-    router_l : Router.t;
-    router_r : Router.t;
-    bottleneck_queue_lr : Queue_disc.t;
-    bottleneck_queue_rl : Queue_disc.t;
-    bottleneck_lr : Link.t;
-    bottleneck_rl : Link.t;
-  }
-
-  let right_id i = 100 + i
-
-  let make_queue ?red ~buffer_packets ~rate () =
-    match red with
-    | Some params -> Queue_disc.red ~capacity_packets:buffer_packets
-                       ~link_rate:rate params
-    | None -> Queue_disc.droptail ~capacity_packets:buffer_packets ()
-
-  let create sched ~pairs ~access_rate ~access_delay ~bottleneck_rate
-      ~bottleneck_delay ~buffer_packets ~ifq_capacity ?red () =
-    if pairs < 1 || pairs > 100 then
-      invalid_arg "Dumbbell.create: pairs outside 1..100";
-    let left =
-      Array.init pairs (fun i ->
-          Host.create sched ~id:i ~nic_rate:access_rate ~ifq_capacity ())
-    in
-    let right =
-      Array.init pairs (fun i ->
-          Host.create sched ~id:(right_id i) ~nic_rate:access_rate
-            ~ifq_capacity ())
-    in
-    let router_l = Router.create sched ~id:1000 in
-    let router_r = Router.create sched ~id:1001 in
-    (* Bottleneck pipe between the routers, both directions. *)
-    let lr_link = Link.create sched ~delay:bottleneck_delay () in
-    let rl_link = Link.create sched ~delay:bottleneck_delay () in
-    Link.connect lr_link (Router.deliver router_r);
-    Link.connect rl_link (Router.deliver router_l);
-    let bottleneck_queue_lr =
-      make_queue ?red ~buffer_packets ~rate:bottleneck_rate ()
-    in
-    let bottleneck_queue_rl =
-      make_queue ?red ~buffer_packets ~rate:bottleneck_rate ()
-    in
-    let lr_port =
-      Router.add_port router_l ~queue:bottleneck_queue_lr
-        ~rate:bottleneck_rate ~link:lr_link
-    in
-    let rl_port =
-      Router.add_port router_r ~queue:bottleneck_queue_rl
-        ~rate:bottleneck_rate ~link:rl_link
-    in
-    (* Access wiring: host → router and router → host, per side. *)
-    let wire_host host router to_host_port_rate =
-      (* host uplink to router *)
-      let up = Link.create sched ~delay:access_delay () in
-      Link.connect up (Router.deliver router);
-      Host.attach_uplink host up;
-      (* router port back down to the host *)
-      let down = Link.create sched ~delay:access_delay () in
-      Link.connect down (Host.deliver host);
-      let q = Queue_disc.droptail ~capacity_packets:buffer_packets () in
-      let port = Router.add_port router ~queue:q ~rate:to_host_port_rate
-          ~link:down in
-      Router.route router ~dst:(Host.id host) port
-    in
-    Array.iter (fun h -> wire_host h router_l access_rate) left;
-    Array.iter (fun h -> wire_host h router_r access_rate) right;
-    (* Cross-bottleneck routes: anything for the far side goes over the
-       bottleneck port. *)
-    Array.iter
-      (fun h -> Router.route router_l ~dst:(Host.id h) lr_port)
-      right;
-    Array.iter
-      (fun h -> Router.route router_r ~dst:(Host.id h) rl_port)
-      left;
-    {
-      left;
-      right;
-      router_l;
-      router_r;
-      bottleneck_queue_lr;
-      bottleneck_queue_rl;
-      bottleneck_lr = lr_link;
-      bottleneck_rl = rl_link;
-    }
-end
-
 (* K dumbbell segments chained left-to-right through duplex core links —
    the canonical partitionable topology: each segment is an island, the
    core links are the cut, and their propagation delay is the lookahead.
-   Node ids are globally unique by segment block (10000·s + local id).
+   A plain dumbbell is the one-segment chain (no core link, segment 0's
+   ids). Node ids are globally unique by segment block (10000·s + local
+   id).
    Besides the per-segment sender/receiver pairs, [cross_pairs] wires
    the first left host of segment c to the first right host of segment
    c+1, routed across the core — traffic that actually exercises the
@@ -192,6 +104,13 @@ module Multi_dumbbell = struct
   let router_r_id s = (block * s) + 1001
   let segment_of_id id = id / block
 
+  (* A bottleneck queue: RED when [red] is set, drop-tail otherwise. *)
+  let make_queue red ~buffer_packets ~rate =
+    match red with
+    | Some params ->
+        Queue_disc.red ~capacity_packets:buffer_packets ~link_rate:rate params
+    | None -> Queue_disc.droptail ~capacity_packets:buffer_packets ()
+
   let create ~sched_of ~segments ~pairs ~access_rate ~access_delay
       ~bottleneck_rate ~bottleneck_delay ~core_rate ~core_delay
       ~buffer_packets ~ifq_capacity ?red ?(cross_pairs = 0) () =
@@ -201,12 +120,13 @@ module Multi_dumbbell = struct
     if cross_pairs < 0 || cross_pairs > max 0 (segments - 1) then
       invalid_arg "Multi_dumbbell.create: cross_pairs outside 0..segments-1";
     (* Per-segment dumbbells, each built wholly against its own
-       partition's scheduler — the same wiring as {!Dumbbell.create}
-       modulo the id block. The bottleneck ports are kept for the
-       cross-segment routes below. Construction order is explicit
-       (plain loops, never [Array.init] over effects): in the
-       single-scheduler build all segments share one derived-stream
-       counter, so the order is part of the determinism contract. *)
+       partition's scheduler: N left hosts, N right hosts, the two
+       routers, then the bottleneck pipe and the access wiring. The
+       bottleneck ports are kept for the cross-segment routes below.
+       Construction order is explicit (plain loops, never [Array.init]
+       over effects): in the single-scheduler build all segments share
+       one derived-stream counter, so the order is part of the
+       determinism contract. *)
     let make_segment s =
       let sched = sched_of s in
       let left =
@@ -226,10 +146,10 @@ module Multi_dumbbell = struct
       Link.connect lr_link (Router.deliver router_r);
       Link.connect rl_link (Router.deliver router_l);
       let bottleneck_queue_lr =
-        Dumbbell.make_queue ?red ~buffer_packets ~rate:bottleneck_rate ()
+        make_queue red ~buffer_packets ~rate:bottleneck_rate
       in
       let bottleneck_queue_rl =
-        Dumbbell.make_queue ?red ~buffer_packets ~rate:bottleneck_rate ()
+        make_queue red ~buffer_packets ~rate:bottleneck_rate
       in
       let lr_port =
         Router.add_port router_l ~queue:bottleneck_queue_lr

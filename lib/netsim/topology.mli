@@ -1,4 +1,6 @@
-(** Canned topologies used by the experiments. *)
+(** The two network shapes the simulator builds: the {!Duplex} path and
+    the {!Multi_dumbbell} chain, whose one-segment case is the plain
+    dumbbell. {!Cut} is the partition structure each admits. *)
 
 (** The topology-cut pass: the partition structure a topology admits.
     [parts] islands of hosts/routers, connected only by the [boundaries]
@@ -69,49 +71,17 @@ module Duplex : sig
       build's random decisions verbatim. *)
 end
 
-(** N left hosts — router L — bottleneck — router R — N right hosts.
-    Left host [i] talks to right host [i]. Router queues bound the
-    bottleneck; access links are fast relative to it. *)
-module Dumbbell : sig
-  type t = {
-    left : Host.t array;
-    right : Host.t array;
-    router_l : Router.t;
-    router_r : Router.t;
-    bottleneck_queue_lr : Queue_disc.t;
-    bottleneck_queue_rl : Queue_disc.t;
-    bottleneck_lr : Link.t;  (** left→right bottleneck pipe *)
-    bottleneck_rl : Link.t;  (** right→left bottleneck pipe *)
-  }
-
-  val create :
-    Sim.Scheduler.t ->
-    pairs:int ->
-    access_rate:Sim.Units.rate ->
-    access_delay:Sim.Time.t ->
-    bottleneck_rate:Sim.Units.rate ->
-    bottleneck_delay:Sim.Time.t ->
-    buffer_packets:int ->
-    ifq_capacity:int ->
-    ?red:Queue_disc.red_params ->
-    unit ->
-    t
-  (** Node ids: left hosts 0..pairs-1, right hosts 100..100+pairs-1,
-      routers 1000/1001. With [?red], the bottleneck queues run RED
-      instead of drop-tail. Raises [Invalid_argument] on [pairs]
-      outside 1..100, where the two id ranges would overlap. *)
-
-  val right_id : int -> int
-  (** Node id of right host [i]. *)
-end
-
 (** [segments] dumbbells chained left-to-right through duplex core
-    links — the canonical partitionable topology. Each segment is an
-    island (assigned to one partition); the core links are the cut and
-    carry their propagation delay as lookahead. Node ids are globally
-    unique by segment block: segment [s] uses [10000·s + local] where
-    local ids follow {!Dumbbell} (left [i], right [100+i], routers
-    [1000]/[1001]). *)
+    links — the canonical partitionable topology. A dumbbell segment is
+    N left hosts — router L — bottleneck — router R — N right hosts;
+    left host [i] talks to right host [i], router queues bound the
+    bottleneck, and access links are fast relative to it. A plain
+    dumbbell is the one-segment chain, which has no core link. Each
+    segment is an island (assigned to one partition); the core links
+    are the cut and carry their propagation delay as lookahead. Node ids
+    are globally unique by segment block: segment [s] uses
+    [10000·s + local], with local ids left [i], right [100+i] and
+    routers [1000]/[1001]. *)
 module Multi_dumbbell : sig
   type segment = {
     left : Host.t array;
@@ -120,8 +90,8 @@ module Multi_dumbbell : sig
     router_r : Router.t;
     bottleneck_queue_lr : Queue_disc.t;
     bottleneck_queue_rl : Queue_disc.t;
-    bottleneck_lr : Link.t;
-    bottleneck_rl : Link.t;
+    bottleneck_lr : Link.t;  (** left→right bottleneck pipe *)
+    bottleneck_rl : Link.t;  (** right→left bottleneck pipe *)
   }
 
   type t = {
@@ -155,8 +125,10 @@ module Multi_dumbbell : sig
       most [segments-1]) additionally routes left host 0 of segment [c]
       to right host 0 of segment [c+1] across the core for
       [c < cross_pairs] — traffic that exercises the partition
-      boundary. Raises [Invalid_argument] on out-of-range [segments],
-      [pairs] (1..100) or [cross_pairs]. *)
+      boundary. With [?red], the bottleneck queues run RED instead of
+      drop-tail. Raises [Invalid_argument] on out-of-range [segments],
+      [pairs] (1..100, past which right and left ids would overlap) or
+      [cross_pairs]. *)
 
   val left_id : int -> int -> int
   val right_id : int -> int -> int
