@@ -909,11 +909,12 @@ let spec_cmd =
   in
   let validate =
     let doc =
-      "Parse FILE and run full validation — topology and flow ranges, \
-       workload constraints, the \"domains\" partitioning gates — \
-       without running anything. Exit status 0 and a summary line when \
-       the spec is runnable; a readable error and exit status 2 \
-       otherwise."
+      "Parse FILE and run full validation — topology and flow ranges \
+       (a flow's max_rto and delayed_ack included), RED parameters, \
+       fault profiles, workload constraints, the \"domains\" \
+       partitioning gates — without running anything. Exit status 0 \
+       and a summary line when the spec is runnable; a readable error \
+       and exit status 2 otherwise."
     in
     Arg.(
       value & opt (some string) None & info [ "validate" ] ~docv:"FILE" ~doc)

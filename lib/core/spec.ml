@@ -218,6 +218,25 @@ let check_delay what d =
   if Sim.Time.is_negative d then
     err "Spec.build: %s %gms must be non-negative" what (Sim.Time.to_ms d)
 
+(* RED's drop curve climbs from 0 at min_th to max_p at max_th (the
+   mean-field gain divides by max_th - min_th), and the average queue
+   moves by weight per arrival: weight 0 would switch RED off and a
+   zero-width curve would force-drop every packet. *)
+let check_red what (r : Netsim.Queue_disc.red_params) =
+  if not (r.min_th >= 0.) then
+    err "Spec.build: %s min_th %g must be >= 0" what r.min_th;
+  if not (r.max_th > r.min_th) then
+    err "Spec.build: %s max_th %g must exceed min_th %g" what r.max_th
+      r.min_th;
+  if not (r.max_p > 0. && r.max_p <= 1.) then
+    err "Spec.build: %s max_p %g must be within (0, 1]" what r.max_p;
+  if not (r.weight > 0. && r.weight <= 1.) then
+    err "Spec.build: %s weight %g must be within (0, 1]" what r.weight
+
+let check_faults direction profile =
+  try Fm.validate profile
+  with Invalid_argument e -> err "Spec.build: faults %s: %s" direction e
+
 (* A dumbbell is built as the one-segment dumbbell_of_dumbbells:
    segment 0 of a one-segment chain has the dumbbell's node ids and
    construction order, and there is no core link. The core fields only
@@ -299,6 +318,19 @@ let validate_flow ~pairs i f =
       (Sim.Time.to_sec f.start_at);
   if f.policy <> None && f.shared_rss then
     err "Spec.build: flow %d: policy and shared_rss are mutually exclusive" i;
+  (* The RTO is clamped to max_rto, so a zero one re-fires the timer at
+     the same instant forever. A negative ACK delay would be clamped to
+     0 by the scheduler. *)
+  (match f.max_rto with
+  | Some rto when not (Sim.Time.is_positive rto) ->
+      err "Spec.build: flow %d: max_rto %gs must be positive" i
+        (Sim.Time.to_sec rto)
+  | _ -> ());
+  (match f.delayed_ack with
+  | Some d when Sim.Time.is_negative d ->
+      err "Spec.build: flow %d: delayed_ack %gs must be non-negative" i
+        (Sim.Time.to_sec d)
+  | _ -> ());
   Option.iter (validate_restricted i) f.restricted;
   let policy =
     try bundle_for f
@@ -379,7 +411,10 @@ let validate (t : t) =
       if d.ifq_capacity < 1 then
         err "Spec.build: ifq_capacity %d must be >= 1" d.ifq_capacity;
       if not (d.loss_rate >= 0. && d.loss_rate <= 1.) then
-        err "Spec.build: loss_rate %g must be within [0, 1]" d.loss_rate
+        err "Spec.build: loss_rate %g must be within [0, 1]" d.loss_rate;
+      (match d.ifq_red_ecn with
+      | Some r -> check_red "ifq_red_ecn" r
+      | None -> ())
   | topo ->
       let m = chain topo in
       if m.segments < 1 then
@@ -400,7 +435,12 @@ let validate (t : t) =
       if m.m_buffer_packets < 1 then
         err "Spec.build: buffer_packets %d must be >= 1" m.m_buffer_packets;
       if m.m_host_ifq_capacity < 1 then
-        err "Spec.build: ifq_capacity %d must be >= 1" m.m_host_ifq_capacity);
+        err "Spec.build: ifq_capacity %d must be >= 1" m.m_host_ifq_capacity;
+      match m.m_red with
+      | Some r -> check_red "red" r
+      | None -> ());
+  check_faults "forward" t.faults.forward;
+  check_faults "reverse" t.faults.reverse;
   if t.domains < 1 then err "Spec.build: domains %d must be >= 1" t.domains;
   if t.trace_capacity < 1 then
     err "Spec.build: trace_capacity %d must be >= 1" t.trace_capacity;

@@ -47,10 +47,13 @@ val passthrough : profile
 
 type t
 
+val validate : profile -> unit
+(** Raise [Invalid_argument], naming the field, unless every
+    probability is within [0,1], every outage stops at or after its
+    start and every delay step is non-negative. *)
+
 val create : rng:Sim.Rng.t -> profile -> t
-(** Validates the profile (probabilities in [0,1], outage windows
-    ordered, delay steps non-negative; [Invalid_argument] otherwise)
-    and binds it to [rng]. The model draws exactly one value per
+(** Validates the profile ({!validate}) and binds it to [rng]. The model draws exactly one value per
     enabled mechanism per packet, in a fixed order, so the stream
     position is a function of the packet sequence alone. *)
 

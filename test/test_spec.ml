@@ -489,11 +489,14 @@ let test_jobs_determinism () =
 
 (* --- validation -------------------------------------------------------- *)
 
+(* Every case fails at validation, before build instantiates anything;
+   with [says], under that exact message. *)
 let test_validation () =
-  let rejects name spec =
-    match Spec.build spec with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  let rejects ?says name spec =
+    match Spec.validate spec with
+    | exception Invalid_argument e ->
+        Option.iter (fun says -> Alcotest.(check string) name says e) says
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   rejects "non-positive duration"
     { Spec.default with Spec.duration = Sim.Time.zero };
@@ -535,7 +538,105 @@ let test_validation () =
                 { chunk_bytes = 0; interval = ms 50; chunks = None };
           };
         ];
+    };
+  (* A zero max_rto clamps every RTO to 0 and the run never ends; a
+     negative ACK delay would silently run as 0. *)
+  let flow f = { Spec.default with Spec.flows = [ f ] } in
+  rejects "zero max_rto" ~says:"Spec.build: flow 0: max_rto 0s must be positive"
+    (flow { Spec.default_flow with Spec.max_rto = Some Sim.Time.zero });
+  rejects "negative max_rto"
+    ~says:"Spec.build: flow 0: max_rto -1s must be positive"
+    (flow { Spec.default_flow with Spec.max_rto = Some (sec (-1)) });
+  rejects "negative delayed_ack"
+    ~says:"Spec.build: flow 0: delayed_ack -1s must be non-negative"
+    (flow { Spec.default_flow with Spec.delayed_ack = Some (sec (-1)) });
+  (* Fault profiles, in either direction, fail here and not inside
+     Fault_model.create. *)
+  let faulted ?(forward = Fm.passthrough) ?(reverse = Fm.passthrough) () =
+    { Spec.default with Spec.faults = { Spec.forward; reverse } }
+  in
+  rejects "ge.p_gb above 1"
+    ~says:
+      "Spec.build: faults forward: Fault_model: ge.p_gb probability 2 \
+       outside [0, 1]"
+    (faulted
+       ~forward:
+         {
+           Fm.passthrough with
+           Fm.ge =
+             Some { Fm.p_gb = 2.; p_bg = 0.2; loss_good = 0.; loss_bad = 0.3 };
+         }
+       ());
+  rejects "reorder prob above 1"
+    ~says:
+      "Spec.build: faults reverse: Fault_model: reorder probability 1.5 \
+       outside [0, 1]"
+    (faulted
+       ~reverse:
+         {
+           Fm.passthrough with
+           Fm.reorder = Some { Fm.prob = 1.5; max_extra = ms 5 };
+         }
+       ());
+  rejects "outage stops before it starts"
+    ~says:"Spec.build: faults forward: Fault_model: outage stops before it starts"
+    (faulted
+       ~forward:
+         {
+           Fm.passthrough with
+           Fm.schedule = [ Fm.Outage { start = sec 2; stop = sec 1 } ];
+         }
+       ());
+  (* RED: weight 0 switches it off, a zero-width curve force-drops
+     every packet. One check serves both dumbbell kinds, one the duplex
+     interface queues. *)
+  let red ?(min_th = 5.) ?(max_th = 15.) ?(max_p = 0.1) ?(weight = 0.002) ()
+      =
+    { Netsim.Queue_disc.min_th; max_th; max_p; weight }
+  in
+  let red_dumbbell r =
+    match golden_dumbbell_spec.Spec.topology with
+    | Spec.Dumbbell d ->
+        {
+          golden_dumbbell_spec with
+          Spec.topology = Spec.Dumbbell { d with Spec.red = Some r };
+        }
+    | _ -> Alcotest.fail "golden_dumbbell_spec: not a dumbbell"
+  in
+  let red_duplex r =
+    {
+      Spec.default with
+      Spec.topology =
+        Spec.Duplex { Spec.default_duplex with Spec.ifq_red_ecn = Some r };
     }
+  in
+  rejects "red weight 0" ~says:"Spec.build: red weight 0 must be within (0, 1]"
+    (red_dumbbell (red ~weight:0. ()));
+  rejects "red weight above 1"
+    ~says:"Spec.build: red weight 1.5 must be within (0, 1]"
+    (red_dumbbell (red ~weight:1.5 ()));
+  rejects "red zero-width curve"
+    ~says:"Spec.build: red max_th 0 must exceed min_th 0"
+    (red_dumbbell (red ~min_th:0. ~max_th:0. ()));
+  rejects "red min_th above max_th"
+    ~says:"Spec.build: red max_th 5 must exceed min_th 15"
+    (red_dumbbell (red ~min_th:15. ~max_th:5. ()));
+  rejects "red negative min_th"
+    ~says:"Spec.build: red min_th -1 must be >= 0"
+    (red_dumbbell (red ~min_th:(-1.) ()));
+  rejects "red negative max_p" ~says:"Spec.build: red max_p -1 must be within (0, 1]"
+    (red_dumbbell (red ~max_p:(-1.) ()));
+  rejects "chain red weight 0"
+    ~says:"Spec.build: red weight 0 must be within (0, 1]"
+    (one_segment_twin (red_dumbbell (red ~weight:0. ())));
+  rejects "ifq_red_ecn max_p above 1"
+    ~says:"Spec.build: ifq_red_ecn max_p 1.5 must be within (0, 1]"
+    (red_duplex (red ~max_p:1.5 ()));
+  (* The edges that mean something pass: min_th 0, max_p 1, weight 1. *)
+  let edge = red ~min_th:0. ~max_p:1. ~weight:1. () in
+  Spec.validate (red_dumbbell edge);
+  Spec.validate (one_segment_twin (red_dumbbell edge));
+  Spec.validate (red_duplex edge)
 
 (* A many_flows population shares one controller across its rows, so
    validation refuses an avoidance with per-connection state by name,
