@@ -237,33 +237,30 @@ let check_faults direction profile =
   try Fm.validate profile
   with Invalid_argument e -> err "Spec.build: faults %s: %s" direction e
 
-(* A dumbbell is built as the one-segment dumbbell_of_dumbbells:
-   segment 0 of a one-segment chain has the dumbbell's node ids and
-   construction order, and there is no core link. The core fields only
-   have to pass the chain's checks: the core rate is the bottleneck rate,
-   checked just before it, and a zero core delay is valid. So the chain
-   checks raise the same first error as the dumbbell's own would. *)
-let chain_of_dumbbell (d : dumbbell) =
-  {
-    segments = 1;
-    m_pairs = d.pairs;
-    m_access_rate = d.access_rate;
-    m_access_delay = d.access_delay;
-    m_bottleneck_rate = d.bottleneck_rate;
-    m_bottleneck_delay = d.bottleneck_delay;
-    core_rate = d.bottleneck_rate;
-    core_delay = Sim.Time.zero;
-    m_buffer_packets = d.buffer_packets;
-    m_host_ifq_capacity = d.host_ifq_capacity;
-    m_red = d.red;
-    cross_pairs = 0;
-  }
-
-(* The chain every topology but the duplex path builds as. Only a
-   dumbbell is converted, so the duplex path allocates nothing here. *)
+(* The chain every topology but the duplex path is validated and built
+   as. A dumbbell is the one-segment dumbbell_of_dumbbells: segment 0 of
+   a one-segment chain has the dumbbell's node ids and construction
+   order, and there is no core link. The core fields only have to pass
+   the chain's checks: the core rate is the bottleneck rate, checked
+   just before it, and a zero core delay is valid. Callers match the
+   duplex path first, so it allocates nothing new. *)
 let chain = function
   | Multi_dumbbell m -> m
-  | Dumbbell d -> chain_of_dumbbell d
+  | Dumbbell d ->
+      {
+        segments = 1;
+        m_pairs = d.pairs;
+        m_access_rate = d.access_rate;
+        m_access_delay = d.access_delay;
+        m_bottleneck_rate = d.bottleneck_rate;
+        m_bottleneck_delay = d.bottleneck_delay;
+        core_rate = d.bottleneck_rate;
+        core_delay = Sim.Time.zero;
+        m_buffer_packets = d.buffer_packets;
+        m_host_ifq_capacity = d.host_ifq_capacity;
+        m_red = d.red;
+        cross_pairs = 0;
+      }
   | Duplex _ -> invalid_arg "Spec.chain: a duplex path is not a chain"
 
 let pairs_of = function
@@ -498,9 +495,7 @@ let validate (t : t) =
   in
   if List.length many > 1 then
     err "Spec.build: at most one many_flows flow per spec";
-  (* The per-segment sub-populations are a function of the topology
-     alone (so any domain count replays the identical shard layout);
-     every shard needs at least one flow. *)
+  (* Every shard needs at least one flow. *)
   match many with
   | [ { workload = Many_flows { flows; _ }; _ } ] ->
       let shards = shards_of t.topology in

@@ -53,9 +53,10 @@ val validate : profile -> unit
     start and every delay step is non-negative. *)
 
 val create : rng:Sim.Rng.t -> profile -> t
-(** Validates the profile ({!validate}) and binds it to [rng]. The model draws exactly one value per
-    enabled mechanism per packet, in a fixed order, so the stream
-    position is a function of the packet sequence alone. *)
+(** Validates the profile ({!validate}) and binds it to [rng]. The
+    model draws exactly one value per enabled mechanism per packet, in
+    a fixed order, so the stream position is a function of the packet
+    sequence alone. *)
 
 val install : t -> Link.t -> unit
 (** Attach to a link via {!Link.set_fault_hook}. One model instance

@@ -73,11 +73,10 @@ end
    core links are the cut, and their propagation delay is the lookahead.
    A plain dumbbell is the one-segment chain (no core link, segment 0's
    ids). Node ids are globally unique by segment block (10000·s + local
-   id).
-   Besides the per-segment sender/receiver pairs, [cross_pairs] wires
-   the first left host of segment c to the first right host of segment
-   c+1, routed across the core — traffic that actually exercises the
-   partition boundary. *)
+   id). Besides the per-segment sender/receiver pairs, [cross_pairs]
+   wires the first left host of segment c to the first right host of
+   segment c+1, routed across the core — traffic that actually
+   exercises the partition boundary. *)
 module Multi_dumbbell = struct
   type segment = {
     left : Host.t array;
