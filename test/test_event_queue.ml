@@ -174,6 +174,74 @@ let test_overflow_message () =
       in
       Alcotest.(check string) "overload message" expected msg
 
+(* --- allocation ------------------------------------------------------- *)
+
+(* Exact minor words of the heap's hot loops. The values were read on
+   OCaml 5.1.1 with the dev profile, which compiles with -opaque; other
+   profiles may read other numbers. The churn loops run at depth 1,024,
+   filled before the count starts. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let due i = i * 977 mod 7919
+
+let filled () =
+  let q = Sim.Event_queue.create () in
+  for i = 0 to 1023 do
+    ignore (Sim.Event_queue.add q ~time:(Sim.Time.ns (due i)) (fun () -> ()))
+  done;
+  q
+
+(* The scheduler's unboxed path: next_time_ns, pop_action_exn, add. *)
+let test_churn_words () =
+  let q = filled () in
+  Alcotest.(check int) "minor words over 100,000 pop + add" 0
+    (minor_words (fun () ->
+         for i = 0 to 99_999 do
+           let ns = Sim.Event_queue.next_time_ns q in
+           let (_ : unit -> unit) = Sim.Event_queue.pop_action_exn q in
+           ignore
+             (Sim.Event_queue.add q
+                ~time:(Sim.Time.add (Sim.Time.of_ns_int ns)
+                         (Sim.Time.ns (due i)))
+                (fun () -> ()))
+         done))
+
+let test_add_cancel_words () =
+  let q = filled () in
+  Alcotest.(check int) "minor words over 100,000 add + cancel" 0
+    (minor_words (fun () ->
+         for i = 0 to 99_999 do
+           Sim.Event_queue.cancel q
+             (Sim.Event_queue.add q ~time:(Sim.Time.ns (due i + 1))
+                (fun () -> ()))
+         done))
+
+(* 500 fresh queues of 1,024 adds, every other one cancelled, the rest
+   drained by [pop]: the lazy-cancellation and compaction path. Each
+   live pop returns its (time, action) pair in an option, and each
+   round builds one [drain] closure. *)
+let test_cancel_heavy_words () =
+  Alcotest.(check int) "minor words over 500 rounds" 3_002_500
+    (minor_words (fun () ->
+         for _ = 1 to 500 do
+           let q = Sim.Event_queue.create () in
+           let hs =
+             Array.init 1024 (fun i ->
+                 Sim.Event_queue.add q ~time:(Sim.Time.ns (due i))
+                   (fun () -> ()))
+           in
+           Array.iteri
+             (fun i h -> if i land 1 = 0 then Sim.Event_queue.cancel q h)
+             hs;
+           let rec drain () =
+             match Sim.Event_queue.pop q with Some _ -> drain () | None -> ()
+           in
+           drain ()
+         done))
+
 let suite =
   [
     Alcotest.test_case "FIFO at equal times" `Quick test_fifo_same_time;
@@ -187,6 +255,11 @@ let suite =
     Alcotest.test_case "mass cancellation drains" `Quick test_mass_cancel_drain;
     Alcotest.test_case "2^21-pending overflow message" `Slow
       test_overflow_message;
+    Alcotest.test_case "churn allocates nothing" `Quick test_churn_words;
+    Alcotest.test_case "add/cancel allocates nothing" `Quick
+      test_add_cancel_words;
+    Alcotest.test_case "cancel-heavy minor words" `Quick
+      test_cancel_heavy_words;
     QCheck_alcotest.to_alcotest qcheck_heap_order;
     QCheck_alcotest.to_alcotest qcheck_cancel_count;
   ]

@@ -129,19 +129,18 @@ let test_registry () =
     (fun () ->
       Trace.Registry.register reg ~name:"conn/a/CurCwnd" (fun () -> 0.))
 
-(* Emission is the hot path: with the ring compiled in but every
-   category masked off, an emit must allocate nothing (the PR 2
-   budget extends to instrumentation). *)
+(* Emission is the hot path: with the ring compiled in, an emit
+   allocates nothing, whether its category is masked off or recorded.
+   Exact minor words, read on OCaml 5.1.1 with the dev profile (which
+   compiles with -opaque). *)
 let test_emit_masked_no_alloc () =
   let tr = Trace.create ~capacity:64 ~mask:0 () in
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
     Trace.emit tr ~time_ns:i ~code:Trace.Code.link_tx ~src:1 ~arg1:i ~arg2:0
   done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "masked emit allocates (%.0f minor words)" words)
-    true (words < 256.)
+  Alcotest.(check int) "masked emit: minor words over 10,000" 0
+    (int_of_float (Gc.minor_words () -. before))
 
 let test_emit_enabled_no_alloc () =
   let tr = Trace.create ~capacity:64 () in
@@ -151,10 +150,8 @@ let test_emit_enabled_no_alloc () =
   for i = 1 to 10_000 do
     Trace.emit tr ~time_ns:i ~code:Trace.Code.link_tx ~src:1 ~arg1:i ~arg2:0
   done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "enabled emit allocates (%.0f minor words)" words)
-    true (words < 256.)
+  Alcotest.(check int) "enabled emit: minor words over 10,000" 0
+    (int_of_float (Gc.minor_words () -. before))
 
 let qcheck_ring_retention =
   QCheck.Test.make ~name:"ring retains exactly the newest min(n,cap) records"
