@@ -721,7 +721,12 @@ let serve_cmd =
             log;
           }
         in
-        let stats = Serve.Supervisor.run ~stop ~specs config in
+        let stats =
+          try Serve.Supervisor.run ~stop ~specs config
+          with Invalid_argument e ->
+            Printf.eprintf "serve: %s\n" e;
+            exit 2
+        in
         Printf.printf
           "serve: %d completed (%d resumed), %d quarantined, %d \
            retries, %d drains\n"

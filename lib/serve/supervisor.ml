@@ -138,6 +138,8 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
   if config.jobs < 1 then invalid_arg "Supervisor.run: jobs must be >= 1";
   if config.max_attempts < 1 then
     invalid_arg "Supervisor.run: max_attempts must be >= 1";
+  if not (Sim.Time.is_positive config.checkpoint_every) then
+    invalid_arg "Supervisor.run: checkpoint_every must be > 0";
   Artifacts.ensure_dir config.spool;
   Artifacts.ensure_dir (snapshot_dir config.state_dir);
   Artifacts.ensure_dir (outcome_dir config.state_dir);

@@ -219,6 +219,24 @@ let test_invalid_spec_quarantined_immediately () =
   Alcotest.(check int) "no retries for deterministic poison" 0
     stats.Sup.retries
 
+(* A daemon setting is the caller's error, not a job's: a zero
+   checkpoint interval is refused before the journal opens, so no job
+   is quarantined for it. *)
+let test_zero_checkpoint_interval_refused () =
+  let state_dir = tmp_dir "ckpt0_state" in
+  let spool = tmp_dir "ckpt0_spool" in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Supervisor.run: checkpoint_every must be > 0")
+    (fun () ->
+      ignore
+        (Sup.run
+           {
+             (base_config ~state_dir ~spool) with
+             Sup.checkpoint_every = Sim.Time.zero;
+           }));
+  Alcotest.(check bool) "no journal written" false
+    (Sys.file_exists (Filename.concat state_dir "journal.jsonl"))
+
 let test_watchdog_drain_resume_byte_identical () =
   let spec = mf_spec ~name:"drainy" ~seed:32 () in
   let reference =
@@ -345,6 +363,8 @@ let suite =
       `Quick test_deterministic_failure_quarantined;
     Alcotest.test_case "invalid spec quarantined immediately" `Quick
       test_invalid_spec_quarantined_immediately;
+    Alcotest.test_case "zero checkpoint interval refused" `Quick
+      test_zero_checkpoint_interval_refused;
     Alcotest.test_case "watchdog drain+resume byte-identical (jobs 1, 4)"
       `Quick test_watchdog_drain_resume_byte_identical;
     Alcotest.test_case "crash recovery resumes from snapshot" `Quick
