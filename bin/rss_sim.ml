@@ -483,14 +483,14 @@ let compare_cmd =
 let chaos_cmd =
   let cases =
     let doc = "Number of random fault schedules to generate and run." in
-    Arg.(value & opt int 20 & info [ "cases"; "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 20 & info [ "cases"; "n" ] ~docv:"N" ~doc)
   in
   let jobs =
     let doc =
       "Worker domains for the sweep (1 disables parallelism). Outcomes \
        are identical for any value."
     in
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let out_dir =
     let doc = "Directory for failure artifacts." in
