@@ -1,8 +1,8 @@
 (* Experiment harness: regenerates every figure and table of the paper
    (Fig. 1 and the §4 throughput claim) plus the extended experiments
-   indexed in DESIGN.md §5, then measures the simulation core into
-   results/BENCH_core.json (the baseline bench/gate.exe checks). CSV
-   artefacts land in results/.
+   indexed in DESIGN.md §5, then times the simulation core into
+   results/BENCH_core.json (section micro; bench/compare.sh judges it
+   against a base commit). CSV artefacts land in results/.
 
    Usage: dune exec bench/main.exe -- [--jobs N] [section ...]
    Sections: fig1 table1 e2 ... e14 micro (default: all).
@@ -526,19 +526,24 @@ let e14 pool =
 
 (* ------------------------------------------------------------------ *)
 
-(* Direct measurements of the simulation core: deterministic loops timed
-   with the wall clock, allocation counted with [Gc.minor_words]. These
-   are the numbers the CI bench-gate diffs against bench/baseline.json,
-   each taken from one long run. *)
+(* Timings of the simulation core: the isolated loops, which no
+   reference workload can stand in for, and the partitioned engine,
+   which no reference workload runs. Each run writes one reading per
+   metric to results/BENCH_core.json in the shape refbench/compare.exe
+   reads, together with its own metric catalogue, so any run file is
+   also the catalogue:
 
-let time_and_alloc f =
-  let w0 = Gc.minor_words () in
+     refbench/compare.exe --benchmark RUN.json P1.json... -- C1.json...
+
+   bench/compare.sh takes those pairs against a base commit. No
+   allocation is reported here: the test suite pins each loop's minor
+   words exactly. *)
+
+(* Wall nanoseconds per event of [f], which returns its event count. *)
+let ns_per_event f =
   let t0 = Unix.gettimeofday () in
   let events = f () in
-  let t1 = Unix.gettimeofday () in
-  let w1 = Gc.minor_words () in
-  let n = float_of_int events in
-  (((t1 -. t0) *. 1e9 /. n), ((w1 -. w0) /. n), (n /. (t1 -. t0)))
+  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int events
 
 let core_metric_churn () =
   (* Steady-state add/pop churn at depth 1024. *)
@@ -548,7 +553,7 @@ let core_metric_churn () =
       (Sim.Event_queue.add q ~time:(Sim.Time.ns (i * 977 mod 7919)) (fun () -> ()))
   done;
   let n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       (* The scheduler's unboxed hot path: next_time_ns + pop_action_exn. *)
       for i = 0 to n - 1 do
         let ns = Sim.Event_queue.next_time_ns q in
@@ -564,7 +569,7 @@ let core_metric_churn () =
 (* Steady-state arm/cancel churn — the many-flows engine's per-round
    timer pattern (every round re-arms; retiring flows cancel). Run
    against both structures from the same due-time sequence: the wheel
-   must beat the heap and allocate nothing. *)
+   must beat the heap, and sim.timer-wheel pins its zero allocation. *)
 let churn_due i = (i * 977 mod 7919) + 1
 
 let core_metric_wheel_churn () =
@@ -578,7 +583,7 @@ let core_metric_wheel_churn () =
     ignore (Sim.Timer_wheel.arm w ~due_ns:(churn_due i * tick) ~kind:0 ~flow:i)
   done;
   let n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       for i = 0 to n - 1 do
         Sim.Timer_wheel.cancel w
           (Sim.Timer_wheel.arm w ~due_ns:(churn_due i * tick) ~kind:0 ~flow:i)
@@ -591,7 +596,7 @@ let core_metric_heap_arm_cancel () =
     ignore (Sim.Event_queue.add q ~time:(Sim.Time.ns (churn_due i)) (fun () -> ()))
   done;
   let n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       for i = 0 to n - 1 do
         Sim.Event_queue.cancel q
           (Sim.Event_queue.add q
@@ -604,7 +609,7 @@ let core_metric_cancel_heavy () =
   (* Half the scheduled events are cancelled before draining — the
      lazy-cancellation + compaction path. *)
   let rounds = 500 and per = 1024 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       for _ = 1 to rounds do
         let q = Sim.Event_queue.create () in
         let hs =
@@ -623,30 +628,18 @@ let core_metric_cancel_heavy () =
       done;
       rounds * per)
 
-let core_metric_periodic () =
-  (* One periodic timer re-armed a million times. *)
+(* One periodic timer re-armed a million times, with or without a
+   tracer installed on the scheduler. The tracer's default mask leaves
+   the sched category out: every dispatch pays the emit call and the
+   mask test discards it. That is the "compiled in, disabled"
+   configuration of every untraced run; sim.scheduler pins both loops'
+   minor words. *)
+let core_metric_periodic ?tracer () =
   let s = Sim.Scheduler.create () in
+  Sim.Scheduler.set_tracer s tracer;
   let count = ref 0 in
   ignore (Sim.Scheduler.every s (Sim.Time.us 10) (fun () -> incr count));
-  let metrics =
-    time_and_alloc (fun () ->
-        Sim.Scheduler.run ~until:(Sim.Time.sec 10) s;
-        !count)
-  in
-  metrics
-
-let core_metric_trace_off () =
-  (* The periodic loop with a tracer installed on the scheduler but the
-     sched category masked out (the default): every dispatch pays the
-     emit call, the mask test discards it. This is the "compiled in,
-     disabled" configuration every untraced production run uses, so it
-     is gated like the bare periodic loop — and allocation must stay
-     at zero words/event. *)
-  let s = Sim.Scheduler.create () in
-  Sim.Scheduler.set_tracer s (Some (Trace.create ~capacity:1024 ()));
-  let count = ref 0 in
-  ignore (Sim.Scheduler.every s (Sim.Time.us 10) (fun () -> incr count));
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       Sim.Scheduler.run ~until:(Sim.Time.sec 10) s;
       !count)
 
@@ -655,7 +648,7 @@ let core_metric_trace_emit () =
      zero allocation. *)
   let tr = Trace.create ~capacity:65536 () in
   let n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       for i = 0 to n - 1 do
         Trace.emit tr ~time_ns:i ~code:Trace.Code.link_tx ~src:1
           ~arg1:(i land 0xff) ~arg2:1500
@@ -663,15 +656,12 @@ let core_metric_trace_emit () =
       n)
 
 (* The per-ACK window-update arithmetic, driven a million times through
-   a congestion-avoidance record. [direct] constructs the closures
-   straight from Cong_avoid; [registry] resolves the same controller
-   through Tcp.Policy.by_name — the difference is the policy-zoo
-   indirection (one extra record load per dispatch), which the gate
-   keeps within noise of each other (<5% claimed in DESIGN.md §9). *)
-let core_metric_policy_ack cc =
+   Reno's congestion-avoidance record. *)
+let core_metric_policy_ack () =
+  let cc = Tcp.Cong_avoid.reno () in
   let mss = Tcp.Config.default.Tcp.Config.mss in
   let n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       let cwnd = ref (100. *. float_of_int mss) in
       for _ = 1 to n do
         cwnd :=
@@ -680,14 +670,6 @@ let core_metric_policy_ack cc =
         if !cwnd > 1e7 then cwnd := 100. *. float_of_int mss
       done;
       n)
-
-let core_metric_policy_ack_direct () =
-  core_metric_policy_ack (Tcp.Cong_avoid.reno ())
-
-let core_metric_policy_ack_registry () =
-  match Tcp.Policy.by_name "standard" with
-  | Ok p -> core_metric_policy_ack p.Tcp.Policy.cong_avoid
-  | Error e -> invalid_arg e
 
 (* The same million ACKs through Reno's per-round rule, 200 per call —
    the many-flows engine's avoidance round at a ~200-segment window.
@@ -699,7 +681,7 @@ let core_metric_policy_round_reno () =
   let on_round = Option.get (Tcp.Cong_avoid.reno ()).Tcp.Cong_avoid.on_round in
   let srtt = Sim.Time.ms 60 in
   let batch = 200 and n = 1_000_000 in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       let cwnd = ref (100. *. float_of_int mss) in
       for _ = 1 to n / batch do
         cwnd := on_round ~acks:batch ~cwnd:!cwnd ~mss ~srtt;
@@ -707,9 +689,9 @@ let core_metric_policy_round_reno () =
       done;
       n)
 
-(* Best of three: a single ~50 ms wall-clock sample is at the mercy of
-   transient machine load, which would make the regression gate flaky. *)
-let core_metric_e2e f =
+(* Best of three wall-clock seconds: one sub-second sample is at the
+   mercy of transient machine load. *)
+let best_of_three f =
   let once () =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -720,27 +702,14 @@ let core_metric_e2e f =
   let c = once () in
   Float.min a (Float.min b c)
 
-(* 100k concurrent AIMD flows through the flow-level engine for two
-   sim-seconds: the SoA-table + timer-wheel hot loop end to end. *)
-let core_metric_many_flows () =
-  core_metric_e2e (fun () ->
-      let sched = Sim.Scheduler.create ~seed:1 () in
-      let t =
-        Workload.Many_flows.start ~sched
-          ~rng:(Sim.Scheduler.derive_rng sched)
-          ~seed:1
-          { Workload.Many_flows.default_params with flows = 100_000 }
-      in
-      Sim.Scheduler.run ~until:(Sim.Time.sec 2) sched;
-      ignore (Workload.Many_flows.delivered_bytes t))
-
 (* The checkpoint codec under the serve daemon: serialize a 1M-row flow
    table plus a fully loaded timer wheel into a Snapshot image and
-   restore both into fresh structures, all in memory so the gate sees
-   the codec cost, not the filesystem. Per-row allocation is gated: the
-   columns must travel as whole-array section copies, not element by
-   element — the checkpoint stall this bounds is what lets a live 1M-flow
-   run snapshot on an interval without falling behind. *)
+   restore both into fresh structures, all in memory so the timing is
+   the codec's, not the filesystem's. tcp.flow-table pins the minor
+   words of the same round trip: the columns must travel as whole-array
+   section copies, not element by element — the checkpoint stall this
+   bounds is what lets a live 1M-flow run snapshot on an interval
+   without falling behind. *)
 let core_metric_snapshot_roundtrip () =
   let n = 1_000_000 in
   let fill () =
@@ -776,7 +745,7 @@ let core_metric_snapshot_roundtrip () =
     Sim.Snapshot.put_int_array wr "wheel.flow" flows
   in
   let fresh_table = Tcp.Flow_table.create ~initial_capacity:n () in
-  time_and_alloc (fun () ->
+  ns_per_event (fun () ->
       let wr = Sim.Snapshot.writer () in
       Tcp.Flow_table.save table ~prefix:"ft." wr;
       save_wheel wheel wr;
@@ -797,6 +766,7 @@ let core_metric_snapshot_roundtrip () =
       assert (Sim.Timer_wheel.pending w2 = n);
       assert (Tcp.Flow_table.in_use fresh_table = n);
       n)
+
 
 (* The partitioned-DES showcase: four loaded dumbbell segments chained
    through core duplex links, the topology [examples/
@@ -848,12 +818,11 @@ let pdes_spec ~domains =
   }
 
 let core_metric_pdes ~domains =
-  core_metric_e2e (fun () -> ignore (Core.Spec.run (pdes_spec ~domains)))
+  best_of_three (fun () -> ignore (Core.Spec.run (pdes_spec ~domains)))
 
 (* Sharded many-flows on the same four-segment topology: one flow-level
-   sub-population per segment — the workload the partition gate used to
-   exclude. Gates the shard split + multi-wheel scheduler overhead at
-   domains 1 and the synchronizer cost at domains 4. *)
+   sub-population per segment. Times the shard split and multi-wheel
+   scheduler at domains 1 and the synchronizer at domains 4. *)
 let pdes_mf_spec ~domains =
   {
     (pdes_spec ~domains) with
@@ -878,141 +847,101 @@ let pdes_mf_spec ~domains =
   }
 
 let core_metric_pdes_mf ~domains =
-  core_metric_e2e (fun () -> ignore (Core.Spec.run (pdes_mf_spec ~domains)))
+  best_of_three (fun () -> ignore (Core.Spec.run (pdes_mf_spec ~domains)))
 
-let write_core_json path =
-  let metric name (ns, words, ops) =
-    Report.Json.Obj
-      [
-        ("name", Report.Json.String name);
-        ("ns_per_event", Report.Json.Number ns);
-        ("minor_words_per_event", Report.Json.Number words);
-        ("ops_per_sec", Report.Json.Number ops);
-      ]
-  in
-  let e2e name wall =
-    Report.Json.Obj
-      [
-        ("name", Report.Json.String name);
-        ("wall_s", Report.Json.Number wall);
-      ]
-  in
-  let duration = Sim.Time.sec 2 in
-  let pdes_wall_1 = core_metric_pdes ~domains:1 in
-  let pdes_wall_4 = core_metric_pdes ~domains:4 in
-  (* Near-linear scaling on a multicore box; honestly ~1x (sync overhead
-     included) on a single-core runner. One-sided vs the committed
-     baseline, so a baseline recorded on this machine only catches the
-     ratio getting worse, never punishes a faster box. *)
-  let pdes_scaling =
-    Report.Json.Obj
-      [
-        ("name", Report.Json.String "pdes/dumbbell-scaling");
-        ("ops_per_sec", Report.Json.Number (pdes_wall_1 /. pdes_wall_4));
-      ]
-  in
-  let ((_, _, wheel_ops) as wheel_churn) = core_metric_wheel_churn () in
-  let ((_, _, heap_ops) as heap_churn) = core_metric_heap_arm_cancel () in
-  (* The ratio the wheel exists for: gated so the structure never
-     quietly falls back to heap-class churn cost (the floor claimed in
-     DESIGN.md is 2x; the baseline records the measured margin). *)
-  let speedup =
-    Report.Json.Obj
-      [
-        ("name", Report.Json.String "wheel/speedup-vs-heap");
-        ("ops_per_sec", Report.Json.Number (wheel_ops /. heap_ops));
-      ]
-  in
-  let json =
-    Report.Json.Obj
-      [
-        ("schema", Report.Json.String "bench-core/1");
-        ( "metrics",
-          Report.Json.List
-            [
-              metric "eq/churn-1M" (core_metric_churn ());
-              metric "eq/cancel-heavy" (core_metric_cancel_heavy ());
-              metric "eq/arm-cancel-1M" heap_churn;
-              metric "wheel/arm-cancel-1M" wheel_churn;
-              speedup;
-              metric "eq/periodic-1M" (core_metric_periodic ());
-              metric "trace/emit-off-1M" (core_metric_trace_off ());
-              metric "trace/emit-on-1M" (core_metric_trace_emit ());
-              metric "policy/ack-direct-1M" (core_metric_policy_ack_direct ());
-              metric "policy/ack-registry-1M"
-                (core_metric_policy_ack_registry ());
-              metric "policy/round-reno-1M" (core_metric_policy_round_reno ());
-              e2e "e2e/fig1-2s"
-                (core_metric_e2e (fun () ->
-                     ignore (Core.Experiments.Fig1.run ~duration ())));
-              e2e "e2e/e2-2s"
-                (core_metric_e2e (fun () ->
-                     ignore (Core.Experiments.Variants.run ~duration ())));
-              e2e "many_flows/churn" (core_metric_many_flows ());
-              e2e "pdes/domains1" pdes_wall_1;
-              e2e "pdes/domains4" pdes_wall_4;
-              pdes_scaling;
-              e2e "pdes/many-flows-domains1" (core_metric_pdes_mf ~domains:1);
-              e2e "pdes/many-flows-domains4" (core_metric_pdes_mf ~domains:4);
-              metric "snapshot/save-restore-1M"
-                (core_metric_snapshot_roundtrip ());
-            ] );
-      ]
-  in
-  Report.Csv.write_string ~path (Report.Json.to_string json);
-  json
+(* Every timing, in the order it runs: wall ns per event for a loop,
+   best-of-three wall seconds for a pdes run. Lower is better. *)
+let timings =
+  [
+    ("eq/churn-1M", "ns/event", core_metric_churn);
+    ("eq/cancel-heavy", "ns/event", core_metric_cancel_heavy);
+    ("eq/arm-cancel-1M", "ns/event", core_metric_heap_arm_cancel);
+    ("wheel/arm-cancel-1M", "ns/event", core_metric_wheel_churn);
+    ("eq/periodic-1M", "ns/event", fun () -> core_metric_periodic ());
+    ( "trace/emit-off-1M", "ns/event",
+      fun () ->
+        core_metric_periodic ~tracer:(Trace.create ~capacity:1024 ()) () );
+    ("trace/emit-on-1M", "ns/event", core_metric_trace_emit);
+    ("policy/ack-direct-1M", "ns/event", core_metric_policy_ack);
+    ("policy/round-reno-1M", "ns/event", core_metric_policy_round_reno);
+    ("pdes/domains1", "s", fun () -> core_metric_pdes ~domains:1);
+    ("pdes/domains4", "s", fun () -> core_metric_pdes ~domains:4);
+    ("pdes/many-flows-domains1", "s", fun () -> core_metric_pdes_mf ~domains:1);
+    ("pdes/many-flows-domains4", "s", fun () -> core_metric_pdes_mf ~domains:4);
+    ("snapshot/save-restore-1M", "ns/event", core_metric_snapshot_roundtrip);
+  ]
 
-let print_core_json json =
-  match Report.Json.(member "metrics" json) with
-  | Some (Report.Json.List metrics) ->
-      let cells =
-        List.map
-          (fun m ->
-            let get k =
-              match Report.Json.(Option.bind (member k m) number) with
-              | Some f -> f
-              | None -> Float.nan
-            in
-            let name =
-              match
-                Report.Json.(Option.bind (member "name" m) string_value)
-              with
-              | Some s -> s
-              | None -> "?"
-            in
-            let opt what fmt =
-              if Float.is_nan (get what) then ""
-              else Printf.sprintf fmt (get what)
-            in
-            if Float.is_nan (get "ops_per_sec") then
-              [ name; Printf.sprintf "%.3f s wall" (get "wall_s"); ""; "" ]
-            else if Float.is_nan (get "ns_per_event") then
-              (* dimensionless ratio metrics (e.g. wheel vs heap) *)
-              [ name; ""; ""; Printf.sprintf "%.2fx" (get "ops_per_sec") ]
-            else
+(* Ratios of two timings, numerator first. Higher is better. *)
+let ratios =
+  [
+    (* What the wheel exists for: DESIGN.md claims at least 2x. *)
+    ("wheel/speedup-vs-heap", "eq/arm-cancel-1M", "wheel/arm-cancel-1M");
+    (* Near-linear on a multicore box, about 1x on one core. *)
+    ("pdes/dumbbell-scaling", "pdes/domains1", "pdes/domains4");
+  ]
+
+(* One run in refbench's result shape: a single "micro" workload whose
+   every metric has one reading, its "median". The loops draw no random
+   numbers, so the seed is fixed. Every metric is bounded at 0.25, the
+   bound BENCHMARK.json gives its timings. *)
+let micro_json readings =
+  let open Report.Json in
+  let entry (name, unit, _) =
+    Obj
+      [
+        ("name", String name);
+        ("unit", String unit);
+        ("better", String (if unit = "ratio" then "higher" else "lower"));
+        ("bound", Number 0.25);
+      ]
+  in
+  let reading (name, unit, v) =
+    Obj [ ("name", String name); ("unit", String unit); ("median", Number v) ]
+  in
+  Obj
+    [
+      ("seed", Number 0.);
+      ("per_layer", List (List.map entry readings));
+      ( "workloads",
+        List
+          [
+            Obj
               [
-                name;
-                opt "ns_per_event" "%.1f ns/ev";
-                opt "minor_words_per_event" "%.2f mw/ev";
-                Printf.sprintf "%.2f Mops/s" (get "ops_per_sec" /. 1e6);
-              ])
-          metrics
-      in
-      print_string
-        (Report.Table.render
-           ~aligns:
-             [
-               Report.Table.Left; Report.Table.Right; Report.Table.Right;
-               Report.Table.Right;
-             ]
-           ~headers:[ "core metric"; "time"; "alloc"; "throughput" ]
-           ~rows:cells ())
-  | Some _ | None -> ()
+                ("name", String "micro");
+                ("attempted", Number 1.);
+                ("failed", Number 0.);
+                ("metrics", List (List.map reading readings));
+              ];
+          ] );
+    ]
 
-let microbenches _pool =
-  section "Simulation-core metrics (BENCH_core.json)";
-  let json = write_core_json (Filename.concat results_dir "BENCH_core.json") in
-  print_core_json json
+let micro _pool =
+  section "Simulation-core timings (BENCH_core.json)";
+  let measured =
+    List.map (fun (name, unit, f) -> (name, unit, f ())) timings
+  in
+  let value name =
+    List.find_map (fun (n, _, v) -> if n = name then Some v else None) measured
+    |> Option.get
+  in
+  let readings =
+    measured
+    @ List.map
+        (fun (name, num, den) -> (name, "ratio", value num /. value den))
+        ratios
+  in
+  Report.Csv.write_string
+    ~path:(Filename.concat results_dir "BENCH_core.json")
+    (Report.Json.to_string (micro_json readings));
+  print_string
+    (Report.Table.render
+       ~aligns:[ Report.Table.Left; Report.Table.Right; Report.Table.Left ]
+       ~headers:[ "metric"; "reading"; "unit" ]
+       ~rows:
+         (List.map
+            (fun (name, unit, v) -> [ name; Printf.sprintf "%.4g" v; unit ])
+            readings)
+       ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -1021,7 +950,7 @@ let sections =
     ("fig1", fig1); ("table1", table1); ("e2", e2); ("e3", e3);
     ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8);
     ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13);
-    ("e14", e14); ("micro", microbenches);
+    ("e14", e14); ("micro", micro);
   ]
 
 let () =
