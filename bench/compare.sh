@@ -17,9 +17,10 @@
 #     every workload, judged against BENCHMARK.json.
 #
 # Every run's JSON and standard output land in results/compare/. The
-# exit code is non-zero when either comparison flags a regression, or
-# when the benchmark code does not build at BASE: no comparison is ever
-# skipped. About 7 minutes plus two builds on a 2-vCPU machine.
+# exit code is non-zero when either comparison flags a regression, when
+# a run fails (a refbench output check included), or when the benchmark
+# code does not build at BASE: no comparison is ever skipped. About 7
+# minutes plus two builds on a 2-vCPU machine.
 set -euo pipefail
 
 micro_pairs=5

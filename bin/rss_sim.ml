@@ -864,7 +864,7 @@ let list_cmd =
       ("e12", "ECN marking on the local qdisc vs the RSS controller");
       ("e13", "disk-paced chunked transfer: the figure 1 stall staircase");
       ("e14", "the latency cost of a standing queue");
-      ("micro", "simulation-core metrics (results/BENCH_core.json)");
+      ("micro", "simulation-core timings (results/BENCH_core.json)");
     ]
   in
   let action () =

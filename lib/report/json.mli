@@ -1,8 +1,9 @@
 (** Minimal JSON tree, writer and parser.
 
-    Just enough for the benchmark artefacts ([BENCH_core.json],
-    [bench/baseline.json]): objects, arrays, strings, floats, bools and
-    null, UTF-8 passed through verbatim. No external dependency. *)
+    Just enough for scenario specs, the serve journal and the benchmark
+    results ([BENCH_core.json], [BENCH_reference.json]): objects,
+    arrays, strings, floats, bools and null, UTF-8 passed through
+    verbatim. No external dependency. *)
 
 type t =
   | Null
