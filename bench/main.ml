@@ -689,11 +689,6 @@ let core_metric_policy_round_reno () =
       done;
       n)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
 (* The checkpoint codec under the serve daemon: serialize a 1M-row flow
    table plus a fully loaded timer wheel into a Snapshot image and
    restore both into fresh structures, all in memory so the timing is
@@ -808,9 +803,6 @@ let pdes_spec ~domains =
       @ [ flow 8; flow 9; flow 10 ];
   }
 
-let core_metric_pdes ~domains () =
-  wall (fun () -> ignore (Core.Spec.run (pdes_spec ~domains)))
-
 (* Sharded many-flows on the same four-segment topology: one flow-level
    sub-population per segment. Times the shard split and multi-wheel
    scheduler at domains 1 and the synchronizer at domains 4. *)
@@ -837,8 +829,11 @@ let pdes_mf_spec ~domains =
       ];
   }
 
-let core_metric_pdes_mf ~domains () =
-  wall (fun () -> ignore (Core.Spec.run (pdes_mf_spec ~domains)))
+(* Wall seconds of one run of [spec]. *)
+let spec_wall spec () =
+  let t0 = Unix.gettimeofday () in
+  ignore (Core.Spec.run spec);
+  Unix.gettimeofday () -. t0
 
 (* Every timing, in the order it runs: wall ns per event for a loop,
    wall seconds for a pdes run. Lower is better. *)
@@ -855,10 +850,10 @@ let timings =
     ("trace/emit-on-1M", "ns/event", core_metric_trace_emit);
     ("policy/ack-direct-1M", "ns/event", core_metric_policy_ack);
     ("policy/round-reno-1M", "ns/event", core_metric_policy_round_reno);
-    ("pdes/domains1", "s", core_metric_pdes ~domains:1);
-    ("pdes/domains4", "s", core_metric_pdes ~domains:4);
-    ("pdes/many-flows-domains1", "s", core_metric_pdes_mf ~domains:1);
-    ("pdes/many-flows-domains4", "s", core_metric_pdes_mf ~domains:4);
+    ("pdes/domains1", "s", spec_wall (pdes_spec ~domains:1));
+    ("pdes/domains4", "s", spec_wall (pdes_spec ~domains:4));
+    ("pdes/many-flows-domains1", "s", spec_wall (pdes_mf_spec ~domains:1));
+    ("pdes/many-flows-domains4", "s", spec_wall (pdes_mf_spec ~domains:4));
     ("snapshot/save-restore-1M", "ns/event", core_metric_snapshot_roundtrip);
   ]
 
