@@ -606,8 +606,8 @@ let core_metric_heap_arm_cancel () =
       n)
 
 let core_metric_cancel_heavy () =
-  (* Half the scheduled events are cancelled before draining — the
-     lazy-cancellation + compaction path. *)
+  (* Half the scheduled events are cancelled before draining: each
+     cancel removes its entry from the middle of the heap. *)
   let rounds = 500 and per = 1024 in
   ns_per_event (fun () ->
       for _ = 1 to rounds do

@@ -1,16 +1,16 @@
-(* Structure-of-arrays 4-ary min-heap.
+(* Indexed structure-of-arrays 4-ary min-heap.
 
-   Heap entries live in five parallel arrays (time, birth, seq, action,
-   slot),
-   so the hot add/pop path touches flat int arrays instead of chasing a
-   pointer per entry, and inserting an event allocates nothing: the
-   timestamp is an immediate int and the handle is a packed int.
+   Heap entries live in four parallel int arrays (time, birth, seq,
+   slot), so a sift moves immediates only: no write barrier, and adding
+   an event allocates nothing. The slot table, indexed by a handle's
+   slot, holds each event's action, its generation and its current heap
+   position; the position lets [cancel] remove the entry at once.
 
-   Handles are (generation << slot_bits) | slot. The slot table maps a
-   stable small integer to the entry's liveness, surviving the entry's
-   movement inside the heap; the generation is bumped whenever a slot is
-   recycled, so a stale handle (event already fired or collected) can
-   never cancel an unrelated later event. *)
+   Handles are (generation << slot_bits) | slot. The generation is bumped
+   whenever a slot is freed, so a stale handle (event already fired or
+   cancelled) can never cancel an unrelated later event. Every slot in
+   use has exactly one heap entry, so the heap and the slot table share
+   one capacity. *)
 
 let slot_bits = 21
 let slot_mask = (1 lsl slot_bits) - 1
@@ -26,14 +26,13 @@ type t = {
   mutable times : int array;
   mutable births : int array;
   mutable seqs : int array;
-  mutable actions : (unit -> unit) array;
   mutable slots : int array;
-  mutable size : int; (* entries in the heap, including cancelled ones *)
-  mutable live : int; (* entries not cancelled — O(1) is_empty/live_count *)
+  mutable size : int;
   mutable next_seq : int;
   (* slot table, indexed by handle slot *)
+  mutable actions : (unit -> unit) array;
   mutable gens : int array;
-  mutable dead : Bytes.t; (* '\001' = cancelled, awaiting collection *)
+  mutable pos : int array; (* heap index of the slot's entry, -1 if free *)
   mutable free : int array; (* stack of free slot ids *)
   mutable free_top : int;
 }
@@ -44,37 +43,23 @@ let create ?(initial_capacity = 64) () =
     times = Array.make cap 0;
     births = Array.make cap 0;
     seqs = Array.make cap 0;
-    actions = Array.make cap nop;
     slots = Array.make cap (-1);
     size = 0;
-    live = 0;
     next_seq = 0;
+    actions = Array.make cap nop;
     gens = Array.make cap 0;
-    dead = Bytes.make cap '\000';
+    pos = Array.make cap (-1);
     free = Array.init cap (fun i -> cap - 1 - i);
     free_top = cap;
   }
 
-let grow_heap t =
-  let old = Array.length t.times in
-  let cap = 2 * old in
-  let times = Array.make cap 0 in
-  Array.blit t.times 0 times 0 old;
-  t.times <- times;
-  let births = Array.make cap 0 in
-  Array.blit t.births 0 births 0 old;
-  t.births <- births;
-  let seqs = Array.make cap 0 in
-  Array.blit t.seqs 0 seqs 0 old;
-  t.seqs <- seqs;
-  let actions = Array.make cap nop in
-  Array.blit t.actions 0 actions 0 old;
-  t.actions <- actions;
-  let slots = Array.make cap (-1) in
-  Array.blit t.slots 0 slots 0 old;
-  t.slots <- slots
+let extend a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let grow_slots t =
+(* Called with the free stack empty: every slot holds a live event. *)
+let grow t =
   let old = Array.length t.gens in
   if old >= max_slots then
     failwith
@@ -84,35 +69,21 @@ let grow_slots t =
           unsharded packet-level workload — split the scenario across \
           partitions (\"domains\" > 1) or move dense per-flow timers to \
           Timer_wheel."
-         t.live max_slots);
+         t.size max_slots);
   let cap = Stdlib.min max_slots (2 * old) in
-  let gens = Array.make cap 0 in
-  Array.blit t.gens 0 gens 0 old;
-  t.gens <- gens;
-  let dead = Bytes.make cap '\000' in
-  Bytes.blit t.dead 0 dead 0 old;
-  t.dead <- dead;
+  t.times <- extend t.times cap 0;
+  t.births <- extend t.births cap 0;
+  t.seqs <- extend t.seqs cap 0;
+  t.slots <- extend t.slots cap (-1);
+  t.actions <- extend t.actions cap nop;
+  t.gens <- extend t.gens cap 0;
+  t.pos <- extend t.pos cap (-1);
   let free = Array.make cap 0 in
-  Array.blit t.free 0 free 0 t.free_top;
   for i = 0 to cap - old - 1 do
-    free.(t.free_top + i) <- cap - 1 - i
+    free.(i) <- cap - 1 - i
   done;
   t.free <- free;
-  t.free_top <- t.free_top + (cap - old)
-
-let alloc_slot t =
-  if t.free_top = 0 then grow_slots t;
-  t.free_top <- t.free_top - 1;
-  let s = t.free.(t.free_top) in
-  Bytes.set t.dead s '\000';
-  s
-
-(* Recycle a slot once its entry leaves the heap; bumping the generation
-   invalidates every handle still pointing at it. *)
-let free_slot t s =
-  t.gens.(s) <- t.gens.(s) + 1;
-  t.free.(t.free_top) <- s;
-  t.free_top <- t.free_top + 1
+  t.free_top <- cap - old
 
 (* (time, birth, seq) lexicographic order: earlier time first, then by
    when the event was scheduled, then FIFO. For a lone queue the clock
@@ -121,34 +92,36 @@ let free_slot t s =
    matters when a partition barrier splices in events born on another
    scheduler (see {!Partition}): it ranks them among same-due locals
    exactly where a single global heap would have. *)
+let[@inline] before (t1 : int) (b1 : int) (s1 : int) t2 b2 s2 =
+  t1 < t2 || (t1 = t2 && (b1 < b2 || (b1 = b2 && s1 < s2)))
 
-(* The sift loops use unsafe accesses: every index is maintained below
-   [size], which never exceeds the shared length of the five arrays. *)
+(* The sift loops use unsafe accesses: every heap index is kept below
+   [size], which never exceeds the shared length of the arrays, and
+   every slot below the slot table's length. Each entry that moves
+   records its new index in [pos]. *)
 
-(* Hole-based insertion: shift larger parents down, then write the new
-   entry once, instead of repeated four-array swaps. *)
-let sift_up t i time birth seq action slot =
+(* Hole-based insertion: shift later parents down, then write the
+   entry once. *)
+let sift_up t i time birth seq slot =
   let times = t.times
   and births = t.births
   and seqs = t.seqs
-  and actions = t.actions
-  and slots = t.slots in
+  and slots = t.slots
+  and pos = t.pos in
   let i = ref i in
   let moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) / 4 in
     let pt = Array.unsafe_get times p in
     let pb = Array.unsafe_get births p in
-    if
-      pt > time
-      || (pt = time
-         && (pb > birth || (pb = birth && Array.unsafe_get seqs p > seq)))
-    then begin
+    let ps = Array.unsafe_get seqs p in
+    if before time birth seq pt pb ps then begin
+      let s = Array.unsafe_get slots p in
       Array.unsafe_set times !i pt;
       Array.unsafe_set births !i pb;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set actions !i (Array.unsafe_get actions p);
-      Array.unsafe_set slots !i (Array.unsafe_get slots p);
+      Array.unsafe_set seqs !i ps;
+      Array.unsafe_set slots !i s;
+      Array.unsafe_set pos s !i;
       i := p
     end
     else moving := false
@@ -156,17 +129,17 @@ let sift_up t i time birth seq action slot =
   Array.unsafe_set times !i time;
   Array.unsafe_set births !i birth;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set actions !i action;
-  Array.unsafe_set slots !i slot
+  Array.unsafe_set slots !i slot;
+  Array.unsafe_set pos slot !i
 
-(* Sift the entry (time, birth, seq, action, slot) down from index [i]
-   in a heap of [n] entries. *)
-let sift_down t i n time birth seq action slot =
+(* Sift the entry (time, birth, seq, slot) down from index [i] in a
+   heap of [n] entries. *)
+let sift_down t i n time birth seq slot =
   let times = t.times
   and births = t.births
   and seqs = t.seqs
-  and actions = t.actions
-  and slots = t.slots in
+  and slots = t.slots
+  and pos = t.pos in
   let i = ref i in
   let moving = ref true in
   while !moving do
@@ -181,26 +154,21 @@ let sift_down t i n time birth seq action slot =
       for c = c1 + 1 to last do
         let ct = Array.unsafe_get times c in
         let cb = Array.unsafe_get births c in
-        if
-          ct < !mt
-          || (ct = !mt
-             && (cb < !mb || (cb = !mb && Array.unsafe_get seqs c < !ms)))
-        then begin
+        let cs = Array.unsafe_get seqs c in
+        if before ct cb cs !mt !mb !ms then begin
           m := c;
           mt := ct;
           mb := cb;
-          ms := Array.unsafe_get seqs c
+          ms := cs
         end
       done;
-      if
-        !mt < time
-        || (!mt = time && (!mb < birth || (!mb = birth && !ms < seq)))
-      then begin
+      if before !mt !mb !ms time birth seq then begin
+        let s = Array.unsafe_get slots !m in
         Array.unsafe_set times !i !mt;
         Array.unsafe_set births !i !mb;
         Array.unsafe_set seqs !i !ms;
-        Array.unsafe_set actions !i (Array.unsafe_get actions !m);
-        Array.unsafe_set slots !i (Array.unsafe_get slots !m);
+        Array.unsafe_set slots !i s;
+        Array.unsafe_set pos s !i;
         i := !m
       end
       else moving := false
@@ -209,143 +177,93 @@ let sift_down t i n time birth seq action slot =
   Array.unsafe_set times !i time;
   Array.unsafe_set births !i birth;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set actions !i action;
-  Array.unsafe_set slots !i slot
+  Array.unsafe_set slots !i slot;
+  Array.unsafe_set pos slot !i
+
+let push t ~time ~birth ~seq action =
+  assert (not (Time.is_negative time));
+  if t.free_top = 0 then grow t;
+  let top = t.free_top - 1 in
+  t.free_top <- top;
+  let slot = t.free.(top) in
+  t.actions.(slot) <- action;
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t i (Time.to_ns_int time) (Time.to_ns_int birth) seq slot;
+  (t.gens.(slot) lsl slot_bits) lor slot
+
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
 
 (* Required [birth] keeps the hot path allocation-free: an optional
    argument would box a [Some] per event. *)
-let add_born t ~birth ~time action =
-  assert (not (Time.is_negative time));
-  if t.size = Array.length t.times then grow_heap t;
-  let slot = alloc_slot t in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let i = t.size in
-  t.size <- i + 1;
-  t.live <- t.live + 1;
-  sift_up t i (Time.to_ns_int time) (Time.to_ns_int birth) seq action slot;
-  (t.gens.(slot) lsl slot_bits) lor slot
+let add_born t ~birth ~time action = push t ~time ~birth ~seq:(reserve t) action
 
 let add t ?(birth = Time.zero) ~time action = add_born t ~birth ~time action
 
-(* Drop the root entry and recycle its slot. *)
-let drop_root t =
-  free_slot t t.slots.(0);
+let add_reserved t ~birth ~seq ~time action =
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg
+      (Printf.sprintf "Event_queue.add_reserved: seq %d was not reserved" seq);
+  push t ~time ~birth ~seq action
+
+(* Remove the entry at heap index [i] and free its slot. The last entry
+   fills the hole and moves up or down to its place. *)
+let remove_at t i =
+  let slot = t.slots.(i) in
+  t.gens.(slot) <- t.gens.(slot) + 1;
+  t.actions.(slot) <- nop;
+  t.pos.(slot) <- -1;
+  t.free.(t.free_top) <- slot;
+  t.free_top <- t.free_top + 1;
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then begin
+  if i < n then begin
     let time = t.times.(n)
     and birth = t.births.(n)
     and seq = t.seqs.(n)
-    and action = t.actions.(n)
-    and slot = t.slots.(n) in
-    t.actions.(n) <- nop;
-    t.slots.(n) <- -1;
-    sift_down t 0 n time birth seq action slot
-  end
-  else begin
-    t.actions.(0) <- nop;
-    t.slots.(0) <- -1
+    and last = t.slots.(n) in
+    let p = (i - 1) / 4 in
+    if i > 0 && before time birth seq t.times.(p) t.births.(p) t.seqs.(p)
+    then sift_up t i time birth seq last
+    else sift_down t i n time birth seq last
   end
 
-(* Rebuild the heap keeping only live entries (Floyd heapify). Pop order
-   is fully determined by the (time, birth, seq) keys, so dropping
-   cancelled entries and re-layering the heap cannot perturb event
-   ordering. *)
-let compact t =
-  let n = t.size in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let slot = t.slots.(i) in
-    if Bytes.get t.dead slot = '\000' then begin
-      t.times.(!j) <- t.times.(i);
-      t.births.(!j) <- t.births.(i);
-      t.seqs.(!j) <- t.seqs.(i);
-      t.actions.(!j) <- t.actions.(i);
-      t.slots.(!j) <- slot;
-      incr j
-    end
-    else free_slot t slot
-  done;
-  for i = !j to n - 1 do
-    t.actions.(i) <- nop;
-    t.slots.(i) <- -1
-  done;
-  t.size <- !j;
-  for i = ((!j - 2) / 4) downto 0 do
-    let time = t.times.(i)
-    and birth = t.births.(i)
-    and seq = t.seqs.(i)
-    and action = t.actions.(i)
-    and slot = t.slots.(i) in
-    sift_down t i !j time birth seq action slot
-  done
-
-(* Compact once cancelled entries outnumber live ones; the size floor
-   keeps tiny queues from thrashing. *)
-let maybe_compact t =
-  if t.size >= 64 && 2 * (t.size - t.live) > t.size then compact t
+(* The heap index of the event [h] designates, or -1 once it has fired
+   or been cancelled. *)
+let index t h =
+  if h < 0 then -1
+  else
+    let slot = h land slot_mask in
+    if slot < Array.length t.gens && t.gens.(slot) = h lsr slot_bits then
+      t.pos.(slot)
+    else -1
 
 let cancel t h =
-  if h >= 0 then begin
-    let slot = h land slot_mask in
-    let gen = h lsr slot_bits in
-    if
-      slot < Array.length t.gens
-      && t.gens.(slot) = gen
-      && Bytes.get t.dead slot = '\000'
-    then begin
-      Bytes.set t.dead slot '\001';
-      t.live <- t.live - 1;
-      maybe_compact t
-    end
-  end
+  let i = index t h in
+  if i >= 0 then remove_at t i
 
-let is_cancelled t h =
-  h < 0
-  ||
-  let slot = h land slot_mask in
-  let gen = h lsr slot_bits in
-  slot >= Array.length t.gens
-  || t.gens.(slot) <> gen
-  || Bytes.get t.dead slot <> '\000'
-
-(* Collect any run of cancelled roots iteratively — a mass cancellation
-   must not translate into unbounded recursion. Returns [true] when a
-   live root remains at index 0. *)
-let skim t =
-  let scanning = ref true in
-  let found = ref false in
-  while !scanning do
-    if t.size = 0 then scanning := false
-    else if Bytes.get t.dead t.slots.(0) <> '\000' then drop_root t
-    else begin
-      found := true;
-      scanning := false
-    end
-  done;
-  !found
+let is_cancelled t h = index t h < 0
 
 let pop t =
-  if skim t then begin
-    let time = t.times.(0) and action = t.actions.(0) in
-    drop_root t;
-    t.live <- t.live - 1;
+  if t.size = 0 then None
+  else begin
+    let time = t.times.(0) and action = t.actions.(t.slots.(0)) in
+    remove_at t 0;
     Some (Time.of_ns_int time, action)
   end
-  else None
 
-let next_time t = if skim t then Some (Time.of_ns_int t.times.(0)) else None
+let next_time t = if t.size = 0 then None else Some (Time.of_ns_int t.times.(0))
 
-let next_time_ns t = if skim t then t.times.(0) else -1
+let next_time_ns t = if t.size = 0 then -1 else t.times.(0)
 
 let pop_action_exn t =
-  if not (skim t) then
-    invalid_arg "Event_queue.pop_action_exn: no live event";
-  let action = t.actions.(0) in
-  drop_root t;
-  t.live <- t.live - 1;
+  if t.size = 0 then invalid_arg "Event_queue.pop_action_exn: no live event";
+  let action = t.actions.(t.slots.(0)) in
+  remove_at t 0;
   action
 
-let live_count t = t.live
-let is_empty t = t.live = 0
+let live_count t = t.size
+let is_empty t = t.size = 0

@@ -9,15 +9,16 @@
     scheduler, where it changes nothing; it exists so a partition
     barrier can splice in an event born earlier on another scheduler
     and have it rank among same-due local events exactly where a single
-    global heap would have put it.
+    global heap would have put it. The heap orders entries by key, not
+    by when they were inserted: {!reserve} takes a sequence number now
+    and {!add_reserved} inserts the event later, at the rank it would
+    have had.
 
     The hot path is allocation-free: timestamps are unboxed native ints
-    held in a flat array, and handles are packed integers rather than
-    heap records. Cancellation is O(1) lazy — the entry is flagged and
-    skipped when it surfaces — and the queue compacts itself (dropping
-    flagged entries in one O(n) pass) whenever cancelled entries
-    outnumber live ones, so a cancel-heavy workload cannot keep dead
-    weight resident. *)
+    held in flat arrays, and handles are packed integers rather than
+    heap records. The heap is indexed: each handle's slot records its
+    entry's heap position, so {!cancel} removes the entry at once, in
+    O(log n), and the heap holds exactly the live events. *)
 
 type t
 
@@ -45,39 +46,49 @@ val add_born : t -> birth:Time.t -> time:Time.t -> (unit -> unit) -> handle
     The scheduler's per-event hot path uses this. *)
 
 val cancel : t -> handle -> unit
-(** [cancel q h] prevents the event from firing. Idempotent; cancelling
-    an already-fired (or already-cancelled-and-collected) event is a
-    no-op — slot generations make stale handles inert. *)
+(** [cancel q h] removes the event from the heap, so it never fires.
+    Idempotent; cancelling an already-fired or already-cancelled event
+    is a no-op — slot generations make stale handles inert. *)
 
 val is_cancelled : t -> handle -> bool
 (** [is_cancelled q h] is [true] when [h] no longer designates a
     pending event that will fire: it was cancelled or has already
     fired. *)
 
+val reserve : t -> int
+(** [reserve q] takes the insertion sequence number the next {!add}
+    would have used, and schedules nothing. An event inserted later by
+    {!add_reserved} with this number ranks among same-key events
+    exactly where an event added now would have. Each reserved number
+    is for one event. *)
+
+val add_reserved :
+  t -> birth:Time.t -> seq:int -> time:Time.t -> (unit -> unit) -> handle
+(** [add_reserved q ~birth ~seq ~time f] schedules [f] under the key
+    (time, birth, seq), [seq] coming from {!reserve}. Raises
+    [Invalid_argument] if [seq] was never reserved on [q]. *)
+
 val pop : t -> (Time.t * (unit -> unit)) option
-(** [pop q] removes and returns the earliest live event, or [None] if
-    the queue holds no live events. Cancelled entries are discarded
-    iteratively on the way — a mass cancellation cannot overflow the
-    stack. *)
+(** [pop q] removes and returns the earliest event, or [None] if the
+    queue is empty. *)
 
 val next_time : t -> Time.t option
-(** Time of the earliest live event without removing it. *)
+(** Time of the earliest event without removing it. *)
 
 val next_time_ns : t -> int
-(** Raw nanosecond timestamp of the earliest live event, or [-1] when
-    none remains. The allocation-free twin of {!next_time} — the
-    scheduler's run loop lives on this plus {!pop_action_exn}, so
-    dispatching an event allocates no words at all. Cancelled roots are
-    collected on the way, like {!next_time}. *)
+(** Raw nanosecond timestamp of the earliest event, or [-1] when none
+    remains. The allocation-free twin of {!next_time} — the scheduler's
+    run loop lives on this plus {!pop_action_exn}, so dispatching an
+    event allocates no words at all. O(1): it reads the root. *)
 
 val pop_action_exn : t -> (unit -> unit)
-(** Remove the earliest live event and return its action without the
+(** Remove the earliest event and return its action without the
     option/tuple boxing of {!pop}. Raises [Invalid_argument] when the
-    queue holds no live event — pair with {!next_time_ns}. *)
+    queue is empty — pair with {!next_time_ns}. *)
 
 val live_count : t -> int
-(** Number of scheduled, not-yet-cancelled events. O(1): the counter is
-    maintained incrementally across add/cancel/pop. *)
+(** Number of scheduled, not-yet-cancelled events, which is the number
+    of heap entries: a cancelled event leaves the heap at once. O(1). *)
 
 val is_empty : t -> bool
 (** [is_empty q] is [live_count q = 0]. O(1). *)
