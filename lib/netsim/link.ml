@@ -23,9 +23,57 @@ type t = {
      synchronization barriers. *)
   mutable remote : (due:Sim.Time.t -> Packet.t -> unit) option;
   mutable remote_handed : int;
+  (* Undelayed copies in flight, oldest first: a ring (power-of-two
+     capacity) of packets with the (due, birth, seq) key reserved for
+     each at transmit. Their keys are in FIFO order, so only the oldest
+     needs a heap entry: [deliver_head] is armed under its key and,
+     when it fires, arms the next. A delivered slot holds
+     [Packet.placeholder], so the ring keeps no delivered packet
+     alive. *)
+  mutable fifo_pkts : Packet.t array;
+  mutable fifo_due : Sim.Time.t array;
+  mutable fifo_birth : Sim.Time.t array;
+  mutable fifo_seq : int array;
+  mutable fifo_head : int;
+  mutable fifo_len : int;
+  mutable deliver_head : unit -> unit;
 }
 
+let trace t ~code pkt =
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      Trace.emit tr
+        ~time_ns:(Sim.Time.to_ns_int (Sim.Scheduler.now t.sched))
+        ~code ~src:t.trace_src ~arg1:pkt.Packet.flow ~arg2:(Packet.size pkt)
+
+(* A copy reaches the far end. *)
+let arrive t pkt =
+  t.flying <- t.flying - 1;
+  t.delivered_count <- t.delivered_count + 1;
+  trace t ~code:Trace.Code.link_deliver pkt;
+  match t.sink with Some s -> s pkt | None -> ()
+
+let arm_head t =
+  let i = t.fifo_head in
+  ignore
+    (Sim.Scheduler.at_reserved t.sched ~birth:t.fifo_birth.(i)
+       ~seq:t.fifo_seq.(i) t.fifo_due.(i) t.deliver_head)
+
+let deliver_head t =
+  let i = t.fifo_head in
+  let pkt = t.fifo_pkts.(i) in
+  t.fifo_pkts.(i) <- Packet.placeholder;
+  t.fifo_head <- (i + 1) land (Array.length t.fifo_pkts - 1);
+  t.fifo_len <- t.fifo_len - 1;
+  if t.fifo_len > 0 then arm_head t;
+  arrive t pkt
+
 let create sched ~delay ?(loss_rate = 0.) ?rng () =
+  if Sim.Time.is_negative delay then
+    invalid_arg
+      (Format.asprintf "Link.create: delay %a must be non-negative" Sim.Time.pp
+         delay);
   if not (loss_rate >= 0. && loss_rate <= 1.) then
     invalid_arg
       (Printf.sprintf "Link.create: loss_rate %g outside [0, 1]" loss_rate);
@@ -35,24 +83,35 @@ let create sched ~delay ?(loss_rate = 0.) ?rng () =
   let rng =
     match rng with Some r -> r | None -> Sim.Scheduler.derive_rng sched
   in
-  {
-    sched;
-    prop_delay = delay;
-    loss_rate;
-    rng;
-    sink = None;
-    taps = [||];
-    drop_filter = None;
-    fault_hook = None;
-    delivered_count = 0;
-    lost_count = 0;
-    dup_count = 0;
-    flying = 0;
-    tracer = None;
-    trace_src = 0;
-    remote = None;
-    remote_handed = 0;
-  }
+  let t =
+    {
+      sched;
+      prop_delay = delay;
+      loss_rate;
+      rng;
+      sink = None;
+      taps = [||];
+      drop_filter = None;
+      fault_hook = None;
+      delivered_count = 0;
+      lost_count = 0;
+      dup_count = 0;
+      flying = 0;
+      tracer = None;
+      trace_src = 0;
+      remote = None;
+      remote_handed = 0;
+      fifo_pkts = [||];
+      fifo_due = [||];
+      fifo_birth = [||];
+      fifo_seq = [||];
+      fifo_head = 0;
+      fifo_len = 0;
+      deliver_head = ignore;
+    }
+  in
+  t.deliver_head <- (fun () -> deliver_head t);
+  t
 
 let connect t sink = t.sink <- Some sink
 let set_remote t push = t.remote <- Some push
@@ -60,14 +119,6 @@ let set_remote t push = t.remote <- Some push
 let set_tracer t ?(src = 0) tracer =
   t.tracer <- tracer;
   t.trace_src <- src
-
-let trace t ~code pkt =
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.emit tr
-        ~time_ns:(Sim.Time.to_ns_int (Sim.Scheduler.now t.sched))
-        ~code ~src:t.trace_src ~arg1:pkt.Packet.flow ~arg2:(Packet.size pkt)
 
 (* Registration order is observation order. Copy-on-add keeps the hot
    transmit path a flat array walk; taps are only added at setup time. *)
@@ -79,7 +130,43 @@ let add_tap t tap =
 let set_drop_filter t f = t.drop_filter <- Some f
 let set_fault_hook t h = t.fault_hook <- Some h
 
-let deliver_after t sink pkt extra =
+(* Double the ring, unrolling it so the oldest copy sits at index 0. *)
+let grow_fifo t =
+  let cap = Array.length t.fifo_pkts in
+  let cap' = Stdlib.max 8 (2 * cap) in
+  let pkts = Array.make cap' Packet.placeholder
+  and due = Array.make cap' Sim.Time.zero
+  and birth = Array.make cap' Sim.Time.zero
+  and seq = Array.make cap' 0 in
+  for k = 0 to t.fifo_len - 1 do
+    let j = (t.fifo_head + k) land (cap - 1) in
+    pkts.(k) <- t.fifo_pkts.(j);
+    due.(k) <- t.fifo_due.(j);
+    birth.(k) <- t.fifo_birth.(j);
+    seq.(k) <- t.fifo_seq.(j)
+  done;
+  t.fifo_pkts <- pkts;
+  t.fifo_due <- due;
+  t.fifo_birth <- birth;
+  t.fifo_seq <- seq;
+  t.fifo_head <- 0
+
+(* Reserve the key the copy's own event would have had, and queue it. *)
+let enqueue t pkt =
+  let now = Sim.Scheduler.now t.sched in
+  let seq = Sim.Scheduler.reserve t.sched in
+  if t.fifo_len = Array.length t.fifo_pkts then grow_fifo t;
+  let i = (t.fifo_head + t.fifo_len) land (Array.length t.fifo_pkts - 1) in
+  t.fifo_pkts.(i) <- pkt;
+  t.fifo_due.(i) <- Sim.Time.add now t.prop_delay;
+  t.fifo_birth.(i) <- now;
+  t.fifo_seq.(i) <- seq;
+  t.fifo_len <- t.fifo_len + 1;
+  if t.fifo_len = 1 then arm_head t
+
+(* The copy's delay selects its path: an undelayed copy joins the FIFO,
+   a copy the fault hook delays keeps an event of its own. *)
+let deliver_after t pkt extra =
   let delay = Sim.Time.add t.prop_delay (Sim.Time.max extra Sim.Time.zero) in
   match t.remote with
   | Some push ->
@@ -87,12 +174,9 @@ let deliver_after t sink pkt extra =
       push ~due:(Sim.Time.add (Sim.Scheduler.now t.sched) delay) pkt
   | None ->
       t.flying <- t.flying + 1;
-      ignore
-        (Sim.Scheduler.after t.sched delay (fun () ->
-             t.flying <- t.flying - 1;
-             t.delivered_count <- t.delivered_count + 1;
-             trace t ~code:Trace.Code.link_deliver pkt;
-             sink pkt))
+      if Sim.Time.is_positive extra then
+        ignore (Sim.Scheduler.after t.sched delay (fun () -> arrive t pkt))
+      else enqueue t pkt
 
 (* Destination-partition half of a remote link: the channel handler
    calls this at the packet's due time, mirroring exactly what the
@@ -104,12 +188,9 @@ let remote_deliver t pkt =
   | None -> invalid_arg "Link.remote_deliver: link not connected")
 
 let transmit t pkt =
-  let sink =
-    match (t.sink, t.remote) with
-    | Some s, _ -> s
-    | None, Some _ -> ignore
-    | None, None -> invalid_arg "Link.transmit: link not connected"
-  in
+  (match (t.sink, t.remote) with
+  | None, None -> invalid_arg "Link.transmit: link not connected"
+  | _ -> ());
   let now = Sim.Scheduler.now t.sched in
   for i = 0 to Array.length t.taps - 1 do
     t.taps.(i) now pkt
@@ -125,16 +206,16 @@ let transmit t pkt =
   end
   else
     match t.fault_hook with
-    | None -> deliver_after t sink pkt Sim.Time.zero
+    | None -> deliver_after t pkt Sim.Time.zero
     | Some hook -> (
         match hook now pkt with
         | [] ->
             t.lost_count <- t.lost_count + 1;
             trace t ~code:Trace.Code.link_drop pkt
-        | [ extra ] -> deliver_after t sink pkt extra
+        | [ extra ] -> deliver_after t pkt extra
         | extras ->
             t.dup_count <- t.dup_count + List.length extras - 1;
-            List.iter (deliver_after t sink pkt) extras)
+            List.iter (deliver_after t pkt) extras)
 
 let delay t = t.prop_delay
 let delivered t = t.delivered_count

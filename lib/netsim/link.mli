@@ -1,11 +1,18 @@
 (** Unidirectional propagation pipe.
 
     A link models only propagation delay (and optional random corruption
-    loss); serialization happens upstream in the {!Nic}. Packets in
-    flight are independent events, so the link itself never reorders —
-    reordering, duplication and scheduled impairments are injected
-    through the fault hook ({!set_fault_hook}, see
-    {!Fault_model.install}). *)
+    loss); serialization happens upstream in the {!Nic}. The link itself
+    never reorders — reordering, duplication and scheduled impairments
+    are injected through the fault hook ({!set_fault_hook}, see
+    {!Fault_model.install}).
+
+    Every copy is delivered as if it were an event of its own, keyed
+    (due, birth, seq) by its transmit. Undelayed copies (no fault hook,
+    or an extra delay of zero) are due in transmit order, so the link
+    keeps them in a FIFO with the key {!Sim.Scheduler.reserve}d for
+    each at transmit, and only the oldest has a heap entry; delivering
+    it arms the next. A copy the fault hook delays keeps an event of
+    its own. *)
 
 type t
 
@@ -16,7 +23,10 @@ val create :
   ?rng:Sim.Rng.t ->
   unit ->
   t
-(** [loss_rate] is a per-packet independent corruption probability in
+(** [delay] must be non-negative; a negative one raises
+    [Invalid_argument] naming the value.
+
+    [loss_rate] is a per-packet independent corruption probability in
     the closed interval [\[0, 1\]] (default 0; 1 is a full blackout).
     Values outside the interval raise [Invalid_argument]. When no [rng]
     is supplied the link derives its own stream from the scheduler-wide

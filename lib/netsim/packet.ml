@@ -11,6 +11,10 @@ type t = {
 let make ~id ~flow ~src ~dst ~created payload =
   { id; flow; src; dst; created; payload; ecn_ce = false }
 
+let placeholder =
+  make ~id:(-1) ~flow:(-1) ~src:(-1) ~dst:(-1) ~created:Sim.Time.zero
+    (Proto.Payload.Udp { seq = 0; payload_len = 0 })
+
 let size t = Proto.Payload.wire_size t.payload
 
 let pp fmt t =

@@ -25,6 +25,11 @@ val make :
   Proto.Payload.t ->
   t
 
+val placeholder : t
+(** A packet that is never sent. It fills the empty slots of packet
+    buffers (a NIC's in-flight slot, a link's FIFO), so a buffer keeps
+    no delivered packet alive. *)
+
 val size : t -> int
 (** Wire size in bytes, derived from the payload. *)
 

@@ -52,6 +52,15 @@ let at ?birth t time action =
   let birth = match birth with Some b -> b | None -> t.clock in
   Event_queue.add_born t.events ~birth ~time action
 
+let reserve t = Event_queue.reserve t.events
+
+let at_reserved t ~birth ~seq time action =
+  if Time.(time < t.clock) then
+    invalid_arg
+      (Format.asprintf "Scheduler.at_reserved: %a is before now (%a)" Time.pp
+         time Time.pp t.clock);
+  Event_queue.add_reserved t.events ~birth ~seq ~time action
+
 let after t delay action =
   let delay = Time.max delay Time.zero in
   Event_queue.add_born t.events ~birth:t.clock

@@ -47,6 +47,21 @@ val at : ?birth:Time.t -> t -> Time.t -> (unit -> unit) -> handle
     delivery in at the rank its legacy single-heap scheduling time
     would have given it. *)
 
+val reserve : t -> int
+(** [reserve t] takes the sequence number an event scheduled now would
+    get, and schedules nothing. Pass it, with the clock read now as
+    [birth], to {!at_reserved} later: the event then ranks among
+    same-time events exactly where one scheduled now would have. A
+    component that keeps its own queue of due events (a link's copies
+    in flight) arms only its earliest this way, yet dispatches in the
+    order of one event per entry. *)
+
+val at_reserved :
+  t -> birth:Time.t -> seq:int -> Time.t -> (unit -> unit) -> handle
+(** [at_reserved t ~birth ~seq time f] schedules [f] at [time] under the
+    key (time, birth, seq), [seq] coming from {!reserve}. Like {!at}, it
+    raises [Invalid_argument] if [time] is in the past. *)
+
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** [after t delay f] schedules [f] at [now t + delay]. A non-positive
     delay is clamped to "immediately" (still dispatched through the event
@@ -76,7 +91,9 @@ val next_ns : t -> int
     {!Partition} synchronizer computes its safe horizon from. *)
 
 val pending : t -> int
-(** Live events still scheduled (O(1)). *)
+(** Events still scheduled (O(1)): heap entries plus each attached
+    wheel's {!Timer_wheel.pending}. A link's copies queued behind the
+    one it has armed are not heap entries, so they are not counted. *)
 
 val attach_wheel : t -> Timer_wheel.t -> unit
 (** Put a {!Timer_wheel} under the run loop: {!step}/{!run} interleave
@@ -94,8 +111,10 @@ val wheel : t -> Timer_wheel.t option
 
 val set_tracer : t -> Trace.t option -> unit
 (** Install (or remove) an event tracer. With a tracer installed, each
-    dispatched event emits a [sched.dispatch] record — a category that
-    is off in {!Trace.Code.default_mask}, so the dispatch firehose costs
+    dispatched heap event emits a [sched.dispatch] record, whose [arg1]
+    is the number of heap entries left after the pop (a link's copies
+    queued behind its armed one are not heap entries). The category is
+    off in {!Trace.Code.default_mask}, so the dispatch firehose costs
     one masked emit unless explicitly enabled. With [None] (the
     default) the run loop pays one pattern match and allocates
     nothing. *)

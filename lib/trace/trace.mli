@@ -49,7 +49,10 @@ module Code : sig
 
   (** Event codes. Each code belongs to exactly one category. *)
 
-  val sched_dispatch : int  (** arg1 = live events after pop *)
+  val sched_dispatch : int
+  (** arg1 = heap entries after the pop. A link arms only its earliest
+      undelayed copy in flight, so the copies queued behind it are not
+      counted. *)
 
   val link_tx : int  (** arg1 = flow, arg2 = bytes *)
 

@@ -243,6 +243,86 @@ let test_link_loss_rate_validation () =
   Sim.Scheduler.run s;
   Alcotest.(check int) "everything lost" 10 (Netsim.Link.lost blackout)
 
+(* A negative delay would give a copy a due time before its birth, so
+   the link refuses it by value; zero is legal. *)
+let test_link_delay_validation () =
+  let s = Sim.Scheduler.create () in
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Link.create: delay -30ms must be non-negative")
+    (fun () -> ignore (Netsim.Link.create s ~delay:(Sim.Time.ms (-30)) ()));
+  ignore (Netsim.Link.create s ~delay:Sim.Time.zero ())
+
+(* A fault hook that returns [0], [d > 0], [0; d] or [] by packet id,
+   with two packets transmitted per instant. The link must deliver
+   every copy at transmit time + delay + extra, in the order of one
+   event per copy: by due time, then by transmit time, then by the
+   order the copies and other events were made. Delays of 1 and 2 ms
+   tie delayed copies with later undelayed ones, and each transmit is
+   followed by a marker event due with its undelayed copy, which must
+   fire after it. The counters must balance after every transmit and
+   every delivery. *)
+let test_link_copy_order () =
+  let s = Sim.Scheduler.create () in
+  let delay = Sim.Time.ms 10 in
+  let link = Netsim.Link.create s ~delay () in
+  let extras id =
+    match id mod 5 with
+    | 0 -> [ Sim.Time.zero ]
+    | 1 -> [ Sim.Time.ms (1 + (id mod 2)) ]
+    | 2 -> [ Sim.Time.zero; Sim.Time.ms 1 ]
+    | 3 -> []
+    | _ -> [ Sim.Time.ms 2; Sim.Time.zero ]
+  in
+  Netsim.Link.set_fault_hook link (fun _ pkt -> extras pkt.Netsim.Packet.id);
+  let transmits = ref 0 in
+  let balanced () =
+    Netsim.Link.delivered link + Netsim.Link.lost link
+    + Netsim.Link.in_flight link - Netsim.Link.duplicated link
+    = !transmits
+  in
+  let ok = ref true in
+  let got = ref [] in
+  Netsim.Link.connect link (fun pkt ->
+      got := (pkt.Netsim.Packet.id, Sim.Scheduler.now s) :: !got;
+      if not (balanced ()) then ok := false);
+  let n = 60 in
+  let expected = ref [] and made = ref 0 in
+  for id = 0 to n - 1 do
+    let at = Sim.Time.ms (id / 2) in
+    List.iter
+      (fun extra ->
+        expected :=
+          (Sim.Time.add (Sim.Time.add at delay) extra, at, !made, id)
+          :: !expected;
+        incr made)
+      (extras id);
+    let marker = -1 - id in
+    expected := (Sim.Time.add at delay, at, !made, marker) :: !expected;
+    incr made;
+    ignore
+      (Sim.Scheduler.at s at (fun () ->
+           Netsim.Link.transmit link (udp_pkt ~id ~src:0 ~dst:1 ());
+           incr transmits;
+           if not (balanced ()) then ok := false;
+           ignore
+             (Sim.Scheduler.after s delay (fun () ->
+                  got := (marker, Sim.Scheduler.now s) :: !got))))
+  done;
+  Sim.Scheduler.run s;
+  let expected =
+    List.map
+      (fun (due, _, _, id) -> (id, due))
+      (List.sort compare !expected)
+  in
+  Alcotest.(check (list (pair int int)))
+    "deliveries by (due, transmit, copy)"
+    (List.map (fun (id, t) -> (id, Sim.Time.to_ns_int t)) expected)
+    (List.rev_map (fun (id, t) -> (id, Sim.Time.to_ns_int t)) !got);
+  Alcotest.(check bool) "balanced throughout" true !ok;
+  Alcotest.(check int) "in flight drained" 0 (Netsim.Link.in_flight link);
+  Alcotest.(check int) "duplicates" 24 (Netsim.Link.duplicated link);
+  Alcotest.(check int) "lost" 12 (Netsim.Link.lost link)
+
 let test_nic_rate_validation () =
   let s = Sim.Scheduler.create () in
   let invalid rate =
@@ -298,6 +378,10 @@ let suite =
     Alcotest.test_case "link loss" `Quick test_link_loss;
     Alcotest.test_case "link loss-rate validation" `Quick
       test_link_loss_rate_validation;
+    Alcotest.test_case "link delay validation" `Quick
+      test_link_delay_validation;
+    Alcotest.test_case "link copy order under a fault hook" `Quick
+      test_link_copy_order;
     Alcotest.test_case "nic rate validation" `Quick test_nic_rate_validation;
     Alcotest.test_case "per-link derived seeds" `Quick
       test_per_link_derived_seeds;
