@@ -79,6 +79,7 @@ type t = {
   mutable slow_start_acks : int;  (* SlowStart: ACKs taken in slow start *)
   mutable cong_avoid_acks : int;  (* CongAvoid: ACKs taken in avoidance *)
   gauges : gauges;
+  ss_view : Slow_start.view; (* built once; its thunks read this sender *)
 }
 
 let mssf t = float_of_int t.cfg.Config.mss
@@ -153,22 +154,6 @@ let make_header t ~offset ~len ~flags =
     sack_blocks = [];
     ts_val = Sim.Scheduler.now t.sched;
     ts_ecr = Sim.Time.zero;
-  }
-
-let view t : Slow_start.view =
-  let ifq = Netsim.Host.ifq t.host in
-  {
-    Slow_start.now = (fun () -> Sim.Scheduler.now t.sched);
-    mss = t.cfg.Config.mss;
-    cwnd = (fun () -> t.win.cwnd);
-    ssthresh = (fun () -> t.win.ssthresh);
-    flight = (fun () -> flight_bytes t);
-    snd_una = (fun () -> t.una);
-    snd_nxt = (fun () -> t.nxt);
-    srtt = (fun () -> Rtt_estimator.srtt t.rtt);
-    min_rtt = (fun () -> Rtt_estimator.min_rtt t.rtt);
-    ifq_occupancy = (fun () -> Netsim.Ifq.occupancy ifq);
-    ifq_capacity = (fun () -> Netsim.Ifq.capacity ifq);
   }
 
 (* --- local congestion (send-stall) ----------------------------------- *)
@@ -532,7 +517,7 @@ let on_new_ack t ~newly ~rtt_sample header =
   | Slow_start_p ->
       t.slow_start_acks <- t.slow_start_acks + 1;
       let decision =
-        t.ss.Slow_start.on_ack (view t) ~newly_acked:newly ~rtt_sample
+        t.ss.Slow_start.on_ack t.ss_view ~newly_acked:newly ~rtt_sample
       in
       t.win.cwnd <-
         Float.max floor (t.win.cwnd +. decision.Slow_start.cwnd_delta);
@@ -644,7 +629,8 @@ let create ~host ~dst ~flow ~ids ?(config = Config.default)
     ?(slow_start = Slow_start.standard ()) ?(cong_avoid = Cong_avoid.reno ())
     () =
   let sched = Netsim.Host.scheduler host in
-  let t =
+  let ifq = Netsim.Host.ifq host in
+  let rec t =
     {
       host;
       sched;
@@ -711,6 +697,20 @@ let create ~host ~dst ~flow ~ids ?(config = Config.default)
           max_rwin_rcvd = 0.;
           cur_ifq = 0.;
         };
+      ss_view =
+        {
+          Slow_start.now = (fun () -> Sim.Scheduler.now sched);
+          mss = config.Config.mss;
+          cwnd = (fun () -> t.win.cwnd);
+          ssthresh = (fun () -> t.win.ssthresh);
+          flight = (fun () -> flight_bytes t);
+          snd_una = (fun () -> t.una);
+          snd_nxt = (fun () -> t.nxt);
+          srtt = (fun () -> Rtt_estimator.srtt t.rtt);
+          min_rtt = (fun () -> Rtt_estimator.min_rtt t.rtt);
+          ifq_occupancy = (fun () -> Netsim.Ifq.occupancy ifq);
+          ifq_capacity = (fun () -> Netsim.Ifq.capacity ifq);
+        };
     }
   in
   t.rto_cb <- (fun () -> on_rto t);
@@ -719,7 +719,7 @@ let create ~host ~dst ~flow ~ids ?(config = Config.default)
       t.pace_timer <- None;
       try_send t);
   Netsim.Host.register_flow host ~flow (fun pkt -> handle_packet t pkt);
-  Netsim.Ifq.on_space (Netsim.Host.ifq host) (fun () ->
+  Netsim.Ifq.on_space ifq (fun () ->
       if t.stalled then begin
         t.stalled <- false;
         try_send t
