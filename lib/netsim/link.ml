@@ -25,13 +25,12 @@ type t = {
   mutable remote_handed : int;
   (* Undelayed copies in flight, oldest first: a ring (power-of-two
      capacity) of packets with the (due, birth, seq) key reserved for
-     each at transmit. Their keys are in FIFO order, so only the oldest
-     needs a heap entry: [deliver_head] is armed under its key and,
-     when it fires, arms the next. A delivered slot holds
-     [Packet.placeholder], so the ring keeps no delivered packet
-     alive. *)
+     each at transmit, due being birth + [prop_delay]. Their keys are
+     in FIFO order, so only the oldest needs a heap entry:
+     [deliver_head] is armed under its key and, when it fires, arms
+     the next. A delivered slot holds [Packet.placeholder], so the ring
+     keeps no delivered packet alive. *)
   mutable fifo_pkts : Packet.t array;
-  mutable fifo_due : Sim.Time.t array;
   mutable fifo_birth : Sim.Time.t array;
   mutable fifo_seq : int array;
   mutable fifo_head : int;
@@ -56,9 +55,10 @@ let arrive t pkt =
 
 let arm_head t =
   let i = t.fifo_head in
+  let birth = t.fifo_birth.(i) in
   ignore
-    (Sim.Scheduler.at_reserved t.sched ~birth:t.fifo_birth.(i)
-       ~seq:t.fifo_seq.(i) t.fifo_due.(i) t.deliver_head)
+    (Sim.Scheduler.at_reserved t.sched ~birth ~seq:t.fifo_seq.(i)
+       (Sim.Time.add birth t.prop_delay) t.deliver_head)
 
 let deliver_head t =
   let i = t.fifo_head in
@@ -102,7 +102,6 @@ let create sched ~delay ?(loss_rate = 0.) ?rng () =
       remote = None;
       remote_handed = 0;
       fifo_pkts = [||];
-      fifo_due = [||];
       fifo_birth = [||];
       fifo_seq = [||];
       fifo_head = 0;
@@ -135,18 +134,15 @@ let grow_fifo t =
   let cap = Array.length t.fifo_pkts in
   let cap' = Stdlib.max 8 (2 * cap) in
   let pkts = Array.make cap' Packet.placeholder
-  and due = Array.make cap' Sim.Time.zero
   and birth = Array.make cap' Sim.Time.zero
   and seq = Array.make cap' 0 in
   for k = 0 to t.fifo_len - 1 do
     let j = (t.fifo_head + k) land (cap - 1) in
     pkts.(k) <- t.fifo_pkts.(j);
-    due.(k) <- t.fifo_due.(j);
     birth.(k) <- t.fifo_birth.(j);
     seq.(k) <- t.fifo_seq.(j)
   done;
   t.fifo_pkts <- pkts;
-  t.fifo_due <- due;
   t.fifo_birth <- birth;
   t.fifo_seq <- seq;
   t.fifo_head <- 0
@@ -158,7 +154,6 @@ let enqueue t pkt =
   if t.fifo_len = Array.length t.fifo_pkts then grow_fifo t;
   let i = (t.fifo_head + t.fifo_len) land (Array.length t.fifo_pkts - 1) in
   t.fifo_pkts.(i) <- pkt;
-  t.fifo_due.(i) <- Sim.Time.add now t.prop_delay;
   t.fifo_birth.(i) <- now;
   t.fifo_seq.(i) <- seq;
   t.fifo_len <- t.fifo_len + 1;

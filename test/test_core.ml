@@ -221,7 +221,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 834_005); ("restricted", 1_690_472) ]
+    [ ("standard", 833_240); ("restricted", 1_689_707) ]
 
 (* Scheduler dispatches of the 2 s standard run, counted by a trace ring
    that accepts only sched.dispatch records (refbench's
