@@ -229,9 +229,8 @@ let test_packet_path_words () =
    keeps its pending events may change; the events it dispatches, and
    so this count, may not. *)
 let test_packet_path_dispatches () =
-  let built =
-    Core.Spec.build { (paper_path_2s "standard") with Core.Spec.record_trace = true }
-  in
+  let spec = paper_path_2s "standard" in
+  let built = Core.Spec.build { spec with Core.Spec.record_trace = true } in
   let tr = Option.get (Core.Spec.trace built) in
   Trace.set_mask tr Trace.Code.cat_sched;
   ignore (Core.Spec.execute built);

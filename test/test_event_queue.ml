@@ -221,7 +221,8 @@ let test_add_cancel_words () =
    drained by [pop]: each cancel removes its entry from the middle of
    the heap. Each live pop returns its (time, action) pair in an
    option, and each round builds one [drain] closure and grows its
-   queue's arrays from 64 entries (those up to 128 are minor). *)
+   queue's arrays from 64 entries (those up to 256 entries are minor
+   allocations). *)
 let test_cancel_heavy_words () =
   Alcotest.(check int) "minor words over 500 rounds" 3_098_500
     (minor_words (fun () ->
