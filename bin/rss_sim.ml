@@ -908,7 +908,8 @@ let spec_cmd =
   let print_default =
     let doc =
       "Print a commented spec-file template (\"_doc\" keys explain each \
-       field; they are ignored by the parser)."
+       field; keys that start with _ are free, any other unknown key is \
+       an error)."
     in
     Arg.(value & flag & info [ "print-default" ] ~doc)
   in

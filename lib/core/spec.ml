@@ -1435,7 +1435,7 @@ let instrument_sections i inst =
    interval in two and diverge from an unbroken run. *)
 let save_checkpoint ~identity b instruments ~path =
   let w = Sim.Snapshot.writer () in
-  Sim.Snapshot.put_bytes w "spec.identity" identity;
+  Sim.Snapshot.put_bytes w "spec.identity" (Lazy.force identity);
   Sim.Snapshot.put_int w "spec.clock_ns"
     (Sim.Time.to_ns_int (Sim.Scheduler.now b.bsched));
   Sim.Snapshot.put_i64 w "spec.sched_rng"
@@ -1462,7 +1462,7 @@ let restore_checkpoint ~identity b instruments ~path =
   check_snapshot_supported b.bspec;
   let r = Sim.Snapshot.load ~path in
   let stored = Sim.Snapshot.get_bytes r "spec.identity" in
-  if stored <> identity then
+  if stored <> Lazy.force identity then
     err "Spec: snapshot %s was taken from a different spec" path;
   Sim.Rng.set_state
     (Sim.Scheduler.rng b.bsched)
@@ -1662,224 +1662,599 @@ let execute_core ?checkpoint ~resume ~identity b =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let time_to_json t = Json.Number (float_of_int (Sim.Time.to_ns_int t))
-let opt_to_json f = function None -> Json.Null | Some v -> f v
+(* Each JSON object of a spec is described once: its members in output
+   order, each with a key, a kind, a default (none: the key is required)
+   and a getter, plus the function that builds the value from the
+   members, in the same order. [to_json], [of_json] and every object's
+   set of legal keys are read off that description. Decoding is strict:
+   an object refuses a key outside its set (keys that start with '_'
+   are free, for comments), and every error names the key's path, as in
+   [flows[0].pair]. *)
+module Codec = struct
+  type _ kind =
+    | Int : int kind  (** an integral number within ±2^53 *)
+    | Float : float kind  (** a finite number *)
+    | Str : string kind
+    | Bool : bool kind
+    | Decimal : int kind  (** an int written as a decimal string *)
+    | Time : Sim.Time.t kind
+        (** a member of this kind (or of [Opt Time]) is keyed
+            [<key>_ns], integer nanoseconds and the spelling written,
+            or [<key>_s], float seconds; never both *)
+    | Opt : 'a kind -> 'a option kind  (** [null] is [None] *)
+    | Items : 'a kind -> 'a list kind
+    | Record : ('a, 'a) obj -> 'a kind
+    | Tagged : string option * 'a case list -> 'a kind
+        (** the object's ["kind"] key (default: the string) picks the
+            case *)
+    | Conv : 'b kind * ('a -> 'b) * ('b -> ('a, string) result) -> 'a kind
 
-let jitter_to_json (j : Fm.jitter) =
-  Json.Obj
+  and ('r, 'a) member = {
+    key : string;
+    secs_key : string option;  (** [<key>_s], for a duration *)
+    kind : 'a kind;
+    default : 'a option;
+    get : 'r -> 'a;
+  }
+
+  (* Members read from ['r]; ['k] is the type of the function that
+     builds ['v] from their values. *)
+  and ('r, 'k, 'v) members =
+    | [] : ('r, 'v, 'v) members
+    | ( :: ) :
+        ('r, 'a) member * ('r, 'k, 'v) members
+        -> ('r, 'a -> 'k, 'v) members
+
+  and ('r, 'v) obj =
+    | Obj : {
+        members : ('r, 'k, 'v) members;
+        make : 'k;
+        keys : string list;
+      }
+        -> ('r, 'v) obj
+
+  (* A case of a tagged object; inline records travel as tuples. *)
+  and 'v case =
+    | Case : { tag : string; proj : 'v -> 'r option; obj : ('r, 'v) obj }
+        -> 'v case
+
+  let rec is_time : type a. a kind -> bool = function
+    | Time -> true
+    | Opt k -> is_time k
+    | _ -> false
+
+  let mem ?default key kind get =
+    if is_time kind then
+      { key = key ^ "_ns"; secs_key = Some (key ^ "_s"); kind; default; get }
+    else { key; secs_key = None; kind; default; get }
+
+  let rec keys : type r k v. (r, k, v) members -> string list = function
+    | [] -> []
+    | m :: ms -> (m.key :: Option.to_list m.secs_key) @ keys ms
+
+  let record make members = Record (Obj { members; make; keys = keys members })
+
+  let case tag proj make members =
+    let obj = Obj { members; make; keys = "kind" :: keys members } in
+    Case { tag; proj; obj }
+
+  (* --- encoding --- *)
+
+  let rec write : type a. a kind -> a -> Json.t =
+   fun kind v ->
+    match kind with
+    | Int -> Json.Number (float_of_int v)
+    | Float -> Json.Number v
+    | Str -> Json.String v
+    | Bool -> Json.Bool v
+    | Decimal -> Json.String (string_of_int v)
+    | Time -> Json.Number (float_of_int (Sim.Time.to_ns_int v))
+    | Opt k -> ( match v with None -> Json.Null | Some v -> write k v)
+    | Items k -> Json.List (List.map (write k) v)
+    | Record o -> Json.Obj (write_members o v)
+    | Tagged (_, cases) ->
+        Option.get
+          (List.find_map
+             (fun (Case c) ->
+               Option.map
+                 (fun r ->
+                   Json.Obj
+                     (("kind", Json.String c.tag) :: write_members c.obj r))
+                 (c.proj v))
+             cases)
+    | Conv (k, enc, _) -> write k (enc v)
+
+  and write_members : type r v. (r, v) obj -> r -> (string * Json.t) list =
+   fun (Obj o) r ->
+    let rec go : type k. (r, k, v) members -> (string * Json.t) list =
+      function
+      | [] -> []
+      | m :: ms -> (m.key, write m.kind (m.get r)) :: go ms
+    in
+    go o.members
+
+  (* --- decoding --- *)
+
+  (* Where a value sits; rendered only when an error names it. *)
+  type path = Top | Key of path * string | At of path * int
+
+  exception Bad of string
+
+  let rec render = function
+    | Top -> ""
+    | Key (Top, k) -> k
+    | Key (p, k) -> render p ^ "." ^ k
+    | At (p, i) -> Printf.sprintf "%s[%d]" (render p) i
+
+  let fail p fmt =
+    Printf.ksprintf
+      (fun m -> raise (Bad (if p = Top then m else render p ^ ": " ^ m)))
+      fmt
+
+  let rec expected : type a. a kind -> string = function
+    | Int -> "an integer"
+    | Float | Time -> "a number"
+    | Str -> "a string"
+    | Bool -> "true or false"
+    | Decimal -> "a decimal string (a JSON number cannot hold every int)"
+    | Opt k -> expected k ^ " or null"
+    | Items _ -> "a list"
+    | Record _ | Tagged _ -> "an object"
+    | Conv (k, _, _) -> expected k
+
+  (* A double holds every integer up to 2^53, and no longer past it. *)
+  let integral p f ~what =
+    if Float.is_integer f && Float.abs f <= 0x1p53 then int_of_float f
+    else fail p "%g is not %s within ±2^53" f what
+
+  let decimal p s =
+    let digits =
+      if String.starts_with ~prefix:"-" s then
+        String.sub s 1 (String.length s - 1)
+      else s
+    in
+    let is_digit c = c >= '0' && c <= '9' in
+    match int_of_string_opt s with
+    | Some n when String.for_all is_digit digits -> n
+    | _ -> fail p "%S is not a decimal integer" s
+
+  let free key = String.starts_with ~prefix:"_" key
+
+  (* [List.assoc_opt] by string equality rather than polymorphic
+     compare: decoding is part of every run's setup. *)
+  let rec find key : (string * Json.t) list -> Json.t option = function
+    | [] -> None
+    | (k, v) :: fields -> if String.equal k key then Some v else find key fields
+
+  (* [used] members were found among [fields]; any other key that is not
+     free is unknown, or given twice. *)
+  let check_keys p fields used keys =
+    let given =
+      List.fold_left (fun n (k, _) -> if free k then n else n + 1) 0 fields
+    in
+    if given > used then
+      let unknown (k, _) = not (free k || List.mem k keys) in
+      match List.find_opt unknown fields with
+      | Some (k, _) ->
+          fail (Key (p, k)) "unknown key (known: %s)" (String.concat ", " keys)
+      | None ->
+          let k, _ =
+            List.find
+              (fun (k, _) ->
+                List.length (List.filter (fun (k', _) -> k' = k) fields) > 1)
+              fields
+          in
+          fail (Key (p, k)) "given twice"
+
+  let rec read : type a. path -> secs:bool -> a kind -> Json.t -> a =
+   fun p ~secs kind j ->
+    match (kind, j) with
+    | Int, Json.Number f -> integral p f ~what:"an integer"
+    | Float, Json.Number f when Float.is_finite f -> f
+    | Float, Json.Number f -> fail p "%g is not finite" f
+    | Str, Json.String s -> s
+    | Bool, Json.Bool b -> b
+    | Decimal, Json.String s -> decimal p s
+    | Time, Json.Number f when secs ->
+        let ns = Float.round (f *. 1e9) in
+        if Float.abs ns <= 0x1p53 then Sim.Time.of_ns_int (int_of_float ns)
+        else fail p "%g s is outside ±2^53 ns (about 104 days)" f
+    | Time, Json.Number f ->
+        Sim.Time.of_ns_int (integral p f ~what:"a whole number of ns")
+    | Opt _, Json.Null -> None
+    | Opt k, j -> Some (read p ~secs k j)
+    | Items k, Json.List items ->
+        List.mapi (fun i j -> read (At (p, i)) ~secs k j) items
+    | Record o, Json.Obj fields -> read_members p fields o 0
+    | Tagged (default, cases), Json.Obj fields -> (
+        let tag, used =
+          match (find "kind" fields, default) with
+          | Some (Json.String tag), _ -> (tag, 1)
+          | Some _, _ -> fail (Key (p, "kind")) "expected a string"
+          | None, Some tag -> (tag, 0)
+          | None, None -> fail (Key (p, "kind")) "missing"
+        in
+        match List.find_opt (fun (Case c) -> c.tag = tag) cases with
+        | Some (Case c) -> read_members p fields c.obj used
+        | None ->
+            fail (Key (p, "kind")) "unknown kind %S (known: %s)" tag
+              (String.concat ", " (List.map (fun (Case c) -> c.tag) cases)))
+    | Conv (k, _, dec), j -> (
+        match dec (read p ~secs k j) with
+        | Ok v -> v
+        | Error e -> fail p "%s" e)
+    | _ -> fail p "expected %s" (expected kind)
+
+  and read_members :
+      type r v. path -> (string * Json.t) list -> (r, v) obj -> int -> v =
+   fun p fields (Obj o) used ->
+    let used = ref used in
+    let rec fill : type k. (r, k, v) members -> k -> v =
+     fun ms make ->
+      match ms with
+      | [] -> make
+      | m :: ms -> fill ms (make (read_member p fields used m))
+    in
+    let v = fill o.members o.make in
+    check_keys p fields !used o.keys;
+    v
+
+  and read_member :
+      type r a.
+      path -> (string * Json.t) list -> int ref -> (r, a) member -> a =
+   fun p fields used m ->
+    let secs = match m.secs_key with None -> None | Some k -> find k fields in
+    match (find m.key fields, secs, m.secs_key) with
+    | Some _, Some _, Some k ->
+        fail (Key (p, k)) "%s is given too; use one spelling" m.key
+    | None, Some j, Some k ->
+        incr used;
+        read (Key (p, k)) ~secs:true m.kind j
+    | Some j, _, _ ->
+        incr used;
+        read (Key (p, m.key)) ~secs:false m.kind j
+    | None, _, _ -> (
+        match m.default with
+        | Some d -> d
+        | None -> fail (Key (p, m.key)) "missing")
+
+  let decode kind j =
+    match read Top ~secs:false kind j with
+    | v -> Ok v
+    | exception Bad e -> Error e
+end
+
+(* A rate travels in Mbit/s. *)
+let mbps =
+  Codec.(Conv (Float, Sim.Units.rate_to_mbps, fun f -> Ok (Sim.Units.mbps f)))
+
+let red_codec =
+  let open Netsim.Queue_disc in
+  let open Codec in
+  record
+    (fun min_th max_th max_p weight -> { min_th; max_th; max_p; weight })
     [
-      ("prob", Json.Number j.Fm.prob);
-      ("max_extra_ns", time_to_json j.Fm.max_extra);
+      mem "min_th" Float (fun r -> r.min_th);
+      mem "max_th" Float (fun r -> r.max_th);
+      mem "max_p" Float (fun r -> r.max_p);
+      mem "weight" Float (fun r -> r.weight);
     ]
 
-let ge_to_json (g : Fm.ge) =
-  Json.Obj
+let ge_codec =
+  let open Codec in
+  record
+    (fun p_gb p_bg loss_good loss_bad -> { Fm.p_gb; p_bg; loss_good; loss_bad })
     [
-      ("p_gb", Json.Number g.Fm.p_gb);
-      ("p_bg", Json.Number g.Fm.p_bg);
-      ("loss_good", Json.Number g.Fm.loss_good);
-      ("loss_bad", Json.Number g.Fm.loss_bad);
+      mem "p_gb" Float (fun g -> g.Fm.p_gb);
+      mem "p_bg" Float (fun g -> g.Fm.p_bg);
+      mem "loss_good" Float (fun g -> g.Fm.loss_good);
+      mem "loss_bad" Float (fun g -> g.Fm.loss_bad);
     ]
 
-let event_to_json = function
-  | Fm.Outage { start; stop } ->
-      Json.Obj
-        [
-          ("kind", Json.String "outage");
-          ("start_ns", time_to_json start);
-          ("stop_ns", time_to_json stop);
-        ]
-  | Fm.Delay_step { at; extra } ->
-      Json.Obj
-        [
-          ("kind", Json.String "delay_step");
-          ("at_ns", time_to_json at);
-          ("extra_ns", time_to_json extra);
-        ]
-
-let profile_to_json (p : Fm.profile) =
-  Json.Obj
+let jitter_codec =
+  let open Codec in
+  record
+    (fun prob max_extra -> { Fm.prob; max_extra })
     [
-      ("ge", opt_to_json ge_to_json p.Fm.ge);
-      ("reorder", opt_to_json jitter_to_json p.Fm.reorder);
-      ("duplicate", opt_to_json jitter_to_json p.Fm.duplicate);
-      ("schedule", Json.List (List.map event_to_json p.Fm.schedule));
+      mem "prob" Float (fun j -> j.Fm.prob);
+      mem "max_extra" Time (fun j -> j.Fm.max_extra);
     ]
 
-let red_to_json (r : Netsim.Queue_disc.red_params) =
-  Json.Obj
+let event_codec =
+  let open Codec in
+  let outage =
+    case "outage"
+      (function Fm.Outage { start; stop } -> Some (start, stop) | _ -> None)
+      (fun start stop -> Fm.Outage { start; stop })
+      [ mem "start" Time fst; mem "stop" Time snd ]
+  and delay_step =
+    case "delay_step"
+      (function Fm.Delay_step { at; extra } -> Some (at, extra) | _ -> None)
+      (fun at extra -> Fm.Delay_step { at; extra })
+      [ mem "at" Time fst; mem "extra" Time snd ]
+  in
+  Tagged (None, [ outage; delay_step ])
+
+let profile_codec =
+  let open Codec in
+  record
+    (fun ge reorder duplicate schedule ->
+      { Fm.ge; reorder; duplicate; schedule })
     [
-      ("min_th", Json.Number r.Netsim.Queue_disc.min_th);
-      ("max_th", Json.Number r.Netsim.Queue_disc.max_th);
-      ("max_p", Json.Number r.Netsim.Queue_disc.max_p);
-      ("weight", Json.Number r.Netsim.Queue_disc.weight);
+      mem "ge" (Opt ge_codec) ~default:None (fun p -> p.Fm.ge);
+      mem "reorder" (Opt jitter_codec) ~default:None (fun p -> p.Fm.reorder);
+      mem "duplicate" (Opt jitter_codec) ~default:None (fun p ->
+          p.Fm.duplicate);
+      mem "schedule" (Items event_codec) ~default:Fm.passthrough.Fm.schedule
+        (fun p -> p.Fm.schedule);
     ]
 
-let rate_to_json r = Json.Number (Sim.Units.rate_to_mbps r)
-let int_to_json i = Json.Number (float_of_int i)
-
-let topology_to_json = function
-  | Duplex d ->
-      Json.Obj
-        [
-          ("kind", Json.String "duplex");
-          ("rate_mbps", rate_to_json d.rate);
-          ("one_way_delay_ns", time_to_json d.one_way_delay);
-          ("ifq_capacity", int_to_json d.ifq_capacity);
-          ("loss_rate", Json.Number d.loss_rate);
-          ("ifq_red_ecn", opt_to_json red_to_json d.ifq_red_ecn);
-        ]
-  | Dumbbell d ->
-      Json.Obj
-        [
-          ("kind", Json.String "dumbbell");
-          ("pairs", int_to_json d.pairs);
-          ("access_rate_mbps", rate_to_json d.access_rate);
-          ("access_delay_ns", time_to_json d.access_delay);
-          ("bottleneck_rate_mbps", rate_to_json d.bottleneck_rate);
-          ("bottleneck_delay_ns", time_to_json d.bottleneck_delay);
-          ("buffer_packets", int_to_json d.buffer_packets);
-          ("ifq_capacity", int_to_json d.host_ifq_capacity);
-          ("red", opt_to_json red_to_json d.red);
-        ]
-  | Multi_dumbbell m ->
-      Json.Obj
-        [
-          ("kind", Json.String "dumbbell_of_dumbbells");
-          ("segments", int_to_json m.segments);
-          ("pairs", int_to_json m.m_pairs);
-          ("access_rate_mbps", rate_to_json m.m_access_rate);
-          ("access_delay_ns", time_to_json m.m_access_delay);
-          ("bottleneck_rate_mbps", rate_to_json m.m_bottleneck_rate);
-          ("bottleneck_delay_ns", time_to_json m.m_bottleneck_delay);
-          ("core_rate_mbps", rate_to_json m.core_rate);
-          ("core_delay_ns", time_to_json m.core_delay);
-          ("buffer_packets", int_to_json m.m_buffer_packets);
-          ("ifq_capacity", int_to_json m.m_host_ifq_capacity);
-          ("red", opt_to_json red_to_json m.m_red);
-          ("cross_pairs", int_to_json m.cross_pairs);
-        ]
-
-let workload_to_json = function
-  | Bulk { bytes } ->
-      Json.Obj
-        [ ("kind", Json.String "bulk"); ("bytes", opt_to_json int_to_json bytes) ]
-  | Chunked { chunk_bytes; interval; chunks } ->
-      Json.Obj
-        [
-          ("kind", Json.String "chunked");
-          ("chunk_bytes", int_to_json chunk_bytes);
-          ("interval_ns", time_to_json interval);
-          ("chunks", opt_to_json int_to_json chunks);
-        ]
-  | Cbr { rate; packet_bytes; stop_at } ->
-      Json.Obj
-        [
-          ("kind", Json.String "cbr");
-          ("rate_mbps", rate_to_json rate);
-          ("packet_bytes", int_to_json packet_bytes);
-          ("stop_at_ns", opt_to_json time_to_json stop_at);
-        ]
-  | On_off { peak_rate; mean_on; mean_off; packet_bytes } ->
-      Json.Obj
-        [
-          ("kind", Json.String "on_off");
-          ("peak_rate_mbps", rate_to_json peak_rate);
-          ("mean_on_ns", time_to_json mean_on);
-          ("mean_off_ns", time_to_json mean_off);
-          ("packet_bytes", int_to_json packet_bytes);
-        ]
-  | Short_flows { arrival_rate; mean_size; pareto_shape; stop_at } ->
-      Json.Obj
-        [
-          ("kind", Json.String "short_flows");
-          ("arrival_rate", Json.Number arrival_rate);
-          ("mean_size", int_to_json mean_size);
-          ("pareto_shape", Json.Number pareto_shape);
-          ("stop_at_ns", opt_to_json time_to_json stop_at);
-        ]
-  | Many_flows
-      { flows; arrival_rate; arrival_pareto_shape; mean_size;
-        size_pareto_shape } ->
-      Json.Obj
-        [
-          ("kind", Json.String "many_flows");
-          ("flows", int_to_json flows);
-          ("arrival_rate", opt_to_json (fun r -> Json.Number r) arrival_rate);
-          ( "arrival_pareto_shape",
-            opt_to_json (fun s -> Json.Number s) arrival_pareto_shape );
-          ("mean_size", opt_to_json int_to_json mean_size);
-          ("size_pareto_shape", Json.Number size_pareto_shape);
-        ]
-
-let restricted_to_json (c : Tcp.Slow_start.restricted_config) =
-  Json.Obj
+let faults_codec =
+  let open Codec in
+  record
+    (fun forward reverse -> { forward; reverse })
     [
-      ("kp", Json.Number c.Tcp.Slow_start.gains.Control.Pid.kp);
-      ("ti", Json.Number c.Tcp.Slow_start.gains.Control.Pid.ti);
-      ("td", Json.Number c.Tcp.Slow_start.gains.Control.Pid.td);
-      ("setpoint_fraction", Json.Number c.Tcp.Slow_start.setpoint_fraction);
-      ("max_step_segments", Json.Number c.Tcp.Slow_start.max_step_segments);
-      ( "sample_min_interval_ns",
-        time_to_json c.Tcp.Slow_start.sample_min_interval );
+      mem "forward" profile_codec ~default:Fm.passthrough (fun f -> f.forward);
+      mem "reverse" profile_codec ~default:Fm.passthrough (fun f -> f.reverse);
     ]
 
-(* [slow_start] goes out as the legacy key pair, so a spec's bytes (its
-   snapshot identity) and its default labels never change. *)
-let flow_to_json (f : flow) =
-  let slow_start, cong_avoid = Tcp.Policy.split f.slow_start in
-  Json.Obj
+(* Each topology kind keeps its own defaults. *)
+let topology_codec =
+  let open Codec in
+  let dd = default_duplex and mb100 = Sim.Units.mbps 100. in
+  let ms = Sim.Time.ms in
+  let duplex =
+    case "duplex"
+      (function Duplex d -> Some d | _ -> None)
+      (fun rate one_way_delay ifq_capacity loss_rate ifq_red_ecn ->
+        Duplex { rate; one_way_delay; ifq_capacity; loss_rate; ifq_red_ecn })
+      [
+        mem "rate_mbps" mbps ~default:dd.rate (fun d -> d.rate);
+        mem "one_way_delay" Time ~default:dd.one_way_delay (fun d ->
+            d.one_way_delay);
+        mem "ifq_capacity" Int ~default:dd.ifq_capacity (fun d ->
+            d.ifq_capacity);
+        mem "loss_rate" Float ~default:dd.loss_rate (fun d -> d.loss_rate);
+        mem "ifq_red_ecn" (Opt red_codec) ~default:None (fun d ->
+            d.ifq_red_ecn);
+      ]
+  and dumbbell =
+    case "dumbbell"
+      (function Dumbbell d -> Some d | _ -> None)
+      (fun pairs access_rate access_delay bottleneck_rate bottleneck_delay
+           buffer_packets host_ifq_capacity red ->
+        Dumbbell
+          { pairs; access_rate; access_delay; bottleneck_rate;
+            bottleneck_delay; buffer_packets; host_ifq_capacity; red })
+      [
+        mem "pairs" Int ~default:2 (fun d -> d.pairs);
+        mem "access_rate_mbps" mbps ~default:mb100 (fun d -> d.access_rate);
+        mem "access_delay" Time ~default:(ms 1) (fun d -> d.access_delay);
+        mem "bottleneck_rate_mbps" mbps ~default:mb100 (fun d ->
+            d.bottleneck_rate);
+        mem "bottleneck_delay" Time ~default:(ms 28) (fun d ->
+            d.bottleneck_delay);
+        mem "buffer_packets" Int ~default:250 (fun d -> d.buffer_packets);
+        mem "ifq_capacity" Int ~default:100 (fun d -> d.host_ifq_capacity);
+        mem "red" (Opt red_codec) ~default:None (fun d -> d.red);
+      ]
+  and chain =
+    case "dumbbell_of_dumbbells"
+      (function Multi_dumbbell m -> Some m | _ -> None)
+      (fun segments m_pairs m_access_rate m_access_delay m_bottleneck_rate
+           m_bottleneck_delay core_rate core_delay m_buffer_packets
+           m_host_ifq_capacity m_red cross_pairs ->
+        Multi_dumbbell
+          { segments; m_pairs; m_access_rate; m_access_delay;
+            m_bottleneck_rate; m_bottleneck_delay; core_rate; core_delay;
+            m_buffer_packets; m_host_ifq_capacity; m_red; cross_pairs })
+      [
+        mem "segments" Int ~default:2 (fun m -> m.segments);
+        mem "pairs" Int ~default:2 (fun m -> m.m_pairs);
+        mem "access_rate_mbps" mbps ~default:mb100 (fun m -> m.m_access_rate);
+        mem "access_delay" Time ~default:(ms 1) (fun m -> m.m_access_delay);
+        mem "bottleneck_rate_mbps" mbps ~default:mb100 (fun m ->
+            m.m_bottleneck_rate);
+        mem "bottleneck_delay" Time ~default:(ms 10) (fun m ->
+            m.m_bottleneck_delay);
+        mem "core_rate_mbps" mbps ~default:(Sim.Units.mbps 400.) (fun m ->
+            m.core_rate);
+        mem "core_delay" Time ~default:(ms 5) (fun m -> m.core_delay);
+        mem "buffer_packets" Int ~default:250 (fun m -> m.m_buffer_packets);
+        mem "ifq_capacity" Int ~default:100 (fun m -> m.m_host_ifq_capacity);
+        mem "red" (Opt red_codec) ~default:None (fun m -> m.m_red);
+        mem "cross_pairs" Int ~default:0 (fun m -> m.cross_pairs);
+      ]
+  in
+  Tagged (Some "duplex", [ duplex; dumbbell; chain ])
+
+let workload_codec =
+  let open Codec in
+  let bulk =
+    case "bulk"
+      (function Bulk { bytes } -> Some bytes | _ -> None)
+      (fun bytes -> Bulk { bytes })
+      [ mem "bytes" (Opt Int) ~default:None Fun.id ]
+  and chunked =
+    case "chunked"
+      (function
+        | Chunked { chunk_bytes; interval; chunks } ->
+            Some (chunk_bytes, interval, chunks)
+        | _ -> None)
+      (fun chunk_bytes interval chunks ->
+        Chunked { chunk_bytes; interval; chunks })
+      [
+        mem "chunk_bytes" Int (fun (b, _, _) -> b);
+        mem "interval" Time (fun (_, i, _) -> i);
+        mem "chunks" (Opt Int) ~default:None (fun (_, _, n) -> n);
+      ]
+  and cbr =
+    case "cbr"
+      (function
+        | Cbr { rate; packet_bytes; stop_at } ->
+            Some (rate, packet_bytes, stop_at)
+        | _ -> None)
+      (fun rate packet_bytes stop_at -> Cbr { rate; packet_bytes; stop_at })
+      [
+        mem "rate_mbps" mbps (fun (r, _, _) -> r);
+        mem "packet_bytes" Int ~default:1000 (fun (_, b, _) -> b);
+        mem "stop_at" (Opt Time) ~default:None (fun (_, _, s) -> s);
+      ]
+  and on_off =
+    case "on_off"
+      (function
+        | On_off { peak_rate; mean_on; mean_off; packet_bytes } ->
+            Some (peak_rate, mean_on, mean_off, packet_bytes)
+        | _ -> None)
+      (fun peak_rate mean_on mean_off packet_bytes ->
+        On_off { peak_rate; mean_on; mean_off; packet_bytes })
+      [
+        mem "peak_rate_mbps" mbps (fun (r, _, _, _) -> r);
+        mem "mean_on" Time (fun (_, t, _, _) -> t);
+        mem "mean_off" Time (fun (_, _, t, _) -> t);
+        mem "packet_bytes" Int ~default:1000 (fun (_, _, _, b) -> b);
+      ]
+  and short_flows =
+    case "short_flows"
+      (function
+        | Short_flows { arrival_rate; mean_size; pareto_shape; stop_at } ->
+            Some (arrival_rate, mean_size, pareto_shape, stop_at)
+        | _ -> None)
+      (fun arrival_rate mean_size pareto_shape stop_at ->
+        Short_flows { arrival_rate; mean_size; pareto_shape; stop_at })
+      [
+        mem "arrival_rate" Float (fun (r, _, _, _) -> r);
+        mem "mean_size" Int ~default:30_720 (fun (_, s, _, _) -> s);
+        mem "pareto_shape" Float ~default:1.2 (fun (_, _, a, _) -> a);
+        mem "stop_at" (Opt Time) ~default:None (fun (_, _, _, s) -> s);
+      ]
+  and many_flows =
+    case "many_flows"
+      (function
+        | Many_flows
+            { flows; arrival_rate; arrival_pareto_shape; mean_size;
+              size_pareto_shape } ->
+            Some
+              ( flows, arrival_rate, arrival_pareto_shape, mean_size,
+                size_pareto_shape )
+        | _ -> None)
+      (fun flows arrival_rate arrival_pareto_shape mean_size
+           size_pareto_shape ->
+        Many_flows
+          { flows; arrival_rate; arrival_pareto_shape; mean_size;
+            size_pareto_shape })
+      [
+        mem "flows" Int ~default:1000 (fun (n, _, _, _, _) -> n);
+        mem "arrival_rate" (Opt Float) ~default:None (fun (_, r, _, _, _) -> r);
+        mem "arrival_pareto_shape" (Opt Float) ~default:None
+          (fun (_, _, a, _, _) -> a);
+        mem "mean_size" (Opt Int) ~default:None (fun (_, _, _, s, _) -> s);
+        mem "size_pareto_shape" Float ~default:1.2 (fun (_, _, _, _, a) -> a);
+      ]
+  in
+  Tagged
+    (Some "bulk", [ bulk; chunked; cbr; on_off; short_flows; many_flows ])
+
+let restricted_codec =
+  let open Tcp.Slow_start in
+  let open Codec in
+  record
+    (fun kp ti td setpoint_fraction max_step_segments sample_min_interval ->
+      { gains = { Control.Pid.kp; ti; td }; setpoint_fraction;
+        max_step_segments; sample_min_interval })
     [
-      ("label", opt_to_json (fun l -> Json.String l) f.label);
-      ("pair", int_to_json f.pair);
-      ("start_at_ns", time_to_json f.start_at);
-      ("policy", opt_to_json (fun p -> Json.String p) f.policy);
-      ("slow_start", Json.String slow_start);
-      ("restricted", opt_to_json restricted_to_json f.restricted);
-      ("shared_rss", Json.Bool f.shared_rss);
-      ("cong_avoid", Json.String cong_avoid);
-      ( "local_congestion",
-        Json.String (Tcp.Local_congestion.to_string f.local_congestion) );
-      ("delayed_ack_ns", opt_to_json time_to_json f.delayed_ack);
-      ("use_sack", Json.Bool f.use_sack);
-      ("pacing", Json.Bool f.pacing);
-      ("slow_start_restart", Json.Bool f.slow_start_restart);
-      ("max_rto_ns", opt_to_json time_to_json f.max_rto);
-      ("workload", workload_to_json f.workload);
+      mem "kp" Float (fun c -> c.gains.Control.Pid.kp);
+      (* A P-only controller's ti = infinity is written as null. *)
+      mem "ti"
+        (Conv
+           ( Opt Float,
+             (fun ti -> if ti = Float.infinity then None else Some ti),
+             fun ti -> Ok (Option.value ti ~default:Float.infinity) ))
+        (fun c -> c.gains.ti);
+      mem "td" Float (fun c -> c.gains.td);
+      mem "setpoint_fraction" Float (fun c -> c.setpoint_fraction);
+      mem "max_step_segments" Float (fun c -> c.max_step_segments);
+      mem "sample_min_interval" Time (fun c -> c.sample_min_interval);
     ]
 
-let to_json t =
-  Json.Obj
+let flow_codec =
+  let open Codec in
+  let d = default_flow and split f = Tcp.Policy.split f.slow_start in
+  record
+    (fun label pair start_at policy ss restricted shared_rss ca
+         local_congestion delayed_ack use_sack pacing slow_start_restart
+         max_rto workload ->
+      (* The legacy [cong_avoid] key names the avoidance half of
+         [slow_start]; "reno" (the default) adds nothing. *)
+      let slow_start = if ca = "reno" then ss else ss ^ "+" ^ ca in
+      { label; pair; start_at; policy; slow_start; restricted; shared_rss;
+        local_congestion; delayed_ack; use_sack; pacing; slow_start_restart;
+        max_rto; workload })
     [
-      ("name", Json.String t.name);
+      mem "label" (Opt Str) ~default:None (fun (f : flow) -> f.label);
+      mem "pair" Int ~default:d.pair (fun f -> f.pair);
+      mem "start_at" Time ~default:d.start_at (fun f -> f.start_at);
+      mem "policy" (Opt Str) ~default:None (fun f -> f.policy);
+      (* [slow_start] goes out as the legacy key pair, so a spec's bytes
+         (its snapshot identity) and its default labels never change. *)
+      mem "slow_start" Str ~default:d.slow_start (fun f -> fst (split f));
+      mem "restricted" (Opt restricted_codec) ~default:None (fun f ->
+          f.restricted);
+      mem "shared_rss" Bool ~default:d.shared_rss (fun f -> f.shared_rss);
+      mem "cong_avoid" Str ~default:"reno" (fun f -> snd (split f));
+      mem "local_congestion"
+        Tcp.Local_congestion.(Conv (Str, to_string, of_string))
+        ~default:d.local_congestion (fun f -> f.local_congestion);
+      mem "delayed_ack" (Opt Time) ~default:d.delayed_ack (fun f ->
+          f.delayed_ack);
+      mem "use_sack" Bool ~default:d.use_sack (fun f -> f.use_sack);
+      mem "pacing" Bool ~default:d.pacing (fun f -> f.pacing);
+      mem "slow_start_restart" Bool ~default:d.slow_start_restart (fun f ->
+          f.slow_start_restart);
+      mem "max_rto" (Opt Time) ~default:d.max_rto (fun f -> f.max_rto);
+      mem "workload" workload_codec ~default:d.workload (fun f -> f.workload);
+    ]
+
+let spec_codec =
+  let open Codec in
+  let d = default in
+  record
+    (fun name seed duration sample_period record_series record_trace
+         trace_capacity domains topology flows faults ->
+      { name; seed; duration; sample_period; record_series; record_trace;
+        trace_capacity; domains; topology; flows; faults })
+    [
+      mem "name" Str ~default:d.name (fun (t : t) -> t.name);
       (* Seeds from [Rng.derive_seed] are 62-bit; a JSON double only
          holds 53, so the seed travels as a decimal string. *)
-      ("seed", Json.String (string_of_int t.seed));
-      ("duration_ns", time_to_json t.duration);
-      ("sample_period_ns", time_to_json t.sample_period);
-      ("record_series", Json.Bool t.record_series);
-      ("record_trace", Json.Bool t.record_trace);
-      ("trace_capacity", int_to_json t.trace_capacity);
-      ("domains", int_to_json t.domains);
-      ("topology", topology_to_json t.topology);
-      ("flows", Json.List (List.map flow_to_json t.flows));
-      ( "faults",
-        Json.Obj
-          [
-            ("forward", profile_to_json t.faults.forward);
-            ("reverse", profile_to_json t.faults.reverse);
-          ] );
+      mem "seed" Decimal ~default:d.seed (fun t -> t.seed);
+      mem "duration" Time ~default:d.duration (fun t -> t.duration);
+      mem "sample_period" Time ~default:d.sample_period (fun t ->
+          t.sample_period);
+      mem "record_series" Bool ~default:d.record_series (fun t ->
+          t.record_series);
+      mem "record_trace" Bool ~default:d.record_trace (fun t -> t.record_trace);
+      mem "trace_capacity" Int ~default:d.trace_capacity (fun t ->
+          t.trace_capacity);
+      mem "domains" Int ~default:d.domains (fun t -> t.domains);
+      mem "topology" topology_codec ~default:d.topology (fun t -> t.topology);
+      mem "flows" (Items flow_codec) ~default:d.flows (fun t -> t.flows);
+      mem "faults" faults_codec ~default:d.faults (fun t -> t.faults);
     ]
+
+let to_json t = Codec.write spec_codec t
+let of_json j = Codec.decode spec_codec j
 
 (* The spec identity a snapshot embeds: the canonical JSON rendering,
    so a resume against a different scenario — or the same scenario with
    one knob changed — fails loudly. Defined here (after [to_json]); the
-   checkpoint machinery above takes it as a parameter. *)
+   checkpoint machinery above takes it as a parameter and renders it
+   only when it saves or restores a snapshot. *)
 let spec_identity t = Json.to_string (to_json t)
 
 let execute ?checkpoint ?resume_from b =
   execute_core ?checkpoint ~resume:resume_from
-    ~identity:(spec_identity b.bspec) b
+    ~identity:(lazy (spec_identity b.bspec)) b
 
 let run ?checkpoint ?resume_from spec =
   execute ?checkpoint ?resume_from (build spec)
@@ -1913,419 +2288,10 @@ let run_batch_collect ?pool specs =
         ~f:(fun s -> run s)
         specs
 
-(* Parsing. Present fields must be well-typed (errors name the field);
-   missing fields fall back to the defaults; unknown keys are ignored. *)
-
-let ( let* ) = Result.bind
-
-let field key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let num key j =
-  let* v = field key j in
-  match Json.number v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S is not a number" key)
-
-let str key j =
-  let* v = field key j in
-  match Json.string_value v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S is not a string" key)
-
-let num_default d key j =
-  match Json.member key j with None -> Ok d | Some _ -> num key j
-
-let int_default d key j =
-  Result.map int_of_float (num_default (float_of_int d) key j)
-
-let str_default d key j =
-  match Json.member key j with None -> Ok d | Some _ -> str key j
-
-let bool_default d key j =
-  match Json.member key j with
-  | None -> Ok d
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S is not a bool" key)
-
-(* A duration: [<key>_ns] (integer nanoseconds) or [<key>_s] (float
-   seconds); [d] when neither key is present. *)
-let time_default d key j =
-  match Json.member (key ^ "_ns") j with
-  | Some v -> (
-      match Json.number v with
-      | Some f -> Ok (Sim.Time.of_ns_int (int_of_float f))
-      | None -> Error (Printf.sprintf "field \"%s_ns\" is not a number" key))
-  | None -> (
-      match Json.member (key ^ "_s") j with
-      | None -> Ok d
-      | Some v -> (
-          match Json.number v with
-          | Some f -> Ok (Sim.Time.of_sec f)
-          | None ->
-              Error (Printf.sprintf "field \"%s_s\" is not a number" key)))
-
-let time key j =
-  let* t = time_default Sim.Time.zero key j in
-  match (Json.member (key ^ "_ns") j, Json.member (key ^ "_s") j) with
-  | None, None ->
-      Error (Printf.sprintf "missing field %S" (key ^ "_ns"))
-  | _ -> Ok t
-
-let opt_time_default d key j =
-  match (Json.member (key ^ "_ns") j, Json.member (key ^ "_s") j) with
-  | None, None -> Ok d
-  | Some Json.Null, _ -> Ok None
-  | _ -> Result.map Option.some (time key j)
-
-let opt_field key parse j =
-  match Json.member key j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (parse v)
-
-let all parse items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* v = parse item in
-      Ok (v :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let jitter_of_json j =
-  let* prob = num "prob" j in
-  let* max_extra = time "max_extra" j in
-  Ok { Fm.prob; max_extra }
-
-let ge_of_json j =
-  let* p_gb = num "p_gb" j in
-  let* p_bg = num "p_bg" j in
-  let* loss_good = num "loss_good" j in
-  let* loss_bad = num "loss_bad" j in
-  Ok { Fm.p_gb; p_bg; loss_good; loss_bad }
-
-let event_of_json j =
-  let* kind = str "kind" j in
-  match kind with
-  | "outage" ->
-      let* start = time "start" j in
-      let* stop = time "stop" j in
-      Ok (Fm.Outage { start; stop })
-  | "delay_step" ->
-      let* at = time "at" j in
-      let* extra = time "extra" j in
-      Ok (Fm.Delay_step { at; extra })
-  | other -> Error (Printf.sprintf "unknown schedule event kind %S" other)
-
-let profile_of_json j =
-  let* ge = opt_field "ge" ge_of_json j in
-  let* reorder = opt_field "reorder" jitter_of_json j in
-  let* duplicate = opt_field "duplicate" jitter_of_json j in
-  let* schedule =
-    match Json.member "schedule" j with
-    | None -> Ok []
-    | Some v -> (
-        match Json.list_value v with
-        | None -> Error "field \"schedule\" is not a list"
-        | Some items -> all event_of_json items)
-  in
-  Ok { Fm.ge; reorder; duplicate; schedule }
-
-let red_of_json j =
-  let* min_th = num "min_th" j in
-  let* max_th = num "max_th" j in
-  let* max_p = num "max_p" j in
-  let* weight = num "weight" j in
-  Ok { Netsim.Queue_disc.min_th; max_th; max_p; weight }
-
-let topology_of_json j =
-  let* kind = str_default "duplex" "kind" j in
-  match kind with
-  | "duplex" ->
-      let* rate_mbps =
-        num_default (Sim.Units.rate_to_mbps default_duplex.rate) "rate_mbps" j
-      in
-      let* one_way_delay =
-        time_default default_duplex.one_way_delay "one_way_delay" j
-      in
-      let* ifq_capacity =
-        int_default default_duplex.ifq_capacity "ifq_capacity" j
-      in
-      let* loss_rate = num_default default_duplex.loss_rate "loss_rate" j in
-      let* ifq_red_ecn = opt_field "ifq_red_ecn" red_of_json j in
-      Ok
-        (Duplex
-           {
-             rate = Sim.Units.mbps rate_mbps;
-             one_way_delay;
-             ifq_capacity;
-             loss_rate;
-             ifq_red_ecn;
-           })
-  | "dumbbell" ->
-      let* pairs = int_default 2 "pairs" j in
-      let* access_rate_mbps = num_default 100. "access_rate_mbps" j in
-      let* access_delay = time_default (Sim.Time.ms 1) "access_delay" j in
-      let* bottleneck_rate_mbps = num_default 100. "bottleneck_rate_mbps" j in
-      let* bottleneck_delay =
-        time_default (Sim.Time.ms 28) "bottleneck_delay" j
-      in
-      let* buffer_packets = int_default 250 "buffer_packets" j in
-      let* host_ifq_capacity = int_default 100 "ifq_capacity" j in
-      let* red = opt_field "red" red_of_json j in
-      Ok
-        (Dumbbell
-           {
-             pairs;
-             access_rate = Sim.Units.mbps access_rate_mbps;
-             access_delay;
-             bottleneck_rate = Sim.Units.mbps bottleneck_rate_mbps;
-             bottleneck_delay;
-             buffer_packets;
-             host_ifq_capacity;
-             red;
-           })
-  | "dumbbell_of_dumbbells" ->
-      let* segments = int_default 2 "segments" j in
-      let* pairs = int_default 2 "pairs" j in
-      let* access_rate_mbps = num_default 100. "access_rate_mbps" j in
-      let* access_delay = time_default (Sim.Time.ms 1) "access_delay" j in
-      let* bottleneck_rate_mbps = num_default 100. "bottleneck_rate_mbps" j in
-      let* bottleneck_delay =
-        time_default (Sim.Time.ms 10) "bottleneck_delay" j
-      in
-      let* core_rate_mbps = num_default 400. "core_rate_mbps" j in
-      let* core_delay = time_default (Sim.Time.ms 5) "core_delay" j in
-      let* buffer_packets = int_default 250 "buffer_packets" j in
-      let* host_ifq_capacity = int_default 100 "ifq_capacity" j in
-      let* red = opt_field "red" red_of_json j in
-      let* cross_pairs = int_default 0 "cross_pairs" j in
-      Ok
-        (Multi_dumbbell
-           {
-             segments;
-             m_pairs = pairs;
-             m_access_rate = Sim.Units.mbps access_rate_mbps;
-             m_access_delay = access_delay;
-             m_bottleneck_rate = Sim.Units.mbps bottleneck_rate_mbps;
-             m_bottleneck_delay = bottleneck_delay;
-             core_rate = Sim.Units.mbps core_rate_mbps;
-             core_delay;
-             m_buffer_packets = buffer_packets;
-             m_host_ifq_capacity = host_ifq_capacity;
-             m_red = red;
-             cross_pairs;
-           })
-  | other -> Error (Printf.sprintf "unknown topology kind %S" other)
-
-let workload_of_json j =
-  let* kind = str_default "bulk" "kind" j in
-  match kind with
-  | "bulk" ->
-      let* bytes =
-        opt_field "bytes" (fun v ->
-            match Json.number v with
-            | Some f -> Ok (int_of_float f)
-            | None -> Error "field \"bytes\" is not a number")
-          j
-      in
-      Ok (Bulk { bytes })
-  | "chunked" ->
-      let* chunk_bytes = num "chunk_bytes" j in
-      let* interval = time "interval" j in
-      let* chunks =
-        opt_field "chunks" (fun v ->
-            match Json.number v with
-            | Some f -> Ok (int_of_float f)
-            | None -> Error "field \"chunks\" is not a number")
-          j
-      in
-      Ok (Chunked { chunk_bytes = int_of_float chunk_bytes; interval; chunks })
-  | "cbr" ->
-      let* rate_mbps = num "rate_mbps" j in
-      let* packet_bytes = int_default 1000 "packet_bytes" j in
-      let* stop_at = opt_time_default None "stop_at" j in
-      Ok (Cbr { rate = Sim.Units.mbps rate_mbps; packet_bytes; stop_at })
-  | "on_off" ->
-      let* peak_rate_mbps = num "peak_rate_mbps" j in
-      let* mean_on = time "mean_on" j in
-      let* mean_off = time "mean_off" j in
-      let* packet_bytes = int_default 1000 "packet_bytes" j in
-      Ok
-        (On_off
-           {
-             peak_rate = Sim.Units.mbps peak_rate_mbps;
-             mean_on;
-             mean_off;
-             packet_bytes;
-           })
-  | "short_flows" ->
-      let* arrival_rate = num "arrival_rate" j in
-      let* mean_size = int_default 30_720 "mean_size" j in
-      let* pareto_shape = num_default 1.2 "pareto_shape" j in
-      let* stop_at = opt_time_default None "stop_at" j in
-      Ok (Short_flows { arrival_rate; mean_size; pareto_shape; stop_at })
-  | "many_flows" ->
-      let opt_num key =
-        opt_field key
-          (fun v ->
-            match Json.number v with
-            | Some f -> Ok f
-            | None -> Error (Printf.sprintf "field %S is not a number" key))
-          j
-      in
-      let* flows = int_default 1000 "flows" j in
-      let* arrival_rate = opt_num "arrival_rate" in
-      let* arrival_pareto_shape = opt_num "arrival_pareto_shape" in
-      let* mean_size = Result.map (Option.map int_of_float) (opt_num "mean_size") in
-      let* size_pareto_shape = num_default 1.2 "size_pareto_shape" j in
-      Ok
-        (Many_flows
-           { flows; arrival_rate; arrival_pareto_shape; mean_size;
-             size_pareto_shape })
-  | other -> Error (Printf.sprintf "unknown workload kind %S" other)
-
-let restricted_of_json j =
-  let* kp = num "kp" j in
-  (* A P-only controller's ti = infinity is written as null. *)
-  let* ti =
-    match Json.member "ti" j with Some Json.Null -> Ok infinity | _ -> num "ti" j
-  in
-  let* td = num "td" j in
-  let* setpoint_fraction = num "setpoint_fraction" j in
-  let* max_step_segments = num "max_step_segments" j in
-  let* sample_min_interval = time "sample_min_interval" j in
-  Ok
-    {
-      Tcp.Slow_start.gains = { Control.Pid.kp; ti; td };
-      setpoint_fraction;
-      max_step_segments;
-      sample_min_interval;
-    }
-
-let flow_of_json j =
-  let d = default_flow in
-  let* label =
-    opt_field "label" (fun v ->
-        match Json.string_value v with
-        | Some s -> Ok s
-        | None -> Error "field \"label\" is not a string")
-      j
-  in
-  let* pair = int_default d.pair "pair" j in
-  let* start_at = time_default d.start_at "start_at" j in
-  let* policy =
-    opt_field "policy" (fun v ->
-        match Json.string_value v with
-        | Some s -> Ok s
-        | None -> Error "field \"policy\" is not a string")
-      j
-  in
-  (* The legacy [cong_avoid] key names the avoidance half of
-     [slow_start]; "reno" (the default) adds nothing. *)
-  let* slow_start =
-    let* ss = str_default d.slow_start "slow_start" j in
-    let* ca = str_default "reno" "cong_avoid" j in
-    Ok (if ca = "reno" then ss else ss ^ "+" ^ ca)
-  in
-  let* restricted = opt_field "restricted" restricted_of_json j in
-  let* shared_rss = bool_default d.shared_rss "shared_rss" j in
-  let* local_congestion =
-    let* s =
-      str_default
-        (Tcp.Local_congestion.to_string d.local_congestion)
-        "local_congestion" j
-    in
-    Tcp.Local_congestion.of_string s
-  in
-  let* delayed_ack = opt_time_default d.delayed_ack "delayed_ack" j in
-  let* use_sack = bool_default d.use_sack "use_sack" j in
-  let* pacing = bool_default d.pacing "pacing" j in
-  let* slow_start_restart =
-    bool_default d.slow_start_restart "slow_start_restart" j
-  in
-  let* max_rto = opt_time_default d.max_rto "max_rto" j in
-  let* workload =
-    match Json.member "workload" j with
-    | None -> Ok d.workload
-    | Some w -> workload_of_json w
-  in
-  Ok
-    {
-      label;
-      pair;
-      start_at;
-      policy;
-      slow_start;
-      restricted;
-      shared_rss;
-      local_congestion;
-      delayed_ack;
-      use_sack;
-      pacing;
-      slow_start_restart;
-      max_rto;
-      workload;
-    }
-
-let of_json j =
-  let d = default in
-  let* name = str_default d.name "name" j in
-  let* seed =
-    match Json.member "seed" j with
-    | None -> Ok d.seed
-    | Some (Json.String s) -> (
-        match int_of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-            Error (Printf.sprintf "field \"seed\" is not an integer: %S" s))
-    | Some _ ->
-        Error
-          "field \"seed\" must be a decimal string (62-bit seeds do not \
-           survive JSON doubles)"
-  in
-  let* duration = time_default d.duration "duration" j in
-  let* sample_period = time_default d.sample_period "sample_period" j in
-  let* record_series = bool_default d.record_series "record_series" j in
-  let* record_trace = bool_default d.record_trace "record_trace" j in
-  let* trace_capacity = int_default d.trace_capacity "trace_capacity" j in
-  let* domains = int_default d.domains "domains" j in
-  let* topology =
-    match Json.member "topology" j with
-    | None -> Ok d.topology
-    | Some t -> topology_of_json t
-  in
-  let* flows =
-    match Json.member "flows" j with
-    | None -> Ok d.flows
-    | Some v -> (
-        match Json.list_value v with
-        | None -> Error "field \"flows\" is not a list"
-        | Some items -> all flow_of_json items)
-  in
-  let* faults =
-    match Json.member "faults" j with
-    | None -> Ok d.faults
-    | Some fj ->
-        let* forward =
-          match Json.member "forward" fj with
-          | None -> Ok Fm.passthrough
-          | Some p -> profile_of_json p
-        in
-        let* reverse =
-          match Json.member "reverse" fj with
-          | None -> Ok Fm.passthrough
-          | Some p -> profile_of_json p
-        in
-        Ok { forward; reverse }
-  in
-  Ok
-    { name; seed; duration; sample_period; record_series; record_trace;
-      trace_capacity; domains; topology; flows; faults }
-
 (* --- result serialization ---------------------------------------------- *)
+
+let int_to_json = Codec.(write Int)
+let opt_float_to_json = Codec.(write (Opt Float))
 
 let flow_result_to_json r =
   Json.Obj
@@ -2341,10 +2307,8 @@ let flow_result_to_json r =
       ("mean_ifq", Json.Number r.mean_ifq);
       ("peak_ifq", Json.Number r.peak_ifq);
       ("ce_marks", int_to_json r.ce_marks);
-      ( "completion_s",
-        opt_to_json (fun c -> Json.Number (Sim.Time.to_sec c)) r.completion );
-      ( "time_to_90pct_util_s",
-        opt_to_json (fun s -> Json.Number s) r.time_to_90pct_util );
+      ("completion_s", opt_float_to_json (Option.map Sim.Time.to_sec r.completion));
+      ("time_to_90pct_util_s", opt_float_to_json r.time_to_90pct_util);
     ]
 
 let outcome_to_json o =
@@ -2366,7 +2330,7 @@ let outcome_to_json o =
 
 let template () =
   {|{
-  "_doc": "rss_sim scenario spec. Unknown keys (like these _doc entries) are ignored; missing keys take the defaults shown by `rss_sim spec`. Durations accept either <key>_ns integers or <key>_s float seconds.",
+  "_doc": "rss_sim scenario spec. Keys that start with _ (like these _doc entries) are free; any other unknown key is an error. Missing keys take the defaults shown by `rss_sim spec`. Durations accept either <key>_ns integers or <key>_s float seconds, not both.",
   "name": "example",
   "_doc_seed": "decimal string, not a number: 62-bit seeds do not survive JSON doubles",
   "seed": "1",

@@ -379,19 +379,18 @@ val to_json : t -> Report.Json.t
     a decimal string (62-bit seeds do not survive JSON doubles). *)
 
 val of_json : Report.Json.t -> (t, string) result
-(** Inverse of {!to_json}; errors name the offending field. Missing
-    fields fall back to {!default}'s values; [*_s] float-second keys
-    are accepted anywhere a [*_ns] key is; unknown keys are ignored
-    (so specs can carry ["_doc"] comments). *)
-
-val profile_to_json : Netsim.Fault_model.profile -> Report.Json.t
-val profile_of_json :
-  Report.Json.t -> (Netsim.Fault_model.profile, string) result
-
-val flow_result_to_json : flow_result -> Report.Json.t
-(** Scalar fields only — series travel as CSV, not JSON. *)
+(** Inverse of {!to_json}. Missing keys fall back to {!default}'s
+    values (each topology and workload kind has its own); [*_s]
+    float-second keys are accepted anywhere a [*_ns] key is, but not
+    both. Keys that start with ['_'] are free (so specs can carry
+    ["_doc"] comments); any other unknown key is an error, as are a
+    non-integral or out-of-range integer, a duration outside ±2^53 ns
+    and a seed that is not a decimal string. Errors name the key's
+    path, as in [flows[0].pair]. *)
 
 val outcome_to_json : outcome -> Report.Json.t
+(** The scalar fields of each flow's result and the path statistics —
+    series travel as CSV, not JSON. *)
 
 val template : unit -> string
 (** A commented spec-file template (["_doc"] keys explain each field);

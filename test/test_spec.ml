@@ -258,7 +258,48 @@ let test_of_json_errors () =
   in
   reject {|{"seed": 12}|} "seed";
   reject {|{"topology": {"kind": "mesh"}}|} "topology";
-  reject {|{"flows": [{"workload": {"kind": "torrent"}}]}|} "workload"
+  reject {|{"flows": [{"workload": {"kind": "torrent"}}]}|} "workload";
+  (* Each input below was accepted, or refused for the wrong value, by
+     the decoder that ignored unknown keys and truncated numbers. *)
+  reject {|{"duraton_s": 0.01}|} "duraton_s";
+  reject {|{"flows": [{"slow_strat": "restricted"}]}|} "flows[0].slow_strat";
+  reject {|{"topology": {"kind": "dumbbell", "core_rate_mbps": 400}}|}
+    "topology.core_rate_mbps";
+  reject {|{"faults": {"forwrd": {"ge": null}}}|} "faults.forwrd";
+  reject {|{"flows": [{"workload": {"kind": "bulk", "byts": 1000}}]}|}
+    "flows[0].workload.byts";
+  reject {|{"domains": 1.9}|} "domains";
+  reject {|{"flows": [{"pair": 0.5}]}|} "flows[0].pair";
+  reject {|{"topology": {"ifq_capacity": 100.7}}|} "topology.ifq_capacity";
+  reject
+    {|{"flows": [{"workload": {"kind": "chunked", "chunk_bytes": 1000.9, "interval_s": 0.1}}]}|}
+    "flows[0].workload.chunk_bytes";
+  reject {|{"duration_ns": 1000000000, "duration_s": 1}|} "duration_s";
+  reject {|{"trace_capacity": 1e300}|} "trace_capacity: 1e+300";
+  reject {|{"duration_s": 1e300}|} "duration_s: 1e+300";
+  reject {|{"flows": [{"delayed_ack_s": 1e30}]}|} "flows[0].delayed_ack_s";
+  reject {|{"seed": "0x10"}|} "seed";
+  reject {|{"seed": "1_000"}|} "seed"
+
+(* Keys that start with '_' are free at every level, and a null duration
+   means "none" under either spelling. *)
+let test_of_json_free_keys_and_null () =
+  let text =
+    {|{"_doc": 1, "topology": {"_doc": 2},
+ "flows": [{"_doc": 3, "delayed_ack_s": null,
+            "workload": {"_doc": 4, "kind": "cbr", "rate_mbps": 1, "stop_at_s": null}}],
+ "faults": {"_doc": 5, "forward": {"_doc": 6, "schedule": [{"_doc": 7, "kind": "outage", "start_s": 1, "stop_s": 2}]}}}|}
+  in
+  match Result.bind (Report.Json.of_string text) Spec.of_json with
+  | Error e -> Alcotest.failf "rejected: %s" e
+  | Ok spec ->
+      let f = List.hd spec.Spec.flows in
+      Alcotest.(check bool) "delayed_ack_s: null is no delayed ACK" true
+        (f.Spec.delayed_ack = None);
+      Alcotest.(check bool) "stop_at_s: null is no stop" true
+        (match f.Spec.workload with
+        | Spec.Cbr { stop_at; _ } -> stop_at = None
+        | _ -> false)
 
 (* --- fixed-seed goldens (from scratch run, full precision) ------------- *)
 
@@ -1127,4 +1168,6 @@ let suite =
       test_short_flows_policy;
     Alcotest.test_case "dumbbell = its one-segment chain" `Slow
       test_dumbbell_is_one_segment_chain;
+    Alcotest.test_case "of_json: _ keys are free, null durations are none"
+      `Quick test_of_json_free_keys_and_null;
   ]
