@@ -1,16 +1,15 @@
-let check_int64 = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
 let test_constructors () =
-  Alcotest.check check_int64 "1 us = 1000 ns"
+  Alcotest.(check int64) "1 us = 1000 ns"
     (Sim.Time.to_ns_int64 (Sim.Time.us 1))
     1_000L;
-  Alcotest.check check_int64 "1 ms"
+  Alcotest.(check int64) "1 ms"
     (Sim.Time.to_ns_int64 (Sim.Time.ms 1))
     1_000_000L;
-  Alcotest.check check_int64 "1 s"
+  Alcotest.(check int64) "1 s"
     (Sim.Time.to_ns_int64 (Sim.Time.sec 1))
     1_000_000_000L;
-  Alcotest.check check_int64 "of_sec rounds"
+  Alcotest.(check int64) "of_sec rounds"
     (Sim.Time.to_ns_int64 (Sim.Time.of_sec 1.5e-9))
     2L
 
@@ -22,19 +21,19 @@ let test_roundtrip () =
 
 let test_arith () =
   let a = Sim.Time.ms 3 and b = Sim.Time.ms 5 in
-  Alcotest.check check_int64 "add"
+  Alcotest.(check int64) "add"
     (Sim.Time.to_ns_int64 (Sim.Time.add a b))
     8_000_000L;
-  Alcotest.check check_int64 "sub negative"
+  Alcotest.(check int64) "sub negative"
     (Sim.Time.to_ns_int64 (Sim.Time.sub a b))
     (-2_000_000L);
   Alcotest.(check bool) "is_negative" true
     (Sim.Time.is_negative (Sim.Time.sub a b));
   Alcotest.(check (float 1e-9)) "div" 0.6 (Sim.Time.div a b);
-  Alcotest.check check_int64 "scale"
+  Alcotest.(check int64) "scale"
     (Sim.Time.to_ns_int64 (Sim.Time.scale b 0.4))
     2_000_000L;
-  Alcotest.check check_int64 "mul_int"
+  Alcotest.(check int64) "mul_int"
     (Sim.Time.to_ns_int64 (Sim.Time.mul_int a 4))
     12_000_000L
 
@@ -60,7 +59,7 @@ let test_unboxed_int () =
   Alcotest.(check int) "of_ns_int/to_ns_int"
     123_456_789
     (Sim.Time.to_ns_int (Sim.Time.of_ns_int 123_456_789));
-  Alcotest.check check_int64 "int64 interop agrees with int"
+  Alcotest.(check int64) "int64 interop agrees with int"
     (Sim.Time.to_ns_int64 (Sim.Time.of_ns_int64 123_456_789L))
     123_456_789L;
   (* A century of simulated nanoseconds still fits comfortably. *)
