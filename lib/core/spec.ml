@@ -1856,6 +1856,8 @@ module Codec = struct
     | Bool, Json.Bool b -> b
     | Decimal, Json.String s -> decimal p s
     | Time, Json.Number f when secs ->
+        (* The bound of the [_ns] spelling, which is what [write] gives
+           back: a double holds integer ns exactly only up to 2^53. *)
         let ns = Float.round (f *. 1e9) in
         if Float.abs ns <= 0x1p53 then Sim.Time.of_ns_int (int_of_float ns)
         else fail p "%g s is outside ±2^53 ns (about 104 days)" f
