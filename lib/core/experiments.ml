@@ -658,3 +658,312 @@ module Fairness = struct
       reno_vs_reno_jain = jain (goodputs control);
     }
 end
+
+(* --- results as data ---------------------------------------------------- *)
+
+type cell = Int of int | Float of float | Text of string | Empty
+type table = { name : string; columns : string list; rows : cell list list }
+type series = { label : string; data : Sim.Stats.Series.t }
+type t = { tables : table list; series : series list; note : string }
+type experiment = { id : string; title : string }
+
+let table ?(name = "") columns rows = { name; columns; rows }
+
+(* The web100-style counters of one flow, one column each. *)
+let flow_columns =
+  [
+    "label"; "goodput_mbps"; "utilization"; "send_stalls";
+    "congestion_signals"; "retransmits"; "timeouts"; "final_cwnd_segments";
+    "mean_ifq_packets"; "peak_ifq_packets"; "ce_marks"; "completion_s";
+    "time_to_90pct_s";
+  ]
+
+let opt_float = function Some x -> Float x | None -> Empty
+
+let flow_cells (r : Spec.flow_result) =
+  [
+    Text r.Spec.label;
+    Float r.Spec.goodput_mbps;
+    Float r.Spec.utilization;
+    Int r.Spec.send_stalls;
+    Int r.Spec.congestion_signals;
+    Int r.Spec.retransmits;
+    Int r.Spec.timeouts;
+    Float r.Spec.final_cwnd_segments;
+    Float r.Spec.mean_ifq;
+    Float r.Spec.peak_ifq;
+    Int r.Spec.ce_marks;
+    opt_float (Option.map Sim.Time.to_sec r.Spec.completion);
+    opt_float r.Spec.time_to_90pct_util;
+  ]
+
+let flow_table rs = table flow_columns (List.map flow_cells rs)
+
+(* Every series a flow records. *)
+let flow_series (r : Spec.flow_result) =
+  List.map
+    (fun data -> { label = r.Spec.label; data })
+    [
+      r.Spec.stalls_series;
+      r.Spec.cwnd_series;
+      r.Spec.ifq_series;
+      r.Spec.throughput_series;
+      r.Spec.srtt_series;
+    ]
+
+let result ?(series = []) ?(note = "") tables = { tables; series; note }
+
+(* One row per flow of a sweep, behind the sweep point's column. *)
+let sweep_table key rows =
+  table (key :: flow_columns)
+    (List.concat_map
+       (fun (point, flows) ->
+         List.map (fun r -> Int point :: flow_cells r) flows)
+       rows)
+
+let drivers =
+  [
+    ( { id = "fig1"; title = "Figure 1: cumulative send-stall signals, 0-25 s" },
+      fun ?pool ?duration () ->
+        let r = Fig1.run ?pool ?duration () in
+        result
+          ~series:(flow_series r.Fig1.standard @ flow_series r.Fig1.restricted)
+          [ flow_table [ r.Fig1.standard; r.Fig1.restricted ] ] );
+    ( { id = "table1"; title = "Table 1: §4 throughput claim (paper: ~40% improvement)" },
+      fun ?pool ?duration () ->
+        let durations = Option.map (fun d -> [ Sim.Time.to_sec d ]) duration in
+        result
+          [
+            table
+              [
+                "duration_s"; "standard_mbps"; "restricted_mbps";
+                "improvement_pct"; "standard_stalls"; "restricted_stalls";
+              ]
+              (List.map
+                 (fun (r : Table1.row) ->
+                   [
+                     Float r.Table1.duration_s;
+                     Float r.Table1.standard_mbps;
+                     Float r.Table1.restricted_mbps;
+                     Float r.Table1.improvement_pct;
+                     Int r.Table1.standard_stalls;
+                     Int r.Table1.restricted_stalls;
+                   ])
+                 (Table1.run ?pool ?durations ()));
+          ] );
+    ( { id = "e2"; title = "E2: slow-start variant comparison (25 s, paper path)" },
+      fun ?pool ?duration () ->
+        result [ flow_table (Variants.run ?pool ?duration ()) ] );
+    ( { id = "e3"; title = "E3: throughput vs interface-queue size (20 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            sweep_table "ifq_packets"
+              (List.map
+                 (fun (r : Ifq_sweep.row) ->
+                   ( r.Ifq_sweep.ifq_capacity,
+                     [ r.Ifq_sweep.standard; r.Ifq_sweep.restricted ] ))
+                 (Ifq_sweep.run ?pool ?duration ()));
+          ] );
+    ( { id = "e4"; title = "E4: throughput vs round-trip time (20 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            sweep_table "rtt_ms"
+              (List.map
+                 (fun (r : Rtt_sweep.row) ->
+                   ( r.Rtt_sweep.rtt_ms,
+                     [ r.Rtt_sweep.standard; r.Rtt_sweep.restricted ] ))
+                 (Rtt_sweep.run ?pool ?duration ()));
+          ] );
+    ( { id = "e5"; title = "E5: slow-start overshoot loss at a network bottleneck (15 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            table
+              [
+                "bottleneck_mbps"; "buffer_packets"; "slow_start";
+                "router_drops"; "retransmits"; "goodput_mbps";
+              ]
+              (List.map
+                 (fun (r : Burst_loss.row) ->
+                   [
+                     Float r.Burst_loss.bottleneck_mbps;
+                     Int r.Burst_loss.buffer_packets;
+                     Text r.Burst_loss.slow_start;
+                     Int r.Burst_loss.router_drops;
+                     Int r.Burst_loss.retransmits;
+                     Float r.Burst_loss.goodput_mbps;
+                   ])
+                 (Burst_loss.run ?pool ?duration ()));
+          ] );
+    ( { id = "e6"; title = "E6: PID tuning ablation (ZN experiment on the live simulator, 20 s)" },
+      fun ?pool ?duration () ->
+        let t = Pid_ablation.run ?pool ?duration () in
+        result
+          [
+            table ~name:"critical" [ "kc"; "tc_s"; "error" ]
+              [
+                (match t.Pid_ablation.measured with
+                | Ok c -> [ Float c.Control.Tuning.kc; Float c.Control.Tuning.tc; Empty ]
+                | Error e -> [ Empty; Empty; Text e ]);
+              ];
+            table
+              (flow_columns @ [ "kp"; "ti_s"; "td_s" ])
+              (List.map
+                 (fun (r : Pid_ablation.row) ->
+                   let g = r.Pid_ablation.gains in
+                   flow_cells r.Pid_ablation.result
+                   @ [ Float g.Control.Pid.kp; Float g.Control.Pid.ti; Float g.Control.Pid.td ])
+                 t.Pid_ablation.rows);
+          ] );
+    ( { id = "e7"; title = "E7: local-congestion policy ablation (standard slow-start, 25 s)" },
+      fun ?pool ?duration () ->
+        result
+          [ flow_table (List.map snd (Local_cong_ablation.run ?pool ?duration ())) ] );
+    ( { id = "e8"; title = "E8: friendliness: RSS vs Reno on a shared bottleneck (40 s)" },
+      fun ?pool ?duration () ->
+        let t = Fairness.run ?pool ?duration () in
+        result
+          [
+            table
+              [ "reno_mbps"; "restricted_mbps"; "jain_index"; "reno_vs_reno_jain" ]
+              [
+                [
+                  Float t.Fairness.reno_mbps;
+                  Float t.Fairness.restricted_mbps;
+                  Float t.Fairness.jain_index;
+                  Float t.Fairness.reno_vs_reno_jain;
+                ];
+              ];
+          ] );
+    ( { id = "e9"; title = "E9: gain scheduling: fixed vs RTT-adaptive RSS (20 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            sweep_table "rtt_ms"
+              (List.map
+                 (fun (r : Adaptive_gains.row) ->
+                   ( r.Adaptive_gains.rtt_ms,
+                     [
+                       r.Adaptive_gains.standard;
+                       r.Adaptive_gains.restricted_fixed;
+                       r.Adaptive_gains.restricted_adaptive;
+                     ] ))
+                 (Adaptive_gains.run ?pool ?duration ()));
+          ] );
+    ( { id = "e10"; title = "E10: does pacing alone prevent send-stalls? (25 s)" },
+      fun ?pool ?duration () -> result [ flow_table (Pacing.run ?pool ?duration ()) ] );
+    ( { id = "e11"; title = "E11: parallel GridFTP-style streams sharing one host (20 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            table
+              [
+                "streams"; "slow_start"; "aggregate_mbps"; "send_stalls";
+                "jain_index"; "mean_ifq_packets";
+              ]
+              (List.map
+                 (fun (r : Parallel_streams.row) ->
+                   [
+                     Int r.Parallel_streams.streams;
+                     Text r.Parallel_streams.slow_start;
+                     Float r.Parallel_streams.aggregate_mbps;
+                     Int r.Parallel_streams.total_stalls;
+                     Float r.Parallel_streams.jain_index;
+                     Float r.Parallel_streams.mean_ifq;
+                   ])
+                 (Parallel_streams.run ?pool ?duration ()));
+          ] );
+    ( { id = "e12"; title = "E12: ECN marking on the local qdisc vs the RSS controller (25 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            flow_table
+              (List.map (fun (r : Local_ecn.row) -> r.Local_ecn.result)
+                 (Local_ecn.run ?pool ?duration ()));
+          ] );
+    ( { id = "e13"; title = "E13: disk-paced application: the Figure-1 staircase mechanism (25 s)" },
+      fun ?pool ?duration () ->
+        let rows = Chunked_app.run ?pool ?duration () in
+        result
+          ~series:
+            (List.map
+               (fun (r : Chunked_app.row) ->
+                 { label = r.Chunked_app.label; data = r.Chunked_app.stalls_series })
+               rows)
+          [
+            table [ "label"; "goodput_mbps"; "send_stalls"; "congestion_signals" ]
+              (List.map
+                 (fun (r : Chunked_app.row) ->
+                   [
+                     Text r.Chunked_app.label;
+                     Float r.Chunked_app.goodput_mbps;
+                     Int r.Chunked_app.send_stalls;
+                     Int r.Chunked_app.congestion_signals;
+                   ])
+                 rows);
+          ] );
+    ( { id = "e14"; title = "E14: the latency cost of a standing queue (20 s)" },
+      fun ?pool ?duration () ->
+        result
+          [
+            table [ "label"; "goodput_mbps"; "mean_delay_ms"; "p99_delay_ms" ]
+              (List.map
+                 (fun (r : Latency.row) ->
+                   [
+                     Text r.Latency.label;
+                     Float r.Latency.goodput_mbps;
+                     Float r.Latency.mean_delay_ms;
+                     Float r.Latency.p99_delay_ms;
+                   ])
+                 (Latency.run ?pool ?duration ()));
+          ] );
+  ]
+
+let catalog = List.map fst drivers
+
+let run ?pool ?duration id =
+  match List.find_opt (fun (e, _) -> e.id = id) drivers with
+  | Some (_, driver) -> driver ?pool ?duration ()
+  | None -> invalid_arg (Printf.sprintf "Experiments.run: unknown id %S" id)
+
+(* --- the CSV renderer ----------------------------------------------------- *)
+
+(* RFC 4180: a field with a comma, quote or line break is quoted. *)
+let csv_text s =
+  if String.exists (function ',' | '"' | '\n' | '\r' -> true | _ -> false) s
+  then "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
+let csv_cell = function
+  | Int i -> string_of_int i
+  | Float x -> Report.Csv.cell x
+  | Text s -> csv_text s
+  | Empty -> ""
+
+let csv_lines lines =
+  String.concat "" (List.map (fun l -> String.concat "," l ^ "\n") lines)
+
+let to_csv ~id t =
+  let table_file tb =
+    ( (if tb.name = "" then id else id ^ "_" ^ tb.name) ^ ".csv",
+      csv_lines (tb.columns :: List.map (List.map csv_cell) tb.rows) )
+  in
+  let series_rows s =
+    let name = csv_text (Sim.Stats.Series.name s.data) in
+    List.map
+      (fun (time, v) ->
+        [ csv_text s.label; name; Report.Csv.cell time; Report.Csv.cell v ])
+      (Sim.Stats.Series.to_csv_rows s.data)
+  in
+  List.map table_file t.tables
+  @
+  if t.series = [] then []
+  else
+    [
+      ( id ^ "_series.csv",
+        csv_lines
+          ([ "label"; "series"; "time_s"; "value" ]
+          :: List.concat_map series_rows t.series) );
+    ]

@@ -1,9 +1,9 @@
-(* Experiment goldens: every Experiments driver (fig1, table1, e2–e14)
-   at a 2 s horizon, rendered to text — scalar rows in "%.9f" plus the
-   series fig1 and e13 plot — and compared byte-for-byte with the files
-   committed under test/golden_experiments/. The goldens were generated
-   on the sequential path; the check replays the drivers on a 4-domain
-   pool, so one comparison pins both the reproduced numbers and their
+(* Experiment goldens: every driver of the Experiments catalog at a 2 s
+   horizon, rendered by its CSV renderer (each file under a "# <file>"
+   line) and compared byte-for-byte with the files committed under
+   test/golden_experiments/. The goldens were generated on the
+   sequential path; the check replays the drivers on a 4-domain pool,
+   so one comparison pins both the reproduced numbers and their
    independence from the worker count. On a mismatch the fresh
    rendering is written to the temp directory (named in the failure) —
    copy it over the golden only for a deliberate model change. *)
@@ -11,205 +11,24 @@
 let duration = Sim.Time.sec 2
 
 let with_parallel f = Engine.Pool.with_pool ~jobs:4 (fun pool -> f (Some pool))
-let f9 = Printf.sprintf "%.9f"
-let opt_f9 = function Some x -> f9 x | None -> "-"
-let row cells = String.concat "," cells ^ "\n"
-
-let flow_row (r : Core.Spec.flow_result) =
-  row
-    [
-      r.Core.Spec.label;
-      f9 r.Core.Spec.goodput_mbps;
-      f9 r.Core.Spec.utilization;
-      string_of_int r.Core.Spec.send_stalls;
-      string_of_int r.Core.Spec.congestion_signals;
-      string_of_int r.Core.Spec.retransmits;
-      string_of_int r.Core.Spec.timeouts;
-      f9 r.Core.Spec.final_cwnd_segments;
-      f9 r.Core.Spec.mean_ifq;
-      f9 r.Core.Spec.peak_ifq;
-      string_of_int r.Core.Spec.ce_marks;
-      opt_f9 (Option.map Sim.Time.to_sec r.Core.Spec.completion);
-      opt_f9 r.Core.Spec.time_to_90pct_util;
-    ]
-
-let series_csv label s =
-  String.concat ""
-    (Printf.sprintf "# %s %s\n" label (Sim.Stats.Series.name s)
-    :: List.map
-         (fun (t, v) -> row [ f9 t; f9 v ])
-         (Sim.Stats.Series.to_csv_rows s))
-
-let flow_series (r : Core.Spec.flow_result) =
-  String.concat ""
-    (List.map
-       (series_csv r.Core.Spec.label)
-       [
-         r.Core.Spec.stalls_series;
-         r.Core.Spec.cwnd_series;
-         r.Core.Spec.ifq_series;
-         r.Core.Spec.throughput_series;
-         r.Core.Spec.srtt_series;
-       ])
-
-let concat_map f xs = String.concat "" (List.map f xs)
 
 module E = Core.Experiments
 
-let renderings =
-  [
-    ( "fig1",
-      fun pool ->
-        let r = E.Fig1.run ?pool ~duration () in
-        concat_map
-          (fun res -> flow_row res ^ flow_series res)
-          [ r.E.Fig1.standard; r.E.Fig1.restricted ] );
-    ( "table1",
-      fun pool ->
-        concat_map
-          (fun (r : E.Table1.row) ->
-            row
-              [
-                f9 r.E.Table1.duration_s;
-                f9 r.E.Table1.standard_mbps;
-                f9 r.E.Table1.restricted_mbps;
-                f9 r.E.Table1.improvement_pct;
-                string_of_int r.E.Table1.standard_stalls;
-                string_of_int r.E.Table1.restricted_stalls;
-              ])
-          (E.Table1.run ?pool ~durations:[ Sim.Time.to_sec duration ] ()) );
-    ("e2", fun pool -> concat_map flow_row (E.Variants.run ?pool ~duration ()));
-    ( "e3",
-      fun pool ->
-        concat_map
-          (fun (r : E.Ifq_sweep.row) ->
-            row [ string_of_int r.E.Ifq_sweep.ifq_capacity ]
-            ^ flow_row r.E.Ifq_sweep.standard
-            ^ flow_row r.E.Ifq_sweep.restricted)
-          (E.Ifq_sweep.run ?pool ~duration ()) );
-    ( "e4",
-      fun pool ->
-        concat_map
-          (fun (r : E.Rtt_sweep.row) ->
-            row [ string_of_int r.E.Rtt_sweep.rtt_ms ]
-            ^ flow_row r.E.Rtt_sweep.standard
-            ^ flow_row r.E.Rtt_sweep.restricted)
-          (E.Rtt_sweep.run ?pool ~duration ()) );
-    ( "e5",
-      fun pool ->
-        concat_map
-          (fun (r : E.Burst_loss.row) ->
-            row
-              [
-                f9 r.E.Burst_loss.bottleneck_mbps;
-                string_of_int r.E.Burst_loss.buffer_packets;
-                r.E.Burst_loss.slow_start;
-                string_of_int r.E.Burst_loss.router_drops;
-                string_of_int r.E.Burst_loss.retransmits;
-                f9 r.E.Burst_loss.goodput_mbps;
-              ])
-          (E.Burst_loss.run ?pool ~duration ()) );
-    ( "e6",
-      fun pool ->
-        let t = E.Pid_ablation.run ?pool ~duration () in
-        (match t.E.Pid_ablation.measured with
-        | Ok c ->
-            row [ "measured"; f9 c.Control.Tuning.kc; f9 c.Control.Tuning.tc ]
-        | Error e -> row [ "measured"; "error"; e ])
-        ^ concat_map
-            (fun (r : E.Pid_ablation.row) ->
-              let g = r.E.Pid_ablation.gains in
-              row
-                [
-                  r.E.Pid_ablation.label;
-                  f9 g.Control.Pid.kp;
-                  f9 g.Control.Pid.ti;
-                  f9 g.Control.Pid.td;
-                ]
-              ^ flow_row r.E.Pid_ablation.result)
-            t.E.Pid_ablation.rows );
-    ( "e7",
-      fun pool ->
-        concat_map
-          (fun (name, r) -> row [ name ] ^ flow_row r)
-          (E.Local_cong_ablation.run ?pool ~duration ()) );
-    ( "e8",
-      fun pool ->
-        let t = E.Fairness.run ?pool ~duration () in
-        row
-          [
-            f9 t.E.Fairness.reno_mbps;
-            f9 t.E.Fairness.restricted_mbps;
-            f9 t.E.Fairness.jain_index;
-            f9 t.E.Fairness.reno_vs_reno_jain;
-          ] );
-    ( "e9",
-      fun pool ->
-        concat_map
-          (fun (r : E.Adaptive_gains.row) ->
-            row [ string_of_int r.E.Adaptive_gains.rtt_ms ]
-            ^ flow_row r.E.Adaptive_gains.standard
-            ^ flow_row r.E.Adaptive_gains.restricted_fixed
-            ^ flow_row r.E.Adaptive_gains.restricted_adaptive)
-          (E.Adaptive_gains.run ?pool ~duration ()) );
-    ("e10", fun pool -> concat_map flow_row (E.Pacing.run ?pool ~duration ()));
-    ( "e11",
-      fun pool ->
-        concat_map
-          (fun (r : E.Parallel_streams.row) ->
-            row
-              [
-                string_of_int r.E.Parallel_streams.streams;
-                r.E.Parallel_streams.slow_start;
-                f9 r.E.Parallel_streams.aggregate_mbps;
-                string_of_int r.E.Parallel_streams.total_stalls;
-                f9 r.E.Parallel_streams.jain_index;
-                f9 r.E.Parallel_streams.mean_ifq;
-              ])
-          (E.Parallel_streams.run ?pool ~duration ()) );
-    ( "e12",
-      fun pool ->
-        concat_map
-          (fun (r : E.Local_ecn.row) ->
-            row [ r.E.Local_ecn.label; string_of_int r.E.Local_ecn.ce_marks ]
-            ^ flow_row r.E.Local_ecn.result)
-          (E.Local_ecn.run ?pool ~duration ()) );
-    ( "e13",
-      fun pool ->
-        concat_map
-          (fun (r : E.Chunked_app.row) ->
-            row
-              [
-                r.E.Chunked_app.label;
-                f9 r.E.Chunked_app.goodput_mbps;
-                string_of_int r.E.Chunked_app.send_stalls;
-                string_of_int r.E.Chunked_app.congestion_signals;
-              ]
-            ^ series_csv r.E.Chunked_app.label r.E.Chunked_app.stalls_series)
-          (E.Chunked_app.run ?pool ~duration ()) );
-    ( "e14",
-      fun pool ->
-        concat_map
-          (fun (r : E.Latency.row) ->
-            row
-              [
-                r.E.Latency.label;
-                f9 r.E.Latency.goodput_mbps;
-                f9 r.E.Latency.mean_delay_ms;
-                f9 r.E.Latency.p99_delay_ms;
-              ])
-          (E.Latency.run ?pool ~duration ()) );
-  ]
+let render id pool =
+  String.concat ""
+    (List.map
+       (fun (file, contents) -> "# " ^ file ^ "\n" ^ contents)
+       (E.to_csv ~id (E.run ?pool ~duration id)))
 
 let golden_dir = "golden_experiments"
 
-let test_experiment_golden (id, render) () =
+let test_experiment_golden id () =
   let file = id ^ ".txt" in
   let golden =
     In_channel.with_open_bin (Filename.concat golden_dir file)
       In_channel.input_all
   in
-  let actual = with_parallel render in
+  let actual = with_parallel (render id) in
   if actual <> golden then begin
     let fresh = Filename.concat (Filename.get_temp_dir_name ()) file in
     Out_channel.with_open_bin fresh (fun oc -> output_string oc actual);
@@ -380,10 +199,10 @@ let test_trace_golden () =
 
 let suite =
   List.map
-    (fun ((id, _) as case) ->
+    (fun { E.id; _ } ->
       Alcotest.test_case (id ^ " golden replay") `Quick
-        (test_experiment_golden case))
-    renderings
+        (test_experiment_golden id))
+    E.catalog
   @ [
       Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
         test_policy_matrix_golden;
