@@ -1,530 +1,11 @@
-(* Experiment harness: regenerates every figure and table of the paper
-   (Fig. 1 and the §4 throughput claim) plus the extended experiments
-   indexed in DESIGN.md §5, then times the simulation core into
-   results/BENCH_core.json (section micro; bench/compare.sh judges it
-   against a base commit). CSV artefacts land in results/.
-
-   Usage: dune exec bench/main.exe -- [--jobs N] [section ...]
-   Sections: fig1 table1 e2 ... e14 micro (default: all).
-
-   --jobs N runs the independent experiment cells of each section on an
-   N-domain Engine.Pool (default: Domain.recommended_domain_count; 1
-   disables parallelism). Results are aggregated in canonical order, so
-   the tables and results/*.csv are byte-identical for every N. *)
+(* bench/main.exe [--jobs N] [micro]: times the simulation core into
+   results/BENCH_core.json (see micro below). --jobs is accepted for
+   the callers that pass it; every timing runs on one domain. *)
 
 let results_dir = "results"
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let pct x = Printf.sprintf "%.1f%%" x
-
-let run_row (r : Core.Spec.flow_result) =
-  [
-    r.Core.Spec.label;
-    Report.Table.cell_f r.Core.Spec.goodput_mbps;
-    pct (100. *. r.Core.Spec.utilization);
-    Report.Table.cell_i r.Core.Spec.send_stalls;
-    Report.Table.cell_i r.Core.Spec.congestion_signals;
-    Report.Table.cell_i r.Core.Spec.retransmits;
-    Report.Table.cell_i r.Core.Spec.timeouts;
-    Report.Table.cell_f r.Core.Spec.final_cwnd_segments;
-    Report.Table.cell_f r.Core.Spec.mean_ifq;
-    (match r.Core.Spec.time_to_90pct_util with
-    | Some s -> Report.Table.cell_f s
-    | None -> "never");
-  ]
-
-let run_headers =
-  [
-    "variant"; "goodput(Mb/s)"; "util"; "stalls"; "cong.sig"; "retx";
-    "rto"; "cwnd(seg)"; "mean IFQ"; "t90(s)";
-  ]
-
-let print_runs rows =
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Left; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right;
-         ]
-       ~headers:run_headers ~rows ())
-
-(* ------------------------------------------------------------------ *)
-
-let fig1 pool =
-  section "Figure 1 — cumulative send-stall signals, 0-25 s";
-  let r = Core.Experiments.Fig1.run ?pool () in
-  let std = r.Core.Experiments.Fig1.standard in
-  let rss = r.Core.Experiments.Fig1.restricted in
-  print_string
-    (Report.Ascii_chart.line_chart ~title:"cumulative send-stall signals"
-       ~x_label:"time (s)" ~y_label:"send-stalls"
-       [
-         Report.Ascii_chart.of_series ~label:"Standard TCP"
-           std.Core.Spec.stalls_series;
-         Report.Ascii_chart.of_series ~label:"Proposed Scheme (RSS)"
-           rss.Core.Spec.stalls_series;
-       ]);
-  print_newline ();
-  print_runs [ run_row std; run_row rss ];
-  Printf.printf
-    "\npaper: standard Linux TCP accumulates a handful of stalls early in\n\
-     the transfer; the proposed scheme stays at zero.  measured: standard\n\
-     %d stall(s) (first episode within the opening second), RSS %d.\n\
-     A saturating flow stalls once per window-recovery cycle; the paper's\n\
-     0..4 staircase appears verbatim for a disk-paced application — see\n\
-     section e13.\n"
-    std.Core.Spec.send_stalls rss.Core.Spec.send_stalls;
-  Report.Csv.write_series
-    ~path:(Filename.concat results_dir "fig1_standard_stalls.csv")
-    ~name:"cum_send_stalls" std.Core.Spec.stalls_series;
-  Report.Csv.write_series
-    ~path:(Filename.concat results_dir "fig1_restricted_stalls.csv")
-    ~name:"cum_send_stalls" rss.Core.Spec.stalls_series;
-  Report.Csv.write_series
-    ~path:(Filename.concat results_dir "fig1_standard_cwnd.csv")
-    ~name:"cwnd_segments" std.Core.Spec.cwnd_series;
-  Report.Csv.write_series
-    ~path:(Filename.concat results_dir "fig1_restricted_cwnd.csv")
-    ~name:"cwnd_segments" rss.Core.Spec.cwnd_series
-
-let table1 pool =
-  section "Table 1 — §4 throughput claim (paper: ~40% improvement)";
-  let rows = Core.Experiments.Table1.run ?pool () in
-  let cells =
-    List.map
-      (fun (row : Core.Experiments.Table1.row) ->
-        [
-          Report.Table.cell_f ~decimals:0
-            row.Core.Experiments.Table1.duration_s;
-          Report.Table.cell_f row.Core.Experiments.Table1.standard_mbps;
-          Report.Table.cell_f row.Core.Experiments.Table1.restricted_mbps;
-          pct row.Core.Experiments.Table1.improvement_pct;
-          Report.Table.cell_i row.Core.Experiments.Table1.standard_stalls;
-          Report.Table.cell_i row.Core.Experiments.Table1.restricted_stalls;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:(List.init 6 (fun _ -> Report.Table.Right))
-       ~headers:
-         [
-           "duration(s)"; "standard(Mb/s)"; "RSS(Mb/s)"; "improvement";
-           "std stalls"; "RSS stalls";
-         ]
-       ~rows:cells ());
-  Report.Csv.write
-    ~path:(Filename.concat results_dir "table1.csv")
-    ~header:
-      [ "duration_s"; "standard_mbps"; "restricted_mbps"; "improvement_pct" ]
-    ~rows:
-      (List.map
-         (fun (r : Core.Experiments.Table1.row) ->
-           [
-             r.Core.Experiments.Table1.duration_s;
-             r.Core.Experiments.Table1.standard_mbps;
-             r.Core.Experiments.Table1.restricted_mbps;
-             r.Core.Experiments.Table1.improvement_pct;
-           ])
-         rows)
-
-let e2 pool =
-  section "E2 — slow-start variant comparison (25 s, paper path)";
-  let rows = Core.Experiments.Variants.run ?pool () in
-  print_runs (List.map run_row rows)
-
-let e3 pool =
-  section "E3 — throughput vs interface-queue size (std vs RSS, 20 s)";
-  let rows = Core.Experiments.Ifq_sweep.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Ifq_sweep.row) ->
-        let s = r.Core.Experiments.Ifq_sweep.standard in
-        let x = r.Core.Experiments.Ifq_sweep.restricted in
-        [
-          Report.Table.cell_i r.Core.Experiments.Ifq_sweep.ifq_capacity;
-          Report.Table.cell_f s.Core.Spec.goodput_mbps;
-          Report.Table.cell_i s.Core.Spec.send_stalls;
-          Report.Table.cell_f x.Core.Spec.goodput_mbps;
-          Report.Table.cell_i x.Core.Spec.send_stalls;
-          Report.Table.cell_f
-            (100.
-            *. (x.Core.Spec.goodput_mbps -. s.Core.Spec.goodput_mbps)
-            /. Float.max 1e-9 s.Core.Spec.goodput_mbps);
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:(List.init 6 (fun _ -> Report.Table.Right))
-       ~headers:
-         [
-           "IFQ(pkts)"; "std(Mb/s)"; "std stalls"; "RSS(Mb/s)";
-           "RSS stalls"; "gain(%)";
-         ]
-       ~rows:cells ());
-  print_string
-    "note: growing the soft buffers (paper §2) narrows but never closes\n\
-     the gap, while memory cost rises linearly.\n";
-  Report.Csv.write
-    ~path:(Filename.concat results_dir "e3_ifq_sweep.csv")
-    ~header:[ "ifq"; "standard_mbps"; "restricted_mbps" ]
-    ~rows:
-      (List.map
-         (fun (r : Core.Experiments.Ifq_sweep.row) ->
-           [
-             float_of_int r.Core.Experiments.Ifq_sweep.ifq_capacity;
-             r.Core.Experiments.Ifq_sweep.standard.Core.Spec.goodput_mbps;
-             r.Core.Experiments.Ifq_sweep.restricted.Core.Spec.goodput_mbps;
-           ])
-         rows)
-
-let e4 pool =
-  section "E4 — throughput vs round-trip time (std vs RSS, 20 s)";
-  let rows = Core.Experiments.Rtt_sweep.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Rtt_sweep.row) ->
-        let s = r.Core.Experiments.Rtt_sweep.standard in
-        let x = r.Core.Experiments.Rtt_sweep.restricted in
-        [
-          Report.Table.cell_i r.Core.Experiments.Rtt_sweep.rtt_ms;
-          Report.Table.cell_f s.Core.Spec.goodput_mbps;
-          Report.Table.cell_f x.Core.Spec.goodput_mbps;
-          Report.Table.cell_f
-            (x.Core.Spec.goodput_mbps
-            /. Float.max 1e-9 s.Core.Spec.goodput_mbps);
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:(List.init 4 (fun _ -> Report.Table.Right))
-       ~headers:[ "RTT(ms)"; "std(Mb/s)"; "RSS(Mb/s)"; "ratio" ]
-       ~rows:cells ());
-  Report.Csv.write
-    ~path:(Filename.concat results_dir "e4_rtt_sweep.csv")
-    ~header:[ "rtt_ms"; "standard_mbps"; "restricted_mbps" ]
-    ~rows:
-      (List.map
-         (fun (r : Core.Experiments.Rtt_sweep.row) ->
-           [
-             float_of_int r.Core.Experiments.Rtt_sweep.rtt_ms;
-             r.Core.Experiments.Rtt_sweep.standard.Core.Spec.goodput_mbps;
-             r.Core.Experiments.Rtt_sweep.restricted.Core.Spec.goodput_mbps;
-           ])
-         rows)
-
-let e5 pool =
-  section "E5 — slow-start overshoot loss at a network bottleneck (15 s)";
-  let rows = Core.Experiments.Burst_loss.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Burst_loss.row) ->
-        [
-          Report.Table.cell_f ~decimals:0
-            r.Core.Experiments.Burst_loss.bottleneck_mbps;
-          Report.Table.cell_i r.Core.Experiments.Burst_loss.buffer_packets;
-          r.Core.Experiments.Burst_loss.slow_start;
-          Report.Table.cell_i r.Core.Experiments.Burst_loss.router_drops;
-          Report.Table.cell_i r.Core.Experiments.Burst_loss.retransmits;
-          Report.Table.cell_f r.Core.Experiments.Burst_loss.goodput_mbps;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Right; Report.Table.Right; Report.Table.Left;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-         ]
-       ~headers:
-         [
-           "bottleneck(Mb/s)"; "buffer(pkts)"; "slow-start"; "router drops";
-           "retx"; "goodput(Mb/s)";
-         ]
-       ~rows:cells ());
-  print_string
-    "note: with a fast NIC the overshoot lands on the router, outside the\n\
-     IFQ sensor — RSS controls host soft components, not network queues\n\
-     (the paper's stated scope).\n"
-
-let e6 pool =
-  section "E6 — PID tuning ablation (ZN experiment on the live simulator)";
-  let r = Core.Experiments.Pid_ablation.run ?pool () in
-  (match r.Core.Experiments.Pid_ablation.measured with
-  | Ok critical ->
-      Format.printf "measured critical point: %a@."
-        Control.Tuning.pp_critical critical
-  | Error e -> Printf.printf "ZN measurement failed: %s\n" e);
-  let cells =
-    List.map
-      (fun (row : Core.Experiments.Pid_ablation.row) ->
-        let res = row.Core.Experiments.Pid_ablation.result in
-        [
-          row.Core.Experiments.Pid_ablation.label;
-          Format.asprintf "%a" Control.Pid.pp_gains
-            row.Core.Experiments.Pid_ablation.gains;
-          Report.Table.cell_f res.Core.Spec.goodput_mbps;
-          Report.Table.cell_i res.Core.Spec.send_stalls;
-          Report.Table.cell_f res.Core.Spec.mean_ifq;
-          Report.Table.cell_f res.Core.Spec.peak_ifq;
-        ])
-      r.Core.Experiments.Pid_ablation.rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Left; Report.Table.Left; Report.Table.Right;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-         ]
-       ~headers:
-         [
-           "tuning"; "gains"; "goodput(Mb/s)"; "stalls"; "mean IFQ";
-           "peak IFQ";
-         ]
-       ~rows:cells ())
-
-let e7 pool =
-  section "E7 — local-congestion policy ablation (standard slow-start, 25 s)";
-  let rows = Core.Experiments.Local_cong_ablation.run ?pool () in
-  print_runs (List.map (fun (_, r) -> run_row r) rows)
-
-let e8 pool =
-  section "E8 — friendliness: RSS vs Reno on a shared bottleneck (40 s)";
-  let r = Core.Experiments.Fairness.run ?pool () in
-  Printf.printf
-    "reno flow: %.2f Mb/s   rss flow: %.2f Mb/s   Jain index: %.4f\n\
-     control (reno vs reno): Jain %.4f\n"
-    r.Core.Experiments.Fairness.reno_mbps
-    r.Core.Experiments.Fairness.restricted_mbps
-    r.Core.Experiments.Fairness.jain_index
-    r.Core.Experiments.Fairness.reno_vs_reno_jain
-
-let e9 pool =
-  section "E9 — gain scheduling: fixed vs RTT-adaptive RSS (20 s)";
-  let rows = Core.Experiments.Adaptive_gains.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Adaptive_gains.row) ->
-        let s = r.Core.Experiments.Adaptive_gains.standard in
-        let f = r.Core.Experiments.Adaptive_gains.restricted_fixed in
-        let a = r.Core.Experiments.Adaptive_gains.restricted_adaptive in
-        [
-          Report.Table.cell_i r.Core.Experiments.Adaptive_gains.rtt_ms;
-          Report.Table.cell_f s.Core.Spec.goodput_mbps;
-          Report.Table.cell_f f.Core.Spec.goodput_mbps;
-          Report.Table.cell_i f.Core.Spec.send_stalls;
-          Report.Table.cell_f a.Core.Spec.goodput_mbps;
-          Report.Table.cell_i a.Core.Spec.send_stalls;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:(List.init 6 (fun _ -> Report.Table.Right))
-       ~headers:
-         [
-           "RTT(ms)"; "std(Mb/s)"; "RSS-fixed(Mb/s)"; "stalls";
-           "RSS-adaptive(Mb/s)"; "stalls";
-         ]
-       ~rows:cells ());
-  print_string
-    "note: fixed gains are tuned for the 60 ms path; the adaptive policy\n\
-     rescales Ti/Td from the measured base RTT (Tc = 2*RTT rule).\n";
-  Report.Csv.write
-    ~path:(Filename.concat results_dir "e9_adaptive_gains.csv")
-    ~header:
-      [ "rtt_ms"; "standard_mbps"; "fixed_mbps"; "adaptive_mbps" ]
-    ~rows:
-      (List.map
-         (fun (r : Core.Experiments.Adaptive_gains.row) ->
-           [
-             float_of_int r.Core.Experiments.Adaptive_gains.rtt_ms;
-             r.Core.Experiments.Adaptive_gains.standard.Core.Spec.goodput_mbps;
-             r.Core.Experiments.Adaptive_gains.restricted_fixed
-               .Core.Spec.goodput_mbps;
-             r.Core.Experiments.Adaptive_gains.restricted_adaptive
-               .Core.Spec.goodput_mbps;
-           ])
-         rows)
-
-let e10 pool =
-  section "E10 — does pacing alone prevent send-stalls? (25 s)";
-  let rows = Core.Experiments.Pacing.run ?pool () in
-  print_runs (List.map run_row rows);
-  print_string
-    "note: pacing spreads the slow-start bursts so the IFQ fills later\n\
-     and more smoothly, but exponential growth still pushes the window\n\
-     past BDP + IFQ; only the closed-loop controller stops short of it.\n"
-
-let e11 pool =
-  section "E11 — parallel GridFTP-style streams sharing one host (20 s)";
-  let rows = Core.Experiments.Parallel_streams.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Parallel_streams.row) ->
-        [
-          Report.Table.cell_i r.Core.Experiments.Parallel_streams.streams;
-          r.Core.Experiments.Parallel_streams.slow_start;
-          Report.Table.cell_f
-            r.Core.Experiments.Parallel_streams.aggregate_mbps;
-          Report.Table.cell_i
-            r.Core.Experiments.Parallel_streams.total_stalls;
-          Report.Table.cell_f ~decimals:4
-            r.Core.Experiments.Parallel_streams.jain_index;
-          Report.Table.cell_f r.Core.Experiments.Parallel_streams.mean_ifq;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Right; Report.Table.Left; Report.Table.Right;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-         ]
-       ~headers:
-         [
-           "streams"; "slow-start"; "aggregate(Mb/s)"; "stalls"; "Jain";
-           "mean IFQ";
-         ]
-       ~rows:cells ());
-  print_string
-    "note: at 1-2 streams per-connection RSS removes the stalls\n\
-     outright, but at 4-8 its N independent controllers fight over the\n\
-     one shared queue and stalls reappear (parallelism itself —\n\
-     GridFTP's own workaround — masks the single-flow collapse). The\n\
-     restricted-shared rows are this repo's extension: ONE host-wide\n\
-     controller whose budget (and burst allowance) the members split —\n\
-     stall-free at every stream count with near-perfect Jain fairness.\n"
-
-let e12 pool =
-  section "E12 — ECN marking on the local qdisc vs the RSS controller (25 s)";
-  let rows = Core.Experiments.Local_ecn.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Local_ecn.row) ->
-        let res = r.Core.Experiments.Local_ecn.result in
-        [
-          r.Core.Experiments.Local_ecn.label;
-          Report.Table.cell_f res.Core.Spec.goodput_mbps;
-          Report.Table.cell_i res.Core.Spec.send_stalls;
-          Report.Table.cell_i res.Core.Spec.congestion_signals;
-          Report.Table.cell_i r.Core.Experiments.Local_ecn.ce_marks;
-          Report.Table.cell_f res.Core.Spec.mean_ifq;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Left; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right; Report.Table.Right; Report.Table.Right;
-         ]
-       ~headers:
-         [
-           "sender/qdisc"; "goodput(Mb/s)"; "stalls"; "cong.sig";
-           "CE marks"; "mean IFQ";
-         ]
-       ~rows:cells ());
-  print_string
-    "note: RED+ECN on the host qdisc (the road Linux later took) also\n\
-     avoids hard stalls, but each mark takes a full RTT to echo back and\n\
-     triggers a multiplicative halving, so the window saws below the\n\
-     pipe; the controller regulates to the set point instead.\n"
-
-let e13 pool =
-  section
-    "E13 — disk-paced application: the Figure-1 staircase mechanism (25 s)";
-  let rows = Core.Experiments.Chunked_app.run ?pool () in
-  print_string
-    (Report.Ascii_chart.line_chart
-       ~title:"cumulative send-stalls, 6MB chunk every 3s"
-       ~x_label:"time (s)" ~y_label:"send-stalls"
-       (List.map
-          (fun (r : Core.Experiments.Chunked_app.row) ->
-            Report.Ascii_chart.of_series
-              ~label:r.Core.Experiments.Chunked_app.label
-              r.Core.Experiments.Chunked_app.stalls_series)
-          rows));
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Chunked_app.row) ->
-        [
-          r.Core.Experiments.Chunked_app.label;
-          Report.Table.cell_f r.Core.Experiments.Chunked_app.goodput_mbps;
-          Report.Table.cell_i r.Core.Experiments.Chunked_app.send_stalls;
-          Report.Table.cell_i
-            r.Core.Experiments.Chunked_app.congestion_signals;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Left; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right;
-         ]
-       ~headers:[ "config"; "goodput(Mb/s)"; "stalls"; "cong.sig" ]
-       ~rows:cells ());
-  print_string
-    "note: with RFC 2861 idle-restart disabled (a period-typical tuning\n\
-     for bulk movers), each application burst dumps the old window into\n\
-     the IFQ: one stall per chunk — the staircase of the paper's Fig. 1.\n";
-  List.iter
-    (fun (r : Core.Experiments.Chunked_app.row) ->
-      Report.Csv.write_series
-        ~path:
-          (Filename.concat results_dir
-             (Printf.sprintf "e13_%s_stalls.csv"
-                (String.map
-                   (fun c -> if c = '/' || c = '+' then '_' else c)
-                   r.Core.Experiments.Chunked_app.label)))
-        ~name:"cum_send_stalls" r.Core.Experiments.Chunked_app.stalls_series)
-    rows
-
-let e14 pool =
-  section "E14 — the latency cost of a standing queue (20 s)";
-  let rows = Core.Experiments.Latency.run ?pool () in
-  let cells =
-    List.map
-      (fun (r : Core.Experiments.Latency.row) ->
-        [
-          r.Core.Experiments.Latency.label;
-          Report.Table.cell_f r.Core.Experiments.Latency.goodput_mbps;
-          Report.Table.cell_f r.Core.Experiments.Latency.mean_delay_ms;
-          Report.Table.cell_f r.Core.Experiments.Latency.p99_delay_ms;
-        ])
-      rows
-  in
-  print_string
-    (Report.Table.render
-       ~aligns:
-         [
-           Report.Table.Left; Report.Table.Right; Report.Table.Right;
-           Report.Table.Right;
-         ]
-       ~headers:
-         [ "sender (set point)"; "goodput(Mb/s)"; "mean delay(ms)";
-           "p99 delay(ms)" ]
-       ~rows:cells ());
-  print_string
-    "note: the 90% set point keeps ~90 packets (~11 ms at 100 Mbit/s)\n\
-     standing in the IFQ — a proto-bufferbloat tax. Halving the set\n\
-     point returns ~5 ms for ~2 Mbit/s; at 0.2 the margin becomes too\n\
-     thin for delayed-ACK burst noise and throughput starts to slip.\n"
-
-(* ------------------------------------------------------------------ *)
 
 (* Timings of the simulation core: the isolated loops, which no
    reference workload can stand in for, and the partitioned engine,
@@ -902,7 +383,7 @@ let micro_json readings =
           ] );
     ]
 
-let micro _pool =
+let micro () =
   section "Simulation-core timings (BENCH_core.json)";
   (* On a shared host one sample is at the mercy of load that comes and
      goes over seconds, so every timing runs once per pass, three passes
@@ -939,60 +420,17 @@ let micro _pool =
             readings)
        ())
 
-(* ------------------------------------------------------------------ *)
-
-let sections =
-  [
-    ("fig1", fig1); ("table1", table1); ("e2", e2); ("e3", e3);
-    ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8);
-    ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13);
-    ("e14", e14); ("micro", micro);
-  ]
-
 let () =
-  let jobs = ref (Engine.Pool.default_jobs ()) in
-  let set_jobs v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> jobs := n
-    | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" v;
+  let rec check = function
+    | [] -> ()
+    | "micro" :: rest -> check rest
+    | ("--jobs" | "-j") :: n :: rest
+      when Option.fold ~none:false ~some:(fun n -> n >= 1)
+             (int_of_string_opt n) ->
+        check rest
+    | arg :: _ ->
+        Printf.eprintf "usage: main.exe [--jobs N] [micro] (got %S)\n" arg;
         exit 2
   in
-  let rec parse names = function
-    | [] -> List.rev names
-    | ("--jobs" | "-j") :: v :: rest ->
-        set_jobs v;
-        parse names rest
-    | ("--jobs" | "-j") :: [] ->
-        prerr_endline "--jobs expects a value";
-        exit 2
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs="
-      ->
-        set_jobs (String.sub arg 7 (String.length arg - 7));
-        parse names rest
-    | arg :: rest -> parse (arg :: names) rest
-  in
-  let requested =
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> List.map fst sections
-    | names -> names
-  in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name sections) then begin
-        Printf.eprintf "unknown section %S (known: %s)\n" name
-          (String.concat ", " (List.map fst sections));
-        exit 2
-      end)
-    requested;
-  let t0 = Unix.gettimeofday () in
-  let run_sections pool =
-    List.iter (fun name -> (List.assoc name sections) pool) requested
-  in
-  if !jobs > 1 then
-    Engine.Pool.with_pool ~jobs:!jobs (fun pool -> run_sections (Some pool))
-  else run_sections None;
-  Printf.printf "\nCSV artefacts written under %s/.\n" results_dir;
-  Printf.printf "total wall-clock %.1f s with --jobs %d\n"
-    (Unix.gettimeofday () -. t0)
-    !jobs
+  check (List.tl (Array.to_list Sys.argv));
+  micro ()

@@ -842,38 +842,76 @@ let trace_cmd =
           Deterministic: artifacts are byte-identical at any --jobs.")
     term
 
+(* --- experiments ----------------------------------------------------------- *)
+
+let experiments_cmd =
+  let ids =
+    let doc = "Experiments to run (default: the whole catalog, see $(b,rss_sim list))." in
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
+  in
+  let jobs =
+    let doc =
+      "Worker domains for each experiment's independent cells (default: \
+       all cores; 1 disables parallelism). Output is byte-identical for \
+       any value."
+    in
+    Arg.(
+      value
+      & opt positive_int (Engine.Pool.default_jobs ())
+      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  in
+  let action ids jobs =
+    let known = List.map (fun e -> e.Core.Experiments.id) Core.Experiments.catalog in
+    (match List.filter (fun id -> not (List.mem id known)) ids with
+    | [] -> ()
+    | unknown ->
+        Printf.eprintf "unknown experiment %s (known: %s)\n"
+          (String.concat ", " unknown) (String.concat ", " known);
+        exit 2);
+    let t0 = Unix.gettimeofday () in
+    let run pool =
+      List.iter
+        (fun { Core.Experiments.id; title } ->
+          Printf.printf "\n== %s: %s\n\n" id title;
+          let t = Core.Experiments.run ?pool id in
+          print_string (Core.Experiments.to_text t);
+          List.iter
+            (fun (file, contents) ->
+              let path = Filename.concat "results" file in
+              Report.Csv.write_string ~path contents;
+              Printf.printf "wrote %s\n" path)
+            (Core.Experiments.to_csv ~id t))
+        (if ids = [] then Core.Experiments.catalog
+         else
+           List.map
+             (fun id ->
+               List.find (fun e -> e.Core.Experiments.id = id)
+                 Core.Experiments.catalog)
+             ids)
+    in
+    if jobs > 1 then Engine.Pool.with_pool ~jobs (fun pool -> run (Some pool))
+    else run None;
+    Printf.printf "total wall-clock %.1f s with --jobs %d\n"
+      (Unix.gettimeofday () -. t0)
+      jobs
+  in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:
+         "Reproduce the paper's figure and table and the extended \
+          experiments at their paper horizons: print each one's tables, \
+          charts and note, and write its tables and series as CSV under \
+          results/. An unknown ID exits 2 before anything runs.")
+    Term.(const action $ ids $ jobs)
+
 (* --- list ---------------------------------------------------------------- *)
 
 let list_cmd =
-  (* The experiment sections live in bench/main.ml (an executable, not a
-     library), so the catalog is mirrored here by hand. *)
-  let experiments =
-    [
-      ("fig1", "cumulative send-stall signals, 0-25 s (paper figure 1)");
-      ("table1", "§4 throughput claim (paper: ~40% improvement)");
-      ("e2", "slow-start variant comparison on the paper path");
-      ("e3", "throughput vs interface-queue size (std vs RSS)");
-      ("e4", "throughput vs round-trip time (std vs RSS)");
-      ("e5", "slow-start overshoot loss at a network bottleneck");
-      ("e6", "PID tuning ablation (ZN experiment on the live simulator)");
-      ("e7", "local-congestion policy ablation");
-      ("e8", "friendliness: RSS vs Reno on a shared bottleneck");
-      ("e9", "gain scheduling: fixed vs RTT-adaptive RSS");
-      ("e10", "does pacing alone prevent send-stalls?");
-      ("e11", "parallel GridFTP-style streams sharing one host");
-      ("e12", "ECN marking on the local qdisc vs the RSS controller");
-      ("e13", "disk-paced chunked transfer: the figure 1 stall staircase");
-      ("e14", "the latency cost of a standing queue");
-      ("micro", "simulation-core timings (results/BENCH_core.json)");
-    ]
-  in
   let action () =
-    print_endline
-      "experiments (bench sections; run with: dune exec bench/main.exe -- \
-       SECTION):";
+    print_endline "experiments (rss_sim experiments [ID...]):";
     List.iter
-      (fun (name, doc) -> Printf.printf "  %-8s %s\n" name doc)
-      experiments;
+      (fun { Core.Experiments.id; title } -> Printf.printf "  %-8s %s\n" id title)
+      Core.Experiments.catalog;
     print_endline "";
     let print_docs title docs =
       print_endline title;
@@ -1081,4 +1119,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ run_cmd; compare_cmd; chaos_cmd; serve_cmd; trace_cmd;
-            calibrate_cmd; meanfield_cmd; list_cmd; spec_cmd ]))
+            calibrate_cmd; meanfield_cmd; experiments_cmd; list_cmd;
+            spec_cmd ]))

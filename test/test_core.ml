@@ -1,6 +1,6 @@
 (* Spec runs of the paper path, experiment drivers (short horizons to
-   stay fast — the full horizons run in bench/) and the paper's headline
-   claims at full horizon. *)
+   stay fast — the full horizons run in `rss_sim experiments`) and the
+   paper's headline claims at full horizon. *)
 
 let short_spec ?(flow = Core.Spec.default_flow) slow_start =
   {
@@ -59,71 +59,116 @@ let test_run_rejects_bogus_policy () =
        false
      with Invalid_argument _ -> true)
 
+module E = Core.Experiments
+
+(* Column [name] of an experiment's main table, one cell per row. *)
+let column (t : E.t) name =
+  let tb = List.find (fun tb -> tb.E.name = "") t.E.tables in
+  let rec index i = function
+    | [] -> Alcotest.failf "no column %s" name
+    | c :: _ when c = name -> i
+    | _ :: cs -> index (i + 1) cs
+  in
+  let i = index 0 tb.E.columns in
+  List.map (fun row -> List.nth row i) tb.E.rows
+
+let floats t name =
+  List.map
+    (function E.Float x -> x | _ -> Alcotest.failf "column %s is not float" name)
+    (column t name)
+
+let ints t name =
+  List.map
+    (function E.Int i -> i | _ -> Alcotest.failf "column %s is not int" name)
+    (column t name)
+
+let texts t name =
+  List.map
+    (function E.Text s -> s | _ -> Alcotest.failf "column %s is not text" name)
+    (column t name)
+
+(* The values of the series [name] of the run labelled [label]. *)
+let series (t : E.t) label name =
+  match
+    List.find_opt
+      (fun s ->
+        s.E.label = label && Sim.Stats.Series.name s.E.data = name)
+      t.E.series
+  with
+  | Some s -> Array.to_list (Sim.Stats.Series.values s.E.data)
+  | None -> Alcotest.failf "no %s %s series" label name
+
 let test_fig1_short () =
-  let r = Core.Experiments.Fig1.run ~duration:(Sim.Time.sec 3) () in
-  let std = r.Core.Experiments.Fig1.standard in
-  let rss = r.Core.Experiments.Fig1.restricted in
-  Alcotest.(check bool) "standard stalls" true (std.Core.Spec.send_stalls >= 1);
-  Alcotest.(check int) "RSS clean" 0 rss.Core.Spec.send_stalls;
+  let t = E.run ~duration:(Sim.Time.sec 3) "fig1" in
+  let stalls label =
+    List.assoc label (List.combine (texts t "label") (ints t "send_stalls"))
+  in
+  Alcotest.(check bool) "standard stalls" true (stalls "standard" >= 1);
+  Alcotest.(check int) "RSS clean" 0 (stalls "restricted");
   (* The stalls series is a cumulative counter: non-decreasing. *)
-  let v = Sim.Stats.Series.values std.Core.Spec.stalls_series in
+  let v = Array.of_list (series t "standard" "send_stalls") in
   let monotone = ref true in
   Array.iteri (fun i x -> if i > 0 && x < v.(i - 1) then monotone := false) v;
   Alcotest.(check bool) "cumulative monotone" true !monotone
 
 let test_table1_short () =
-  let rows = Core.Experiments.Table1.run ~durations:[ 3. ] () in
-  match rows with
-  | [ row ] ->
-      Alcotest.(check bool) "improvement positive" true
-        (row.Core.Experiments.Table1.improvement_pct > 0.)
+  let t = E.run ~duration:(Sim.Time.sec 3) "table1" in
+  match floats t "improvement_pct" with
+  | [ improvement ] ->
+      Alcotest.(check bool) "improvement positive" true (improvement > 0.)
   | _ -> Alcotest.fail "expected one row"
 
 let test_variants_short () =
-  let rows = Core.Experiments.Variants.run ~duration:(Sim.Time.sec 3) () in
+  let t = E.run ~duration:(Sim.Time.sec 3) "e2" in
   Alcotest.(check (list string)) "order and labels"
     [ "standard"; "abc"; "limited"; "hystart"; "restricted" ]
-    (List.map (fun r -> r.Core.Spec.label) rows)
+    (texts t "label")
 
 let test_ifq_sweep_short () =
+  let t = E.run ~duration:(Sim.Time.sec 3) "e3" in
+  let goodput ifq label =
+    List.find_map
+      (fun ((q, l), g) -> if q = ifq && l = label then Some g else None)
+      (List.combine
+         (List.combine (ints t "ifq_packets") (texts t "label"))
+         (floats t "goodput_mbps"))
+  in
   let rows =
-    Core.Experiments.Ifq_sweep.run ~sizes:[ 50; 200 ]
-      ~duration:(Sim.Time.sec 3) ()
+    List.filter_map
+      (fun ifq ->
+        match (goodput ifq "standard", goodput ifq "restricted") with
+        | Some std, Some rss -> Some (std, rss)
+        | _ -> None)
+      [ 50; 200 ]
   in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
-    (fun (r : Core.Experiments.Ifq_sweep.row) ->
-      Alcotest.(check bool) "RSS >= std on paper path" true
-        (r.Core.Experiments.Ifq_sweep.restricted.Core.Spec.goodput_mbps
-         >= 0.8
-            *. r.Core.Experiments.Ifq_sweep.standard.Core.Spec.goodput_mbps))
+    (fun (std, rss) ->
+      Alcotest.(check bool) "RSS >= std on paper path" true (rss >= 0.8 *. std))
     rows
 
 let test_fairness_short () =
-  let r = Core.Experiments.Fairness.run ~duration:(Sim.Time.sec 5) () in
+  let t = E.run ~duration:(Sim.Time.sec 5) "e8" in
+  let one name = List.hd (floats t name) in
   Alcotest.(check bool) "Jain in (0,1]" true
-    (r.Core.Experiments.Fairness.jain_index > 0.
-    && r.Core.Experiments.Fairness.jain_index <= 1.);
+    (one "jain_index" > 0. && one "jain_index" <= 1.);
   Alcotest.(check bool) "both flows progress" true
-    (r.Core.Experiments.Fairness.reno_mbps > 0.
-    && r.Core.Experiments.Fairness.restricted_mbps > 0.)
+    (one "reno_mbps" > 0. && one "restricted_mbps" > 0.)
 
 let test_latency_experiment_short () =
-  let rows = Core.Experiments.Latency.run ~duration:(Sim.Time.sec 5) () in
+  let t = E.run ~duration:(Sim.Time.sec 5) "e14" in
+  let rows = floats t "mean_delay_ms" in
   Alcotest.(check int) "four rows" 4 (List.length rows);
   (match rows with
   | std :: rss09 :: _ ->
       (* RSS's standing queue must show up as added one-way delay. *)
       Alcotest.(check bool) "rss delay above standard" true
-        (rss09.Core.Experiments.Latency.mean_delay_ms
-        > std.Core.Experiments.Latency.mean_delay_ms +. 5.);
+        (rss09 > std +. 5.);
       Alcotest.(check bool) "delays above propagation floor" true
-        (std.Core.Experiments.Latency.mean_delay_ms >= 30.)
+        (std >= 30.)
   | _ -> Alcotest.fail "unexpected row shape");
   (* Lower set points give monotonically lower delay. *)
-  let delays =
-    List.map (fun r -> r.Core.Experiments.Latency.mean_delay_ms) (List.tl rows)
-  in
+  let delays = List.tl rows in
   Alcotest.(check bool) "set point orders delay" true
     (List.sort (fun a b -> compare b a) delays = delays)
 
@@ -154,17 +199,18 @@ let test_tuned_config () =
    standard TCP by ~40 % over a 25 s transfer (measured +51.75 %);
    standard stalls, RSS never does. *)
 let test_claim_table1 () =
-  match Core.Experiments.Table1.run ~durations:[ 25. ] () with
-  | [ row ] ->
+  let t = E.run ~duration:(Sim.Time.sec 25) "table1" in
+  match
+    ( floats t "improvement_pct",
+      ints t "standard_stalls",
+      ints t "restricted_stalls" )
+  with
+  | [ improvement ], [ standard_stalls ], [ restricted_stalls ] ->
       Alcotest.(check bool)
-        (Printf.sprintf "improvement %.2f%% >= 40%%"
-           row.Core.Experiments.Table1.improvement_pct)
-        true
-        (row.Core.Experiments.Table1.improvement_pct >= 40.);
-      Alcotest.(check bool) "standard stalls" true
-        (row.Core.Experiments.Table1.standard_stalls >= 1);
-      Alcotest.(check int) "RSS never stalls" 0
-        row.Core.Experiments.Table1.restricted_stalls
+        (Printf.sprintf "improvement %.2f%% >= 40%%" improvement)
+        true (improvement >= 40.);
+      Alcotest.(check bool) "standard stalls" true (standard_stalls >= 1);
+      Alcotest.(check int) "RSS never stalls" 0 restricted_stalls
   | _ -> Alcotest.fail "expected one row"
 
 (* Figure 1's staircase: a disk-paced transfer under standard
@@ -172,24 +218,16 @@ let test_claim_table1 () =
    over 25 s, one per chunk burst and never decreasing; RSS stays at
    zero. *)
 let test_claim_fig1_staircase () =
-  let rows = Core.Experiments.Chunked_app.run () in
-  let series label =
-    match
-      List.find_opt (fun r -> r.Core.Experiments.Chunked_app.label = label) rows
-    with
-    | Some r ->
-        Array.to_list
-          (Sim.Stats.Series.values r.Core.Experiments.Chunked_app.stalls_series)
-    | None -> Alcotest.failf "no %s row" label
-  in
-  let staircase = series "standard/restart-off" in
+  let t = E.run "e13" in
+  let staircase = series t "standard/restart-off" "send_stalls" in
   Alcotest.(check bool) "never decreases" true
     (List.sort compare staircase = staircase);
   Alcotest.(check (list (float 0.))) "climbs 0 -> 4"
     [ 0.; 1.; 2.; 3.; 4. ]
     (List.sort_uniq compare staircase);
   Alcotest.(check bool) "restricted stays at 0" true
-    (List.for_all (fun v -> v = 0.) (series "restricted/restart-on"))
+    (List.for_all (fun v -> v = 0.)
+       (series t "restricted/restart-on" "send_stalls"))
 
 (* --- allocation on the packet path -------------------------------------- *)
 

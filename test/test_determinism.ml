@@ -36,6 +36,21 @@ let test_experiment_golden id () =
       file fresh
   end
 
+(* No experiment ships without a golden, and no golden outlives its
+   experiment. *)
+let test_catalog_has_goldens () =
+  let goldens =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".txt" then
+          Some (Filename.chop_suffix f ".txt")
+        else None)
+      (Array.to_list (Sys.readdir golden_dir))
+  in
+  Alcotest.(check (list string)) "catalog ids = golden files"
+    (List.sort compare goldens)
+    (List.sort compare (List.map (fun { E.id; _ } -> id) E.catalog))
+
 (* The policy-matrix golden: the first seven named bundles on the paper
    path and the chaos profile at a fixed seed, rendered through
    Arena.to_csv's round-trip float format. small-rtt became a bundle
@@ -204,6 +219,8 @@ let suite =
         (test_experiment_golden id))
     E.catalog
   @ [
+      Alcotest.test_case "experiment catalog = golden files" `Quick
+        test_catalog_has_goldens;
       Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
         test_policy_matrix_golden;
       Alcotest.test_case "many-flows golden: wide windows" `Quick
