@@ -198,20 +198,40 @@ let of_string s =
     in
     loop ()
   in
+  (* JSON's grammar: an optional minus, 0 or digits without a leading
+     zero, an optional fraction of one or more digits, an optional
+     exponent (e or E, an optional sign, one or more digits). It is
+     checked in the one pass that finds the literal's end; a literal
+     past the float range is refused, not read as infinity. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let bad what = fail ("bad number: " ^ what) in
+    let at c = !pos < n && s.[!pos] = c in
+    let is_digit () = !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' in
+    let digits () =
+      if not (is_digit ()) then bad "expected a digit";
+      while is_digit () do
+        advance ()
+      done
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "bad number %S" text)
+    if at '-' then advance ();
+    if at '0' then begin
+      advance ();
+      if is_digit () then bad "leading zero"
+    end
+    else digits ();
+    if at '.' then begin
+      advance ();
+      digits ()
+    end;
+    if at 'e' || at 'E' then begin
+      advance ();
+      if at '+' || at '-' then advance ();
+      digits ()
+    end;
+    let f = float_of_string (String.sub s start (!pos - start)) in
+    if Float.is_finite f then f
+    else raise (Parse_error (start, "bad number: out of range"))
   in
   let rec parse_value () =
     skip_ws ();

@@ -202,9 +202,49 @@ let test_json_non_finite () =
       Alcotest.(check (option (float 1e-9))) "finite survives" (Some 1.5)
         (Option.bind (Report.Json.member "finite" parsed) Report.Json.number)
 
+(* Only JSON's number grammar reads: no sign but a leading minus, no
+   bare or trailing point, no leading zero, no empty exponent, nothing
+   past the float range. Every refusal names the offset. *)
+let test_json_number_grammar () =
+  List.iter
+    (fun (text, error) ->
+      match Report.Json.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error e -> Alcotest.(check string) text error e)
+    [
+      ( {|{"domains": +1, "trace_capacity": 1.e3}|},
+        "JSON parse error at offset 12: bad number: expected a digit" );
+      ( {|{"duration_s": .5}|},
+        "JSON parse error at offset 15: bad number: expected a digit" );
+      ( {|{"duration_s": 01}|},
+        "JSON parse error at offset 16: bad number: leading zero" );
+      ("1.", "JSON parse error at offset 2: bad number: expected a digit");
+      ("-", "JSON parse error at offset 1: bad number: expected a digit");
+      ("1e", "JSON parse error at offset 2: bad number: expected a digit");
+      ("1e999", "JSON parse error at offset 0: bad number: out of range");
+    ];
+  let reads text =
+    match Report.Json.of_string text with
+    | Ok (Report.Json.Number x) -> x
+    | Ok _ -> Alcotest.failf "%s is not a number" text
+    | Error e -> Alcotest.failf "refused %s: %s" text e
+  in
+  List.iter
+    (fun (text, v) ->
+      Alcotest.(check (float 0.)) text v (reads text);
+      Alcotest.(check bool) (text ^ " sign") (Float.sign_bit v)
+        (Float.sign_bit (reads text)))
+    [ ("-0", -0.); ("0.5", 0.5); ("1E-3", 1e-3); ("1e+20", 1e20) ];
+  List.iter
+    (fun v ->
+      let text = Report.Json.to_string (Report.Json.Number v) in
+      Alcotest.(check (float 0.)) ("round trip " ^ text) v (reads text))
+    [ 0.; 42.; -7.; 1e20; 0.1; 1. /. 3.; -2.5e-8; Float.pi; -1e300 ]
+
 let suite =
   [
     Alcotest.test_case "json non-finite floats" `Quick test_json_non_finite;
+    Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "csv write_string" `Quick test_csv_write_string;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick
