@@ -129,7 +129,26 @@ let str key j =
   | Some s -> Ok s
   | None -> Error (Printf.sprintf "field %S is not a string" key)
 
+(* Any key of [j] outside [keys] is refused by name; keys that start
+   with _ are free, as in a spec. *)
+let only_keys keys j =
+  match j with
+  | Json.Obj fields -> (
+      match
+        List.find_opt
+          (fun (k, _) ->
+            not (String.starts_with ~prefix:"_" k || List.mem k keys))
+          fields
+      with
+      | Some (k, _) ->
+          Error
+            (Printf.sprintf "unknown field %S (known: %s)" k
+               (String.concat ", " keys))
+      | None -> Ok ())
+  | _ -> Error "expected an object"
+
 let case_of_json j =
+  let* () = only_keys [ "spec"; "progress_rtos"; "check_completion" ] j in
   let* spec_json = field "spec" j in
   let* spec = Spec.of_json spec_json in
   let* progress_rtos =
@@ -137,8 +156,9 @@ let case_of_json j =
     | None -> Ok default_case.progress_rtos
     | Some v -> (
         match Json.number v with
-        | Some f -> Ok (int_of_float f)
-        | None -> Error "field \"progress_rtos\" is not a number")
+        | Some f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+            Ok (int_of_float f)
+        | _ -> Error "field \"progress_rtos\" is not an integer")
   in
   let* check_completion =
     match Json.member "check_completion" j with
@@ -470,6 +490,11 @@ let load_artifact path =
       match Json.of_string contents with
       | Error e -> Error e
       | Ok j ->
+          let* () =
+            only_keys
+              [ "case"; "violations"; "completed"; "bytes_acked"; "trace" ]
+              j
+          in
           let* case_json = field "case" j in
           let* artifact_case = case_of_json case_json in
           let* violations_json = field "violations" j in

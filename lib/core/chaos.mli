@@ -106,8 +106,10 @@ val case_to_json : case -> Report.Json.t
     the spec in {!Spec.to_json} form. *)
 
 val case_of_json : Report.Json.t -> (case, string) result
-(** Inverse of {!case_to_json}; errors name the offending field.
-    [progress_rtos] and [check_completion] default when absent. *)
+(** Inverse of {!case_to_json}; errors name the offending field. A key
+    outside those three (keys that start with [_] are free) and a
+    non-integral [progress_rtos] are refused. [progress_rtos] and
+    [check_completion] default when absent. *)
 
 val outcome_to_json : outcome -> Report.Json.t
 
@@ -122,6 +124,8 @@ type artifact = {
 }
 
 val load_artifact : string -> (artifact, string) result
+(** Read an artifact {!write_failures} wrote; like {!case_of_json}, it
+    refuses a key outside the artifact's own, by name. *)
 
 val replay : string -> (outcome * bool, string) result
 (** Re-run the case stored in a failure artifact. The boolean is [true]

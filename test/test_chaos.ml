@@ -102,6 +102,53 @@ let test_case_json_errors () =
   reject {|{"spec":{"seed":12}}|} "seed";
   reject {|{"spec":{"topology":{"kind":"mesh"}}}|} "topology"
 
+(* A misspelt key or a non-integral progress_rtos is refused by name,
+   in a case and in a failure artifact; keys that start with _ stay
+   free. *)
+let test_case_json_strict_keys () =
+  let contains e key =
+    let n = String.length key in
+    let rec go i =
+      i + n <= String.length e && (String.sub e i n = key || go (i + 1))
+    in
+    go 0
+  in
+  let spec =
+    Report.Json.to_string_compact
+      (Core.Spec.to_json Core.Chaos.default_case.Core.Chaos.spec)
+  in
+  let case fields = Printf.sprintf {|{"spec": %s, %s}|} spec fields in
+  let decode text =
+    Result.bind (Report.Json.of_string text) Core.Chaos.case_of_json
+  in
+  List.iter
+    (fun (fields, key) ->
+      match decode (case fields) with
+      | Ok _ -> Alcotest.failf "decoded {%s}" fields
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %s" e key) true
+            (contains e key))
+    [
+      ( {|"progress_rtos": 2.7, "progres_rtos": 9, "check_completion": true|},
+        "progres_rtos" );
+      ({|"progress_rtos": 2.7, "check_completion": true|}, "progress_rtos");
+    ];
+  (match decode (case {|"progress_rtos": 2, "_note": "free"|}) with
+  | Ok c -> Alcotest.(check int) "progress_rtos" 2 c.Core.Chaos.progress_rtos
+  | Error e -> Alcotest.failf "refused a free key: %s" e);
+  let path = Filename.temp_file "rss_chaos_artifact" ".json" in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        {|{"case": %s, "violations": [], "completed": true, "bytes_acked": 0, "trace": "", "trcae": ""}|}
+        (case {|"progress_rtos": 2|}));
+  let loaded = Core.Chaos.load_artifact path in
+  Sys.remove path;
+  match loaded with
+  | Ok _ -> Alcotest.fail "loaded an artifact with a misspelt key"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "%S names trcae" e) true
+        (contains e "trcae")
+
 let quick_sweep_cases =
   (* Random cases shrunk to a 6-second horizon so the determinism and
      failure-capture tests stay fast; completion is not required. *)
@@ -192,6 +239,8 @@ let suite =
     Alcotest.test_case "case JSON round-trip" `Quick test_case_json_roundtrip;
     Alcotest.test_case "case JSON error reporting" `Quick
       test_case_json_errors;
+    Alcotest.test_case "case JSON refuses unknown keys" `Quick
+      test_case_json_strict_keys;
     Alcotest.test_case "sweep identical across jobs" `Quick
       test_sweep_identical_across_jobs;
     Alcotest.test_case "poisoned cell captured, batch drains" `Quick
