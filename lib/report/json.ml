@@ -198,6 +198,16 @@ let of_string s =
     in
     loop ()
   in
+  let digit_at i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let rec skip_digits i = if digit_at i then skip_digits (i + 1) else i in
+  (* The end of the one or more digits that must start at [i]. *)
+  let digits i =
+    if digit_at i then skip_digits (i + 1)
+    else begin
+      pos := i;
+      fail "bad number: expected a digit"
+    end
+  in
   (* JSON's grammar: an optional minus, 0 or digits without a leading
      zero, an optional fraction of one or more digits, an optional
      exponent (e or E, an optional sign, one or more digits). It is
@@ -205,31 +215,26 @@ let of_string s =
      past the float range is refused, not read as infinity. *)
   let parse_number () =
     let start = !pos in
-    let bad what = fail ("bad number: " ^ what) in
-    let at c = !pos < n && s.[!pos] = c in
-    let is_digit () = !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' in
-    let digits () =
-      if not (is_digit ()) then bad "expected a digit";
-      while is_digit () do
-        advance ()
-      done
+    let i = if start < n && s.[start] = '-' then start + 1 else start in
+    let i =
+      if i < n && s.[i] = '0' then
+        if digit_at (i + 1) then begin
+          pos := i + 1;
+          fail "bad number: leading zero"
+        end
+        else i + 1
+      else digits i
     in
-    if at '-' then advance ();
-    if at '0' then begin
-      advance ();
-      if is_digit () then bad "leading zero"
-    end
-    else digits ();
-    if at '.' then begin
-      advance ();
-      digits ()
-    end;
-    if at 'e' || at 'E' then begin
-      advance ();
-      if at '+' || at '-' then advance ();
-      digits ()
-    end;
-    let f = float_of_string (String.sub s start (!pos - start)) in
+    let i = if i < n && s.[i] = '.' then digits (i + 1) else i in
+    let i =
+      if i < n && (s.[i] = 'e' || s.[i] = 'E') then
+        digits
+          (if i + 1 < n && (s.[i + 1] = '+' || s.[i + 1] = '-') then i + 2
+           else i + 1)
+      else i
+    in
+    pos := i;
+    let f = float_of_string (String.sub s start (i - start)) in
     if Float.is_finite f then f
     else raise (Parse_error (start, "bad number: out of range"))
   in
