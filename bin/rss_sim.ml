@@ -842,11 +842,14 @@ let trace_cmd =
           Deterministic: artifacts are byte-identical at any --jobs.")
     term
 
-(* --- experiments ----------------------------------------------------------- *)
+(* --- experiments ---------------------------------------------------------- *)
 
 let experiments_cmd =
   let ids =
-    let doc = "Experiments to run (default: the whole catalog, see $(b,rss_sim list))." in
+    let doc =
+      "Experiments to run (default: the whole catalog, see $(b,rss_sim \
+       list))."
+    in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let jobs =
@@ -861,7 +864,9 @@ let experiments_cmd =
       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let action ids jobs =
-    let known = List.map (fun e -> e.Core.Experiments.id) Core.Experiments.catalog in
+    let known =
+      List.map (fun e -> e.Core.Experiments.id) Core.Experiments.catalog
+    in
     (match List.filter (fun id -> not (List.mem id known)) ids with
     | [] -> ()
     | unknown ->
@@ -910,7 +915,8 @@ let list_cmd =
   let action () =
     print_endline "experiments (rss_sim experiments [ID...]):";
     List.iter
-      (fun { Core.Experiments.id; title } -> Printf.printf "  %-8s %s\n" id title)
+      (fun { Core.Experiments.id; title } ->
+        Printf.printf "  %-8s %s\n" id title)
       Core.Experiments.catalog;
     print_endline "";
     let print_docs title docs =

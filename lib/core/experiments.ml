@@ -121,7 +121,9 @@ let sweep_table key find ~variants points =
   table (key :: flow_columns)
     (List.concat_map
        (fun point ->
-         List.map (fun ss -> Int point :: flow_cells (find (point, ss))) variants)
+         List.map
+           (fun ss -> Int point :: flow_cells (find (point, ss)))
+           variants)
        points)
 
 let std_rss = [ "standard"; "restricted" ]
@@ -428,7 +430,8 @@ let fairness_pair ~duration (ss_a, ss_b) =
   }
 
 let fairness ?pool ?(duration = Sim.Time.sec 40) () =
-  let mixed = ("standard", "restricted") and control = ("standard", "standard") in
+  let mixed = ("standard", "restricted")
+  and control = ("standard", "standard") in
   let find =
     run_cells ?pool
       (List.map
@@ -797,10 +800,13 @@ let text_cell = function
 
 let to_text t =
   let render tb =
+    let text_column i =
+      List.exists
+        (fun row -> match List.nth row i with Text _ -> true | _ -> false)
+        tb.rows
+    in
     let align i =
-      if List.exists (fun row -> match List.nth row i with Text _ -> true | _ -> false) tb.rows
-      then Report.Table.Left
-      else Report.Table.Right
+      if text_column i then Report.Table.Left else Report.Table.Right
     in
     (if tb.name = "" then "" else tb.name ^ ":\n")
     ^ Report.Table.render

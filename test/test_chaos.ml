@@ -139,7 +139,8 @@ let test_case_json_strict_keys () =
   let path = Filename.temp_file "rss_chaos_artifact" ".json" in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
-        {|{"case": %s, "violations": [], "completed": true, "bytes_acked": 0, "trace": "", "trcae": ""}|}
+        {|{"case": %s, "violations": [], "completed": true,
+            "bytes_acked": 0, "trace": "", "trcae": ""}|}
         (case {|"progress_rtos": 2|}));
   let loaded = Core.Chaos.load_artifact path in
   Sys.remove path;

@@ -74,7 +74,8 @@ let column (t : E.t) name =
 
 let floats t name =
   List.map
-    (function E.Float x -> x | _ -> Alcotest.failf "column %s is not float" name)
+    (function
+      | E.Float x -> x | _ -> Alcotest.failf "column %s is not float" name)
     (column t name)
 
 let ints t name =
