@@ -244,7 +244,6 @@ let test_json_number_grammar () =
 let suite =
   [
     Alcotest.test_case "json non-finite floats" `Quick test_json_non_finite;
-    Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "csv write_string" `Quick test_csv_write_string;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick
@@ -259,4 +258,5 @@ let suite =
       test_csv_precision_late_timestamps;
     Alcotest.test_case "trace export csv" `Quick test_trace_export_csv;
     Alcotest.test_case "trace export chrome" `Quick test_trace_export_chrome;
+    Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
   ]
