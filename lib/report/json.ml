@@ -140,13 +140,24 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  let hex_digit = function
+    | '0' .. '9' as d -> Char.code d - Char.code '0'
+    | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+    | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+    | _ -> -1
+  in
+  (* JSON's string grammar: no raw character below U+0020, and a \u
+     followed by exactly four hex digits. [unescape start stop] reads
+     the rest of a string whose characters from [start] to [stop] need
+     no unescaping. *)
+  let unescape start stop =
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf s start (stop - start);
     let rec loop () =
       if !pos >= n then fail "unterminated string"
       else
         let c = s.[!pos] in
+        if c < ' ' then fail "raw control character in string";
         advance ();
         match c with
         | '"' -> Buffer.contents buf
@@ -175,9 +186,14 @@ let of_string s =
                   Buffer.add_char buf '\012';
                   loop ()
               | 'u' ->
-                  if !pos + 4 > n then fail "bad \\u escape";
-                  let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-                  pos := !pos + 4;
+                  let code = ref 0 in
+                  for _ = 1 to 4 do
+                    let d = if !pos < n then hex_digit s.[!pos] else -1 in
+                    if d < 0 then fail "bad \\u escape: expected 4 hex digits";
+                    code := (!code lsl 4) lor d;
+                    advance ()
+                  done;
+                  let code = !code in
                   (* BMP only; enough for our artefacts *)
                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
                   else if code < 0x800 then begin
@@ -197,6 +213,23 @@ let of_string s =
             loop ()
     in
     loop ()
+  in
+  (* Most strings hold no escape: they are one slice of the input. *)
+  let parse_string () =
+    expect '"';
+    let rec plain i =
+      if i < n && s.[i] <> '"' && s.[i] <> '\\' && s.[i] >= ' ' then
+        plain (i + 1)
+      else i
+    in
+    let start = !pos in
+    let stop = plain start in
+    pos := stop;
+    if stop < n && s.[stop] = '"' then begin
+      advance ();
+      String.sub s start (stop - start)
+    end
+    else unescape start stop
   in
   let digit_at i = i < n && s.[i] >= '0' && s.[i] <= '9' in
   let rec skip_digits i = if digit_at i then skip_digits (i + 1) else i in
@@ -303,7 +336,6 @@ let of_string s =
   | v -> Ok v
   | exception Parse_error (at, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" at msg)
-  | exception Failure msg -> Error ("JSON parse error: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)

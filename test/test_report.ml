@@ -241,6 +241,38 @@ let test_json_number_grammar () =
       Alcotest.(check (float 0.)) ("round trip " ^ text) v (reads text))
     [ 0.; 42.; -7.; 1e20; 0.1; 1. /. 3.; -2.5e-8; Float.pi; -1e300 ]
 
+(* Only JSON's string grammar reads: no raw character below U+0020,
+   and a \u escape takes exactly four hex digits. Every refusal names
+   the offset. *)
+let test_json_string_grammar () =
+  let bad_u = "bad \\u escape: expected 4 hex digits" in
+  List.iter
+    (fun (text, error) ->
+      match Report.Json.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error e ->
+          Alcotest.(check string) (String.escaped text)
+            ("JSON parse error at offset " ^ error) e)
+    [
+      ("\"a\nb\"", "2: raw control character in string");
+      ("\"a\001b\"", "2: raw control character in string");
+      ({|"\u1_23"|}, "4: " ^ bad_u);
+      ({|"\uZZZZ"|}, "3: " ^ bad_u);
+      ({|"\u00"|}, "5: " ^ bad_u);
+    ];
+  let reads text =
+    match Report.Json.of_string text with
+    | Ok (Report.Json.String x) -> x
+    | Ok _ -> Alcotest.failf "%s is not a string" text
+    | Error e -> Alcotest.failf "refused %s: %s" text e
+  in
+  Alcotest.(check string) {|"\u00e9"|} "\xc3\xa9" (reads {|"\u00e9"|});
+  Alcotest.(check string) {|"x\u00e9y"|} "x\xc3\xa9y" (reads {|"x\u00e9y"|});
+  Alcotest.(check string) {|"\/"|} "/" (reads {|"\/"|});
+  let controls = String.init 0x20 Char.chr in
+  Alcotest.(check string) "every control byte round-trips" controls
+    (reads (Report.Json.to_string (Report.Json.String controls)))
+
 let suite =
   [
     Alcotest.test_case "json non-finite floats" `Quick test_json_non_finite;
@@ -259,4 +291,5 @@ let suite =
     Alcotest.test_case "trace export csv" `Quick test_trace_export_csv;
     Alcotest.test_case "trace export chrome" `Quick test_trace_export_chrome;
     Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
+    Alcotest.test_case "json string grammar" `Quick test_json_string_grammar;
   ]
