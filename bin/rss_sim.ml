@@ -74,7 +74,6 @@ let print_result (r : Core.Spec.flow_result) =
 (* --- run --spec --------------------------------------------------------- *)
 
 let ensure_dir = Serve.Artifacts.ensure_dir
-let sanitize = Serve.Artifacts.sanitize
 
 (* Per-cell failure table: a poisoned cell must cost its row, not the
    batch — print every failure, then exit non-zero. *)
@@ -117,10 +116,8 @@ let load_spec path =
 
 let run_spec ~jobs spec =
   let verdicts =
-    if jobs > 1 then
-      Engine.Pool.with_pool ~jobs (fun pool ->
-          Core.Spec.run_batch_collect ~pool [ spec ])
-    else Core.Spec.run_batch_collect [ spec ]
+    Engine.Pool.with_pool ~jobs (fun pool ->
+        Core.Spec.run_batch_collect ~pool [ spec ])
   in
   match verdicts with
   | [ Ok outcome ] -> outcome
@@ -405,11 +402,9 @@ let compare_cmd =
     let duration = Sim.Time.of_sec duration_s in
     let table, failures =
       try
-        if jobs > 1 then
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              Core.Arena.run_collect ~pool ?policies ?scenarios ~duration
-                ~seed ())
-        else Core.Arena.run_collect ?policies ?scenarios ~duration ~seed ()
+        Engine.Pool.with_pool ~jobs (fun pool ->
+            Core.Arena.run_collect ~pool ?policies ?scenarios ~duration ~seed
+              ())
       with Invalid_argument e ->
         prerr_endline e;
         exit 2
@@ -444,10 +439,8 @@ let compare_cmd =
           [ "standard"; "limited"; "hystart"; "restricted" ]
       in
       let verdicts =
-        if jobs > 1 then
-          Engine.Pool.with_pool ~jobs (fun pool ->
-              Core.Spec.run_batch_collect ~pool cells)
-        else Core.Spec.run_batch_collect cells
+        Engine.Pool.with_pool ~jobs (fun pool ->
+            Core.Spec.run_batch_collect ~pool cells)
       in
       List.iter
         (function
@@ -530,10 +523,8 @@ let chaos_cmd =
     | None ->
         let case_list = Core.Chaos.random_cases ~root:seed cases in
         let outcomes =
-          if jobs > 1 then
-            Engine.Pool.with_pool ~jobs (fun pool ->
-                Core.Chaos.run_sweep ~pool case_list)
-          else Core.Chaos.run_sweep case_list
+          Engine.Pool.with_pool ~jobs (fun pool ->
+              Core.Chaos.run_sweep ~pool case_list)
         in
         List.iter
           (fun (o : Core.Chaos.outcome) ->
@@ -810,27 +801,9 @@ let trace_cmd =
     Printf.printf
       "trace        %d record(s) retained, %d dropped (ring capacity %d)\n"
       (Trace.length tr) (Trace.dropped tr) (Trace.capacity tr);
-    ensure_dir out_dir;
-    let base = sanitize spec.Core.Spec.name in
-    let write name content =
-      let path = Filename.concat out_dir (base ^ name) in
-      Report.Csv.write_string ~path content;
-      Printf.printf "wrote %s\n" path
-    in
-    write "_events.csv" (Report.Trace_event.to_csv tr);
-    write "_trace.json"
-      (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr);
-    match outcome.Core.Spec.metrics with
-    | None -> ()
-    | Some m ->
-        let path = Filename.concat out_dir (base ^ "_metrics.csv") in
-        Report.Csv.write ~path
-          ~header:("time_s" :: m.Core.Spec.metric_names)
-          ~rows:
-            (List.map
-               (fun (t, values) -> t :: Array.to_list values)
-               m.Core.Spec.samples);
-        Printf.printf "wrote %s\n" path
+    List.iter
+      (Printf.printf "wrote %s\n")
+      (Serve.Artifacts.write_trace ~dir:out_dir spec outcome)
   in
   let term = Term.(const action $ spec_file $ out_dir $ jobs $ capacity) in
   Cmd.v
@@ -878,7 +851,7 @@ let experiments_cmd =
       List.iter
         (fun { Core.Experiments.id; title } ->
           Printf.printf "\n== %s: %s\n\n" id title;
-          let t = Core.Experiments.run ?pool id in
+          let t = Core.Experiments.run ~pool id in
           print_string (Core.Experiments.to_text t);
           List.iter
             (fun (file, contents) ->
@@ -894,8 +867,7 @@ let experiments_cmd =
                  Core.Experiments.catalog)
              ids)
     in
-    if jobs > 1 then Engine.Pool.with_pool ~jobs (fun pool -> run (Some pool))
-    else run None;
+    Engine.Pool.with_pool ~jobs run;
     Printf.printf "total wall-clock %.1f s with --jobs %d\n"
       (Unix.gettimeofday () -. t0)
       jobs
@@ -1047,13 +1019,10 @@ let meanfield_cmd =
                  ])
           else None
     in
-    let run () =
-      if jobs > 1 then
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            Core.Meanfield.sweep ~pool ~duration ?flows path ~seed)
-      else Core.Meanfield.sweep ~duration ?flows path ~seed
+    let s =
+      Engine.Pool.with_pool ~jobs (fun pool ->
+          Core.Meanfield.sweep ~pool ~duration ?flows path ~seed)
     in
-    let s = run () in
     Printf.printf "  %8s  %8s  %11s  %10s  %9s  %11s\n" "flows" "margin"
       "predicted" "queue-mean" "amplitude" "measured";
     let name = function

@@ -49,7 +49,9 @@ val output : t -> float
 (** Last computed output (0. before the first step). *)
 
 val integral : t -> float
-(** Current integral accumulator, in error·seconds. *)
+(** Current integral accumulator, in error·seconds. It and {!output}
+    are read only by the [control] tests "P proportionality", "I
+    accumulates" and "reset", which watch the controller's state. *)
 
 val reset : t -> unit
 (** Clear integral, derivative memory and output. *)

@@ -2,7 +2,6 @@ type critical_point = { kc : float; tc : float }
 
 let pp_critical fmt { kc; tc } = Format.fprintf fmt "Kc=%.4g Tc=%.4g" kc tc
 
-let zn_p { kc; _ } = Pid.p_only (0.5 *. kc)
 let zn_pi { kc; tc } = Pid.pi ~kp:(0.45 *. kc) ~ti:(tc /. 1.2)
 
 let zn_pid { kc; tc } =

@@ -5,9 +5,6 @@ type critical_point = { kc : float; tc : float }
 
 val pp_critical : Format.formatter -> critical_point -> unit
 
-val zn_p : critical_point -> Pid.gains
-(** Classic Ziegler–Nichols P rule: Kp = 0.5·Kc. *)
-
 val zn_pi : critical_point -> Pid.gains
 (** Classic ZN PI: Kp = 0.45·Kc, Ti = Tc/1.2. *)
 

@@ -255,14 +255,6 @@ let run_collect ?pool ?policies ?scenarios:scenario_filter
     },
     List.rev failures )
 
-let run ?pool ?policies ?scenarios ?duration ?seed () =
-  match run_collect ?pool ?policies ?scenarios ?duration ?seed () with
-  | table, [] -> table
-  | _, { Engine.Pool.flabel; fexn; fbacktrace } :: _ ->
-      raise
-        (Engine.Pool.Task_failed
-           { label = flabel; exn = fexn; backtrace = fbacktrace })
-
 let league t =
   let standings =
     List.map

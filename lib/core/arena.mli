@@ -20,8 +20,6 @@ val scenarios : scenario list
 (** The built-in arena scenarios, in matrix column order: [paper-path],
     [lossy-wan], [shared-bottleneck], [chaos-bursty]. *)
 
-val scenario_names : string list
-
 type cell = {
   policy : string;
   scenario : string;
@@ -52,22 +50,6 @@ type standing = {
   score : float;  (** mean utilization × mean Jain — rank key *)
 }
 
-val run :
-  ?pool:Engine.Pool.t ->
-  ?policies:string list ->
-  ?scenarios:string list ->
-  ?duration:Sim.Time.t ->
-  ?seed:int ->
-  unit ->
-  table
-(** Run the matrix: defaults are every named bundle
-    ({!Tcp.Policy.names}), every built-in
-    scenario, 15 s, seed 1. Cells run as one [Spec.run_batch] over
-    [pool] (sequential when [None]) in policy-major order. Raises
-    [Invalid_argument] on an unknown policy or scenario name and
-    {!Engine.Pool.Task_failed} on the first poisoned cell
-    ({!run_collect} with the first failure re-raised). *)
-
 val run_collect :
   ?pool:Engine.Pool.t ->
   ?policies:string list ->
@@ -76,13 +58,14 @@ val run_collect :
   ?seed:int ->
   unit ->
   table * Engine.Pool.failure list
-(** Like {!run} but a poisoned cell costs one entry in the returned
+(** Run the matrix: defaults are every named bundle
+    ({!Tcp.Policy.names}), every built-in scenario, 15 s, seed 1. Cells
+    run as one [Spec.run_batch] over [pool] (sequential when [None]) in
+    policy-major order. Raises [Invalid_argument] on an unknown policy
+    or scenario name. A poisoned cell costs one entry in the returned
     failure list (and its hole in [cells]), never the matrix: every
-    healthy cell still reports, and the league is scored over the cells
-    that completed. *)
-
-val league : table -> standing list
-(** Standings sorted by descending score (ties by name). *)
+    healthy cell still reports, and the league (standings by descending
+    score, ties by name) is scored over the cells that completed. *)
 
 val to_csv : table -> string
 (** One row per cell in [cells] order; floats use {!Report.Csv.cell}'s

@@ -35,14 +35,3 @@ let ultimate_gain ?(rate = Sim.Units.mbps 100.)
     ~setpoint:(setpoint_fraction *. float_of_int ifq_capacity)
     ~dt:0.005 ~horizon:12. ~kp_init:0.05 ~kp_max:1e4 ~refine_steps:8 ()
 
-let tuned_config ?(setpoint_fraction = 0.9) critical =
-  {
-    Tcp.Slow_start.gains = Control.Tuning.paper_pid critical;
-    setpoint_fraction;
-    max_step_segments =
-      Tcp.Slow_start.default_restricted_config
-        .Tcp.Slow_start.max_step_segments;
-    sample_min_interval =
-      Tcp.Slow_start.default_restricted_config
-        .Tcp.Slow_start.sample_min_interval;
-  }

@@ -20,7 +20,9 @@ val sim_plant :
 (** [sim_plant () ()] builds a fresh scenario with a saturating sender
     whose window tracks the commanded input, and returns its step
     function: advance the simulation by [dt] seconds with window [u]
-    (segments) and read back the IFQ occupancy (packets). *)
+    (segments) and read back the IFQ occupancy (packets). Code reaches
+    it through {!ultimate_gain}; the [core] test "calibration plant
+    responds" drives it directly. *)
 
 val ultimate_gain :
   ?rate:Sim.Units.rate ->
@@ -32,9 +34,3 @@ val ultimate_gain :
 (** Run the ZN sweep+bisection on the simulated plant (dt 5 ms, 12 s
     episodes). *)
 
-val tuned_config :
-  ?setpoint_fraction:float ->
-  Control.Tuning.critical_point ->
-  Tcp.Slow_start.restricted_config
-(** Apply the paper's tuning rule to a measured critical point and
-    package it as an RSS policy configuration. *)

@@ -449,13 +449,6 @@ let outcome_to_json o =
       ("trace", Json.String o.trace);
     ]
 
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then ensure_dir parent;
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 (* Case names come from generators or artifacts; keep paths tame. *)
 let sanitize name =
   String.map
@@ -465,11 +458,10 @@ let sanitize name =
       | _ -> '_')
     name
 
+(* [Report.Csv.write_string] creates [dir] as needed. *)
 let write_failure ~dir outcome =
-  ensure_dir dir;
   let path = Filename.concat dir (sanitize (case_name outcome.case) ^ ".json") in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Json.to_string (outcome_to_json outcome)));
+  Report.Csv.write_string ~path (Json.to_string (outcome_to_json outcome));
   path
 
 let write_failures ~dir outcomes =

@@ -21,6 +21,15 @@ type case = {
       (** require the flow's byte budget acked within the duration *)
 }
 
+(** {2 Cases and runs}
+
+    Code builds its cases with {!random_cases} and runs them with
+    {!run_sweep}. {!make_case}, {!default_case}, {!adjust},
+    {!case_max_rto} and {!run_case} are called only by the [core.chaos]
+    tests, which build and run one hand-written case at a time ("2xRTO
+    outage, both variants", "poisoned cell captured, batch drains",
+    "sweep identical across jobs"). *)
+
 val make_case :
   ?name:string ->
   ?seed:int ->
@@ -94,12 +103,18 @@ val random_case : root:int -> index:int -> case
     reordering (~50%), duplication (~40%), 0–2 outage windows, 0–1
     delay steps, occasionally a lightly-impaired ACK path. Variants
     alternate standard/restricted by index parity. Deterministic in
-    [(root, index)]. *)
+    [(root, index)]. Code calls it through {!random_cases}; the
+    [core.chaos] test "case JSON round-trip" calls it directly. *)
 
 val random_cases : root:int -> int -> case list
 (** [random_cases ~root n] is indices [0 .. n-1]. *)
 
-(** {2 Serialization and replay} *)
+(** {2 Serialization and replay}
+
+    Code reaches {!case_to_json}, {!case_of_json} and {!load_artifact}
+    through {!write_failures} and {!replay}; the [core.chaos] tests "case
+    JSON round-trip", "case JSON error reporting" and "case JSON refuses
+    unknown keys" call them directly. *)
 
 val case_to_json : case -> Report.Json.t
 (** [{"spec": ..., "progress_rtos": ..., "check_completion": ...}] with
@@ -110,8 +125,6 @@ val case_of_json : Report.Json.t -> (case, string) result
     outside those three (keys that start with [_] are free) and a
     non-integral [progress_rtos] are refused. [progress_rtos] and
     [check_completion] default when absent. *)
-
-val outcome_to_json : outcome -> Report.Json.t
 
 val write_failures : dir:string -> outcome list -> string list
 (** Write one [<name>.json] artifact per failed outcome into [dir]

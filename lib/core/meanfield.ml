@@ -204,7 +204,9 @@ let oscillation_threshold = 0.1
 
 (* Mean and relative swing of the queue over the second half of the
    run (the first half is start-up transient: synchronized slow-start
-   overshoot and drain). *)
+   overshoot and drain): oscillatory when the standard deviation
+   exceeds [oscillation_threshold] of the mean (or of one packet,
+   whichever is larger). *)
 let classify series ~duration =
   let times = Sim.Stats.Series.times series in
   let values = Sim.Stats.Series.values series in

@@ -51,7 +51,11 @@ type equilibrium = {
 val equilibrium : path -> flows:int -> equilibrium
 (** Solves [red_drop_probability q = 2/(w(q)(w(q)+2))] with
     [w(q) = C·rtt(q)/N] — full-utilization windows against Reno's
-    loss-balance demand — for the standing queue. *)
+    loss-balance demand — for the standing queue. {!equilibrium},
+    {!gain_margin} and {!predict} are the oracle's steps; code reads the
+    oracle through {!critical_flows} and {!sweep}, and the
+    [core.meanfield] tests "equilibrium is self-consistent" and
+    "stability boundary is monotone in N" check each step. *)
 
 type verdict = Stable | Oscillatory
 
@@ -66,19 +70,6 @@ val critical_flows : path -> int
     oscillation. *)
 
 (* --- empirical side ---------------------------------------------------- *)
-
-val spec_for : ?duration:Sim.Time.t -> path -> flows:int -> seed:int -> Spec.t
-(** A duplex [Many_flows] scenario realising [path] (RED on the egress
-    IFQ), sampled fast enough to resolve queue oscillation. *)
-
-val classify :
-  Sim.Stats.Series.t -> duration:Sim.Time.t -> float * float * verdict
-(** [(mean, relative amplitude, verdict)] of a queue series over the
-    second half of the run: oscillatory when the standard deviation
-    exceeds {!oscillation_threshold} of the mean (or of one packet,
-    whichever is larger). *)
-
-val oscillation_threshold : float
 
 type sweep_point = {
   sp_flows : int;

@@ -25,8 +25,6 @@ val create : ?jobs:int -> unit -> t
     spawned and {!map} degrades to a sequential map. Raises
     [Invalid_argument] if [jobs < 1]. *)
 
-val jobs : t -> int
-
 type failure = { flabel : string; fexn : exn; fbacktrace : string }
 (** One task's captured failure, labeled by its scenario. *)
 

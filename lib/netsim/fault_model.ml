@@ -177,7 +177,6 @@ let random_drops t = t.random_drops
 let outage_drops t = t.outage_drops
 let duplicates t = t.duplicates
 let reordered t = t.reordered
-let in_bad_state t = t.ge_bad
 
 let last_outage_end t =
   Array.fold_left

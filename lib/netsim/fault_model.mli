@@ -65,7 +65,8 @@ val install : t -> Link.t -> unit
 
 val decide : t -> now:Sim.Time.t -> Packet.t -> Sim.Time.t list
 (** The underlying per-packet decision ([[]] = drop; otherwise one
-    extra delay per delivered copy), exposed for unit tests. *)
+    extra delay per delivered copy). Only tests call it: the
+    [netsim.fault-model] suite drives the model packet by packet. *)
 
 val profile : t -> profile
 
@@ -82,9 +83,6 @@ val duplicates : t -> int
 
 val reordered : t -> int
 (** Packets given reordering jitter. *)
-
-val in_bad_state : t -> bool
-(** Current Gilbert–Elliott state (for tests). *)
 
 val last_outage_end : t -> Sim.Time.t option
 (** The latest outage [stop] in the schedule, if any — the moment after

@@ -4,9 +4,7 @@ type t = {
   host_ifq : Ifq.t;
   host_nic : Nic.t;
   handlers : (int, Packet.t -> unit) Hashtbl.t;
-  mutable default_handler : (Packet.t -> unit) option;
   mutable rx_packet_count : int;
-  mutable rx_byte_count : int;
 }
 
 let create sched ~id ~nic_rate ~ifq_capacity ?ifq_red_ecn () =
@@ -20,9 +18,7 @@ let create sched ~id ~nic_rate ~ifq_capacity ?ifq_red_ecn () =
     host_ifq;
     host_nic;
     handlers = Hashtbl.create 8;
-    default_handler = None;
     rx_packet_count = 0;
-    rx_byte_count = 0;
   }
 
 let id t = t.host_id
@@ -40,17 +36,11 @@ let send t pkt =
 
 let register_flow t ~flow handler = Hashtbl.replace t.handlers flow handler
 let unregister_flow t ~flow = Hashtbl.remove t.handlers flow
-let set_default_handler t handler = t.default_handler <- Some handler
 
 let deliver t pkt =
   t.rx_packet_count <- t.rx_packet_count + 1;
-  t.rx_byte_count <- t.rx_byte_count + Packet.size pkt;
   match Hashtbl.find_opt t.handlers pkt.Packet.flow with
   | Some handler -> handler pkt
-  | None -> (
-      match t.default_handler with
-      | Some handler -> handler pkt
-      | None -> ())
+  | None -> ()
 
 let rx_packets t = t.rx_packet_count
-let rx_bytes t = t.rx_byte_count

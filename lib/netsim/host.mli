@@ -32,15 +32,12 @@ val send : t -> Packet.t -> [ `Sent | `Stalled ]
 
 val register_flow : t -> flow:int -> (Packet.t -> unit) -> unit
 (** Route inbound packets of [flow] to the handler. Replaces any
-    previous registration for that flow. *)
+    previous registration for that flow. Packets of an unregistered
+    flow are dropped silently. *)
 
 val unregister_flow : t -> flow:int -> unit
-
-val set_default_handler : t -> (Packet.t -> unit) -> unit
-(** Handler for flows with no registration (default: drop silently). *)
 
 val deliver : t -> Packet.t -> unit
 (** Entry point for the inbound link. *)
 
 val rx_packets : t -> int
-val rx_bytes : t -> int

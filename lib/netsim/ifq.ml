@@ -4,7 +4,6 @@ type t = {
   cap : int;
   gauge : Sim.Stats.Time_weighted.t;
   mutable stall_count : int;
-  mutable stall_hooks : (unit -> unit) list;
   mutable space_hooks : (unit -> unit) list;
   mutable tracer : Trace.t option;
   mutable trace_src : int;
@@ -24,7 +23,6 @@ let create sched ~capacity ?red_ecn () =
     gauge =
       Sim.Stats.Time_weighted.create ~now:(Sim.Scheduler.now sched) ~init:0.;
     stall_count = 0;
-    stall_hooks = [];
     space_hooks = [];
     tracer = None;
     trace_src = 0;
@@ -37,7 +35,6 @@ let set_tracer t ?(src = 0) tracer =
 let queue t = t.disc
 let occupancy t = Queue_disc.length t.disc
 let capacity t = t.cap
-let headroom t = t.cap - occupancy t
 let stalls t = t.stall_count
 
 let record t =
@@ -63,10 +60,8 @@ let try_enqueue t pkt =
       t.stall_count <- t.stall_count + 1;
       trace t ~code:Trace.Code.ifq_stall ~arg1:t.stall_count
         ~arg2:pkt.Packet.flow;
-      List.iter (fun hook -> hook ()) (List.rev t.stall_hooks);
       false
 
-let on_stall t hook = t.stall_hooks <- hook :: t.stall_hooks
 let on_space t hook = t.space_hooks <- hook :: t.space_hooks
 
 let note_dequeue t =

@@ -26,22 +26,15 @@ val queue : t -> Queue_disc.t
 
 val try_enqueue : t -> Packet.t -> bool
 (** [try_enqueue t pkt] is [true] on success. On failure the stall
-    counter increments and stall hooks fire. *)
+    counter increments. *)
 
 val occupancy : t -> int
 (** Packets currently queued. *)
 
 val capacity : t -> int
 
-val headroom : t -> int
-(** [capacity - occupancy]. *)
-
 val stalls : t -> int
 (** Total refused enqueues. *)
-
-val on_stall : t -> (unit -> unit) -> unit
-(** Register a hook run on each refused enqueue (after the counter
-    updates). Multiple hooks run in registration order. *)
 
 val on_space : t -> (unit -> unit) -> unit
 (** Register a hook run when the queue transitions from full to

@@ -65,8 +65,8 @@ val add_tap : t -> (Sim.Time.t -> Packet.t -> unit) -> unit
 val set_drop_filter : t -> (Packet.t -> bool) -> unit
 (** Deterministic loss injection: packets for which the filter returns
     [true] are dropped (counted in {!lost}). Applied before the random
-    [loss_rate]. Intended for tests that need to kill one specific
-    segment. *)
+    [loss_rate]. Only tests call it, to kill one specific segment: the
+    [tcp.recovery], [tcp.cwnd-table] and [netsim.components] suites. *)
 
 val set_fault_hook : t -> (Sim.Time.t -> Packet.t -> Sim.Time.t list) -> unit
 (** Install the fault-injection hook, consulted for every packet that

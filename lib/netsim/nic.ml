@@ -73,8 +73,6 @@ let set_tracer t ?(src = 0) tracer =
 
 let kick t = if not t.transmitting then start_next t
 
-let rate t = t.line_rate
-let busy t = t.transmitting
 let tx_packets t = t.tx_packet_count
 let tx_bytes t = t.tx_byte_count
 let set_dequeue_hook t hook = t.dequeue_hook <- Some hook

@@ -18,8 +18,6 @@ val attach : t -> Link.t -> unit
 val kick : t -> unit
 (** Start transmitting if idle and the queue is non-empty. *)
 
-val rate : t -> Sim.Units.rate
-val busy : t -> bool
 val tx_packets : t -> int
 val tx_bytes : t -> int
 

@@ -17,10 +17,6 @@ let placeholder =
 
 let size t = Proto.Payload.wire_size t.payload
 
-let pp fmt t =
-  Format.fprintf fmt "#%d flow=%d %d->%d %a" t.id t.flow t.src t.dst
-    Proto.Payload.pp t.payload
-
 module Id_source = struct
   type source = { mutable next_id : int }
 

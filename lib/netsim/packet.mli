@@ -33,8 +33,6 @@ val placeholder : t
 val size : t -> int
 (** Wire size in bytes, derived from the payload. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Monotonic id source; one per simulation keeps runs deterministic. *)
 module Id_source : sig
   type source

@@ -28,8 +28,6 @@ type t = {
   capacity_bytes : int option;
   items : Packet.t Queue.t;
   mutable bytes : int;
-  mutable drop_count : int;
-  mutable enqueue_count : int;
   mutable drop_hook : (Packet.t -> drop_reason -> unit) option;
 }
 
@@ -42,8 +40,6 @@ let droptail ?capacity_bytes ~capacity_packets () =
     capacity_bytes;
     items = Queue.create ();
     bytes = 0;
-    drop_count = 0;
-    enqueue_count = 0;
     drop_hook = None;
   }
 
@@ -67,14 +63,11 @@ let red ?(ecn = false) ~capacity_packets ~link_rate params =
     capacity_bytes = None;
     items = Queue.create ();
     bytes = 0;
-    drop_count = 0;
-    enqueue_count = 0;
     drop_hook = None;
   }
 
 let length t = Queue.length t.items
 let byte_length t = t.bytes
-let capacity_packets t = t.capacity_packets
 
 let is_full t =
   Queue.length t.items >= t.capacity_packets
@@ -83,19 +76,15 @@ let is_full t =
   | Some cap -> t.bytes >= cap
   | None -> false
 
-let drops t = t.drop_count
-let enqueued t = t.enqueue_count
 let set_drop_hook t hook = t.drop_hook <- Some hook
 
 let reject t pkt reason =
-  t.drop_count <- t.drop_count + 1;
   (match t.drop_hook with Some hook -> hook pkt reason | None -> ());
   Error reason
 
 let accept t pkt =
   Queue.add pkt t.items;
   t.bytes <- t.bytes + Packet.size pkt;
-  t.enqueue_count <- t.enqueue_count + 1;
   Ok ()
 
 (* The steady-state RED curve — Floyd & Jacobson's piecewise-linear

@@ -41,7 +41,9 @@ val red :
     2·max_th) and tail drops still discard. *)
 
 val ecn_marks : t -> int
-(** Packets CE-marked so far (always 0 for drop-tail / non-ECN RED). *)
+(** Packets CE-marked so far (always 0 for drop-tail / non-ECN RED).
+    Only tests read it: the [netsim.queue-disc] tests "RED+ECN marks
+    instead of dropping" and "droptail never marks". *)
 
 val enqueue : t -> now:Sim.Time.t -> Packet.t -> (unit, drop_reason) result
 val dequeue : t -> now:Sim.Time.t -> Packet.t option
@@ -50,14 +52,10 @@ val length : t -> int
 (** Packets currently queued. *)
 
 val byte_length : t -> int
-val capacity_packets : t -> int
-val is_full : t -> bool
-
-val drops : t -> int
-(** Total packets refused since creation. *)
-
-val enqueued : t -> int
-(** Total packets accepted since creation. *)
+(** Bytes currently queued, the count a [capacity_bytes] bound is
+    checked against. Only the [netsim.queue-disc] test "byte accounting"
+    reads it. *)
 
 val set_drop_hook : t -> (Packet.t -> drop_reason -> unit) -> unit
-(** Invoked on every refused packet, after counters update. *)
+(** Invoked on every refused packet. No code installs one; only the
+    [netsim.queue-disc] test "drop hook" does. *)

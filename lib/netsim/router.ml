@@ -1,7 +1,6 @@
 type port = { disc : Queue_disc.t; pnic : Nic.t }
 
 type t = {
-  router_id : int;
   sched : Sim.Scheduler.t;
   routes : (int, port) Hashtbl.t;
   mutable forwarded_count : int;
@@ -9,17 +8,14 @@ type t = {
   mutable no_route_count : int;
 }
 
-let create sched ~id =
+let create sched =
   {
-    router_id = id;
     sched;
     routes = Hashtbl.create 8;
     forwarded_count = 0;
     dropped_count = 0;
     no_route_count = 0;
   }
-
-let id t = t.router_id
 
 let add_port t ~queue ~rate ~link =
   let pnic = Nic.create t.sched ~rate ~queue in
@@ -40,8 +36,6 @@ let deliver t pkt =
           Nic.kick port.pnic
       | Error _ -> t.dropped_count <- t.dropped_count + 1)
 
-let port_queue port = port.disc
-let port_nic port = port.pnic
 let forwarded t = t.forwarded_count
 let dropped t = t.dropped_count
 let no_route t = t.no_route_count

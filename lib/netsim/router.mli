@@ -7,8 +7,7 @@
 type t
 type port
 
-val create : Sim.Scheduler.t -> id:int -> t
-val id : t -> int
+val create : Sim.Scheduler.t -> t
 
 val add_port :
   t -> queue:Queue_disc.t -> rate:Sim.Units.rate -> link:Link.t -> port
@@ -20,11 +19,10 @@ val deliver : t -> Packet.t -> unit
 (** Entry point for inbound links: enqueue on the routed port (drop if
     the queue refuses) and kick its NIC. *)
 
-val port_queue : port -> Queue_disc.t
-val port_nic : port -> Nic.t
-
 val forwarded : t -> int
-(** Packets accepted onto some port queue. *)
+(** Packets accepted onto some port queue. Only tests read it and
+    {!no_route}: the [netsim.components] test "router routing and
+    drops" balances them against {!dropped} and the link's deliveries. *)
 
 val dropped : t -> int
 (** Packets refused by a port queue (congestion loss). *)

@@ -11,12 +11,6 @@ module Cut = struct
 
   let single = { parts = 1; boundaries = [] }
   let lookahead b = Link.delay b.link
-
-  let min_lookahead t =
-    List.fold_left
-      (fun acc b -> Sim.Time.min acc (lookahead b))
-      (Sim.Time.of_ns_int max_int)
-      t.boundaries
 end
 
 module Duplex = struct
@@ -99,9 +93,6 @@ module Multi_dumbbell = struct
   let block = 10_000
   let left_id s i = (block * s) + i
   let right_id s i = (block * s) + 100 + i
-  let router_l_id s = (block * s) + 1000
-  let router_r_id s = (block * s) + 1001
-  let segment_of_id id = id / block
 
   (* A bottleneck queue: RED when [red] is set, drop-tail otherwise. *)
   let make_queue red ~buffer_packets ~rate =
@@ -138,8 +129,8 @@ module Multi_dumbbell = struct
             Host.create sched ~id:(right_id s i) ~nic_rate:access_rate
               ~ifq_capacity ())
       in
-      let router_l = Router.create sched ~id:(router_l_id s) in
-      let router_r = Router.create sched ~id:(router_r_id s) in
+      let router_l = Router.create sched in
+      let router_r = Router.create sched in
       let lr_link = Link.create sched ~delay:bottleneck_delay () in
       let rl_link = Link.create sched ~delay:bottleneck_delay () in
       Link.connect lr_link (Router.deliver router_r);

@@ -22,10 +22,6 @@ module Cut : sig
 
   val lookahead : boundary -> Sim.Time.t
   (** The boundary link's propagation delay. *)
-
-  val min_lookahead : t -> Sim.Time.t
-  (** Minimum lookahead over all boundaries ([max_int] ns when there are
-      none) — the horizon increment the partitioned engine advances by. *)
 end
 
 (** Two hosts joined by a symmetric duplex pipe. The sender's NIC is the
@@ -80,8 +76,7 @@ end
     segment is an island (assigned to one partition); the core links
     are the cut and carry their propagation delay as lookahead. Node ids
     are globally unique by segment block: segment [s] uses
-    [10000·s + local], with local ids left [i], right [100+i] and
-    routers [1000]/[1001]. *)
+    [10000·s + local], with local ids left [i] and right [100+i]. *)
 module Multi_dumbbell : sig
   type segment = {
     left : Host.t array;
@@ -129,11 +124,4 @@ module Multi_dumbbell : sig
       drop-tail. Raises [Invalid_argument] on out-of-range [segments],
       [pairs] (1..100, past which right and left ids would overlap) or
       [cross_pairs]. *)
-
-  val left_id : int -> int -> int
-  val right_id : int -> int -> int
-  val router_l_id : int -> int
-  val router_r_id : int -> int
-  val segment_of_id : int -> int
-  (** The segment block a node id belongs to. *)
 end

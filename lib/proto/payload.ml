@@ -7,7 +7,3 @@ let udp_header_bytes = 28
 let wire_size = function
   | Tcp h -> Tcp_header.wire_size h
   | Udp { payload_len; _ } -> payload_len + udp_header_bytes
-
-let pp fmt = function
-  | Tcp h -> Format.fprintf fmt "TCP(%a)" Tcp_header.pp h
-  | Udp { seq; payload_len } -> Format.fprintf fmt "UDP(#%d,%dB)" seq payload_len

@@ -7,5 +7,3 @@ type t =
 
 val wire_size : t -> int
 (** Total transport bytes (payload plus header overhead). *)
-
-val pp : Format.formatter -> t -> unit

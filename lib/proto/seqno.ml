@@ -2,16 +2,6 @@ type t = int32
 
 let zero = 0l
 let of_int n = Int32.of_int n
-let to_int32 t = t
 let add s n = Int32.add s (Int32.of_int n)
 
 let diff a b = Int32.to_int (Int32.sub a b)
-
-let lt a b = diff a b < 0
-let leq a b = diff a b <= 0
-let gt a b = diff a b > 0
-let geq a b = diff a b >= 0
-let equal = Int32.equal
-let max a b = if geq a b then a else b
-let min a b = if leq a b then a else b
-let pp fmt t = Format.fprintf fmt "%lu" t

@@ -1,7 +1,7 @@
 (** 32-bit TCP sequence numbers with wraparound arithmetic.
 
-    All comparisons are modular (RFC 793 §3.3): [lt a b] means "a is
-    earlier than b" provided the two numbers are within 2{^31} of each
+    Order is modular (RFC 793 §3.3): [a] is earlier than [b] when
+    [diff a b < 0], provided the two numbers are within 2{^31} of each
     other, which TCP's window rules guarantee. *)
 
 type t = private int32
@@ -10,8 +10,6 @@ val zero : t
 val of_int : int -> t
 (** Truncates to 32 bits. *)
 
-val to_int32 : t -> int32
-
 val add : t -> int -> t
 (** [add s n] advances [s] by [n] bytes, wrapping modulo 2{^32}.
     [n] may be negative. *)
@@ -19,16 +17,3 @@ val add : t -> int -> t
 val diff : t -> t -> int
 (** [diff a b] is the signed distance from [b] to [a], in
     (-2{^31}, 2{^31}]. [diff (add b n) b = n] for |n| < 2{^31}. *)
-
-val lt : t -> t -> bool
-val leq : t -> t -> bool
-val gt : t -> t -> bool
-val geq : t -> t -> bool
-val equal : t -> t -> bool
-
-val max : t -> t -> t
-(** The later of the two under modular order. *)
-
-val min : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

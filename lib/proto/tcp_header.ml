@@ -26,25 +26,3 @@ let data_end t =
   in
   Seqno.add t.seq virtual_len
 
-let pp fmt t =
-  let flag_str = function
-    | Syn -> "S"
-    | Fin -> "F"
-    | Rst -> "R"
-    | Ece -> "E"
-    | Cwr -> "W"
-  in
-  Format.fprintf fmt "seq=%a%s len=%d%s%s" Seqno.pp t.seq
-    (if t.is_ack then Format.asprintf " ack=%a" Seqno.pp t.ack else "")
-    t.payload_len
-    (match t.flags with
-    | [] -> ""
-    | fs -> " [" ^ String.concat "" (List.map flag_str fs) ^ "]")
-    (match t.sack_blocks with
-    | [] -> ""
-    | bs ->
-        " sack:"
-        ^ String.concat ","
-            (List.map
-               (fun (a, b) -> Format.asprintf "%a-%a" Seqno.pp a Seqno.pp b)
-               bs))

@@ -26,14 +26,13 @@ type t = {
   ts_ecr : Sim.Time.t;    (** echoed peer timestamp (Time.zero if none) *)
 }
 
-val header_bytes : int
-(** Wire overhead per segment (IP + TCP incl. typical options): 40. *)
-
 val wire_size : t -> int
-(** [payload_len + header_bytes]. *)
+(** [payload_len] plus 40 bytes of IP + TCP header (typical options
+    included). *)
 
 val data_end : t -> Seqno.t
-(** Sequence number just past the payload (accounting SYN/FIN as one). *)
+(** Sequence number just past the payload (accounting SYN/FIN as one).
+    No code calls it; only the [proto.seqno] test "data_end with flags"
+    does. *)
 
 val has_flag : t -> flag -> bool
-val pp : Format.formatter -> t -> unit

@@ -51,3 +51,28 @@ let write_outcome ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
         outcome.Core.Spec.results
   in
   json_path :: csvs
+
+let write_trace ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
+  let tr =
+    match outcome.Core.Spec.trace with
+    | Some tr -> tr
+    | None -> invalid_arg "Artifacts.write_trace: the run recorded no trace"
+  in
+  ensure_dir dir;
+  let base = sanitize spec.Core.Spec.name in
+  let path suffix = Filename.concat dir (base ^ suffix) in
+  let events = path "_events.csv" and chrome = path "_trace.json" in
+  Report.Csv.write_string ~path:events (Report.Trace_event.to_csv tr);
+  Report.Csv.write_string ~path:chrome
+    (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr);
+  match outcome.Core.Spec.metrics with
+  | None -> [ events; chrome ]
+  | Some m ->
+      let metrics = path "_metrics.csv" in
+      Report.Csv.write ~path:metrics
+        ~header:("time_s" :: m.Core.Spec.metric_names)
+        ~rows:
+          (List.map
+             (fun (t, values) -> t :: Array.to_list values)
+             m.Core.Spec.samples);
+      [ events; chrome; metrics ]

@@ -41,4 +41,5 @@ val replay : path:string -> event list
     still readable. *)
 
 val event_to_json : event -> Report.Json.t
-val event_of_json : Report.Json.t -> (event, string) result
+(** The line {!append} writes, as a JSON value. Only the [serve] test
+    "journal round trip" calls it, to compare replayed events. *)

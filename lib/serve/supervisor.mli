@@ -60,7 +60,8 @@ type runner =
     domain, so an injected runner must be thread-safe. *)
 
 val default_runner : runner
-(** [Core.Spec.run] — for injected runners that wrap the real thing. *)
+(** [Core.Spec.run] — for injected runners that wrap the real thing.
+    Only the [serve] tests inject runners; {!run} defaults to this. *)
 
 val run :
   ?stop:bool Atomic.t ->
@@ -77,7 +78,10 @@ val run :
     positive. *)
 
 val snapshot_path : string -> string -> string
-(** [snapshot_path state_dir job_id] — where that job checkpoints. *)
+(** [snapshot_path state_dir job_id] — where that job checkpoints. Only
+    the [serve] tests "crash recovery resumes from snapshot" and
+    "graceful stop drains to a snapshot" call it, to plant or find a
+    job's image. *)
 
 val quarantine_spec : path:string -> (Core.Spec.t, string) result
 (** Re-parse the spec embedded in a quarantine artifact, for replay. *)

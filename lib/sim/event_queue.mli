@@ -53,7 +53,9 @@ val cancel : t -> handle -> unit
 val is_cancelled : t -> handle -> bool
 (** [is_cancelled q h] is [true] when [h] no longer designates a
     pending event that will fire: it was cancelled or has already
-    fired. *)
+    fired. {!is_cancelled}, {!next_time} and {!is_empty} are read only
+    by tests: the [prop.event-queue] model-based qcheck suite and the
+    [sim.event-queue] unit tests compare them with a reference model. *)
 
 val reserve : t -> int
 (** [reserve q] takes the insertion sequence number the next {!add}
@@ -73,7 +75,8 @@ val pop : t -> (Time.t * (unit -> unit)) option
     queue is empty. *)
 
 val next_time : t -> Time.t option
-(** Time of the earliest event without removing it. *)
+(** Time of the earliest event without removing it (a test observer,
+    see {!is_cancelled}). *)
 
 val next_time_ns : t -> int
 (** Raw nanosecond timestamp of the earliest event, or [-1] when none
@@ -91,4 +94,5 @@ val live_count : t -> int
     of heap entries: a cancelled event leaves the heap at once. O(1). *)
 
 val is_empty : t -> bool
-(** [is_empty q] is [live_count q = 0]. O(1). *)
+(** [is_empty q] is [live_count q = 0]. O(1). A test observer, see
+    {!is_cancelled}. *)

@@ -31,10 +31,8 @@
    globally-quiesced view — the partitioned analogue of a
    [Scheduler.every] sampler. *)
 
-type part = { index : int; sched : Scheduler.t }
-
 type t = {
-  parts : part array;
+  parts : Scheduler.t array;
   mutable drains_rev : (unit -> unit) list; (* channel drains, newest first *)
   mutable min_look_ns : int; (* max_int when no channel exists *)
 }
@@ -43,14 +41,12 @@ let create ~parts ~seed_of =
   if parts < 1 then invalid_arg "Partition.create: need at least 1 partition";
   {
     parts =
-      Array.init parts (fun index ->
-          { index; sched = Scheduler.create ~seed:(seed_of index) () });
+      Array.init parts (fun index -> Scheduler.create ~seed:(seed_of index) ());
     drains_rev = [];
     min_look_ns = max_int;
   }
 
-let count t = Array.length t.parts
-let scheduler t i = t.parts.(i).sched
+let scheduler t i = t.parts.(i)
 let min_lookahead_ns t = t.min_look_ns
 
 module Channel = struct
@@ -106,8 +102,8 @@ let channel t ~src ~dst ~lookahead ~handler =
        link gives the conservative horizon no room to advance)";
   let ch =
     {
-      Channel.src_sched = t.parts.(src).sched;
-      dst_sched = t.parts.(dst).sched;
+      Channel.src_sched = t.parts.(src);
+      dst_sched = t.parts.(dst);
       handler;
       buf = [];
     }
@@ -243,7 +239,7 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   let next_event () =
     Array.fold_left
       (fun acc p ->
-        let n = Scheduler.next_ns p.sched in
+        let n = Scheduler.next_ns p in
         if n >= 0 && (acc < 0 || n < acc) then n else acc)
       (-1) t.parts
   in
@@ -262,7 +258,7 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
         else nmin + t.min_look_ns
       in
       let horizon = Time.of_ns_int (h - 1) in
-      exec_epoch e (fun p -> Scheduler.run ~until:horizon t.parts.(p).sched);
+      exec_epoch e (fun p -> Scheduler.run ~until:horizon t.parts.(p));
       drain_all ();
       advance_to target
     end
@@ -271,7 +267,7 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
     (fun b ->
       advance_to b;
       let bt = Time.of_ns_int b in
-      Array.iter (fun p -> Scheduler.restore_clock p.sched bt) t.parts;
+      Array.iter (fun p -> Scheduler.restore_clock p bt) t.parts;
       on_break bt)
     breaks;
   advance_to until_ns;
@@ -279,5 +275,5 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
      remain below the cut; messages they emit are due strictly later
      and stay pending, exactly as a single-scheduler run leaves
      not-yet-due deliveries in its heap. *)
-  exec_epoch e (fun p -> Scheduler.run ~until t.parts.(p).sched);
+  exec_epoch e (fun p -> Scheduler.run ~until t.parts.(p));
   drain_all ()

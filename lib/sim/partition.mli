@@ -28,16 +28,15 @@ val create : parts:int -> seed_of:(int -> int) -> t
     scheduler is seeded with [seed_of i]. Raises [Invalid_argument] if
     [parts < 1]. *)
 
-val count : t -> int
-(** Number of partitions. *)
-
 val scheduler : t -> int -> Scheduler.t
 (** The scheduler owned by a partition — build that partition's model
     components against it. *)
 
 val min_lookahead_ns : t -> int
 (** Minimum lookahead over all channels (ns); [max_int] when no channel
-    has been created. This bounds how far each epoch can advance. *)
+    has been created. This bounds how far each epoch can advance. Only
+    tests read it: the [sim.partition] tests "create validation" and
+    "channel validation" check it tracks the channels. *)
 
 module Channel : sig
   type 'a t

@@ -46,8 +46,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let uniform t ~lo ~hi =
   assert (lo <= hi);
   lo +. ((hi -. lo) *. float t)

@@ -27,15 +27,15 @@ val derive_seed : root:int -> stream:int -> int
     non-negative [int] suitable for {!of_seed} or a [--seed] flag. *)
 
 val bits64 : t -> int64
-(** Next raw 64-bit value. *)
+(** Next raw 64-bit value. Every draw below is built on it; only tests
+    call it directly, to compare raw streams: the [sim.rng] tests
+    "determinism", "seed sensitivity" and "split independence". *)
 
 val float : t -> float
 (** Uniform in [0, 1). *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). [bound] must be positive. *)
-
-val bool : t -> bool
 
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [lo, hi). Requires [lo <= hi]. *)
@@ -51,4 +51,6 @@ val normal : t -> mu:float -> sigma:float -> float
     of previous state beyond the stream position). *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle. No code draws from {!normal} or
+    {!shuffle}; only the [sim.rng] tests "normal moments" and "shuffle
+    permutation" call them. *)

@@ -26,14 +26,11 @@ let create ?(seed = 1) () =
    many_flows engines each own a wheel but never interact, so the order
    among them is observationally irrelevant — it only has to be fixed). *)
 let attach_wheel t w = t.wheels <- Array.append t.wheels [| w |]
-let wheel t = if Array.length t.wheels = 0 then None else Some t.wheels.(0)
 
 let set_tracer t tr = t.tracer <- tr
-let tracer t = t.tracer
 
 let now t = t.clock
 let rng t = t.random
-let seed t = t.seed
 
 (* Streams are numbered in creation order, which is deterministic for a
    given model construction, so a component that asks for its own stream

@@ -20,15 +20,12 @@ val rng : t -> Rng.t
 (** The simulation-wide random stream. Components needing independent
     streams should {!Rng.split} it at setup time. *)
 
-val seed : t -> int
-(** The seed this scheduler was created with. *)
-
 val derive_rng : t -> Rng.t
-(** A fresh stream derived from {!seed} via {!Rng.derive_seed}, numbered
-    by creation order. Unlike {!Rng.split} on the shared {!rng}, this
-    consumes nothing from the simulation-wide stream, so adding a
-    component that derives its own stream does not perturb the random
-    decisions of unrelated components. Deterministic for a fixed seed
+(** A fresh stream derived from the creation seed via {!Rng.derive_seed},
+    numbered by creation order. Unlike {!Rng.split} on the shared
+    {!rng}, this consumes nothing from the simulation-wide stream, so
+    adding a component that derives its own stream does not perturb the
+    random decisions of unrelated components. Deterministic for a fixed seed
     and construction order. *)
 
 val restore_clock : t -> Time.t -> unit
@@ -82,7 +79,9 @@ val run : ?until:Time.t -> t -> unit
 
 val step : t -> bool
 (** [step t] fires exactly the next event. Returns [false] when no live
-    event remains. *)
+    event remains. {!run} is a loop over it; only tests call it
+    directly: the [sim.scheduler] test "manual stepping" (with
+    {!pending}). *)
 
 val next_ns : t -> int
 (** Absolute time (ns) of the next pending event, merging the heap and
@@ -93,7 +92,8 @@ val next_ns : t -> int
 val pending : t -> int
 (** Events still scheduled (O(1)): heap entries plus each attached
     wheel's {!Timer_wheel.pending}. A link's copies queued behind the
-    one it has armed are not heap entries, so they are not counted. *)
+    one it has armed are not heap entries, so they are not counted.
+    Only tests read it: [sim.scheduler] "manual stepping". *)
 
 val attach_wheel : t -> Timer_wheel.t -> unit
 (** Put a {!Timer_wheel} under the run loop: {!step}/{!run} interleave
@@ -106,19 +106,12 @@ val attach_wheel : t -> Timer_wheel.t -> unit
     wheels resolve in attach order, which is model-construction order
     and therefore deterministic. *)
 
-val wheel : t -> Timer_wheel.t option
-(** The first wheel installed by {!attach_wheel}, if any. *)
-
 val set_tracer : t -> Trace.t option -> unit
 (** Install (or remove) an event tracer. With a tracer installed, each
     dispatched heap event emits a [sched.dispatch] record, whose [arg1]
     is the number of heap entries left after the pop (a link's copies
     queued behind its armed one are not heap entries). The category is
-    off in {!Trace.Code.default_mask}, so the dispatch firehose costs
+    off in {!Trace.create}'s default mask, so the dispatch firehose costs
     one masked emit unless explicitly enabled. With [None] (the
     default) the run loop pays one pattern match and allocates
     nothing. *)
-
-val tracer : t -> Trace.t option
-(** The tracer installed by {!set_tracer}, if any — components hanging
-    off this scheduler fetch it here at wiring time. *)

@@ -183,8 +183,6 @@ let find r name ~kind ~what =
   | Some s when s.kind <> kind -> corrupt "section %S is not %s" name what
   | Some s -> s
 
-let mem r name = Hashtbl.mem r.sections name
-
 let get_i64 r name =
   let s = find r name ~kind:k_i64 ~what:"an int scalar" in
   Bytes.get_int64_le r.data s.off

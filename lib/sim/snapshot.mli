@@ -54,8 +54,6 @@ val load : path:string -> reader
 val of_string : string -> reader
 (** Parse an image produced by {!to_string}. Raises {!Corrupt}. *)
 
-val mem : reader -> string -> bool
-
 val get_int : reader -> string -> int
 val get_i64 : reader -> string -> int64
 val get_float : reader -> string -> float

@@ -88,11 +88,6 @@ module Histogram = struct
       t.counts.(i) <- t.counts.(i) + 1
     end
 
-  let count t = t.n
-  let underflow t = t.under
-  let overflow t = t.over
-  let bin_count t i = t.counts.(i)
-
   let quantile t q =
     if t.n = 0 then invalid_arg "Histogram.quantile: empty histogram";
     let q = Float.max 0. (Float.min 1. q) in
@@ -123,15 +118,11 @@ module Histogram = struct
          bucket, whose samples are >= hi: clamp to hi explicitly. *)
       if Float.is_nan !result then t.hi else !result
     end
-
-  let pp fmt t =
-    Format.fprintf fmt "hist[%g,%g) n=%d under=%d over=%d" t.lo t.hi t.n
-      t.under t.over
 end
 
 module Time_weighted = struct
   type t = {
-    mutable origin : Time.t;
+    origin : Time.t;
     mutable last_change : Time.t;
     mutable current : float;
     mutable integral : float; (* value × seconds accumulated so far *)
@@ -152,8 +143,6 @@ module Time_weighted = struct
     settle t ~now;
     t.current <- v;
     if v > t.peak then t.peak <- v
-
-  let value t = t.current
 
   let mean t ~now =
     let elapsed = Time.to_sec (Time.sub now t.origin) in
@@ -193,22 +182,8 @@ module Series = struct
     t.values.(t.n) <- v;
     t.n <- t.n + 1
 
-  let length t = t.n
   let times t = Array.sub t.times 0 t.n
   let values t = Array.sub t.values 0 t.n
-  let last_value t = if t.n = 0 then None else Some t.values.(t.n - 1)
-
-  let sample t ~at =
-    (* Binary search for the last index with time <= at. *)
-    if t.n = 0 || Time.(t.times.(0) > at) then 0.
-    else begin
-      let lo = ref 0 and hi = ref (t.n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if Time.(t.times.(mid) <= at) then lo := mid else hi := mid - 1
-      done;
-      t.values.(!lo)
-    end
 
   let to_csv_rows t =
     List.init t.n (fun i -> (Time.to_sec t.times.(i), t.values.(i)))

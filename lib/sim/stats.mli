@@ -25,6 +25,11 @@ module Summary : sig
   (** Combine two summaries as if all samples were added to one. *)
 
   val pp : Format.formatter -> t -> unit
+  (** Code reads {!count}, {!mean} and {!stddev}. The rest is read only
+      by the [sim.stats] tests: "summary basics", "summary merge",
+      "summary pp empty", and the qchecks "Welford matches naive
+      two-pass" (against a two-pass recount) and "Summary.merge equals
+      single-stream add". *)
 end
 
 (** Fixed-range, fixed-width-bin histogram with under/overflow bins. *)
@@ -33,16 +38,11 @@ module Histogram : sig
 
   val create : lo:float -> hi:float -> bins:int -> t
   val add : t -> float -> unit
-  val count : t -> int
-  val underflow : t -> int
-  val overflow : t -> int
-  val bin_count : t -> int -> int
+
   val quantile : t -> float -> float
   (** [quantile h q] for q in [0,1]; linear interpolation within the bin.
       Under/overflowed samples clamp to the range edges. Raises
       [Invalid_argument] on an empty histogram. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** A gauge integrated over simulated time, for time-averaged queue
@@ -55,12 +55,9 @@ module Time_weighted : sig
   (** Record that the gauge changed to the given value at [now]. Times
       must be non-decreasing. *)
 
-  val value : t -> float
-  (** Current gauge value. *)
-
   val mean : t -> now:Time.t -> float
-  (** Time-average from creation to [now]. Equal to [value] if no time
-      has elapsed. *)
+  (** Time-average from creation to [now]. Equal to the current value
+      if no time has elapsed. *)
 
   val max : t -> float
 end
@@ -72,14 +69,8 @@ module Series : sig
   val create : ?name:string -> unit -> t
   val name : t -> string
   val add : t -> Time.t -> float -> unit
-  val length : t -> int
   val times : t -> Time.t array
   val values : t -> float array
-  val last_value : t -> float option
-
-  val sample : t -> at:Time.t -> float
-  (** Step-function sample: value of the latest point at or before [at];
-      0. before the first point. *)
 
   val to_csv_rows : t -> (float * float) list
   (** (seconds, value) pairs in insertion order. *)

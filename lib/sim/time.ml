@@ -10,22 +10,15 @@ let of_sec s = int_of_float (Float.round (s *. 1e9))
 let to_sec t = float_of_int t /. 1e9
 let of_ns_int n = n
 let to_ns_int t = t
-let of_ns_int64 t = Int64.to_int t
-let to_ns_int64 t = Int64.of_int t
 let to_ms t = float_of_int t /. 1e6
 
 let add a b = a + b
 let sub a b = a - b
 let scale t k = int_of_float (Float.round (float_of_int t *. k))
 
-let div a b =
-  assert (b <> 0);
-  float_of_int a /. float_of_int b
-
 let mul_int t n = t * n
 
 let compare = Int.compare
-let equal = Int.equal
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( > ) (a : t) (b : t) = Stdlib.( > ) a b

@@ -41,12 +41,6 @@ val of_ns_int : int -> t
 val to_ns_int : t -> int
 (** [to_ns_int t] is the raw nanosecond count. *)
 
-val of_ns_int64 : int64 -> t
-(** Boxed-int64 conversion kept for interop; values beyond the native
-    [int] range (~±146 years) are not representable. *)
-
-val to_ns_int64 : t -> int64
-
 val to_ms : t -> float
 (** [to_ms t] is [t] in fractional milliseconds. *)
 
@@ -56,13 +50,9 @@ val sub : t -> t -> t
 val scale : t -> float -> t
 (** [scale t k] multiplies a duration by a scalar, rounding to ns. *)
 
-val div : t -> t -> float
-(** [div a b] is the dimensionless ratio a/b. [b] must be nonzero. *)
-
 val mul_int : t -> int -> t
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool

@@ -41,7 +41,6 @@ let max_nodes = 1 lsl idx_bits
 
 type handle = int
 
-let null = -1
 
 type t = {
   tick_bits : int;

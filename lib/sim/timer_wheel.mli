@@ -25,9 +25,6 @@ type handle = private int
 (** Packed (generation, node) token. Stale handles — fired or cancelled
     — are inert. Only meaningful to the wheel that issued it. *)
 
-val null : handle
-(** Inert handle: {!cancel} ignores it, {!is_pending} is [false]. *)
-
 val create :
   ?tick_ns:int ->
   ?initial_capacity:int ->
@@ -53,6 +50,10 @@ val cancel : t -> handle -> unit
 (** O(1), idempotent, allocation-free. *)
 
 val is_pending : t -> handle -> bool
+(** Only tests call it, to watch handles go stale: the
+    [sim.timer-wheel] tests "cancel is O(1), idempotent,
+    generation-safe", "overflow timers cancel cleanly" and "iter_pending
+    visits all; drain stales handles". *)
 
 val next_due_ns : t -> int
 (** Next {e attention} time, or [-1] when no timer is pending: either
@@ -87,7 +88,9 @@ val drain : t -> unit
 
 val tick_ns : t -> int
 val horizon_ns : t -> int
-(** Last representable due time from the current position. *)
+(** Last representable due time from the current position. Only tests
+    call it, to arm past the horizon: the [sim.timer-wheel] overflow
+    tests. *)
 
 val now_tick : t -> int
 (** Current position in ticks (testing hook). *)

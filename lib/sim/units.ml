@@ -1,7 +1,5 @@
 type rate = float
 
-let bps r = r
-let kbps r = r *. 1e3
 let mbps r = r *. 1e6
 let gbps r = r *. 1e9
 let rate_to_mbps r = r /. 1e6
@@ -12,25 +10,5 @@ let tx_time rate ~bytes =
 
 let bytes_in rate t = rate *. Time.to_sec t /. 8.
 
-let bdp_bytes rate ~rtt = bytes_in rate rtt
-
 let bdp_packets rate ~rtt ~packet_bytes =
-  bdp_bytes rate ~rtt /. float_of_int packet_bytes
-
-let throughput_mbps ~bytes ~elapsed =
-  let s = Time.to_sec elapsed in
-  if s <= 0. then 0. else float_of_int (8 * bytes) /. s /. 1e6
-
-let pp_rate fmt r =
-  if Float.abs r < 1e3 then Format.fprintf fmt "%.0fbit/s" r
-  else if Float.abs r < 1e6 then Format.fprintf fmt "%.3gkbit/s" (r /. 1e3)
-  else if Float.abs r < 1e9 then Format.fprintf fmt "%.4gMbit/s" (r /. 1e6)
-  else Format.fprintf fmt "%.4gGbit/s" (r /. 1e9)
-
-let pp_bytes fmt b =
-  let f = float_of_int b in
-  if f < 1024. then Format.fprintf fmt "%dB" b
-  else if f < 1024. *. 1024. then Format.fprintf fmt "%.4gKiB" (f /. 1024.)
-  else if f < 1024. *. 1024. *. 1024. then
-    Format.fprintf fmt "%.4gMiB" (f /. (1024. *. 1024.))
-  else Format.fprintf fmt "%.4gGiB" (f /. (1024. *. 1024. *. 1024.))
+  bytes_in rate rtt /. float_of_int packet_bytes

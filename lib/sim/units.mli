@@ -7,8 +7,6 @@
 type rate = float
 (** Bits per second. *)
 
-val bps : float -> rate
-val kbps : float -> rate
 val mbps : float -> rate
 val gbps : float -> rate
 
@@ -20,17 +18,5 @@ val tx_time : rate -> bytes:int -> Time.t
 val bytes_in : rate -> Time.t -> float
 (** [bytes_in r t] is how many bytes rate [r] moves in duration [t]. *)
 
-val bdp_bytes : rate -> rtt:Time.t -> float
-(** Bandwidth-delay product in bytes. *)
-
 val bdp_packets : rate -> rtt:Time.t -> packet_bytes:int -> float
-(** BDP expressed in packets of the given size. *)
-
-val throughput_mbps : bytes:int -> elapsed:Time.t -> float
-(** Achieved goodput in Mbit/s; 0. for a non-positive duration. *)
-
-val pp_rate : Format.formatter -> rate -> unit
-(** Adaptive unit: bit/s, kbit/s, Mbit/s, Gbit/s. *)
-
-val pp_bytes : Format.formatter -> int -> unit
-(** Adaptive unit: B, KiB, MiB, GiB. *)
+(** Bandwidth-delay product in packets of the given size. *)

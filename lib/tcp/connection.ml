@@ -14,6 +14,3 @@ let establish ~src ~dst ~flow ~ids ?rx_ids ?config ?slow_start ?cong_avoid
   in
   Sender.start sender ?bytes ();
   { sender; receiver; flow }
-
-let goodput_mbps t ~at = Receiver.goodput_mbps t.receiver ~at
-let completed t ~bytes = Receiver.bytes_received t.receiver >= bytes

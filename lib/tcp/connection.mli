@@ -25,8 +25,3 @@ val establish :
     partition's id source when [src] and [dst] live on different
     partitions, so the two sides never race on one counter. *)
 
-val goodput_mbps : t -> at:Sim.Time.t -> float
-(** Receiver goodput from simulation start to [at]. *)
-
-val completed : t -> bytes:int -> bool
-(** Has the receiver seen [bytes] of in-order data? *)

@@ -61,7 +61,9 @@ val seed_rng : t -> int -> int -> unit
     constant. *)
 
 val rng_next : t -> int -> int
-(** Next positive 62-bit xorshift draw. *)
+(** Next positive 62-bit xorshift draw. {!rng_float} is built on it;
+    only the [tcp.flow-table] test "per-row xorshift streams" calls it
+    directly, to compare raw streams. *)
 
 val rng_float : t -> int -> float
 (** Uniform draw in [0,1) (53 mantissa bits). *)

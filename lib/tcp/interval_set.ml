@@ -6,7 +6,6 @@
 type t = { mutable ranges : (int * int) list }
 
 let create () = { ranges = [] }
-let is_empty t = t.ranges = []
 
 let add t ~lo ~hi =
   if lo < hi then begin
@@ -59,8 +58,3 @@ let next_gap t ~from =
         else Some (from, a)
   in
   search from t.ranges
-
-let pp fmt t =
-  Format.fprintf fmt "{%s}"
-    (String.concat "; "
-       (List.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) t.ranges))

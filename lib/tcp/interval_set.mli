@@ -8,7 +8,6 @@
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
 
 val add : t -> lo:int -> hi:int -> unit
 (** Insert [lo, hi), merging with any overlapping or adjacent ranges.
@@ -18,7 +17,9 @@ val remove_below : t -> int -> unit
 (** Drop all bytes < the bound (trimming a straddling interval). *)
 
 val mem : t -> int -> bool
-(** Is this byte covered? *)
+(** Is this byte covered? Only tests call it, as the membership oracle:
+    the [tcp.interval-set] tests "mem / contains_range" and "interval
+    set matches model set", and the [prop.interval-set] suite. *)
 
 val contains_range : t -> lo:int -> hi:int -> bool
 (** Is every byte of [lo, hi) covered (by a single interval)? *)
@@ -27,7 +28,8 @@ val total : t -> int
 (** Number of bytes covered. *)
 
 val count : t -> int
-(** Number of disjoint intervals. *)
+(** Number of disjoint intervals. No code calls {!count} or {!first};
+    only the [tcp.interval-set] test "first/count" does. *)
 
 val intervals : t -> (int * int) list
 (** Ascending [lo, hi) pairs. *)
@@ -46,5 +48,3 @@ val next_gap : t -> from:int -> (int * int) option
     byte ([g_hi] is the start of the following interval). [None] when no
     covered interval lies above the candidate gap — i.e. there is no
     hole with known data beyond it. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,13 +12,8 @@ type t = {
   mutable pending_segments : int;     (* in-order segs since last ACK *)
   mutable pending_ts : Sim.Time.t;    (* ts_val to echo for pending ACK *)
   mutable delack_handle : Sim.Scheduler.handle option;
-  mutable synack_sent : bool;
-  mutable segment_count : int;
   mutable dup_count : int;
   mutable ack_count : int;
-  mutable first_data : Sim.Time.t option;
-  mutable last_data : Sim.Time.t option;
-  mutable byte_callbacks : (int -> unit) list;
   mutable expectations : (int * (unit -> unit)) list;
   mutable unread : int; (* delivered in-order but not yet app-consumed *)
   mutable drain_armed : bool;
@@ -43,13 +38,8 @@ let create ~host ~flow ~ids ?(config = Config.default) () =
       pending_segments = 0;
       pending_ts = Sim.Time.zero;
       delack_handle = None;
-      synack_sent = false;
-      segment_count = 0;
       dup_count = 0;
       ack_count = 0;
-      first_data = None;
-      last_data = None;
-      byte_callbacks = [];
       expectations = [];
       unread = 0;
       drain_armed = false;
@@ -168,7 +158,6 @@ let handle_syn t header pkt =
   (match t.irs with
   | None -> t.irs <- Some header.Proto.Tcp_header.seq
   | Some _ -> () (* retransmitted SYN *));
-  t.synack_sent <- true;
   emit_ack t ~syn:true ~ts_ecr:header.Proto.Tcp_header.ts_val ()
 
 let handle_data t header pkt =
@@ -186,10 +175,6 @@ let handle_data t header pkt =
     t.irs <- Some (Proto.Seqno.add header.Proto.Tcp_header.seq (-1))
   end;
   if t.peer = None then t.peer <- Some pkt.Netsim.Packet.src;
-  let now = Sim.Scheduler.now t.sched in
-  if t.first_data = None then t.first_data <- Some now;
-  t.last_data <- Some now;
-  t.segment_count <- t.segment_count + 1;
   let lo = offset_of_seq t header.Proto.Tcp_header.seq in
   let hi = lo + len in
   if hi <= t.rcv_nxt then begin
@@ -206,7 +191,6 @@ let handle_data t header pkt =
       t.rcv_nxt <- advanced;
       Reorder_buffer.consume_below t.buffer advanced;
       note_delivered t newly;
-      List.iter (fun cb -> cb newly) (List.rev t.byte_callbacks);
       fire_expectations t
     end;
     if not in_order then
@@ -249,8 +233,6 @@ let create ~host ~flow ~ids ?config () =
   Netsim.Host.register_flow host ~flow (fun pkt -> handle_packet t pkt);
   t
 
-let on_bytes t cb = t.byte_callbacks <- cb :: t.byte_callbacks
-
 let expect t ~bytes cb =
   if t.rcv_nxt >= bytes then cb ()
   else t.expectations <- (bytes, cb) :: t.expectations
@@ -258,13 +240,9 @@ let expect t ~bytes cb =
 let bytes_received t = t.rcv_nxt
 let backlog t = t.unread
 let ce_marks_seen t = t.ce_marks
-let current_window t = advertised_window t
-let segments_received t = t.segment_count
 let duplicate_segments t = t.dup_count
 let out_of_order_segments t = Reorder_buffer.segments_out_of_order t.buffer
 let acks_sent t = t.ack_count
-let first_data_at t = t.first_data
-let last_data_at t = t.last_data
 
 let goodput_mbps t ~at =
   let s = Sim.Time.to_sec at in

@@ -18,10 +18,6 @@ val create :
 (** Registers for [flow] on [host]. The peer's address is learned from
     the SYN (or first data segment). *)
 
-val on_bytes : t -> (int -> unit) -> unit
-(** Callback on every advance of the cumulative point, with the number
-    of newly in-order bytes — the "application read". *)
-
 val expect : t -> bytes:int -> (unit -> unit) -> unit
 (** Fire the callback once [bytes] of data have arrived in order. *)
 
@@ -30,23 +26,25 @@ val bytes_received : t -> int
 
 val backlog : t -> int
 (** Bytes delivered in order but not yet consumed by the application
-    (always 0 without [app_read_rate]). *)
-
-val current_window : t -> int
-(** The window the next ACK would advertise. *)
+    (always 0 without [app_read_rate]). The [tcp.integration] test
+    "slow application limits rate" checks it stays within the buffer. *)
 
 val ce_marks_seen : t -> int
 (** Data segments that arrived with the ECN Congestion-Experienced
     mark. *)
 
-val segments_received : t -> int
+(** {2 Test observers}
+
+    Counters that only tests read: the [tcp.recovery] and
+    [tcp.rto-backoff] suites observe duplicates and reordering with
+    them, and [tcp.integration]'s "delayed ACKs reduce ACK count" counts
+    ACKs. *)
+
 val duplicate_segments : t -> int
 (** Segments fully below the cumulative point (spurious retransmits). *)
 
 val out_of_order_segments : t -> int
 val acks_sent : t -> int
-val first_data_at : t -> Sim.Time.t option
-val last_data_at : t -> Sim.Time.t option
 
 val goodput_mbps : t -> at:Sim.Time.t -> float
 (** In-order payload bits delivered per second from time zero to [at]. *)

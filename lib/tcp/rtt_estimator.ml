@@ -5,7 +5,6 @@ type t = {
   mutable rttvar : Sim.Time.t;
   mutable min_rtt : Sim.Time.t option;
   mutable backoff_factor : int;
-  mutable sample_count : int;
 }
 
 let create ?(min_rto = Sim.Time.ms 200) ?(max_rto = Sim.Time.sec 60) () =
@@ -16,12 +15,10 @@ let create ?(min_rto = Sim.Time.ms 200) ?(max_rto = Sim.Time.sec 60) () =
     rttvar = Sim.Time.zero;
     min_rtt = None;
     backoff_factor = 1;
-    sample_count = 0;
   }
 
 let sample t r =
   let r = Sim.Time.max r (Sim.Time.us 1) in
-  t.sample_count <- t.sample_count + 1;
   (match t.min_rtt with
   | None -> t.min_rtt <- Some r
   | Some m -> if Sim.Time.(r < m) then t.min_rtt <- Some r);
@@ -59,4 +56,3 @@ let backoff t =
 
 let reset_backoff t = t.backoff_factor <- 1
 let backoff_factor t = t.backoff_factor
-let samples t = t.sample_count

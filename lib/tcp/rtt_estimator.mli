@@ -18,6 +18,10 @@ val srtt : t -> Sim.Time.t option
 (** Smoothed RTT; [None] before the first sample. *)
 
 val rttvar : t -> Sim.Time.t option
+(** RTT variation, which {!rto} adds four times; [None] before the
+    first sample. Only the [tcp.rtt-estimator] test "EWMA smoothing"
+    reads it. *)
+
 val min_rtt : t -> Sim.Time.t option
 (** Smallest sample seen — the propagation-delay estimate HyStart and
     Vegas-style logic need. *)
@@ -35,5 +39,3 @@ val backoff_factor : t -> int
 (** Current multiplier on the computed RTO: 1 when not backed off,
     doubling per {!backoff} up to 64. The effective {!rto} additionally
     clamps at [max_rto]. *)
-
-val samples : t -> int

@@ -20,6 +20,8 @@ val sacked_bytes : t -> int
 (** Bytes above the ACK point known to be held by the receiver. *)
 
 val is_sacked : t -> lo:int -> hi:int -> bool
+(** Is all of [lo, hi) SACKed? Only the [tcp.sack-reorder] test
+    "scoreboard record" reads it, to see where {!record} put a block. *)
 
 val next_hole : t -> una:int -> mss:int -> (int * int) option
 (** First unsacked range at/above [una] with SACKed data above it,
@@ -30,4 +32,5 @@ val reset : t -> unit
 (** Drop all state (used on RTO, which invalidates the scoreboard). *)
 
 val holes : t -> int
-(** Number of distinct holes below the highest SACKed byte (diagnostic). *)
+(** Number of distinct holes below the highest SACKed byte. No code
+    reads it; only the [tcp.sack-reorder] test "holes count" does. *)

@@ -750,12 +750,10 @@ let on_complete t cb = t.complete_cbs <- cb :: t.complete_cbs
 
 let phase t = t.phase
 let cwnd t = t.win.cwnd
-let ssthresh t = t.win.ssthresh
 let flight t = flight_bytes t
 let bytes_acked t = t.una
 let bytes_sent t = t.bytes_sent
 let srtt t = Rtt_estimator.srtt t.rtt
-let min_rtt t = Rtt_estimator.min_rtt t.rtt
 let rto t = Rtt_estimator.rto t.rtt
 let rto_backoff t = Rtt_estimator.backoff_factor t.rtt
 let send_stalls t = t.send_stall

@@ -13,6 +13,9 @@ type phase = Syn_sent | Slow_start_p | Cong_avoid_p | Fast_recovery
     (with the slow-start policy reset), mirroring RFC 5681. *)
 
 val phase_to_string : phase -> string
+(** With {!phase}, read only by the [tcp.integration] tests that check
+    which phase a sender is in ("RSS: zero stalls on paper path", "idle
+    restart resets window"). *)
 
 type t
 
@@ -41,7 +44,8 @@ val supply : t -> int -> unit
 
 val on_complete : t -> (unit -> unit) -> unit
 (** Callback when every requested byte has been cumulatively ACKed.
-    Never fires for unlimited transfers. *)
+    Never fires for unlimited transfers. No code registers one; only the
+    [tcp.integration] test "completion callback" does. *)
 
 (** {2 Introspection} *)
 
@@ -49,8 +53,6 @@ val phase : t -> phase
 
 val cwnd : t -> float
 (** Congestion window, bytes. *)
-
-val ssthresh : t -> float
 
 val flight : t -> int
 (** Un-SACKed outstanding bytes. *)
@@ -61,8 +63,9 @@ val bytes_sent : t -> int
 (** Data bytes handed to the IFQ (retransmissions included). *)
 
 val srtt : t -> Sim.Time.t option
-val min_rtt : t -> Sim.Time.t option
 val rto : t -> Sim.Time.t
+(** The current timeout, backoff included. Only the [tcp.rto-backoff]
+    tests read it. *)
 
 val rto_backoff : t -> int
 (** Exponential-backoff multiplier currently applied to {!rto} (1 when

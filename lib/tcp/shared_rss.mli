@@ -32,4 +32,6 @@ val policy : t -> Slow_start.t
 
 val members : t -> int
 val commanded_window_segments : t -> float
-(** Current total budget (diagnostic). *)
+(** Current total budget. It and {!members} are read only by the
+    [tcp.shared-rss] test "single member ~ solo RSS", which checks the
+    registration count and the budget the controller settles on. *)

@@ -22,14 +22,6 @@ module Code = struct
     else if bit = cat_tcp then "tcp"
     else "?"
 
-  let category_of_name = function
-    | "sched" -> Some cat_sched
-    | "link" -> Some cat_link
-    | "ifq" -> Some cat_ifq
-    | "nic" -> Some cat_nic
-    | "tcp" -> Some cat_tcp
-    | _ -> None
-
   let sched_dispatch = 0
   let link_tx = 1
   let link_drop = 2
@@ -87,7 +79,6 @@ let create ?(capacity = 65536) ?(mask = Code.default_mask) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { buf = Array.make (capacity * stride) 0; cap = capacity; mask; head = 0; len = 0; total = 0 }
 
-let mask t = t.mask
 let set_mask t m = t.mask <- m
 let capacity t = t.cap
 let length t = t.len
@@ -139,8 +130,6 @@ module Registry = struct
     r.order <- name :: r.order
 
   let names r = List.rev r.order
-  let size r = Hashtbl.length r.table
-  let read r name = Option.map (fun p -> p ()) (Hashtbl.find_opt r.table name)
 
   let sample r =
     let ns = names r in

@@ -32,20 +32,16 @@ module Code : sig
   val cat_sched : int
   val cat_link : int
   val cat_ifq : int
-  val cat_nic : int
   val cat_tcp : int
 
   val all_categories : int
-  (** Every category bit set. *)
-
-  val default_mask : int
-  (** Everything except {!cat_sched} — per-dispatch scheduler records
-      are high-volume and usually noise; enable them explicitly. *)
+  (** Every category bit set. Code names only the categories it traces;
+      {!cat_ifq} and [all_categories] are read by the [trace] tests
+      "category mask filtering", "default mask excludes sched" and "code
+      tables". *)
 
   val category_name : int -> string
   (** Name of a category bit ("sched", "link", ...); "?" if unknown. *)
-
-  val category_of_name : string -> int option
 
   (** Event codes. Each code belongs to exactly one category. *)
 
@@ -77,7 +73,8 @@ module Code : sig
   val tcp_rto : int  (** arg1 = backoff multiplier, arg2 = flight bytes *)
 
   val count : int
-  (** Codes are [0 .. count-1]. *)
+  (** Codes are [0 .. count-1]. Only the [trace] test "code tables"
+      reads it, to walk every code's name and category. *)
 
   val name : int -> string
   (** Stable export name ("link.tx", "tcp.cwnd", ...). Raises
@@ -98,7 +95,9 @@ type t
 val create : ?capacity:int -> ?mask:int -> unit -> t
 (** [create ~capacity ~mask ()] preallocates a ring of [capacity]
     records (default 65536; must be positive) accepting the categories
-    in [mask] (default {!Code.default_mask}). *)
+    in [mask]. The default mask takes every category but
+    {!Code.cat_sched}: per-dispatch scheduler records are high-volume
+    and usually noise, so they are enabled explicitly. *)
 
 val emit : t -> time_ns:int -> code:int -> src:int -> arg1:int -> arg2:int -> unit
 (** Append one record, overwriting the oldest once the ring is full
@@ -107,7 +106,6 @@ val emit : t -> time_ns:int -> code:int -> src:int -> arg1:int -> arg2:int -> un
     [src] identifies the emitting instance (flow id, host id, link
     index) and must fit 54 bits. *)
 
-val mask : t -> int
 val set_mask : t -> int -> unit
 val capacity : t -> int
 
@@ -121,7 +119,8 @@ val dropped : t -> int
 (** Records overwritten by ring wrap-around: [total - length]. *)
 
 val clear : t -> unit
-(** Empty the ring and reset {!total}/{!dropped}. *)
+(** Empty the ring and reset {!total}/{!dropped}. No code clears a
+    ring; only the [trace] test "clear" does. *)
 
 val iter :
   t -> (time_ns:int -> code:int -> src:int -> arg1:int -> arg2:int -> unit) -> unit
@@ -152,11 +151,6 @@ module Registry : sig
 
   val names : registry -> string list
   (** In registration order — the export column order. *)
-
-  val size : registry -> int
-
-  val read : registry -> string -> float option
-  (** Sample one probe by name. *)
 
   val sample : registry -> float array
   (** Sample every probe, in registration order. *)

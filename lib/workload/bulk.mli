@@ -19,11 +19,8 @@ val start :
 (** [rx_ids] (default [ids]): id source for the receiver's ACKs — pass
     the destination partition's source on a partitioned run. *)
 
-val connection : t -> Tcp.Connection.t
 val sender : t -> Tcp.Sender.t
 val receiver : t -> Tcp.Receiver.t
 
 val completion_time : t -> Sim.Time.t option
 (** When the receiver saw the last requested byte ([bytes] given). *)
-
-val goodput_mbps : t -> at:Sim.Time.t -> float

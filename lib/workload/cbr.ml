@@ -58,6 +58,5 @@ let start ~host ~dst ~flow ~ids ~rate ?(packet_bytes = 1000) ?stop_at () =
   tick t ();
   t
 
-let stop t = t.running <- false
 let packets_sent t = t.sent
 let packets_stalled t = t.stalls

@@ -16,7 +16,6 @@ val start :
 (** Emit [packet_bytes]-byte datagrams (default 1000) at [rate] until
     [stop_at] (default: forever). Emission is paced deterministically. *)
 
-val stop : t -> unit
 val packets_sent : t -> int
 val packets_stalled : t -> int
 (** Datagrams refused by the local IFQ (counted, not retried). *)

@@ -28,6 +28,7 @@ val start :
 
 val sender : t -> Tcp.Sender.t
 val receiver : t -> Tcp.Receiver.t
+
 val chunks_issued : t -> int
-val bytes_issued : t -> int
-val stop : t -> unit
+(** Chunks written so far. The [tcp.integration] test "chunked
+    staircase" checks that [chunks] bounds it. *)

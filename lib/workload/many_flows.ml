@@ -106,7 +106,6 @@ type t = {
   mutable created : int;
   mutable completed : int;
   mutable loss_events : int;
-  mutable stopped : bool;
   (* The open cohort: the one rows may still join. *)
   mutable open_head : int; (* its wheel timer's row; -1 = none open *)
   mutable open_tail : int;
@@ -235,7 +234,7 @@ let launch t ~now_ns =
   arm_round t row ~now_ns
 
 let schedule_arrival t ~now_ns =
-  if t.created < t.p.flows && not t.stopped then
+  if t.created < t.p.flows then
     match t.p.arrival_rate with
     | None -> ()
     | Some rate ->
@@ -317,7 +316,7 @@ let on_fire t ~kind ~flow =
   let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
   update_queue t ~now_ns;
   if kind = kind_arrival then begin
-    if t.created < t.p.flows && not t.stopped then begin
+    if t.created < t.p.flows then begin
       launch t ~now_ns;
       schedule_arrival t ~now_ns
     end
@@ -423,7 +422,6 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
         created = 0;
         completed = 0;
         loss_events = 0;
-        stopped = false;
         open_head = -1;
         open_tail = -1;
         open_due_ns = 0;
@@ -437,8 +435,6 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
   | None -> for _ = 1 to params.flows do launch t ~now_ns done
   | Some _ -> schedule_arrival t ~now_ns);
   t
-
-let stop t = t.stopped <- true
 
 (* --- snapshot ----------------------------------------------------------- *)
 
@@ -477,7 +473,6 @@ let save ?(prefix = "mf.") t w =
   Sim.Snapshot.put_int w (p "created") t.created;
   Sim.Snapshot.put_int w (p "completed") t.completed;
   Sim.Snapshot.put_int w (p "loss_events") t.loss_events;
-  Sim.Snapshot.put_int w (p "stopped") (if t.stopped then 1 else 0);
   Sim.Snapshot.put_i64 w (p "rng_state") (Sim.Rng.state t.rng);
   let n = ref 0 in
   iter_entries t ~f:(fun ~due_ns:_ ~kind:_ ~flow:_ -> incr n);
@@ -516,7 +511,6 @@ let restore ?(prefix = "mf.") t r =
   t.created <- Sim.Snapshot.get_int r (p "created");
   t.completed <- Sim.Snapshot.get_int r (p "completed");
   t.loss_events <- Sim.Snapshot.get_int r (p "loss_events");
-  t.stopped <- Sim.Snapshot.get_int r (p "stopped") <> 0;
   Sim.Rng.set_state t.rng (Sim.Snapshot.get_i64 r (p "rng_state"));
   refresh t;
   Ft.restore t.table ~prefix:(p "ft.") r;

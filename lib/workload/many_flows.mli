@@ -73,9 +73,6 @@ val start :
     (when given), a [buffer_packets] below 1, or a Pareto shape — for
     arrivals or sizes — at or below 1 (infinite mean). *)
 
-val stop : t -> unit
-(** Stop creating flows; running flows keep cycling. *)
-
 (** {2 Snapshot} — the engine's full dynamic state (fluid queue,
     counters, arrivals-stream position, flow-table columns, pending
     timers with one entry per row, as a per-row wheel would list them)
@@ -107,6 +104,10 @@ val avg_queue_packets : t -> float
 (** RED's EWMA of the queue (equals {!queue_packets} under tail drop). *)
 
 val sum_cwnd_bytes : t -> float
+(** The running window sum. Only tests read it: the [workload.many-flows]
+    qcheck "active, sum_cwnd and round timers match a recount of live
+    rows" compares it with a full recount of the table. *)
+
 val mean_cwnd_segments : t -> float
 val active : t -> int
 val created : t -> int

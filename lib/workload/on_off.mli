@@ -18,7 +18,4 @@ val start :
   unit ->
   t
 
-val stop : t -> unit
 val packets_sent : t -> int
-val mean_rate : t -> Sim.Units.rate
-(** Long-run average offered rate implied by the parameters. *)

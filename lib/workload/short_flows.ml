@@ -99,18 +99,5 @@ let start ~src ~dst ~ids ~rng ~arrival_rate ?(mean_size = 30 * 1024)
   ignore (Sim.Scheduler.after t.sched (Sim.Time.of_sec first_gap) (arrival t));
   t
 
-let stop t = t.running <- false
 let launched t = t.launched
 let completions t = List.rev t.finished
-
-let mean_completion_time t =
-  match t.finished with
-  | [] -> 0.
-  | l ->
-      let sum =
-        List.fold_left
-          (fun acc (c : completed) ->
-            acc +. Sim.Time.to_sec (Sim.Time.sub c.finished c.started))
-          0. l
-      in
-      sum /. float_of_int (List.length l)

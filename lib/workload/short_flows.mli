@@ -32,10 +32,9 @@ val start :
     connection gets a fresh [policy ()] (default ["standard"]): both its
     slow-start and its avoidance rule. *)
 
-val stop : t -> unit
 val launched : t -> int
+(** Arrivals so far; the [workload] test "short flows complete" counts
+    completions against it. *)
+
 val completions : t -> completed list
 (** Finished transfers, oldest first. *)
-
-val mean_completion_time : t -> float
-(** Seconds; 0. if nothing completed. *)

@@ -70,47 +70,47 @@ let test_invalid_config () =
 (* --- plants ----------------------------------------------------------- *)
 
 let test_first_order_step_response () =
-  let p = Control.Plant.first_order ~gain:2. ~tau:1. in
+  let p = Plant.first_order ~gain:2. ~tau:1. in
   (* Step input u=1: y(t) = 2(1 - e^{-t}). *)
   let y = ref 0. in
   for _ = 1 to 100 do
-    y := Control.Plant.step p ~dt:0.01 ~u:1.
+    y := Plant.step p ~dt:0.01 ~u:1.
   done;
   close ~eps:0.02 "y(1) = 2(1-1/e)" (2. *. (1. -. Float.exp (-1.))) !y;
   for _ = 1 to 900 do
-    y := Control.Plant.step p ~dt:0.01 ~u:1.
+    y := Plant.step p ~dt:0.01 ~u:1.
   done;
   close ~eps:0.01 "settles at static gain" 2. !y
 
 let test_integrator () =
-  let p = Control.Plant.integrator ~gain:3. in
-  ignore (Control.Plant.step p ~dt:0.5 ~u:2.);
-  close "integrates u·dt·gain" 3. (Control.Plant.output p);
-  Control.Plant.reset p;
-  close "reset" 0. (Control.Plant.output p)
+  let p = Plant.integrator ~gain:3. in
+  ignore (Plant.step p ~dt:0.5 ~u:2.);
+  close "integrates u·dt·gain" 3. (Plant.output p);
+  Plant.reset p;
+  close "reset" 0. (Plant.output p)
 
 let test_dead_time () =
   let p =
-    Control.Plant.first_order_dead_time ~gain:1. ~tau:0.05 ~dead_time:0.5
+    Plant.first_order_dead_time ~gain:1. ~tau:0.05 ~dead_time:0.5
       ~dt_hint:0.1
   in
   (* Until the dead time elapses the output barely moves. *)
   let y_early = ref 0. in
   for _ = 1 to 4 do
-    y_early := Control.Plant.step p ~dt:0.1 ~u:1.
+    y_early := Plant.step p ~dt:0.1 ~u:1.
   done;
   Alcotest.(check bool) "silent during dead time" true (!y_early < 0.05);
   let y_late = ref 0. in
   for _ = 1 to 20 do
-    y_late := Control.Plant.step p ~dt:0.1 ~u:1.
+    y_late := Plant.step p ~dt:0.1 ~u:1.
   done;
   Alcotest.(check bool) "responds after dead time" true (!y_late > 0.9)
 
 let test_second_order_overshoot () =
-  let p = Control.Plant.second_order ~gain:1. ~omega:10. ~zeta:0.2 in
+  let p = Plant.second_order ~gain:1. ~omega:10. ~zeta:0.2 in
   let peak = ref 0. in
   for _ = 1 to 2000 do
-    let y = Control.Plant.step p ~dt:0.001 ~u:1. in
+    let y = Plant.step p ~dt:0.001 ~u:1. in
     if y > !peak then peak := y
   done;
   (* ζ=0.2 → overshoot ≈ 52.7 %. *)
@@ -179,10 +179,7 @@ let test_tuning_rules () =
   let zn = Control.Tuning.zn_pid c in
   close "zn Kp" 6. zn.Control.Pid.kp;
   close "zn Ti" 1. zn.Control.Pid.ti;
-  close "zn Td" 0.25 zn.Control.Pid.td;
-  let p = Control.Tuning.zn_p c in
-  close "zn-P Kp" 5. p.Control.Pid.kp;
-  Alcotest.(check bool) "zn-P disables I" true (p.Control.Pid.ti = infinity)
+  close "zn Td" 0.25 zn.Control.Pid.td
 
 (* --- Ziegler–Nichols on a known plant ---------------------------------- *)
 
@@ -190,10 +187,10 @@ let test_tuning_rules () =
    subject. gain 1, tau 1, dead time 0.4: Kc ≈ 4.1, Tc ≈ 1.5 or so. *)
 let fopdt () =
   let p =
-    Control.Plant.first_order_dead_time ~gain:1. ~tau:1. ~dead_time:0.4
+    Plant.first_order_dead_time ~gain:1. ~tau:1. ~dead_time:0.4
       ~dt_hint:0.02
   in
-  fun ~dt ~u -> Control.Plant.step p ~dt ~u
+  fun ~dt ~u -> Plant.step p ~dt ~u
 
 let test_zn_finds_critical_point () =
   match
@@ -234,8 +231,8 @@ let test_zn_no_instability_error () =
      sampling period itself (around kp ≈ 2·tau/dt = 40 here); capping
      the sweep below that must yield a clean "no instability" error. *)
   let plant () =
-    let p = Control.Plant.first_order ~gain:1. ~tau:1. in
-    fun ~dt ~u -> Control.Plant.step p ~dt ~u
+    let p = Plant.first_order ~gain:1. ~tau:1. in
+    fun ~dt ~u -> Plant.step p ~dt ~u
   in
   match
     Control.Ziegler_nichols.ultimate_gain ~plant ~setpoint:1. ~dt:0.05

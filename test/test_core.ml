@@ -22,7 +22,7 @@ let test_run_bulk_standard () =
     (Float.abs (r.Core.Spec.utilization -. (r.Core.Spec.goodput_mbps /. 100.))
      < 1e-9);
   Alcotest.(check bool) "series populated" true
-    (Sim.Stats.Series.length r.Core.Spec.cwnd_series > 20)
+    (Array.length (Sim.Stats.Series.times r.Core.Spec.cwnd_series) > 20)
 
 let test_run_bulk_restricted_beats_standard () =
   let std = run_one (short_spec "standard") in
@@ -185,17 +185,6 @@ let test_calibrate_plant_responds () =
   done;
   Alcotest.(check bool) "queue builds at big window" true (!y > 50.)
 
-let test_tuned_config () =
-  let cfg =
-    Core.Calibrate.tuned_config { Control.Tuning.kc = 1.; tc = 0.12 }
-  in
-  Alcotest.(check (float 1e-9)) "paper rule Kp" 0.33
-    cfg.Tcp.Slow_start.gains.Control.Pid.kp;
-  Alcotest.(check (float 1e-9)) "paper rule Ti" 0.06
-    cfg.Tcp.Slow_start.gains.Control.Pid.ti;
-  Alcotest.(check (float 1e-9)) "setpoint fraction" 0.9
-    cfg.Tcp.Slow_start.setpoint_fraction
-
 (* The paper's headline claims at full horizon. §4: RSS improves on
    standard TCP by ~40 % over a 25 s transfer (measured +51.75 %);
    standard stalls, RSS never does. *)
@@ -260,7 +249,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 831_631); ("restricted", 1_688_098) ]
+    [ ("standard", 799_230); ("restricted", 1_623_141) ]
 
 (* Scheduler dispatches of the 2 s standard run, counted by a trace ring
    that accepts only sched.dispatch records (refbench's
@@ -293,12 +282,11 @@ let suite =
       test_latency_experiment_short;
     Alcotest.test_case "calibration plant responds" `Slow
       test_calibrate_plant_responds;
-    Alcotest.test_case "tuned config" `Quick test_tuned_config;
+    Alcotest.test_case "packet path dispatches (2 s)" `Quick
+      test_packet_path_dispatches;
     Alcotest.test_case "paper claim: T1 +40% at 25 s" `Slow test_claim_table1;
     Alcotest.test_case "paper claim: F1 stall staircase" `Slow
       test_claim_fig1_staircase;
     Alcotest.test_case "packet path minor words (2 s)" `Quick
       test_packet_path_words;
-    Alcotest.test_case "packet path dispatches (2 s)" `Quick
-      test_packet_path_dispatches;
   ]

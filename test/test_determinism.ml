@@ -66,10 +66,13 @@ let matrix_policies =
   ]
 
 let matrix_csv pool =
-  Core.Arena.to_csv
-    (Core.Arena.run ?pool ~policies:matrix_policies
-       ~scenarios:[ "paper-path"; "chaos-bursty" ]
-       ~duration ~seed:1 ())
+  match
+    Core.Arena.run_collect ?pool ~policies:matrix_policies
+      ~scenarios:[ "paper-path"; "chaos-bursty" ]
+      ~duration ~seed:1 ()
+  with
+  | table, [] -> Core.Arena.to_csv table
+  | _, f :: _ -> Alcotest.failf "poisoned cell %s" f.Engine.Pool.flabel
 
 let test_policy_matrix_golden () =
   let golden =
@@ -168,13 +171,14 @@ let test_many_flows_golden_from_image file image () =
     (Core.Spec.run ~resume_from:(Filename.concat mf_golden_dir image) spec)
 
 (* The trace golden: what `rss_sim trace --spec examples/dumbbell_mixed.json`
-   writes — three TCP flows, two with delayed starts, under burst loss,
-   with the event ring and the metrics registry attached. The metrics
-   CSV is committed whole under test/golden_trace/; the event CSV and
-   the Chrome JSON (2 MB and 7 MB) as MD5 digests, in md5sum's format,
-   in dumbbell-mixed.md5. The registry columns pin every sender's
-   counters and gauges at each sample tick. Regenerate (only for a
-   deliberate model change) with
+   writes through Serve.Artifacts.write_trace, the one writer the CLI
+   and this test share — three TCP flows, two with delayed starts,
+   under burst loss, with the event ring and the metrics registry
+   attached. The metrics CSV is committed whole under
+   test/golden_trace/; the event CSV and the Chrome JSON (2 MB and
+   7 MB) as MD5 digests, in md5sum's format, in dumbbell-mixed.md5.
+   The registry columns pin every sender's counters and gauges at each
+   sample tick. Regenerate (only for a deliberate model change) with
      rss_sim trace --spec examples/dumbbell_mixed.json --out test/golden_trace
    then write the md5sum of the two large files to dumbbell-mixed.md5
    and delete them. *)
@@ -185,32 +189,26 @@ let test_trace_golden () =
     { (load_spec_file "../examples/dumbbell_mixed.json") with
       Core.Spec.record_trace = true }
   in
-  let outcome = Core.Spec.run spec in
-  let tr = Option.get outcome.Core.Spec.trace in
-  let m = Option.get outcome.Core.Spec.metrics in
-  let base = Serve.Artifacts.sanitize spec.Core.Spec.name in
-  let metrics_path = mf_tmp (base ^ "_metrics.csv") in
-  Report.Csv.write ~path:metrics_path
-    ~header:("time_s" :: m.Core.Spec.metric_names)
-    ~rows:
-      (List.map
-         (fun (t, values) -> t :: Array.to_list values)
-         m.Core.Spec.samples);
+  let dir = mf_tmp "trace" in
+  let written = Serve.Artifacts.write_trace ~dir spec (Core.Spec.run spec) in
   let read path = In_channel.with_open_bin path In_channel.input_all in
-  let metrics = read metrics_path in
-  Sys.remove metrics_path;
+  let contents =
+    List.map (fun path -> (Filename.basename path, read path)) written
+  in
+  List.iter Sys.remove written;
+  Unix.rmdir dir;
+  let base = Serve.Artifacts.sanitize spec.Core.Spec.name in
+  let written name = List.assoc (base ^ name) contents in
   Alcotest.(check string) "metrics CSV matches the committed golden"
     (read (Filename.concat trace_golden_dir (base ^ "_metrics.csv")))
-    metrics;
-  let md5sum name content =
-    Printf.sprintf "%s  %s%s\n" (Digest.to_hex (Digest.string content)) base
-      name
+    (written "_metrics.csv");
+  let md5sum name =
+    Printf.sprintf "%s  %s%s\n" (Digest.to_hex (Digest.string (written name)))
+      base name
   in
   Alcotest.(check string) "event CSV and Chrome JSON digests"
     (read (Filename.concat trace_golden_dir (base ^ ".md5")))
-    (md5sum "_events.csv" (Report.Trace_event.to_csv tr)
-    ^ md5sum "_trace.json"
-        (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr))
+    (md5sum "_events.csv" ^ md5sum "_trace.json")
 
 let suite =
   List.map

@@ -81,7 +81,6 @@ let test_first_failure_in_canonical_order () =
 
 let test_sequential_degradation () =
   Engine.Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "jobs" 1 (Engine.Pool.jobs pool);
       Alcotest.(check (list int)) "empty batch" []
         (Engine.Pool.map pool ~label:string_of_int ~f:Fun.id []);
       try

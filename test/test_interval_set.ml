@@ -21,7 +21,7 @@ let test_empty_insert () =
   let s = I.create () in
   I.add s ~lo:5 ~hi:5;
   I.add s ~lo:7 ~hi:3;
-  Alcotest.(check bool) "still empty" true (I.is_empty s)
+  Alcotest.check intervals_t "still empty" [] (I.intervals s)
 
 let test_mem_contains () =
   let s = I.create () in

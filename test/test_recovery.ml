@@ -90,7 +90,7 @@ let test_lost_retransmission_needs_rto () =
         end
         else
           match !seen_twenty_seq with
-          | Some seq when Proto.Seqno.equal seq h.Proto.Tcp_header.seq ->
+          | Some seq when seq = h.Proto.Tcp_header.seq ->
               (* First retransmission of the same segment: drop it too,
                  then let further copies through. *)
               seen_twenty_seq := None;

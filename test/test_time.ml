@@ -1,17 +1,17 @@
 
 let test_constructors () =
-  Alcotest.(check int64) "1 us = 1000 ns"
-    (Sim.Time.to_ns_int64 (Sim.Time.us 1))
-    1_000L;
-  Alcotest.(check int64) "1 ms"
-    (Sim.Time.to_ns_int64 (Sim.Time.ms 1))
-    1_000_000L;
-  Alcotest.(check int64) "1 s"
-    (Sim.Time.to_ns_int64 (Sim.Time.sec 1))
-    1_000_000_000L;
-  Alcotest.(check int64) "of_sec rounds"
-    (Sim.Time.to_ns_int64 (Sim.Time.of_sec 1.5e-9))
-    2L
+  Alcotest.(check int) "1 us = 1000 ns"
+    (Sim.Time.to_ns_int (Sim.Time.us 1))
+    1_000;
+  Alcotest.(check int) "1 ms"
+    (Sim.Time.to_ns_int (Sim.Time.ms 1))
+    1_000_000;
+  Alcotest.(check int) "1 s"
+    (Sim.Time.to_ns_int (Sim.Time.sec 1))
+    1_000_000_000;
+  Alcotest.(check int) "of_sec rounds"
+    (Sim.Time.to_ns_int (Sim.Time.of_sec 1.5e-9))
+    2
 
 let test_roundtrip () =
   Alcotest.(check (float 1e-12))
@@ -21,21 +21,20 @@ let test_roundtrip () =
 
 let test_arith () =
   let a = Sim.Time.ms 3 and b = Sim.Time.ms 5 in
-  Alcotest.(check int64) "add"
-    (Sim.Time.to_ns_int64 (Sim.Time.add a b))
-    8_000_000L;
-  Alcotest.(check int64) "sub negative"
-    (Sim.Time.to_ns_int64 (Sim.Time.sub a b))
-    (-2_000_000L);
+  Alcotest.(check int) "add"
+    (Sim.Time.to_ns_int (Sim.Time.add a b))
+    8_000_000;
+  Alcotest.(check int) "sub negative"
+    (Sim.Time.to_ns_int (Sim.Time.sub a b))
+    (-2_000_000);
   Alcotest.(check bool) "is_negative" true
     (Sim.Time.is_negative (Sim.Time.sub a b));
-  Alcotest.(check (float 1e-9)) "div" 0.6 (Sim.Time.div a b);
-  Alcotest.(check int64) "scale"
-    (Sim.Time.to_ns_int64 (Sim.Time.scale b 0.4))
-    2_000_000L;
-  Alcotest.(check int64) "mul_int"
-    (Sim.Time.to_ns_int64 (Sim.Time.mul_int a 4))
-    12_000_000L
+  Alcotest.(check int) "scale"
+    (Sim.Time.to_ns_int (Sim.Time.scale b 0.4))
+    2_000_000;
+  Alcotest.(check int) "mul_int"
+    (Sim.Time.to_ns_int (Sim.Time.mul_int a 4))
+    12_000_000
 
 let test_compare () =
   let a = Sim.Time.ms 3 and b = Sim.Time.ms 5 in
@@ -43,9 +42,9 @@ let test_compare () =
   Alcotest.(check bool) "le refl" true Sim.Time.(a <= a);
   Alcotest.(check bool) "gt" true Sim.Time.(b > a);
   Alcotest.(check bool) "min" true
-    (Sim.Time.equal (Sim.Time.min a b) a);
+    (Sim.Time.min a b = a);
   Alcotest.(check bool) "max" true
-    (Sim.Time.equal (Sim.Time.max a b) b);
+    (Sim.Time.max a b = b);
   Alcotest.(check bool) "infinity dominates" true
     Sim.Time.(Sim.Time.sec 1_000_000 < Sim.Time.infinity)
 
@@ -59,9 +58,6 @@ let test_unboxed_int () =
   Alcotest.(check int) "of_ns_int/to_ns_int"
     123_456_789
     (Sim.Time.to_ns_int (Sim.Time.of_ns_int 123_456_789));
-  Alcotest.(check int64) "int64 interop agrees with int"
-    (Sim.Time.to_ns_int64 (Sim.Time.of_ns_int64 123_456_789L))
-    123_456_789L;
   (* A century of simulated nanoseconds still fits comfortably. *)
   let century = Sim.Time.mul_int (Sim.Time.sec 86_400) (365 * 100) in
   Alcotest.(check bool) "a century below infinity" true
@@ -74,7 +70,7 @@ let qcheck_add_sub =
     QCheck.(pair (int_bound 1_000_000_000) (int_bound 1_000_000_000))
     (fun (a, b) ->
       let ta = Sim.Time.ns a and tb = Sim.Time.ns b in
-      Sim.Time.equal (Sim.Time.sub (Sim.Time.add ta tb) tb) ta)
+      Sim.Time.sub (Sim.Time.add ta tb) tb = ta)
 
 let suite =
   [

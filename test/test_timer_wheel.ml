@@ -211,7 +211,6 @@ let test_cancel_and_handles () =
   Sim.Timer_wheel.cancel w h1;
   Alcotest.(check bool) "h1 gone" false (Sim.Timer_wheel.is_pending w h1);
   Sim.Timer_wheel.cancel w h1 (* idempotent *);
-  Sim.Timer_wheel.cancel w Sim.Timer_wheel.null (* inert *);
   Alcotest.(check int) "one left" 1 (Sim.Timer_wheel.pending w);
   Sim.Timer_wheel.advance w ~now_ns:(3 * tick);
   Alcotest.(check int) "only h2 fired" 1 !fired;

@@ -54,10 +54,7 @@ let test_mask_filtering () =
   Alcotest.(check int) "total ignores masked" 1 (Trace.total tr);
   Trace.set_mask tr (Trace.Code.cat_tcp lor Trace.Code.cat_ifq);
   Trace.emit tr ~time_ns:4 ~code:Trace.Code.ifq_stall ~src:2 ~arg1:0 ~arg2:0;
-  Alcotest.(check int) "widened mask admits ifq" 2 (Trace.length tr);
-  Alcotest.(check int) "mask readback"
-    (Trace.Code.cat_tcp lor Trace.Code.cat_ifq)
-    (Trace.mask tr)
+  Alcotest.(check int) "widened mask admits ifq" 2 (Trace.length tr)
 
 let test_default_mask_excludes_sched () =
   let tr = Trace.create ~capacity:4 () in
@@ -96,10 +93,6 @@ let test_code_tables () =
       true
       (cat land Trace.Code.all_categories = cat)
   done;
-  Alcotest.(check (option int))
-    "category round-trip" (Some Trace.Code.cat_ifq)
-    (Trace.Code.category_of_name
-       (Trace.Code.category_name Trace.Code.cat_ifq));
   Alcotest.(check bool) "tcp.cwnd is the counter code" true
     (Trace.Code.is_counter Trace.Code.tcp_cwnd);
   Alcotest.(check bool) "instants are not counters" false
@@ -111,7 +104,6 @@ let test_registry () =
   Trace.Registry.register reg ~name:"conn/a/CurCwnd" (fun () -> !x);
   Trace.Registry.register reg ~name:"link/forward/delivered" (fun () -> 2.);
   Trace.Registry.register reg ~name:"host/0/ifq_occupancy" (fun () -> 3.);
-  Alcotest.(check int) "size" 3 (Trace.Registry.size reg);
   Alcotest.(check (list string)) "registration order preserved"
     [ "conn/a/CurCwnd"; "link/forward/delivered"; "host/0/ifq_occupancy" ]
     (Trace.Registry.names reg);
@@ -119,10 +111,6 @@ let test_registry () =
   Alcotest.(check (array (float 0.))) "sample reads live probes"
     [| 1.5; 2.; 3. |]
     (Trace.Registry.sample reg);
-  Alcotest.(check (option (float 0.))) "read by name" (Some 2.)
-    (Trace.Registry.read reg "link/forward/delivered");
-  Alcotest.(check (option (float 0.))) "read unknown" None
-    (Trace.Registry.read reg "nope");
   Alcotest.check_raises "duplicate name rejected"
     (Invalid_argument
        "Trace.Registry.register: duplicate metric \"conn/a/CurCwnd\"")

@@ -16,7 +16,6 @@ let test_cbr_rate () =
       ~rate:(Sim.Units.mbps 10.) ~packet_bytes:1000 ()
   in
   Sim.Scheduler.run ~until:(Sim.Time.sec 2) sched;
-  Workload.Cbr.stop cbr;
   (* 10 Mbit/s of 1028-byte datagrams ≈ 1216 pkt/s → ~2430 in 2 s. *)
   Alcotest.(check bool) "rate within 5%" true
     (!received > 2300 && !received < 2550);
@@ -44,10 +43,7 @@ let test_on_off_mean_rate () =
       ~ids ~rng ~peak_rate:(Sim.Units.mbps 20.) ~mean_on:(Sim.Time.ms 100)
       ~mean_off:(Sim.Time.ms 100) ()
   in
-  Alcotest.(check (float 1e-6)) "implied mean rate" 1e7
-    (Workload.On_off.mean_rate src);
   Sim.Scheduler.run ~until:(Sim.Time.sec 10) sched;
-  Workload.On_off.stop src;
   (* Expected ≈ 10 Mbit/s × 10 s / 8224 bit = ~12160; allow wide noise. *)
   let sent = Workload.On_off.packets_sent src in
   Alcotest.(check bool) "on-off long-run rate plausible" true
@@ -67,8 +63,6 @@ let test_short_flows_complete () =
   Alcotest.(check bool) "flows launched" true (launched > 30);
   Alcotest.(check bool) "most completed" true
     (float_of_int completed > 0.9 *. float_of_int launched);
-  Alcotest.(check bool) "mean completion sane" true
-    (Workload.Short_flows.mean_completion_time sf > 0.005);
   (* Completion times are causally ordered per flow. *)
   List.iter
     (fun (c : Workload.Short_flows.completed) ->
@@ -83,13 +77,11 @@ let test_bulk_completion_time () =
       ~dst:path.Netsim.Topology.Duplex.b ~flow:1 ~ids ~bytes:1_000_000 ()
   in
   Sim.Scheduler.run ~until:(Sim.Time.sec 10) sched;
-  (match Workload.Bulk.completion_time b with
+  match Workload.Bulk.completion_time b with
   | Some t ->
       Alcotest.(check bool) "finished in reasonable time" true
         (Sim.Time.to_sec t < 2.)
-  | None -> Alcotest.fail "bulk transfer incomplete");
-  Alcotest.(check bool) "goodput positive" true
-    (Workload.Bulk.goodput_mbps b ~at:(Sim.Time.sec 10) > 0.)
+  | None -> Alcotest.fail "bulk transfer incomplete"
 
 let suite =
   [
