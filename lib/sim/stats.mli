@@ -1,6 +1,11 @@
 (** Online statistics used by monitors and the benchmark harness. *)
 
-(** Streaming moments (Welford), min/max and count. *)
+(** Streaming moments (Welford), min/max and count. Code reads
+    {!Summary.count}, {!Summary.mean} and {!Summary.stddev}; the rest is
+    read only by the [sim.stats] tests "summary basics", "summary
+    merge", "summary pp empty", and the qchecks "Welford matches naive
+    two-pass" (against a two-pass recount) and "Summary.merge equals
+    single-stream add". *)
 module Summary : sig
   type t
 
@@ -25,11 +30,6 @@ module Summary : sig
   (** Combine two summaries as if all samples were added to one. *)
 
   val pp : Format.formatter -> t -> unit
-  (** Code reads {!count}, {!mean} and {!stddev}. The rest is read only
-      by the [sim.stats] tests: "summary basics", "summary merge",
-      "summary pp empty", and the qchecks "Welford matches naive
-      two-pass" (against a two-pass recount) and "Summary.merge equals
-      single-stream add". *)
 end
 
 (** Fixed-range, fixed-width-bin histogram with under/overflow bins. *)

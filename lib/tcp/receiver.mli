@@ -33,6 +33,9 @@ val ce_marks_seen : t -> int
 (** Data segments that arrived with the ECN Congestion-Experienced
     mark. *)
 
+val goodput_mbps : t -> at:Sim.Time.t -> float
+(** In-order payload bits delivered per second from time zero to [at]. *)
+
 (** {2 Test observers}
 
     Counters that only tests read: the [tcp.recovery] and
@@ -45,6 +48,3 @@ val duplicate_segments : t -> int
 
 val out_of_order_segments : t -> int
 val acks_sent : t -> int
-
-val goodput_mbps : t -> at:Sim.Time.t -> float
-(** In-order payload bits delivered per second from time zero to [at]. *)
