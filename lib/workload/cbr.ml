@@ -10,29 +10,25 @@ type t = {
   mutable seq : int;
   mutable sent : int;
   mutable stalls : int;
-  mutable running : bool;
 }
 
 let rec tick t () =
-  if t.running then begin
-    let now = Sim.Scheduler.now t.sched in
-    let expired =
-      match t.stop_at with Some s -> Sim.Time.(now >= s) | None -> false
+  let now = Sim.Scheduler.now t.sched in
+  let expired =
+    match t.stop_at with Some s -> Sim.Time.(now >= s) | None -> false
+  in
+  if not expired then begin
+    let pkt =
+      Netsim.Packet.make
+        ~id:(Netsim.Packet.Id_source.next t.ids)
+        ~flow:t.flow ~src:(Netsim.Host.id t.host) ~dst:t.dst ~created:now
+        (Proto.Payload.Udp { seq = t.seq; payload_len = t.payload_bytes })
     in
-    if expired then t.running <- false
-    else begin
-      let pkt =
-        Netsim.Packet.make
-          ~id:(Netsim.Packet.Id_source.next t.ids)
-          ~flow:t.flow ~src:(Netsim.Host.id t.host) ~dst:t.dst ~created:now
-          (Proto.Payload.Udp { seq = t.seq; payload_len = t.payload_bytes })
-      in
-      t.seq <- t.seq + 1;
-      (match Netsim.Host.send t.host pkt with
-      | `Sent -> t.sent <- t.sent + 1
-      | `Stalled -> t.stalls <- t.stalls + 1);
-      ignore (Sim.Scheduler.after t.sched t.period (tick t))
-    end
+    t.seq <- t.seq + 1;
+    (match Netsim.Host.send t.host pkt with
+    | `Sent -> t.sent <- t.sent + 1
+    | `Stalled -> t.stalls <- t.stalls + 1);
+    ignore (Sim.Scheduler.after t.sched t.period (tick t))
   end
 
 let start ~host ~dst ~flow ~ids ~rate ?(packet_bytes = 1000) ?stop_at () =
@@ -52,7 +48,6 @@ let start ~host ~dst ~flow ~ids ~rate ?(packet_bytes = 1000) ?stop_at () =
       seq = 0;
       sent = 0;
       stalls = 0;
-      running = true;
     }
   in
   tick t ();

@@ -20,7 +20,6 @@ type t = {
   mutable next_flow : int;
   mutable launched : int;
   mutable finished : completed list; (* newest first *)
-  mutable running : bool;
 }
 
 let draw_size t =
@@ -36,38 +35,29 @@ let launch t =
   t.launched <- t.launched + 1;
   let size = draw_size t in
   let started = Sim.Scheduler.now t.sched in
-  let receiver =
-    Tcp.Receiver.create ~host:t.dst ~flow ~ids:t.ids ~config:t.config ()
+  let p = t.policy () in
+  let conn =
+    Tcp.Connection.establish ~src:t.src ~dst:t.dst ~flow ~ids:t.ids
+      ~config:t.config ~slow_start:p.Tcp.Policy.slow_start
+      ~cong_avoid:p.Tcp.Policy.cong_avoid ~bytes:size ()
   in
-  let sender =
-    let p = t.policy () in
-    Tcp.Sender.create ~host:t.src ~dst:(Netsim.Host.id t.dst) ~flow
-      ~ids:t.ids ~config:t.config ~slow_start:p.Tcp.Policy.slow_start
-      ~cong_avoid:p.Tcp.Policy.cong_avoid ()
-  in
-  Tcp.Receiver.expect receiver ~bytes:size (fun () ->
+  Tcp.Receiver.expect conn.Tcp.Connection.receiver ~bytes:size (fun () ->
       t.finished <-
         { flow; size; started; finished = Sim.Scheduler.now t.sched }
         :: t.finished;
       (* Release demux entries so long runs don't accumulate handlers. *)
       Netsim.Host.unregister_flow t.dst ~flow;
-      Netsim.Host.unregister_flow t.src ~flow);
-  Tcp.Sender.start sender ~bytes:size ()
+      Netsim.Host.unregister_flow t.src ~flow)
 
 let rec arrival t () =
-  if t.running then begin
-    let now = Sim.Scheduler.now t.sched in
-    let expired =
-      match t.stop_at with Some s -> Sim.Time.(now >= s) | None -> false
-    in
-    if expired then t.running <- false
-    else begin
-      launch t;
-      let gap =
-        Sim.Rng.exponential t.rng ~mean:(1. /. t.arrival_rate)
-      in
-      ignore (Sim.Scheduler.after t.sched (Sim.Time.of_sec gap) (arrival t))
-    end
+  let now = Sim.Scheduler.now t.sched in
+  let expired =
+    match t.stop_at with Some s -> Sim.Time.(now >= s) | None -> false
+  in
+  if not expired then begin
+    launch t;
+    let gap = Sim.Rng.exponential t.rng ~mean:(1. /. t.arrival_rate) in
+    ignore (Sim.Scheduler.after t.sched (Sim.Time.of_sec gap) (arrival t))
   end
 
 let start ~src ~dst ~ids ~rng ~arrival_rate ?(mean_size = 30 * 1024)
@@ -92,7 +82,6 @@ let start ~src ~dst ~ids ~rng ~arrival_rate ?(mean_size = 30 * 1024)
       next_flow = first_flow;
       launched = 0;
       finished = [];
-      running = true;
     }
   in
   let first_gap = Sim.Rng.exponential rng ~mean:(1. /. arrival_rate) in

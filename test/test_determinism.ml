@@ -190,12 +190,12 @@ let test_trace_golden () =
       Core.Spec.record_trace = true }
   in
   let dir = mf_tmp "trace" in
-  let written = Serve.Artifacts.write_trace ~dir spec (Core.Spec.run spec) in
+  let paths = Serve.Artifacts.write_trace ~dir spec (Core.Spec.run spec) in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   let contents =
-    List.map (fun path -> (Filename.basename path, read path)) written
+    List.map (fun path -> (Filename.basename path, read path)) paths
   in
-  List.iter Sys.remove written;
+  List.iter Sys.remove paths;
   Unix.rmdir dir;
   let base = Serve.Artifacts.sanitize spec.Core.Spec.name in
   let written name = List.assoc (base ^ name) contents in

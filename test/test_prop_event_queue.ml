@@ -98,13 +98,13 @@ let replay ops =
             match (Sim.Event_queue.pop q, Model.pop m) with
             | None, None -> ()
             | Some (t, _), Some mt ->
-                check (t = (Sim.Time.us mt))
+                check (t = Sim.Time.us mt)
             | Some _, None | None, Some _ -> check false);
       if !ok then begin
         check (Sim.Event_queue.live_count q = Model.live_count m);
         match (Sim.Event_queue.next_time q, Model.next_time m) with
         | None, None -> ()
-        | Some t, Some mt -> check (t = (Sim.Time.us mt))
+        | Some t, Some mt -> check (t = Sim.Time.us mt)
         | Some _, None | None, Some _ -> check false
       end)
     ops;
@@ -114,7 +114,7 @@ let replay ops =
       match (Sim.Event_queue.pop q, Model.pop m) with
       | None, None -> ()
       | Some (t, _), Some mt ->
-          check (t = (Sim.Time.us mt));
+          check (t = Sim.Time.us mt);
           drain ()
       | Some _, None | None, Some _ -> check false
   in
@@ -212,7 +212,7 @@ let replay_keyed ops =
     | None, [] -> ()
     | Some (t, f), e :: rest ->
         f ();
-        check (!fired = e.Keyed.id && t = (Sim.Time.us e.Keyed.time));
+        check (!fired = e.Keyed.id && t = Sim.Time.us e.Keyed.time);
         live := rest
     | Some _, [] | None, _ :: _ -> check false
   in
