@@ -73,8 +73,6 @@ let print_result (r : Core.Spec.flow_result) =
 
 (* --- run --spec --------------------------------------------------------- *)
 
-let ensure_dir = Serve.Artifacts.ensure_dir
-
 (* Per-cell failure table: a poisoned cell must cost its row, not the
    batch — print every failure, then exit non-zero. *)
 let print_failure_table failures =
@@ -413,7 +411,6 @@ let compare_cmd =
     (match out_dir with
     | None -> ()
     | Some dir ->
-        ensure_dir dir;
         let csv_path = Filename.concat dir "policy_matrix.csv" in
         Report.Csv.write_string ~path:csv_path (Core.Arena.to_csv table);
         Printf.printf "wrote %s\n" csv_path;

@@ -58,7 +58,6 @@ let write_trace ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
     | Some tr -> tr
     | None -> invalid_arg "Artifacts.write_trace: the run recorded no trace"
   in
-  ensure_dir dir;
   let base = sanitize spec.Core.Spec.name in
   let path suffix = Filename.concat dir (base ^ suffix) in
   let events = path "_events.csv" and chrome = path "_trace.json" in
