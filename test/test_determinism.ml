@@ -85,18 +85,20 @@ let test_policy_matrix_golden () =
     (with_parallel matrix_csv)
 
 (* The many-flows goldens: every artifact `rss_sim run --spec --out`
-   writes for three pinned flow-level specs — 2,000 persistent flows deep
+   writes for five pinned flow-level specs — 2,000 persistent flows deep
    in congestion avoidance on the RED duplex, a budgeted population
    sharded over four dumbbell segments, and 300 persistent flows with
    Pareto arrivals on a RED duplex whose base RTT is about three wheel
-   ticks (so arrival timers share wheel slots with round timers). A
-   speed-only change to the engine must leave them byte-identical;
-   regenerate (only for a deliberate model change) with
+   ticks (so arrival timers share wheel slots with round timers), all
+   under Reno; then the same short-RTT duplex under relentless, and a
+   budgeted population at a ~4 ms base RTT under small-rtt (below its
+   25 ms reference, so the scaled increase is what runs). A speed-only
+   change to the engine must leave them byte-identical; regenerate
+   (only for a deliberate model change) with
      rss_sim run --spec test/golden_many_flows/mf_wide.json \
        --out test/golden_many_flows
-   and likewise for mf_sharded.json and mf_pareto.json (a model change
-   also retires mf_pareto_at_0.7s.snap, which pins resuming an older
-   image). *)
+   and likewise for the other specs there (a model change also retires
+   mf_pareto_at_0.7s.snap, which pins resuming an older image). *)
 let mf_golden_dir = "golden_many_flows"
 
 let load_spec_file path =
@@ -237,4 +239,8 @@ let suite =
            "mf_pareto_at_0.7s.snap");
       Alcotest.test_case "trace golden: dumbbell_mixed" `Quick
         test_trace_golden;
+      Alcotest.test_case "many-flows golden: relentless, short RTT" `Quick
+        (test_many_flows_golden "mf_relentless.json");
+      Alcotest.test_case "many-flows golden: small-rtt, budgeted" `Quick
+        (test_many_flows_golden "mf_small_rtt.json");
     ]
