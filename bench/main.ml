@@ -152,21 +152,23 @@ let core_metric_policy_ack () =
       done;
       n)
 
-(* The same million ACKs through Reno's per-round rule, 200 per call —
-   the many-flows engine's avoidance round at a ~200-segment window.
-   Reported per ACK, so it reads against policy/ack-direct-1M; the fold
-   runs over an unboxed float, and tcp.cwnd-table pins the 4 words each
-   call allocates (0.02 per ACK). *)
+(* The same million ACKs through Reno's per-round fold, 200 per call —
+   the many-flows engine's avoidance round at a ~200-segment window,
+   in place on a one-row window column. Reported per ACK, so it reads
+   against policy/ack-direct-1M; tcp.cwnd-table pins the fold at 0
+   minor words. *)
 let core_metric_policy_round_reno () =
   let mss = Tcp.Config.default.Tcp.Config.mss in
-  let on_round = Option.get (Tcp.Cong_avoid.reno ()).Tcp.Cong_avoid.on_round in
+  let { Tcp.Cong_avoid.fold; _ } =
+    Option.get (Tcp.Cong_avoid.reno ()).Tcp.Cong_avoid.on_round
+  in
   let srtt = Sim.Time.ms 60 in
   let batch = 200 and n = 1_000_000 in
   ns_per_event (fun () ->
-      let cwnd = ref (100. *. float_of_int mss) in
+      let cwnd = [| 100. *. float_of_int mss |] in
       for _ = 1 to n / batch do
-        cwnd := on_round ~acks:batch ~cwnd:!cwnd ~mss ~srtt;
-        if !cwnd > 1e7 then cwnd := 100. *. float_of_int mss
+        fold cwnd 0 ~acks:batch ~mss ~srtt;
+        if cwnd.(0) > 1e7 then cwnd.(0) <- 100. *. float_of_int mss
       done;
       n)
 
@@ -184,9 +186,9 @@ let core_metric_snapshot_roundtrip () =
     let t = Tcp.Flow_table.create ~initial_capacity:n () in
     for i = 0 to n - 1 do
       let r = Tcp.Flow_table.alloc t in
-      Tcp.Flow_table.set_cwnd t r (float_of_int (1 + (i mod 97)));
-      Tcp.Flow_table.set_budget t r (i * 1448);
-      Tcp.Flow_table.set_timer t r i;
+      t.cwnd.(r) <- float_of_int (1 + (i mod 97));
+      t.budget.(r) <- i * 1448;
+      t.timer.(r) <- i;
       Tcp.Flow_table.seed_rng t r (i + 1)
     done;
     t

@@ -1,43 +1,53 @@
+type round = {
+  fold : float array -> int -> acks:int -> mss:int -> srtt:Sim.Time.t -> unit;
+  cut : float array -> int -> mss:int -> unit;
+}
+
 type t = {
   name : string;
   on_ack :
     newly_acked:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t option ->
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
-  on_round :
-    (acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float) option;
+  on_round : round option;
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
   on_rto : cwnd:float -> flight:int -> mss:int -> float * float;
   reset : unit -> unit;
 }
 
-let floor_window ~mss w = Float.max (2. *. float_of_int mss) w
+let[@inline] floor_window ~mss w = Float.max (2. *. float_of_int mss) w
 
 (* The additive-increase step of the Reno family: +k/cwnd per ACK, with
-   k = MSS² (scaled, for small-RTT). [on_ack] takes one step; [on_round]
-   folds [acks] of them over an unboxed accumulator. Both evaluate the
-   same expression on the same operands in the same order, so a round
-   is bit-identical to its ACKs applied one by one. *)
-let ai_step k cwnd = cwnd +. (k /. cwnd)
+   k = MSS² (scaled, for small-RTT). [on_ack] takes one step; a round's
+   [fold] applies [acks] of them to a window in place, over an unboxed
+   accumulator (the step is inlined, so no float leaves the loop). Both
+   evaluate the same expression on the same operands in the same order,
+   so a round is bit-identical to its ACKs applied one by one. *)
+let[@inline] ai_step k cwnd = cwnd +. (k /. cwnd)
 
-let ai_round k ~acks cwnd =
-  let w = ref cwnd in
+let[@inline] ai_fold k w i ~acks =
+  let x = ref w.(i) in
   for _ = 1 to acks do
-    w := ai_step k !w
+    x := ai_step k !x
   done;
-  !w
+  w.(i) <- !x
 
-let reno_k mss =
+let[@inline] reno_k mss =
   let m = float_of_int mss in
   m *. m
+
+let[@inline] halve ~flight ~mss = floor_window ~mss (float_of_int flight /. 2.)
+
+(* Reno's per-round rules in place: [acks] unscaled steps, and the loss
+   rule for a window whose whole content is in flight — its halved
+   flight, which is also the ssthresh [on_loss] returns. *)
+let reno_fold w i ~acks ~mss ~srtt:_ = ai_fold (reno_k mss) w i ~acks
+let reno_cut w i ~mss = w.(i) <- halve ~flight:(int_of_float w.(i)) ~mss
+let reno_round = Some { fold = reno_fold; cut = reno_cut }
 
 let reno () =
   let on_ack ~newly_acked:_ ~cwnd ~mss ~srtt:_ ~min_rtt:_ ~now:_ =
     ai_step (reno_k mss) cwnd
-  in
-  let on_round ~acks ~cwnd ~mss ~srtt:_ = ai_round (reno_k mss) ~acks cwnd in
-  let halve ~flight ~mss =
-    floor_window ~mss (float_of_int flight /. 2.)
   in
   let on_loss ~cwnd:_ ~flight ~mss ~now:_ =
     let ssthresh = halve ~flight ~mss in
@@ -49,7 +59,7 @@ let reno () =
   {
     name = "reno";
     on_ack;
-    on_round = Some on_round;
+    on_round = reno_round;
     on_loss;
     on_rto;
     reset = (fun () -> ());
@@ -131,16 +141,21 @@ let cubic ?(c = 0.4) ?(beta = 0.7) () =
    ≈ MSS/(p·RTT) — the oracle checked by test_policy_models. Timeouts
    still collapse the window (a lost retransmission means the decrement
    accounting is gone). *)
+let[@inline] one_off ~mss cwnd = floor_window ~mss (cwnd -. float_of_int mss)
+
+let relentless_round =
+  Some { fold = reno_fold; cut = (fun w i ~mss -> w.(i) <- one_off ~mss w.(i)) }
+
 let relentless () =
   let base = reno () in
   let on_loss ~cwnd ~flight:_ ~mss ~now:_ =
-    let next = floor_window ~mss (cwnd -. float_of_int mss) in
+    let next = one_off ~mss cwnd in
     (next, next)
   in
   {
     name = "relentless";
     on_ack = base.on_ack;
-    on_round = base.on_round;
+    on_round = relentless_round;
     on_loss;
     on_rto = base.on_rto;
     reset = (fun () -> ());
@@ -169,11 +184,11 @@ let small_rtt ?(ref_rtt = Sim.Time.ms 25) () =
     | Some rtt -> ai_step (k ~mss rtt) cwnd
     | None -> base.on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now
   in
-  let on_round ~acks ~cwnd ~mss ~srtt = ai_round (k ~mss srtt) ~acks cwnd in
+  let fold w i ~acks ~mss ~srtt = ai_fold (k ~mss srtt) w i ~acks in
   {
     name = "small-rtt";
     on_ack;
-    on_round = Some on_round;
+    on_round = Some { fold; cut = reno_cut };
     on_loss = base.on_loss;
     on_rto = base.on_rto;
     reset = (fun () -> ());

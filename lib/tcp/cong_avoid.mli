@@ -5,6 +5,22 @@
     decrease applied on loss events; the sender drives everything else
     (slow-start is a separate policy, see {!Slow_start}). *)
 
+(** The per-round rule: a whole RTT round applied in place to slot [i]
+    of a column of windows (the many-flows engine's
+    {!Flow_table.t.cwnd}), so no window crosses the call boxed. *)
+type round = {
+  fold : float array -> int -> acks:int -> mss:int -> srtt:Sim.Time.t -> unit;
+      (** [fold w i ~acks ~mss ~srtt] replaces [w.(i)] with the window
+          [acks] consecutive full-MSS ACKs at [srtt] reach from it:
+          bit-identical to folding [on_ack] [acks] times with
+          [newly_acked = mss] and [srtt = Some srtt]. *)
+  cut : float array -> int -> mss:int -> unit;
+      (** [cut w i ~mss] replaces [w.(i)] with the window
+          [on_loss ~cwnd:w.(i) ~flight:(int_of_float w.(i))] returns.
+          For every rule that has one, the ssthresh [on_loss] returns is
+          that same window. *)
+}
+
 type t = {
   name : string;
   on_ack :
@@ -12,15 +28,12 @@ type t = {
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
       (** new cwnd after an ACK of new data while in congestion
           avoidance *)
-  on_round :
-    (acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float) option;
-      (** new cwnd after [acks] consecutive full-MSS ACKs at [srtt]:
-          bit-identical to folding [on_ack] [acks] times with
-          [newly_acked = mss] and [srtt = Some srtt], computed in one
-          call. [Some] only for algorithms whose per-ACK rule reads
-          nothing but its arguments (reno, relentless, small-rtt), so
-          one instance may serve any number of flows; [None] for those
-          with per-connection state (cubic, vegas, fast). *)
+  on_round : round option;
+      (** The in-place per-round rule. [Some] only for algorithms whose
+          per-ACK and loss rules read nothing but their arguments (reno,
+          relentless, small-rtt), so one instance may serve any number
+          of flows; [None] for those with per-connection state (cubic,
+          vegas, fast). *)
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
       (** (ssthresh, cwnd) after a fast-retransmit loss event *)

@@ -100,19 +100,6 @@ let free t i =
   t.free_head <- i;
   t.in_use <- t.in_use - 1
 
-(* --- column accessors -------------------------------------------------- *)
-
-let cwnd t i = Array.unsafe_get t.cwnd i
-let set_cwnd t i v = Array.unsafe_set t.cwnd i v
-let ssthresh t i = Array.unsafe_get t.ssthresh i
-let set_ssthresh t i v = Array.unsafe_set t.ssthresh i v
-let budget t i = Array.unsafe_get t.budget i
-let set_budget t i v = Array.unsafe_set t.budget i v
-let timer t i = Array.unsafe_get t.timer i
-let set_timer t i v = Array.unsafe_set t.timer i v
-let phase t i = Array.unsafe_get t.phase i
-let set_phase t i p = Array.unsafe_set t.phase i p
-
 (* --- per-flow randomness ----------------------------------------------- *)
 
 let seed_rng t i seed =
@@ -127,9 +114,6 @@ let rng_next t i =
   let x = x lxor (x lsl 17) land max_int in
   Array.unsafe_set t.rng i x;
   x
-
-let rng_float t i =
-  float_of_int (rng_next t i land ((1 lsl 53) - 1)) *. 0x1p-53
 
 (* --- snapshot ----------------------------------------------------------- *)
 

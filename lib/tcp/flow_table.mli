@@ -7,18 +7,39 @@
     budget, RNG state, timer link, phase and free-list link. A million
     rows cost 7 words each and no per-flow heap object or closure.
 
-    Rows are recycled through a free list; {!free}d rows are detectable
-    via {!is_live}. Accessors are unchecked reads/writes of live rows —
-    O(1), allocation-free. *)
+    The columns are the record's arrays, one slot per row. The record
+    is private: only the table replaces an array (when {!alloc} grows
+    it), so its users read and write a live row's slot in place — a
+    field load and an array access, with no float boxed across a module
+    boundary. Re-read the field after an {!alloc}: a held array may be
+    the old one. Rows are recycled through a free list; {!free}d rows
+    are detectable via {!is_live}. *)
 
-type t
+type t = private {
+  mutable cap : int;  (** rows in every column; see {!capacity} *)
+  mutable in_use : int;  (** live rows; see {!in_use} *)
+  mutable free_head : int;  (** first free row; −1 = none *)
+  mutable cwnd : float array;  (** window, bytes *)
+  mutable ssthresh : float array;  (** bytes *)
+  mutable budget : int array;  (** remaining bytes to send; −1 = unbounded *)
+  mutable rng : int array;
+      (** xorshift state, never 0 in a live row; see {!rng_next} *)
+  mutable timer : int array;
+      (** a free int per row for the engine's timer bookkeeping; −1 =
+          none. [many_flows] keeps the link to the next row of the row's
+          round cohort here. *)
+  mutable phase : int array;
+      (** the engine's code for the row's phase, 0 after {!alloc}. Codes
+          are non-negative: the table marks free rows with −1. *)
+  mutable next_free : int array;  (** free-list link; −1 ends the list *)
+}
 
 val create : ?initial_capacity:int -> unit -> t
 (** Capacity doubles on demand (amortized O(1) {!alloc}). *)
 
 val alloc : t -> int
 (** Claim a row, reset to defaults: cwnd 0, ssthresh ∞, budget −1
-    (unbounded), timer −1 (none), phase 0. *)
+    (unbounded), timer −1 (none), phase 0. May replace every column. *)
 
 val free : t -> int -> unit
 (** Return a row to the free list. Raises on a dead row. *)
@@ -26,31 +47,6 @@ val free : t -> int -> unit
 val is_live : t -> int -> bool
 val capacity : t -> int
 val in_use : t -> int
-
-(** {1 Columns} — windows in float bytes, budgets in int bytes. *)
-
-val cwnd : t -> int -> float
-val set_cwnd : t -> int -> float -> unit
-val ssthresh : t -> int -> float
-val set_ssthresh : t -> int -> float -> unit
-
-val budget : t -> int -> int
-(** Remaining bytes to send; −1 = unbounded. *)
-
-val set_budget : t -> int -> int -> unit
-
-val timer : t -> int -> int
-(** A free int per row for the engine's timer bookkeeping; −1 = none
-    (the {!alloc} default). The table only stores it. [many_flows]
-    keeps the link to the next row of the row's round cohort here. *)
-
-val set_timer : t -> int -> int -> unit
-
-val phase : t -> int -> int
-(** The engine's code for the row's phase; 0 after {!alloc}. Codes are
-    non-negative: the table marks free rows with −1. *)
-
-val set_phase : t -> int -> int -> unit
 
 (** {1 Per-flow randomness} — an inline xorshift stream per row, so
     flow-level engines draw per-flow randomness without a shared-stream
@@ -61,12 +57,9 @@ val seed_rng : t -> int -> int -> unit
     constant. *)
 
 val rng_next : t -> int -> int
-(** Next positive 62-bit xorshift draw. {!rng_float} is built on it;
-    only the [tcp.flow-table] test "per-row xorshift streams" calls it
-    directly, to compare raw streams. *)
-
-val rng_float : t -> int -> float
-(** Uniform draw in [0,1) (53 mantissa bits). *)
+(** Next positive 62-bit xorshift draw, as an int: its caller turns it
+    into a uniform float (the low 53 bits times 2⁻⁵³) without a boxed
+    float crossing the call. *)
 
 (** {1 Snapshot} — full-table serialization into a {!Sim.Snapshot}
     image. Free rows and the free-list order travel too, so a restored

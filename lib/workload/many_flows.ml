@@ -14,6 +14,14 @@
      (below). No per-flow closure exists anywhere: all rounds
      dispatch through the engine's single [on_fire] callback.
 
+   - A round allocates nothing. It reads and writes the table's columns
+     in place (the table's record type is private, but its arrays are
+     plain arrays), turns the row's xorshift int into its uniform draw
+     here, and hands the policy the window column and the row, so no
+     float, tuple or option crosses a module boundary per round. The
+     floats the rounds share live in one all-float record, refreshed
+     once per instant.
+
    - The bottleneck is a fluid integrator: between events the backlog
      changes at (Σcwnd/RTT − C), clamped to [0, buffer]; RTT is the
      base RTT plus q/C. Loss is Bernoulli per round with per-packet
@@ -23,13 +31,14 @@
      off — so a round of W bytes survives with (1−p)^(W/mss).
 
    - Each flow's round re-arms every RTT: slow start doubles the
-     window per round until ssthresh, congestion avoidance makes one
-     call to the policy's per-round rule (on_round: the round's W/mss
-     per-ACK steps folded over an unboxed float, bit-identical to
-     applying on_ack once per packet), and a lost round applies
-     on_loss and drops to avoidance. Every row shares one controller,
-     so only avoidances whose per-ACK rule keeps no state — exactly
-     those with an on_round — are accepted.
+     window per round until ssthresh, congestion avoidance applies the
+     policy's per-round fold in place (on_round.fold: the round's W/mss
+     per-ACK steps over an unboxed float, bit-identical to applying
+     on_ack once per packet), and a lost round applies its in-place cut
+     (on_loss's window, which is also its ssthresh) and drops to
+     avoidance. Every row shares one controller, so only avoidances
+     whose per-ACK rule keeps no state — exactly those with an
+     on_round — are accepted.
 
    - Round timers are per cohort, not per row. The rows re-armed back
      to back at one instant share one due time (the RTT only moves
@@ -79,6 +88,7 @@ let kind_arrival = 1
    where it changes ([refresh]); the memo holds the last round's
    survival probability, keyed on its exact inputs. *)
 type totals = {
+  base_rtt_s : float; (* params.base_rtt, converted once *)
   mutable q_bytes : float;
   mutable avg_pkts : float; (* RED's EWMA of the queue, packets *)
   mutable sum_cwnd : float; (* bytes across active flows *)
@@ -94,13 +104,14 @@ type t = {
   sched : Sim.Scheduler.t;
   wheel : Wheel.t;
   table : Ft.t;
-  cc : Tcp.Cong_avoid.t;
-  on_round : acks:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t -> float;
-      (* [cc]'s per-round rule; [start] refuses rules without one *)
+  round : Tcp.Cong_avoid.round;
+      (* the controller's in-place per-round rule; [start] refuses
+         controllers without one *)
   p : params;
   seed : int;
   rng : Sim.Rng.t; (* arrivals + sizes only *)
   f : totals;
+  mutable srtt : Sim.Time.t; (* f.rtt_s, for the per-round rule *)
   mutable last_update_ns : int;
   mutable active : int;
   mutable created : int;
@@ -121,8 +132,8 @@ let pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
 (* Re-derive the cached functions of the queue state. *)
 let refresh t =
   let f = t.f in
-  f.rtt_s <-
-    Sim.Time.to_sec t.p.base_rtt +. (f.q_bytes /. t.p.capacity_bytes_per_sec);
+  f.rtt_s <- f.base_rtt_s +. (f.q_bytes /. t.p.capacity_bytes_per_sec);
+  t.srtt <- Sim.Time.of_sec f.rtt_s;
   match t.p.red with
   | None -> ()
   | Some rp -> f.early <- Netsim.Queue_disc.red_drop_probability rp ~avg:f.avg_pkts
@@ -191,9 +202,10 @@ let phase_cong_avoid = 2
    new cohort headed by [row]. *)
 let arm_round t row ~now_ns =
   let due_ns = now_ns + int_of_float (t.f.rtt_s *. 1e9) in
-  Ft.set_timer t.table row (-1);
+  let link = t.table.Ft.timer in
+  Array.unsafe_set link row (-1);
   if t.open_head >= 0 && t.open_due_ns = due_ns then
-    Ft.set_timer t.table t.open_tail row
+    Array.unsafe_set link t.open_tail row
   else begin
     ignore (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row);
     t.open_head <- row;
@@ -202,34 +214,34 @@ let arm_round t row ~now_ns =
   t.open_tail <- row
 
 let retire t row =
-  t.f.sum_cwnd <- t.f.sum_cwnd -. Ft.cwnd t.table row;
+  t.f.sum_cwnd <- t.f.sum_cwnd -. Array.unsafe_get t.table.Ft.cwnd row;
   t.active <- t.active - 1;
   t.completed <- t.completed + 1;
   Ft.free t.table row
 
+(* A new flow in a fresh row: ssthresh ∞ as [alloc] leaves it. [alloc]
+   may grow the table, so the columns are read after it. *)
 let launch t ~now_ns =
-  let row = Ft.alloc t.table in
+  let tbl = t.table in
+  let row = Ft.alloc tbl in
   let idx = t.created in
   t.created <- idx + 1;
   t.active <- t.active + 1;
   let cwnd = float_of_int (t.p.init_cwnd_segments * t.p.mss) in
-  Ft.set_cwnd t.table row cwnd;
-  Ft.set_ssthresh t.table row infinity;
-  Ft.set_phase t.table row phase_slow_start;
+  tbl.Ft.cwnd.(row) <- cwnd;
+  tbl.Ft.phase.(row) <- phase_slow_start;
   (* Loss draws come from the row's own stream so one flow's history
      never perturbs another's. Stream ids sit far above the 0x5F10+i
      and 0xFA1/0xFA2 ranges Core.Spec reserves. *)
-  Ft.seed_rng t.table row
+  Ft.seed_rng tbl row
     (Sim.Rng.derive_seed ~root:t.seed ~stream:(0x6D0000 + idx));
-  (let size =
-     match t.p.mean_size with
-     | None -> -1
-     | Some mean ->
-         let shape = t.p.size_pareto_shape in
-         let scale = float_of_int mean *. (shape -. 1.) /. shape in
-         Stdlib.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale))
-   in
-   Ft.set_budget t.table row size);
+  (match t.p.mean_size with
+  | None -> ()
+  | Some mean ->
+      let shape = t.p.size_pareto_shape in
+      let scale = float_of_int mean *. (shape -. 1.) /. shape in
+      tbl.Ft.budget.(row) <-
+        Stdlib.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale)));
   t.f.sum_cwnd <- t.f.sum_cwnd +. cwnd;
   arm_round t row ~now_ns
 
@@ -254,60 +266,65 @@ let schedule_arrival t ~now_ns =
              ~due_ns:(now_ns + int_of_float (gap *. 1e9))
              ~kind:kind_arrival ~flow:0)
 
+(* A uniform draw in [0,1) from [row]'s stream: the low 53 bits of its
+   next xorshift word, scaled. The word crosses from the table as an
+   int, so no float is boxed. *)
+let[@inline] uniform tbl row =
+  float_of_int (Ft.rng_next tbl row land ((1 lsl 53) - 1)) *. 0x1p-53
+
 (* One RTT round of flow [row]: Bernoulli loss over the W/mss packets
    of the round, then the policy's growth or decrease, delivered-byte
-   accounting, and re-arm — all through table columns, no closure. *)
+   accounting, and re-arm — all in place on the table's columns, read
+   afresh each round ([launch] may have grown the table since the last
+   one). *)
 let round t row ~now_ns =
-  let f = t.f in
-  let w = Ft.cwnd t.table row in
+  let f = t.f and tbl = t.table in
+  let cwnd = tbl.Ft.cwnd and phase = tbl.Ft.phase in
+  let w = Array.unsafe_get cwnd row in
   let p = drop_probability t in
   let pkts = w /. mssf t in
   let p_round = 1. -. survival f p pkts in
-  let lost = p_round > 0. && Ft.rng_float t.table row < p_round in
+  let lost = p_round > 0. && uniform tbl row < p_round in
   if lost then begin
     t.loss_events <- t.loss_events + 1;
-    let ssthresh, cwnd =
-      t.cc.Tcp.Cong_avoid.on_loss ~cwnd:w ~flight:(int_of_float w)
-        ~mss:t.p.mss ~now:(Sim.Time.of_ns_int now_ns)
-    in
-    Ft.set_ssthresh t.table row ssthresh;
-    Ft.set_cwnd t.table row cwnd;
-    Ft.set_phase t.table row phase_cong_avoid
+    t.round.Tcp.Cong_avoid.cut cwnd row ~mss:t.p.mss;
+    (* [on_loss]'s ssthresh is the cut window, for every in-place rule. *)
+    Array.unsafe_set tbl.Ft.ssthresh row (Array.unsafe_get cwnd row);
+    Array.unsafe_set phase row phase_cong_avoid
   end
-  else if Ft.phase t.table row = phase_slow_start then begin
+  else if Array.unsafe_get phase row = phase_slow_start then begin
     (* Every byte of the round acked: the window doubles. *)
     let next = w *. 2. in
-    let ss = Ft.ssthresh t.table row in
+    let ss = Array.unsafe_get tbl.Ft.ssthresh row in
     if next >= ss then begin
-      Ft.set_cwnd t.table row ss;
-      Ft.set_phase t.table row phase_cong_avoid
+      Array.unsafe_set cwnd row ss;
+      Array.unsafe_set phase row phase_cong_avoid
     end
-    else Ft.set_cwnd t.table row next
+    else Array.unsafe_set cwnd row next
   end
   else
-    (* A loss-free round acks every packet of the window: one call to
-       the policy's per-round rule applies that many per-ACK steps
-       (Reno adds mss²/cwnd per segment), bit-identical to a
-       packet-level sender's ~1 mss/RTT growth in avoidance. *)
-    Ft.set_cwnd t.table row
-      (t.on_round
-         ~acks:(Stdlib.max 1 (int_of_float pkts))
-         ~cwnd:w ~mss:t.p.mss
-         ~srtt:(Sim.Time.of_sec f.rtt_s));
+    (* A loss-free round acks every packet of the window: the policy's
+       fold applies that many per-ACK steps (Reno adds mss²/cwnd per
+       segment), bit-identical to a packet-level sender's ~1 mss/RTT
+       growth in avoidance. *)
+    t.round.Tcp.Cong_avoid.fold cwnd row
+      ~acks:(Stdlib.max 1 (int_of_float pkts))
+      ~mss:t.p.mss ~srtt:t.srtt;
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
   f.delivered <- f.delivered +. got;
   let done_ =
-    let b = Ft.budget t.table row in
+    let budget = tbl.Ft.budget in
+    let b = Array.unsafe_get budget row in
     b >= 0
     &&
     let b' = b - int_of_float got in
-    Ft.set_budget t.table row (Stdlib.max 0 b');
+    Array.unsafe_set budget row (Stdlib.max 0 b');
     b' <= 0
   in
   (* The window change counts before a retiring flow leaves: [retire]
      subtracts the post-round window. *)
-  f.sum_cwnd <- f.sum_cwnd +. (Ft.cwnd t.table row -. w);
+  f.sum_cwnd <- f.sum_cwnd +. (Array.unsafe_get cwnd row -. w);
   if done_ then retire t row else arm_round t row ~now_ns
 
 (* A round timer fires its whole cohort, in link order. Each row's link
@@ -326,7 +343,7 @@ let on_fire t ~kind ~flow =
     let row = ref flow in
     while !row >= 0 do
       let r = !row in
-      row := Ft.timer t.table r;
+      row := Array.unsafe_get t.table.Ft.timer r;
       round t r ~now_ns
     done
   end
@@ -361,7 +378,7 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
   Option.iter
     (fun e -> invalid_arg ("Many_flows.start: " ^ e))
     (cong_avoid_error cong_avoid);
-  let on_round = Option.get cong_avoid.Tcp.Cong_avoid.on_round in
+  let round = Option.get cong_avoid.Tcp.Cong_avoid.on_round in
   if params.flows <= 0 then
     invalid_arg "Many_flows.start: need a positive flow count";
   if params.capacity_bytes_per_sec <= 0. then
@@ -400,13 +417,13 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
             ~on_fire:(fun ~kind ~flow -> on_fire (Lazy.force t) ~kind ~flow)
             ();
         table = Ft.create ~initial_capacity:(Stdlib.max 16 params.flows) ();
-        cc = cong_avoid;
-        on_round;
+        round;
         p = params;
         seed;
         rng;
         f =
           {
+            base_rtt_s = Sim.Time.to_sec params.base_rtt;
             q_bytes = 0.;
             avg_pkts = 0.;
             sum_cwnd = 0.;
@@ -417,6 +434,7 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
             memo_pkts = nan;
             memo_keep = nan;
           };
+        srtt = params.base_rtt;
         last_update_ns = Sim.Time.to_ns_int (Sim.Scheduler.now sched);
         active = 0;
         created = 0;
@@ -457,7 +475,7 @@ let iter_entries t ~f =
         let row = ref flow in
         while !row >= 0 do
           f ~due_ns ~kind ~flow:!row;
-          row := Ft.timer t.table !row
+          row := t.table.Ft.timer.(!row)
         done
       end
       else f ~due_ns ~kind ~flow)
@@ -531,8 +549,9 @@ let restore ?(prefix = "mf.") t r =
         (* A repeated row would link to itself and fire forever. *)
         if row = !tail || not (Ft.is_live t.table row) then
           raise (Sim.Snapshot.Corrupt "Many_flows: bad round timer row");
-        Ft.set_timer t.table row (-1);
-        if !tail >= 0 && due.(i - 1) = due_ns then Ft.set_timer t.table !tail row
+        let link = t.table.Ft.timer in
+        link.(row) <- -1;
+        if !tail >= 0 && due.(i - 1) = due_ns then link.(!tail) <- row
         else ignore (Wheel.arm t.wheel ~due_ns ~kind ~flow:row);
         tail := row
       end

@@ -5,14 +5,15 @@
     per-flow state in a {!Tcp.Flow_table} and round timers on a
     {!Sim.Timer_wheel}: no per-flow closures or heap objects anywhere,
     so a million concurrent flows cost 7 words each (one per table
-    column) and the timer path allocates nothing.
+    column), and neither the timer path nor a round allocates.
 
     Each flow's round comes once per RTT (base RTT + fluid queueing
     delay): the round's W bytes face Bernoulli loss with the per-packet
     probability of the shared RED curve (or the tail-drop overflow
-    fraction), slow start doubles per round, congestion avoidance makes
-    one {!Tcp.Cong_avoid.t.on_round} call per round, and
-    finite-size flows retire when their budget drains.
+    fraction), slow start doubles per round, congestion avoidance
+    applies the policy's {!Tcp.Cong_avoid.round} fold in place on the
+    window column, a lost round its cut, and finite-size flows retire
+    when their budget drains.
 
     Round timers are per {e cohort}: the rows re-armed back to back at
     one instant for one due time share one wheel timer, which fires
@@ -52,8 +53,9 @@ val default_params : params
 val cong_avoid_error : Tcp.Cong_avoid.t -> string option
 (** Why the engine cannot run this congestion avoidance, if it cannot:
     every row shares one controller, so its per-ACK rule must keep no
-    per-connection state — exactly the algorithms with an [on_round]
-    rule (reno, relentless, small-rtt; not cubic, vegas or fast). *)
+    per-connection state — exactly the algorithms with an in-place
+    [on_round] rule (reno, relentless, small-rtt; not cubic, vegas or
+    fast). *)
 
 val start :
   sched:Sim.Scheduler.t ->

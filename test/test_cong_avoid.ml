@@ -165,9 +165,12 @@ let test_on_round_presence () =
     ]
 
 (* The per-round rule against its reference: for every registered
-   policy that offers one, [on_round ~acks:k] must be bit-for-bit the
-   window [k] folds of [on_ack] reach. srtt spans 0.1-100 ms, both sides
-   of small-rtt's 25 ms reference. *)
+   policy that offers one, [fold ~acks:k] must leave bit-for-bit the
+   window [k] folds of [on_ack] reach, and [cut] the window [on_loss]
+   returns for a window wholly in flight — and that window must be
+   [on_loss]'s ssthresh too, which the many-flows engine copies from
+   it. srtt spans 0.1-100 ms, both sides of small-rtt's 25 ms
+   reference. *)
 let qcheck_on_round_bitwise =
   QCheck.Test.make ~name:"on_round = k folds of on_ack, bit for bit"
     ~count:200
@@ -183,11 +186,12 @@ let qcheck_on_round_bitwise =
         | Ok p -> p.Tcp.Policy.cong_avoid
         | Error e -> failwith e
       in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       List.for_all
         (fun name ->
           match (cong_avoid name).Tcp.Cong_avoid.on_round with
           | None -> true
-          | Some on_round ->
+          | Some { Tcp.Cong_avoid.fold; cut } ->
               let cc = cong_avoid name in
               let folded = ref cwnd in
               for _ = 1 to k do
@@ -195,9 +199,17 @@ let qcheck_on_round_bitwise =
                   cc.Tcp.Cong_avoid.on_ack ~newly_acked:mss ~cwnd:!folded ~mss
                     ~srtt:(Some srtt) ~min_rtt:(Some srtt) ~now:Sim.Time.zero
               done;
-              Int64.equal
-                (Int64.bits_of_float !folded)
-                (Int64.bits_of_float (on_round ~acks:k ~cwnd ~mss ~srtt)))
+              let ssthresh, after_loss =
+                cc.Tcp.Cong_avoid.on_loss ~cwnd ~flight:(int_of_float cwnd)
+                  ~mss ~now:Sim.Time.zero
+              in
+              (* The row sits mid-column, as in the engine's table. *)
+              let w = [| nan; cwnd; nan |] in
+              fold w 1 ~acks:k ~mss ~srtt;
+              let c = [| nan; cwnd; nan |] in
+              cut c 1 ~mss;
+              same !folded w.(1) && same after_loss c.(1)
+              && same ssthresh c.(1))
         Tcp.Policy.names)
 
 let suite =

@@ -249,7 +249,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 799_230); ("restricted", 1_623_141) ]
+    [ ("standard", 799_226); ("restricted", 1_623_137) ]
 
 (* Scheduler dispatches of the 2 s standard run, counted by a trace ring
    that accepts only sched.dispatch records (refbench's

@@ -322,7 +322,7 @@ let check_recount ~where t =
   for i = 0 to cap - 1 do
     if Tcp.Flow_table.is_live tbl i then begin
       incr live;
-      sum := !sum +. Tcp.Flow_table.cwnd tbl i
+      sum := !sum +. tbl.Tcp.Flow_table.cwnd.(i)
     end
   done;
   if Mf.active t <> !live then
@@ -342,7 +342,7 @@ let check_recount ~where t =
             QCheck2.Test.fail_reportf "%s: cohort links leave the table or loop"
               where;
           seen.(!row) <- seen.(!row) + 1;
-          row := Tcp.Flow_table.timer tbl !row
+          row := tbl.Tcp.Flow_table.timer.(!row)
         done
       end);
   Array.iteri
@@ -417,6 +417,43 @@ let test_restore_rejects_bad_round_rows () =
       ("repeated row", Array.init 10 (fun i -> if i = 5 then 4 else i));
     ]
 
+(* The flow-round allocates nothing. One second of 200 persistent flows
+   on a RED bottleneck, run after [start], takes 14,000 slow-start,
+   avoidance and lost rounds. Each round reads and writes the
+   Flow_table columns, draws its loss from the row's xorshift as an
+   int and applies the policy's in-place rules, so none allocates; a
+   box per round would add 28,000 words or more. Of the 418 words
+   [Sim.Scheduler.run] allocates, 2 are its [~until] option and the
+   rest the queue refresh, once per instant (70 here: the rows fire as
+   one cohort). It passes floats into other modules: [Sim.Time.of_sec]'s
+   argument (2 words) and the RED curve's argument and result (4, or 2
+   at the two instants it returns its constant 0). *)
+let test_round_allocates_nothing () =
+  let sched = Sim.Scheduler.create ~seed:3 () in
+  let t =
+    Mf.start ~sched ~rng:(Sim.Scheduler.derive_rng sched) ~seed:3
+      {
+        Mf.default_params with
+        flows = 200;
+        capacity_bytes_per_sec = 1e9 /. 8.;
+        base_rtt = Sim.Time.ms 10;
+        buffer_packets = 2_000;
+        red =
+          Some
+            {
+              Netsim.Queue_disc.min_th = 200.;
+              max_th = 600.;
+              max_p = 0.1;
+              weight = 0.002;
+            };
+      }
+  in
+  let before = Gc.minor_words () in
+  Sim.Scheduler.run ~until:(Sim.Time.sec 1) sched;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "rounds lost" 2_873 (Mf.loss_events t);
+  Alcotest.(check int) "minor words over 1 s of rounds" 418 words
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -435,4 +472,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_totals_match_recount;
     Alcotest.test_case "restore rejects bad round timer rows" `Quick
       test_restore_rejects_bad_round_rows;
+    Alcotest.test_case "1 s of rounds allocates only per instant" `Quick
+      test_round_allocates_nothing;
   ]
