@@ -147,9 +147,64 @@ let of_string s =
     | _ -> -1
   in
   (* JSON's string grammar: no raw character below U+0020, and a \u
-     followed by exactly four hex digits. [unescape start stop] reads
-     the rest of a string whose characters from [start] to [stop] need
-     no unescaping. *)
+     followed by exactly four hex digits. A \u escape of a UTF-16 high
+     surrogate (D800-DBFF) must be followed at once by one of a low
+     surrogate (DC00-DFFF); the pair is one code point past U+FFFF,
+     written as its four UTF-8 bytes. A surrogate escape that is not
+     part of such a pair is refused at its backslash: UTF-8 has no
+     encoding for it. [unescape start stop] reads the rest of a string
+     whose characters from [start] to [stop] need no unescaping. *)
+  let hex4 () =
+    let code = ref 0 in
+    for _ = 1 to 4 do
+      let d = if !pos < n then hex_digit s.[!pos] else -1 in
+      if d < 0 then fail "bad \\u escape: expected 4 hex digits";
+      code := (!code lsl 4) lor d;
+      advance ()
+    done;
+    !code
+  in
+  let is_high c = c >= 0xD800 && c <= 0xDBFF
+  and is_low c = c >= 0xDC00 && c <= 0xDFFF in
+  (* The code point of the \u escape whose backslash is at [at], read
+     from [pos], just past its u; a high surrogate also reads the low
+     half that must follow it. *)
+  let code_point at =
+    let refuse what code =
+      pos := at;
+      fail (Printf.sprintf "lone %s surrogate \\u%04X" what code)
+    in
+    let hi = hex4 () in
+    if is_low hi then refuse "low" hi
+    else if not (is_high hi) then hi
+    else if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if is_low lo then 0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+      else refuse "high" hi
+    end
+    else refuse "high" hi
+  in
+  let add_utf8 buf code =
+    let byte b = Buffer.add_char buf (Char.chr b) in
+    let tail shift = byte (0x80 lor ((code lsr shift) land 0x3F)) in
+    if code < 0x80 then byte code
+    else if code < 0x800 then begin
+      byte (0xC0 lor (code lsr 6));
+      tail 0
+    end
+    else if code < 0x10000 then begin
+      byte (0xE0 lor (code lsr 12));
+      tail 6;
+      tail 0
+    end
+    else begin
+      byte (0xF0 lor (code lsr 18));
+      tail 12;
+      tail 6;
+      tail 0
+    end
+  in
   let unescape start stop =
     let buf = Buffer.create (stop - start + 16) in
     Buffer.add_substring buf s start (stop - start);
@@ -186,26 +241,7 @@ let of_string s =
                   Buffer.add_char buf '\012';
                   loop ()
               | 'u' ->
-                  let code = ref 0 in
-                  for _ = 1 to 4 do
-                    let d = if !pos < n then hex_digit s.[!pos] else -1 in
-                    if d < 0 then fail "bad \\u escape: expected 4 hex digits";
-                    code := (!code lsl 4) lor d;
-                    advance ()
-                  done;
-                  let code = !code in
-                  (* BMP only; enough for our artefacts *)
-                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                  else if code < 0x800 then begin
-                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                  end
-                  else begin
-                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                    Buffer.add_char buf
-                      (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                  end;
+                  add_utf8 buf (code_point (!pos - 2));
                   loop ()
               | _ -> fail "bad escape")
         | c ->

@@ -23,7 +23,9 @@ val to_string_compact : t -> string
     framing for JSONL journals, where one record is one line. *)
 
 val of_string : string -> (t, string) result
-(** Parse a complete JSON document; the error carries an offset. *)
+(** Parse a complete JSON document; the error carries an offset. A
+    [\u] escape decodes to UTF-8, a UTF-16 surrogate pair of them to
+    its one code point; a surrogate escape outside a pair is refused. *)
 
 val member : string -> t -> t option
 (** [member key json] looks up [key] when [json] is an object. *)

@@ -273,6 +273,43 @@ let test_json_string_grammar () =
   Alcotest.(check string) "every control byte round-trips" controls
     (reads (Report.Json.to_string (Report.Json.String controls)))
 
+(* Code points past U+FFFF arrive as a UTF-16 surrogate pair of \u
+   escapes and must come out as their 4-byte UTF-8 sequence, not as two
+   3-byte ones (CESU-8). A surrogate escape outside a pair has no UTF-8
+   form: it is refused at its backslash. *)
+let test_json_surrogate_pairs () =
+  let reads text =
+    match Report.Json.of_string text with
+    | Ok (Report.Json.String x) -> x
+    | Ok _ -> Alcotest.failf "%s is not a string" text
+    | Error e -> Alcotest.failf "refused %s: %s" text e
+  in
+  List.iter
+    (fun (text, utf8) -> Alcotest.(check string) text utf8 (reads text))
+    [
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uD83D\uDE00"|}, "\xf0\x9f\x98\x80");
+      ({|"a\ud800\udc00b"|}, "a\xf0\x90\x80\x80b");
+      ({|"\udbff\udfff"|}, "\xf4\x8f\xbf\xbf");
+      ({|"\ud7ff\ue000"|}, "\xed\x9f\xbf\xee\x80\x80");
+    ];
+  List.iter
+    (fun (text, error) ->
+      match Report.Json.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error e ->
+          Alcotest.(check string) text ("JSON parse error at offset " ^ error) e)
+    [
+      ({|"\ud83d"|}, "1: lone high surrogate \\uD83D");
+      ({|"\ude00"|}, "1: lone low surrogate \\uDE00");
+      ({|"x\ud83dy"|}, "2: lone high surrogate \\uD83D");
+      ({|"\ud83d\u0041"|}, "1: lone high surrogate \\uD83D");
+      ({|"\ud83d\ud83d\ude00"|}, "1: lone high surrogate \\uD83D");
+      ({|"\ude00\ud83d"|}, "1: lone low surrogate \\uDE00");
+      ({|"\ud83d\n"|}, "1: lone high surrogate \\uD83D");
+      ({|"\ud83d\u00"|}, "11: bad \\u escape: expected 4 hex digits");
+    ]
+
 let suite =
   [
     Alcotest.test_case "json non-finite floats" `Quick test_json_non_finite;
@@ -292,4 +329,5 @@ let suite =
     Alcotest.test_case "trace export chrome" `Quick test_trace_export_chrome;
     Alcotest.test_case "json number grammar" `Quick test_json_number_grammar;
     Alcotest.test_case "json string grammar" `Quick test_json_string_grammar;
+    Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogate_pairs;
   ]
