@@ -255,11 +255,25 @@ let run_collect ?pool ?policies ?scenarios:scenario_filter
     },
     List.rev failures )
 
-let league t =
+(* The cells of every named bundle on every scenario, policy-major, as
+   one batch at seed 1. *)
+let run ?pool ~duration () =
+  let cells =
+    List.concat_map
+      (fun policy -> List.map (fun s -> (policy, s)) scenarios)
+      Tcp.Policy.names
+  in
+  List.map2
+    (fun (policy, s) o -> cell_of_outcome ~policy ~scenario:s.sname o)
+    cells
+    (Spec.run_batch ?pool
+       (List.map (fun (policy, s) -> s.make ~duration ~seed:1 ~policy) cells))
+
+let league cells =
   let standings =
     List.map
       (fun policy ->
-        let mine = List.filter (fun c -> c.policy = policy) t.cells in
+        let mine = List.filter (fun c -> c.policy = policy) cells in
         let n = float_of_int (List.length mine) in
         let mean f =
           if mine = [] then 0.
@@ -277,7 +291,7 @@ let league t =
           total_timeouts = total (fun c -> c.timeouts);
           score = mean_utilization *. mean_jain;
         })
-      t.policies
+      (List.sort_uniq String.compare (List.map (fun c -> c.policy) cells))
   in
   List.stable_sort
     (fun a b ->
@@ -338,7 +352,7 @@ let to_json t =
       ( "scenarios",
         Json.List (List.map (fun s -> Json.String s) t.scenarios_run) );
       ("cells", Json.List (List.map cell_to_json t.cells));
-      ("league", Json.List (List.map standing_to_json (league t)));
+      ("league", Json.List (List.map standing_to_json (league t.cells)));
     ]
 
 let render t =
@@ -387,7 +401,7 @@ let render t =
                Report.Table.cell_i s.total_retransmits;
                Report.Table.cell_i s.total_timeouts;
              ])
-           (league t))
+           (league t.cells))
       ()
   in
   cells_table ^ "\nleague (score = mean utilization x mean Jain):\n"

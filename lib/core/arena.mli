@@ -67,6 +67,15 @@ val run_collect :
     healthy cell still reports, and the league (standings by descending
     score, ties by name) is scored over the cells that completed. *)
 
+val run : ?pool:Engine.Pool.t -> duration:Sim.Time.t -> unit -> cell list
+(** Every named bundle ({!Tcp.Policy.names}) on every scenario at seed
+    1, as one [Spec.run_batch] over [pool] (sequential when [None]):
+    policy-major cells. A failing cell raises
+    {!Engine.Pool.Task_failed}. *)
+
+val league : cell list -> standing list
+(** One standing per policy, by descending score, ties by name. *)
+
 val to_csv : table -> string
 (** One row per cell in [cells] order; floats use {!Report.Csv.cell}'s
     round-trip formatting, so equal runs produce byte-equal CSV. *)

@@ -718,6 +718,95 @@ let latency ?pool ?(duration = Sim.Time.sec 20) () =
            ]);
     ]
 
+(* The policy arena: every named congestion-control bundle on every
+   Arena scenario (one seed, so each policy meets the same network),
+   then the league. *)
+let arena ?pool ?(duration = Sim.Time.sec 15) () =
+  let cells = Arena.run ?pool ~duration () in
+  result ~note:"note: score = mean utilization x mean Jain index."
+    [
+      table
+        [
+          "policy"; "scenario"; "goodput_mbps"; "utilization"; "jain_index";
+          "send_stalls"; "congestion_signals"; "retransmits"; "timeouts";
+        ]
+        (List.map
+           (fun (c : Arena.cell) ->
+             [
+               Text c.Arena.policy;
+               Text c.Arena.scenario;
+               Float c.Arena.goodput_mbps;
+               Float c.Arena.utilization;
+               Float c.Arena.jain_index;
+               Int c.Arena.send_stalls;
+               Int c.Arena.congestion_signals;
+               Int c.Arena.retransmits;
+               Int c.Arena.timeouts;
+             ])
+           cells);
+      table ~name:"league"
+        [
+          "rank"; "policy"; "score"; "mean_utilization"; "mean_jain";
+          "total_stalls"; "total_retransmits"; "total_timeouts";
+        ]
+        (List.mapi
+           (fun i (s : Arena.standing) ->
+             [
+               Int (i + 1);
+               Text s.Arena.lpolicy;
+               Float s.Arena.score;
+               Float s.Arena.mean_utilization;
+               Float s.Arena.mean_jain;
+               Int s.Arena.total_stalls;
+               Int s.Arena.total_retransmits;
+               Int s.Arena.total_timeouts;
+             ])
+           (Arena.league cells));
+    ]
+
+(* The many-flows engine against the mean-field RED stability boundary,
+   on the paper's path with its 100-packet interface queue. *)
+let meanfield ?pool ?(duration = Sim.Time.sec 30) () =
+  let path = { Meanfield.paper_path with Meanfield.buffer_packets = 100 } in
+  let s = Meanfield.sweep ?pool ~duration path ~seed:1 in
+  let verdict = function
+    | Meanfield.Stable -> Text "stable"
+    | Meanfield.Oscillatory -> Text "oscillatory"
+  in
+  result
+    ~note:
+      "note: rows in the 0.25x..2x band around the predicted boundary are\n\
+       not scored: there the engine's independent per-flow losses damp\n\
+       the limit cycle that the linearized oracle predicts."
+    [
+      table
+        [
+          "flows"; "gain_margin"; "predicted"; "queue_mean_packets";
+          "relative_amplitude"; "measured"; "in_band";
+        ]
+        (List.map
+           (fun (p : Meanfield.sweep_point) ->
+             [
+               Int p.Meanfield.sp_flows;
+               Float p.Meanfield.sp_margin;
+               verdict p.Meanfield.sp_predicted;
+               Float p.Meanfield.sp_queue_mean;
+               Float p.Meanfield.sp_amplitude;
+               verdict p.Meanfield.sp_measured;
+               Text (string_of_bool p.Meanfield.sp_in_band);
+             ])
+           s.Meanfield.points);
+      table ~name:"agreement"
+        [ "critical_flows"; "agreed"; "out_of_band" ]
+        [
+          [
+            Int s.Meanfield.critical;
+            Int s.Meanfield.agreed;
+            Int s.Meanfield.out_of_band;
+          ];
+        ];
+    ]
+
 let drivers =
   [
     ("fig1", "paper Figure 1: cumulative send-stall signals, 0-25 s", fig1);
@@ -742,6 +831,11 @@ let drivers =
     ("e13", "disk-paced chunked transfer: the Figure 1 staircase (25 s)",
       chunked_app);
     ("e14", "the latency cost of a standing queue (20 s)", latency);
+    ("arena", "policy arena: every named bundle on six scenarios (15 s)",
+      arena);
+    ("meanfield",
+      "many-flows engine vs the mean-field RED stability boundary (30 s)",
+      meanfield);
   ]
 
 let catalog = List.map (fun (id, title, _) -> { id; title }) drivers

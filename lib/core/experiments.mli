@@ -27,7 +27,7 @@ type t = { tables : table list; series : series list; note : string }
 type experiment = { id : string; title : string }
 
 val catalog : experiment list
-(** fig1, table1, e2 … e14, in that order. *)
+(** fig1, table1, e2 … e14, arena and meanfield, in that order. *)
 
 val run : ?pool:Engine.Pool.t -> ?duration:Sim.Time.t -> string -> t
 (** [run id] runs one experiment of the catalog at its paper horizon,
