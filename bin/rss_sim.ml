@@ -2,8 +2,8 @@
    simulator.
 
      rss_sim run --slow-start restricted --duration 25
-     rss_sim compare --rtt-ms 120
-     rss_sim calibrate *)
+     rss_sim experiments fig1 arena
+     rss_sim list *)
 
 open Cmdliner
 
@@ -343,129 +343,6 @@ let run_cmd =
        ~doc:
          "Run one bulk transfer (or, with --spec, a JSON-described \
           scenario) and report web100 counters.")
-    term
-
-(* --- compare ------------------------------------------------------------ *)
-
-let compare_cmd =
-  let jobs =
-    let doc =
-      "Worker domains for the policy runs (default: all cores; 1 \
-       disables parallelism). Output is identical for any value."
-    in
-    Arg.(
-      value
-      & opt positive_int (Engine.Pool.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let matrix =
-    let doc =
-      "Full arena: every named congestion-control bundle crossed \
-       with every arena scenario (paper-path, lossy-wan, \
-       shared-bottleneck and the chaos-bursty fault profile), scored \
-       into a league table. --rate/--rtt-ms/--ifq/--loss are ignored \
-       (scenarios define their own paths); --duration and --seed apply \
-       to every cell."
-    in
-    Arg.(value & flag & info [ "matrix" ] ~doc)
-  in
-  let policies =
-    let doc =
-      "With --matrix: run these comma-separated policies instead of the \
-       named bundles; any policy name works (see $(b,rss_sim list))."
-    in
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "policies" ] ~docv:"NAMES" ~doc)
-  in
-  let scenarios =
-    let doc =
-      "With --matrix: restrict to a comma-separated subset of the arena \
-       scenarios (see $(b,rss_sim list))."
-    in
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "scenarios" ] ~docv:"NAMES" ~doc)
-  in
-  let out_dir =
-    let doc =
-      "With --matrix: write the matrix as CSV and JSON (league included) \
-       under this directory."
-    in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
-  in
-  let run_matrix ~jobs ~policies ~scenarios ~out_dir ~duration_s ~seed =
-    let duration = Sim.Time.of_sec duration_s in
-    let table, failures =
-      try
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            Core.Arena.run_collect ~pool ?policies ?scenarios ~duration ~seed
-              ())
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 2
-    in
-    print_string (Core.Arena.render table);
-    (match out_dir with
-    | None -> ()
-    | Some dir ->
-        let csv_path = Filename.concat dir "policy_matrix.csv" in
-        Report.Csv.write_string ~path:csv_path (Core.Arena.to_csv table);
-        Printf.printf "wrote %s\n" csv_path;
-        let json_path = Filename.concat dir "policy_matrix.json" in
-        Report.Csv.write_string ~path:json_path
-          (Report.Json.to_string (Core.Arena.to_json table));
-        Printf.printf "wrote %s\n" json_path);
-    if failures <> [] then begin
-      print_failure_table failures;
-      exit 1
-    end
-  in
-  let action jobs matrix policies scenarios out_dir rate_mbps rtt_ms ifq
-      duration_s seed loss =
-    if matrix then
-      run_matrix ~jobs ~policies ~scenarios ~out_dir ~duration_s ~seed
-    else begin
-      let cells =
-        List.map
-          (fun slow_start ->
-            spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss
-              { Core.Spec.default_flow with Core.Spec.slow_start })
-          [ "standard"; "limited"; "hystart"; "restricted" ]
-      in
-      let verdicts =
-        Engine.Pool.with_pool ~jobs (fun pool ->
-            Core.Spec.run_batch_collect ~pool cells)
-      in
-      List.iter
-        (function
-          | Ok o -> List.iter print_result o.Core.Spec.results
-          | Error _ -> ())
-        verdicts;
-      let failures =
-        List.filter_map
-          (function Ok _ -> None | Error f -> Some f)
-          verdicts
-      in
-      if failures <> [] then begin
-        print_failure_table failures;
-        exit 1
-      end
-    end
-  in
-  let term =
-    Term.(
-      const action $ jobs $ matrix $ policies $ scenarios $ out_dir
-      $ rate_mbps $ rtt_ms $ ifq $ duration_s $ seed $ loss)
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Run every slow-start policy on the same path and compare; with \
-          --matrix, run the full policy-zoo arena and print a league \
-          table.")
     term
 
 (* --- chaos --------------------------------------------------------------- *)
@@ -885,7 +762,7 @@ let list_cmd =
     print_endline "experiments (rss_sim experiments [ID...]):";
     List.iter
       (fun { Core.Experiments.id; title } ->
-        Printf.printf "  %-8s %s\n" id title)
+        Printf.printf "  %-9s %s\n" id title)
       Core.Experiments.catalog;
     print_endline "";
     let print_docs title docs =
@@ -898,9 +775,10 @@ let list_cmd =
        RULE+AVOIDANCE (e.g. limited+cubic) or a named bundle";
     print_docs "slow-start rules:" Tcp.Policy.slow_starts;
     print_docs "avoidance rules:" Tcp.Policy.avoidances;
-    print_docs "named bundles (compare --matrix rows):" Tcp.Policy.bundles;
+    print_docs "named bundles (the policies of experiments arena):"
+      Tcp.Policy.bundles;
     print_endline "";
-    print_docs "arena scenarios (compare --matrix columns):"
+    print_docs "arena scenarios (the scenarios of experiments arena):"
       (List.map
          (fun (s : Core.Arena.scenario) -> (s.Core.Arena.sname, s.Core.Arena.sdoc))
          Core.Arena.scenarios);
@@ -966,130 +844,11 @@ let spec_cmd =
           $(b,rss_sim run --spec).")
     Term.(const action $ print_default $ validate)
 
-(* --- meanfield ----------------------------------------------------------- *)
-
-let meanfield_cmd =
-  let fast =
-    let doc =
-      "Shorter runs (8 s) over a narrower flow-count spread — the CI smoke \
-       configuration."
-    in
-    Arg.(value & flag & info [ "fast" ] ~doc)
-  in
-  let flows =
-    let doc =
-      "Comma-separated flow counts to simulate (default: powers of two \
-       spanning 1/8x..8x the predicted boundary)."
-    in
-    Arg.(value & opt (some (list int)) None & info [ "flows" ] ~docv:"N,..." ~doc)
-  in
-  let jobs =
-    let doc = "Worker domains for the sweep." in
-    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let action fast flows jobs seed rate_mbps rtt_ms ifq =
-    let path =
-      {
-        Core.Meanfield.paper_path with
-        Core.Meanfield.capacity = Sim.Units.mbps rate_mbps /. 8.;
-        base_rtt = Sim.Time.ms rtt_ms;
-        buffer_packets = ifq;
-      }
-    in
-    let critical = Core.Meanfield.critical_flows path in
-    Printf.printf
-      "mean-field oracle: predicted stability boundary at N = %d flows\n"
-      critical;
-    let duration = Sim.Time.sec (if fast then 8 else 30) in
-    let flows =
-      match flows with
-      | Some ns -> Some ns
-      | None ->
-          if fast then
-            Some
-              (List.sort_uniq compare
-                 [
-                   Stdlib.max 1 (critical / 8);
-                   Stdlib.max 1 (critical / 4);
-                   critical * 2;
-                   critical * 4;
-                 ])
-          else None
-    in
-    let s =
-      Engine.Pool.with_pool ~jobs (fun pool ->
-          Core.Meanfield.sweep ~pool ~duration ?flows path ~seed)
-    in
-    Printf.printf "  %8s  %8s  %11s  %10s  %9s  %11s\n" "flows" "margin"
-      "predicted" "queue-mean" "amplitude" "measured";
-    let name = function
-      | Core.Meanfield.Stable -> "stable"
-      | Core.Meanfield.Oscillatory -> "oscillatory"
-    in
-    List.iter
-      (fun (sp : Core.Meanfield.sweep_point) ->
-        Printf.printf "  %8d  %8.3f  %11s  %10.1f  %9.3f  %11s%s\n"
-          sp.Core.Meanfield.sp_flows sp.sp_margin (name sp.sp_predicted)
-          sp.sp_queue_mean sp.sp_amplitude (name sp.sp_measured)
-          (if sp.sp_in_band then "  (boundary band, not scored)" else ""))
-      s.Core.Meanfield.points;
-    Printf.printf
-      "agreement outside the 0.25x..2x boundary band: %d/%d\n"
-      s.Core.Meanfield.agreed s.Core.Meanfield.out_of_band;
-    if s.Core.Meanfield.agreed < s.Core.Meanfield.out_of_band then exit 1
-  in
-  let term =
-    Term.(
-      const action $ fast $ flows $ jobs $ seed $ rate_mbps $ rtt_ms $ ifq)
-  in
-  Cmd.v
-    (Cmd.info "meanfield"
-       ~doc:
-         "Sweep the many-flows engine across flow counts and check the \
-          measured stable/oscillatory RED-queue boundary against the \
-          mean-field oracle's prediction (exits 1 on disagreement outside \
-          the documented tolerance band).")
-    term
-
-(* --- calibrate ----------------------------------------------------------- *)
-
-let calibrate_cmd =
-  let action rate_mbps rtt_ms ifq =
-    match
-      Core.Calibrate.ultimate_gain ~rate:(Sim.Units.mbps rate_mbps)
-        ~one_way_delay:(Sim.Time.ms (rtt_ms / 2))
-        ~ifq_capacity:ifq ()
-    with
-    | Error e ->
-        Printf.eprintf "calibration failed: %s\n" e;
-        exit 1
-    | Ok result ->
-        let critical = result.Control.Ziegler_nichols.critical in
-        Format.printf "critical point: %a@." Control.Tuning.pp_critical
-          critical;
-        let show name gains =
-          Format.printf "  %-14s %a@." name Control.Pid.pp_gains gains
-        in
-        show "paper rule" (Control.Tuning.paper_pid critical);
-        show "classic ZN" (Control.Tuning.zn_pid critical);
-        show "ZN PI" (Control.Tuning.zn_pi critical);
-        show "Tyreus-Luyben" (Control.Tuning.tyreus_luyben critical);
-        show "Pessen" (Control.Tuning.pessen critical)
-  in
-  let term = Term.(const action $ rate_mbps $ rtt_ms $ ifq) in
-  Cmd.v
-    (Cmd.info "calibrate"
-       ~doc:
-         "Measure the IFQ plant's critical point with the in-simulation \
-          Ziegler-Nichols experiment and print tuned gains.")
-    term
-
 let () =
   let doc = "Restricted Slow-Start for TCP — simulator front end" in
   let info = Cmd.info "rss_sim" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; compare_cmd; chaos_cmd; serve_cmd; trace_cmd;
-            calibrate_cmd; meanfield_cmd; experiments_cmd; list_cmd;
-            spec_cmd ]))
+          [ run_cmd; chaos_cmd; serve_cmd; trace_cmd; experiments_cmd;
+            list_cmd; spec_cmd ]))

@@ -1,24 +1,23 @@
 (** Head-to-head congestion-control arena.
 
-    Crosses the named {!Tcp.Policy} bundles with a fixed set of
-    {!Spec} scenarios (the paper path, a lossy WAN, a two-flow fairness
-    dumbbell and a chaos fault profile) and scores the results into a
-    league table. Each cell is an independent [Spec.run] with the same
-    seed across policies, so every policy faces exactly the same
-    network, faults included; the matrix fans out over a Domain pool
-    and is byte-identical for any worker count ([rss_sim compare
-    --matrix]). *)
+    Crosses the named {!Tcp.Policy} bundles with six {!Spec} scenarios
+    (the paper path, a lossy WAN, a two-flow fairness dumbbell, RED+ECN
+    at the sender's queue, three parallel streams and a chaos fault
+    profile) and scores the results into a league. Every cell runs at
+    seed 1, so every policy faces exactly the same network, faults
+    included. [rss_sim experiments arena] renders both tables through
+    {!Experiments}. *)
 
 type scenario = {
   sname : string;
   sdoc : string;  (** one-line description for CLIs *)
-  chaos : bool;   (** true when the scenario carries fault profiles *)
-  make : duration:Sim.Time.t -> seed:int -> policy:string -> Spec.t;
+  make : duration:Sim.Time.t -> policy:string -> Spec.t;
 }
 
 val scenarios : scenario list
-(** The built-in arena scenarios, in matrix column order: [paper-path],
-    [lossy-wan], [shared-bottleneck], [chaos-bursty]. *)
+(** The arena scenarios, in cell order: [paper-path], [lossy-wan],
+    [shared-bottleneck], [red-ecn], [parallel-streams],
+    [chaos-bursty]. *)
 
 type cell = {
   policy : string;
@@ -32,14 +31,6 @@ type cell = {
   timeouts : int;
 }
 
-type table = {
-  policies : string list;
-  scenarios_run : string list;
-  cells : cell list;
-      (** policy-major: all scenarios of the first policy, then the
-          next — the CSV row order *)
-}
-
 type standing = {
   lpolicy : string;
   mean_utilization : float;  (** across the policy's scenarios *)
@@ -50,38 +41,11 @@ type standing = {
   score : float;  (** mean utilization × mean Jain — rank key *)
 }
 
-val run_collect :
-  ?pool:Engine.Pool.t ->
-  ?policies:string list ->
-  ?scenarios:string list ->
-  ?duration:Sim.Time.t ->
-  ?seed:int ->
-  unit ->
-  table * Engine.Pool.failure list
-(** Run the matrix: defaults are every named bundle
-    ({!Tcp.Policy.names}), every built-in scenario, 15 s, seed 1. Cells
-    run as one [Spec.run_batch] over [pool] (sequential when [None]) in
-    policy-major order. Raises [Invalid_argument] on an unknown policy
-    or scenario name. A poisoned cell costs one entry in the returned
-    failure list (and its hole in [cells]), never the matrix: every
-    healthy cell still reports, and the league (standings by descending
-    score, ties by name) is scored over the cells that completed. *)
-
 val run : ?pool:Engine.Pool.t -> duration:Sim.Time.t -> unit -> cell list
-(** Every named bundle ({!Tcp.Policy.names}) on every scenario at seed
-    1, as one [Spec.run_batch] over [pool] (sequential when [None]):
-    policy-major cells. A failing cell raises
+(** Every named bundle ({!Tcp.Policy.names}) on every scenario, as one
+    [Spec.run_batch] over [pool] (sequential when [None]): policy-major
+    cells, identical for any worker count. A failing cell raises
     {!Engine.Pool.Task_failed}. *)
 
 val league : cell list -> standing list
 (** One standing per policy, by descending score, ties by name. *)
-
-val to_csv : table -> string
-(** One row per cell in [cells] order; floats use {!Report.Csv.cell}'s
-    round-trip formatting, so equal runs produce byte-equal CSV. *)
-
-val to_json : table -> Report.Json.t
-(** [{policies, scenarios, cells, league}]. *)
-
-val render : table -> string
-(** Aligned plain-text matrix plus the league standings. *)

@@ -51,39 +51,6 @@ let test_catalog_has_goldens () =
     (List.sort compare goldens)
     (List.sort compare (List.map (fun { E.id; _ } -> id) E.catalog))
 
-(* The policy-matrix golden: the first seven named bundles on the paper
-   path and the chaos profile at a fixed seed, rendered through
-   Arena.to_csv's round-trip float format. small-rtt became a bundle
-   after the golden was recorded, hence the explicit list. The file is
-   committed (test/golden_policy_matrix.csv); regenerate with
-     rss_sim compare --matrix --scenarios paper-path,chaos-bursty \
-       --policies standard,restricted,restricted-adaptive,hystart-cubic,ssthreshless,relentless,fast \
-       --duration 2 --seed 1 --out <dir> *)
-let matrix_policies =
-  [
-    "standard"; "restricted"; "restricted-adaptive"; "hystart-cubic";
-    "ssthreshless"; "relentless"; "fast";
-  ]
-
-let matrix_csv pool =
-  match
-    Core.Arena.run_collect ?pool ~policies:matrix_policies
-      ~scenarios:[ "paper-path"; "chaos-bursty" ]
-      ~duration ~seed:1 ()
-  with
-  | table, [] -> Core.Arena.to_csv table
-  | _, f :: _ -> Alcotest.failf "poisoned cell %s" f.Engine.Pool.flabel
-
-let test_policy_matrix_golden () =
-  let golden =
-    In_channel.with_open_text "golden_policy_matrix.csv" In_channel.input_all
-  in
-  let sequential = matrix_csv None in
-  Alcotest.(check string) "matrix matches the committed golden" golden
-    sequential;
-  Alcotest.(check string) "matrix identical on a 4-domain pool" sequential
-    (with_parallel matrix_csv)
-
 (* The many-flows goldens: every artifact `rss_sim run --spec --out`
    writes for five pinned flow-level specs — 2,000 persistent flows deep
    in congestion avoidance on the RED duplex, a budgeted population
@@ -221,8 +188,6 @@ let suite =
   @ [
       Alcotest.test_case "experiment catalog = golden files" `Quick
         test_catalog_has_goldens;
-      Alcotest.test_case "policy matrix golden (jobs 1 vs 4)" `Quick
-        test_policy_matrix_golden;
       Alcotest.test_case "many-flows golden: wide windows" `Quick
         (test_many_flows_golden "mf_wide.json");
       Alcotest.test_case "many-flows golden: budgeted, sharded" `Quick
