@@ -1,11 +1,7 @@
 type gains = { kp : float; ti : float; td : float }
 
 let p_only kp = { kp; ti = infinity; td = 0. }
-let pi ~kp ~ti = { kp; ti; td = 0. }
 let pid ~kp ~ti ~td = { kp; ti; td }
-
-let pp_gains fmt g =
-  Format.fprintf fmt "Kp=%.4g Ti=%.4g Td=%.4g" g.kp g.ti g.td
 
 type config = {
   gains : gains;

@@ -15,9 +15,7 @@ type gains = {
 }
 
 val p_only : float -> gains
-val pi : kp:float -> ti:float -> gains
 val pid : kp:float -> ti:float -> td:float -> gains
-val pp_gains : Format.formatter -> gains -> unit
 
 type config = {
   gains : gains;

@@ -1,9 +1,10 @@
-let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
-    ?(one_way_delay = Sim.Time.ms 30) ?(ifq_capacity = 100) () =
-  fun () ->
-  let sched = Sim.Scheduler.create ~seed () in
+let ifq_capacity = 100
+
+let sim_plant () =
+  let sched = Sim.Scheduler.create ~seed:7 () in
   let path =
-    Netsim.Topology.Duplex.create sched ~rate ~one_way_delay ~ifq_capacity ()
+    Netsim.Topology.Duplex.create sched ~rate:(Sim.Units.mbps 100.)
+      ~one_way_delay:(Sim.Time.ms 30) ~ifq_capacity ()
   in
   let target = ref 2. in
   let conn =
@@ -27,11 +28,8 @@ let sim_plant ?(seed = 7) ?(rate = Sim.Units.mbps 100.)
     Sim.Scheduler.run ~until:horizon sched;
     float_of_int (Netsim.Ifq.occupancy ifq)
 
-let ultimate_gain ?(rate = Sim.Units.mbps 100.)
-    ?(one_way_delay = Sim.Time.ms 30) ?(ifq_capacity = 100)
-    ?(setpoint_fraction = 0.9) () =
-  let plant = sim_plant ~rate ~one_way_delay ~ifq_capacity () in
-  Control.Ziegler_nichols.ultimate_gain ~plant
-    ~setpoint:(setpoint_fraction *. float_of_int ifq_capacity)
+let ultimate_gain () =
+  Control.Ziegler_nichols.ultimate_gain ~plant:sim_plant
+    ~setpoint:(0.9 *. float_of_int ifq_capacity)
     ~dt:0.005 ~horizon:12. ~kp_init:0.05 ~kp_max:1e4 ~refine_steps:8 ()
 

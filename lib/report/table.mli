@@ -13,6 +13,7 @@ val render :
     the header are padded with empty cells. *)
 
 val cell_f : ?decimals:int -> float -> string
-(** Fixed-point float cell (default 2 decimals). *)
+(** Fixed-point float cell (default 2 decimals; only the [report] test
+    "cells" passes [decimals]). *)
 
 val cell_i : int -> string

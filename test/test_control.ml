@@ -12,7 +12,7 @@ let test_p_only_proportional () =
 let test_integral_accumulates () =
   let pid =
     Control.Pid.create
-      (Control.Pid.config (Control.Pid.pi ~kp:1. ~ti:1.))
+      (Control.Pid.config (Control.Pid.pid ~kp:1. ~ti:1. ~td:0.))
   in
   (* Constant error 1: after n steps of dt, I-term = n·dt. *)
   let out1 = Control.Pid.step pid ~dt:0.5 ~error:1. in
@@ -34,7 +34,7 @@ let test_output_clamp_and_antiwindup () =
   let pid =
     Control.Pid.create
       (Control.Pid.config ~out_min:(-1.) ~out_max:1.
-         (Control.Pid.pi ~kp:1. ~ti:0.1))
+         (Control.Pid.pid ~kp:1. ~ti:0.1 ~td:0.))
   in
   for _ = 1 to 100 do
     let o = Control.Pid.step pid ~dt:0.1 ~error:10. in
@@ -50,7 +50,8 @@ let test_output_clamp_and_antiwindup () =
 
 let test_reset () =
   let pid =
-    Control.Pid.create (Control.Pid.config (Control.Pid.pi ~kp:1. ~ti:1.))
+    Control.Pid.create
+      (Control.Pid.config (Control.Pid.pid ~kp:1. ~ti:1. ~td:0.))
   in
   ignore (Control.Pid.step pid ~dt:1. ~error:5.);
   Control.Pid.reset pid;

@@ -174,7 +174,7 @@ let test_latency_experiment_short () =
     (List.sort (fun a b -> compare b a) delays = delays)
 
 let test_calibrate_plant_responds () =
-  let plant = Core.Calibrate.sim_plant () () in
+  let plant = Core.Calibrate.sim_plant () in
   (* Tiny window: IFQ stays empty. *)
   let y_small = plant ~dt:0.5 ~u:4. in
   Alcotest.(check (float 1.)) "empty at small window" 0. y_small;
