@@ -147,8 +147,13 @@ let gain_margin p ~flows =
 let predict p ~flows = if gain_margin p ~flows < 1. then Oscillatory else Stable
 
 let critical_flows p =
-  (* margin(N) is monotone increasing: gain scales as C²/2N while the
-     window pole moves right with N, both shrinking the loop. *)
+  (* The loop gain scales as C²/2N and the window pole moves right with
+     N, so at a fixed RED slope the margin grows with N. It is not
+     monotone overall: once q* passes max_th the slope jumps and the
+     margin drops (paper_path: stable at 135–181, oscillatory again at
+     182–474). Doubling to the first stable power of two and bisecting
+     below it finds the last turn to stable only if no oscillatory N
+     lies above that power; core.meanfield checks this on paper_path. *)
   let hi = ref 1 in
   while predict p ~flows:!hi = Oscillatory && !hi < 1 lsl 30 do
     hi := !hi * 2

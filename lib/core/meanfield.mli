@@ -13,11 +13,15 @@
       queue integrator, RED's EWMA low-pass, one RTT of dead time).
       Margin < 1 means the loop is unstable and the queue oscillates
       as a limit cycle; margin > 1 means the queue settles.
-    - {!critical_flows}: the boundary N below which the loop
-      oscillates — few flows mean large windows, a violent sawtooth
-      and an unstable loop; many flows mean small windows and a queue
-      that converges. The margin is monotone in N, so bisection finds
-      the crossing.
+    - {!critical_flows}: the count from which every larger N is
+      predicted stable — few flows mean large windows, a violent
+      sawtooth and an unstable loop; many flows mean small windows and
+      a queue that converges. The margin is not monotone in N: where
+      the standing queue passes RED's [max_th] the curve steepens and
+      the margin drops. On {!paper_path}, N = 135–181 are predicted
+      stable, 182–474 oscillate again and every N from 475 is stable;
+      that stable window lies inside {!sweep}'s unscored band. With a
+      100-packet buffer the margin rises at every step of N = 1–516.
     - {!sweep}: run the engine at several N through {!Spec} and
       compare the measured queue behaviour against the predictions.
       Points within the documented uncertainty band around the
@@ -52,10 +56,11 @@ val equilibrium : path -> flows:int -> equilibrium
 (** Solves [red_drop_probability q = 2/(w(q)(w(q)+2))] with
     [w(q) = C·rtt(q)/N] — full-utilization windows against Reno's
     loss-balance demand — for the standing queue. {!equilibrium},
-    {!gain_margin} and {!predict} are the oracle's steps; code reads the
-    oracle through {!critical_flows} and {!sweep}, and the
-    [core.meanfield] tests "equilibrium is self-consistent" and
-    "stability boundary is monotone in N" check each step. *)
+    {!gain_margin}, {!predict} and {!critical_flows} are the oracle's
+    steps; code reads the oracle through {!sweep}, and the
+    [core.meanfield] tests "equilibrium is self-consistent", "stability
+    boundary is monotone in N" and "stable window below the boundary"
+    check each step. *)
 
 type verdict = Stable | Oscillatory
 
@@ -66,8 +71,12 @@ val gain_margin : path -> flows:int -> float
 val predict : path -> flows:int -> verdict
 
 val critical_flows : path -> int
-(** Smallest N whose loop is stable; below it the oracle predicts
-    oscillation. *)
+(** The count from which every larger N is predicted stable. N doubles
+    to the first stable power of two and bisection below it finds where
+    the verdict turns stable, which assumes no oscillatory N lies above
+    that power; the [core.meanfield] test "stable window below the
+    boundary" checks it on {!paper_path} up to 4x. Smaller counts need
+    not all oscillate (on {!paper_path}, 135–181 are stable). *)
 
 (* --- empirical side ---------------------------------------------------- *)
 
@@ -95,6 +104,7 @@ val sweep :
   path ->
   seed:int ->
   sweep
-(** Runs one scenario per flow count (default: powers of two spanning
-    1/8x..8x the predicted boundary) and scores prediction against
-    measurement outside the uncertainty band. *)
+(** Runs one scenario per flow count and scores prediction against
+    measurement outside the uncertainty band. [flows] defaults to the
+    powers of two spanning 1/8x..8x the predicted boundary; only the
+    [core.meanfield] test "fast sweep matches the oracle" passes it. *)

@@ -1,6 +1,7 @@
 (* Tests for the mean-field TCP/RED oracle: the equilibrium solver's
-   self-consistency, the stability boundary's monotonicity, and a fast
-   engine sweep scored against the predictions. *)
+   self-consistency, the stability boundary, the stable window below it
+   on the paper path, and engine sweeps scored against the predictions
+   (the fast one here, the catalog's through Experiments). *)
 
 module M = Core.Meanfield
 
@@ -76,6 +77,56 @@ let test_fast_sweep_agrees () =
         (p.sp_predicted = p.sp_measured))
     s.points
 
+(* The margin is not monotone in N on the 250-packet path: N = 135–181
+   are predicted stable, 182–474 oscillate again (q* passes RED's max_th
+   at 182 and the curve steepens), and critical_flows returns the count
+   from which every larger N is stable. *)
+let test_stable_window () =
+  let nc = M.critical_flows path in
+  Alcotest.(check bool) "stable at N = 150" true
+    (M.predict path ~flows:150 = M.Stable);
+  Alcotest.(check bool) "oscillatory at N = 182" true
+    (M.predict path ~flows:182 = M.Oscillatory);
+  for n = nc to 4 * nc do
+    if M.predict path ~flows:n <> M.Stable then
+      Alcotest.failf "N = %d is oscillatory above the boundary %d" n nc
+  done
+
+module E = Core.Experiments
+
+(* Column [name] of the catalog table [table], one cell per row. *)
+let column (t : E.t) ~table name =
+  let tb = List.find (fun tb -> tb.E.name = table) t.E.tables in
+  let rec index i = function
+    | [] -> Alcotest.failf "no column %s" name
+    | c :: _ when c = name -> i
+    | _ :: cs -> index (i + 1) cs
+  in
+  let i = index 0 tb.E.columns in
+  List.map (fun row -> List.nth row i) tb.E.rows
+
+(* The catalog's sweep (the paper path with its 100-packet IFQ): every
+   verdict outside the boundary band matches the oracle. *)
+let test_catalog_sweep_agrees () =
+  let t = E.run ~duration:(Sim.Time.sec 2) "meanfield" in
+  let main = column t ~table:"" in
+  let rows =
+    List.combine (main "flows")
+      (List.combine (main "in_band")
+         (List.combine (main "predicted") (main "measured")))
+  in
+  List.iter
+    (fun (flows, (in_band, (predicted, measured))) ->
+      if in_band = E.Text "false" && predicted <> measured then
+        Alcotest.failf "out-of-band N = %s: predicted and measured differ"
+          (match flows with E.Int n -> string_of_int n | _ -> "?"))
+    rows;
+  let agreement = column t ~table:"agreement" in
+  match (agreement "agreed", agreement "out_of_band") with
+  | [ E.Int agreed ], [ E.Int out_of_band ] ->
+      Alcotest.(check int) "agreed = out_of_band" out_of_band agreed
+  | _ -> Alcotest.fail "agreement is not one row of ints"
+
 let suite =
   [
     Alcotest.test_case "equilibrium is self-consistent" `Quick
@@ -84,4 +135,8 @@ let suite =
       test_boundary_monotone;
     Alcotest.test_case "fast sweep matches the oracle" `Slow
       test_fast_sweep_agrees;
+    Alcotest.test_case "stable window below the boundary" `Quick
+      test_stable_window;
+    Alcotest.test_case "catalog sweep agrees outside the band" `Quick
+      test_catalog_sweep_agrees;
   ]
