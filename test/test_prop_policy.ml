@@ -159,7 +159,11 @@ let loss_free_monotone =
 (* End-to-end: on a random lossy duplex path the sender must keep its
    un-SACKed flight inside the receiver's advertised window and leave
    the connection at or above the one-segment loss window (an RTO near
-   the end of the run legitimately collapses cwnd to one MSS). *)
+   the end of the run legitimately collapses cwnd to one MSS). The run
+   lasts 3 s, or longer if nothing is acknowledged by then: at 3 % loss
+   the SYN and its retransmission (RTO 1 s, then 2 s) can both be lost
+   inside 3 s, so it goes on in 1 s steps, for at most 60 s, until the
+   first byte is acknowledged. *)
 let flight_within_rcv_wnd =
   Test.make ~name:"flight stays within the advertised window" ~count:20
     ~print:Print.(triple string int (pair int int))
@@ -189,7 +193,12 @@ let flight_within_rcv_wnd =
       ignore
         (Sim.Scheduler.every sched (Sim.Time.ms 5) (fun () ->
              if Tcp.Sender.flight sender > rcv_wnd then ok := false));
-      Sim.Scheduler.run ~until:(Sim.Time.sec 3) sched;
+      let rec run_until_progress s =
+        Sim.Scheduler.run ~until:(Sim.Time.sec s) sched;
+        if Tcp.Sender.bytes_acked sender = 0 && s < 60 then
+          run_until_progress (s + 1)
+      in
+      run_until_progress 3;
       !ok
       && Tcp.Sender.cwnd sender >= mss_f
       && Tcp.Sender.bytes_acked sender > 0)
