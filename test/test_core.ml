@@ -61,9 +61,10 @@ let test_run_rejects_bogus_policy () =
 
 module E = Core.Experiments
 
-(* Column [name] of an experiment's main table, one cell per row. *)
-let column (t : E.t) name =
-  let tb = List.find (fun tb -> tb.E.name = "") t.E.tables in
+(* Column [name] of an experiment's table [table] (default: the main
+   one), one cell per row. *)
+let column ?(table = "") (t : E.t) name =
+  let tb = List.find (fun tb -> tb.E.name = table) t.E.tables in
   let rec index i = function
     | [] -> Alcotest.failf "no column %s" name
     | c :: _ when c = name -> i

@@ -94,34 +94,20 @@ let test_stable_window () =
 
 module E = Core.Experiments
 
-(* Column [name] of the catalog table [table], one cell per row. *)
-let column (t : E.t) ~table name =
-  let tb = List.find (fun tb -> tb.E.name = table) t.E.tables in
-  let rec index i = function
-    | [] -> Alcotest.failf "no column %s" name
-    | c :: _ when c = name -> i
-    | _ :: cs -> index (i + 1) cs
-  in
-  let i = index 0 tb.E.columns in
-  List.map (fun row -> List.nth row i) tb.E.rows
-
 (* The catalog's sweep (the paper path with its 100-packet IFQ): every
    verdict outside the boundary band matches the oracle. *)
 let test_catalog_sweep_agrees () =
   let t = E.run ~duration:(Sim.Time.sec 2) "meanfield" in
-  let main = column t ~table:"" in
-  let rows =
-    List.combine (main "flows")
-      (List.combine (main "in_band")
-         (List.combine (main "predicted") (main "measured")))
-  in
-  List.iter
-    (fun (flows, (in_band, (predicted, measured))) ->
-      if in_band = E.Text "false" && predicted <> measured then
-        Alcotest.failf "out-of-band N = %s: predicted and measured differ"
-          (match flows with E.Int n -> string_of_int n | _ -> "?"))
-    rows;
-  let agreement = column t ~table:"agreement" in
+  let in_band = Test_core.texts t "in_band"
+  and predicted = Test_core.texts t "predicted"
+  and measured = Test_core.texts t "measured" in
+  List.iteri
+    (fun i n ->
+      let p = List.nth predicted i and m = List.nth measured i in
+      if List.nth in_band i = "false" && p <> m then
+        Alcotest.failf "out-of-band N = %d: predicted %s, measured %s" n p m)
+    (Test_core.ints t "flows");
+  let agreement = Test_core.column ~table:"agreement" t in
   match (agreement "agreed", agreement "out_of_band") with
   | [ E.Int agreed ], [ E.Int out_of_band ] ->
       Alcotest.(check int) "agreed = out_of_band" out_of_band agreed
