@@ -196,7 +196,6 @@ let cell_of_outcome ~policy ~scenario (o : Spec.outcome) =
     timeouts = sum (fun r -> r.Spec.timeouts);
   }
 
-(* Every named bundle on every scenario, policy-major, as one batch. *)
 let run ?pool ~duration () =
   let cells =
     List.concat_map
