@@ -52,14 +52,20 @@ let test_catalog_has_goldens () =
     (List.sort compare (List.map (fun { E.id; _ } -> id) E.catalog))
 
 (* The many-flows goldens: every artifact `rss_sim run --spec --out`
-   writes for five pinned flow-level specs — 2,000 persistent flows deep
+   writes for six pinned flow-level specs — 2,000 persistent flows deep
    in congestion avoidance on the RED duplex, a budgeted population
    sharded over four dumbbell segments, and 300 persistent flows with
    Pareto arrivals on a RED duplex whose base RTT is about three wheel
    ticks (so arrival timers share wheel slots with round timers), all
    under Reno; then the same short-RTT duplex under relentless, and a
    budgeted population at a ~4 ms base RTT under small-rtt (below its
-   25 ms reference, so the scaled increase is what runs). A speed-only
+   25 ms reference, so the scaled increase is what runs). The sixth,
+   mf_lanes, keeps small-rtt's scaled increase at a ~4 ms base RTT but
+   with windows wide enough for the engine's four-lane folds: 3,000
+   budgeted flows with Pareto arrivals on a 50 Gbit/s RED duplex, whose
+   instants switch between whole chunks of folds and the one-row loop,
+   with cohorts past one chunk, flows retiring inside a chunk and
+   arrivals that split cohorts. A speed-only
    change to the engine must leave them byte-identical; regenerate
    (only for a deliberate model change) with
      rss_sim run --spec test/golden_many_flows/mf_wide.json \
@@ -208,4 +214,6 @@ let suite =
         (test_many_flows_golden "mf_relentless.json");
       Alcotest.test_case "many-flows golden: small-rtt, budgeted" `Quick
         (test_many_flows_golden "mf_small_rtt.json");
+      Alcotest.test_case "many-flows golden: small-rtt, wide lanes" `Quick
+        (test_many_flows_golden "mf_lanes.json");
     ]

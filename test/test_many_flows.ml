@@ -454,6 +454,41 @@ let test_round_allocates_nothing () =
   Alcotest.(check int) "rounds lost" 2_873 (Mf.loss_events t);
   Alcotest.(check int) "minor words over 1 s of rounds" 418 words
 
+(* The same budget for wide windows: 2,000 persistent flows on
+   mf_wide_2k's 100 Gbit/s RED duplex, measured from 1 s to 3 s. Every
+   flow has left slow start through its one loss and is in congestion
+   avoidance at ~170 segments, so each instant's cohort folds ~170 ACK
+   steps per row. The words are the per-instant queue refresh and
+   [~until]'s option; a box per round or per fold call would add
+   thousands. *)
+let test_wide_cohort_words () =
+  let sched = Sim.Scheduler.create ~seed:2 () in
+  let t =
+    Mf.start ~sched ~rng:(Sim.Scheduler.derive_rng sched) ~seed:2
+      {
+        Mf.default_params with
+        flows = 2_000;
+        capacity_bytes_per_sec = 100e9 /. 8.;
+        base_rtt = Sim.Time.ms 60;
+        buffer_packets = 25_000;
+        red =
+          Some
+            {
+              Netsim.Queue_disc.min_th = 5_000.;
+              max_th = 15_000.;
+              max_p = 0.1;
+              weight = 0.002;
+            };
+      }
+  in
+  Sim.Scheduler.run ~until:(Sim.Time.sec 1) sched;
+  let before = Gc.minor_words () in
+  Sim.Scheduler.run ~until:(Sim.Time.sec 3) sched;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "one loss per flow, at slow start's end" 2_000
+    (Mf.loss_events t);
+  Alcotest.(check int) "minor words from 1 s to 3 s" 134 words
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -474,4 +509,6 @@ let suite =
       test_restore_rejects_bad_round_rows;
     Alcotest.test_case "1 s of rounds allocates only per instant" `Quick
       test_round_allocates_nothing;
+    Alcotest.test_case "2 s of a wide cohort allocates only per instant"
+      `Quick test_wide_cohort_words;
   ]
