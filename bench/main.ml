@@ -152,11 +152,11 @@ let core_metric_policy_ack () =
       done;
       n)
 
-(* The same million ACKs through Reno's per-round fold, 200 per call —
-   the many-flows engine's avoidance round at a ~200-segment window,
-   in place on a one-row window column. Reported per ACK, so it reads
-   against policy/ack-direct-1M; tcp.cwnd-table pins the fold at 0
-   minor words. *)
+(* The same million ACKs through Reno's per-round fold, one row of 200
+   per call — the many-flows engine's one-row loop at a ~200-segment
+   window, in place on a one-row window column. Reported per ACK, so it
+   reads against policy/ack-direct-1M; tcp.cwnd-table pins the fold at
+   0 minor words. *)
 let core_metric_policy_round_reno () =
   let mss = Tcp.Config.default.Tcp.Config.mss in
   let { Tcp.Cong_avoid.fold; _ } =
@@ -164,13 +164,35 @@ let core_metric_policy_round_reno () =
   in
   let srtt = Sim.Time.ms 60 in
   let batch = 200 and n = 1_000_000 in
+  let rows = [| 0 |] and acks = [| batch |] in
   ns_per_event (fun () ->
       let cwnd = [| 100. *. float_of_int mss |] in
       for _ = 1 to n / batch do
-        fold cwnd 0 ~acks:batch ~mss ~srtt;
+        fold cwnd rows acks 1 ~mss ~srtt;
         if cwnd.(0) > 1e7 then cwnd.(0) <- 100. *. float_of_int mss
       done;
       n)
+
+(* The fold at mf_wide_2k's shape: one call over a 2,000-row column at
+   ~200 ACKs per row (190 to 210, so the four lanes of a group end
+   apart), three times over — 1.2 M ACKs, reported per ACK beside
+   policy/round-reno-1M, whose single row runs one chain at a time. *)
+let core_metric_policy_round_lanes () =
+  let mss = Tcp.Config.default.Tcp.Config.mss in
+  let { Tcp.Cong_avoid.fold; _ } =
+    Option.get (Tcp.Cong_avoid.reno ()).Tcp.Cong_avoid.on_round
+  in
+  let srtt = Sim.Time.ms 60 in
+  let n = 2_000 in
+  let rows = Array.init n Fun.id in
+  let acks = Array.init n (fun i -> 190 + (i mod 21)) in
+  let per_call = Array.fold_left ( + ) 0 acks in
+  ns_per_event (fun () ->
+      let cwnd = Array.make n (200. *. float_of_int mss) in
+      for _ = 1 to 3 do
+        fold cwnd rows acks n ~mss ~srtt
+      done;
+      3 * per_call)
 
 (* The checkpoint codec under the serve daemon: serialize a 1M-row flow
    table plus a fully loaded timer wheel into a Snapshot image and
@@ -333,6 +355,7 @@ let timings =
     ("trace/emit-on-1M", "ns/event", core_metric_trace_emit);
     ("policy/ack-direct-1M", "ns/event", core_metric_policy_ack);
     ("policy/round-reno-1M", "ns/event", core_metric_policy_round_reno);
+    ("policy/round-lanes-2k", "ns/event", core_metric_policy_round_lanes);
     ("pdes/domains1", "s", spec_wall (pdes_spec ~domains:1));
     ("pdes/domains4", "s", spec_wall (pdes_spec ~domains:4));
     ("pdes/many-flows-domains1", "s", spec_wall (pdes_mf_spec ~domains:1));

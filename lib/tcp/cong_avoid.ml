@@ -1,5 +1,7 @@
 type round = {
-  fold : float array -> int -> acks:int -> mss:int -> srtt:Sim.Time.t -> unit;
+  fold :
+    float array -> int array -> int array -> int -> mss:int ->
+    srtt:Sim.Time.t -> unit;
   cut : float array -> int -> mss:int -> unit;
 }
 
@@ -19,7 +21,7 @@ let[@inline] floor_window ~mss w = Float.max (2. *. float_of_int mss) w
 
 (* The additive-increase step of the Reno family: +k/cwnd per ACK, with
    k = MSS² (scaled, for small-RTT). [on_ack] takes one step; a round's
-   [fold] applies [acks] of them to a window in place, over an unboxed
+   [fold] applies a row's ACKs to its window in place, over an unboxed
    accumulator (the step is inlined, so no float leaves the loop). Both
    evaluate the same expression on the same operands in the same order,
    so a round is bit-identical to its ACKs applied one by one. *)
@@ -32,6 +34,48 @@ let[@inline] ai_fold k w i ~acks =
   done;
   w.(i) <- !x
 
+let[@inline] imin (a : int) b = if a <= b then a else b
+
+(* The one kernel of every [fold]: [acks.(j)] steps on slot [rows.(j)]
+   for each [j < n]. One row's steps form a chain in which each
+   division waits for the previous one, but distinct rows' chains are
+   independent, so four rows run abreast over four unboxed accumulators
+   and the divider overlaps their divisions instead of waiting out each
+   one's latency. A lane still takes exactly its own row's sequence of
+   [ai_step]s, so no bit changes: the four share their common step
+   count, then each lane's leftover steps, and the last [n mod 4] rows,
+   run one at a time. *)
+let[@inline] ai_fold_rows k w rows acks n =
+  let j = ref 0 in
+  while !j + 4 <= n do
+    let j0 = !j in
+    let r0 = rows.(j0) and r1 = rows.(j0 + 1) in
+    let r2 = rows.(j0 + 2) and r3 = rows.(j0 + 3) in
+    let a0 = acks.(j0) and a1 = acks.(j0 + 1) in
+    let a2 = acks.(j0 + 2) and a3 = acks.(j0 + 3) in
+    let x0 = ref w.(r0) and x1 = ref w.(r1) in
+    let x2 = ref w.(r2) and x3 = ref w.(r3) in
+    let common = imin (imin a0 a1) (imin a2 a3) in
+    for _ = 1 to common do
+      x0 := ai_step k !x0;
+      x1 := ai_step k !x1;
+      x2 := ai_step k !x2;
+      x3 := ai_step k !x3
+    done;
+    for _ = common + 1 to a0 do x0 := ai_step k !x0 done;
+    for _ = common + 1 to a1 do x1 := ai_step k !x1 done;
+    for _ = common + 1 to a2 do x2 := ai_step k !x2 done;
+    for _ = common + 1 to a3 do x3 := ai_step k !x3 done;
+    w.(r0) <- !x0;
+    w.(r1) <- !x1;
+    w.(r2) <- !x2;
+    w.(r3) <- !x3;
+    j := j0 + 4
+  done;
+  for j = !j to n - 1 do
+    ai_fold k w rows.(j) ~acks:acks.(j)
+  done
+
 let[@inline] reno_k mss =
   let m = float_of_int mss in
   m *. m
@@ -41,7 +85,9 @@ let[@inline] halve ~flight ~mss = floor_window ~mss (float_of_int flight /. 2.)
 (* Reno's per-round rules in place: [acks] unscaled steps, and the loss
    rule for a window whose whole content is in flight — its halved
    flight, which is also the ssthresh [on_loss] returns. *)
-let reno_fold w i ~acks ~mss ~srtt:_ = ai_fold (reno_k mss) w i ~acks
+let reno_fold w rows acks n ~mss ~srtt:_ =
+  ai_fold_rows (reno_k mss) w rows acks n
+
 let reno_cut w i ~mss = w.(i) <- halve ~flight:(int_of_float w.(i)) ~mss
 let reno_round = Some { fold = reno_fold; cut = reno_cut }
 
@@ -171,20 +217,22 @@ let relentless () =
    an RTT estimate exists — this is exactly Reno; decrease rules are
    untouched, so the W ≈ 1.2/√p steady state shrinks proportionally for
    short-RTT flows instead of being RTT-blind. *)
+let[@inline] small_rtt_k ~ref_rtt ~mss rtt =
+  if Sim.Time.(rtt < ref_rtt) then
+    let m = float_of_int mss in
+    Sim.Time.to_sec rtt /. Sim.Time.to_sec ref_rtt *. m *. m
+  else reno_k mss
+
 let small_rtt ?(ref_rtt = Sim.Time.ms 25) () =
   let base = reno () in
-  let k ~mss rtt =
-    if Sim.Time.(rtt < ref_rtt) then
-      let m = float_of_int mss in
-      Sim.Time.to_sec rtt /. Sim.Time.to_sec ref_rtt *. m *. m
-    else reno_k mss
-  in
   let on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now =
     match srtt with
-    | Some rtt -> ai_step (k ~mss rtt) cwnd
+    | Some rtt -> ai_step (small_rtt_k ~ref_rtt ~mss rtt) cwnd
     | None -> base.on_ack ~newly_acked ~cwnd ~mss ~srtt ~min_rtt ~now
   in
-  let fold w i ~acks ~mss ~srtt = ai_fold (k ~mss srtt) w i ~acks in
+  let fold w rows acks n ~mss ~srtt =
+    ai_fold_rows (small_rtt_k ~ref_rtt ~mss srtt) w rows acks n
+  in
   {
     name = "small-rtt";
     on_ack;

@@ -5,15 +5,24 @@
     decrease applied on loss events; the sender drives everything else
     (slow-start is a separate policy, see {!Slow_start}). *)
 
-(** The per-round rule: a whole RTT round applied in place to slot [i]
-    of a column of windows (the many-flows engine's
+(** The per-round rule: whole RTT rounds applied in place to slots of
+    a column of windows (the many-flows engine's
     {!Flow_table.t.cwnd}), so no window crosses the call boxed. *)
 type round = {
-  fold : float array -> int -> acks:int -> mss:int -> srtt:Sim.Time.t -> unit;
-      (** [fold w i ~acks ~mss ~srtt] replaces [w.(i)] with the window
-          [acks] consecutive full-MSS ACKs at [srtt] reach from it:
-          bit-identical to folding [on_ack] [acks] times with
-          [newly_acked = mss] and [srtt = Some srtt]. *)
+  fold :
+    float array -> int array -> int array -> int -> mss:int ->
+    srtt:Sim.Time.t -> unit;
+      (** [fold w rows acks n ~mss ~srtt] replaces, for each [j < n],
+          [w.(rows.(j))] with the window [acks.(j)] consecutive full-MSS
+          ACKs at [srtt] reach from it: bit-identical to folding
+          [on_ack] [acks.(j)] times with [newly_acked = mss] and
+          [srtt = Some srtt]. Slots outside [rows] are untouched. The
+          rows [rows.(0)] … [rows.(n-1)] must be distinct: four of them
+          run abreast, so their divisions overlap in the divider rather
+          than each waiting for the last, and each lane still takes
+          exactly its row's sequence of steps. A round cohort's rows
+          (one call per chunk) or a single row ([n = 1]) are the
+          engine's two uses. *)
   cut : float array -> int -> mss:int -> unit;
       (** [cut w i ~mss] replaces [w.(i)] with the window
           [on_loss ~cwnd:w.(i) ~flight:(int_of_float w.(i))] returns.

@@ -7,8 +7,8 @@
    flows fit in a {!Tcp.Flow_table} and advance through a
    {!Sim.Timer_wheel} with O(1) allocation-free timer churn:
 
-   - Per-flow state is a Flow_table row: cwnd/ssthresh, which [round]
-     updates through the shared {!Tcp.Cong_avoid} rules, a budget
+   - Per-flow state is a Flow_table row: cwnd/ssthresh, which the
+     rounds update through the shared {!Tcp.Cong_avoid} rules, a budget
      column for finite transfer sizes, a per-row xorshift stream for
      loss draws, the phase, and the row's link in its round cohort
      (below). No per-flow closure exists anywhere: all rounds
@@ -39,6 +39,17 @@
      avoidance. Every row shares one controller, so only avoidances
      whose per-ACK rule keeps no state — exactly those with an
      on_round — are accepted.
+
+   - A round is two halves around its fold: [decide] (the loss draw,
+     the cut or the doubling, delivered bytes and the budget; an
+     avoidance round queues its fold) and [settle] (the window sum,
+     then retire or re-arm). Where the drop probability is one value
+     for the whole instant and windows average 8 segments or more, a
+     cohort runs in chunks of up to 128 rows: every row's [decide] in
+     link order, one [fold] call that steps four rows abreast so the
+     divider overlaps their divisions, every row's [settle] in link
+     order. No row's fold reads another row's inputs, so the result is
+     bit-identical to one row at a time, which the other instants keep.
 
    - Round timers are per cohort, not per row. The rows re-armed back
      to back at one instant share one due time (the RTT only moves
@@ -100,6 +111,21 @@ type totals = {
   mutable memo_keep : float; (* (1 − memo_p)^memo_pkts *)
 }
 
+(* Rows between [decide] and [settle], preallocated at [chunk_rows].
+   Slot [i] of [rows], [w0] and [retiring] holds the [i]th row of a
+   chunk in link order; the first [n_fold] slots of [fold_rows] and
+   [fold_acks] queue the avoidance rows for one [fold] call. *)
+type chunk = {
+  rows : int array;
+  w0 : float array; (* the window before the round *)
+  retiring : bool array; (* the round drained the row's budget *)
+  fold_rows : int array;
+  fold_acks : int array;
+  mutable n_fold : int;
+}
+
+let chunk_rows = 128
+
 type t = {
   sched : Sim.Scheduler.t;
   wheel : Wheel.t;
@@ -111,6 +137,7 @@ type t = {
   seed : int;
   rng : Sim.Rng.t; (* arrivals + sizes only *)
   f : totals;
+  c : chunk;
   mutable srtt : Sim.Time.t; (* f.rtt_s, for the per-round rule *)
   mutable last_update_ns : int;
   mutable active : int;
@@ -163,6 +190,9 @@ let update_queue t ~now_ns =
     t.last_update_ns <- now_ns
   end
 
+(* Whether the fluid buffer is full to within half a packet. *)
+let[@inline] overflowing t = t.f.q_bytes >= buffer_bytes t -. (0.5 *. mssf t)
+
 (* Per-packet drop/mark probability the flows currently face. Tail
    drop in fluid form: once the buffer is full the queue sheds exactly
    the excess arrival rate. It compounds with RED's early drops — in
@@ -172,7 +202,7 @@ let update_queue t ~now_ns =
 let[@inline] drop_probability t =
   let f = t.f in
   let overflow =
-    if f.q_bytes >= buffer_bytes t -. (0.5 *. mssf t) then
+    if overflowing t then
       let inflow = f.sum_cwnd /. f.rtt_s in
       if inflow <= t.p.capacity_bytes_per_sec then 0.
       else (inflow -. t.p.capacity_bytes_per_sec) /. inflow
@@ -272,16 +302,17 @@ let schedule_arrival t ~now_ns =
 let[@inline] uniform tbl row =
   float_of_int (Ft.rng_next tbl row land ((1 lsl 53) - 1)) *. 0x1p-53
 
-(* One RTT round of flow [row]: Bernoulli loss over the W/mss packets
-   of the round, then the policy's growth or decrease, delivered-byte
-   accounting, and re-arm — all in place on the table's columns, read
-   afresh each round ([launch] may have grown the table since the last
-   one). *)
-let round t row ~now_ns =
+(* The first half of flow [row]'s RTT round from window [w]: Bernoulli
+   loss over the round's W/mss packets at per-packet probability [p],
+   then a lost round's cut or slow start's doubling, the delivered bytes
+   and the budget — all in place on the table's columns, read afresh
+   ([launch] may have grown the table since the last round). A loss-free
+   avoidance round only queues its fold; [settle] finishes the round
+   once the fold has run. Returns whether the round drained the row's
+   budget. *)
+let[@inline] decide t row ~w ~p =
   let f = t.f and tbl = t.table in
   let cwnd = tbl.Ft.cwnd and phase = tbl.Ft.phase in
-  let w = Array.unsafe_get cwnd row in
-  let p = drop_probability t in
   let pkts = w /. mssf t in
   let p_round = 1. -. survival f p pkts in
   let lost = p_round > 0. && uniform tbl row < p_round in
@@ -302,33 +333,102 @@ let round t row ~now_ns =
     end
     else Array.unsafe_set cwnd row next
   end
-  else
+  else begin
     (* A loss-free round acks every packet of the window: the policy's
        fold applies that many per-ACK steps (Reno adds mss²/cwnd per
        segment), bit-identical to a packet-level sender's ~1 mss/RTT
        growth in avoidance. *)
-    t.round.Tcp.Cong_avoid.fold cwnd row
-      ~acks:(Stdlib.max 1 (int_of_float pkts))
-      ~mss:t.p.mss ~srtt:t.srtt;
+    let c = t.c in
+    let n = c.n_fold in
+    Array.unsafe_set c.fold_rows n row;
+    Array.unsafe_set c.fold_acks n (Stdlib.max 1 (int_of_float pkts));
+    c.n_fold <- n + 1
+  end;
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
   f.delivered <- f.delivered +. got;
-  let done_ =
-    let budget = tbl.Ft.budget in
-    let b = Array.unsafe_get budget row in
-    b >= 0
-    &&
-    let b' = b - int_of_float got in
-    Array.unsafe_set budget row (Stdlib.max 0 b');
-    b' <= 0
-  in
-  (* The window change counts before a retiring flow leaves: [retire]
-     subtracts the post-round window. *)
-  f.sum_cwnd <- f.sum_cwnd +. (Array.unsafe_get cwnd row -. w);
-  if done_ then retire t row else arm_round t row ~now_ns
+  let budget = tbl.Ft.budget in
+  let b = Array.unsafe_get budget row in
+  b >= 0
+  &&
+  let b' = b - int_of_float got in
+  Array.unsafe_set budget row (Stdlib.max 0 b');
+  b' <= 0
+
+let[@inline] fold_queued t =
+  let c = t.c in
+  if c.n_fold > 0 then begin
+    t.round.Tcp.Cong_avoid.fold t.table.Ft.cwnd c.fold_rows c.fold_acks
+      c.n_fold ~mss:t.p.mss ~srtt:t.srtt;
+    c.n_fold <- 0
+  end
+
+(* The second half of [row]'s round, after its fold: the window sum
+   takes the change from the pre-round window [w], and then the row
+   retires or re-arms. The change counts before a retiring flow leaves:
+   [retire] subtracts the post-round window. *)
+let[@inline] settle t row ~w ~retiring ~now_ns =
+  t.f.sum_cwnd <-
+    t.f.sum_cwnd +. (Array.unsafe_get t.table.Ft.cwnd row -. w);
+  if retiring then retire t row else arm_round t row ~now_ns
+
+(* One row's whole round — [decide], its fold, [settle] — for the
+   instants a chunk cannot serve (see [lanes_pay]). *)
+let round t row ~now_ns =
+  let w = Array.unsafe_get t.table.Ft.cwnd row in
+  let retiring = decide t row ~w ~p:(drop_probability t) in
+  fold_queued t;
+  settle t row ~w ~retiring ~now_ns
+
+(* Whether an instant's cohorts run in chunks — every row's [decide],
+   one [fold], every row's [settle] — or one [round] at a time. A chunk
+   decides its rows before any settles, which is exact only while the
+   drop probability is one value for the whole instant: below the
+   overflow threshold it reads only the queue, which [update_queue]
+   moves once per instant, but at or above it the overflow term reads
+   [sum_cwnd] after each earlier row's [settle]. A chunk also pays only
+   for wide windows: below a mean of 8 segments its bookkeeping costs
+   more than the four lanes save. *)
+let lanes_pay t =
+  (not (overflowing t))
+  && t.f.sum_cwnd >= 8. *. mssf t *. float_of_int t.active
 
 (* A round timer fires its whole cohort, in link order. Each row's link
-   is read before its round, which re-arms the row into a new cohort. *)
+   is read before its round, which re-arms the row into a new cohort;
+   a chunk reads all its rows' links before it settles any. [decide],
+   the window sum, [delivered] and the re-arms all keep link order, and
+   no row's fold reads another's inputs, so a chunk ends bit-identical
+   to its rows run one at a time. *)
+let fire_cohort t first ~now_ns =
+  let c = t.c and link = t.table.Ft.timer and cwnd = t.table.Ft.cwnd in
+  let row = ref first in
+  if lanes_pay t then begin
+    let p = drop_probability t in
+    while !row >= 0 do
+      let n = ref 0 in
+      while !row >= 0 && !n < chunk_rows do
+        let r = !row and i = !n in
+        row := Array.unsafe_get link r;
+        let w = Array.unsafe_get cwnd r in
+        Array.unsafe_set c.rows i r;
+        Array.unsafe_set c.w0 i w;
+        Array.unsafe_set c.retiring i (decide t r ~w ~p);
+        n := i + 1
+      done;
+      fold_queued t;
+      for i = 0 to !n - 1 do
+        settle t (Array.unsafe_get c.rows i) ~w:(Array.unsafe_get c.w0 i)
+          ~retiring:(Array.unsafe_get c.retiring i) ~now_ns
+      done
+    done
+  end
+  else
+    while !row >= 0 do
+      let r = !row in
+      row := Array.unsafe_get link r;
+      round t r ~now_ns
+    done
+
 let on_fire t ~kind ~flow =
   let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
   update_queue t ~now_ns;
@@ -340,12 +440,7 @@ let on_fire t ~kind ~flow =
   end
   else begin
     if flow = t.open_head then t.open_head <- -1;
-    let row = ref flow in
-    while !row >= 0 do
-      let r = !row in
-      row := Array.unsafe_get t.table.Ft.timer r;
-      round t r ~now_ns
-    done
+    fire_cohort t flow ~now_ns
   end
 
 let default_params =
@@ -433,6 +528,15 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
             memo_p = nan;
             memo_pkts = nan;
             memo_keep = nan;
+          };
+        c =
+          {
+            rows = Array.make chunk_rows 0;
+            w0 = Array.make chunk_rows 0.;
+            retiring = Array.make chunk_rows false;
+            fold_rows = Array.make chunk_rows 0;
+            fold_acks = Array.make chunk_rows 0;
+            n_fold = 0;
           };
         srtt = params.base_rtt;
         last_update_ns = Sim.Time.to_ns_int (Sim.Scheduler.now sched);

@@ -164,23 +164,45 @@ let test_on_round_presence () =
       (Tcp.Cong_avoid.fast (), false);
     ]
 
-(* The per-round rule against its reference: for every registered
-   policy that offers one, [fold ~acks:k] must leave bit-for-bit the
-   window [k] folds of [on_ack] reach, and [cut] the window [on_loss]
-   returns for a window wholly in flight — and that window must be
-   [on_loss]'s ssthresh too, which the many-flows engine copies from
-   it. srtt spans 0.1-100 ms, both sides of small-rtt's 25 ms
-   reference. *)
+(* The per-round rule against its reference, for every registered
+   policy that offers one. [fold] over n distinct rows scattered in a
+   NaN-filled column must leave each row's slot bit for bit at the
+   window its [acks] folds of [on_ack] reach, and every other slot NaN
+   (the rows and acks arrays run past n, so a read beyond it would
+   write a slot). n runs 0..13, so the empty call, the four-lane groups
+   and the rows left after them all run, and the acks are log-uniform
+   in 1..5,000, so a group's lanes end up to three orders of magnitude
+   apart. [cut] must leave the window [on_loss] returns for a window
+   wholly in flight — and that window must be [on_loss]'s ssthresh too,
+   which the many-flows engine copies from it. srtt spans 0.1-100 ms,
+   both sides of small-rtt's 25 ms reference. *)
 let qcheck_on_round_bitwise =
-  QCheck.Test.make ~name:"on_round = k folds of on_ack, bit for bit"
-    ~count:200
-    QCheck.(
-      quad (float_range 2. 1e5) (int_range 1 5_000)
-        (oneofl [ 536; 1448; 1460; 1500 ])
-        (int_range 100 100_000))
-    (fun (segs, k, mss, srtt_us) ->
+  let column = 40 in
+  let gen =
+    QCheck2.Gen.(
+      let* rows =
+        list_size (int_range 0 13)
+          (pair (float_range 2. 1e5)
+             (map (fun u -> int_of_float (5000. ** u)) (float_range 0. 1.)))
+      in
+      let* slots = shuffle_a (Array.init column Fun.id) in
+      let* mss = oneofl [ 536; 1448; 1460; 1500 ] in
+      let+ srtt_us = int_range 100 100_000 in
+      (Array.of_list rows, slots, mss, srtt_us))
+  in
+  let print (rows, slots, mss, srtt_us) =
+    Printf.sprintf "mss %d, srtt %d us, rows [%s]" mss srtt_us
+      (String.concat "; "
+         (List.mapi
+            (fun j (segs, k) -> Printf.sprintf "%d: %h segs, %d acks" slots.(j) segs k)
+            (Array.to_list rows)))
+  in
+  QCheck2.Test.make ~name:"on_round = k folds of on_ack, bit for bit"
+    ~count:200 ~print gen
+    (fun (specs, slots, mss, srtt_us) ->
       let srtt = Sim.Time.us srtt_us in
-      let cwnd = segs *. float_of_int mss in
+      let n = Array.length specs in
+      let acks = Array.init column (fun j -> if j < n then snd specs.(j) else 7) in
       let cong_avoid name =
         match Tcp.Policy.by_name name with
         | Ok p -> p.Tcp.Policy.cong_avoid
@@ -189,27 +211,41 @@ let qcheck_on_round_bitwise =
       let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       List.for_all
         (fun name ->
-          match (cong_avoid name).Tcp.Cong_avoid.on_round with
+          let cc = cong_avoid name in
+          match cc.Tcp.Cong_avoid.on_round with
           | None -> true
           | Some { Tcp.Cong_avoid.fold; cut } ->
-              let cc = cong_avoid name in
-              let folded = ref cwnd in
-              for _ = 1 to k do
-                folded :=
-                  cc.Tcp.Cong_avoid.on_ack ~newly_acked:mss ~cwnd:!folded ~mss
-                    ~srtt:(Some srtt) ~min_rtt:(Some srtt) ~now:Sim.Time.zero
-              done;
-              let ssthresh, after_loss =
-                cc.Tcp.Cong_avoid.on_loss ~cwnd ~flight:(int_of_float cwnd)
-                  ~mss ~now:Sim.Time.zero
+              let window (segs, _) = segs *. float_of_int mss in
+              let on_acks (segs, k) =
+                let folded = ref (window (segs, k)) in
+                for _ = 1 to k do
+                  folded :=
+                    cc.Tcp.Cong_avoid.on_ack ~newly_acked:mss ~cwnd:!folded
+                      ~mss ~srtt:(Some srtt) ~min_rtt:(Some srtt)
+                      ~now:Sim.Time.zero
+                done;
+                !folded
               in
-              (* The row sits mid-column, as in the engine's table. *)
-              let w = [| nan; cwnd; nan |] in
-              fold w 1 ~acks:k ~mss ~srtt;
-              let c = [| nan; cwnd; nan |] in
-              cut c 1 ~mss;
-              same !folded w.(1) && same after_loss c.(1)
-              && same ssthresh c.(1))
+              let w = Array.make column nan and want = Array.make column nan in
+              Array.iteri
+                (fun j spec ->
+                  w.(slots.(j)) <- window spec;
+                  want.(slots.(j)) <- on_acks spec)
+                specs;
+              fold w slots acks n ~mss ~srtt;
+              Array.for_all2 same want w
+              && Array.for_all
+                   (fun spec ->
+                     let cwnd = window spec in
+                     let ssthresh, after_loss =
+                       cc.Tcp.Cong_avoid.on_loss ~cwnd
+                         ~flight:(int_of_float cwnd) ~mss ~now:Sim.Time.zero
+                     in
+                     (* The row sits mid-column, as in the engine's table. *)
+                     let c = [| nan; cwnd; nan |] in
+                     cut c 1 ~mss;
+                     same after_loss c.(1) && same ssthresh c.(1))
+                   specs)
         Tcp.Policy.names)
 
 let suite =
