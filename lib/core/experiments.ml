@@ -885,9 +885,12 @@ let to_csv ~id t =
           :: List.concat_map series_rows t.series) );
     ]
 
+(* Floats keep at least four significant digits from 1 up: a gain
+   margin of 1.0027 reads 1.003, on the stable side of 1, not 1.00. *)
 let text_cell = function
   | Int i -> string_of_int i
   | Float x when Float.abs x < 1. -> Printf.sprintf "%.4f" x
+  | Float x when Float.abs x < 10. -> Printf.sprintf "%.3f" x
   | Float x -> Report.Table.cell_f x
   | Text s -> s
   | Empty -> "-"

@@ -265,6 +265,32 @@ let test_packet_path_dispatches () =
   ignore (Core.Spec.execute built);
   Alcotest.(check int) "dispatches over 2 s" 16_166 (Trace.total tr)
 
+(* The console renderer keeps the digits that decide a reading: the
+   mean-field sweep's margin at N = 129 is 1.0027, which two decimals
+   would show as 1.00, the stability boundary itself. Each float goes
+   through [to_text] as a one-cell table. *)
+let test_text_cell_digits () =
+  let render cell =
+    Report.Table.render ~aligns:[ Report.Table.Right ]
+      ~headers:[ "gain_margin" ] ~rows:[ [ cell ] ] ()
+  in
+  List.iter
+    (fun (x, cell) ->
+      Alcotest.(check string) (Printf.sprintf "%.17g" x) (render cell)
+        (E.to_text
+           {
+             E.tables =
+               [ { E.name = ""; columns = [ "gain_margin" ]; rows = [ [ E.Float x ] ] } ];
+             series = [];
+             note = "";
+           }))
+    [
+      (1.0026725026309338, "1.003");
+      (0.42050762722424179, "0.4205");
+      (9.9994, "9.999");
+      (44.93910945131892, "44.94");
+    ]
+
 let suite =
   [
     Alcotest.test_case "run bulk standard" `Quick test_run_bulk_standard;
@@ -290,4 +316,6 @@ let suite =
       test_claim_fig1_staircase;
     Alcotest.test_case "packet path minor words (2 s)" `Quick
       test_packet_path_words;
+    Alcotest.test_case "console floats keep four digits" `Quick
+      test_text_cell_digits;
   ]
