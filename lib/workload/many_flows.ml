@@ -43,13 +43,13 @@
    - A round is two halves around its fold: [decide] (the loss draw,
      the cut or the doubling, delivered bytes and the budget; an
      avoidance round queues its fold) and [settle] (the window sum,
-     then retire or re-arm). Where the drop probability is one value
-     for the whole instant and windows average 8 segments or more, a
-     cohort runs in chunks of up to 128 rows: every row's [decide] in
-     link order, one [fold] call that steps four rows abreast so the
-     divider overlaps their divisions, every row's [settle] in link
-     order. No row's fold reads another row's inputs, so the result is
-     bit-identical to one row at a time, which the other instants keep.
+     then retire or re-arm). A cohort runs in chunks of up to 128 rows:
+     every row's [decide] in link order, one [fold] call that steps
+     four rows abreast so the divider overlaps their divisions, every
+     row's [settle] in link order. No row's fold reads another row's
+     inputs, so the result is bit-identical to one row at a time as
+     long as the drop probability is one value for the chunk; at the
+     overflow threshold, where it is not, the rows run one at a time.
 
    - Round timers are per cohort, not per row. The rows re-armed back
      to back at one instant share one due time (the RTT only moves
@@ -372,37 +372,39 @@ let[@inline] settle t row ~w ~retiring ~now_ns =
     t.f.sum_cwnd +. (Array.unsafe_get t.table.Ft.cwnd row -. w);
   if retiring then retire t row else arm_round t row ~now_ns
 
-(* One row's whole round — [decide], its fold, [settle] — for the
-   instants a chunk cannot serve (see [lanes_pay]). *)
+(* One row's whole round — [decide], its fold, [settle] — for instants
+   at the overflow threshold, where a chunk cannot serve (see
+   [fire_cohort]). A chunk of one row would be exact there too, but
+   storing and reloading its scratch slot costs ~9 % of a million-flow
+   round (EXPERIMENTS §MF). *)
 let round t row ~now_ns =
   let w = Array.unsafe_get t.table.Ft.cwnd row in
   let retiring = decide t row ~w ~p:(drop_probability t) in
   fold_queued t;
   settle t row ~w ~retiring ~now_ns
 
-(* Whether an instant's cohorts run in chunks — every row's [decide],
-   one [fold], every row's [settle] — or one [round] at a time. A chunk
-   decides its rows before any settles, which is exact only while the
-   drop probability is one value for the whole instant: below the
-   overflow threshold it reads only the queue, which [update_queue]
-   moves once per instant, but at or above it the overflow term reads
-   [sum_cwnd] after each earlier row's [settle]. A chunk also pays only
-   for wide windows: below a mean of 8 segments its bookkeeping costs
-   more than the four lanes save. *)
-let lanes_pay t =
-  (not (overflowing t))
-  && t.f.sum_cwnd >= 8. *. mssf t *. float_of_int t.active
-
 (* A round timer fires its whole cohort, in link order. Each row's link
-   is read before its round, which re-arms the row into a new cohort;
-   a chunk reads all its rows' links before it settles any. [decide],
-   the window sum, [delivered] and the re-arms all keep link order, and
-   no row's fold reads another's inputs, so a chunk ends bit-identical
-   to its rows run one at a time. *)
+   is read before its round, which re-arms the row into a new cohort.
+   Below the overflow threshold the cohort runs in chunks: every row's
+   [decide], one [fold] of the chunk's avoidance rows, every row's
+   [settle]; a chunk reads all its rows' links before it settles any.
+   [decide], the window sum, [delivered] and the re-arms all keep link
+   order, and no row's fold reads another's inputs, so a chunk ends
+   bit-identical to its rows run one at a time, provided they all see
+   one drop probability: below the threshold it reads only the queue,
+   which [update_queue] moves once per instant. At or above it, the
+   overflow term reads [sum_cwnd] after each earlier row's [settle], so
+   there the rows run one [round] at a time. *)
 let fire_cohort t first ~now_ns =
   let c = t.c and link = t.table.Ft.timer and cwnd = t.table.Ft.cwnd in
   let row = ref first in
-  if lanes_pay t then begin
+  if overflowing t then
+    while !row >= 0 do
+      let r = !row in
+      row := Array.unsafe_get link r;
+      round t r ~now_ns
+    done
+  else begin
     let p = drop_probability t in
     while !row >= 0 do
       let n = ref 0 in
@@ -422,12 +424,6 @@ let fire_cohort t first ~now_ns =
       done
     done
   end
-  else
-    while !row >= 0 do
-      let r = !row in
-      row := Array.unsafe_get link r;
-      round t r ~now_ns
-    done
 
 let on_fire t ~kind ~flow =
   let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in

@@ -13,9 +13,9 @@
     fraction), slow start doubles per round, congestion avoidance
     applies the policy's {!Tcp.Cong_avoid.round} fold in place on the
     window column, a lost round its cut, and finite-size flows retire
-    when their budget drains. Wide-window cohorts fold up to 128 rows
-    per call, four abreast; the outcome is bit-identical to folding
-    one row at a time.
+    when their budget drains. Below the overflow threshold a cohort
+    folds up to 128 rows per call, four abreast; the outcome is
+    bit-identical to folding one row at a time.
 
     Round timers are per {e cohort}: the rows re-armed back to back at
     one instant for one due time share one wheel timer, which fires

@@ -63,9 +63,10 @@ let test_catalog_has_goldens () =
    mf_lanes, keeps small-rtt's scaled increase at a ~4 ms base RTT but
    with windows wide enough for the engine's four-lane folds: 3,000
    budgeted flows with Pareto arrivals on a 50 Gbit/s RED duplex, whose
-   instants switch between whole chunks of folds and the one-row loop,
-   with cohorts past one chunk, flows retiring inside a chunk and
-   arrivals that split cohorts. A speed-only
+   cohorts all fold in chunks, with cohorts past one chunk, flows
+   retiring inside a chunk and arrivals that split cohorts. (The
+   sharded population is the one that reaches the overflow threshold,
+   where rows run one at a time.) A speed-only
    change to the engine must leave them byte-identical; regenerate
    (only for a deliberate model change) with
      rss_sim run --spec test/golden_many_flows/mf_wide.json \
