@@ -150,6 +150,29 @@ let test_case_json_strict_keys () =
       Alcotest.(check bool) (Printf.sprintf "%S names trcae" e) true
         (contains e "trcae")
 
+(* The bytes a case and a failure artifact serialize to, pinned by MD5:
+   an artifact written by an earlier build must still replay, so the
+   writer may not move a byte. Seed 6's case 0 fails by design, so the
+   sweep writes its artifact. *)
+let test_json_bytes_pinned () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let cases =
+    List.map
+      (fun c -> Report.Json.to_string (Core.Chaos.case_to_json c))
+      (Core.Chaos.random_cases ~root:7 10)
+  in
+  Alcotest.(check string) "case_to_json over random_cases ~root:7 10"
+    "2bbb2aca166328025ef16c2138a956d6" (md5 (String.concat "\n" cases));
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "rss_chaos_pin" in
+  let outcomes = Core.Chaos.run_sweep (Core.Chaos.random_cases ~root:6 1) in
+  match Core.Chaos.write_failures ~dir outcomes with
+  | [ path ] ->
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Alcotest.(check string) "seed 6 case 0's failure artifact"
+        "df051999eaea65fa2daf1ad9e2eae0cb" (md5 bytes)
+  | paths -> Alcotest.failf "expected one artifact, got %d" (List.length paths)
+
 let quick_sweep_cases =
   (* Random cases shrunk to a 6-second horizon so the determinism and
      failure-capture tests stay fast; completion is not required. *)
@@ -242,6 +265,8 @@ let suite =
       test_case_json_errors;
     Alcotest.test_case "case JSON refuses unknown keys" `Quick
       test_case_json_strict_keys;
+    Alcotest.test_case "case and artifact bytes pinned" `Quick
+      test_json_bytes_pinned;
     Alcotest.test_case "sweep identical across jobs" `Quick
       test_sweep_identical_across_jobs;
     Alcotest.test_case "poisoned cell captured, batch drains" `Quick
