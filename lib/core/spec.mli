@@ -20,7 +20,7 @@
 (** The paper's ANL→LBNL testbed shape: two hosts joined by a
     symmetric pipe whose bottleneck is the sender's NIC, so queueing
     happens in the sender's interface queue. *)
-type duplex = {
+type duplex = Spec_types.duplex = {
   rate : Sim.Units.rate;
   one_way_delay : Sim.Time.t;
   ifq_capacity : int;
@@ -34,7 +34,7 @@ type duplex = {
     bottleneck queues. It is built, and validated, as the one-segment
     {!multi_dumbbell} with the same fields: the same node ids and no
     core link. Having no partition cut, it refuses [domains > 1]. *)
-type dumbbell = {
+type dumbbell = Spec_types.dumbbell = {
   pairs : int;
   access_rate : Sim.Units.rate;
   access_delay : Sim.Time.t;
@@ -53,7 +53,7 @@ type dumbbell = {
     [cross_pairs] pairs after them run left host 0 of segment [c] to
     right host 0 of segment [c+1] across the core, exercising the
     partition boundary. *)
-type multi_dumbbell = {
+type multi_dumbbell = Spec_types.multi_dumbbell = {
   segments : int;
   m_pairs : int;  (** host pairs per segment (1..100) *)
   m_access_rate : Sim.Units.rate;
@@ -71,12 +71,12 @@ type multi_dumbbell = {
   cross_pairs : int;  (** 0..segments-1 boundary-crossing pairs *)
 }
 
-type topology =
+type topology = Spec_types.topology =
   | Duplex of duplex
   | Dumbbell of dumbbell
   | Multi_dumbbell of multi_dumbbell
 
-type workload =
+type workload = Spec_types.workload =
   | Bulk of { bytes : int option }
       (** one long TCP transfer; [None] = saturating *)
   | Chunked of {
@@ -119,7 +119,7 @@ type workload =
           most one per spec (the engine owns the scheduler's timer
           wheel). *)
 
-type flow = {
+type flow = Spec_types.flow = {
   label : string option;
       (** [None]: [policy] if set, else the slow-start part of
           [slow_start] (suffixed [-index] when the spec has several
@@ -156,13 +156,13 @@ type flow = {
   workload : workload;
 }
 
-type faults = {
+type faults = Spec_types.faults = {
   forward : Netsim.Fault_model.profile;
       (** data direction: duplex a→b, dumbbell left→right bottleneck *)
   reverse : Netsim.Fault_model.profile;  (** ACK direction *)
 }
 
-type t = {
+type t = Spec_types.t = {
   name : string;
   seed : int;
   duration : Sim.Time.t;
@@ -211,7 +211,7 @@ val workload_kinds : string list
 
 (* --- results ---------------------------------------------------------- *)
 
-type flow_result = {
+type flow_result = Spec_types.flow_result = {
   label : string;
   goodput_mbps : float;          (** receiver in-order bits / duration *)
   utilization : float;           (** goodput / line rate *)
@@ -238,7 +238,7 @@ type flow_result = {
     series; a [Cbr] flow's [send_stalls] counts IFQ-refused datagrams.
     [Short_flows] reports the summed bytes of completed transfers. *)
 
-type path_stats = {
+type path_stats = Spec_types.path_stats = {
   aggregate_goodput_mbps : float;  (** sum over TCP flows *)
   jain_index : float;              (** fairness over TCP flows *)
   queue_mean : float;  (** pair-0 sender's IFQ, time-averaged packets *)
@@ -246,7 +246,7 @@ type path_stats = {
   router_drops : int;  (** dumbbell router drops; 0 on a duplex *)
 }
 
-type metrics = {
+type metrics = Spec_types.metrics = {
   metric_names : string list;
       (** registry namespace in registration order — the export column
           order: [conn/<label>/<Var>] (flow order, each flow's
@@ -257,7 +257,7 @@ type metrics = {
           [sample_period] tick, in time order *)
 }
 
-type outcome = {
+type outcome = Spec_types.outcome = {
   results : flow_result list;
   path : path_stats;
   trace : Trace.t option;  (** the event ring, when [record_trace] *)
@@ -291,7 +291,7 @@ val build : t -> built
 
 (* --- checkpoint / resume ---------------------------------------------- *)
 
-type checkpoint = {
+type checkpoint = Spec_types.checkpoint = {
   snapshot_path : string;
       (** written atomically with a [".prev"] fallback
           ({!Sim.Snapshot.save}) *)
