@@ -39,13 +39,7 @@ let sender_receiver bf =
   | _ -> None
 
 let tcp_senders b =
-  List.filter_map
-    (fun bf ->
-      match bf.driver with
-      | Some (Bulk_driver t) -> Some (Workload.Bulk.sender t)
-      | Some (Chunked_driver t) -> Some (Workload.Chunked.sender t)
-      | _ -> None)
-    b.bflows
+  List.filter_map (fun bf -> Option.map fst (sender_receiver bf)) b.bflows
 
 (* Aggregates over a sharded many-flows engine array: sums for counters
    and delivered bytes, an active-weighted mean for the window, and the
@@ -137,6 +131,24 @@ let time_to_90pct line_mbps throughput_s =
   in
   search 0
 
+(* A TCP flow's result: [zero]'s gauges and series with its sender's and
+   receiver's counters. *)
+let tcp_result b inst zero sender receiver completion =
+  let goodput = Tcp.Receiver.goodput_mbps receiver ~at:b.bspec.duration in
+  {
+    zero with
+    goodput_mbps = goodput;
+    utilization = goodput /. b.line_mbps;
+    send_stalls = Tcp.Sender.send_stalls sender;
+    congestion_signals = Tcp.Sender.congestion_signals sender;
+    retransmits = Tcp.Sender.retransmits sender;
+    timeouts = Tcp.Sender.timeouts sender;
+    final_cwnd_segments = Tcp.Sender.cwnd sender /. mss_f;
+    ce_marks = Tcp.Receiver.ce_marks_seen receiver;
+    completion;
+    time_to_90pct_util = time_to_90pct b.line_mbps inst.throughput_s;
+  }
+
 let collect_flow b inst =
   let bf = inst.ibf in
   let duration = b.bspec.duration in
@@ -168,42 +180,12 @@ let collect_flow b inst =
   in
   match bf.driver with
   | None -> zero
-  | Some (Bulk_driver _ | Chunked_driver _) ->
-      let sender, receiver, completion =
-        match bf.driver with
-        | Some (Bulk_driver t) ->
-            ( Workload.Bulk.sender t,
-              Workload.Bulk.receiver t,
-              Workload.Bulk.completion_time t )
-        | Some (Chunked_driver t) ->
-            (Workload.Chunked.sender t, Workload.Chunked.receiver t, None)
-        | d ->
-            err
-              "Spec: flow %S: collecting TCP results from a %s driver — \
-               the driver no longer matches its declared workload"
-              bf.flabel
-              (match d with
-              | None -> "missing"
-              | Some (Cbr_driver _) -> "cbr"
-              | Some (On_off_driver _) -> "on_off"
-              | Some (Short_driver _) -> "short_flows"
-              | Some (Many_driver _) -> "many_flows"
-              | Some (Bulk_driver _ | Chunked_driver _) -> "tcp")
-      in
-      let goodput = Tcp.Receiver.goodput_mbps receiver ~at:duration in
-      {
-        zero with
-        goodput_mbps = goodput;
-        utilization = goodput /. b.line_mbps;
-        send_stalls = Tcp.Sender.send_stalls sender;
-        congestion_signals = Tcp.Sender.congestion_signals sender;
-        retransmits = Tcp.Sender.retransmits sender;
-        timeouts = Tcp.Sender.timeouts sender;
-        final_cwnd_segments = Tcp.Sender.cwnd sender /. mss_f;
-        ce_marks = Tcp.Receiver.ce_marks_seen receiver;
-        completion;
-        time_to_90pct_util = time_to_90pct b.line_mbps inst.throughput_s;
-      }
+  | Some (Bulk_driver t) ->
+      tcp_result b inst zero (Workload.Bulk.sender t) (Workload.Bulk.receiver t)
+        (Workload.Bulk.completion_time t)
+  | Some (Chunked_driver t) ->
+      tcp_result b inst zero (Workload.Chunked.sender t)
+        (Workload.Chunked.receiver t) None
   | Some (Cbr_driver (t, packet_bytes)) ->
       let goodput = udp_goodput (Workload.Cbr.packets_sent t) packet_bytes in
       {
