@@ -108,65 +108,21 @@ let passed o = o.violations = []
 
 (* --- JSON serialization ---------------------------------------------- *)
 
-let case_to_json c =
-  Json.Obj
+let case_codec =
+  let open Codec in
+  record
+    (fun spec progress_rtos check_completion ->
+      { spec; progress_rtos; check_completion })
     [
-      ("spec", Spec.to_json c.spec);
-      ("progress_rtos", Json.Number (float_of_int c.progress_rtos));
-      ("check_completion", Json.Bool c.check_completion);
+      mem "spec" Codec.spec (fun c -> c.spec);
+      mem "progress_rtos" Int ~default:default_case.progress_rtos (fun c ->
+          c.progress_rtos);
+      mem "check_completion" Bool ~default:default_case.check_completion
+        (fun c -> c.check_completion);
     ]
 
-let ( let* ) r f = Result.bind r f
-
-let field key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let str key j =
-  let* v = field key j in
-  match Json.string_value v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S is not a string" key)
-
-(* Any key of [j] outside [keys] is refused by name; keys that start
-   with _ are free, as in a spec. *)
-let only_keys keys j =
-  match j with
-  | Json.Obj fields -> (
-      match
-        List.find_opt
-          (fun (k, _) ->
-            not (String.starts_with ~prefix:"_" k || List.mem k keys))
-          fields
-      with
-      | Some (k, _) ->
-          Error
-            (Printf.sprintf "unknown field %S (known: %s)" k
-               (String.concat ", " keys))
-      | None -> Ok ())
-  | _ -> Error "expected an object"
-
-let case_of_json j =
-  let* () = only_keys [ "spec"; "progress_rtos"; "check_completion" ] j in
-  let* spec_json = field "spec" j in
-  let* spec = Spec.of_json spec_json in
-  let* progress_rtos =
-    match Json.member "progress_rtos" j with
-    | None -> Ok default_case.progress_rtos
-    | Some v -> (
-        match Json.number v with
-        | Some f when Float.is_integer f && Float.abs f <= 0x1p53 ->
-            Ok (int_of_float f)
-        | _ -> Error "field \"progress_rtos\" is not an integer")
-  in
-  let* check_completion =
-    match Json.member "check_completion" j with
-    | None -> Ok default_case.check_completion
-    | Some (Json.Bool b) -> Ok b
-    | Some _ -> Error "field \"check_completion\" is not a bool"
-  in
-  Ok { spec; progress_rtos; check_completion }
+let case_to_json c = Codec.write case_codec c
+let case_of_json j = Codec.decode case_codec j
 
 (* --- running one case ------------------------------------------------- *)
 
@@ -439,15 +395,38 @@ let random_cases ~root n = List.init n (fun i -> random_case ~root ~index:i)
 
 (* --- failure artifacts ------------------------------------------------- *)
 
-let outcome_to_json o =
-  Json.Obj
+type artifact = {
+  artifact_case : case;
+  artifact_violations : string list;
+  artifact_completed : bool;
+  artifact_bytes_acked : int;
+  artifact_trace : string;
+}
+
+let artifact_codec =
+  let open Codec in
+  record
+    (fun artifact_case artifact_violations artifact_completed
+         artifact_bytes_acked artifact_trace ->
+      { artifact_case; artifact_violations; artifact_completed;
+        artifact_bytes_acked; artifact_trace })
     [
-      ("case", case_to_json o.case);
-      ("violations", Json.List (List.map (fun v -> Json.String v) o.violations));
-      ("completed", Json.Bool o.completed);
-      ("bytes_acked", Json.Number (float_of_int o.bytes_acked));
-      ("trace", Json.String o.trace);
+      mem "case" case_codec (fun a -> a.artifact_case);
+      mem "violations" (Items Str) (fun a -> a.artifact_violations);
+      mem "completed" Bool (fun a -> a.artifact_completed);
+      mem "bytes_acked" Int (fun a -> a.artifact_bytes_acked);
+      mem "trace" Str (fun a -> a.artifact_trace);
     ]
+
+let outcome_to_json o =
+  Codec.write artifact_codec
+    {
+      artifact_case = o.case;
+      artifact_violations = o.violations;
+      artifact_completed = o.completed;
+      artifact_bytes_acked = o.bytes_acked;
+      artifact_trace = o.trace;
+    }
 
 (* Case names come from generators or artifacts; keep paths tame. *)
 let sanitize name =
@@ -469,40 +448,19 @@ let write_failures ~dir outcomes =
     (fun o -> if passed o then None else Some (write_failure ~dir o))
     outcomes
 
-type artifact = {
-  artifact_case : case;
-  artifact_violations : string list;
-  artifact_trace : string;
-}
-
 let load_artifact path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | contents -> (
-      match Json.of_string contents with
-      | Error e -> Error e
-      | Ok j ->
-          let* () =
-            only_keys
-              [ "case"; "violations"; "completed"; "bytes_acked"; "trace" ]
-              j
-          in
-          let* case_json = field "case" j in
-          let* artifact_case = case_of_json case_json in
-          let* violations_json = field "violations" j in
-          let* artifact_violations =
-            match Json.list_value violations_json with
-            | None -> Error "field \"violations\" is not a list"
-            | Some items -> Ok (List.filter_map Json.string_value items)
-          in
-          let* artifact_trace = str "trace" j in
-          Ok { artifact_case; artifact_violations; artifact_trace })
+  | contents ->
+      Result.bind (Json.of_string contents) (Codec.decode artifact_codec)
 
 let replay path =
-  let* artifact = load_artifact path in
-  let outcome = run_case_captured artifact.artifact_case in
-  let identical =
-    String.equal outcome.trace artifact.artifact_trace
-    && outcome.violations = artifact.artifact_violations
-  in
-  Ok (outcome, identical)
+  Result.map
+    (fun artifact ->
+      let outcome = run_case_captured artifact.artifact_case in
+      let identical =
+        String.equal outcome.trace artifact.artifact_trace
+        && outcome.violations = artifact.artifact_violations
+      in
+      (outcome, identical))
+    (load_artifact path)

@@ -111,20 +111,23 @@ val random_cases : root:int -> int -> case list
 
 (** {2 Serialization and replay}
 
+    A case and a failure artifact are each described once with
+    {!Codec}, which writes and strictly decodes them as it does a spec.
     Code reaches {!case_to_json}, {!case_of_json} and {!load_artifact}
     through {!write_failures} and {!replay}; the [core.chaos] tests "case
-    JSON round-trip", "case JSON error reporting" and "case JSON refuses
-    unknown keys" call them directly. *)
+    JSON round-trip", "case JSON error reporting", "case JSON refuses
+    unknown keys", "case and artifact bytes pinned" and "artifact JSON
+    refuses malformed values" call them directly. *)
 
 val case_to_json : case -> Report.Json.t
 (** [{"spec": ..., "progress_rtos": ..., "check_completion": ...}] with
     the spec in {!Spec.to_json} form. *)
 
 val case_of_json : Report.Json.t -> (case, string) result
-(** Inverse of {!case_to_json}; errors name the offending field. A key
-    outside those three (keys that start with [_] are free) and a
-    non-integral [progress_rtos] are refused. [progress_rtos] and
-    [check_completion] default when absent. *)
+(** Inverse of {!case_to_json}, strict as {!Spec.of_json} is: errors
+    name the key's path, and a key outside those three (keys that start
+    with [_] are free) or a non-integral [progress_rtos] is refused.
+    [progress_rtos] and [check_completion] default when absent. *)
 
 val write_failures : dir:string -> outcome list -> string list
 (** Write one [<name>.json] artifact per failed outcome into [dir]
@@ -133,12 +136,18 @@ val write_failures : dir:string -> outcome list -> string list
 type artifact = {
   artifact_case : case;
   artifact_violations : string list;
+  artifact_completed : bool;
+  artifact_bytes_acked : int;
   artifact_trace : string;
 }
+(** A failure artifact's five keys: [case], [violations], [completed],
+    [bytes_acked] and [trace]. *)
 
 val load_artifact : string -> (artifact, string) result
-(** Read an artifact {!write_failures} wrote; like {!case_of_json}, it
-    refuses a key outside the artifact's own, by name. *)
+(** Read an artifact {!write_failures} wrote. Every key is required and
+    decoded as strictly as {!case_of_json} decodes a case: a missing,
+    unknown or repeated key, a non-string violation or a non-integral
+    [bytes_acked] is refused by name. *)
 
 val replay : string -> (outcome * bool, string) result
 (** Re-run the case stored in a failure artifact. The boolean is [true]

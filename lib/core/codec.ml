@@ -164,25 +164,29 @@ let rec find key : (string * Json.t) list -> Json.t option = function
   | [] -> None
   | (k, v) :: fields -> if String.equal k key then Some v else find key fields
 
+let refuse_unknown p fields keys =
+  let unknown (k, _) = not (free k || List.mem k keys) in
+  match List.find_opt unknown fields with
+  | Some (k, _) ->
+      fail (Key (p, k)) "unknown key (known: %s)" (String.concat ", " keys)
+  | None -> ()
+
 (* [used] members were found among [fields]; any other key that is not
    free is unknown, or given twice. *)
 let check_keys p fields used keys =
   let given =
     List.fold_left (fun n (k, _) -> if free k then n else n + 1) 0 fields
   in
-  if given > used then
-    let unknown (k, _) = not (free k || List.mem k keys) in
-    match List.find_opt unknown fields with
-    | Some (k, _) ->
-        fail (Key (p, k)) "unknown key (known: %s)" (String.concat ", " keys)
-    | None ->
-        let k, _ =
-          List.find
-            (fun (k, _) ->
-              List.length (List.filter (fun (k', _) -> k' = k) fields) > 1)
-            fields
-        in
-        fail (Key (p, k)) "given twice"
+  if given > used then begin
+    refuse_unknown p fields keys;
+    let k, _ =
+      List.find
+        (fun (k, _) ->
+          List.length (List.filter (fun (k', _) -> k' = k) fields) > 1)
+        fields
+    in
+    fail (Key (p, k)) "given twice"
+  end
 
 let rec read : type a. path -> secs:bool -> a kind -> Json.t -> a =
  fun p ~secs kind j ->
@@ -235,7 +239,14 @@ and read_members :
     | [] -> make
     | m :: ms -> fill ms (make (read_member p fields used m))
   in
-  let v = fill o.members o.make in
+  (* A misspelt key leaves its member missing or at its default, so an
+     object's unknown key is reported before any error inside it. *)
+  let v =
+    try fill o.members o.make
+    with Bad _ as e ->
+      refuse_unknown p fields o.keys;
+      raise e
+  in
   check_keys p fields !used o.keys;
   v
 
@@ -262,6 +273,36 @@ let decode kind j =
   match read Top ~secs:false kind j with
   | v -> Ok v
   | exception Bad e -> Error e
+
+(* --- vocabulary --- *)
+
+let names kind =
+  let add acc (spellings : string list) =
+    if List.mem spellings acc then acc else spellings :: acc
+  in
+  let rec go : type a. string list list -> a kind -> string list list =
+   fun acc kind ->
+    match kind with
+    | Int | Float | Str | Bool | Decimal | Time -> acc
+    | Opt k -> go acc k
+    | Items k -> go acc k
+    | Conv (k, _, _) -> go acc k
+    | Record o -> obj acc o
+    | Tagged (_, cases) ->
+        List.fold_left
+          (fun acc (Case c) -> obj (add acc [ c.tag ]) c.obj)
+          (add acc [ "kind" ]) cases
+  and obj : type r v. string list list -> (r, v) obj -> string list list =
+   fun acc (Obj o) -> members acc o.members
+  and members :
+      type r k v. string list list -> (r, k, v) members -> string list list =
+   fun acc ms ->
+    match ms with
+    | [] -> acc
+    | m :: ms ->
+        members (go (add acc (m.key :: Option.to_list m.secs_key)) m.kind) ms
+  in
+  List.rev (go [] kind)
 
 (* --- the spec's field table --------------------------------------------- *)
 
@@ -548,7 +589,7 @@ let flow_codec =
       mem "workload" workload_codec ~default:d.workload (fun f -> f.workload);
     ]
 
-let spec_codec =
+let spec =
   let d = default in
   record
     (fun name seed duration sample_period record_series record_trace

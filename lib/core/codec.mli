@@ -8,10 +8,13 @@
     its set (keys that start with ['_'] are free, for comments), a
     non-integral or out-of-range integer, and both spellings of a
     duration; every error names the key's path, as in
-    [flows[0].pair].
+    [flows[0].pair]. An object's unknown key is reported before any
+    other error inside it, since a misspelt key leaves its member
+    missing or at its default.
 
-    {!spec_codec} is the table of every object of a {!Spec.t}, which
-    {!Spec.to_json} and {!Spec.of_json} read. *)
+    {!spec} is the table of every object of a {!Spec.t}, which
+    {!Spec.to_json} and {!Spec.of_json} read; {!Chaos} describes its
+    cases and failure artifacts around it. *)
 
 type _ kind =
   | Int : int kind  (** an integral number within ±2^53 *)
@@ -50,11 +53,31 @@ and ('r, 'v) obj
 and 'v case
 (** One case of a {!Tagged} object. *)
 
+val mem : ?default:'a -> string -> 'a kind -> ('r -> 'a) -> ('r, 'a) member
+(** [mem key kind get]: a member read from ['r] by [get]. Without
+    [default] the key is required. A duration member (of kind [Time]
+    or [Opt Time]) is keyed [<key>_ns] or [<key>_s]. *)
+
+val record : 'k -> ('a, 'k, 'a) members -> 'a kind
+(** [record make members]: an object whose members' values, in order,
+    are [make]'s arguments. *)
+
+val case :
+  string -> ('v -> 'r option) -> 'k -> ('r, 'k, 'v) members -> 'v case
+(** [case tag proj make members]: the {!Tagged} case named [tag];
+    [proj] picks the values it writes. *)
+
 val write : 'a kind -> 'a -> Report.Json.t
 (** The JSON a value of the kind reads back from. *)
 
 val decode : 'a kind -> Report.Json.t -> ('a, string) result
 (** Inverse of {!write}; missing keys take their defaults. *)
 
-val spec_codec : Spec_types.t kind
+val names : 'a kind -> string list list
+(** Every key and case tag reachable from the kind, each once, in
+    table order: a duration's [[<key>_ns; <key>_s]] is one entry,
+    any other key or tag a one-spelling entry. Its caller is the
+    [core.spec] test "template names every key". *)
+
+val spec : Spec_types.t kind
 (** Every object of a spec, as {!Spec.to_json} writes it. *)

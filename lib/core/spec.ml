@@ -30,8 +30,8 @@ let snapshot_supported = Spec_exec.snapshot_supported
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let to_json t = Codec.write Codec.spec_codec t
-let of_json j = Codec.decode Codec.spec_codec j
+let to_json t = Codec.write Codec.spec t
+let of_json j = Codec.decode Codec.spec j
 
 (* The spec identity a snapshot embeds: the canonical JSON rendering,
    so a resume against a different scenario — or the same scenario with

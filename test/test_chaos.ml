@@ -150,6 +150,55 @@ let test_case_json_strict_keys () =
       Alcotest.(check bool) (Printf.sprintf "%S names trcae" e) true
         (contains e "trcae")
 
+(* A non-string violation, a non-integral bytes_acked, a non-boolean
+   completed and a repeated key: each is refused, naming its key. The
+   hand-written decoder that Codec replaced loaded all four. *)
+let test_artifact_json_strict_values () =
+  let contains e key =
+    let n = String.length key in
+    let rec go i =
+      i + n <= String.length e && (String.sub e i n = key || go (i + 1))
+    in
+    go 0
+  in
+  let case =
+    Report.Json.to_string_compact
+      (Core.Chaos.case_to_json Core.Chaos.default_case)
+  in
+  let load fields =
+    let path = Filename.temp_file "rss_chaos_artifact" ".json" in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc {|{"case": %s, %s}|} case fields);
+    let loaded = Core.Chaos.load_artifact path in
+    Sys.remove path;
+    loaded
+  in
+  (match
+     load {|"violations": ["v"], "completed": false, "bytes_acked": 0, "trace": "t"|}
+   with
+  | Ok a ->
+      Alcotest.(check (list string)) "violations" [ "v" ]
+        a.Core.Chaos.artifact_violations
+  | Error e -> Alcotest.failf "refused a well-formed artifact: %s" e);
+  List.iter
+    (fun (fields, key) ->
+      match load fields with
+      | Ok _ -> Alcotest.failf "loaded {%s}" fields
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %s" e key) true
+            (contains e key))
+    [
+      ( {|"violations": [1], "completed": false, "bytes_acked": 0, "trace": ""|},
+        "violations[0]" );
+      ( {|"violations": [], "completed": false, "bytes_acked": 2.5, "trace": ""|},
+        "bytes_acked" );
+      ( {|"violations": [], "completed": "yes", "bytes_acked": 0, "trace": ""|},
+        "completed" );
+      ( {|"violations": [], "completed": false, "bytes_acked": 0, "trace": "",
+          "trace": "x"|},
+        "trace: given twice" );
+    ]
+
 (* The bytes a case and a failure artifact serialize to, pinned by MD5:
    an artifact written by an earlier build must still replay, so the
    writer may not move a byte. Seed 6's case 0 fails by design, so the
@@ -265,6 +314,8 @@ let suite =
       test_case_json_errors;
     Alcotest.test_case "case JSON refuses unknown keys" `Quick
       test_case_json_strict_keys;
+    Alcotest.test_case "artifact JSON refuses malformed values" `Quick
+      test_artifact_json_strict_values;
     Alcotest.test_case "case and artifact bytes pinned" `Quick
       test_json_bytes_pinned;
     Alcotest.test_case "sweep identical across jobs" `Quick
