@@ -130,7 +130,7 @@ let template () =
   "trace_capacity": 65536,
   "_doc_domains": "partition the simulation across N OCaml domains (conservative-lookahead parallel DES); needs a cut-capable topology (duplex or dumbbell_of_dumbbells) and identical artifacts are guaranteed at any value; 1 = the classic single-scheduler engine",
   "domains": 1,
-  "_doc_topology": "kind duplex (paper's sender-limited path: rate_mbps, one_way_delay_*, ifq_capacity, loss_rate, ifq_red_ecn), dumbbell (pairs, access_rate_mbps, access_delay_*, bottleneck_rate_mbps, bottleneck_delay_*, buffer_packets, ifq_capacity, red) or dumbbell_of_dumbbells (segments chained through core_rate_mbps/core_delay_* duplex links, plus the dumbbell knobs per segment and cross_pairs flows spanning adjacent segments)",
+  "_doc_topology": "kind duplex (the paper's sender-limited path: rate_mbps, one_way_delay_s, ifq_capacity, loss_rate, ifq_red_ecn), dumbbell (pairs, access_rate_mbps, access_delay_s, bottleneck_rate_mbps, bottleneck_delay_s, buffer_packets, ifq_capacity, red) or dumbbell_of_dumbbells (segments chained through core_rate_mbps/core_delay_s duplex links, plus the dumbbell knobs per segment and cross_pairs flows spanning adjacent segments); red and ifq_red_ecn are null or RED's {min_th, max_th (packets), max_p, weight}",
   "topology": {
     "kind": "dumbbell",
     "pairs": 2,
@@ -141,7 +141,8 @@ let template () =
     "buffer_packets": 250,
     "ifq_capacity": 100
   },
-  "_doc_flows": "one entry per flow; pair selects the host pair; slow_start names the flow's congestion control (see `rss_sim list`): a slow-start rule alone (with reno), RULE+AVOIDANCE such as hystart+cubic, or a named bundle; the older key cong_avoid (e.g. cubic) is the same as appending +cubic to slow_start; policy (optional) takes the same names and overrides slow_start; restricted {kp, ti (null: no integral action), td, setpoint_fraction, max_step_segments, sample_min_interval_s} retunes the restricted rules; shared_rss=true steers the flow from a host-wide restricted controller; workload.kind is bulk|chunked|cbr|on_off|short_flows|many_flows (many_flows: N abstract AIMD flows through a fluid bottleneck — flows, arrival_rate flows/s or null for all-at-zero, arrival_pareto_shape or null for Poisson, mean_size bytes or null for persistent, size_pareto_shape)",
+  "_doc_flows": "one entry per flow; pair selects the host pair and start_at_s delays the start; slow_start names the flow's congestion control (see `rss_sim list`): a slow-start rule alone (with reno), RULE+AVOIDANCE such as hystart+cubic, or a named bundle; the older key cong_avoid (e.g. cubic) is the same as appending +cubic to slow_start; policy (optional) takes the same names and overrides slow_start; restricted {kp, ti (null: no integral action), td, setpoint_fraction, max_step_segments, sample_min_interval_s} retunes the restricted rules; shared_rss=true steers the flow from a host-wide restricted controller; local_congestion (halve, cwr or ignore) is the reaction to a send-stall; delayed_ack_s (null: none), use_sack, pacing, slow_start_restart and max_rto_s (null: the TCP default) set the connection",
+  "_doc_workload": "workload.kind is bulk {bytes or null for unbounded}, chunked {chunk_bytes every interval_s, chunks or null for unbounded}, cbr {rate_mbps, packet_bytes, stop_at_s or null}, on_off {peak_rate_mbps, exponential mean_on_s and mean_off_s, packet_bytes}, short_flows {arrival_rate flows/s, mean_size bytes, pareto_shape, stop_at_s or null} or many_flows (N abstract AIMD flows through a fluid bottleneck: flows, arrival_rate flows/s or null for all-at-zero, arrival_pareto_shape or null for Poisson, mean_size bytes or null for persistent, size_pareto_shape)",
   "flows": [
     {
       "label": "restricted",
@@ -157,7 +158,7 @@ let template () =
       "workload": { "kind": "bulk", "bytes": null }
     }
   ],
-  "_doc_faults": "Netsim.Fault_model profiles for the data (forward) and ACK (reverse) directions: ge {p_gb,p_bg,loss_good,loss_bad}, reorder/duplicate {prob,max_extra_*}, schedule [{kind:outage,start_*,stop_*} | {kind:delay_step,at_*,extra_*}]",
+  "_doc_faults": "Netsim.Fault_model profiles for the data (forward) and ACK (reverse) directions: ge {p_gb,p_bg,loss_good,loss_bad}, reorder/duplicate {prob,max_extra_s}, schedule [{kind:outage,start_s,stop_s} | {kind:delay_step,at_s,extra_s}]",
   "faults": {
     "forward": {
       "ge": null,

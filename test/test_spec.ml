@@ -236,6 +236,34 @@ let test_template_parses_and_builds () =
           Alcotest.(check bool) "template has several flows" true
             (List.length spec.Spec.flows >= 2))
 
+(* Every key and case tag the field table accepts appears in the
+   template as a whole word, so the template documents the whole table;
+   a duration counts by either spelling. This is Codec.names' caller. *)
+let test_template_names_every_key () =
+  let template = Spec.template () in
+  let word_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let whole_word w =
+    let n = String.length w and h = String.length template in
+    let rec at i =
+      i + n <= h
+      && (String.sub template i n = w
+          && (i = 0 || not (word_char template.[i - 1]))
+          && (i + n = h || not (word_char template.[i + n]))
+         || at (i + 1))
+    in
+    at 0
+  in
+  let missing =
+    List.filter
+      (fun spellings -> not (List.exists whole_word spellings))
+      (Core.Codec.names Core.Codec.spec)
+  in
+  Alcotest.(check (list string)) "keys the template does not name" []
+    (List.map (String.concat " or ") missing)
+
 let test_of_json_errors () =
   let reject text fragment =
     let json =
@@ -1134,6 +1162,8 @@ let suite =
       test_round_trip_dumbbell_red;
     Alcotest.test_case "template parses and builds" `Quick
       test_template_parses_and_builds;
+    Alcotest.test_case "template names every key" `Quick
+      test_template_names_every_key;
     Alcotest.test_case "of_json errors name the field" `Quick
       test_of_json_errors;
     Alcotest.test_case "golden: duplex restricted" `Slow test_golden_duplex;
