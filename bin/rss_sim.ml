@@ -73,16 +73,6 @@ let print_result (r : Core.Spec.flow_result) =
 
 (* --- run --spec --------------------------------------------------------- *)
 
-(* Per-cell failure table: a poisoned cell must cost its row, not the
-   batch — print every failure, then exit non-zero. *)
-let print_failure_table failures =
-  Printf.eprintf "%d cell(s) failed:\n" (List.length failures);
-  List.iter
-    (fun (f : Engine.Pool.failure) ->
-      Printf.eprintf "  %-44s %s\n" f.Engine.Pool.flabel
-        (Printexc.to_string f.Engine.Pool.fexn))
-    failures
-
 let print_path_stats (p : Core.Spec.path_stats) =
   Printf.printf
     "path         aggregate %6.2f Mbit/s  jain %6.4f  queue mean %6.1f \
@@ -112,23 +102,19 @@ let load_spec path =
           exit 2
       | Ok spec -> spec)
 
-let run_spec ~jobs spec =
-  let verdicts =
-    Engine.Pool.with_pool ~jobs (fun pool ->
-        Core.Spec.run_batch_collect ~pool [ spec ])
-  in
-  match verdicts with
-  | [ Ok outcome ] -> outcome
-  | [ Error { Engine.Pool.fexn = Invalid_argument e; _ } ] ->
-      (* a malformed spec is a usage error, not a poisoned cell *)
+(* A malformed spec is a usage error (exit 2); anything else the run
+   raises fails it (exit 1). *)
+let run_spec ?checkpoint ?resume_from spec =
+  try Core.Spec.run ?checkpoint ?resume_from spec with
+  | Invalid_argument e ->
       prerr_endline e;
       exit 2
-  | [ Error failure ] ->
-      print_failure_table [ failure ];
+  | e ->
+      Printf.eprintf "spec %S failed: %s\n" spec.Core.Spec.name
+        (Printexc.to_string e);
       exit 1
-  | _ -> assert false
 
-let run_spec_file ~path ~jobs ~domains ~out_dir ~checkpoint ~checkpoint_every
+let run_spec_file ~path ~domains ~out_dir ~checkpoint ~checkpoint_every
     ~resume =
   let spec = load_spec path in
   let spec =
@@ -136,36 +122,17 @@ let run_spec_file ~path ~jobs ~domains ~out_dir ~checkpoint ~checkpoint_every
     | None -> spec
     | Some d -> { spec with Core.Spec.domains = d }
   in
-  let outcome =
-    match (checkpoint, resume) with
-    | None, None -> run_spec ~jobs spec
-    | _ -> (
-        let ck =
-          Option.map
-            (fun snapshot_path ->
-              {
-                Core.Spec.snapshot_path;
-                interval = Sim.Time.of_sec checkpoint_every;
-                should_stop = (fun () -> false);
-              })
-            checkpoint
-        in
-        try Core.Spec.run ?checkpoint:ck ?resume_from:resume spec
-        with
-        | Invalid_argument e ->
-            prerr_endline e;
-            exit 2
-        | e ->
-            print_failure_table
-              [
-                {
-                  Engine.Pool.flabel = spec.Core.Spec.name;
-                  fexn = e;
-                  fbacktrace = Printexc.get_backtrace ();
-                };
-              ];
-            exit 1)
+  let checkpoint =
+    Option.map
+      (fun snapshot_path ->
+        {
+          Core.Spec.snapshot_path;
+          interval = Sim.Time.of_sec checkpoint_every;
+          should_stop = (fun () -> false);
+        })
+      checkpoint
   in
+  let outcome = run_spec ?checkpoint ?resume_from:resume spec in
   List.iter print_result outcome.Core.Spec.results;
   print_path_stats outcome.Core.Spec.path;
   match out_dir with
@@ -213,21 +180,13 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
   in
-  let jobs =
-    let doc =
-      "Worker domains when running a --spec scenario (1 disables \
-       parallelism). Output is byte-identical for any value."
-    in
-    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let domains =
     let doc =
       "With --spec: override the spec's \"domains\" — worker domains \
        $(i,inside) the scenario, partitioning the topology across its \
        cut links (conservative-lookahead parallel DES). Needs a \
        cut-capable topology (duplex or dumbbell_of_dumbbells). \
-       Artifacts are byte-identical for any value; composes with \
-       --jobs, which parallelises $(i,across) scenarios."
+       Artifacts are byte-identical for any value."
     in
     Arg.(
       value
@@ -266,12 +225,12 @@ let run_cmd =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
   let action slow_start local_congestion bytes csv_prefix pacing chart
-      spec_file jobs domains out_dir checkpoint checkpoint_every resume
-      rate_mbps rtt_ms ifq duration_s seed loss =
+      spec_file domains out_dir checkpoint checkpoint_every resume rate_mbps
+      rtt_ms ifq duration_s seed loss =
     match spec_file with
     | Some path ->
-        run_spec_file ~path ~jobs ~domains ~out_dir ~checkpoint
-          ~checkpoint_every ~resume
+        run_spec_file ~path ~domains ~out_dir ~checkpoint ~checkpoint_every
+          ~resume
     | None ->
     if checkpoint <> None || resume <> None then begin
       prerr_endline "--checkpoint/--resume require --spec";
@@ -334,7 +293,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ slow_start $ local_congestion $ bytes $ csv_prefix
-      $ pacing $ chart $ spec_file $ jobs $ domains $ out_dir
+      $ pacing $ chart $ spec_file $ domains $ out_dir
       $ checkpoint $ checkpoint_every $ resume $ rate_mbps $ rtt_ms $ ifq
       $ duration_s $ seed $ loss)
   in
@@ -636,13 +595,6 @@ let trace_cmd =
     in
     Arg.(value & opt string "results/trace" & info [ "out" ] ~docv:"DIR" ~doc)
   in
-  let jobs =
-    let doc =
-      "Worker domains (1 disables parallelism). Artifacts are \
-       byte-identical for any value."
-    in
-    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let capacity =
     let doc =
       "Override the spec's trace_capacity (ring size in records; oldest \
@@ -650,7 +602,7 @@ let trace_cmd =
     in
     Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
   in
-  let action spec_path out_dir jobs capacity =
+  let action spec_path out_dir capacity =
     let spec = load_spec spec_path in
     (* The subcommand's whole point is tracing: force it on, whatever
        the spec says. *)
@@ -664,7 +616,7 @@ let trace_cmd =
           | None -> spec.Core.Spec.trace_capacity);
       }
     in
-    let outcome = run_spec ~jobs spec in
+    let outcome = run_spec spec in
     List.iter print_result outcome.Core.Spec.results;
     print_path_stats outcome.Core.Spec.path;
     let tr =
@@ -679,14 +631,14 @@ let trace_cmd =
       (Printf.printf "wrote %s\n")
       (Serve.Artifacts.write_trace ~dir:out_dir spec outcome)
   in
-  let term = Term.(const action $ spec_file $ out_dir $ jobs $ capacity) in
+  let term = Term.(const action $ spec_file $ out_dir $ capacity) in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run a JSON-described scenario with the run-wide event tracer \
           and metrics registry attached, then export the ring as CSV \
           and Chrome trace_event JSON plus a metrics time-series CSV. \
-          Deterministic: artifacts are byte-identical at any --jobs.")
+          Deterministic: the artifacts are a function of the spec.")
     term
 
 (* --- experiments ---------------------------------------------------------- *)

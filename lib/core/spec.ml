@@ -53,29 +53,6 @@ let run_batch ?pool specs =
   | Some pool ->
       Engine.Pool.map pool ~label:(fun s -> s.name) ~f:(fun s -> run s) specs
 
-(* Per-cell verdicts: a poisoned cell costs one [Error] row, never the
-   batch. Sequential runs capture the same way so the CLI's failure
-   table is identical at any --jobs. *)
-let run_batch_collect ?pool specs =
-  match pool with
-  | None ->
-      List.map
-        (fun s ->
-          try Ok (run s)
-          with e ->
-            Error
-              {
-                Engine.Pool.flabel = s.name;
-                fexn = e;
-                fbacktrace = Printexc.get_backtrace ();
-              })
-        specs
-  | Some pool ->
-      Engine.Pool.map_collect pool
-        ~label:(fun s -> s.name)
-        ~f:(fun s -> run s)
-        specs
-
 (* --- result serialization ---------------------------------------------- *)
 
 let int_to_json = Codec.(write Int)

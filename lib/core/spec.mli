@@ -336,12 +336,6 @@ val run_batch : ?pool:Engine.Pool.t -> t list -> outcome list
     results in input order, identical for any worker count. Raises
     {!Engine.Pool.Task_failed} on the first failing cell. *)
 
-val run_batch_collect :
-  ?pool:Engine.Pool.t -> t list -> (outcome, Engine.Pool.failure) result list
-(** Like {!run_batch} but every cell reports: a raising spec costs one
-    [Error] row (labeled with the spec name) instead of the batch.
-    Verdicts in input order, identical for any worker count. *)
-
 (* --- introspection of a built spec (chaos harness hooks) ------------- *)
 
 val sched : built -> Sim.Scheduler.t

@@ -159,34 +159,6 @@ let test_resume_identity_mismatch () =
     | exception Invalid_argument _ -> true);
   Sys.remove path
 
-let test_run_batch_collect_isolates_poison () =
-  let good = mf_spec ~seed:26 () in
-  let poisoned =
-    {
-      (mf_spec ~name:"poisoned" ()) with
-      Core.Spec.flows =
-        [ { Core.Spec.default_flow with Core.Spec.slow_start = "bogus" } ];
-    }
-  in
-  let verdicts jobs =
-    Engine.Pool.with_pool ~jobs (fun pool ->
-        Core.Spec.run_batch_collect ~pool [ good; poisoned; good ])
-  in
-  let shape v =
-    List.map
-      (function
-        | Ok (_ : Core.Spec.outcome) -> "ok"
-        | Error { Engine.Pool.flabel; _ } -> "fail:" ^ flabel)
-      v
-  in
-  let expected = [ "ok"; "fail:poisoned"; "ok" ] in
-  Alcotest.(check (list string)) "sequential verdicts" expected
-    (shape (Core.Spec.run_batch_collect [ good; poisoned; good ]));
-  Alcotest.(check (list string)) "jobs=1 verdicts" expected
-    (shape (verdicts 1));
-  Alcotest.(check (list string)) "jobs=4 verdicts" expected
-    (shape (verdicts 4))
-
 let suite =
   [
     Alcotest.test_case "boundary drain + resume == unbroken" `Quick
@@ -199,6 +171,4 @@ let suite =
       test_checkpoint_requires_support;
     Alcotest.test_case "resume checks spec identity" `Quick
       test_resume_identity_mismatch;
-    Alcotest.test_case "run_batch_collect isolates a poisoned cell" `Quick
-      test_run_batch_collect_isolates_poison;
   ]
