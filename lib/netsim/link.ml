@@ -132,7 +132,7 @@ let set_fault_hook t h = t.fault_hook <- Some h
 (* Double the ring, unrolling it so the oldest copy sits at index 0. *)
 let grow_fifo t =
   let cap = Array.length t.fifo_pkts in
-  let cap' = Stdlib.max 8 (2 * cap) in
+  let cap' = Int.max 8 (2 * cap) in
   let pkts = Array.make cap' Packet.placeholder
   and birth = Array.make cap' Sim.Time.zero
   and seq = Array.make cap' 0 in

@@ -107,7 +107,7 @@ module Multi_dumbbell = struct
     if segments < 1 then invalid_arg "Multi_dumbbell.create: segments < 1";
     if pairs < 1 || pairs > 100 then
       invalid_arg "Multi_dumbbell.create: pairs outside 1..100";
-    if cross_pairs < 0 || cross_pairs > max 0 (segments - 1) then
+    if cross_pairs < 0 || cross_pairs > Int.max 0 (segments - 1) then
       invalid_arg "Multi_dumbbell.create: cross_pairs outside 0..segments-1";
     (* Per-segment dumbbells, each built wholly against its own
        partition's scheduler: N left hosts, N right hosts, the two
@@ -193,7 +193,7 @@ module Multi_dumbbell = struct
     (* Core chain: a duplex pipe between adjacent segments. Each
        direction is owned by the partition whose NIC feeds it; both are
        boundary links when partitioned. *)
-    let ncore = max 0 (segments - 1) in
+    let ncore = Int.max 0 (segments - 1) in
     let core_slots = Array.make ncore None in
     for s = 0 to ncore - 1 do
       let fwd = Link.create (sched_of s) ~delay:core_delay () in

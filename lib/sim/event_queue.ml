@@ -38,7 +38,7 @@ type t = {
 }
 
 let create ?(initial_capacity = 64) () =
-  let cap = Stdlib.max 1 initial_capacity in
+  let cap = Int.max 1 initial_capacity in
   {
     times = Array.make cap 0;
     births = Array.make cap 0;
@@ -70,7 +70,7 @@ let grow t =
           partitions (\"domains\" > 1) or move dense per-flow timers to \
           Timer_wheel."
          t.size max_slots);
-  let cap = Stdlib.min max_slots (2 * old) in
+  let cap = Int.min max_slots (2 * old) in
   t.times <- extend t.times cap 0;
   t.births <- extend t.births cap 0;
   t.seqs <- extend t.seqs cap 0;
@@ -150,7 +150,7 @@ let sift_down t i n time birth seq slot =
       let mt = ref (Array.unsafe_get times c1) in
       let mb = ref (Array.unsafe_get births c1) in
       let ms = ref (Array.unsafe_get seqs c1) in
-      let last = Stdlib.min (c1 + 3) (n - 1) in
+      let last = Int.min (c1 + 3) (n - 1) in
       for c = c1 + 1 to last do
         let ct = Array.unsafe_get times c in
         let cb = Array.unsafe_get births c in

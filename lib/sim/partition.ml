@@ -168,7 +168,7 @@ let worker_loop e w =
   done
 
 let make_exec ~workers ~nparts =
-  let nworkers = max 1 (min workers nparts) in
+  let nworkers = Int.max 1 (Int.min workers nparts) in
   let e =
     {
       nworkers;

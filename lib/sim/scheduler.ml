@@ -92,7 +92,7 @@ let wheel_arg t =
   for i = 0 to Array.length t.wheels - 1 do
     let ns = Timer_wheel.next_due_ns t.wheels.(i) in
     if ns >= 0 then begin
-      let ns = Stdlib.max ns clock_ns in
+      let ns = Int.max ns clock_ns in
       if !best < 0 || ns < !best then begin
         best := ns;
         best_i := i
@@ -105,7 +105,7 @@ let wheel_ns t =
   let i = wheel_arg t in
   if i < 0 then -1
   else
-    Stdlib.max
+    Int.max
       (Timer_wheel.next_due_ns t.wheels.(i))
       (Time.to_ns_int t.clock)
 
@@ -138,7 +138,7 @@ let step t =
   let wns =
     if wi < 0 then -1
     else
-      Stdlib.max
+      Int.max
         (Timer_wheel.next_due_ns t.wheels.(wi))
         (Time.to_ns_int t.clock)
   in

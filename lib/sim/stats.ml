@@ -84,7 +84,7 @@ module Histogram = struct
     else if x >= t.hi then t.over <- t.over + 1
     else begin
       let i = int_of_float ((x -. t.lo) /. width t) in
-      let i = Stdlib.min i (Array.length t.counts - 1) in
+      let i = Int.min i (Array.length t.counts - 1) in
       t.counts.(i) <- t.counts.(i) + 1
     end
 

@@ -23,8 +23,8 @@ let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( > ) (a : t) (b : t) = Stdlib.( > ) a b
 let ( >= ) (a : t) (b : t) = Stdlib.( >= ) a b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+let min (a : t) (b : t) = Int.min a b
+let max (a : t) (b : t) = Int.max a b
 
 let is_negative t = Stdlib.( < ) t 0
 let is_positive t = Stdlib.( > ) t 0

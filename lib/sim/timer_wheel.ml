@@ -71,7 +71,7 @@ let create ?(tick_ns = 65536) ?(initial_capacity = 256) ~on_fire () =
     let rec bits n acc = if n = 1 then acc else bits (n lsr 1) (acc + 1) in
     bits tick_ns 0
   in
-  let cap = Stdlib.max 16 initial_capacity in
+  let cap = Int.max 16 initial_capacity in
   let t =
     {
       tick_bits;
@@ -107,7 +107,7 @@ let grow t =
   let cap = Array.length t.due in
   if cap >= max_nodes then
     invalid_arg "Timer_wheel: too many concurrent timers";
-  let cap' = Stdlib.min max_nodes (2 * cap) in
+  let cap' = Int.min max_nodes (2 * cap) in
   let extend a fill =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 cap;

@@ -35,7 +35,7 @@ let link_free next_free ~from ~cap =
   done
 
 let create ?(initial_capacity = 16) () =
-  let cap = Stdlib.max 1 initial_capacity in
+  let cap = Int.max 1 initial_capacity in
   let next_free = Array.make cap (-1) in
   link_free next_free ~from:0 ~cap;
   {

@@ -16,7 +16,7 @@ let add t ~lo ~hi =
           (* Merge [lo,hi) with every range it overlaps or touches. *)
           let rec absorb lo hi = function
             | (a, b) :: rest when a <= hi ->
-                absorb (Stdlib.min lo a) (Stdlib.max hi b) rest
+                absorb (Int.min lo a) (Int.max hi b) rest
             | rest -> (lo, hi) :: rest
           in
           absorb lo hi ranges

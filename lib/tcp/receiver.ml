@@ -64,7 +64,7 @@ let advertised_window t =
   match t.cfg.Config.app_read_rate with
   | None -> t.cfg.Config.rcv_wnd
   | Some _ ->
-      Stdlib.max 0
+      Int.max 0
         (t.cfg.Config.rcv_wnd - t.unread
         - Reorder_buffer.buffered_bytes t.buffer)
 
@@ -130,11 +130,11 @@ let rec arm_drain t rate =
   ignore
     (Sim.Scheduler.after t.sched drain_tick (fun () ->
          let quota = int_of_float (Sim.Units.bytes_in rate drain_tick) in
-         t.unread <- Stdlib.max 0 (t.unread - quota);
+         t.unread <- Int.max 0 (t.unread - quota);
          (if t.zero_window_advertised then
             let free = advertised_window t in
             let threshold =
-              Stdlib.min t.cfg.Config.mss (t.cfg.Config.rcv_wnd / 4)
+              Int.min t.cfg.Config.mss (t.cfg.Config.rcv_wnd / 4)
             in
             if free >= threshold then emit_ack t ~ts_ecr:Sim.Time.zero ());
          if t.unread > 0 then arm_drain t rate else t.drain_armed <- false))

@@ -12,7 +12,7 @@ let consume_below t bound = Interval_set.remove_below t.ranges bound
 let sack_blocks t ~above ~max_blocks =
   Interval_set.intervals t.ranges
   |> List.filter (fun (_, hi) -> hi > above)
-  |> List.map (fun (lo, hi) -> (Stdlib.max lo above, hi))
+  |> List.map (fun (lo, hi) -> (Int.max lo above, hi))
   |> fun l ->
   let rec take n = function
     | [] -> []

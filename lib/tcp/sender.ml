@@ -330,7 +330,7 @@ and new_data_range t =
   let remaining =
     match t.total with None -> mss | Some total -> total - t.nxt
   in
-  let len = Stdlib.min mss remaining in
+  let len = Int.min mss remaining in
   if len <= 0 then None else Some (t.nxt, t.nxt + len)
 
 (* Pacing: minimum spacing between data segments so the window is
@@ -444,7 +444,7 @@ let enter_fast_recovery t =
   t.phase <- Fast_recovery;
   if t.cfg.Config.use_sack then begin
     t.win.cwnd <- cwnd';
-    let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+    let hole_hi = Int.min (t.una + mss) t.nxt in
     Interval_set.add t.retx_done ~lo:t.una ~hi:hole_hi;
     retransmit t (t.una, hole_hi);
     if not t.stalled then sack_recovery_send t
@@ -453,7 +453,7 @@ let enter_fast_recovery t =
     (* NewReno: retransmit the presumed-lost head and inflate by the
        three duplicates (RFC 5681 §3.2). *)
     t.win.cwnd <- cwnd' +. (3. *. float_of_int mss);
-    let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+    let hole_hi = Int.min (t.una + mss) t.nxt in
     retransmit t (t.una, hole_hi)
   end;
   arm_rto t
@@ -507,7 +507,7 @@ let on_new_ack t ~newly ~rtt_sample header =
       else if t.cfg.Config.use_sack then sack_recovery_send t
       else begin
         (* NewReno partial ACK: next hole is also lost. *)
-        let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+        let hole_hi = Int.min (t.una + mss) t.nxt in
         retransmit t (t.una, hole_hi);
         t.win.cwnd <-
           Float.max floor
@@ -556,7 +556,7 @@ let handle_ack t header =
     | None -> ()
   in
   let prev_rwnd = t.rwnd in
-  t.rwnd <- Stdlib.max 0 header.Proto.Tcp_header.wnd;
+  t.rwnd <- Int.max 0 header.Proto.Tcp_header.wnd;
   t.gauges.max_rwin_rcvd <-
     Float.max t.gauges.max_rwin_rcvd (float_of_int t.rwnd);
   (* ECN echo: same once-per-window multiplicative decrease as a loss,

@@ -91,7 +91,7 @@ let policy t =
       last_move := Some now;
       let mss = float_of_int view.Slow_start.mss in
       let share =
-        t.total_segments /. float_of_int (Stdlib.max 1 t.member_count)
+        t.total_segments /. float_of_int (Int.max 1 t.member_count)
       in
       let delta = (share *. mss) -. view.Slow_start.cwnd () in
       (* Split the burst budget too: N members each moving max_step/N
@@ -99,7 +99,7 @@ let policy t =
          connection. *)
       let cap =
         t.config.Slow_start.max_step_segments *. mss
-        /. float_of_int (Stdlib.max 1 t.member_count)
+        /. float_of_int (Int.max 1 t.member_count)
       in
       {
         Slow_start.cwnd_delta = Float.max (-.cap) (Float.min cap delta);

@@ -30,7 +30,7 @@ let standard () =
 
 let abc ?(l_limit = 2) () =
   let on_ack view ~newly_acked ~rtt_sample:_ =
-    no_exit (float_of_int (Stdlib.min newly_acked (l_limit * view.mss)))
+    no_exit (float_of_int (Int.min newly_acked (l_limit * view.mss)))
   in
   { name = "abc"; on_ack; reset = (fun () -> ()) }
 

@@ -271,7 +271,7 @@ let launch t ~now_ns =
       let shape = t.p.size_pareto_shape in
       let scale = float_of_int mean *. (shape -. 1.) /. shape in
       tbl.Ft.budget.(row) <-
-        Stdlib.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale)));
+        Int.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale)));
   t.f.sum_cwnd <- t.f.sum_cwnd +. cwnd;
   arm_round t row ~now_ns
 
@@ -341,7 +341,7 @@ let[@inline] decide t row ~w ~p =
     let c = t.c in
     let n = c.n_fold in
     Array.unsafe_set c.fold_rows n row;
-    Array.unsafe_set c.fold_acks n (Stdlib.max 1 (int_of_float pkts));
+    Array.unsafe_set c.fold_acks n (Int.max 1 (int_of_float pkts));
     c.n_fold <- n + 1
   end;
   (* Goodput: the surviving fraction of the round's bytes. *)
@@ -352,7 +352,7 @@ let[@inline] decide t row ~w ~p =
   b >= 0
   &&
   let b' = b - int_of_float got in
-  Array.unsafe_set budget row (Stdlib.max 0 b');
+  Array.unsafe_set budget row (Int.max 0 b');
   b' <= 0
 
 let[@inline] fold_queued t =
@@ -507,7 +507,7 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
           Wheel.create
             ~on_fire:(fun ~kind ~flow -> on_fire (Lazy.force t) ~kind ~flow)
             ();
-        table = Ft.create ~initial_capacity:(Stdlib.max 16 params.flows) ();
+        table = Ft.create ~initial_capacity:(Int.max 16 params.flows) ();
         round;
         p = params;
         seed;

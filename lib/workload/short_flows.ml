@@ -27,7 +27,7 @@ let draw_size t =
   let shape = t.pareto_shape in
   let scale = float_of_int t.mean_size *. (shape -. 1.) /. shape in
   let s = Sim.Rng.pareto t.rng ~shape ~scale in
-  Stdlib.max 1 (int_of_float s)
+  Int.max 1 (int_of_float s)
 
 let launch t =
   let flow = t.next_flow in
