@@ -283,18 +283,18 @@ let run_case case =
 
 (* A raising case must not poison a sweep: capture the exception as a
    violation so the batch drains and every other cell still reports. *)
-let run_case_captured case =
-  try run_case case
-  with e ->
-    {
-      case;
-      completed = false;
-      bytes_acked = 0;
-      timeouts = 0;
-      retransmits = 0;
-      violations = [ Printf.sprintf "exception: %s" (Printexc.to_string e) ];
-      trace = "";
-    }
+let raised case e =
+  {
+    case;
+    completed = false;
+    bytes_acked = 0;
+    timeouts = 0;
+    retransmits = 0;
+    violations = [ Printf.sprintf "exception: %s" (Printexc.to_string e) ];
+    trace = "";
+  }
+
+let run_case_captured case = try run_case case with e -> raised case e
 
 let run_sweep ?pool cases =
   match pool with
@@ -308,20 +308,7 @@ let run_sweep ?pool cases =
       |> List.map2
            (fun case -> function
              | Ok outcome -> outcome
-             | Error { Engine.Pool.fexn; _ } ->
-                 {
-                   case;
-                   completed = false;
-                   bytes_acked = 0;
-                   timeouts = 0;
-                   retransmits = 0;
-                   violations =
-                     [
-                       Printf.sprintf "exception: %s"
-                         (Printexc.to_string fexn);
-                     ];
-                   trace = "";
-                 })
+             | Error { Engine.Pool.fexn; _ } -> raised case fexn)
            cases
 
 (* --- random schedule generation --------------------------------------- *)
