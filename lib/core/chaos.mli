@@ -113,11 +113,12 @@ val random_cases : root:int -> int -> case list
 
     A case and a failure artifact are each described once with
     {!Codec}, which writes and strictly decodes them as it does a spec.
-    Code reaches {!case_to_json}, {!case_of_json} and {!load_artifact}
-    through {!write_failures} and {!replay}; the [core.chaos] tests "case
-    JSON round-trip", "case JSON error reporting", "case JSON refuses
-    unknown keys", "case and artifact bytes pinned" and "artifact JSON
-    refuses malformed values" call them directly. *)
+    Code reaches both descriptions through {!write_failures} and
+    {!replay}. {!case_to_json} and {!case_of_json} are the case's alone,
+    for the [core.chaos] tests "case JSON round-trip", "case JSON error
+    reporting", "case JSON refuses unknown keys" and "case and artifact
+    bytes pinned"; "artifact JSON refuses malformed values" calls
+    {!load_artifact} directly. *)
 
 val case_to_json : case -> Report.Json.t
 (** [{"spec": ..., "progress_rtos": ..., "check_completion": ...}] with

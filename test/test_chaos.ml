@@ -78,6 +78,13 @@ let test_case_json_roundtrip () =
                 true (back = case)))
     (List.init 10 Fun.id)
 
+let contains e key =
+  let n = String.length key in
+  let rec go i =
+    i + n <= String.length e && (String.sub e i n = key || go (i + 1))
+  in
+  go 0
+
 let test_case_json_errors () =
   let reject text expect_fragment =
     match Report.Json.of_string text with
@@ -90,13 +97,7 @@ let test_case_json_errors () =
               (Printf.sprintf "error %S names the field (%s)" e
                  expect_fragment)
               true
-              (let n = String.length expect_fragment in
-               let h = String.length e in
-               let rec go i =
-                 i + n <= h
-                 && (String.sub e i n = expect_fragment || go (i + 1))
-               in
-               go 0))
+              (contains e expect_fragment))
   in
   reject "{}" "spec";
   reject {|{"spec":{"seed":12}}|} "seed";
@@ -106,13 +107,6 @@ let test_case_json_errors () =
    in a case and in a failure artifact; keys that start with _ stay
    free. *)
 let test_case_json_strict_keys () =
-  let contains e key =
-    let n = String.length key in
-    let rec go i =
-      i + n <= String.length e && (String.sub e i n = key || go (i + 1))
-    in
-    go 0
-  in
   let spec =
     Report.Json.to_string_compact
       (Core.Spec.to_json Core.Chaos.default_case.Core.Chaos.spec)
@@ -154,13 +148,6 @@ let test_case_json_strict_keys () =
    completed and a repeated key: each is refused, naming its key. The
    hand-written decoder that Codec replaced loaded all four. *)
 let test_artifact_json_strict_values () =
-  let contains e key =
-    let n = String.length key in
-    let rec go i =
-      i + n <= String.length e && (String.sub e i n = key || go (i + 1))
-    in
-    go 0
-  in
   let case =
     Report.Json.to_string_compact
       (Core.Chaos.case_to_json Core.Chaos.default_case)
