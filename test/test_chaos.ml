@@ -145,8 +145,7 @@ let test_case_json_strict_keys () =
         (contains e "trcae")
 
 (* A non-string violation, a non-integral bytes_acked, a non-boolean
-   completed and a repeated key: each is refused, naming its key. The
-   hand-written decoder that Codec replaced loaded all four. *)
+   completed and a repeated key: each is refused, naming its key. *)
 let test_artifact_json_strict_values () =
   let case =
     Report.Json.to_string_compact
