@@ -1162,8 +1162,6 @@ let suite =
       test_round_trip_dumbbell_red;
     Alcotest.test_case "template parses and builds" `Quick
       test_template_parses_and_builds;
-    Alcotest.test_case "template names every key" `Quick
-      test_template_names_every_key;
     Alcotest.test_case "of_json errors name the field" `Quick
       test_of_json_errors;
     Alcotest.test_case "golden: duplex restricted" `Slow test_golden_duplex;
@@ -1200,4 +1198,6 @@ let suite =
       test_dumbbell_is_one_segment_chain;
     Alcotest.test_case "of_json: _ keys are free, null durations are none"
       `Quick test_of_json_free_keys_and_null;
+    Alcotest.test_case "template names every key" `Quick
+      test_template_names_every_key;
   ]
