@@ -159,6 +159,37 @@ let test_resume_identity_mismatch () =
     | exception Invalid_argument _ -> true);
   Sys.remove path
 
+(* A checkpoint that cannot be written fails the run with the write's
+   own error, whether or not the run was asked to stop: a drain must
+   not report a snapshot that is not on disk. *)
+let test_unwritable_checkpoint_fails () =
+  let path = Filename.concat (tmp_path "no-such-dir") "checkpoint.snap" in
+  List.iter
+    (fun (what, stop) ->
+      let checkpoint = checkpoint ~path ~stop () in
+      match Core.Spec.run ~checkpoint (mf_spec ()) with
+      | _ -> Alcotest.failf "%s: the run finished" what
+      | exception Core.Spec.Drained _ -> Alcotest.failf "%s: drained" what
+      | exception Sys_error _ -> ())
+    [ ("run on", fun () -> false); ("stop asked", fun () -> true) ]
+
+(* An undrained run leaves its last two images in order: [path] from the
+   last boundary before the end, [path.prev] from the one before. *)
+let test_images_land_in_order () =
+  let spec = mf_spec ~seed:26 () in
+  let path = tmp_path "order.snap" in
+  ignore (Core.Spec.run ~checkpoint:(checkpoint ~path ()) spec);
+  let clock_ns file =
+    let image = In_channel.with_open_bin file In_channel.input_all in
+    Sim.Snapshot.get_int (Sim.Snapshot.of_string image) "spec.clock_ns"
+  in
+  Alcotest.(check int) "path holds the 3 s image" 3_000_000_000
+    (clock_ns path);
+  Alcotest.(check int) "path.prev holds the 2 s image" 2_000_000_000
+    (clock_ns (path ^ ".prev"));
+  Sys.remove path;
+  Sys.remove (path ^ ".prev")
+
 let suite =
   [
     Alcotest.test_case "boundary drain + resume == unbroken" `Quick
@@ -171,4 +202,7 @@ let suite =
       test_checkpoint_requires_support;
     Alcotest.test_case "resume checks spec identity" `Quick
       test_resume_identity_mismatch;
+    Alcotest.test_case "an unwritable checkpoint fails the run" `Quick
+      test_unwritable_checkpoint_fails;
+    Alcotest.test_case "images land in order" `Quick test_images_land_in_order;
   ]

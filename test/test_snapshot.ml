@@ -146,6 +146,68 @@ let test_rng_state_round_trip () =
     "restored stream continues identically" expect
     (List.init 8 (fun _ -> Sim.Rng.float rng'))
 
+(* The bytes of an image are pinned, not only its round trip: images
+   written by one build must restore in another, so a change to the
+   writer must leave every byte where it was. The second image is what a
+   checkpointing run writes at its first 1 s boundary, for a spec whose
+   2,000 persistent flows all launch at t = 0. *)
+let md5_hex s = Digest.to_hex (Digest.string s)
+
+let test_image_bytes_pinned () =
+  Alcotest.(check string) "every section kind" "93c8f97e375d287a8fa8febccb6c4688"
+    (md5_hex (Snap.to_string (full_writer ())))
+
+let persistent_spec =
+  {
+    Core.Spec.default with
+    name = "snapshot-pin";
+    seed = 8;
+    duration = Sim.Time.of_sec 2.;
+    sample_period = Sim.Time.ms 250;
+    topology =
+      Core.Spec.Duplex
+        {
+          Core.Spec.default_duplex with
+          rate = Sim.Units.mbps 1000.;
+          one_way_delay = Sim.Time.ms 5;
+          ifq_capacity = 500;
+        };
+    flows =
+      [
+        {
+          Core.Spec.default_flow with
+          label = Some "crowd";
+          workload =
+            Core.Spec.Many_flows
+              {
+                flows = 2_000;
+                arrival_rate = None;
+                arrival_pareto_shape = None;
+                mean_size = None;
+                size_pareto_shape = 1.2;
+              };
+        };
+      ];
+  }
+
+let test_checkpoint_image_pinned () =
+  let path = tmp_path "pin.snap" in
+  let checkpoint =
+    {
+      Core.Spec.snapshot_path = path;
+      interval = Sim.Time.of_sec 1.;
+      should_stop = (fun () -> true);
+    }
+  in
+  (match Core.Spec.run ~checkpoint persistent_spec with
+  | _ -> Alcotest.fail "expected a drain at 1 s"
+  | exception Core.Spec.Drained { at; _ } ->
+      Alcotest.(check (float 0.)) "drained at 1 s" 1. (Sim.Time.to_sec at));
+  let image = read_file path in
+  Sys.remove path;
+  Alcotest.(check string) "the 1 s image of 2,000 persistent flows"
+    "c4731170c794a9a663a48d862314f216" (md5_hex image)
+
 (* --- property: random section sets round-trip bit-exactly ------------- *)
 
 type section =
@@ -228,5 +290,8 @@ let suite =
     Alcotest.test_case "load falls back to .prev" `Quick
       test_load_falls_back_to_prev;
     Alcotest.test_case "rng state round trip" `Quick test_rng_state_round_trip;
+    Alcotest.test_case "image bytes pinned" `Quick test_image_bytes_pinned;
+    Alcotest.test_case "checkpoint image bytes pinned" `Quick
+      test_checkpoint_image_pinned;
     QCheck_alcotest.to_alcotest prop_round_trip;
   ]
