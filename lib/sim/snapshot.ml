@@ -146,8 +146,12 @@ let parse data =
         let len = Int64.to_int (Bytes.get_int64_le data !pos) in
         pos := !pos + 8;
         if len < 0 then corrupt "negative section length in %S" name;
-        let payload = if kind = k_bytes then len else 8 * len in
-        need payload "section payload";
+        (* [len] comes from the file: bound it by the bytes left before
+           scaling it, or [8 * len] can wrap past the check. *)
+        let width = if kind = k_bytes then 1 else 8 in
+        if len > (body_len - !pos) / width then
+          corrupt "truncated section payload at offset %d" !pos;
+        let payload = width * len in
         let s = { kind; off = !pos; len } in
         pos := !pos + payload;
         s

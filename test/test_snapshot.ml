@@ -86,6 +86,24 @@ let test_truncation_detected () =
       | exception Snap.Corrupt _ -> ())
     [ 0; 4; 8; String.length image / 2; String.length image - 1 ]
 
+(* A digest-valid image whose one int-array section claims 2^59
+   elements over 8 payload bytes. Scaled to bytes, that length wraps
+   the native int; the reader must refuse it as [Corrupt], which [load]
+   answers by falling back to [.prev], not fail on a stray index. *)
+let test_oversized_length_corrupt () =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "RSSSNAP\001";
+  Buffer.add_int64_le b 1L;
+  Buffer.add_uint8 b 1;
+  Buffer.add_string b "x";
+  Buffer.add_uint8 b 2;
+  Buffer.add_int64_le b (Int64.shift_left 1L 59);
+  Buffer.add_int64_le b 0L;
+  let body = Buffer.contents b in
+  match Snap.of_string (body ^ Digest.string body) with
+  | _ -> Alcotest.fail "an image claiming 2^59 elements was accepted"
+  | exception Snap.Corrupt _ -> ()
+
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
@@ -286,6 +304,8 @@ let suite =
     Alcotest.test_case "any byte flip detected" `Quick
       test_any_byte_flip_detected;
     Alcotest.test_case "truncation detected" `Quick test_truncation_detected;
+    Alcotest.test_case "oversized section length is Corrupt" `Quick
+      test_oversized_length_corrupt;
     Alcotest.test_case "save rotates .prev" `Quick test_save_rotates_prev;
     Alcotest.test_case "load falls back to .prev" `Quick
       test_load_falls_back_to_prev;
