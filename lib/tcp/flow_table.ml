@@ -11,13 +11,19 @@
 
    Rows are recycled through an intrusive free list threaded through
    [next_free]; [phase = -1] marks a free row, so a stale index is
-   detectable. [timer] is the engine's timer bookkeeping (the many_flows
+   detectable. A table starts small and doubles when every row is live,
+   up to its [max_cap]: freed rows go back on the head of the list, so
+   a never-used row k is handed out only once rows 0..k-1 are all live,
+   which is exactly when a growing table grows. Every table, whatever
+   its starting size, therefore hands out the same rows in the same
+   order, and a table of live rows only costs what the run holds. [timer] is the engine's timer bookkeeping (the many_flows
    engine links each round cohort's rows through it); [rng] is a
    per-flow xorshift state so the engine draws per-flow randomness
    without touching a shared stream. *)
 
 type t = {
   mutable cap : int;
+  max_cap : int; (* [grow] stops here *)
   mutable in_use : int;
   mutable free_head : int; (* threaded through [next_free]; -1 = none *)
   mutable cwnd : float array;
@@ -34,12 +40,14 @@ let link_free next_free ~from ~cap =
     next_free.(i) <- (if i = cap - 1 then -1 else i + 1)
   done
 
-let create ?(initial_capacity = 16) () =
-  let cap = Int.max 1 initial_capacity in
+let create ?(initial_capacity = 16) ?(max_capacity = max_int) () =
+  if max_capacity < 1 then invalid_arg "Flow_table.create: max_capacity < 1";
+  let cap = Int.max 1 (Int.min initial_capacity max_capacity) in
   let next_free = Array.make cap (-1) in
   link_free next_free ~from:0 ~cap;
   {
     cap;
+    max_cap = max_capacity;
     in_use = 0;
     free_head = 0;
     cwnd = Array.make cap 0.;
@@ -55,7 +63,9 @@ let capacity t = t.cap
 let in_use t = t.in_use
 
 let grow t =
-  let cap' = 2 * t.cap in
+  if t.cap >= t.max_cap then
+    invalid_arg "Flow_table.alloc: every row up to max_capacity is live";
+  let cap' = Int.min (2 * t.cap) t.max_cap in
   let extf a =
     let a' = Array.make cap' 0. in
     Array.blit a 0 a' 0 t.cap;

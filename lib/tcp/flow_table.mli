@@ -17,6 +17,7 @@
 
 type t = private {
   mutable cap : int;  (** rows in every column; see {!capacity} *)
+  max_cap : int;  (** rows the table never grows past *)
   mutable in_use : int;  (** live rows; see {!in_use} *)
   mutable free_head : int;  (** first free row; −1 = none *)
   mutable cwnd : float array;  (** window, bytes *)
@@ -34,12 +35,19 @@ type t = private {
   mutable next_free : int array;  (** free-list link; −1 ends the list *)
 }
 
-val create : ?initial_capacity:int -> unit -> t
-(** Capacity doubles on demand (amortized O(1) {!alloc}). *)
+val create : ?initial_capacity:int -> ?max_capacity:int -> unit -> t
+(** A table of [initial_capacity] rows (default 16, at most
+    [max_capacity]) whose capacity doubles when every row is live
+    (amortized O(1) {!alloc}), never past [max_capacity] (default
+    unbounded). Rows come out in the same order whatever the starting
+    capacity: a never-used row is handed out only when every row below
+    it is live, which is when a growing table grows. Raises
+    [Invalid_argument] on a [max_capacity] below 1. *)
 
 val alloc : t -> int
 (** Claim a row, reset to defaults: cwnd 0, ssthresh ∞, budget −1
-    (unbounded), timer −1 (none), phase 0. May replace every column. *)
+    (unbounded), timer −1 (none), phase 0. May replace every column.
+    Raises [Invalid_argument] when all [max_capacity] rows are live. *)
 
 val free : t -> int -> unit
 (** Return a row to the free list. Raises on a dead row. *)
@@ -69,7 +77,8 @@ val save : t -> prefix:string -> Sim.Snapshot.writer -> unit
 (** Write every column and scalar as sections named [prefix ^ column]. *)
 
 val restore : t -> prefix:string -> Sim.Snapshot.reader -> unit
-(** Overwrite [t] in place with the saved table. Raises
+(** Overwrite [t] in place with the saved table, whose capacity it
+    takes; [t]'s [max_capacity] still bounds its growth. Raises
     {!Sim.Snapshot.Corrupt}, naming the section, on a missing or short
     section, on an [in_use] outside 0..capacity or a free-list link
     outside −1..capacity−1, and unless the list from [free_head]

@@ -507,7 +507,15 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
           Wheel.create
             ~on_fire:(fun ~kind ~flow -> on_fire (Lazy.force t) ~kind ~flow)
             ();
-        table = Ft.create ~initial_capacity:(Int.max 16 params.flows) ();
+        table =
+          (* Sized to what the run holds: every flow at once when all
+             launch now, else the table's default 16 rows, doubling as
+             arrivals fill them up to the flow count. Rows come out in
+             the same order either way (see [Tcp.Flow_table]), so only
+             the table's footprint, and its snapshot, differ. *)
+          (match params.arrival_rate with
+          | None -> Ft.create ~initial_capacity:(Int.max 16 params.flows) ()
+          | Some _ -> Ft.create ~max_capacity:params.flows ());
         round;
         p = params;
         seed;

@@ -69,7 +69,9 @@ val start :
 (** Creates the flow table and timer wheel, attaches the wheel to
     [sched] (several engines — e.g. per-segment shards — may share one
     scheduler, each with its own wheel), and launches or schedules the
-    flows. [seed] roots the per-flow loss streams; [rng] drives
+    flows. The table holds [flows] rows when every flow launches at
+    once ([arrival_rate = None]); an arrival-driven engine's starts at
+    16 and doubles as arrivals fill it, never past [flows]. [seed] roots the per-flow loss streams; [rng] drives
     arrivals and sizes only. The [cong_avoid] bundle (default Reno) is
     shared by all flows. Raises [Invalid_argument] when
     {!cong_avoid_error} rejects it, on non-positive [flows], [capacity],

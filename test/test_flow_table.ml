@@ -184,6 +184,46 @@ let qcheck_restore_allocates_alike =
       let next tbl = List.init (Ft.capacity t + 3) (fun _ -> Ft.alloc tbl) in
       next t = next copy)
 
+(* The starting size changes only the footprint: a table created at 2
+   rows, growing under a ceiling of the sequence's peak of live rows,
+   and one created at that peak hand out the same rows in the same
+   order, and the growing one never passes its ceiling. Allocations
+   outnumber frees 3:2, so the peaks cross several doublings. *)
+let qcheck_growth_allocates_alike =
+  QCheck2.Test.make ~count:200
+    ~name:"a growing table hands out a pre-sized one's rows"
+    QCheck2.Gen.(
+      list_size (int_range 0 200)
+        (pair (frequencyl [ (3, true); (2, false) ]) nat))
+    (fun ops ->
+      let _, peak =
+        List.fold_left
+          (fun (live, peak) (alloc, _) ->
+            let live = if alloc || live = 0 then live + 1 else live - 1 in
+            (live, Int.max peak live))
+          (0, 0) ops
+      in
+      let ceiling = Int.max 1 peak in
+      let grown = Ft.create ~initial_capacity:2 ~max_capacity:ceiling ()
+      and sized = Ft.create ~initial_capacity:ceiling () in
+      let live = ref [] in
+      List.for_all
+        (fun (alloc, k) ->
+          (match !live with
+          | _ :: _ when not alloc ->
+              let r = List.nth !live (k mod List.length !live) in
+              Ft.free grown r;
+              Ft.free sized r;
+              live := List.filter (( <> ) r) !live
+          | _ ->
+              let r = Ft.alloc grown and r' = Ft.alloc sized in
+              if r <> r' then
+                QCheck2.Test.fail_reportf "the growing table gave row %d, the \
+                                           pre-sized one %d" r r';
+              live := r :: !live);
+          Ft.capacity grown <= ceiling)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "alloc resets a recycled row" `Quick test_alloc_reset;
@@ -199,4 +239,5 @@ let suite =
     Alcotest.test_case "restore: in_use = -7" `Quick
       (check_refused ~section:"ft.in_use" (put_int "ft.in_use" (-7)));
     QCheck_alcotest.to_alcotest qcheck_restore_allocates_alike;
+    QCheck_alcotest.to_alcotest qcheck_growth_allocates_alike;
   ]

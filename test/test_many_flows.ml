@@ -5,8 +5,8 @@
 
 module Mf = Workload.Many_flows
 
-let run_engine ?(flows = 200) ?(duration = 5.) ?mean_size ?arrival_rate
-    ?(red = None) ~seed () =
+let start_engine ?(flows = 200) ?mean_size ?arrival_rate ?(red = None) ~seed
+    () =
   let sched = Sim.Scheduler.create ~seed () in
   let t =
     Mf.start ~sched ~rng:(Sim.Scheduler.derive_rng sched) ~seed
@@ -21,6 +21,10 @@ let run_engine ?(flows = 200) ?(duration = 5.) ?mean_size ?arrival_rate
         buffer_packets = 60;
       }
   in
+  (sched, t)
+
+let run_engine ?flows ?(duration = 5.) ?mean_size ?arrival_rate ?red ~seed () =
+  let sched, t = start_engine ?flows ?mean_size ?arrival_rate ?red ~seed () in
   Sim.Scheduler.run ~until:(Sim.Time.of_sec duration) sched;
   t
 
@@ -65,6 +69,35 @@ let test_goodput_bounded_by_capacity () =
     true
     (g <= 10.0 +. 1e-6);
   Alcotest.(check bool) "and the link is busy" true (g > 5.)
+
+(* The table holds what the run holds. An engine whose flows all launch
+   at t = 0 has one row per flow, as it always had. An arrival-driven
+   one starts at 16 rows and doubles only when every row is live, so its
+   capacity passes neither its flow count nor twice its peak of live
+   rows. The peak is read every millisecond: a lower bound on the true
+   one, so the check is, if anything, stricter than the claim. *)
+let test_table_holds_live_rows () =
+  let capacity t = Tcp.Flow_table.capacity (Mf.table t) in
+  Alcotest.(check int) "all at t = 0: one row per flow" 200
+    (capacity (run_engine ~flows:200 ~duration:0.1 ~seed:4 ()));
+  List.iter
+    (fun (what, flows, mean_size) ->
+      let sched, t = start_engine ~flows ?mean_size ~arrival_rate:300. ~seed:9 () in
+      let peak = ref 0 in
+      for ms = 1 to 4_000 do
+        Sim.Scheduler.run ~until:(Sim.Time.ms ms) sched;
+        peak := Int.max !peak (Mf.active t)
+      done;
+      let cap = capacity t in
+      if cap > flows || cap > Int.max 16 (2 * !peak) then
+        Alcotest.failf "%s: %d rows for %d flows, peak %d live" what cap flows
+          !peak)
+    [
+      ("short transfers", 2_000, Some 3_000);
+      ("long transfers", 400, Some 150_000);
+      ("persistent", 300, None);
+      ("fewer flows than 16 rows", 10, None);
+    ]
 
 let mf_spec ~jobs:_ ~seed =
   {
@@ -495,6 +528,8 @@ let suite =
       test_engine_determinism;
     Alcotest.test_case "budgeted flows retire" `Quick
       test_budgeted_flows_complete;
+    Alcotest.test_case "the table holds live rows" `Quick
+      test_table_holds_live_rows;
     Alcotest.test_case "goodput bounded by capacity under overload" `Quick
       test_goodput_bounded_by_capacity;
     Alcotest.test_case "outcome independent of --jobs" `Quick

@@ -12,7 +12,12 @@ let tmp_path name =
     (Printf.sprintf "rss_resume_test_%d_%d_%s" (Unix.getpid ()) !tmp_counter
        name)
 
-let mf_spec ?(name = "resume-mf") ?(seed = 21) () =
+(* Arrival-driven and budgeted: the engine's table starts at 16 rows
+   and doubles as arrivals fill it, up to its 400 flows. At 300
+   arrivals/s it reaches that ceiling before the first 1 s boundary, so
+   these drains restore a table grown from 16 rows; at 100/s (the
+   growth test below) it grows again after the first resume. *)
+let mf_spec ?(name = "resume-mf") ?(seed = 21) ?(arrival_rate = 300.) () =
   {
     Core.Spec.default with
     name;
@@ -36,7 +41,7 @@ let mf_spec ?(name = "resume-mf") ?(seed = 21) () =
             Core.Spec.Many_flows
               {
                 flows = 400;
-                arrival_rate = Some 300.;
+                arrival_rate = Some arrival_rate;
                 arrival_pareto_shape = None;
                 mean_size = Some 150_000;
                 size_pareto_shape = 1.3;
@@ -110,29 +115,50 @@ let test_stale_snapshot_resume () =
   Sys.remove path;
   Sys.remove stale
 
-let test_multi_slice_resume () =
-  (* Drain at every boundary in turn — resume, drain, resume... — and
-     the final outcome still matches one uninterrupted run. *)
-  let spec = mf_spec ~seed:23 () in
-  let unbroken = Core.Spec.run spec in
-  let path = tmp_path "slices.snap" in
-  let rec slices resume n =
-    if n > 10 then Alcotest.fail "did not complete in 10 slices"
+(* Drain at every boundary in turn — resume, drain, resume... — and
+   return the final outcome with the table capacity of each image. *)
+let run_in_slices spec ~path =
+  let rec slices resume caps =
+    if List.length caps > 10 then Alcotest.fail "did not complete in 10 slices"
     else
       match
         Core.Spec.run
           ~checkpoint:(checkpoint ~path ~stop:(fun () -> true) ())
           ?resume_from:resume spec
       with
-      | outcome -> (outcome, n)
+      | outcome -> (outcome, List.rev caps)
       | exception Core.Spec.Drained { snapshot; _ } ->
-          slices (Some snapshot) (n + 1)
+          let cap =
+            Sim.Snapshot.get_int (Sim.Snapshot.load ~path:snapshot) "mf.ft.cap"
+          in
+          slices (Some snapshot) (cap :: caps)
   in
-  let outcome, n = slices None 0 in
-  Alcotest.(check bool) "took several slices" true (n >= 3);
+  let sliced = slices None [] in
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ path; path ^ ".prev" ];
+  sliced
+
+let test_multi_slice_resume () =
+  (* The final outcome still matches one uninterrupted run. *)
+  let spec = mf_spec ~seed:23 () in
+  let unbroken = Core.Spec.run spec in
+  let outcome, caps = run_in_slices spec ~path:(tmp_path "slices.snap") in
+  Alcotest.(check bool) "took several slices" true (List.length caps >= 3);
   Alcotest.(check string) "sliced == unbroken" (outcome_json unbroken)
-    (outcome_json outcome);
-  Sys.remove path
+    (outcome_json outcome)
+
+let test_slices_across_growth () =
+  (* The 1 s image holds 64 rows, and the table doubles again before the
+     2 s boundary: the rows it hands out after the resume must be the
+     rows the unbroken run's table handed out. *)
+  let spec = mf_spec ~seed:27 ~arrival_rate:100. () in
+  let unbroken = Core.Spec.run spec in
+  let outcome, caps = run_in_slices spec ~path:(tmp_path "growth.snap") in
+  Alcotest.(check (list int)) "table rows at each boundary" [ 64; 128; 128 ]
+    caps;
+  Alcotest.(check string) "sliced == unbroken" (outcome_json unbroken)
+    (outcome_json outcome)
 
 let test_checkpoint_requires_support () =
   let bulk = { Core.Spec.default with Core.Spec.name = "bulk" } in
@@ -198,6 +224,8 @@ let suite =
       `Quick test_stale_snapshot_resume;
     Alcotest.test_case "many slices == unbroken" `Quick
       test_multi_slice_resume;
+    Alcotest.test_case "slices across table growth == unbroken" `Quick
+      test_slices_across_growth;
     Alcotest.test_case "checkpoint requires snapshot support" `Quick
       test_checkpoint_requires_support;
     Alcotest.test_case "resume checks spec identity" `Quick
