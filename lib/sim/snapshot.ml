@@ -7,6 +7,12 @@
    without breaking older state, and a version bump is only needed when
    the meaning of an existing section changes.
 
+   The writer records its sections, and [encode] writes them once into
+   one buffer of the image's exact size, reading every array then;
+   [save] fills in the digest and writes that buffer. The two halves
+   are separate so that a caller can encode while its data holds still
+   and save on another domain while the data moves on.
+
    Durability protocol: [save] writes the whole image to [path ^ ".tmp"],
    rotates any existing [path] to [path ^ ".prev"], then renames the tmp
    file into place — so [path] is always either the old complete image or
@@ -32,66 +38,122 @@ let k_i64_array = 2
 let k_f64_array = 3
 let k_bytes = 4
 
-type writer = { buf : Buffer.t }
+(* A section as put: scalars by value, arrays and strings by reference.
+   [encode] reads them, so an array put must not change before the
+   image is encoded. *)
+type payload =
+  | I64 of int64
+  | F64 of float
+  | Ints of int array
+  | Floats of float array
+  | Str of string
 
-let writer () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_int64_le buf (Int64.of_int version);
-  { buf }
+type writer = { mutable rev_sections : (string * payload) list }
 
-let add_name w name =
+let writer () = { rev_sections = [] }
+
+let put w name payload =
   let n = String.length name in
   if n = 0 || n > 255 then
     invalid_arg "Snapshot: section names must be 1..255 bytes";
-  Buffer.add_uint8 w.buf n;
-  Buffer.add_string w.buf name
+  w.rev_sections <- (name, payload) :: w.rev_sections
 
-let put_i64 w name v =
-  add_name w name;
-  Buffer.add_uint8 w.buf k_i64;
-  Buffer.add_int64_le w.buf v
-
+let put_i64 w name v = put w name (I64 v)
 let put_int w name v = put_i64 w name (Int64.of_int v)
+let put_float w name v = put w name (F64 v)
+let put_int_array w name a = put w name (Ints a)
+let put_float_array w name a = put w name (Floats a)
+let put_bytes w name s = put w name (Str s)
 
-let put_float w name v =
-  add_name w name;
-  Buffer.add_uint8 w.buf k_f64;
-  Buffer.add_int64_le w.buf (Int64.bits_of_float v)
+let header_len = String.length magic + 8
+let digest_len = 16
 
-let put_int_array w name a =
-  add_name w name;
-  Buffer.add_uint8 w.buf k_i64_array;
-  let n = Array.length a in
-  Buffer.add_int64_le w.buf (Int64.of_int n);
-  for i = 0 to n - 1 do
-    Buffer.add_int64_le w.buf (Int64.of_int (Array.unsafe_get a i))
-  done
+(* Wire bytes of a section after its name: kind, then the scalar or the
+   length and the elements. *)
+let payload_len = function
+  | I64 _ | F64 _ -> 1 + 8
+  | Ints a -> 1 + 8 + (8 * Array.length a)
+  | Floats a -> 1 + 8 + (8 * Array.length a)
+  | Str s -> 1 + 8 + String.length s
 
-let put_float_array w name a =
-  add_name w name;
-  Buffer.add_uint8 w.buf k_f64_array;
-  let n = Array.length a in
-  Buffer.add_int64_le w.buf (Int64.of_int n);
-  for i = 0 to n - 1 do
-    Buffer.add_int64_le w.buf (Int64.bits_of_float (Array.unsafe_get a i))
-  done
+(* The body and room for its digest, in one buffer of the image's exact
+   size: [seal] fills the trailer in place. *)
+type image = bytes
 
-let put_bytes w name s =
-  add_name w name;
-  Buffer.add_uint8 w.buf k_bytes;
-  Buffer.add_int64_le w.buf (Int64.of_int (String.length s));
-  Buffer.add_string w.buf s
+let encode w =
+  let sections = List.rev w.rev_sections in
+  let body_len =
+    List.fold_left
+      (fun n (name, p) -> n + 1 + String.length name + payload_len p)
+      header_len sections
+  in
+  let b = Bytes.create (body_len + digest_len) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_int64_le b (String.length magic) (Int64.of_int version);
+  let pos = ref header_len in
+  let head name kind =
+    let n = String.length name in
+    Bytes.set_uint8 b !pos n;
+    Bytes.blit_string name 0 b (!pos + 1) n;
+    Bytes.set_uint8 b (!pos + 1 + n) kind;
+    pos := !pos + n + 2
+  in
+  let i64 v =
+    Bytes.set_int64_le b !pos v;
+    pos := !pos + 8
+  in
+  List.iter
+    (fun (name, p) ->
+      match p with
+      | I64 v ->
+          head name k_i64;
+          i64 v
+      | F64 v ->
+          head name k_f64;
+          i64 (Int64.bits_of_float v)
+      | Ints a ->
+          head name k_i64_array;
+          let n = Array.length a in
+          i64 (Int64.of_int n);
+          let off = !pos in
+          for i = 0 to n - 1 do
+            Bytes.set_int64_le b (off + (8 * i))
+              (Int64.of_int (Array.unsafe_get a i))
+          done;
+          pos := off + (8 * n)
+      | Floats a ->
+          head name k_f64_array;
+          let n = Array.length a in
+          i64 (Int64.of_int n);
+          let off = !pos in
+          for i = 0 to n - 1 do
+            Bytes.set_int64_le b (off + (8 * i))
+              (Int64.bits_of_float (Array.unsafe_get a i))
+          done;
+          pos := off + (8 * n)
+      | Str s ->
+          head name k_bytes;
+          i64 (Int64.of_int (String.length s));
+          Bytes.blit_string s 0 b !pos (String.length s);
+          pos := !pos + String.length s)
+    sections;
+  b
+
+let seal image =
+  let body_len = Bytes.length image - digest_len in
+  Bytes.blit_string (Digest.subbytes image 0 body_len) 0 image body_len
+    digest_len
 
 let to_string w =
-  let body = Buffer.contents w.buf in
-  body ^ Digest.string body
+  let image = encode w in
+  seal image;
+  Bytes.unsafe_to_string image
 
-let save w ~path =
-  let image = to_string w in
+let save image ~path =
+  seal image;
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  (try output_string oc image
+  (try output_bytes oc image
    with e ->
      close_out_noerr oc;
      raise e);
@@ -107,8 +169,7 @@ type reader = { data : bytes; sections : (string, section) Hashtbl.t }
 
 let parse data =
   let total = Bytes.length data in
-  let digest_len = 16 in
-  if total < String.length magic + 8 + digest_len then
+  if total < header_len + digest_len then
     corrupt "truncated snapshot (%d bytes)" total;
   if Bytes.sub_string data 0 (String.length magic) <> magic then
     corrupt "bad magic";
@@ -119,7 +180,7 @@ let parse data =
   let v = Int64.to_int (Bytes.get_int64_le data (String.length magic)) in
   if v <> version then corrupt "unsupported snapshot version %d" v;
   let sections = Hashtbl.create 32 in
-  let pos = ref (String.length magic + 8) in
+  let pos = ref header_len in
   let need n what =
     if !pos + n > body_len then corrupt "truncated %s at offset %d" what !pos
   in
