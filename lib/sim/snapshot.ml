@@ -68,13 +68,51 @@ let put_bytes w name s = put w name (Str s)
 let header_len = String.length magic + 8
 let digest_len = 16
 
-(* Wire bytes of a section after its name: kind, then the scalar or the
-   length and the elements. *)
-let payload_len = function
-  | I64 _ | F64 _ -> 1 + 8
-  | Ints a -> 1 + 8 + (8 * Array.length a)
-  | Floats a -> 1 + 8 + (8 * Array.length a)
-  | Str s -> 1 + 8 + String.length s
+let kind = function
+  | I64 _ -> k_i64
+  | F64 _ -> k_f64
+  | Ints _ -> k_i64_array
+  | Floats _ -> k_f64_array
+  | Str _ -> k_bytes
+
+(* Wire bytes of a section: name length, name, kind, then the scalar or
+   the length and the elements. *)
+let section_len (name, p) =
+  let payload =
+    match p with
+    | I64 _ | F64 _ -> 8
+    | Ints a -> 8 + (8 * Array.length a)
+    | Floats a -> 8 + (8 * Array.length a)
+    | Str s -> 8 + String.length s
+  in
+  2 + String.length name + payload
+
+(* Write section [s] at [pos]; returns the position after it. *)
+let write_section b pos ((name, p) as s) =
+  let n = String.length name in
+  Bytes.set_uint8 b pos n;
+  Bytes.blit_string name 0 b (pos + 1) n;
+  Bytes.set_uint8 b (pos + n + 1) (kind p);
+  let at = pos + n + 2 in
+  (match p with
+  | I64 v -> Bytes.set_int64_le b at v
+  | F64 v -> Bytes.set_int64_le b at (Int64.bits_of_float v)
+  | Ints a ->
+      Bytes.set_int64_le b at (Int64.of_int (Array.length a));
+      for i = 0 to Array.length a - 1 do
+        Bytes.set_int64_le b (at + 8 + (8 * i))
+          (Int64.of_int (Array.unsafe_get a i))
+      done
+  | Floats a ->
+      Bytes.set_int64_le b at (Int64.of_int (Array.length a));
+      for i = 0 to Array.length a - 1 do
+        Bytes.set_int64_le b (at + 8 + (8 * i))
+          (Int64.bits_of_float (Array.unsafe_get a i))
+      done
+  | Str str ->
+      Bytes.set_int64_le b at (Int64.of_int (String.length str));
+      Bytes.blit_string str 0 b (at + 8) (String.length str));
+  pos + section_len s
 
 (* The body and room for its digest, in one buffer of the image's exact
    size: [seal] fills the trailer in place. *)
@@ -83,60 +121,12 @@ type image = bytes
 let encode w =
   let sections = List.rev w.rev_sections in
   let body_len =
-    List.fold_left
-      (fun n (name, p) -> n + 1 + String.length name + payload_len p)
-      header_len sections
+    List.fold_left (fun n s -> n + section_len s) header_len sections
   in
   let b = Bytes.create (body_len + digest_len) in
   Bytes.blit_string magic 0 b 0 (String.length magic);
   Bytes.set_int64_le b (String.length magic) (Int64.of_int version);
-  let pos = ref header_len in
-  let head name kind =
-    let n = String.length name in
-    Bytes.set_uint8 b !pos n;
-    Bytes.blit_string name 0 b (!pos + 1) n;
-    Bytes.set_uint8 b (!pos + 1 + n) kind;
-    pos := !pos + n + 2
-  in
-  let i64 v =
-    Bytes.set_int64_le b !pos v;
-    pos := !pos + 8
-  in
-  List.iter
-    (fun (name, p) ->
-      match p with
-      | I64 v ->
-          head name k_i64;
-          i64 v
-      | F64 v ->
-          head name k_f64;
-          i64 (Int64.bits_of_float v)
-      | Ints a ->
-          head name k_i64_array;
-          let n = Array.length a in
-          i64 (Int64.of_int n);
-          let off = !pos in
-          for i = 0 to n - 1 do
-            Bytes.set_int64_le b (off + (8 * i))
-              (Int64.of_int (Array.unsafe_get a i))
-          done;
-          pos := off + (8 * n)
-      | Floats a ->
-          head name k_f64_array;
-          let n = Array.length a in
-          i64 (Int64.of_int n);
-          let off = !pos in
-          for i = 0 to n - 1 do
-            Bytes.set_int64_le b (off + (8 * i))
-              (Int64.bits_of_float (Array.unsafe_get a i))
-          done;
-          pos := off + (8 * n)
-      | Str s ->
-          head name k_bytes;
-          i64 (Int64.of_int (String.length s));
-          Bytes.blit_string s 0 b !pos (String.length s);
-          pos := !pos + String.length s)
-    sections;
+  ignore (List.fold_left (write_section b) header_len sections);
   b
 
 let seal image =
