@@ -82,7 +82,9 @@ let test_table_holds_live_rows () =
     (capacity (run_engine ~flows:200 ~duration:0.1 ~seed:4 ()));
   List.iter
     (fun (what, flows, mean_size) ->
-      let sched, t = start_engine ~flows ?mean_size ~arrival_rate:300. ~seed:9 () in
+      let sched, t =
+        start_engine ~flows ?mean_size ~arrival_rate:300. ~seed:9 ()
+      in
       let peak = ref 0 in
       for ms = 1 to 4_000 do
         Sim.Scheduler.run ~until:(Sim.Time.ms ms) sched;
@@ -528,8 +530,6 @@ let suite =
       test_engine_determinism;
     Alcotest.test_case "budgeted flows retire" `Quick
       test_budgeted_flows_complete;
-    Alcotest.test_case "the table holds live rows" `Quick
-      test_table_holds_live_rows;
     Alcotest.test_case "goodput bounded by capacity under overload" `Quick
       test_goodput_bounded_by_capacity;
     Alcotest.test_case "outcome independent of --jobs" `Quick
@@ -546,4 +546,6 @@ let suite =
       test_round_allocates_nothing;
     Alcotest.test_case "2 s of a wide cohort allocates only per instant"
       `Quick test_wide_cohort_words;
+    Alcotest.test_case "the table holds live rows" `Quick
+      test_table_holds_live_rows;
   ]

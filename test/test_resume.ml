@@ -224,8 +224,6 @@ let suite =
       `Quick test_stale_snapshot_resume;
     Alcotest.test_case "many slices == unbroken" `Quick
       test_multi_slice_resume;
-    Alcotest.test_case "slices across table growth == unbroken" `Quick
-      test_slices_across_growth;
     Alcotest.test_case "checkpoint requires snapshot support" `Quick
       test_checkpoint_requires_support;
     Alcotest.test_case "resume checks spec identity" `Quick
@@ -233,4 +231,6 @@ let suite =
     Alcotest.test_case "an unwritable checkpoint fails the run" `Quick
       test_unwritable_checkpoint_fails;
     Alcotest.test_case "images land in order" `Quick test_images_land_in_order;
+    Alcotest.test_case "slices across table growth == unbroken" `Quick
+      test_slices_across_growth;
   ]

@@ -172,7 +172,8 @@ let test_rng_state_round_trip () =
 let md5_hex s = Digest.to_hex (Digest.string s)
 
 let test_image_bytes_pinned () =
-  Alcotest.(check string) "every section kind" "93c8f97e375d287a8fa8febccb6c4688"
+  Alcotest.(check string) "every section kind"
+    "93c8f97e375d287a8fa8febccb6c4688"
     (md5_hex (Snap.to_string (full_writer ())))
 
 let persistent_spec =
@@ -304,14 +305,14 @@ let suite =
     Alcotest.test_case "any byte flip detected" `Quick
       test_any_byte_flip_detected;
     Alcotest.test_case "truncation detected" `Quick test_truncation_detected;
-    Alcotest.test_case "oversized section length is Corrupt" `Quick
-      test_oversized_length_corrupt;
     Alcotest.test_case "save rotates .prev" `Quick test_save_rotates_prev;
     Alcotest.test_case "load falls back to .prev" `Quick
       test_load_falls_back_to_prev;
     Alcotest.test_case "rng state round trip" `Quick test_rng_state_round_trip;
+    QCheck_alcotest.to_alcotest prop_round_trip;
     Alcotest.test_case "image bytes pinned" `Quick test_image_bytes_pinned;
     Alcotest.test_case "checkpoint image bytes pinned" `Quick
       test_checkpoint_image_pinned;
-    QCheck_alcotest.to_alcotest prop_round_trip;
+    Alcotest.test_case "oversized section length is Corrupt" `Quick
+      test_oversized_length_corrupt;
   ]
