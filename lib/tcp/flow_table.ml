@@ -16,10 +16,11 @@
    a never-used row k is handed out only once rows 0..k-1 are all live,
    which is exactly when a growing table grows. Every table, whatever
    its starting size, therefore hands out the same rows in the same
-   order, and a table of live rows only costs what the run holds. [timer] is the engine's timer bookkeeping (the many_flows
-   engine links each round cohort's rows through it); [rng] is a
-   per-flow xorshift state so the engine draws per-flow randomness
-   without touching a shared stream. *)
+   order, and a table of live rows only costs what the run holds.
+   [timer] is the engine's timer bookkeeping (the many_flows engine
+   links each round cohort's rows through it); [rng] is a per-flow
+   xorshift state so the engine draws per-flow randomness without
+   touching a shared stream. *)
 
 type t = {
   mutable cap : int;

@@ -71,9 +71,10 @@ val start :
     scheduler, each with its own wheel), and launches or schedules the
     flows. The table holds [flows] rows when every flow launches at
     once ([arrival_rate = None]); an arrival-driven engine's starts at
-    16 and doubles as arrivals fill it, never past [flows]. [seed] roots the per-flow loss streams; [rng] drives
-    arrivals and sizes only. The [cong_avoid] bundle (default Reno) is
-    shared by all flows. Raises [Invalid_argument] when
+    16 and doubles as arrivals fill it, never past [flows]. [seed]
+    roots the per-flow loss streams; [rng] drives arrivals and sizes
+    only. The [cong_avoid] bundle (default Reno) is shared by all
+    flows. Raises [Invalid_argument] when
     {!cong_avoid_error} rejects it, on non-positive [flows], [capacity],
     [mss], [init_cwnd_segments], [base_rtt] or [arrival_rate]/[mean_size]
     (when given), a [buffer_packets] below 1, or a Pareto shape — for

@@ -112,8 +112,7 @@ let test_stale_snapshot_resume () =
   let resumed = Core.Spec.run ~resume_from:stale spec in
   Alcotest.(check string) "stale-snapshot resume == unbroken"
     (outcome_json unbroken) (outcome_json resumed);
-  Sys.remove path;
-  Sys.remove stale
+  List.iter Sys.remove [ path; path ^ ".prev"; stale ]
 
 (* Drain at every boundary in turn — resume, drain, resume... — and
    return the final outcome with the table capacity of each image. *)
