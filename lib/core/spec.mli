@@ -321,12 +321,7 @@ val execute : ?checkpoint:checkpoint -> ?resume_from:string -> built -> outcome
 
     With [checkpoint], the run saves a snapshot every [interval] of
     simulated time; slicing never changes the simulation (run-until is
-    associative), only what survives a kill. Each snapshot is encoded
-    at its boundary and written by a helper domain while the next
-    interval runs; the write is finished before the next snapshot,
-    before {!Drained} and before [execute] returns, and its error
-    ([Sys_error] for an unwritable path) is raised from [execute]
-    instead. With [resume_from], state
+    associative), only what survives a kill. With [resume_from], state
     is restored from the snapshot before running — the continuation is
     byte-identical to a run that was never interrupted. Both raise
     [Invalid_argument] when {!snapshot_supported} is false, and

@@ -386,10 +386,8 @@ let instrument_sections i inst =
    wrong spec fails loudly instead of continuing a different scenario,
    and copies raw engine state without integrating the fluid queue to
    the snapshot time — polling here would split one integration
-   interval in two and diverge from an unbroken run. Encoding reads the
-   engines' arrays, so it runs here, with the run paused at the
-   boundary. *)
-let encode_checkpoint ~identity b instruments =
+   interval in two and diverge from an unbroken run. *)
+let save_checkpoint ~identity b instruments ~path =
   let w = Sim.Snapshot.writer () in
   Sim.Snapshot.put_bytes w "spec.identity" (Lazy.force identity);
   Sim.Snapshot.put_int w "spec.clock_ns"
@@ -408,27 +406,7 @@ let encode_checkpoint ~identity b instruments =
         (fun (name, s) -> save_series w name s)
         (instrument_sections i inst))
     instruments;
-  Sim.Snapshot.encode w
-
-(* Saving an encoded image — its digest, the .tmp write and the renames
-   — reads only the image, so it runs on a helper domain while the next
-   slice simulates, at most one at a time. [join] waits for it and
-   re-raises its error. Where no domain can be spawned (the runtime's
-   domain limit), the save runs here. *)
-let start_save image ~path =
-  let save () = Sim.Snapshot.save image ~path in
-  match Domain.spawn save with
-  | d -> Some d
-  | exception Failure _ ->
-      save ();
-      None
-
-let join saving =
-  Option.iter
-    (fun d ->
-      saving := None;
-      Domain.join d)
-    !saving
+  Sim.Snapshot.save w ~path
 
 (* Restore into a freshly-built spec, before samplers are registered.
    Build-time state (initial wheel arms, RNG draws, free-list order) is
@@ -575,36 +553,19 @@ let execute_core ?checkpoint ~resume ~identity b =
                is equivalent to [run ~until:t2], so slicing (and therefore
                where checkpoints land) never changes the simulation — only
                what survives a kill. No snapshot at the final boundary: the
-               run is complete, its outputs are the artifact. Each image
-               is saved while the next slice runs, and the save is joined
-               before the next image is encoded, before [Drained], before
-               the run returns and on any exception, so the images land
-               in order and a drained or finished run leaves its last
-               one on disk. *)
+               run is complete, its outputs are the artifact. *)
             let duration = b.bspec.duration in
-            let saving = ref None in
             let rec slice t0 =
               let next = Sim.Time.min duration (Sim.Time.add t0 ck.interval) in
               Sim.Scheduler.run ~until:next b.bsched;
               if Sim.Time.(next < duration) then begin
-                join saving;
-                saving :=
-                  start_save
-                    (encode_checkpoint ~identity b instruments)
-                    ~path:ck.snapshot_path;
-                if ck.should_stop () then begin
-                  join saving;
+                save_checkpoint ~identity b instruments ~path:ck.snapshot_path;
+                if ck.should_stop () then
                   raise (Drained { at = next; snapshot = ck.snapshot_path })
-                end
                 else slice next
               end
             in
-            match slice (Sim.Scheduler.now b.bsched) with
-            | () -> join saving
-            | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                (try join saving with _ -> ());
-                Printexc.raise_with_backtrace e bt);
+            slice (Sim.Scheduler.now b.bsched));
         (registry, metrics_acc)
   in
   let results = List.map (collect_flow b) instruments in

@@ -7,11 +7,9 @@
    without breaking older state, and a version bump is only needed when
    the meaning of an existing section changes.
 
-   The writer records its sections, and [encode] writes them once into
-   one buffer of the image's exact size, reading every array then;
-   [save] fills in the digest and writes that buffer. The two halves
-   are separate so that a caller can encode while its data holds still
-   and save on another domain while the data moves on.
+   The writer records its sections, and [save] and [to_string] encode
+   them once, digest included, into one buffer of the image's exact
+   size, reading every array then.
 
    Durability protocol: [save] writes the whole image to [path ^ ".tmp"],
    rotates any existing [path] to [path ^ ".prev"], then renames the tmp
@@ -114,10 +112,8 @@ let write_section b pos ((name, p) as s) =
       Bytes.blit_string str 0 b (at + 8) (String.length str));
   pos + section_len s
 
-(* The body and room for its digest, in one buffer of the image's exact
-   size: [seal] fills the trailer in place. *)
-type image = bytes
-
+(* Header, sections in put order and the digest of both, in one buffer
+   of the image's exact size. *)
 let encode w =
   let sections = List.rev w.rev_sections in
   let body_len =
@@ -127,20 +123,13 @@ let encode w =
   Bytes.blit_string magic 0 b 0 (String.length magic);
   Bytes.set_int64_le b (String.length magic) (Int64.of_int version);
   ignore (List.fold_left (write_section b) header_len sections);
+  Bytes.blit_string (Digest.subbytes b 0 body_len) 0 b body_len digest_len;
   b
 
-let seal image =
-  let body_len = Bytes.length image - digest_len in
-  Bytes.blit_string (Digest.subbytes image 0 body_len) 0 image body_len
-    digest_len
+let to_string w = Bytes.unsafe_to_string (encode w)
 
-let to_string w =
+let save w ~path =
   let image = encode w in
-  seal image;
-  Bytes.unsafe_to_string image
-
-let save image ~path =
-  seal image;
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try output_bytes oc image

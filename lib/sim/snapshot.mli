@@ -11,12 +11,10 @@
     patterns: every round trip is bit-exact, which is what makes a
     resumed run byte-identical to an unbroken one.
 
-    Writing is two steps. {!encode} writes the recorded sections once,
-    into one buffer of the image's exact size: that is when the arrays
-    put are read, so an array must not change between its [put] and the
-    [encode]. {!save} then computes the digest trailer and writes that
-    buffer; it reads nothing else, so it may run on another domain while
-    the caller's data moves on.
+    The writer records each section as it is put; {!save} and
+    {!to_string} encode them once, digest included, into one buffer of
+    the image's exact size. That is when the arrays put are read, so an
+    array must not change between its [put] and the encoding.
 
     Durability: {!save} writes the complete image to [path ^ ".tmp"],
     rotates the previous image to [path ^ ".prev"], then renames into
@@ -40,20 +38,13 @@ val put_float : writer -> string -> float -> unit
 val put_int_array : writer -> string -> int array -> unit
 val put_float_array : writer -> string -> float array -> unit
 val put_bytes : writer -> string -> string -> unit
-(** Arrays and strings are recorded by reference and read by {!encode}.
-    Writing the same name twice keeps both sections, and the reader the
-    last. Names are 1..255 bytes. *)
+(** Arrays and strings are recorded by reference and read when the
+    image is encoded. Writing the same name twice keeps both sections,
+    and the reader the last. Names are 1..255 bytes. *)
 
-type image
-(** An encoded image, awaiting its digest. *)
-
-val encode : writer -> image
-(** Header and sections, in the order put, in one buffer of the image's
-    exact size. Reads every array and string put. *)
-
-val save : image -> path:string -> unit
-(** Fill in the digest trailer, then write-rename atomically with
-    [".prev"] rotation (see module doc). *)
+val save : writer -> path:string -> unit
+(** Encode the image, then write-rename atomically with [".prev"]
+    rotation (see module doc). *)
 
 val to_string : writer -> string
 (** The complete image (header, sections, digest) as a string, the same

@@ -119,10 +119,10 @@ let test_save_rotates_prev () =
   let path = tmp_path "rotate.snap" in
   let w1 = Snap.writer () in
   Snap.put_int w1 "gen" 1;
-  Snap.save (Snap.encode w1) ~path;
+  Snap.save w1 ~path;
   let w2 = Snap.writer () in
   Snap.put_int w2 "gen" 2;
-  Snap.save (Snap.encode w2) ~path;
+  Snap.save w2 ~path;
   Alcotest.(check int) "current image" 2
     (Snap.get_int (Snap.load ~path) "gen");
   Alcotest.(check int) "previous image rotated" 1
@@ -134,10 +134,10 @@ let test_load_falls_back_to_prev () =
   let path = tmp_path "fallback.snap" in
   let w1 = Snap.writer () in
   Snap.put_int w1 "gen" 1;
-  Snap.save (Snap.encode w1) ~path;
+  Snap.save w1 ~path;
   let w2 = Snap.writer () in
   Snap.put_int w2 "gen" 2;
-  Snap.save (Snap.encode w2) ~path;
+  Snap.save w2 ~path;
   (* corrupt the current image; load must hand back generation 1 *)
   let image = read_file path in
   write_file path (String.sub image 0 (String.length image - 3));
