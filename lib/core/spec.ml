@@ -4,8 +4,8 @@
    - Spec_types: the spec and result types, defaults, shared helpers;
    - Spec_validate: the checks build makes, instantiating nothing;
    - Spec_build: the spec compiled into a live network and flows;
-   - Spec_exec: instruments, the registry, result collection,
-     checkpoint/resume and the partitioned run.
+   - Spec_exec: instruments, the registry, the run and its breaks,
+     result collection and checkpoint/resume.
    Codec, which the library exports, describes each JSON object of a
    spec once; [to_json] and [of_json] read that description. *)
 

@@ -282,10 +282,11 @@ type built
     ready to run. *)
 
 val build : t -> built
-(** Validate the spec and instantiate the network, fault models,
-    connections and workload drivers. Flows with [start_at = 0] are
-    started immediately, later ones via scheduler timers, all in list
-    order. Raises [Invalid_argument] with the offending field on a
+(** Validate the spec and instantiate the network (on one partition
+    when [domains <= 1]), fault models, connections and workload
+    drivers. Flows with [start_at = 0] are started immediately, in list
+    order; later ones start when {!execute} reaches their start time.
+    Raises [Invalid_argument] with the offending field on a
     malformed spec ([duration > 0], [ifq_capacity >= 1], [loss_rate]
     in [0,1], non-negative start times, known policy names, ...). *)
 
@@ -313,11 +314,17 @@ val snapshot_supported : t -> bool
     a [Many_flows] workload starting at t=0 (SoA flow table + timer
     wheel + fluid scalars), with no fault profiles and no
     [record_trace]. [record_series] is fine — series content is part of
-    the snapshot and samplers re-register on resume. *)
+    the snapshot, and samples are taken between events, not by them. *)
 
 val execute : ?checkpoint:checkpoint -> ?resume_from:string -> built -> outcome
-(** Attach instrumentation (when [record_series]), run the scheduler to
-    [duration] and collect results, in flow order. Call once.
+(** Run the build's partitions to [duration] through
+    {!Sim.Partition.run} and collect results, in flow order. Call once.
+    Delayed flow starts and samples (the per-flow series when
+    [record_series], the metrics registry when [record_trace]) are
+    coordinator breaks: at each, every event before it has fired and
+    none at it has, so a sample at time t reads the model after every
+    event before t and before any at t, at any [domains]. At one
+    instant, starts come first, then the series, then the registry.
 
     With [checkpoint], the run saves a snapshot every [interval] of
     simulated time; slicing never changes the simulation (run-until is
@@ -339,6 +346,9 @@ val run_batch : ?pool:Engine.Pool.t -> t list -> outcome list
 (* --- introspection of a built spec (chaos harness hooks) ------------- *)
 
 val sched : built -> Sim.Scheduler.t
+(** Partition 0's scheduler, which runs the whole model when [domains
+    <= 1]. Events put on it between {!build} and {!execute} fire during
+    the run. *)
 
 val trace : built -> Trace.t option
 (** The event ring installed at {!build} time when [record_trace];

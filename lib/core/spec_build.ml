@@ -5,8 +5,10 @@
    E5/E8/E11/E13/E14, the chaos harness) performs the same
    scheduler/RNG operations in the same sequence, keeping results
    byte-identical through the refactor:
-   scheduler -> topology -> fault models (forward, then reverse) ->
-   flows in list order -> instrumentation timers -> run. *)
+   partitions -> topology -> fault models (forward, then reverse) ->
+   flows starting at t = 0, in list order. Execute then runs the
+   partitions, starting later flows and sampling at coordinator
+   breaks. *)
 
 open Spec_types
 
@@ -32,28 +34,19 @@ type built_flow = {
   flabel : string;
   src : Netsim.Host.t;
   dst : Netsim.Host.t;
-  fsrc_part : int;  (* partition owning src (0 on single-domain runs) *)
+  fsrc_part : int;  (* partition owning src (0 on one-partition runs) *)
   fdst_part : int;  (* partition owning dst *)
   mutable driver : driver option;
 }
 
-(* The partitioned engine state a [domains > 1] build carries: the
-   synchronizer, the worker count to run it with, and the delayed flow
-   starts — which become coordinator breaks rather than heap timers, so
-   a flow's first packet is injected with every partition clock sitting
-   exactly at its start time. *)
-type partitioned = {
-  psync : Sim.Partition.t;
-  pworkers : int;
-  mutable pstarts : (Sim.Time.t * built_flow) list; (* flow order *)
-}
-
 type built = {
   bspec : t;
-  bsched : Sim.Scheduler.t;
+  parts : Sim.Partition.t;
+      (* one partition when [domains <= 1]; execute runs every build
+         through [Sim.Partition.run] *)
   net : net;
   pids : Netsim.Packet.Id_source.source array;
-      (* packet-id source per partition; [|ids|] on single-domain runs.
+      (* packet-id source per partition; [|ids|] on one-partition runs.
          Ids only label packets (no behavioral consumer), so disjoint
          per-partition counters keep allocation data-race-free without
          perturbing anything observable. *)
@@ -63,10 +56,9 @@ type built = {
   shared : (int, Tcp.Shared_rss.t) Hashtbl.t;
   line_mbps : float;
   btrace : Trace.t option;
-  parts : partitioned option;
 }
 
-let sched b = b.bsched
+let sched b = Sim.Partition.scheduler b.parts 0
 let trace b = b.btrace
 
 let pair_hosts net pair =
@@ -89,8 +81,13 @@ let pair_hosts net pair =
         ( segs.(c).Netsim.Topology.Multi_dumbbell.left.(0),
           segs.(c + 1).Netsim.Topology.Multi_dumbbell.right.(0) )
 
+(* The partition that holds topology segment (or duplex side) [k]:
+   [k] itself under the topology-determined cut, 0 on a one-partition
+   run. *)
+let part_of spec k = if spec.domains <= 1 then 0 else k
+
 (* Partition indices of a pair's (src, dst) hosts under the fixed
-   topology-determined cut. (0, 0) on single-domain runs. *)
+   topology-determined cut. (0, 0) on one-partition runs. *)
 let pair_parts spec pair =
   if spec.domains <= 1 then (0, 0)
   else
@@ -163,8 +160,7 @@ let controller_for b bf =
   | Some c -> c
   | None ->
       (* The controller samples the sending host's IFQ, so it lives on
-         that host's scheduler — the build scheduler on single-domain
-         runs, the owning partition's otherwise. *)
+         that host's scheduler: the owning partition's. *)
       let c =
         Tcp.Shared_rss.create
           (Netsim.Host.scheduler bf.src)
@@ -251,11 +247,6 @@ let start_flow b bf =
            Poisson arrivals stay Poisson); the remainder lands on the
            low shards. *)
         let shards = shards_of b.bspec.topology in
-        let sched_of k =
-          match b.parts with
-          | Some p -> Sim.Partition.scheduler p.psync k
-          | None -> b.bsched
-        in
         Many_driver
           (Array.init shards (fun k ->
                (* Shard 0 keeps the legacy seed and arrivals stream, so
@@ -274,7 +265,9 @@ let start_flow b bf =
                        (Sim.Rng.derive_seed ~root:b.bspec.seed
                           ~stream:(0x6F0000 + (bf.index * 0x100) + k)) )
                in
-               Workload.Many_flows.start ~sched:(sched_of k) ~rng ~seed
+               Workload.Many_flows.start
+                 ~sched:(Sim.Partition.scheduler b.parts (part_of b.bspec k))
+                 ~rng ~seed
                  ~cong_avoid:(bundle ()).Tcp.Policy.cong_avoid
                  {
                    Workload.Many_flows.default_params with
@@ -334,47 +327,37 @@ let build spec =
   in
   (* Partition 0 always carries the spec seed, so every stream derived
      from it (the duplex loss stream, derived workload streams) lands on
-     the values the single-scheduler build draws; sibling partitions get
+     the same values at any [domains]; sibling partitions get
      independent derived seeds that nothing in the allowed spec shapes
      consumes. *)
-  let psync =
-    if nparts = 1 then None
-    else
-      Some
-        (Sim.Partition.create ~parts:nparts ~seed_of:(fun i ->
-             if i = 0 then spec.seed
-             else Sim.Rng.derive_seed ~root:spec.seed ~stream:(0x9A40 + i)))
+  let parts =
+    Sim.Partition.create ~parts:nparts ~seed_of:(fun i ->
+        if i = 0 then spec.seed
+        else Sim.Rng.derive_seed ~root:spec.seed ~stream:(0x9A40 + i))
   in
+  let bsched = Sim.Partition.scheduler parts 0 in
   let net, cut =
-    match (spec.topology, psync) with
-    | Duplex d, None ->
-        let sched = Sim.Scheduler.create ~seed:spec.seed () in
+    match spec.topology with
+    | Duplex d when nparts = 1 ->
         ( Net_duplex
-            (Netsim.Topology.Duplex.create sched ~rate:d.rate
+            (Netsim.Topology.Duplex.create bsched ~rate:d.rate
                ~one_way_delay:d.one_way_delay ~ifq_capacity:d.ifq_capacity
                ~loss_rate:d.loss_rate ?ifq_red_ecn:d.ifq_red_ecn ()),
           Netsim.Topology.Cut.single )
-    | Duplex d, Some p ->
+    | Duplex d ->
         let path, cut =
-          Netsim.Topology.Duplex.create_split
-            (Sim.Partition.scheduler p 0)
-            (Sim.Partition.scheduler p 1)
+          Netsim.Topology.Duplex.create_split bsched
+            (Sim.Partition.scheduler parts 1)
             ~rate:d.rate ~one_way_delay:d.one_way_delay
             ~ifq_capacity:d.ifq_capacity ~loss_rate:d.loss_rate
             ?ifq_red_ecn:d.ifq_red_ecn ()
         in
         (Net_duplex path, cut)
-    | topo, _ ->
+    | topo ->
         let m = chain topo in
-        let sched_of =
-          match psync with
-          | Some p -> Sim.Partition.scheduler p
-          | None ->
-              let sched = Sim.Scheduler.create ~seed:spec.seed () in
-              fun _ -> sched
-        in
         let md =
-          Netsim.Topology.Multi_dumbbell.create ~sched_of
+          Netsim.Topology.Multi_dumbbell.create
+            ~sched_of:(fun k -> Sim.Partition.scheduler parts (part_of spec k))
             ~segments:m.segments ~pairs:m.m_pairs
             ~access_rate:m.m_access_rate ~access_delay:m.m_access_delay
             ~bottleneck_rate:m.m_bottleneck_rate
@@ -384,42 +367,27 @@ let build spec =
             ~cross_pairs:m.cross_pairs ()
         in
         ( Net_multi md,
-          match psync with
-          | Some _ -> md.Netsim.Topology.Multi_dumbbell.cut
-          | None -> Netsim.Topology.Cut.single )
-  in
-  let bsched =
-    match psync with
-    | Some p -> Sim.Partition.scheduler p 0
-    | None -> (
-        match net with
-        | Net_duplex d -> Netsim.Host.scheduler d.Netsim.Topology.Duplex.a
-        | Net_multi md ->
-            Netsim.Host.scheduler
-              md.Netsim.Topology.Multi_dumbbell.segments.(0)
-                .Netsim.Topology.Multi_dumbbell.left.(0))
+          if nparts = 1 then Netsim.Topology.Cut.single
+          else md.Netsim.Topology.Multi_dumbbell.cut )
   in
   let pids = Array.init nparts (fun _ -> Netsim.Packet.Id_source.create ()) in
   (* Rewire each boundary link of the cut as a channel endpoint: the
      transmit side hands finished packets to the channel (due = now +
      propagation delay, the channel's lookahead), and the destination
      partition replays delivery — sink dispatch, delivered counter — at
-     [due] on its own scheduler. *)
-  (match psync with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun (bd : Netsim.Topology.Cut.boundary) ->
-          let link = bd.Netsim.Topology.Cut.link in
-          let ch =
-            Sim.Partition.channel p ~src:bd.Netsim.Topology.Cut.src
-              ~dst:bd.Netsim.Topology.Cut.dst
-              ~lookahead:(Netsim.Topology.Cut.lookahead bd)
-              ~handler:(fun _due pkt -> Netsim.Link.remote_deliver link pkt)
-          in
-          Netsim.Link.set_remote link (fun ~due pkt ->
-              Sim.Partition.Channel.send ch ~due pkt))
-        cut.Netsim.Topology.Cut.boundaries);
+     [due] on its own scheduler. A one-partition cut has no boundary. *)
+  List.iter
+    (fun (bd : Netsim.Topology.Cut.boundary) ->
+      let link = bd.Netsim.Topology.Cut.link in
+      let ch =
+        Sim.Partition.channel parts ~src:bd.Netsim.Topology.Cut.src
+          ~dst:bd.Netsim.Topology.Cut.dst
+          ~lookahead:(Netsim.Topology.Cut.lookahead bd)
+          ~handler:(fun _due pkt -> Netsim.Link.remote_deliver link pkt)
+      in
+      Netsim.Link.set_remote link (fun ~due pkt ->
+          Sim.Partition.Channel.send ch ~due pkt))
+    cut.Netsim.Topology.Cut.boundaries;
   (* A passthrough profile gets no model: an installed passthrough hook
      is behaviourally identical to none (no RNG draws, zero extra
      delay), so skipping keeps unfaulted specs byte-identical to the
@@ -448,15 +416,10 @@ let build spec =
       Some (Trace.create ~capacity:spec.trace_capacity ())
     else None
   in
-  let parts =
-    Option.map
-      (fun p -> { psync = p; pworkers = spec.domains; pstarts = [] })
-      psync
-  in
   let b0 =
     {
       bspec = spec;
-      bsched;
+      parts;
       net;
       pids;
       fwd_fault = None;
@@ -465,7 +428,6 @@ let build spec =
       shared = Hashtbl.create 4;
       line_mbps;
       btrace;
-      parts;
     }
   in
   (* Streams 0xFA1/0xFA2: the chaos harness's historical fault streams,
@@ -509,20 +471,10 @@ let build spec =
             Netsim.Nic.set_tracer (Netsim.Host.nic host) ~src:id btrace)
           [ src; dst ]
       done);
+  (* Later flows start at coordinator breaks during execute. *)
   List.iter
     (fun bf ->
       if Sim.Time.compare bf.fspec.start_at Sim.Time.zero = 0 then
-        start_flow b bf
-      else
-        match b.parts with
-        | None ->
-            ignore
-              (Sim.Scheduler.at b.bsched bf.fspec.start_at (fun () ->
-                   start_flow b bf))
-        | Some p ->
-            (* Delayed starts become coordinator breaks: the flow is
-               injected with every partition quiesced at its start time
-               rather than from one partition's heap. *)
-            p.pstarts <- p.pstarts @ [ (bf.fspec.start_at, bf) ])
+        start_flow b bf)
     bflows;
   b

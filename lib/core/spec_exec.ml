@@ -1,6 +1,6 @@
 (* Execution: per-flow instruments and the metrics registry around the
-   run, result collection, checkpoint/resume and the partitioned run.
-   The per-sample helpers live beside their callers: the dev profile
+   run, result collection, checkpoint/resume and the run itself. The
+   per-sample helpers live beside their callers: the dev profile
    compiles with -opaque, so a float returned across a module boundary
    is boxed. *)
 
@@ -67,10 +67,8 @@ let mf_mean_cwnd shards =
       0. shards
     /. float_of_int active
 
-(* [now] is the sampling instant: the build scheduler's clock on
-   single-domain runs, the (identical) barrier time on partitioned ones
-   — where reading one partition's clock for a flow living on another
-   would be ill-defined mid-epoch. *)
+(* [now] is the sampling instant, the coordinator break every partition
+   clock sits at. *)
 let sample_instrument b ~now inst =
   match inst.ibf.driver with
   | Some (Many_driver shards) ->
@@ -247,8 +245,9 @@ let build_registry b =
       if is_tcp_workload bf.fspec.workload then
         List.iter
           (fun (var, read) ->
-            (* The sender may not exist yet (start_at timer pending);
-               probes resolve it at sampling time and read 0 until. *)
+            (* The sender may not exist yet (its start break is still
+               ahead); probes resolve it at sampling time and read 0
+               until. *)
             Trace.Registry.register reg
               ~name:(Printf.sprintf "conn/%s/%s" bf.flabel var)
               (fun () ->
@@ -312,11 +311,11 @@ let jain = function
 
 (* Snapshotability is a property of what lives in the event heap: heap
    events are closures and cannot serialize, so a checkpointable run
-   must keep the heap empty of model state — everything dynamic lives
-   in the many-flows engine (SoA flow table + timer wheel + fluid
-   scalars), and the only heap entries are the re-registerable series
-   samplers. That rules out per-packet senders, delayed flow starts,
-   fault schedules and the trace ring. *)
+   must keep the heap empty — everything dynamic lives in the
+   many-flows engine (SoA flow table + timer wheel + fluid scalars),
+   and samples are coordinator breaks, not events. That rules out
+   per-packet senders, delayed flow starts, fault schedules and the
+   trace ring. *)
 let snapshot_support_error t =
   if t.domains > 1 then
     Some "partitioned runs (domains > 1) spread state over several heaps"
@@ -391,9 +390,9 @@ let save_checkpoint ~identity b instruments ~path =
   let w = Sim.Snapshot.writer () in
   Sim.Snapshot.put_bytes w "spec.identity" (Lazy.force identity);
   Sim.Snapshot.put_int w "spec.clock_ns"
-    (Sim.Time.to_ns_int (Sim.Scheduler.now b.bsched));
+    (Sim.Time.to_ns_int (Sim.Scheduler.now (sched b)));
   Sim.Snapshot.put_i64 w "spec.sched_rng"
-    (Sim.Rng.state (Sim.Scheduler.rng b.bsched));
+    (Sim.Rng.state (Sim.Scheduler.rng (sched b)));
   Array.iteri
     (fun k eng -> Workload.Many_flows.save ~prefix:(shard_prefix k) eng w)
     (the_engines b);
@@ -408,10 +407,10 @@ let save_checkpoint ~identity b instruments ~path =
     instruments;
   Sim.Snapshot.save w ~path
 
-(* Restore into a freshly-built spec, before samplers are registered.
-   Build-time state (initial wheel arms, RNG draws, free-list order) is
-   fully overwritten, so the restored image — not construction history —
-   determines every subsequent transition. *)
+(* Restore into a freshly-built spec. Build-time state (initial wheel
+   arms, RNG draws, free-list order) is fully overwritten, so the
+   restored image — not construction history — determines every
+   subsequent transition. *)
 let restore_checkpoint ~identity b instruments ~path =
   check_snapshot_supported b.bspec;
   let r = Sim.Snapshot.load ~path in
@@ -419,7 +418,7 @@ let restore_checkpoint ~identity b instruments ~path =
   if stored <> Lazy.force identity then
     err "Spec: snapshot %s was taken from a different spec" path;
   Sim.Rng.set_state
-    (Sim.Scheduler.rng b.bsched)
+    (Sim.Scheduler.rng (sched b))
     (Sim.Snapshot.get_i64 r "spec.sched_rng");
   (* Engine before clock: the restore drains the fresh build's wheel
      arms (which sit earlier than the snapshot time) and re-arms from
@@ -428,7 +427,7 @@ let restore_checkpoint ~identity b instruments ~path =
   Array.iteri
     (fun k eng -> Workload.Many_flows.restore ~prefix:(shard_prefix k) eng r)
     (the_engines b);
-  Sim.Scheduler.restore_clock b.bsched
+  Sim.Scheduler.restore_clock (sched b)
     (Sim.Time.of_ns_int (Sim.Snapshot.get_int r "spec.clock_ns"));
   List.iteri
     (fun i inst ->
@@ -439,54 +438,16 @@ let restore_checkpoint ~identity b instruments ~path =
         (instrument_sections i inst))
     instruments
 
-(* Partitioned execution. Nothing instrumentation-related lives in any
-   partition's heap: delayed flow starts and series samples are
-   coordinator breaks, executed with every partition quiesced exactly at
-   the break time — all events below it fired, all cross-partition
-   messages drained, every clock equal. At a shared instant, starts fire
-   before samples, mirroring the single-domain heap order (start timers
-   enter the heap at build time, before the samplers are registered). *)
-let run_partitioned b p instruments =
-  let dur_ns = Sim.Time.to_ns_int b.bspec.duration in
-  let per_ns = Sim.Time.to_ns_int b.bspec.sample_period in
-  let sampling =
-    b.bspec.record_series
-    && List.exists
-         (fun inst -> tcp_series_workload inst.ibf.fspec.workload)
-         instruments
-  in
-  let sample_grid =
-    if not sampling then []
-    else begin
-      let acc = ref [] in
-      let k = ref 1 in
-      while !k * per_ns <= dur_ns do
-        acc := Sim.Time.of_ns_int (!k * per_ns) :: !acc;
-        incr k
-      done;
-      List.rev !acc
-    end
-  in
-  let breaks = List.map fst p.pstarts @ sample_grid in
-  let on_break now =
-    List.iter
-      (fun (at, bf) -> if Sim.Time.compare at now = 0 then start_flow b bf)
-      p.pstarts;
-    if sampling && Sim.Time.to_ns_int now mod per_ns = 0 then
-      List.iter
-        (fun inst ->
-          if tcp_series_workload inst.ibf.fspec.workload then
-            sample_instrument b ~now inst)
-        instruments
-  in
-  Sim.Partition.run p.psync ~until:b.bspec.duration ~workers:p.pworkers
-    ~breaks ~on_break ()
-
+(* Every run goes through [Sim.Partition.run], one partition or many.
+   Delayed flow starts and the sample grid are coordinator breaks: at
+   each, every event before it has fired and none at it has, every
+   partition clock reads it, and [on_break] starts the flows due then,
+   samples the per-flow series, then the metrics registry. A sample at
+   t therefore reads the model after every event before t and before
+   any at t, at any [domains]. Breaks at or before the clock are
+   skipped, so a resumed run or a later checkpoint slice takes only the
+   breaks still ahead. *)
 let execute_core ?checkpoint ~resume ~identity b =
-  (match b.parts with
-  | Some _ when checkpoint <> None || resume <> None ->
-      err "Spec: checkpoint/resume is not supported with domains > 1"
-  | _ -> ());
   (match checkpoint with
   | Some ck when Sim.Time.(ck.interval <= Sim.Time.zero) ->
       err "Spec: checkpoint interval must be positive"
@@ -500,74 +461,64 @@ let execute_core ?checkpoint ~resume ~identity b =
         restore_checkpoint ~identity b instruments ~path;
         Some path
   in
-  let registry, metrics_acc =
-    match b.parts with
-    | Some p ->
-        run_partitioned b p instruments;
-        (None, ref [])
-    | None ->
-        if b.bspec.record_series then
-          List.iter
-            (fun inst ->
-              if tcp_series_workload inst.ibf.fspec.workload then begin
-                (* On resume the sampler restarts at the first multiple of
-                   the period strictly after the restored clock: occurrences
-                   at or before the checkpoint already fired (and sit in the
-                   restored series), and [run ~until] is boundary-inclusive. *)
-                let start =
-                  match resumed with
-                  | None -> None
-                  | Some _ ->
-                      let now_ns =
-                        Sim.Time.to_ns_int (Sim.Scheduler.now b.bsched)
-                      in
-                      let per = Sim.Time.to_ns_int b.bspec.sample_period in
-                      Some (Sim.Time.of_ns_int (((now_ns / per) + 1) * per))
-                in
-                ignore
-                  (Sim.Scheduler.every b.bsched ?start b.bspec.sample_period
-                     (fun () ->
-                       sample_instrument b
-                         ~now:(Sim.Scheduler.now b.bsched)
-                         inst))
-              end)
-            instruments;
-        (* The metrics sampler is registered after the legacy per-flow
-           instruments so that runs without [record_trace] perform the exact
-           event-queue operation sequence they always did. Probes only read
-           state, so the extra timer never perturbs the model. *)
-        let registry = Option.map (fun _ -> build_registry b) b.btrace in
-        let metrics_acc = ref [] in
-        (match registry with
-        | None -> ()
-        | Some reg ->
-            ignore
-              (Sim.Scheduler.every b.bsched b.bspec.sample_period (fun () ->
-                   let now = Sim.Time.to_sec (Sim.Scheduler.now b.bsched) in
-                   metrics_acc :=
-                     (now, Trace.Registry.sample reg) :: !metrics_acc)));
-        (match checkpoint with
-        | None -> Sim.Scheduler.run ~until:b.bspec.duration b.bsched
-        | Some ck ->
-            (* Run in interval-sized slices. [run ~until:t1; run ~until:t2]
-               is equivalent to [run ~until:t2], so slicing (and therefore
-               where checkpoints land) never changes the simulation — only
-               what survives a kill. No snapshot at the final boundary: the
-               run is complete, its outputs are the artifact. *)
-            let duration = b.bspec.duration in
-            let rec slice t0 =
-              let next = Sim.Time.min duration (Sim.Time.add t0 ck.interval) in
-              Sim.Scheduler.run ~until:next b.bsched;
-              if Sim.Time.(next < duration) then begin
-                save_checkpoint ~identity b instruments ~path:ck.snapshot_path;
-                if ck.should_stop () then
-                  raise (Drained { at = next; snapshot = ck.snapshot_path })
-                else slice next
-              end
-            in
-            slice (Sim.Scheduler.now b.bsched));
-        (registry, metrics_acc)
+  let sampled =
+    if b.bspec.record_series then
+      List.filter
+        (fun inst -> tcp_series_workload inst.ibf.fspec.workload)
+        instruments
+    else []
   in
+  let registry = Option.map (fun _ -> build_registry b) b.btrace in
+  let metrics_acc = ref [] in
+  let per_ns = Sim.Time.to_ns_int b.bspec.sample_period in
+  let sample_grid =
+    if sampled = [] && Option.is_none registry then []
+    else
+      List.init
+        (Sim.Time.to_ns_int b.bspec.duration / per_ns)
+        (fun k -> Sim.Time.of_ns_int ((k + 1) * per_ns))
+  in
+  (* A flow starting at t = 0 started in build, and [Partition.run]
+     skips breaks at or before the clock: its start is never taken. *)
+  let breaks = List.map (fun bf -> bf.fspec.start_at) b.bflows @ sample_grid in
+  let on_break now =
+    List.iter
+      (fun bf ->
+        if Sim.Time.compare bf.fspec.start_at now = 0 then start_flow b bf)
+      b.bflows;
+    if Sim.Time.to_ns_int now mod per_ns = 0 then begin
+      List.iter (sample_instrument b ~now) sampled;
+      match registry with
+      | None -> ()
+      | Some reg ->
+          metrics_acc :=
+            (Sim.Time.to_sec now, Trace.Registry.sample reg) :: !metrics_acc
+    end
+  in
+  let run_to until =
+    Sim.Partition.run b.parts ~until ~workers:b.bspec.domains ~breaks
+      ~on_break ()
+  in
+  (match checkpoint with
+  | None -> run_to b.bspec.duration
+  | Some ck ->
+      (* Run in interval-sized slices. [run ~until:t1; run ~until:t2]
+         is equivalent to [run ~until:t2], so slicing (and therefore
+         where checkpoints land) never changes the simulation — only
+         what survives a kill. No snapshot at the final boundary: the
+         run is complete, its outputs are the artifact. *)
+      let duration = b.bspec.duration in
+      let rec slice t0 =
+        let next = Sim.Time.min duration (Sim.Time.add t0 ck.interval) in
+        run_to next;
+        if Sim.Time.(next < duration) then begin
+          save_checkpoint ~identity b instruments ~path:ck.snapshot_path;
+          if ck.should_stop () then
+            raise (Drained { at = next; snapshot = ck.snapshot_path })
+          else slice next
+        end
+      in
+      slice (Sim.Scheduler.now (sched b)));
   let results = List.map (collect_flow b) instruments in
   let tcp_goodputs =
     List.filter_map

@@ -28,8 +28,8 @@
    sample grids): the loop advances every partition clock exactly to
    the break (events below it all fired, events at it still pending)
    and calls [on_break] from the coordinator, giving it a race-free,
-   globally-quiesced view — the partitioned analogue of a
-   [Scheduler.every] sampler. *)
+   globally-quiesced view. With one partition it is a sampler that
+   reads the model before any event at its instant. *)
 
 type t = {
   parts : Scheduler.t array;
@@ -227,10 +227,17 @@ let exec_epoch e f =
 
 let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   let until_ns = Time.to_ns_int until in
+  (* A break at or before the clock already passed: taking it again
+     would pull the clock back and repeat its callback. *)
+  let clock_ns =
+    Array.fold_left
+      (fun acc p -> Int.max acc (Time.to_ns_int (Scheduler.now p)))
+      0 t.parts
+  in
   let breaks =
     List.sort_uniq compare
       (List.filter
-         (fun b -> b > 0 && b <= until_ns)
+         (fun b -> b > clock_ns && b <= until_ns)
          (List.map Time.to_ns_int breaks))
   in
   let nparts = Array.length t.parts in

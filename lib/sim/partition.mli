@@ -81,5 +81,8 @@ val run :
     loop fires every event strictly below it, sets all clocks exactly
     to it, and calls [on_break] from the coordinator with a globally
     quiesced model — the place to start delayed flows and read
-    cross-partition gauges. Exceptions raised by partition events are
+    cross-partition gauges. Breaks after [until], and those at or
+    before the partitions' clock when [run] is called, are skipped: a
+    run continued in slices, or resumed from a restored clock, takes
+    each break once. Exceptions raised by partition events are
     re-raised on the coordinator after the epoch's barrier. *)

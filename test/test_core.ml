@@ -250,7 +250,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 799_226); ("restricted", 1_623_137) ]
+    [ ("standard", 799_366); ("restricted", 1_623_277) ]
 
 (* Scheduler dispatches of the 2 s standard run, counted by a trace ring
    that accepts only sched.dispatch records (refbench's
@@ -263,7 +263,7 @@ let test_packet_path_dispatches () =
   let tr = Option.get (Core.Spec.trace built) in
   Trace.set_mask tr Trace.Code.cat_sched;
   ignore (Core.Spec.execute built);
-  Alcotest.(check int) "dispatches over 2 s" 16_166 (Trace.total tr)
+  Alcotest.(check int) "dispatches over 2 s" 16_158 (Trace.total tr)
 
 (* The console renderer keeps the digits that decide a reading: the
    mean-field sweep's margin at N = 129 is 1.0027, which two decimals

@@ -517,6 +517,39 @@ let test_json_round_trip () =
           Alcotest.(check bool) "dumbbell_of_dumbbells + domains round-trip"
             true (spec' = spec))
 
+(* E13's disk-paced source on the paper path: a chunk is due at 3 s,
+   which is also a sample instant. Samples are coordinator breaks at
+   every domain count, so each series reads the model after every event
+   before 3 s and before any at it, whether one partition runs or two. *)
+let chunked_spec ~domains =
+  {
+    Spec.default with
+    Spec.seed = 3;
+    duration = sec 4;
+    sample_period = ms 250;
+    record_series = true;
+    domains;
+    topology = Spec.Duplex Spec.default_duplex;
+    flows =
+      [
+        {
+          Spec.default_flow with
+          Spec.slow_start = "standard";
+          slow_start_restart = false;
+          workload =
+            Spec.Chunked
+              { chunk_bytes = 6_000_000; interval = sec 3; chunks = None };
+        };
+      ];
+  }
+
+let test_chunked_sample_grid () =
+  let base = run_artifacts (chunked_spec ~domains:1) in
+  Alcotest.(check string) "chunked: domains 2 = domains 1" base
+    (run_artifacts (chunked_spec ~domains:2));
+  Alcotest.(check string) "chunked: domains 4 = domains 1" base
+    (run_artifacts (chunked_spec ~domains:4))
+
 let suite =
   [
     Alcotest.test_case "duplex artifacts identical at any domains" `Quick
@@ -532,4 +565,7 @@ let suite =
     Alcotest.test_case "domains validation gates" `Quick
       test_domains_validation;
     Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
+    Alcotest.test_case
+      "chunked flow on the sample grid: artifacts identical at any domains"
+      `Quick test_chunked_sample_grid;
   ]
