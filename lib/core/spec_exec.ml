@@ -422,13 +422,21 @@ let restore_checkpoint ~identity b instruments ~path =
     (Sim.Snapshot.get_i64 r "spec.sched_rng");
   (* Engine before clock: the restore drains the fresh build's wheel
      arms (which sit earlier than the snapshot time) and re-arms from
-     the snapshot, so [restore_clock]'s no-earlier-pending-event guard
-     sees only post-snapshot timers. *)
+     the snapshot, so the clock is checked against post-snapshot timers
+     only. A clock past one of them would fire it in the past. *)
   Array.iteri
     (fun k eng -> Workload.Many_flows.restore ~prefix:(shard_prefix k) eng r)
     (the_engines b);
-  Sim.Scheduler.restore_clock (sched b)
-    (Sim.Time.of_ns_int (Sim.Snapshot.get_int r "spec.clock_ns"));
+  let clock_ns = Sim.Snapshot.get_int r "spec.clock_ns" in
+  let next_ns = Sim.Scheduler.next_ns (sched b) in
+  if clock_ns < 0 || (next_ns >= 0 && clock_ns > next_ns) then
+    raise
+      (Sim.Snapshot.Corrupt
+         (Printf.sprintf
+            "Spec: spec.clock_ns %d is negative or past the earliest \
+             restored timer (%d ns)"
+            clock_ns next_ns));
+  Sim.Scheduler.restore_clock (sched b) (Sim.Time.of_ns_int clock_ns);
   List.iteri
     (fun i inst ->
       inst.last_bytes <-

@@ -642,7 +642,17 @@ let restore ?(prefix = "mf.") t r =
   Ft.restore t.table ~prefix:(p "ft.") r;
   Wheel.drain t.wheel;
   t.open_head <- -1;
+  let corrupt section fmt =
+    Printf.ksprintf
+      (fun why ->
+        raise
+          (Sim.Snapshot.Corrupt
+             (Printf.sprintf "Many_flows: %s: %s" (p section) why)))
+      fmt
+  in
   let tick = Sim.Snapshot.get_int r (p "wheel_tick") in
+  if tick < 0 || tick > max_int / Wheel.tick_ns t.wheel then
+    corrupt "wheel_tick" "tick %d is negative or past the clock's range" tick;
   Wheel.advance t.wheel ~now_ns:(tick * Wheel.tick_ns t.wheel);
   let due = Sim.Snapshot.get_int_array r (p "wheel_due_ns") in
   let kinds = Sim.Snapshot.get_int_array r (p "wheel_kind") in
@@ -653,6 +663,10 @@ let restore ?(prefix = "mf.") t r =
   Array.iteri
     (fun i due_ns ->
       let kind = kinds.(i) and row = flows.(i) in
+      if due_ns < 0 then corrupt "wheel_due_ns" "entry %d is negative" i;
+      (* [on_fire] reads any kind but an arrival as a round cohort. *)
+      if kind <> kind_round && kind <> kind_arrival then
+        corrupt "wheel_kind" "entry %d is %d, neither round nor arrival" i kind;
       if kind = kind_round then begin
         (* A repeated row would link to itself and fire forever. *)
         if row = !tail || not (Ft.is_live t.table row) then

@@ -100,8 +100,10 @@ val restore : ?prefix:string -> t -> Sim.Snapshot.reader -> unit
     into cohorts (which rewrites the [timer] link of every row with a
     pending round), and rewinds the arrivals stream. Images that stored
     a per-row wheel handle in the [timer] column restore the same way.
-    Raises {!Sim.Snapshot.Corrupt} on bad images, including a round
-    timer for a free or repeated row. *)
+    Raises {!Sim.Snapshot.Corrupt}, naming the section, on bad images:
+    a round timer for a free or repeated row, a timer kind that is
+    neither round nor arrival, a negative due time, or a wheel tick
+    that is negative or whose time overflows. *)
 
 (** {2 Observation} — queue readings integrate the fluid model up to
     the current scheduler time first. *)

@@ -452,6 +452,57 @@ let test_restore_rejects_bad_round_rows () =
       ("repeated row", Array.init 10 (fun i -> if i = 5 then 4 else i));
     ]
 
+(* Digest-valid images whose wheel sections the engine cannot run:
+   each is a fresh engine's image with one section appended over the
+   saved one, and restore must refuse it as [Corrupt], naming the
+   section, before it arms anything. A kind that is neither round nor
+   arrival would fire as a round cohort and read its row unchecked; a
+   negative due time or tick, or a tick whose time overflows, would
+   fail inside the wheel with [Invalid_argument]. *)
+let restore_crafted put =
+  let fresh () =
+    let sched = Sim.Scheduler.create ~seed:1 () in
+    Mf.start ~sched ~rng:(Sim.Rng.of_seed 1) ~seed:1
+      { Mf.default_params with flows = 10 }
+  in
+  let w = Sim.Snapshot.writer () in
+  Mf.save (fresh ()) w;
+  put w;
+  Mf.restore (fresh ()) (Sim.Snapshot.of_string (Sim.Snapshot.to_string w))
+
+let test_restore_rejects_bad_kind () =
+  Alcotest.check_raises "kind 2 for row 10^9"
+    (Sim.Snapshot.Corrupt
+       "Many_flows: mf.wheel_kind: entry 3 is 2, neither round nor arrival")
+    (fun () ->
+      restore_crafted (fun w ->
+          Sim.Snapshot.put_int_array w "mf.wheel_kind"
+            (Array.init 10 (fun i -> if i = 3 then 2 else 0));
+          Sim.Snapshot.put_int_array w "mf.wheel_flow"
+            (Array.init 10 (fun i -> if i = 3 then 1_000_000_000 else i))))
+
+let test_restore_rejects_negative_due () =
+  Alcotest.check_raises "due -1 ns"
+    (Sim.Snapshot.Corrupt "Many_flows: mf.wheel_due_ns: entry 0 is negative")
+    (fun () ->
+      restore_crafted (fun w ->
+          Sim.Snapshot.put_int_array w "mf.wheel_due_ns"
+            (Array.init 10 (fun i -> if i = 0 then -1 else 0))))
+
+let test_restore_rejects_bad_tick () =
+  List.iter
+    (fun tick ->
+      Alcotest.check_raises (Printf.sprintf "tick %d" tick)
+        (Sim.Snapshot.Corrupt
+           (Printf.sprintf
+              "Many_flows: mf.wheel_tick: tick %d is negative or past the \
+               clock's range"
+              tick))
+        (fun () ->
+          restore_crafted (fun w -> Sim.Snapshot.put_int w "mf.wheel_tick" tick)))
+    (* 2^46 ticks of 65,536 ns wrap to a negative time. *)
+    [ -1; 1 lsl 46 ]
+
 (* The flow-round allocates nothing. One second of 200 persistent flows
    on a RED bottleneck, run after [start], takes 14,000 slow-start,
    avoidance and lost rounds. Each round reads and writes the
@@ -548,4 +599,10 @@ let suite =
       `Quick test_wide_cohort_words;
     Alcotest.test_case "the table holds live rows" `Quick
       test_table_holds_live_rows;
+    Alcotest.test_case "restore refuses a kind neither round nor arrival"
+      `Quick test_restore_rejects_bad_kind;
+    Alcotest.test_case "restore refuses a negative due time" `Quick
+      test_restore_rejects_negative_due;
+    Alcotest.test_case "restore refuses a negative or overflowing tick"
+      `Quick test_restore_rejects_bad_tick;
   ]

@@ -215,6 +215,80 @@ let test_images_land_in_order () =
   Sys.remove path;
   Sys.remove (path ^ ".prev")
 
+(* [image] with [extra]'s sections appended and the digest recomputed:
+   the reader keeps the last section of a name, so the result is a
+   digest-valid image in which each appended section overrides the
+   saved one. An image is a 16-byte header (magic and version), its
+   sections, and the MD5 of both. *)
+let override image extra =
+  let header = 16 and digest = 16 in
+  let tail = Sim.Snapshot.to_string extra in
+  let body =
+    String.sub image 0 (String.length image - digest)
+    ^ String.sub tail header (String.length tail - header - digest)
+  in
+  body ^ Digest.string body
+
+(* The checkpoint at 1.2 s of the many-flows Pareto golden, taken every
+   0.3 s, and its spec. *)
+let pareto_image () =
+  let spec =
+    let path = Filename.concat "golden_many_flows" "mf_pareto.json" in
+    let text = In_channel.with_open_text path In_channel.input_all in
+    match Result.bind (Report.Json.of_string text) Core.Spec.of_json with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let path = tmp_path "pareto.snap" in
+  let boundaries = ref 0 in
+  let checkpoint =
+    {
+      Core.Spec.snapshot_path = path;
+      interval = Sim.Time.ms 300;
+      should_stop =
+        (fun () ->
+          incr boundaries;
+          !boundaries = 4);
+    }
+  in
+  match Core.Spec.run ~checkpoint spec with
+  | _ -> Alcotest.fail "expected a drain at 1.2 s"
+  | exception Core.Spec.Drained { snapshot; _ } ->
+      let image = In_channel.with_open_bin snapshot In_channel.input_all in
+      List.iter Sys.remove [ path; path ^ ".prev" ];
+      (spec, image)
+
+(* A resume from a digest-valid image whose clock cannot be continued
+   fails as [Corrupt], naming the section: a clock past a restored
+   timer would fire it in the past, and a negative one is no clock a
+   run reaches. A [serve] daemon restarts such a job clean; it would
+   quarantine one that raised [Invalid_argument]. *)
+let resume_with_clock ~clock_of =
+  let spec, image = pareto_image () in
+  let clock =
+    Sim.Snapshot.get_int (Sim.Snapshot.of_string image) "spec.clock_ns"
+  in
+  let w = Sim.Snapshot.writer () in
+  Sim.Snapshot.put_int w "spec.clock_ns" (clock_of clock);
+  let path = tmp_path "crafted.snap" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (override image w));
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      match Core.Spec.run ~resume_from:path spec with
+      | _ -> Alcotest.fail "the resumed run completed"
+      | exception Sim.Snapshot.Corrupt msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names spec.clock_ns" msg)
+            true
+            (String.starts_with ~prefix:"Spec: spec.clock_ns" msg))
+
+let test_clock_past_a_timer () =
+  resume_with_clock ~clock_of:(fun clock -> clock + 1_000_000_000)
+
+let test_negative_clock () = resume_with_clock ~clock_of:(fun _ -> -1)
+
 let suite =
   [
     Alcotest.test_case "boundary drain + resume == unbroken" `Quick
@@ -232,4 +306,8 @@ let suite =
     Alcotest.test_case "images land in order" `Quick test_images_land_in_order;
     Alcotest.test_case "slices across table growth == unbroken" `Quick
       test_slices_across_growth;
+    Alcotest.test_case "a clock past a restored timer is Corrupt" `Quick
+      test_clock_past_a_timer;
+    Alcotest.test_case "a negative clock is Corrupt" `Quick
+      test_negative_clock;
   ]

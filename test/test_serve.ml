@@ -302,6 +302,55 @@ let test_crash_recovery_resumes_from_snapshot () =
           (Filename.concat state_dir "outcomes")
           "victim_outcome.json"))
 
+(* The same recovery from a digest-valid image whose wheel holds a
+   timer of a kind the engine does not have, for a row far past its
+   table: the resume fails as [Corrupt], so the daemon drops the image
+   and runs the job from scratch instead of firing the timer. *)
+let test_bad_wheel_kind_restarts_clean () =
+  let state_dir = tmp_dir "badkind_state" in
+  let spool = tmp_dir "badkind_spool" in
+  let spec = mf_spec ~name:"badkind" ~seed:34 () in
+  let snap = Sup.snapshot_path state_dir "badkind" in
+  Serve.Artifacts.ensure_dir (Filename.dirname snap);
+  (match
+     Core.Spec.run
+       ~checkpoint:
+         {
+           Core.Spec.snapshot_path = snap;
+           interval = Sim.Time.of_sec 1.;
+           should_stop = (fun () -> true);
+         }
+       spec
+   with
+  | _ -> Alcotest.fail "expected Drained"
+  | exception Core.Spec.Drained _ -> ());
+  let image = read_file snap in
+  let kinds =
+    Sim.Snapshot.get_int_array (Sim.Snapshot.of_string image) "mf.wheel_kind"
+  in
+  let w = Sim.Snapshot.writer () in
+  Sim.Snapshot.put_int_array w "mf.wheel_kind"
+    (Array.mapi (fun i k -> if i = 0 then 2 else k) kinds);
+  Sim.Snapshot.put_int_array w "mf.wheel_flow"
+    (Array.map (fun _ -> 1_000_000_000) kinds);
+  let oc = open_out_bin snap in
+  output_string oc (Test_resume.override image w);
+  close_out oc;
+  let j = J.open_append ~path:(Filename.concat state_dir "journal.jsonl") in
+  J.append j (J.Submitted { job = "badkind"; spec = Core.Spec.to_json spec });
+  J.append j (J.Started { job = "badkind"; attempt = 1 });
+  J.close j;
+  let stats = Sup.run (base_config ~state_dir ~spool) in
+  Alcotest.(check int) "job completed" 1 stats.Sup.completed;
+  Alcotest.(check int) "not from the image" 0 stats.Sup.resumed;
+  Alcotest.(check int) "nothing quarantined" 0 stats.Sup.quarantined;
+  Alcotest.(check string) "outcome == unbroken run"
+    (Report.Json.to_string (Core.Spec.outcome_to_json (Core.Spec.run spec)))
+    (read_file
+       (Filename.concat
+          (Filename.concat state_dir "outcomes")
+          "badkind_outcome.json"))
+
 let test_finished_jobs_never_rerun () =
   let state_dir = tmp_dir "norerun_state" in
   let spool = tmp_dir "norerun_spool" in
@@ -373,4 +422,6 @@ let suite =
       test_finished_jobs_never_rerun;
     Alcotest.test_case "graceful stop drains to a snapshot" `Quick
       test_graceful_stop_drains_to_snapshot;
+    Alcotest.test_case "a bad wheel kind in the image restarts clean" `Quick
+      test_bad_wheel_kind_restarts_clean;
   ]
