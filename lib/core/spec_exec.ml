@@ -446,6 +446,20 @@ let restore_checkpoint ~identity b instruments ~path =
         (instrument_sections i inst))
     instruments
 
+(* A break's loops, at top level so that taking a break allocates no
+   closure: the samplers breaks replaced allocated nothing per tick. *)
+let rec start_due b now = function
+  | [] -> ()
+  | bf :: rest ->
+      if Sim.Time.compare bf.fspec.start_at now = 0 then start_flow b bf;
+      start_due b now rest
+
+let rec sample_all b now = function
+  | [] -> ()
+  | inst :: rest ->
+      sample_instrument b ~now inst;
+      sample_all b now rest
+
 (* Every run goes through [Sim.Partition.run], one partition or many.
    Delayed flow starts and the sample grid are coordinator breaks: at
    each, every event before it has fired and none at it has, every
@@ -490,12 +504,9 @@ let execute_core ?checkpoint ~resume ~identity b =
      skips breaks at or before the clock: its start is never taken. *)
   let breaks = List.map (fun bf -> bf.fspec.start_at) b.bflows @ sample_grid in
   let on_break now =
-    List.iter
-      (fun bf ->
-        if Sim.Time.compare bf.fspec.start_at now = 0 then start_flow b bf)
-      b.bflows;
+    start_due b now b.bflows;
     if Sim.Time.to_ns_int now mod per_ns = 0 then begin
-      List.iter (sample_instrument b ~now) sampled;
+      sample_all b now sampled;
       match registry with
       | None -> ()
       | Some reg ->

@@ -235,10 +235,10 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
       0 t.parts
   in
   let breaks =
-    List.sort_uniq compare
+    List.sort_uniq Int.compare
       (List.filter
          (fun b -> b > clock_ns && b <= until_ns)
-         (List.map Time.to_ns_int breaks))
+         (breaks : Time.t list :> int list))
   in
   let nparts = Array.length t.parts in
   let drains = List.rev t.drains_rev in
@@ -252,6 +252,11 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   in
   let e = make_exec ~workers ~nparts in
   Fun.protect ~finally:(fun () -> stop_exec e) @@ fun () ->
+  (* One epoch job for the whole run, reading the horizon the
+     coordinator set before it published the epoch: a break then
+     allocates nothing but the [~until] option. *)
+  let horizon = ref Time.zero in
+  let run_part p = Scheduler.run ~until:!horizon t.parts.(p) in
   (* Fire every event strictly below [target], one conservative epoch
      at a time. Each epoch advances the horizon by at least the minimum
      lookahead, and always past the earliest pending event, so the loop
@@ -264,8 +269,8 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
           target
         else nmin + t.min_look_ns
       in
-      let horizon = Time.of_ns_int (h - 1) in
-      exec_epoch e (fun p -> Scheduler.run ~until:horizon t.parts.(p));
+      horizon := Time.of_ns_int (h - 1);
+      exec_epoch e run_part;
       drain_all ();
       advance_to target
     end
@@ -274,7 +279,9 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
     (fun b ->
       advance_to b;
       let bt = Time.of_ns_int b in
-      Array.iter (fun p -> Scheduler.restore_clock p bt) t.parts;
+      for p = 0 to nparts - 1 do
+        Scheduler.restore_clock t.parts.(p) bt
+      done;
       on_break bt)
     breaks;
   advance_to until_ns;

@@ -114,18 +114,20 @@ let wheel_ns t =
    barrier (all events below the barrier are already fired). Jumping
    over a pending event would make it fire in the past and corrupt
    causality silently, so that precondition is enforced here. *)
+let check_jump what pending_ns ns =
+  if pending_ns >= 0 && pending_ns < ns then
+    invalid_arg
+      (Printf.sprintf
+         "Scheduler.restore_clock: pending %s event at %d ns is earlier \
+          than the new clock %d ns"
+         what pending_ns ns)
+
+(* [check_jump] is not a local closure: a barrier takes this at every
+   break, and it allocates nothing. *)
 let restore_clock t time =
   let ns = Time.to_ns_int time in
-  let check what pending_ns =
-    if pending_ns >= 0 && pending_ns < ns then
-      invalid_arg
-        (Printf.sprintf
-           "Scheduler.restore_clock: pending %s event at %d ns is earlier \
-            than the new clock %d ns"
-           what pending_ns ns)
-  in
-  check "heap" (Event_queue.next_time_ns t.events);
-  check "wheel" (wheel_ns t);
+  check_jump "heap" (Event_queue.next_time_ns t.events) ns;
+  check_jump "wheel" (wheel_ns t) ns;
   t.clock <- time
 
 (* The run loop uses the queue's unboxed accessors: dispatching an
