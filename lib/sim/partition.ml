@@ -227,18 +227,24 @@ let exec_epoch e f =
 
 let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   let until_ns = Time.to_ns_int until in
-  (* A break at or before the clock already passed: taking it again
-     would pull the clock back and repeat its callback. *)
-  let clock_ns =
-    Array.fold_left
-      (fun acc p -> Int.max acc (Time.to_ns_int (Scheduler.now p)))
-      0 t.parts
+  (* Breaks are taken in ascending order, each once: one at or before
+     the last taken, or at first the clock, has passed, and taking it
+     would pull the clock back and repeat its callback. An ascending
+     list (a sample grid) is walked in place, so the loop allocates
+     nothing per break. *)
+  let last =
+    ref
+      (Array.fold_left
+         (fun acc p -> Int.max acc (Time.to_ns_int (Scheduler.now p)))
+         0 t.parts)
   in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a <= b && ascending rest
+    | _ -> true
+  in
+  let breaks = (breaks : Time.t list :> int list) in
   let breaks =
-    List.sort_uniq Int.compare
-      (List.filter
-         (fun b -> b > clock_ns && b <= until_ns)
-         (breaks : Time.t list :> int list))
+    if ascending breaks then breaks else List.sort Int.compare breaks
   in
   let nparts = Array.length t.parts in
   let drains = List.rev t.drains_rev in
@@ -277,12 +283,15 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   in
   List.iter
     (fun b ->
-      advance_to b;
-      let bt = Time.of_ns_int b in
-      for p = 0 to nparts - 1 do
-        Scheduler.restore_clock t.parts.(p) bt
-      done;
-      on_break bt)
+      if b > !last && b <= until_ns then begin
+        last := b;
+        advance_to b;
+        let bt = Time.of_ns_int b in
+        for p = 0 to nparts - 1 do
+          Scheduler.restore_clock t.parts.(p) bt
+        done;
+        on_break bt
+      end)
     breaks;
   advance_to until_ns;
   (* Final boundary-inclusive epoch: only events at exactly [until]
