@@ -499,7 +499,8 @@ let test_restore_rejects_bad_tick () =
                clock's range"
               tick))
         (fun () ->
-          restore_crafted (fun w -> Sim.Snapshot.put_int w "mf.wheel_tick" tick)))
+          restore_crafted (fun w ->
+              Sim.Snapshot.put_int w "mf.wheel_tick" tick)))
     (* 2^46 ticks of 65,536 ns wrap to a negative time. *)
     [ -1; 1 lsl 46 ]
 

@@ -325,14 +325,14 @@ let test_bad_wheel_kind_restarts_clean () =
   | _ -> Alcotest.fail "expected Drained"
   | exception Core.Spec.Drained _ -> ());
   let image = read_file snap in
-  let kinds =
-    Sim.Snapshot.get_int_array (Sim.Snapshot.of_string image) "mf.wheel_kind"
-  in
+  let saved = Sim.Snapshot.get_int_array (Sim.Snapshot.of_string image) in
   let w = Sim.Snapshot.writer () in
   Sim.Snapshot.put_int_array w "mf.wheel_kind"
-    (Array.mapi (fun i k -> if i = 0 then 2 else k) kinds);
+    (Array.mapi (fun i k -> if i = 0 then 2 else k) (saved "mf.wheel_kind"));
   Sim.Snapshot.put_int_array w "mf.wheel_flow"
-    (Array.map (fun _ -> 1_000_000_000) kinds);
+    (Array.mapi
+       (fun i row -> if i = 0 then 1_000_000_000 else row)
+       (saved "mf.wheel_flow"));
   let oc = open_out_bin snap in
   output_string oc (Test_resume.override image w);
   close_out oc;
