@@ -446,8 +446,8 @@ let restore_checkpoint ~identity b instruments ~path =
         (instrument_sections i inst))
     instruments
 
-(* A break's loops, at top level so that taking a break allocates no
-   closure: the samplers breaks replaced allocated nothing per tick. *)
+(* A break's loops live at top level, so taking a break allocates no
+   closure: a run allocates per sample only what the sample records. *)
 let rec start_due b now = function
   | [] -> ()
   | bf :: rest ->
