@@ -65,19 +65,16 @@ let after t delay action =
 
 (* One [tick] closure per periodic timer, re-armed for its whole
    lifetime: a periodic sampler allocates nothing per occurrence. *)
-let every t ?start period action =
+let every t period action =
   assert (Time.is_positive period);
-  let first =
-    match start with Some s -> s | None -> Time.add t.clock period
-  in
   let cell = ref Event_queue.null in
-  let next = ref first in
+  let next = ref (Time.add t.clock period) in
   let rec tick () =
     action ();
     next := Time.add !next period;
     cell := Event_queue.add_born t.events ~birth:t.clock ~time:!next tick
   in
-  cell := Event_queue.add_born t.events ~birth:t.clock ~time:first tick;
+  cell := Event_queue.add_born t.events ~birth:t.clock ~time:!next tick;
   cell
 
 let cancel t h = Event_queue.cancel t.events h

@@ -64,11 +64,11 @@ val after : t -> Time.t -> (unit -> unit) -> handle
     delay is clamped to "immediately" (still dispatched through the event
     loop, preserving run-to-completion semantics). *)
 
-val every : t -> ?start:Time.t -> Time.t -> (unit -> unit) -> handle ref
-(** [every t ~start period f] fires [f] at [start] (default: one period
-    from now) and then every [period]. Cancel via the returned ref, which
-    always holds the handle of the next pending occurrence. One closure
-    is allocated per timer, not per tick. *)
+val every : t -> Time.t -> (unit -> unit) -> handle ref
+(** [every t period f] fires [f] one period from now and then every
+    [period]. Cancel via the returned ref, which always holds the handle
+    of the next pending occurrence. One closure is allocated per timer,
+    not per tick. *)
 
 val cancel : t -> handle -> unit
 
