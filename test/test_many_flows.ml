@@ -455,10 +455,11 @@ let test_restore_rejects_bad_round_rows () =
 (* Digest-valid images whose wheel sections the engine cannot run:
    each is a fresh engine's image with one section appended over the
    saved one, and restore must refuse it as [Corrupt], naming the
-   section, before it arms anything. A kind that is neither round nor
-   arrival would fire as a round cohort and read its row unchecked; a
-   negative due time or tick, or a tick whose time overflows, would
-   fail inside the wheel with [Invalid_argument]. *)
+   section, before it arms the bad entry. Entries before it may already
+   be armed: a caller throws the half-restored engine away. A kind that
+   is neither round nor arrival would fire as a round cohort and read
+   its row unchecked; a negative due time or tick, or a tick whose time
+   overflows, would fail inside the wheel with [Invalid_argument]. *)
 let restore_crafted put =
   let fresh () =
     let sched = Sim.Scheduler.create ~seed:1 () in
