@@ -219,30 +219,10 @@ let start_flow b bf =
     | Many_flows
         { flows; arrival_rate; arrival_pareto_shape; mean_size;
           size_pareto_shape } ->
-        (* The fluid engine models the bottleneck itself, derived from
-           the spec topology: a duplex path's egress IFQ, or a chain
-           segment's bottleneck buffer. The slow-start phase is the
-           classic doubling round, so only the bundle's congestion
-           avoidance applies. *)
-        let capacity_bytes_per_sec, base_rtt, buffer_packets, red =
-          match b.bspec.topology with
-          | Duplex d ->
-              ( d.rate /. 8.,
-                Sim.Time.mul_int d.one_way_delay 2,
-                d.ifq_capacity,
-                d.ifq_red_ecn )
-          | topo ->
-              (* Each shard abstracts its own segment's bottleneck. *)
-              let m = chain topo in
-              ( m.m_bottleneck_rate /. 8.,
-                Sim.Time.mul_int
-                  (Sim.Time.add
-                     (Sim.Time.mul_int m.m_access_delay 2)
-                     m.m_bottleneck_delay)
-                  2,
-                m.m_buffer_packets,
-                m.m_red )
-        in
+        (* The fluid engine models the bottleneck itself. The
+           slow-start phase is the classic doubling round, so only the
+           bundle's congestion avoidance applies. *)
+        let bottleneck = many_flows_bottleneck b.bspec.topology in
         (* Flows and arrival rate split evenly over the shards (thinned
            Poisson arrivals stay Poisson); the remainder lands on the
            low shards. *)
@@ -270,7 +250,7 @@ let start_flow b bf =
                  ~rng ~seed
                  ~cong_avoid:(bundle ()).Tcp.Policy.cong_avoid
                  {
-                   Workload.Many_flows.default_params with
+                   bottleneck with
                    Workload.Many_flows.flows =
                      (flows / shards)
                      + (if k < flows mod shards then 1 else 0);
@@ -281,10 +261,6 @@ let start_flow b bf =
                    arrival_pareto_shape;
                    mean_size;
                    size_pareto_shape;
-                   capacity_bytes_per_sec;
-                   base_rtt;
-                   buffer_packets;
-                   red;
                  }))
   in
   bf.driver <- Some driver;

@@ -250,6 +250,36 @@ let pairs_of = function
    every domain count builds the identical shard layout. *)
 let shards_of = function Duplex _ -> 1 | topo -> (chain topo).segments
 
+(* The bottleneck the fluid many-flows engine models itself, derived
+   from the topology: a duplex path's egress IFQ, or a chain segment's
+   bottleneck buffer, which each shard abstracts for its own segment.
+   Validation judges it and build fills in the population. *)
+let many_flows_bottleneck topo =
+  let p = Workload.Many_flows.default_params in
+  match topo with
+  | Duplex d ->
+      {
+        p with
+        capacity_bytes_per_sec = d.rate /. 8.;
+        base_rtt = Sim.Time.mul_int d.one_way_delay 2;
+        buffer_packets = d.ifq_capacity;
+        red = d.ifq_red_ecn;
+      }
+  | topo ->
+      let m = chain topo in
+      {
+        p with
+        capacity_bytes_per_sec = m.m_bottleneck_rate /. 8.;
+        base_rtt =
+          Sim.Time.mul_int
+            (Sim.Time.add
+               (Sim.Time.mul_int m.m_access_delay 2)
+               m.m_bottleneck_delay)
+            2;
+        buffer_packets = m.m_buffer_packets;
+        red = m.m_red;
+      }
+
 (* A fresh instance of the flow's controllers: [policy] if set, else
    [slow_start]. [shared] yields the sending host's shared RSS
    controller, which replaces the slow-start half of a [shared_rss]

@@ -51,7 +51,8 @@ let validate_restricted i
   check (Sim.Time.is_positive sample_min_interval) "sample_min_interval (ms)"
     (Sim.Time.to_ms sample_min_interval) "> 0"
 
-let validate_flow ~pairs i f =
+let validate_flow ~topology i f =
+  let pairs = pairs_of topology in
   if f.pair < 0 || f.pair >= pairs then
     err "Spec.build: flow %d: pair %d outside 0..%d" i f.pair (pairs - 1);
   if Sim.Time.is_negative f.start_at then
@@ -135,7 +136,10 @@ let validate_flow ~pairs i f =
       | _ -> ());
       if mean_size <> None && not (size_pareto_shape > 1.) then
         err "Spec.build: flow %d: size pareto shape %g must exceed 1" i
-          size_pareto_shape
+          size_pareto_shape;
+      Option.iter
+        (err "Spec.build: flow %d: many_flows: %s" i)
+        (Workload.Many_flows.bottleneck_error (many_flows_bottleneck topology))
 
 let validate (t : t) =
   if t.flows = [] then err "Spec.build: at least one flow is required";
@@ -227,7 +231,7 @@ let validate (t : t) =
         | Many_flows _ | Bulk _ | Chunked _ | Cbr _ | On_off _ -> ())
       t.flows
   end;
-  List.iteri (validate_flow ~pairs:(pairs_of t.topology)) t.flows;
+  List.iteri (validate_flow ~topology:t.topology) t.flows;
   (* One many_flows flow per spec: the sharded engine array, its
      aggregate collection and the checkpoint image all assume a single
      logical flow population. (Each shard owns its own timer wheel;

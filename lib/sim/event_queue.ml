@@ -67,8 +67,8 @@ let grow t =
          "Event_queue: handle space exhausted with %d live events (max \
           2^21 = %d pending). A single heap this loaded usually means an \
           unsharded packet-level workload — split the scenario across \
-          partitions (\"domains\" > 1) or move dense per-flow timers to \
-          Timer_wheel."
+          partitions (\"domains\" > 1) or move dense timers that are never \
+          cancelled to Timer_wheel."
          t.size max_slots);
   let cap = Int.min max_slots (2 * old) in
   t.times <- extend t.times cap 0;

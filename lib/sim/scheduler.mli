@@ -99,9 +99,10 @@ val attach_wheel : t -> Timer_wheel.t -> unit
 (** Put a {!Timer_wheel} under the run loop: {!step}/{!run} interleave
     its (tick-quantized) firings with heap events in time order, heap
     first on ties — so a scheduler with an idle wheel behaves exactly
-    like one without. Wheels serve the dense per-flow timer regime
-    (RTO, pacing, per-round clocks); the heap remains the home for
-    sparse or non-quantized events. Several wheels may be attached
+    like one without. Wheels serve dense timers that are never
+    cancelled (the many-flows engine's round cohorts and arrivals); the
+    heap remains the home for sparse, cancellable or non-quantized
+    events. Several wheels may be attached
     (each sharded [many_flows] engine owns one); attention ties among
     wheels resolve in attach order, which is model-construction order
     and therefore deterministic. *)

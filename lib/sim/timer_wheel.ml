@@ -1,16 +1,17 @@
 (* Hierarchical (hashed) timing wheel, Varghese & Lauck style, laid out
-   like the event heap: structure-of-arrays over unboxed ints, packed
-   integer handles, zero minor words per arm/cancel/re-arm.
+   like the event heap: structure-of-arrays over unboxed ints, zero
+   minor words per arm and per fire.
 
    Four levels of 256 slots over a configurable power-of-two tick. A
    timer due D ticks from the epoch lives at the highest base-256 digit
    where D differs from the current tick [cur] — the Linux placement
-   rule. Each slot is an intrusive doubly-linked list appended at the
-   tail, so a slot holds its timers in arm order; cascading re-inserts a
-   slot's list in list order, which keeps every slot arm-ordered by
-   induction. Timers that share a due tick therefore fire in FIFO arm
-   order, exactly like the event heap's (time, sequence) order — the
-   property the model-based test checks against the heap as oracle.
+   rule. Each slot is a singly-linked list appended at the tail, so a
+   slot holds its timers in arm order; a fire or a cascade detaches a
+   slot's whole list and walks it in list order, which keeps every slot
+   arm-ordered by induction. Timers that share a due tick therefore
+   fire in FIFO arm order, exactly like the event heap's (time,
+   sequence) order — the property the model-based test checks against
+   the heap as oracle.
 
    [next_due_ns] reports the next *attention* point: the exact due time
    when the earliest work is a level-0 slot, or the cascade boundary of
@@ -26,21 +27,11 @@ let slot_mask = slots_per_level - 1
 let span_bits = levels * slot_bits (* ticks addressable: 2^32 *)
 
 (* One extra slot past the four levels parks timers whose due tick lies
-   beyond the wheel's 2^32-tick span (a backoff-inflated RTO can land
-   past the ~78 h horizon). The overflow list is FIFO like any slot and
-   is re-scanned whenever a top-level cascade re-homes level 3 — the
-   only instants at which a parked timer can have come into range. *)
+   beyond the wheel's 2^32-tick span (an arrival gap can land past the
+   ~78 h horizon). The overflow list is FIFO like any slot and is
+   re-scanned whenever a top-level cascade re-homes level 3 — the only
+   instants at which a parked timer can have come into range. *)
 let overflow_idx = levels * slots_per_level
-
-(* Handle layout: (generation lsl idx_bits) lor node_index. 22 bits of
-   node index = 4M concurrent timers; generations make stale handles
-   inert, as in Event_queue. *)
-let idx_bits = 22
-let idx_mask = (1 lsl idx_bits) - 1
-let max_nodes = 1 lsl idx_bits
-
-type handle = int
-
 
 type t = {
   tick_bits : int;
@@ -51,9 +42,6 @@ type t = {
   (* node SoA; [next] threads the free list of unused nodes *)
   mutable due : int array; (* due tick *)
   mutable next : int array;
-  mutable prev : int array;
-  mutable loc : int array; (* level*256+slot while armed; -1 when free *)
-  mutable gen : int array;
   mutable nkind : int array;
   mutable nflow : int array;
   mutable free_head : int;
@@ -63,6 +51,14 @@ type t = {
   mutable cached_ns : int; (* valid when cache_ok *)
   on_fire : kind:int -> flow:int -> unit;
 }
+
+(* Thread nodes [from] .. capacity − 1 onto the free list, in order. *)
+let free_from t from =
+  let cap = Array.length t.due in
+  for i = from to cap - 1 do
+    t.next.(i) <- (if i = cap - 1 then -1 else i + 1)
+  done;
+  t.free_head <- from
 
 let create ?(tick_ns = 65536) ?(initial_capacity = 256) ~on_fire () =
   if tick_ns <= 0 || tick_ns land (tick_ns - 1) <> 0 then
@@ -80,9 +76,6 @@ let create ?(tick_ns = 65536) ?(initial_capacity = 256) ~on_fire () =
       tail = Array.make ((levels * slots_per_level) + 1) (-1);
       due = Array.make cap 0;
       next = Array.make cap (-1);
-      prev = Array.make cap (-1);
-      loc = Array.make cap (-1);
-      gen = Array.make cap 0;
       nkind = Array.make cap 0;
       nflow = Array.make cap 0;
       free_head = 0;
@@ -93,9 +86,7 @@ let create ?(tick_ns = 65536) ?(initial_capacity = 256) ~on_fire () =
       on_fire;
     }
   in
-  for i = 0 to cap - 1 do
-    t.next.(i) <- (if i = cap - 1 then -1 else i + 1)
-  done;
+  free_from t 0;
   t
 
 let pending t = t.count
@@ -103,27 +94,21 @@ let tick_ns t = 1 lsl t.tick_bits
 let horizon_ns t = ((t.cur + (1 lsl span_bits)) lsl t.tick_bits) - 1
 let now_tick t = t.cur
 
+(* Rounding [due_ns] up to the tick must not pass [max_int]. *)
+let max_due_ns t = max_int - (1 lsl t.tick_bits) + 1
+
 let grow t =
   let cap = Array.length t.due in
-  if cap >= max_nodes then
-    invalid_arg "Timer_wheel: too many concurrent timers";
-  let cap' = Int.min max_nodes (2 * cap) in
-  let extend a fill =
-    let a' = Array.make cap' fill in
+  let extend a =
+    let a' = Array.make (2 * cap) 0 in
     Array.blit a 0 a' 0 cap;
     a'
   in
-  t.due <- extend t.due 0;
-  t.next <- extend t.next (-1);
-  t.prev <- extend t.prev (-1);
-  t.loc <- extend t.loc (-1);
-  t.gen <- extend t.gen 0;
-  t.nkind <- extend t.nkind 0;
-  t.nflow <- extend t.nflow 0;
-  for i = cap to cap' - 1 do
-    t.next.(i) <- (if i = cap' - 1 then -1 else i + 1)
-  done;
-  t.free_head <- cap
+  t.due <- extend t.due;
+  t.next <- extend t.next;
+  t.nkind <- extend t.nkind;
+  t.nflow <- extend t.nflow;
+  free_from t cap
 
 (* Highest base-256 digit where [due_tick] differs from [cur] decides
    the level; the digit itself is the slot. Returned packed as the
@@ -138,28 +123,31 @@ let place t due_tick =
     (2 lsl slot_bits) lor ((due_tick lsr (2 * slot_bits)) land slot_mask)
   else (3 lsl slot_bits) lor ((due_tick lsr (3 * slot_bits)) land slot_mask)
 
+(* Beyond the 2^32-tick span the base-256 digits are meaningless for
+   placement: such a node parks in the overflow list. *)
+let home t due_tick =
+  if (due_tick lxor t.cur) lsr span_bits <> 0 then overflow_idx
+  else place t due_tick
+
 let append_slot t ~idx n =
   let tl = Array.unsafe_get t.tail idx in
-  t.loc.(n) <- idx;
-  t.prev.(n) <- tl;
   t.next.(n) <- -1;
   if tl < 0 then Array.unsafe_set t.head idx n
   else Array.unsafe_set t.next tl n;
-  Array.unsafe_set t.tail idx n
+  Array.unsafe_set t.tail idx n;
+  if idx = overflow_idx then t.ovf <- t.ovf + 1
 
-let unlink t n =
-  let idx = t.loc.(n) in
-  let p = t.prev.(n) in
-  let nx = t.next.(n) in
-  if p < 0 then Array.unsafe_set t.head idx nx else Array.unsafe_set t.next p nx;
-  if nx < 0 then Array.unsafe_set t.tail idx p
-  else Array.unsafe_set t.prev nx p;
-  t.loc.(n) <- -1
+(* Detach the whole list at [idx], returning its first node (-1 when
+   empty); the caller walks it through [next]. *)
+let detach t idx =
+  let n = t.head.(idx) in
+  t.head.(idx) <- -1;
+  t.tail.(idx) <- -1;
+  if idx = overflow_idx then t.ovf <- 0;
+  n
 
 let release t n =
-  t.gen.(n) <- (t.gen.(n) + 1) land ((1 lsl (62 - idx_bits)) - 1);
   t.next.(n) <- t.free_head;
-  t.loc.(n) <- -1;
   t.free_head <- n
 
 (* Attention contribution of a node at [level]: its exact due for level
@@ -175,6 +163,8 @@ let attention_ns t ~level due_tick =
 
 let arm t ~due_ns ~kind ~flow =
   if due_ns < 0 then invalid_arg "Timer_wheel.arm: negative due time";
+  if due_ns > max_due_ns t then
+    invalid_arg "Timer_wheel.arm: due time rounds up past max_int";
   (* Round up so a timer never fires before its requested time. *)
   let due_tick = (due_ns + (1 lsl t.tick_bits) - 1) asr t.tick_bits in
   let due_tick = if due_tick < t.cur then t.cur else due_tick in
@@ -184,38 +174,12 @@ let arm t ~due_ns ~kind ~flow =
   t.due.(n) <- due_tick;
   t.nkind.(n) <- kind;
   t.nflow.(n) <- flow;
-  (* Beyond the 2^32-tick span the base-256 digits are meaningless for
-     placement; park the node in the overflow list instead of failing. *)
-  let idx =
-    if (due_tick lxor t.cur) lsr span_bits <> 0 then overflow_idx
-    else place t due_tick
-  in
+  let idx = home t due_tick in
   append_slot t ~idx n;
-  if idx = overflow_idx then t.ovf <- t.ovf + 1;
   t.count <- t.count + 1;
-  (if t.cache_ok then
-     let a = attention_ns t ~level:(idx lsr slot_bits) due_tick in
-     if t.cached_ns < 0 || a < t.cached_ns then t.cached_ns <- a);
-  (t.gen.(n) lsl idx_bits) lor n
-
-let is_pending t h =
-  h >= 0
-  &&
-  let n = h land idx_mask in
-  n < Array.length t.due && t.gen.(n) = h lsr idx_bits && t.loc.(n) >= 0
-
-let cancel t h =
-  if is_pending t h then begin
-    let n = h land idx_mask in
-    (if t.cache_ok then
-       let level = t.loc.(n) lsr slot_bits in
-       if attention_ns t ~level t.due.(n) = t.cached_ns then
-         t.cache_ok <- false);
-    if t.loc.(n) = overflow_idx then t.ovf <- t.ovf - 1;
-    unlink t n;
-    release t n;
-    t.count <- t.count - 1
-  end
+  if t.cache_ok then
+    let a = attention_ns t ~level:(idx lsr slot_bits) due_tick in
+    if t.cached_ns < 0 || a < t.cached_ns then t.cached_ns <- a
 
 (* First occupied slot index >= [from] at [level], or -1. *)
 let scan_level t ~level ~from =
@@ -273,41 +237,24 @@ let next_due_ns t =
   if not t.cache_ok then recompute_cache t;
   t.cached_ns
 
-(* Detach the list at (level,slot) and re-place each node (in order, so
-   slot FIFO order survives the cascade). Nodes always land at a lower
-   level because their slot digit now matches [cur]'s. *)
-let cascade t ~level ~slot =
-  let idx = (level lsl slot_bits) lor slot in
-  let n = ref t.head.(idx) in
-  t.head.(idx) <- -1;
-  t.tail.(idx) <- -1;
+(* Detach the list at [idx] and re-home each node, in order, so slot
+   FIFO order survives. A cascaded node always lands at a lower level
+   because its slot digit now matches [cur]'s; an overflow node lands on
+   the wheel once its due tick has come within the span, or back in the
+   overflow list, behind the nodes re-appended before it. *)
+let rehome t idx =
+  let n = ref (detach t idx) in
   while !n >= 0 do
     let node = !n in
     n := t.next.(node);
-    append_slot t ~idx:(place t t.due.(node)) node
+    append_slot t ~idx:(home t t.due.(node)) node
   done
 
-(* Walk the overflow list in FIFO order, re-homing every node whose due
-   tick has come within the wheel's span; still-out-of-range nodes are
-   re-appended, so relative order inside the overflow list survives.
-   Called on every top-level cascade — entering a new era is a special
-   case of a level-3 digit change, so no parked timer can be missed. *)
-let refill_overflow t =
-  let n = ref t.head.(overflow_idx) in
-  t.head.(overflow_idx) <- -1;
-  t.tail.(overflow_idx) <- -1;
-  t.ovf <- 0;
-  while !n >= 0 do
-    let node = !n in
-    n := t.next.(node);
-    let due = t.due.(node) in
-    let idx =
-      if (due lxor t.cur) lsr span_bits <> 0 then overflow_idx
-      else place t due
-    in
-    if idx = overflow_idx then t.ovf <- t.ovf + 1;
-    append_slot t ~idx node
-  done
+(* Entering a new block at [level] re-homes that level's slot for the
+   new position. *)
+let cascade t ~level =
+  rehome t
+    ((level lsl slot_bits) lor ((t.cur lsr (level * slot_bits)) land slot_mask))
 
 (* Start of the lowest 2^32-tick era holding a parked timer — the first
    tick at which any overflow node can be re-homed. [max_int] when the
@@ -327,10 +274,7 @@ let overflow_era_start t =
    appends to an empty slot and is picked up by the outer advance loop
    rather than extending the list being walked. *)
 let fire_slot t ~slot =
-  let idx = slot in
-  let n = ref t.head.(idx) in
-  t.head.(idx) <- -1;
-  t.tail.(idx) <- -1;
+  let n = ref (detach t slot) in
   while !n >= 0 do
     let node = !n in
     n := t.next.(node);
@@ -358,16 +302,9 @@ let iter_pending t ~f =
   done
 
 let drain t =
-  for idx = 0 to overflow_idx do
-    let n = ref t.head.(idx) in
-    t.head.(idx) <- -1;
-    t.tail.(idx) <- -1;
-    while !n >= 0 do
-      let node = !n in
-      n := t.next.(node);
-      release t node
-    done
-  done;
+  Array.fill t.head 0 (Array.length t.head) (-1);
+  Array.fill t.tail 0 (Array.length t.tail) (-1);
+  free_from t 0;
   t.count <- 0;
   t.ovf <- 0;
   t.cache_ok <- false
@@ -396,7 +333,7 @@ let advance t ~now_ns =
       end
       else begin
         t.cur <- era;
-        refill_overflow t
+        rehome t overflow_idx
       end
     end
     else begin
@@ -408,18 +345,15 @@ let advance t ~now_ns =
       else begin
         let old = t.cur in
         t.cur <- next_block;
-        (* Entering a new block at level k re-homes that level's slot
-           for the new position; top level first so nodes cascade all
-           the way down in one pass. *)
+        (* Top level first, so nodes cascade all the way down in one
+           pass. *)
         if old lsr (3 * slot_bits) <> t.cur lsr (3 * slot_bits) then begin
-          cascade t ~level:3
-            ~slot:((t.cur lsr (3 * slot_bits)) land slot_mask);
-          if t.head.(overflow_idx) >= 0 then refill_overflow t
+          cascade t ~level:3;
+          if t.head.(overflow_idx) >= 0 then rehome t overflow_idx
         end;
         if old lsr (2 * slot_bits) <> t.cur lsr (2 * slot_bits) then
-          cascade t ~level:2
-            ~slot:((t.cur lsr (2 * slot_bits)) land slot_mask);
-        cascade t ~level:1 ~slot:((t.cur lsr slot_bits) land slot_mask)
+          cascade t ~level:2;
+        cascade t ~level:1
       end
     end
   done;

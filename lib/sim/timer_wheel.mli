@@ -1,29 +1,27 @@
-(** Hierarchical timing wheel for the per-flow timer regime.
+(** Hierarchical timing wheel for the many-flows engine's timers.
 
     Four levels of 256 slots over a power-of-two tick (default 65.536
-    µs): arm, cancel and re-arm are O(1) and allocate zero minor words —
-    the structure is flat int arrays with intrusive slot lists and
-    packed integer handles, like {!Event_queue}. The heap remains the
-    right home for sparse, far-future or non-quantized events; the
-    wheel serves dense per-flow RTO/pacing/round timers, where a
-    million concurrent timers churn without any per-timer heap object
-    or closure.
+    µs): arming and firing are O(1) and allocate zero minor words — the
+    structure is flat int arrays with intrusive singly-linked slot
+    lists, like {!Event_queue}. The heap remains the right home for
+    sparse, cancellable or non-quantized events; the wheel serves
+    [Workload.Many_flows]' round cohorts and its flow arrivals, armed
+    and fired without any per-timer heap object or closure. A timer
+    cannot be cancelled: it fires, or {!drain} removes it with every
+    other.
 
     Due times are quantized: a timer requested for [due_ns] fires at
-    [due_ns] rounded {e up} to the next tick boundary. Timers sharing a
-    quantized due tick fire in arm order (FIFO), matching the event
-    heap's (time, sequence) order — the model-based test suite checks
-    this equivalence under random arm/cancel/advance interleavings.
+    [due_ns] rounded {e up} to the next tick boundary, never before its
+    requested time. Timers sharing a quantized due tick fire in arm
+    order (FIFO), matching the event heap's (time, sequence) order —
+    the model-based test suite checks this equivalence under random
+    arm/advance interleavings.
 
     Timers carry two small integer payloads ([kind], [flow]) and fire
     through the single [on_fire] callback given at creation: dispatch
     allocates nothing and holds no per-timer closure. *)
 
 type t
-
-type handle = private int
-(** Packed (generation, node) token. Stale handles — fired or cancelled
-    — are inert. Only meaningful to the wheel that issued it. *)
 
 val create :
   ?tick_ns:int ->
@@ -35,25 +33,20 @@ val create :
     giving a 2^32-tick ≈ 78-hour horizon). [on_fire] receives every
     expiring timer's payload. *)
 
-val arm : t -> due_ns:int -> kind:int -> flow:int -> handle
+val arm : t -> due_ns:int -> kind:int -> flow:int -> unit
 (** Schedule a firing at [due_ns] rounded up to the tick. A due time at
     or before the wheel's current position fires on the next
     {!advance}. A due time beyond the wheel horizon (≈78 h ahead, e.g. a
-    backoff-inflated RTO) is parked in an overflow list and re-homed
-    onto the wheel by the top-level cascade once it comes within range —
-    it still fires at its (quantized) due time, though FIFO order
-    against in-range timers sharing the same due tick is not guaranteed
-    across the overflow boundary. Raises [Invalid_argument] only on a
-    negative due time. *)
+    long arrival gap) is parked in an overflow list and re-homed onto
+    the wheel by the top-level cascade once it comes within range — it
+    still fires at its (quantized) due time, though FIFO order against
+    in-range timers sharing the same due tick is not guaranteed across
+    the overflow boundary. Raises [Invalid_argument] on a negative due
+    time or one past {!max_due_ns}. *)
 
-val cancel : t -> handle -> unit
-(** O(1), idempotent, allocation-free. *)
-
-val is_pending : t -> handle -> bool
-(** Only tests call it, to watch handles go stale: the
-    [sim.timer-wheel] tests "cancel is O(1), idempotent,
-    generation-safe", "overflow timers cancel cleanly" and "iter_pending
-    visits all; drain stales handles". *)
+val max_due_ns : t -> int
+(** The latest due time {!arm} accepts: [max_int] less [tick_ns − 1],
+    the last one whose round-up to the tick does not overflow. *)
 
 val next_due_ns : t -> int
 (** Next {e attention} time, or [-1] when no timer is pending: either
@@ -61,7 +54,7 @@ val next_due_ns : t -> int
     cascade boundary where the wheel must re-home a slot. Advancing to
     attention points repeatedly fires every timer at exactly its due
     tick; an advance to a pure cascade point fires nothing. Cached;
-    recomputed lazily after fires and min-cancellations. *)
+    recomputed lazily after an {!advance} or a {!drain}. *)
 
 val advance : t -> now_ns:int -> unit
 (** Move the wheel to [now_ns], firing (in due order, FIFO within a
@@ -79,12 +72,12 @@ val iter_pending :
     slot for a fixed wheel position, re-{!arm}ing the visited timers in
     visit order into a wheel advanced to the same position rebuilds
     every slot list — and therefore every future firing order —
-    exactly; this is the snapshot serialization order. Do not arm or
-    cancel from [f]. *)
+    exactly; this is the snapshot serialization order. Do not arm from
+    [f]. *)
 
 val drain : t -> unit
-(** Remove every armed timer without firing it. All outstanding handles
-    become stale. Used by snapshot restore before re-arming. *)
+(** Remove every armed timer without firing it. Used by snapshot
+    restore before re-arming. *)
 
 val tick_ns : t -> int
 val horizon_ns : t -> int
@@ -93,4 +86,6 @@ val horizon_ns : t -> int
     tests. *)
 
 val now_tick : t -> int
-(** Current position in ticks (testing hook). *)
+(** Current position in ticks. [Workload.Many_flows.save] writes it
+    to the image, and restore advances a fresh wheel there before it
+    re-arms. *)

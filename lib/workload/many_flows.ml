@@ -237,7 +237,7 @@ let arm_round t row ~now_ns =
   if t.open_head >= 0 && t.open_due_ns = due_ns then
     Array.unsafe_set link t.open_tail row
   else begin
-    ignore (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row);
+    Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row;
     t.open_head <- row;
     t.open_due_ns <- due_ns
   end;
@@ -288,13 +288,18 @@ let schedule_arrival t ~now_ns =
               let scale = mean *. (shape -. 1.) /. shape in
               Sim.Rng.pareto t.rng ~shape ~scale
         in
+        (* A gap past the latest due time the wheel takes parks the
+           arrival there, pending for good: no run gets that far. *)
+        let room = Wheel.max_due_ns t.wheel - now_ns in
+        let gap_ns = gap *. 1e9 in
+        let offset =
+          if gap_ns < float_of_int room then Int.min room (int_of_float gap_ns)
+          else room
+        in
         (* Another timer on the wheel: rows armed after it must not
            join a cohort armed before it. *)
         t.open_head <- -1;
-        ignore
-          (Wheel.arm t.wheel
-             ~due_ns:(now_ns + int_of_float (gap *. 1e9))
-             ~kind:kind_arrival ~flow:0)
+        Wheel.arm t.wheel ~due_ns:(now_ns + offset) ~kind:kind_arrival ~flow:0
 
 (* A uniform draw in [0,1) from [row]'s stream: the low 53 bits of its
    next xorshift word, scaled. The word crosses from the table as an
@@ -465,6 +470,23 @@ let cong_avoid_error (cc : Tcp.Cong_avoid.t) =
             small-rtt)"
            cc.Tcp.Cong_avoid.name)
 
+(* A round is due at its fire time plus the RTT, converted to integer
+   ns: the RTT's queueing part must stay within the spec's time range,
+   ±2^53 ns, or the due time leaves the clock (past 2^62 ns it converts
+   to a negative or zero offset). *)
+let bottleneck_error p =
+  let delay_s =
+    float_of_int p.buffer_packets *. float_of_int p.mss
+    /. p.capacity_bytes_per_sec
+  in
+  if delay_s *. 1e9 <= 0x1p53 then None
+  else
+    Some
+      (Printf.sprintf
+         "the full-buffer queueing delay %g s (buffer packets x mss / \
+          capacity) is past 2^53 ns (about 104 days)"
+         delay_s)
+
 let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
   Option.iter
     (fun e -> invalid_arg ("Many_flows.start: " ^ e))
@@ -479,6 +501,9 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
     invalid_arg "Many_flows.start: need a positive initial window";
   if params.buffer_packets < 1 then
     invalid_arg "Many_flows.start: need at least one buffer packet";
+  Option.iter
+    (fun e -> invalid_arg ("Many_flows.start: " ^ e))
+    (bottleneck_error params);
   if not (Sim.Time.is_positive params.base_rtt) then
     invalid_arg "Many_flows.start: need a positive base RTT";
   (match params.arrival_rate with
@@ -664,6 +689,8 @@ let restore ?(prefix = "mf.") t r =
     (fun i due_ns ->
       let kind = kinds.(i) and row = flows.(i) in
       if due_ns < 0 then corrupt "wheel_due_ns" "entry %d is negative" i;
+      if due_ns > Wheel.max_due_ns t.wheel then
+        corrupt "wheel_due_ns" "entry %d is past the wheel's last due time" i;
       (* [on_fire] reads any kind but an arrival as a round cohort. *)
       if kind <> kind_round && kind <> kind_arrival then
         corrupt "wheel_kind" "entry %d is %d, neither round nor arrival" i kind;
@@ -674,11 +701,11 @@ let restore ?(prefix = "mf.") t r =
         let link = t.table.Ft.timer in
         link.(row) <- -1;
         if !tail >= 0 && due.(i - 1) = due_ns then link.(!tail) <- row
-        else ignore (Wheel.arm t.wheel ~due_ns ~kind ~flow:row);
+        else Wheel.arm t.wheel ~due_ns ~kind ~flow:row;
         tail := row
       end
       else begin
-        ignore (Wheel.arm t.wheel ~due_ns ~kind ~flow:row);
+        Wheel.arm t.wheel ~due_ns ~kind ~flow:row;
         tail := -1
       end)
     due

@@ -59,6 +59,13 @@ val cong_avoid_error : Tcp.Cong_avoid.t -> string option
     [on_round] rule (reno, relentless, small-rtt; not cubic, vegas or
     fast). *)
 
+val bottleneck_error : params -> string option
+(** Why the engine cannot model this bottleneck, if it cannot: its
+    full-buffer queueing delay ([buffer_packets × mss /
+    capacity_bytes_per_sec]) lies past 2^53 ns (about 104 days, the
+    spec's time range), where a round's due time would leave the ns
+    clock. *)
+
 val start :
   sched:Sim.Scheduler.t ->
   rng:Sim.Rng.t ->
@@ -77,8 +84,10 @@ val start :
     flows. Raises [Invalid_argument] when
     {!cong_avoid_error} rejects it, on non-positive [flows], [capacity],
     [mss], [init_cwnd_segments], [base_rtt] or [arrival_rate]/[mean_size]
-    (when given), a [buffer_packets] below 1, or a Pareto shape — for
-    arrivals or sizes — at or below 1 (infinite mean). *)
+    (when given), a [buffer_packets] below 1, a bottleneck
+    {!bottleneck_error} rejects, or a Pareto shape — for arrivals or
+    sizes — at or below 1 (infinite mean). An arrival gap past the
+    wheel's last due time parks the arrival there: it never fires. *)
 
 (** {2 Snapshot} — the engine's full dynamic state (fluid queue,
     counters, arrivals-stream position, flow-table columns, pending
@@ -102,8 +111,9 @@ val restore : ?prefix:string -> t -> Sim.Snapshot.reader -> unit
     a per-row wheel handle in the [timer] column restore the same way.
     Raises {!Sim.Snapshot.Corrupt}, naming the section, on bad images:
     a round timer for a free or repeated row, a timer kind that is
-    neither round nor arrival, a negative due time, or a wheel tick
-    that is negative or whose time overflows. *)
+    neither round nor arrival, a due time that is negative or past
+    {!Sim.Timer_wheel.max_due_ns}, or a wheel tick that is negative or
+    whose time overflows. *)
 
 (** {2 Observation} — queue readings integrate the fluid model up to
     the current scheduler time first. *)

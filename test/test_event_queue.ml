@@ -166,8 +166,8 @@ let test_overflow_message () =
           "Event_queue: handle space exhausted with %d live events (max \
            2^21 = %d pending). A single heap this loaded usually means an \
            unsharded packet-level workload — split the scenario across \
-           partitions (\"domains\" > 1) or move dense per-flow timers to \
-           Timer_wheel."
+           partitions (\"domains\" > 1) or move dense timers that are never \
+           cancelled to Timer_wheel."
           n n
       in
       Alcotest.(check string) "overload message" expected msg

@@ -97,8 +97,9 @@ let put_int name v w = Sim.Snapshot.put_int w name v
    both into fresh structures. The columns travel as whole-array
    sections, so the words grow by 4 per row, not per element of every
    column; the pins at two sizes fix that slope (40,000 words per 10,000
-   rows) as well as the constant (529 words). The values were read on
-   OCaml 5.1.1 with the dev profile, which compiles with -opaque. *)
+   rows) as well as the constant (526 words, the fresh wheel's record
+   among them). The values were read on OCaml 5.1.1 with the dev
+   profile, which compiles with -opaque. *)
 let round_trip_words n =
   let t = Ft.create ~initial_capacity:n () in
   for i = 0 to n - 1 do
@@ -116,9 +117,8 @@ let round_trip_words n =
   let w = wheel () in
   let tick = Sim.Timer_wheel.tick_ns w in
   for i = 0 to n - 1 do
-    ignore
-      (Sim.Timer_wheel.arm w ~due_ns:(((i * 977 mod 7919) + 1) * tick) ~kind:0
-         ~flow:i)
+    Sim.Timer_wheel.arm w ~due_ns:(((i * 977 mod 7919) + 1) * tick) ~kind:0
+      ~flow:i
   done;
   let copy = Ft.create ~initial_capacity:n () in
   let before = Gc.minor_words () in
@@ -139,8 +139,7 @@ let round_trip_words n =
   let flows = Sim.Snapshot.get_int_array rd "wheel.flow" in
   let w2 = wheel () in
   Array.iteri
-    (fun i due_ns ->
-      ignore (Sim.Timer_wheel.arm w2 ~due_ns ~kind:0 ~flow:flows.(i)))
+    (fun i due_ns -> Sim.Timer_wheel.arm w2 ~due_ns ~kind:0 ~flow:flows.(i))
     due;
   let words = int_of_float (Gc.minor_words () -. before) in
   Alcotest.(check int) "every timer re-armed" n (Sim.Timer_wheel.pending w2);
@@ -148,9 +147,9 @@ let round_trip_words n =
   words
 
 let test_round_trip_words () =
-  Alcotest.(check int) "minor words, 10,000 rows and timers" 40_529
+  Alcotest.(check int) "minor words, 10,000 rows and timers" 40_526
     (round_trip_words 10_000);
-  Alcotest.(check int) "minor words, 20,000 rows and timers" 80_529
+  Alcotest.(check int) "minor words, 20,000 rows and timers" 80_526
     (round_trip_words 20_000)
 
 (* Random alloc/free sequences: [in_use] equals a recount of live rows,

@@ -458,8 +458,9 @@ let test_restore_rejects_bad_round_rows () =
    section, before it arms the bad entry. Entries before it may already
    be armed: a caller throws the half-restored engine away. A kind that
    is neither round nor arrival would fire as a round cohort and read
-   its row unchecked; a negative due time or tick, or a tick whose time
-   overflows, would fail inside the wheel with [Invalid_argument]. *)
+   its row unchecked; a negative due time or tick, a due time past the
+   wheel's last one, or a tick whose time overflows, would fail inside
+   the wheel with [Invalid_argument]. *)
 let restore_crafted put =
   let fresh () =
     let sched = Sim.Scheduler.create ~seed:1 () in
@@ -488,7 +489,15 @@ let test_restore_rejects_negative_due () =
     (fun () ->
       restore_crafted (fun w ->
           Sim.Snapshot.put_int_array w "mf.wheel_due_ns"
-            (Array.init 10 (fun i -> if i = 0 then -1 else 0))))
+            (Array.init 10 (fun i -> if i = 0 then -1 else 0))));
+  (* The wheel refuses a due time whose tick would overflow. *)
+  Alcotest.check_raises "due max_int ns"
+    (Sim.Snapshot.Corrupt
+       "Many_flows: mf.wheel_due_ns: entry 2 is past the wheel's last due time")
+    (fun () ->
+      restore_crafted (fun w ->
+          Sim.Snapshot.put_int_array w "mf.wheel_due_ns"
+            (Array.init 10 (fun i -> if i = 2 then max_int else 0))))
 
 let test_restore_rejects_bad_tick () =
   List.iter
@@ -577,6 +586,33 @@ let test_wide_cohort_words () =
     (Mf.loss_events t);
   Alcotest.(check int) "minor words from 1 s to 3 s" 134 words
 
+(* An arrival gap past the ns clock: at a mean gap of 10^11 s the
+   exponential draws at seeds 1 and 2 are past 2^63 ns, which converted
+   to 0 ns and launched every flow at once; at 5·10^9 s those at seeds
+   1 and 3 lie between 2^62 and 2^63 ns, which converted to a negative
+   due time that [start] raised on. The arrival now parks at the
+   wheel's last due time: pending, and never fired within a run. *)
+let test_arrival_past_clock_parks () =
+  List.iter
+    (fun (rate, seed) ->
+      let what = Printf.sprintf "rate %g, seed %d" rate seed in
+      let sched = Sim.Scheduler.create ~seed () in
+      let t =
+        Mf.start ~sched ~rng:(Sim.Rng.of_seed seed) ~seed
+          { Mf.default_params with flows = 10; arrival_rate = Some rate }
+      in
+      Sim.Scheduler.run ~until:(Sim.Time.sec 1) sched;
+      Alcotest.(check int) (what ^ ": no flow arrived") 0 (Mf.created t);
+      let w = Mf.wheel t in
+      Alcotest.(check int) (what ^ ": the arrival is pending") 1
+        (Sim.Timer_wheel.pending w);
+      Sim.Timer_wheel.iter_pending w ~f:(fun ~due_ns ~kind ~flow:_ ->
+          Alcotest.(check (pair int int))
+            (what ^ ": parked at the last due time")
+            (1, Sim.Timer_wheel.max_due_ns w)
+            (kind, due_ns)))
+    [ (1e-11, 1); (1e-11, 2); (2e-10, 1); (2e-10, 3) ]
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -607,4 +643,6 @@ let suite =
       test_restore_rejects_negative_due;
     Alcotest.test_case "restore refuses a negative or overflowing tick"
       `Quick test_restore_rejects_bad_tick;
+    Alcotest.test_case "an arrival gap past the ns clock parks the arrival"
+      `Quick test_arrival_past_clock_parks;
   ]

@@ -1145,6 +1145,45 @@ let test_short_flows_policy () =
   Alcotest.(check bool) "relentless and standard mice differ" false
     (run "relentless" = run "standard")
 
+(* The many_flows example at 10^-11 Mbit/s: its full buffer takes
+   25,000 × 1,500 B ÷ 1.25·10^-6 B/s = 3·10^13 s to drain, so a round's
+   due time leaves the ns clock (past 2^63 ns it converts to 0, and the
+   run re-arms every round at the instant it fired, forever).
+   Validation refuses it, naming the flow. *)
+let test_many_flows_queue_past_clock () =
+  let spec =
+    let text =
+      In_channel.with_open_text "../examples/many_flows_red.json"
+        In_channel.input_all
+    in
+    match Result.bind (Report.Json.of_string text) Spec.of_json with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let spec =
+    {
+      spec with
+      Spec.duration = Sim.Time.sec 1;
+      topology =
+        (match spec.Spec.topology with
+        | Spec.Duplex d -> Spec.Duplex { d with rate = Sim.Units.mbps 1e-11 }
+        | _ -> Alcotest.fail "the example is a duplex path");
+      flows =
+        List.map
+          (fun (f : Spec.flow) ->
+            match f.workload with
+            | Spec.Many_flows m ->
+                { f with Spec.workload = Spec.Many_flows { m with flows = 10 } }
+            | _ -> f)
+          spec.Spec.flows;
+    }
+  in
+  Alcotest.check_raises "rate 1e-11 Mbit/s"
+    (Invalid_argument
+       "Spec.build: flow 0: many_flows: the full-buffer queueing delay 3e+13 \
+        s (buffer packets x mss / capacity) is past 2^53 ns (about 104 days)")
+    (fun () -> Spec.validate spec)
+
 let suite =
   [
     Alcotest.test_case "round-trip: default" `Quick test_round_trip_default;
@@ -1200,4 +1239,6 @@ let suite =
       `Quick test_of_json_free_keys_and_null;
     Alcotest.test_case "template names every key" `Quick
       test_template_names_every_key;
+    Alcotest.test_case "many_flows refuses a queue delay past the clock"
+      `Quick test_many_flows_queue_past_clock;
   ]

@@ -1,7 +1,7 @@
 (* Model-based suite for the hierarchical timing wheel: replay a random
-   interleaving of arm / cancel / re-arm / advance against the event
-   heap (the structure the wheel replaces for dense timers) and require
-   the exact same fire order. Both sides see tick-quantized due times,
+   interleaving of arm / advance against the event heap (the structure
+   the wheel replaces for dense timers) and require the exact same fire
+   order. Both sides see tick-quantized due times,
    so the equivalence is exact: due order first, arm (FIFO) order
    within a tick — the heap's (time, seq) contract.
 
@@ -13,8 +13,6 @@ let tick = 16 (* ns; small so short op lists still cross blocks *)
 
 type op =
   | Arm of int (* signed delta ns from current time *)
-  | Cancel of int (* index into previously returned handles *)
-  | Rearm of int * int (* handle index, new delta *)
   | Advance of int (* delta ns forward *)
   | Advance_next (* advance exactly to the wheel's attention point *)
 
@@ -23,16 +21,12 @@ let op_gen =
     frequency
       [
         (6, map (fun d -> Arm (d - 64)) (int_bound 20_000));
-        (2, map (fun i -> Cancel i) (int_bound 1000));
-        (2, map2 (fun i d -> Rearm (i, d - 64)) (int_bound 1000) (int_bound 20_000));
         (3, map (fun d -> Advance d) (int_bound 8_000));
         (2, return Advance_next);
       ])
 
 let print_op = function
   | Arm d -> Printf.sprintf "Arm %+d" d
-  | Cancel i -> Printf.sprintf "Cancel %d" i
-  | Rearm (i, d) -> Printf.sprintf "Rearm (%d, %+d)" i d
   | Advance d -> Printf.sprintf "Advance %d" d
   | Advance_next -> "Advance_next"
 
@@ -57,12 +51,6 @@ let replay ops =
   in
   let heap_fired = ref [] in
   let oracle = Sim.Event_queue.create ~initial_capacity:4 () in
-  let handles = ref [] (* (wheel handle, oracle handle) newest first *) in
-  let n_handles = ref 0 in
-  let nth i =
-    (* stable index: 0 = first handle ever returned *)
-    List.nth !handles (!n_handles - 1 - i)
-  in
   let now = ref 0 in
   let next_id = ref 0 in
   let ok = ref true in
@@ -72,14 +60,11 @@ let replay ops =
     incr next_id;
     let due_ns = Stdlib.max 0 (!now + delta) in
     let cur_tick = Sim.Timer_wheel.now_tick w in
-    let wh = Sim.Timer_wheel.arm w ~due_ns ~kind:0 ~flow:id in
-    let oh =
-      Sim.Event_queue.add oracle
-        ~time:(Sim.Time.of_ns_int (quantize ~cur_tick due_ns * tick))
-        (fun () -> heap_fired := id :: !heap_fired)
-    in
-    handles := (wh, oh) :: !handles;
-    incr n_handles
+    Sim.Timer_wheel.arm w ~due_ns ~kind:0 ~flow:id;
+    ignore
+      (Sim.Event_queue.add oracle
+         ~time:(Sim.Time.of_ns_int (quantize ~cur_tick due_ns * tick))
+         (fun () -> heap_fired := id :: !heap_fired))
   in
   let advance_to now_ns =
     now := Stdlib.max !now now_ns;
@@ -101,17 +86,6 @@ let replay ops =
       if !ok then
         match op with
         | Arm delta -> arm delta
-        | Cancel _ when !n_handles = 0 -> ()
-        | Cancel i ->
-            let wh, oh = nth (i mod !n_handles) in
-            Sim.Timer_wheel.cancel w wh;
-            Sim.Event_queue.cancel oracle oh
-        | Rearm (_, delta) when !n_handles = 0 -> arm delta
-        | Rearm (i, delta) ->
-            let wh, oh = nth (i mod !n_handles) in
-            Sim.Timer_wheel.cancel w wh;
-            Sim.Event_queue.cancel oracle oh;
-            arm delta
         | Advance delta -> advance_to (!now + delta)
         | Advance_next -> (
             match Sim.Timer_wheel.next_due_ns w with
@@ -140,7 +114,7 @@ let replay ops =
 
 let qcheck_oracle =
   QCheck.Test.make
-    ~name:"wheel matches the event heap under arm/cancel/re-arm/advance"
+    ~name:"wheel matches the event heap under arm/advance"
     ~count:300 ops_arb replay
 
 let qcheck_oracle_dense =
@@ -152,7 +126,6 @@ let qcheck_oracle_dense =
         (frequency
            [
              (8, map (fun d -> Arm (d - 8)) (int_bound 64));
-             (3, map (fun i -> Cancel i) (int_bound 1000));
              (3, map (fun d -> Advance d) (int_bound 48));
              (2, return Advance_next);
            ]))
@@ -176,8 +149,7 @@ let test_exact_due_firing () =
   (* Across level-0, level-1 and level-2 distances. *)
   let dues = [ (0, 3 * tick); (1, 300 * tick); (2, 70_000 * tick) ] in
   List.iter
-    (fun (id, due_ns) ->
-      ignore (Sim.Timer_wheel.arm w ~due_ns ~kind:0 ~flow:id))
+    (fun (id, due_ns) -> Sim.Timer_wheel.arm w ~due_ns ~kind:0 ~flow:id)
     dues;
   (* Walking the attention points must fire each timer at exactly its
      quantized due tick, never early. *)
@@ -201,30 +173,11 @@ let test_exact_due_firing () =
     (List.rev_map fst !fired);
   Alcotest.(check int) "drained" 0 (Sim.Timer_wheel.pending w)
 
-let test_cancel_and_handles () =
-  let fired = ref 0 in
-  let w = Sim.Timer_wheel.create ~on_fire:(fun ~kind:_ ~flow:_ -> incr fired) () in
-  let tick = Sim.Timer_wheel.tick_ns w in
-  let h1 = Sim.Timer_wheel.arm w ~due_ns:(2 * tick) ~kind:0 ~flow:1 in
-  let h2 = Sim.Timer_wheel.arm w ~due_ns:(2 * tick) ~kind:0 ~flow:2 in
-  Alcotest.(check bool) "h1 pending" true (Sim.Timer_wheel.is_pending w h1);
-  Sim.Timer_wheel.cancel w h1;
-  Alcotest.(check bool) "h1 gone" false (Sim.Timer_wheel.is_pending w h1);
-  Sim.Timer_wheel.cancel w h1 (* idempotent *);
-  Alcotest.(check int) "one left" 1 (Sim.Timer_wheel.pending w);
-  Sim.Timer_wheel.advance w ~now_ns:(3 * tick);
-  Alcotest.(check int) "only h2 fired" 1 !fired;
-  Alcotest.(check bool) "h2 spent" false (Sim.Timer_wheel.is_pending w h2);
-  (* A recycled node must not resurrect the old handle. *)
-  let h3 = Sim.Timer_wheel.arm w ~due_ns:(10 * tick) ~kind:0 ~flow:3 in
-  Alcotest.(check bool) "stale h2 inert" false (Sim.Timer_wheel.is_pending w h2);
-  Sim.Timer_wheel.cancel w h2;
-  Alcotest.(check bool) "h3 unaffected" true (Sim.Timer_wheel.is_pending w h3)
-
 (* Regression: arming past the ~78 h horizon used to raise
-   [Invalid_argument] — a backoff-inflated RTO would hard-fail the run.
-   Beyond-horizon timers now park in an overflow list and are re-homed
-   by the top-level cascade, firing at their exact quantized due time. *)
+   [Invalid_argument], failing the run. Beyond-horizon timers now park in an overflow list and are re-homed
+   by the top-level cascade, firing at their exact quantized due time.
+   A wheel holding only parked timers points its attention at the era
+   where the earliest of them can be re-homed. *)
 let test_overflow_parking () =
   let fired = ref [] in
   let at_ns = ref 0 in
@@ -240,9 +193,11 @@ let test_overflow_parking () =
   let d_near = 5 * tick in
   let d_one = horizon + (7 * tick) in
   let d_two = horizon + 1 + (horizon + 1) + (3 * tick) in
-  ignore (Sim.Timer_wheel.arm w ~due_ns:d_one ~kind:0 ~flow:1;);
-  ignore (Sim.Timer_wheel.arm w ~due_ns:d_two ~kind:0 ~flow:2);
-  ignore (Sim.Timer_wheel.arm w ~due_ns:d_near ~kind:0 ~flow:0);
+  Sim.Timer_wheel.arm w ~due_ns:d_one ~kind:0 ~flow:1;
+  Alcotest.(check int) "attention at the parked timer's era"
+    (horizon + 1) (Sim.Timer_wheel.next_due_ns w);
+  Sim.Timer_wheel.arm w ~due_ns:d_two ~kind:0 ~flow:2;
+  Sim.Timer_wheel.arm w ~due_ns:d_near ~kind:0 ~flow:0;
   Alcotest.(check int) "all pending" 3 (Sim.Timer_wheel.pending w);
   (* iter_pending must see parked timers with their true due time. *)
   let seen = ref [] in
@@ -267,60 +222,59 @@ let test_overflow_parking () =
     (List.rev !fired);
   Alcotest.(check int) "drained" 0 (Sim.Timer_wheel.pending w)
 
-let test_overflow_cancel () =
-  let fired = ref 0 in
-  let w = Sim.Timer_wheel.create ~on_fire:(fun ~kind:_ ~flow:_ -> incr fired) () in
-  let tick = Sim.Timer_wheel.tick_ns w in
-  let horizon = Sim.Timer_wheel.horizon_ns w in
-  let h = Sim.Timer_wheel.arm w ~due_ns:(horizon + (9 * tick)) ~kind:0 ~flow:0 in
-  Alcotest.(check bool) "parked timer is pending" true
-    (Sim.Timer_wheel.is_pending w h);
-  Alcotest.(check bool) "attention points at the parked timer's era" true
-    (Sim.Timer_wheel.next_due_ns w > 0);
-  Sim.Timer_wheel.cancel w h;
-  Alcotest.(check bool) "cancelled" false (Sim.Timer_wheel.is_pending w h);
-  Alcotest.(check int) "idle attention" (-1) (Sim.Timer_wheel.next_due_ns w);
-  Sim.Timer_wheel.advance w ~now_ns:(2 * horizon);
-  Alcotest.(check int) "nothing fires" 0 !fired
-
 let test_alloc_free_churn () =
-  (* The engine contract: steady-state arm/cancel churn allocates no
-     minor words. Warm the wheel up past its growth phase first. *)
-  let w =
-    Sim.Timer_wheel.create ~initial_capacity:256
-      ~on_fire:(fun ~kind:_ ~flow:_ -> ())
-      ()
+  (* The engine contract: steady-state arm/fire churn allocates no
+     minor words. Each firing re-arms its timer, as a round cohort
+     does, and the wheel advances one attention point at a time. Warm
+     the wheel up past its growth phase first. *)
+  let fired = ref 0 in
+  let rec w =
+    lazy
+      (Sim.Timer_wheel.create ~initial_capacity:256
+         ~on_fire:(fun ~kind:_ ~flow ->
+           incr fired;
+           let w = Lazy.force w in
+           let period = (flow * 977 mod 1021) + 1 in
+           Sim.Timer_wheel.arm w
+             ~due_ns:
+               ((Sim.Timer_wheel.now_tick w + period)
+               * Sim.Timer_wheel.tick_ns w)
+             ~kind:0 ~flow)
+         ())
   in
-  let tick = Sim.Timer_wheel.tick_ns w in
+  let w = Lazy.force w in
+  let walk until =
+    while !fired < until do
+      Sim.Timer_wheel.advance w ~now_ns:(Sim.Timer_wheel.next_due_ns w)
+    done
+  in
   for i = 0 to 99 do
-    Sim.Timer_wheel.cancel w
-      (Sim.Timer_wheel.arm w ~due_ns:((i + 1) * tick) ~kind:0 ~flow:i)
+    Sim.Timer_wheel.arm w
+      ~due_ns:((i + 1) * Sim.Timer_wheel.tick_ns w)
+      ~kind:0 ~flow:i
   done;
+  walk 1_000;
   let before = Gc.minor_words () in
-  for i = 0 to 9_999 do
-    Sim.Timer_wheel.cancel w
-      (Sim.Timer_wheel.arm w ~due_ns:(((i land 1023) + 1) * tick) ~kind:0 ~flow:i)
-  done;
+  walk 11_000;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
-    (Printf.sprintf "0 minor words across 10k arm/cancel (got %.0f)" words)
+    (Printf.sprintf "0 minor words across 10k arm/fire (got %.0f)" words)
     true (words = 0.)
 
 (* --- iteration / drain (the snapshot path) ---------------------------- *)
 
 let test_iter_pending_and_drain () =
+  let fired = ref 0 in
   let w =
     Sim.Timer_wheel.create ~initial_capacity:4
-      ~on_fire:(fun ~kind:_ ~flow:_ -> ())
+      ~on_fire:(fun ~kind:_ ~flow:_ -> incr fired)
       ()
   in
   let tick = Sim.Timer_wheel.tick_ns w in
-  let armed =
-    List.init 50 (fun i ->
-        let due_ns = ((i * 37 mod 600) + 1) * tick in
-        let h = Sim.Timer_wheel.arm w ~due_ns ~kind:(i mod 3) ~flow:i in
-        (h, i))
-  in
+  for i = 0 to 49 do
+    let due_ns = ((i * 37 mod 600) + 1) * tick in
+    Sim.Timer_wheel.arm w ~due_ns ~kind:(i mod 3) ~flow:i
+  done;
   let seen = ref 0 in
   Sim.Timer_wheel.iter_pending w ~f:(fun ~due_ns:_ ~kind:_ ~flow:_ ->
       incr seen);
@@ -328,17 +282,20 @@ let test_iter_pending_and_drain () =
   Sim.Timer_wheel.drain w;
   Alcotest.(check int) "drain empties the wheel" 0
     (Sim.Timer_wheel.pending w);
-  List.iter
-    (fun (h, i) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "handle %d stale after drain" i)
-        false
-        (Sim.Timer_wheel.is_pending w h))
-    armed;
+  Alcotest.(check int) "no attention point after drain" (-1)
+    (Sim.Timer_wheel.next_due_ns w);
   seen := 0;
   Sim.Timer_wheel.iter_pending w ~f:(fun ~due_ns:_ ~kind:_ ~flow:_ ->
       incr seen);
-  Alcotest.(check int) "nothing to visit after drain" 0 !seen
+  Alcotest.(check int) "nothing to visit after drain" 0 !seen;
+  Sim.Timer_wheel.advance w ~now_ns:(1000 * tick);
+  Alcotest.(check int) "a drained timer never fires" 0 !fired;
+  (* Every node is free again: the wheel takes as many timers anew. *)
+  for i = 0 to 49 do
+    Sim.Timer_wheel.arm w ~due_ns:((1001 + i) * tick) ~kind:0 ~flow:i
+  done;
+  Sim.Timer_wheel.advance w ~now_ns:(1100 * tick);
+  Alcotest.(check int) "re-armed timers fire" 50 !fired
 
 (* Rebuilding a wheel by re-arming iter_pending's visit order must
    reproduce the original's entire future firing sequence — the
@@ -372,9 +329,8 @@ let rebuild_prop =
       let tick = Sim.Timer_wheel.tick_ns w1 in
       List.iteri
         (fun i d ->
-          ignore
-            (Sim.Timer_wheel.arm w1 ~due_ns:((3 + 1 + d) * tick) ~kind:(i mod 5)
-               ~flow:i))
+          Sim.Timer_wheel.arm w1 ~due_ns:((3 + 1 + d) * tick) ~kind:(i mod 5)
+            ~flow:i)
         due_ticks;
       let mid = (3 + 200) * tick in
       Sim.Timer_wheel.advance w1 ~now_ns:mid;
@@ -387,8 +343,7 @@ let rebuild_prop =
       (* rebuild: fresh wheel advanced to the same position, re-arm *)
       let w2, log2 = fires (`Fresh (mid / tick)) in
       List.iter
-        (fun (due_ns, kind, flow) ->
-          ignore (Sim.Timer_wheel.arm w2 ~due_ns ~kind ~flow))
+        (fun (due_ns, kind, flow) -> Sim.Timer_wheel.arm w2 ~due_ns ~kind ~flow)
         saved;
       (* both run to the horizon of interest *)
       let horizon = (3 + 1100) * tick in
@@ -398,21 +353,44 @@ let rebuild_prop =
       ignore prefix;
       List.rev !log1 = List.rev !log2)
 
+(* Rounding a due time up to the tick must not overflow: a due time of
+   [max_int] used to wrap past the clock, clamp to the current tick and
+   fire on the first advance, before its requested time. The latest due
+   time [arm] takes parks in the overflow list and stays pending. *)
+let test_refuses_overflowing_due () =
+  let fired = ref 0 in
+  let w =
+    Sim.Timer_wheel.create ~on_fire:(fun ~kind:_ ~flow:_ -> incr fired) ()
+  in
+  let tick = Sim.Timer_wheel.tick_ns w in
+  let last = Sim.Timer_wheel.max_due_ns w in
+  Alcotest.(check int) "the last whole tick" (max_int - tick + 1) last;
+  Alcotest.check_raises "max_int"
+    (Invalid_argument "Timer_wheel.arm: due time rounds up past max_int")
+    (fun () -> Sim.Timer_wheel.arm w ~due_ns:max_int ~kind:0 ~flow:0);
+  Alcotest.(check int) "nothing armed" 0 (Sim.Timer_wheel.pending w);
+  Sim.Timer_wheel.arm w ~due_ns:last ~kind:0 ~flow:1;
+  Alcotest.(check bool) "attention far ahead" true
+    (Sim.Timer_wheel.next_due_ns w > Sim.Timer_wheel.horizon_ns w);
+  Sim.Timer_wheel.advance w ~now_ns:1_000_000_000;
+  Alcotest.(check int) "nothing fires within a second" 0 !fired;
+  Alcotest.(check int) "still pending" 1 (Sim.Timer_wheel.pending w);
+  Sim.Timer_wheel.iter_pending w ~f:(fun ~due_ns ~kind:_ ~flow:_ ->
+      Alcotest.(check int) "parked at its due time" last due_ns)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_oracle;
     QCheck_alcotest.to_alcotest qcheck_oracle_dense;
-    Alcotest.test_case "iter_pending visits all; drain stales handles"
+    Alcotest.test_case "iter_pending visits all; drain empties the wheel"
       `Quick test_iter_pending_and_drain;
     QCheck_alcotest.to_alcotest rebuild_prop;
     Alcotest.test_case "attention walk fires at exact due ticks" `Quick
       test_exact_due_firing;
-    Alcotest.test_case "cancel is O(1), idempotent, generation-safe" `Quick
-      test_cancel_and_handles;
     Alcotest.test_case "beyond-horizon timers park and fire (overflow)" `Quick
       test_overflow_parking;
-    Alcotest.test_case "overflow timers cancel cleanly" `Quick
-      test_overflow_cancel;
-    Alcotest.test_case "steady-state arm/cancel allocates nothing" `Quick
+    Alcotest.test_case "steady-state arm/fire allocates nothing" `Quick
       test_alloc_free_churn;
+    Alcotest.test_case "a due time past the last whole tick is refused"
+      `Quick test_refuses_overflowing_due;
   ]
