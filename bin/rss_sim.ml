@@ -61,6 +61,20 @@ let positive_int =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* --jobs and --domains: 1 to the runtime's domain limit, refused as a
+   usage error before any domain starts. *)
+let domain_count =
+  let parse s =
+    match Arg.conv_parser positive_int s with
+    | Ok n when n > Engine.Pool.max_jobs ->
+        Error
+          (`Msg
+             (Printf.sprintf "expected N <= %d (the domain limit), got %d"
+                Engine.Pool.max_jobs n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let print_result (r : Core.Spec.flow_result) =
   Printf.printf
     "%-11s  goodput %7.2f Mbit/s  util %5.1f%%  stalls %-3d cong.signals \
@@ -190,7 +204,7 @@ let run_cmd =
     in
     Arg.(
       value
-      & opt (some positive_int) None
+      & opt (some domain_count) None
       & info [ "domains" ] ~docv:"N" ~doc)
   in
   let out_dir =
@@ -316,7 +330,7 @@ let chaos_cmd =
       "Worker domains for the sweep (1 disables parallelism). Outcomes \
        are identical for any value."
     in
-    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    Arg.(value & opt domain_count 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let out_dir =
     let doc = "Directory for failure artifacts." in
@@ -415,7 +429,7 @@ let serve_cmd =
   in
   let jobs =
     let doc = "Worker domains (1 disables parallelism)." in
-    Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    Arg.(value & opt domain_count 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let checkpoint_every =
     let doc = "Simulated seconds between job checkpoints." in
@@ -659,7 +673,7 @@ let experiments_cmd =
     in
     Arg.(
       value
-      & opt positive_int (Engine.Pool.default_jobs ())
+      & opt domain_count (Engine.Pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let action ids jobs =

@@ -43,9 +43,9 @@ type standing = {
 
 val run : ?pool:Engine.Pool.t -> duration:Sim.Time.t -> unit -> cell list
 (** Every named bundle ({!Tcp.Policy.names}) on every scenario, as one
-    [Spec.run_batch] over [pool] (sequential when [None]): policy-major
-    cells, identical for any worker count. A failing cell raises
-    {!Engine.Pool.Task_failed}. *)
+    [Spec.run_batch] over [pool] (default {!Engine.Pool.sequential}):
+    policy-major cells, identical for any worker count. A failing cell
+    raises {!Engine.Pool.Task_failed}. *)
 
 val league : cell list -> standing list
 (** One standing per policy, by descending score, ties by name. *)

@@ -296,20 +296,16 @@ let raised case e =
 
 let run_case_captured case = try run_case case with e -> raised case e
 
-let run_sweep ?pool cases =
-  match pool with
-  | None -> List.map run_case_captured cases
-  | Some pool ->
-      (* run_case_captured never raises, but collect anyway so an
-         escape (OOM mid-capture, stack overflow) costs one cell and
-         not the sweep. *)
-      Engine.Pool.map_collect pool ~label:case_name ~f:run_case_captured
-        cases
-      |> List.map2
-           (fun case -> function
-             | Ok outcome -> outcome
-             | Error { Engine.Pool.fexn; _ } -> raised case fexn)
-           cases
+let run_sweep ?(pool = Engine.Pool.sequential) cases =
+  (* run_case_captured never raises, but collect anyway so an escape
+     (OOM mid-capture, stack overflow) costs one cell and not the
+     sweep. *)
+  Engine.Pool.map_collect pool ~label:case_name ~f:run_case_captured cases
+  |> List.map2
+       (fun case -> function
+         | Ok outcome -> outcome
+         | Error { Engine.Pool.fexn; _ } -> raised case fexn)
+       cases
 
 (* --- random schedule generation --------------------------------------- *)
 

@@ -92,8 +92,8 @@ val run_case : case -> outcome
 val run_sweep : ?pool:Engine.Pool.t -> case list -> outcome list
 (** Run every case, capturing per-case exceptions as an
     ["exception: ..."] violation so one poisoned cell never loses the
-    rest of the batch. Results are in input order; with [pool] the
-    cases run in parallel with byte-identical outcomes. *)
+    rest of the batch. Results are in input order and byte-identical
+    at any [pool] size (default {!Engine.Pool.sequential}). *)
 
 (** {2 Random schedule generation} *)
 

@@ -1,6 +1,6 @@
 (* Each driver builds its independent experiment cells (variant ×
    duration × parameter point) as specs and runs them as tasks on an
-   optional Engine pool; [?pool = None] is the sequential path. Cells at
+   optional Engine pool (default: the pool of one). Cells at
    the same parameter point share one seed (fair variant comparison);
    distinct points get seeds derived with [Sim.Rng.derive_seed] so no
    two cells ever share a random stream. Every cell builds its own
@@ -9,10 +9,8 @@
 
 include Experiment_value
 
-let pmap ?pool ~label f xs =
-  match pool with
-  | None -> List.map f xs
-  | Some pool -> Engine.Pool.map pool ~label ~f xs
+let pmap ?(pool = Engine.Pool.sequential) ~label f xs =
+  Engine.Pool.map pool ~label ~f xs
 
 (* One flow on a duplex path (default: the paper's) for [duration]:
    [flow] (default: a saturating bulk transfer) running [slow_start],

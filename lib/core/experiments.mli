@@ -3,10 +3,10 @@
 
     Each driver runs simulations and returns one {!t}: named tables,
     named series and a note. {!to_csv} and {!to_text} are its only
-    renderers. All runs are deterministic: when a [?pool] is given,
-    each independent experiment cell runs as one {!Engine.Pool} task
-    and the value is bit-identical to the sequential ([?pool = None])
-    path. *)
+    renderers. All runs are deterministic: each independent experiment
+    cell runs as one task on [?pool] (default
+    {!Engine.Pool.sequential}), and the value is bit-identical at any
+    pool size. *)
 
 type cell = Int of int | Float of float | Text of string | Empty
 

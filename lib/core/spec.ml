@@ -47,11 +47,8 @@ let execute ?checkpoint ?resume_from b =
 let run ?checkpoint ?resume_from spec =
   execute ?checkpoint ?resume_from (build spec)
 
-let run_batch ?pool specs =
-  match pool with
-  | None -> List.map (fun s -> run s) specs
-  | Some pool ->
-      Engine.Pool.map pool ~label:(fun s -> s.name) ~f:(fun s -> run s) specs
+let run_batch ?(pool = Engine.Pool.sequential) specs =
+  Engine.Pool.map pool ~label:(fun s -> s.name) ~f:(fun s -> run s) specs
 
 (* --- result serialization ---------------------------------------------- *)
 

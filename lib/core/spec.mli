@@ -179,17 +179,18 @@ type t = Spec_types.t = {
       (** trace ring size in records; oldest records are overwritten
           beyond it ({!Trace.dropped}) *)
   domains : int;
-      (** worker domains for intra-scenario parallelism (default 1).
-          With [domains > 1] the topology is cut into partitions — one
-          per duplex endpoint, one per dumbbell_of_dumbbells segment —
-          each advancing its own scheduler under a conservative horizon
-          derived from the cut links' propagation delays. The partition
-          structure depends only on the topology, so artifacts are
-          byte-identical at every [domains] value; the count only caps
-          how many OCaml domains execute partitions. Restricted: needs
+      (** worker domains for intra-scenario parallelism (default 1,
+          at most {!Engine.Pool.max_jobs}). With [domains > 1] the
+          topology is cut into partitions — one per duplex endpoint,
+          one per dumbbell_of_dumbbells segment — each advancing its
+          own scheduler under a conservative horizon derived from the
+          cut links' propagation delays. The partition structure
+          depends only on the topology, so artifacts are byte-identical
+          at every [domains] value; the count only caps how many OCaml
+          domains execute partitions. Restricted: needs
           a cut-capable topology with positive boundary delay, no
-          [record_trace], no fault profiles, no many_flows/short_flows
-          workloads, no checkpoint/resume. *)
+          [record_trace], no fault profiles, no short_flows workloads
+          (many_flows is sharded per segment), no checkpoint/resume. *)
   topology : topology;
   flows : flow list;
   faults : faults;
@@ -339,9 +340,10 @@ val run : ?checkpoint:checkpoint -> ?resume_from:string -> t -> outcome
 (** [execute (build t)]. *)
 
 val run_batch : ?pool:Engine.Pool.t -> t list -> outcome list
-(** One independent task per spec on [pool] (sequential when [None]);
-    results in input order, identical for any worker count. Raises
-    {!Engine.Pool.Task_failed} on the first failing cell. *)
+(** One independent task per spec on [pool] (default
+    {!Engine.Pool.sequential}); results in input order, identical for
+    any worker count. Every cell runs; raises {!Engine.Pool.Task_failed}
+    with the first failing cell's name. *)
 
 (* --- introspection of a built spec (chaos harness hooks) ------------- *)
 

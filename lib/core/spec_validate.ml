@@ -187,6 +187,8 @@ let validate (t : t) =
   check_faults "forward" t.faults.forward;
   check_faults "reverse" t.faults.reverse;
   if t.domains < 1 then err "Spec.build: domains %d must be >= 1" t.domains;
+  if t.domains > Engine.Pool.max_jobs then
+    err "Spec.build: domains %d must be <= %d" t.domains Engine.Pool.max_jobs;
   if t.trace_capacity < 1 then
     err "Spec.build: trace_capacity %d must be >= 1" t.trace_capacity;
   (* Partitioned runs keep every piece of shared mutable state off the

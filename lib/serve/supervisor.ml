@@ -136,6 +136,10 @@ let quarantine_spec ~path =
 let run ?(stop = Atomic.make false) ?(runner = default_runner)
     ?(specs = []) config =
   if config.jobs < 1 then invalid_arg "Supervisor.run: jobs must be >= 1";
+  if config.jobs > Engine.Pool.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Supervisor.run: jobs must be <= %d"
+         Engine.Pool.max_jobs);
   if config.max_attempts < 1 then
     invalid_arg "Supervisor.run: max_attempts must be >= 1";
   if not (Sim.Time.is_positive config.checkpoint_every) then
@@ -259,11 +263,7 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
             end)
           entries
   in
-  let pool =
-    if config.jobs > 1 then Some (Engine.Pool.create ~jobs:config.jobs ())
-    else None
-  in
-  let run_batch batch =
+  let run_batch pool batch =
     let f job =
       let t0 = Unix.gettimeofday () in
       let checkpoint =
@@ -285,21 +285,7 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
       in
       runner ~job_id:job.id ~checkpoint ~resume_from:job.resume job.spec
     in
-    match pool with
-    | Some pool ->
-        Engine.Pool.map_collect pool ~label:(fun j -> j.id) ~f batch
-    | None ->
-        List.map
-          (fun j ->
-            try Ok (f j)
-            with e ->
-              Error
-                {
-                  Engine.Pool.flabel = j.id;
-                  fexn = e;
-                  fbacktrace = Printexc.get_backtrace ();
-                })
-          batch
+    Engine.Pool.map_collect pool ~label:(fun j -> j.id) ~f batch
   in
   let process job verdict =
     match verdict with
@@ -375,11 +361,8 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
           Queue.push job queue
         end
   in
-  let finally () =
-    (match pool with Some pool -> Engine.Pool.shutdown pool | None -> ());
-    Journal.close journal
-  in
-  Fun.protect ~finally (fun () ->
+  Fun.protect ~finally:(fun () -> Journal.close journal) (fun () ->
+      Engine.Pool.with_pool ~jobs:config.jobs @@ fun pool ->
       let scanned_once = ref false in
       let rec loop () =
         if Atomic.get stop then ()
@@ -424,7 +407,7 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
                   Journal.append journal
                     (Journal.Started { job = j.id; attempt = j.attempt }))
                 due;
-              let verdicts = run_batch due in
+              let verdicts = run_batch pool due in
               List.iter2 process due verdicts;
               loop ()
         end

@@ -74,8 +74,8 @@ val run :
     until the queue is empty. [specs] are submitted directly before the
     first spool scan (the stdin path; the job id is the sanitized spec
     name). Raises [Invalid_argument], before the journal opens, when
-    [jobs] or [max_attempts] is below 1 or [checkpoint_every] is not
-    positive. *)
+    [jobs] or [max_attempts] is below 1, [jobs] is above
+    {!Engine.Pool.max_jobs}, or [checkpoint_every] is not positive. *)
 
 val snapshot_path : string -> string -> string
 (** [snapshot_path state_dir job_id] — where that job checkpoints. Only

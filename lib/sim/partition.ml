@@ -13,8 +13,10 @@
    + L], so every event strictly below the horizon [H = nmin + L] can
    be fired without ever receiving a message from the past. Each epoch
    runs all partitions up to [H - 1ns] (the run loop is
-   boundary-inclusive), then the coordinator drains the channels —
-   always in channel-creation order, FIFO within a channel — onto the
+   boundary-inclusive) as one {!Engine.Pool.iter} batch on the run's
+   pool of [min workers parts] domains (a pool of one is a plain
+   loop); then the coordinator drains the channels — always in
+   channel-creation order, FIFO within a channel — onto the
    destination heaps. Every delivery is inserted with its send-time
    clock as the event's birth key, so among same-due destination
    events it ranks exactly where a single global heap scheduling it at
@@ -22,7 +24,9 @@
    this makes the trajectory a pure function of the model and the
    partition structure — worker count only changes which domain
    happens to execute a partition, never the result — and byte-
-   identical to the same model run on one scheduler.
+   identical to the same model run on one scheduler. An epoch in which
+   events raise re-raises the exception of the lowest-numbered
+   partition that raised, at any worker count.
 
    [run]'s [breaks] are coordinator-owned instants (flow starts,
    sample grids): the loop advances every partition clock exactly to
@@ -61,11 +65,11 @@ module Channel = struct
   (* Called from the source partition's domain during an epoch. The
      buffer is single-writer (one partition owns the sending link) and
      is only read by the coordinator after the barrier, so no lock is
-     needed: the barrier mutex publishes it. The send-time clock rides
-     along as the event's birth — in a single global heap this delivery
-     would have been scheduled at exactly that instant, so carrying it
-     ranks the delivery among same-due destination events precisely
-     where the legacy run put it. *)
+     needed: the pool's batch barrier publishes it. The send-time clock
+     rides along as the event's birth — in a single global heap this
+     delivery would have been scheduled at exactly that instant, so
+     carrying it ranks the delivery among same-due destination events
+     precisely where the legacy run put it. *)
   let send ch ~due v =
     ch.buf <-
       (Time.to_ns_int due, Time.to_ns_int (Scheduler.now ch.src_sched), v)
@@ -112,119 +116,6 @@ let channel t ~src ~dst ~lookahead ~handler =
   if look_ns < t.min_look_ns then t.min_look_ns <- look_ns;
   ch
 
-(* ------------------------------------------------------------------ *)
-(* Epoch executor: a persistent barrier crew. Worker [w] always owns
-   partitions [p] with [p mod nworkers = w] (the coordinator doubles as
-   worker 0), so the partition->domain mapping is static — not that it
-   could change the trajectory, since partitions share no state, but it
-   keeps cache affinity across epochs. *)
-
-type exec = {
-  nworkers : int;
-  nparts : int;
-  m : Mutex.t;
-  work : Condition.t;
-  donec : Condition.t;
-  mutable job : int -> unit;
-  mutable gen : int;
-  mutable remaining : int;
-  mutable stopping : bool;
-  mutable error : exn option;
-  mutable crew : unit Domain.t list;
-}
-
-let stride_run e f w =
-  let p = ref w in
-  while !p < e.nparts do
-    f !p;
-    p := !p + e.nworkers
-  done
-
-let worker_loop e w =
-  let seen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock e.m;
-    while (not e.stopping) && e.gen = !seen do
-      Condition.wait e.work e.m
-    done;
-    if e.stopping then begin
-      Mutex.unlock e.m;
-      running := false
-    end
-    else begin
-      seen := e.gen;
-      let f = e.job in
-      Mutex.unlock e.m;
-      let failure = try stride_run e f w; None with exn -> Some exn in
-      Mutex.lock e.m;
-      (match failure with
-      | Some exn when e.error = None -> e.error <- Some exn
-      | _ -> ());
-      e.remaining <- e.remaining - 1;
-      if e.remaining = 0 then Condition.broadcast e.donec;
-      Mutex.unlock e.m
-    end
-  done
-
-let make_exec ~workers ~nparts =
-  let nworkers = Int.max 1 (Int.min workers nparts) in
-  let e =
-    {
-      nworkers;
-      nparts;
-      m = Mutex.create ();
-      work = Condition.create ();
-      donec = Condition.create ();
-      job = ignore;
-      gen = 0;
-      remaining = 0;
-      stopping = false;
-      error = None;
-      crew = [];
-    }
-  in
-  if nworkers > 1 then
-    e.crew <-
-      List.init (nworkers - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop e (i + 1)));
-  e
-
-let stop_exec e =
-  if e.crew <> [] then begin
-    Mutex.lock e.m;
-    e.stopping <- true;
-    Condition.broadcast e.work;
-    Mutex.unlock e.m;
-    List.iter Domain.join e.crew;
-    e.crew <- []
-  end
-
-let exec_epoch e f =
-  if e.nworkers = 1 then
-    for p = 0 to e.nparts - 1 do
-      f p
-    done
-  else begin
-    Mutex.lock e.m;
-    e.job <- f;
-    e.gen <- e.gen + 1;
-    e.remaining <- e.nworkers - 1;
-    Condition.broadcast e.work;
-    Mutex.unlock e.m;
-    stride_run e f 0;
-    Mutex.lock e.m;
-    while e.remaining > 0 do
-      Condition.wait e.donec e.m
-    done;
-    let err = e.error in
-    e.error <- None;
-    Mutex.unlock e.m;
-    match err with None -> () | Some exn -> raise exn
-  end
-
-(* ------------------------------------------------------------------ *)
-
 let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
   let until_ns = Time.to_ns_int until in
   (* Breaks are taken in ascending order, each once: one at or before
@@ -256,8 +147,10 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
         if n >= 0 && (acc < 0 || n < acc) then n else acc)
       (-1) t.parts
   in
-  let e = make_exec ~workers ~nparts in
-  Fun.protect ~finally:(fun () -> stop_exec e) @@ fun () ->
+  (* The run's own pool, created for it: partitions are independent
+     within an epoch, so which domain runs one never matters. *)
+  Engine.Pool.with_pool ~jobs:(Int.max 1 (Int.min workers nparts))
+  @@ fun pool ->
   (* One epoch job for the whole run, reading the horizon the
      coordinator set before it published the epoch: a break then
      allocates nothing but the [~until] option. *)
@@ -276,7 +169,7 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
         else nmin + t.min_look_ns
       in
       horizon := Time.of_ns_int (h - 1);
-      exec_epoch e run_part;
+      Engine.Pool.iter pool nparts run_part;
       drain_all ();
       advance_to target
     end
@@ -298,5 +191,5 @@ let run t ~until ?(workers = 1) ?(breaks = []) ?(on_break = fun _ -> ()) () =
      remain below the cut; messages they emit are due strictly later
      and stay pending, exactly as a single-scheduler run leaves
      not-yet-due deliveries in its heap. *)
-  exec_epoch e (fun p -> Scheduler.run ~until t.parts.(p));
+  Engine.Pool.iter pool nparts (fun p -> Scheduler.run ~until t.parts.(p));
   drain_all ()

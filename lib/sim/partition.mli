@@ -76,7 +76,9 @@ val run :
     to [until] (boundary-inclusive, like [Scheduler.run ~until]; every
     partition clock reads [until] afterwards). [workers] (default 1,
     clamped to the partition count) sets how many domains execute
-    epochs — any value yields the identical trajectory. [breaks] lists
+    epochs — any value yields the identical trajectory; past
+    {!Engine.Pool.max_jobs} after the clamp it raises
+    [Invalid_argument] before any event fires. [breaks] lists
     coordinator instants: for each (deduplicated, ascending) break the
     loop fires every event strictly below it, sets all clocks exactly
     to it, and calls [on_break] from the coordinator with a globally
@@ -84,5 +86,7 @@ val run :
     cross-partition gauges. Breaks after [until], and those at or
     before the partitions' clock when [run] is called, are skipped: a
     run continued in slices, or resumed from a restored clock, takes
-    each break once. Exceptions raised by partition events are
-    re-raised on the coordinator after the epoch's barrier. *)
+    each break once. The epochs run as {!Engine.Pool.iter} batches on
+    a pool of [workers] domains created for the run. When partition
+    events raise, the exception of the lowest-numbered partition that
+    raised is re-raised as itself, at any [workers]. *)

@@ -250,7 +250,7 @@ let test_packet_path_words () =
         (slow_start ^ ": minor words over 2 s")
         words
         (packet_path_words slow_start))
-    [ ("standard", 799_348); ("restricted", 1_623_259) ]
+    [ ("standard", 799_358); ("restricted", 1_623_269) ]
 
 (* Scheduler dispatches of the 2 s standard run, counted by a trace ring
    that accepts only sched.dispatch records (refbench's

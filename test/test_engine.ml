@@ -159,6 +159,42 @@ let test_map_collect_all_ok_and_all_fail () =
       Alcotest.(check (list int)) "pool survives" [ 0; 1; 2 ]
         (Engine.Pool.map pool ~label:string_of_int ~f:Fun.id [ 0; 1; 2 ]))
 
+(* [iter] runs every index once, re-raises the lowest raising index's
+   own exception (not Task_failed) at any pool size, and leaves the pool
+   usable. *)
+let test_iter_lowest_exception () =
+  List.iter
+    (fun jobs ->
+      Engine.Pool.with_pool ~jobs (fun pool ->
+          let hits = Array.make 12 0 in
+          Engine.Pool.iter pool 12 (fun i -> hits.(i) <- hits.(i) + 1);
+          Alcotest.(check (array int))
+            (Printf.sprintf "jobs %d: each index once" jobs)
+            (Array.make 12 1) hits;
+          (match
+             Engine.Pool.iter pool 12 (fun i ->
+                 if i >= 4 && i mod 4 = 0 then failwith (string_of_int i))
+           with
+          | () -> Alcotest.fail "expected Failure"
+          | exception Failure m ->
+              Alcotest.(check string)
+                (Printf.sprintf "jobs %d: lowest raising index" jobs)
+                "4" m);
+          let sum = Atomic.make 0 in
+          Engine.Pool.iter pool 5 (fun i -> ignore (Atomic.fetch_and_add sum i));
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: pool survives" jobs)
+            10 (Atomic.get sum)))
+    [ 1; 2; 4 ]
+
+(* More domains than the runtime holds is refused before any spawns. *)
+let test_create_rejects_past_the_cap () =
+  Alcotest.(check bool) "invalid_arg on jobs=129" true
+    (try
+       ignore (Engine.Pool.create ~jobs:(Engine.Pool.max_jobs + 1) ());
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "identical output on 1/2/4 domains" `Quick
@@ -177,4 +213,8 @@ let suite =
       test_map_collect_verdicts;
     Alcotest.test_case "map_collect all-ok / all-fail" `Quick
       test_map_collect_all_ok_and_all_fail;
+    Alcotest.test_case "iter: lowest raising index, raw" `Quick
+      test_iter_lowest_exception;
+    Alcotest.test_case "jobs past the domain limit rejected" `Quick
+      test_create_rejects_past_the_cap;
   ]

@@ -169,6 +169,32 @@ let test_worker_exception_propagates () =
   in
   Alcotest.(check bool) "Failure re-raised on coordinator" true raised
 
+(* Partitions 1 and 2 both raise in the same epoch: the run re-raises
+   partition 1's exception whichever domain ran which partition, so a
+   caller that sorts failures by exception (serve's taxonomy) sees the
+   same one at every worker count. *)
+let test_lowest_partition_exception_wins () =
+  let raised workers =
+    let p = Partition.create ~parts:3 ~seed_of in
+    ignore
+      (Partition.channel p ~src:0 ~dst:1 ~lookahead:(ms 1)
+         ~handler:(fun _ () -> ()));
+    for i = 1 to 2 do
+      ignore
+        (Scheduler.at (Partition.scheduler p i) (ms 5) (fun () ->
+             failwith (Printf.sprintf "partition %d" i)))
+    done;
+    match Partition.run p ~until:(ms 10) ~workers () with
+    | () -> "none"
+    | exception Failure m -> m
+  in
+  List.iter
+    (fun workers ->
+      Alcotest.(check string)
+        (Printf.sprintf "workers %d" workers)
+        "partition 1" (raised workers))
+    [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "create validation" `Quick test_create_validation;
@@ -179,4 +205,6 @@ let suite =
     Alcotest.test_case "breaks quiesce globally" `Quick test_breaks_quiesce;
     Alcotest.test_case "worker exception propagates" `Quick
       test_worker_exception_propagates;
+    Alcotest.test_case "lowest raising partition wins at any workers" `Quick
+      test_lowest_partition_exception_wins;
   ]

@@ -1184,6 +1184,38 @@ let test_many_flows_queue_past_clock () =
         s (buffer packets x mss / capacity) is past 2^53 ns (about 104 days)")
     (fun () -> Spec.validate spec)
 
+(* A failing cell raises Task_failed with its name whatever the pool,
+   the default pool of one included. *)
+let test_run_batch_failure_any_pool () =
+  let quick name =
+    { Spec.default with Spec.name; duration = ms 50; record_series = false }
+  in
+  let specs =
+    [ quick "a"; { (quick "bad") with Spec.domains = 0 }; quick "c" ]
+  in
+  let failed_cell ?pool () =
+    match Spec.run_batch ?pool specs with
+    | _ -> Alcotest.fail "expected Task_failed"
+    | exception
+        Engine.Pool.Task_failed { label; exn = Invalid_argument _; _ } ->
+        label
+  in
+  Alcotest.(check string) "default pool" "bad" (failed_cell ());
+  Engine.Pool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check string) "pool of 1" "bad" (failed_cell ~pool ()));
+  Engine.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check string) "pool of 2" "bad" (failed_cell ~pool ()))
+
+(* More domains than the runtime holds is a validation error naming the
+   field; no domain starts. *)
+let test_domains_past_the_cap () =
+  let spec = { Spec.default with Spec.domains = Engine.Pool.max_jobs + 1 } in
+  match Spec.validate spec with
+  | () -> Alcotest.fail "domains 129 validated"
+  | exception Invalid_argument e ->
+      Alcotest.(check string) "names domains"
+        "Spec.build: domains 129 must be <= 128" e
+
 let suite =
   [
     Alcotest.test_case "round-trip: default" `Quick test_round_trip_default;
@@ -1241,4 +1273,8 @@ let suite =
       test_template_names_every_key;
     Alcotest.test_case "many_flows refuses a queue delay past the clock"
       `Quick test_many_flows_queue_past_clock;
+    Alcotest.test_case "run_batch: Task_failed at any pool" `Quick
+      test_run_batch_failure_any_pool;
+    Alcotest.test_case "domains past the domain limit refused" `Quick
+      test_domains_past_the_cap;
   ]
