@@ -9,48 +9,9 @@ open Cmdliner
 
 (* --- shared options ---------------------------------------------------- *)
 
-let rate_mbps =
-  let doc = "Path line rate in Mbit/s." in
-  Arg.(value & opt float 100. & info [ "rate" ] ~docv:"MBPS" ~doc)
-
-let rtt_ms =
-  let doc = "Path round-trip time in milliseconds." in
-  Arg.(value & opt int 60 & info [ "rtt-ms" ] ~docv:"MS" ~doc)
-
-let ifq =
-  let doc = "Interface queue capacity in packets (Linux txqueuelen)." in
-  Arg.(value & opt int 100 & info [ "ifq" ] ~docv:"PKTS" ~doc)
-
-let duration_s =
-  let doc = "Simulated duration in seconds." in
-  Arg.(value & opt float 25. & info [ "duration" ] ~docv:"SECONDS" ~doc)
-
 let seed =
   let doc = "Deterministic random seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
-
-let loss =
-  let doc = "Independent forward-path loss probability (0..1)." in
-  Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P" ~doc)
-
-(* One [flow] on the duplex path the shared options describe. *)
-let spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss flow =
-  {
-    Core.Spec.default with
-    Core.Spec.name = flow.Core.Spec.slow_start;
-    seed;
-    duration = Sim.Time.of_sec duration_s;
-    topology =
-      Core.Spec.Duplex
-        {
-          Core.Spec.default_duplex with
-          Core.Spec.rate = Sim.Units.mbps rate_mbps;
-          one_way_delay = Sim.Time.ms (rtt_ms / 2);
-          ifq_capacity = ifq;
-          loss_rate = loss;
-        };
-    flows = [ flow ];
-  }
 
 let positive_int =
   let parse s =
@@ -75,17 +36,30 @@ let domain_count =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* --- one spec: load, run, report --------------------------------------- *)
+
+let load_spec path =
+  match
+    Result.bind (Report.Json.of_file path) (fun json ->
+        Result.map_error (fun e -> path ^ ": " ^ e) (Core.Spec.of_json json))
+  with
+  | Ok spec -> spec
+  | Error e ->
+      prerr_endline e;
+      exit 2
+
 let print_result (r : Core.Spec.flow_result) =
   Printf.printf
     "%-11s  goodput %7.2f Mbit/s  util %5.1f%%  stalls %-3d cong.signals \
-     %-3d retx %-4d timeouts %-2d cwnd %7.1f seg  mean IFQ %6.1f\n"
+     %-3d retx %-4d timeouts %-2d cwnd %7.1f seg  mean IFQ %6.1f%s\n"
     r.Core.Spec.label r.Core.Spec.goodput_mbps
     (100. *. r.Core.Spec.utilization)
     r.Core.Spec.send_stalls r.Core.Spec.congestion_signals
     r.Core.Spec.retransmits r.Core.Spec.timeouts
     r.Core.Spec.final_cwnd_segments r.Core.Spec.mean_ifq
-
-(* --- run --spec --------------------------------------------------------- *)
+    (match r.Core.Spec.completion with
+    | Some t -> Printf.sprintf "  completed at %.3f s" (Sim.Time.to_sec t)
+    | None -> "")
 
 let print_path_stats (p : Core.Spec.path_stats) =
   Printf.printf
@@ -94,70 +68,57 @@ let print_path_stats (p : Core.Spec.path_stats) =
     p.Core.Spec.aggregate_goodput_mbps p.Core.Spec.jain_index
     p.Core.Spec.queue_mean p.Core.Spec.queue_peak p.Core.Spec.router_drops
 
-let load_spec path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e ->
-      prerr_endline e;
-      exit 2
-  in
-  match Report.Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "%s: %s\n" path e;
-      exit 2
-  | Ok json -> (
-      match Core.Spec.of_json json with
-      | Error e ->
-          Printf.eprintf "%s: %s\n" path e;
-          exit 2
-      | Ok spec -> spec)
-
-(* A malformed spec is a usage error (exit 2); anything else the run
-   raises fails it (exit 1). *)
-let run_spec ?checkpoint ?resume_from spec =
-  try Core.Spec.run ?checkpoint ?resume_from spec with
-  | Invalid_argument e ->
-      prerr_endline e;
-      exit 2
-  | e ->
-      Printf.eprintf "spec %S failed: %s\n" spec.Core.Spec.name
-        (Printexc.to_string e);
-      exit 1
-
-let run_spec_file ~path ~domains ~out_dir ~checkpoint ~checkpoint_every
-    ~resume =
-  let spec = load_spec path in
+(* Every spec the CLI runs goes through here: [domains] overrides the
+   spec's own; the report is one line per flow, the path line, the
+   ring's line when the run kept a trace and, with [chart], every
+   flow's window; [out] receives every artifact the outcome holds. A
+   malformed spec or refused input is a usage error (exit 2); anything
+   else the run raises fails it (exit 1). *)
+let run_spec ?domains ?checkpoint ?resume_from ?out ?(chart = false) spec =
   let spec =
     match domains with
     | None -> spec
-    | Some d -> { spec with Core.Spec.domains = d }
+    | Some domains -> { spec with Core.Spec.domains }
   in
-  let checkpoint =
-    Option.map
-      (fun snapshot_path ->
-        {
-          Core.Spec.snapshot_path;
-          interval = Sim.Time.of_sec checkpoint_every;
-          should_stop = (fun () -> false);
-        })
-      checkpoint
+  let outcome =
+    try Core.Spec.run ?checkpoint ?resume_from spec with
+    | Invalid_argument e ->
+        prerr_endline e;
+        exit 2
+    | e ->
+        Printf.eprintf "spec %S failed: %s\n" spec.Core.Spec.name
+          (Printexc.to_string e);
+        exit 1
   in
-  let outcome = run_spec ?checkpoint ?resume_from:resume spec in
   List.iter print_result outcome.Core.Spec.results;
   print_path_stats outcome.Core.Spec.path;
-  match out_dir with
-  | None -> ()
-  | Some dir ->
-      let paths = Serve.Artifacts.write_outcome ~dir spec outcome in
-      List.iter (Printf.printf "wrote %s\n") paths
+  Option.iter
+    (fun tr ->
+      Printf.printf
+        "trace        %d record(s) retained, %d dropped (ring capacity %d)\n"
+        (Trace.length tr) (Trace.dropped tr) (Trace.capacity tr))
+    outcome.Core.Spec.trace;
+  if chart then
+    print_string
+      (Report.Ascii_chart.line_chart ~title:"congestion window (segments)"
+         ~x_label:"time (s)" ~y_label:"cwnd"
+         (List.map
+            (fun (r : Core.Spec.flow_result) ->
+              Report.Ascii_chart.of_series ~label:r.Core.Spec.label
+                r.Core.Spec.cwnd_series)
+            outcome.Core.Spec.results));
+  Option.iter
+    (fun dir ->
+      List.iter
+        (Printf.printf "wrote %s\n")
+        (Serve.Artifacts.write_outcome ~dir spec outcome))
+    out
 
 (* --- run ---------------------------------------------------------------- *)
 
-let run_cmd =
+(* The path and flow flags describe one bulk flow on the duplex path:
+   the spec [run] builds when no --spec is given. *)
+let flag_spec =
   let slow_start =
     let doc =
       "Congestion-control policy: a slow-start rule alone (with Reno), \
@@ -174,33 +135,82 @@ let run_cmd =
     let doc = "Transfer size in bytes (default: saturating)." in
     Arg.(value & opt (some int) None & info [ "bytes" ] ~docv:"N" ~doc)
   in
-  let csv_prefix =
-    let doc = "Write cwnd/stall/IFQ time series as PREFIX_<name>.csv." in
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PREFIX" ~doc)
-  in
   let pacing =
     let doc = "Pace data segments (sch_fq-style)." in
     Arg.(value & flag & info [ "pacing" ] ~doc)
   in
-  let chart =
-    let doc = "Draw an ASCII chart of the window trajectory." in
-    Arg.(value & flag & info [ "chart" ] ~doc)
+  let rate_mbps =
+    let doc = "Path line rate in Mbit/s." in
+    Arg.(value & opt float 100. & info [ "rate" ] ~docv:"MBPS" ~doc)
   in
+  let rtt_ms =
+    let doc = "Path round-trip time in milliseconds." in
+    Arg.(value & opt int 60 & info [ "rtt-ms" ] ~docv:"MS" ~doc)
+  in
+  let ifq =
+    let doc = "Interface queue capacity in packets (Linux txqueuelen)." in
+    Arg.(value & opt int 100 & info [ "ifq" ] ~docv:"PKTS" ~doc)
+  in
+  let duration_s =
+    let doc = "Simulated duration in seconds." in
+    Arg.(value & opt float 25. & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  in
+  let loss =
+    let doc = "Independent forward-path loss probability (0..1)." in
+    Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P" ~doc)
+  in
+  let make slow_start local_congestion bytes pacing rate_mbps rtt_ms ifq
+      duration_s seed loss =
+    Result.map
+      (fun local_congestion ->
+        {
+          Core.Spec.default with
+          Core.Spec.name = slow_start;
+          seed;
+          duration = Sim.Time.of_sec duration_s;
+          topology =
+            Core.Spec.Duplex
+              {
+                Core.Spec.default_duplex with
+                Core.Spec.rate = Sim.Units.mbps rate_mbps;
+                one_way_delay = Sim.Time.ms (rtt_ms / 2);
+                ifq_capacity = ifq;
+                loss_rate = loss;
+              };
+          flows =
+            [
+              {
+                Core.Spec.default_flow with
+                Core.Spec.slow_start;
+                local_congestion;
+                pacing;
+                workload = Core.Spec.Bulk { bytes };
+              };
+            ];
+        })
+      (Tcp.Local_congestion.of_string local_congestion)
+  in
+  Term.(
+    with_used_args
+      (const make $ slow_start $ local_congestion $ bytes $ pacing
+     $ rate_mbps $ rtt_ms $ ifq $ duration_s $ seed $ loss))
+
+let run_cmd =
   let spec_file =
     let doc =
-      "Run the scenario described by a JSON spec file instead of the \
-       single-flow path options (see $(b,rss_sim spec --print-default) \
-       for the schema). Prints one line per flow plus path statistics."
+      "Run the scenario described by a JSON spec file (see $(b,rss_sim \
+       spec --print-default) for the schema) instead of one built from \
+       the path and flow options, which it then refuses."
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
   in
   let domains =
     let doc =
-      "With --spec: override the spec's \"domains\" — worker domains \
-       $(i,inside) the scenario, partitioning the topology across its \
-       cut links (conservative-lookahead parallel DES). Needs a \
-       cut-capable topology (duplex or dumbbell_of_dumbbells). \
-       Artifacts are byte-identical for any value."
+      "Override the spec's \"domains\" — worker domains $(i,inside) the \
+       scenario, partitioning the topology across its cut links \
+       (conservative-lookahead parallel DES). Needs a cut-capable \
+       topology (duplex or dumbbell_of_dumbbells). Artifacts are \
+       byte-identical for any value."
     in
     Arg.(
       value
@@ -209,17 +219,23 @@ let run_cmd =
   in
   let out_dir =
     let doc =
-      "With --spec: write the outcome as JSON (and per-flow series CSVs \
-       when the spec records series) under this directory."
+      "Write the outcome as JSON under this directory, with per-flow \
+       series CSVs when the spec records series and the event ring \
+       (CSV and Chrome trace_event JSON) and metrics CSV when it records \
+       a trace."
     in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
   in
+  let chart =
+    let doc = "Draw an ASCII chart of every flow's window trajectory." in
+    Arg.(value & flag & info [ "chart" ] ~doc)
+  in
   let checkpoint =
     let doc =
-      "With --spec: snapshot the run to FILE every --checkpoint-every \
-       simulated seconds (atomic write; the previous good image is kept \
-       as FILE.prev). Requires a snapshot-supported spec: one \
-       many_flows flow starting at t=0, no faults, no trace."
+      "Snapshot the run to FILE every --checkpoint-every simulated \
+       seconds (atomic write; the previous good image is kept as \
+       FILE.prev). Requires a snapshot-supported spec: one many_flows \
+       flow starting at t=0, no faults, no trace."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
@@ -232,90 +248,50 @@ let run_cmd =
   in
   let resume =
     let doc =
-      "With --spec: resume from a snapshot FILE written by --checkpoint \
-       for the $(i,same) spec. The completed run's artifacts are \
-       byte-identical to an unbroken run."
+      "Resume from a snapshot FILE written by --checkpoint for the \
+       $(i,same) spec. The completed run's artifacts are byte-identical \
+       to an unbroken run."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
-  let action slow_start local_congestion bytes csv_prefix pacing chart
-      spec_file domains out_dir checkpoint checkpoint_every resume rate_mbps
-      rtt_ms ifq duration_s seed loss =
-    match spec_file with
-    | Some path ->
-        run_spec_file ~path ~domains ~out_dir ~checkpoint ~checkpoint_every
-          ~resume
-    | None ->
-    if checkpoint <> None || resume <> None then begin
-      prerr_endline "--checkpoint/--resume require --spec";
-      exit 2
-    end;
-    if domains <> None then begin
-      prerr_endline "--domains requires --spec";
-      exit 2
-    end;
-    match Tcp.Local_congestion.of_string local_congestion with
-    | Error e ->
-        prerr_endline e;
-        exit 2
-    | Ok policy -> (
-        let spec =
-          spec_of ~rate_mbps ~rtt_ms ~ifq ~duration_s ~seed ~loss
-            {
-              Core.Spec.default_flow with
-              Core.Spec.slow_start;
-              local_congestion = policy;
-              pacing;
-              workload = Core.Spec.Bulk { bytes };
-            }
-        in
-        try
-          let r = List.hd (Core.Spec.run spec).Core.Spec.results in
-          print_result r;
-          (match r.Core.Spec.completion with
-          | Some t ->
-              Printf.printf "transfer completed at t=%.3f s\n"
-                (Sim.Time.to_sec t)
-          | None -> ());
-          if chart then
-            print_string
-              (Report.Ascii_chart.line_chart
-                 ~title:"congestion window (segments)" ~x_label:"time (s)"
-                 ~y_label:"cwnd"
-                 [
-                   Report.Ascii_chart.of_series ~label:r.Core.Spec.label
-                     r.Core.Spec.cwnd_series;
-                 ]);
-          match csv_prefix with
-          | None -> ()
-          | Some prefix ->
-              List.iter
-                (fun (tag, series) ->
-                  let path = Printf.sprintf "%s_%s.csv" prefix tag in
-                  Report.Csv.write_series ~path ~name:tag series;
-                  Printf.printf "wrote %s\n" path)
-                [
-                  ("cwnd", r.Core.Spec.cwnd_series);
-                  ("stalls", r.Core.Spec.stalls_series);
-                  ("ifq", r.Core.Spec.ifq_series);
-                  ("throughput", r.Core.Spec.throughput_series);
-                ]
-        with Invalid_argument e ->
+  let action spec_file (flag_spec, flags) domains out chart checkpoint
+      checkpoint_every resume =
+    let spec =
+      match (spec_file, flag_spec) with
+      | Some path, _ when flags = [] -> load_spec path
+      | Some _, _ ->
+          Printf.eprintf
+            "--spec refuses the path and flow options (set them in the \
+             file): %s\n"
+            (String.concat " " flags);
+          exit 2
+      | None, Ok spec -> spec
+      | None, Error e ->
           prerr_endline e;
-          exit 2)
+          exit 2
+    in
+    let checkpoint =
+      Option.map
+        (fun snapshot_path ->
+          {
+            Core.Spec.snapshot_path;
+            interval = Sim.Time.of_sec checkpoint_every;
+            should_stop = (fun () -> false);
+          })
+        checkpoint
+    in
+    run_spec ?domains ?checkpoint ?resume_from:resume ?out ~chart spec
   in
   let term =
     Term.(
-      const action $ slow_start $ local_congestion $ bytes $ csv_prefix
-      $ pacing $ chart $ spec_file $ domains $ out_dir
-      $ checkpoint $ checkpoint_every $ resume $ rate_mbps $ rtt_ms $ ifq
-      $ duration_s $ seed $ loss)
+      const action $ spec_file $ flag_spec $ domains $ out_dir $ chart
+      $ checkpoint $ checkpoint_every $ resume)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run one bulk transfer (or, with --spec, a JSON-described \
-          scenario) and report web100 counters.")
+         "Run one scenario — a JSON spec file, or one bulk transfer on the \
+          path the options describe — and report web100 counters.")
     term
 
 (* --- chaos --------------------------------------------------------------- *)
@@ -501,16 +477,9 @@ let serve_cmd =
         | Error e ->
             Printf.eprintf "replay failed: %s\n" e;
             exit 2
-        | Ok spec -> (
-            try
-              let outcome = Core.Spec.run spec in
-              List.iter print_result outcome.Core.Spec.results;
-              print_path_stats outcome.Core.Spec.path;
-              Printf.printf "quarantined job replayed clean\n"
-            with e ->
-              Printf.eprintf "quarantined job still fails: %s\n"
-                (Printexc.to_string e);
-              exit 1))
+        | Ok spec ->
+            run_spec spec;
+            print_endline "quarantined job replayed clean")
     | None ->
         let specs =
           if not from_stdin then []
@@ -588,71 +557,6 @@ let serve_cmd =
           and quarantine for poisoned jobs. Kill it at any moment — \
           SIGKILL included — and a restart with the same --state \
           resumes where it stopped, byte-identically.")
-    term
-
-(* --- trace --------------------------------------------------------------- *)
-
-let trace_cmd =
-  let spec_file =
-    let doc = "JSON scenario spec to run under the tracer." in
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE" ~doc)
-  in
-  let out_dir =
-    let doc =
-      "Directory for the artifacts: <name>_events.csv (the event ring), \
-       <name>_trace.json (Chrome trace_event, load in chrome://tracing \
-       or Perfetto) and <name>_metrics.csv (the unified metrics \
-       registry sampled every sample_period)."
-    in
-    Arg.(value & opt string "results/trace" & info [ "out" ] ~docv:"DIR" ~doc)
-  in
-  let capacity =
-    let doc =
-      "Override the spec's trace_capacity (ring size in records; oldest \
-       records are overwritten beyond it)."
-    in
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
-  in
-  let action spec_path out_dir capacity =
-    let spec = load_spec spec_path in
-    (* The subcommand's whole point is tracing: force it on, whatever
-       the spec says. *)
-    let spec =
-      {
-        spec with
-        Core.Spec.record_trace = true;
-        trace_capacity =
-          (match capacity with
-          | Some c -> c
-          | None -> spec.Core.Spec.trace_capacity);
-      }
-    in
-    let outcome = run_spec spec in
-    List.iter print_result outcome.Core.Spec.results;
-    print_path_stats outcome.Core.Spec.path;
-    let tr =
-      match outcome.Core.Spec.trace with
-      | Some tr -> tr
-      | None -> assert false (* record_trace was forced on *)
-    in
-    Printf.printf
-      "trace        %d record(s) retained, %d dropped (ring capacity %d)\n"
-      (Trace.length tr) (Trace.dropped tr) (Trace.capacity tr);
-    List.iter
-      (Printf.printf "wrote %s\n")
-      (Serve.Artifacts.write_trace ~dir:out_dir spec outcome)
-  in
-  let term = Term.(const action $ spec_file $ out_dir $ capacity) in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a JSON-described scenario with the run-wide event tracer \
-          and metrics registry attached, then export the ring as CSV \
-          and Chrome trace_event JSON plus a metrics time-series CSV. \
-          Deterministic: the artifacts are a function of the spec.")
     term
 
 (* --- experiments ---------------------------------------------------------- *)
@@ -816,5 +720,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; chaos_cmd; serve_cmd; trace_cmd; experiments_cmd;
-            list_cmd; spec_cmd ]))
+          [ run_cmd; chaos_cmd; serve_cmd; experiments_cmd; list_cmd;
+            spec_cmd ]))

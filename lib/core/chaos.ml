@@ -432,10 +432,7 @@ let write_failures ~dir outcomes =
     outcomes
 
 let load_artifact path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents ->
-      Result.bind (Json.of_string contents) (Codec.decode artifact_codec)
+  Result.bind (Json.of_file path) (Codec.decode artifact_codec)
 
 let replay path =
   Result.map

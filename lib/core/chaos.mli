@@ -145,7 +145,8 @@ type artifact = {
     [bytes_acked] and [trace]. *)
 
 val load_artifact : string -> (artifact, string) result
-(** Read an artifact {!write_failures} wrote. Every key is required and
+(** Read an artifact {!write_failures} wrote; a file that cannot be read
+    or parsed is refused with its path. Every key is required and
     decoded as strictly as {!case_of_json} decodes a case: a missing,
     unknown or repeated key, a non-string violation or a non-integral
     [bytes_acked] is refused by name. *)

@@ -99,7 +99,7 @@ let template () =
   "duration_s": 10,
   "sample_period_s": 0.25,
   "record_series": true,
-  "_doc_record_trace": "true attaches the run-wide event tracer (ring of trace_capacity records) and the unified metrics registry; read them back with `rss_sim trace`",
+  "_doc_record_trace": "true attaches the run-wide event tracer (ring of trace_capacity records) and the unified metrics registry; `rss_sim run --spec FILE --out DIR` writes them as CSV and Chrome trace_event JSON",
   "record_trace": false,
   "trace_capacity": 65536,
   "_doc_domains": "partition the simulation across N OCaml domains (conservative-lookahead parallel DES); needs a cut-capable topology (duplex or dumbbell_of_dumbbells) and identical artifacts are guaranteed at any value; 1 = the classic single-scheduler engine",

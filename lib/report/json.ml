@@ -373,6 +373,20 @@ let of_string s =
   | exception Parse_error (at, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" at msg)
 
+(* An open error already names the path; a read error does not. *)
+let of_file path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> In_channel.input_all ic)
+      with
+      | exception Sys_error e -> Error (path ^ ": " ^ e)
+      | contents ->
+          Result.map_error (fun e -> path ^ ": " ^ e) (of_string contents))
+
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
 

@@ -27,6 +27,10 @@ val of_string : string -> (t, string) result
     [\u] escape decodes to UTF-8, a UTF-16 surrogate pair of them to
     its one code point; a surrogate escape outside a pair is refused. *)
 
+val of_file : string -> (t, string) result
+(** Read and parse a whole file. Every error, an unreadable file's
+    included, begins with the path. *)
+
 val member : string -> t -> t option
 (** [member key json] looks up [key] when [json] is an object. *)
 

@@ -1,7 +1,7 @@
-(* Outcome artifacts, shared by `rss_sim run --spec --out` and the job
-   service: one writer means a job completed under `serve` is
-   byte-identical to the same spec run by hand — the property the
-   resume-equivalence harness diffs against. *)
+(* Run artifacts, shared by `rss_sim run --out` and the job service: one
+   writer means a job completed under `serve` is byte-identical to the
+   same spec run by hand — the property the resume-equivalence harness
+   diffs against. *)
 
 let rec ensure_dir dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir)
@@ -20,27 +20,27 @@ let sanitize label =
     label
 
 let write_outcome ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
-  ensure_dir dir;
   let base = sanitize spec.Core.Spec.name in
-  let json_path = Filename.concat dir (base ^ "_outcome.json") in
-  let oc = open_out json_path in
-  output_string oc
-    (Report.Json.to_string (Core.Spec.outcome_to_json outcome));
-  close_out oc;
-  let csvs =
+  let path suffix = Filename.concat dir (base ^ suffix) in
+  let write suffix contents =
+    Report.Csv.write_string ~path:(path suffix) contents;
+    path suffix
+  in
+  let json =
+    write "_outcome.json"
+      (Report.Json.to_string (Core.Spec.outcome_to_json outcome))
+  in
+  let series =
     if not spec.Core.Spec.record_series then []
     else
       List.concat_map
         (fun (r : Core.Spec.flow_result) ->
+          let flow = sanitize r.Core.Spec.label in
           List.map
             (fun (tag, series) ->
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "%s_%s_%s.csv" base
-                     (sanitize r.Core.Spec.label) tag)
-              in
-              Report.Csv.write_series ~path ~name:tag series;
-              path)
+              let csv = path (Printf.sprintf "_%s_%s.csv" flow tag) in
+              Report.Csv.write_series ~path:csv ~name:tag series;
+              csv)
             [
               ("cwnd", r.Core.Spec.cwnd_series);
               ("stalls", r.Core.Spec.stalls_series);
@@ -50,28 +50,27 @@ let write_outcome ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
             ])
         outcome.Core.Spec.results
   in
-  json_path :: csvs
-
-let write_trace ~dir (spec : Core.Spec.t) (outcome : Core.Spec.outcome) =
-  let tr =
+  let trace =
     match outcome.Core.Spec.trace with
-    | Some tr -> tr
-    | None -> invalid_arg "Artifacts.write_trace: the run recorded no trace"
+    | None -> []
+    | Some tr ->
+        [
+          write "_events.csv" (Report.Trace_event.to_csv tr);
+          write "_trace.json"
+            (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr);
+        ]
   in
-  let base = sanitize spec.Core.Spec.name in
-  let path suffix = Filename.concat dir (base ^ suffix) in
-  let events = path "_events.csv" and chrome = path "_trace.json" in
-  Report.Csv.write_string ~path:events (Report.Trace_event.to_csv tr);
-  Report.Csv.write_string ~path:chrome
-    (Report.Trace_event.to_chrome ~name:spec.Core.Spec.name tr);
-  match outcome.Core.Spec.metrics with
-  | None -> [ events; chrome ]
-  | Some m ->
-      let metrics = path "_metrics.csv" in
-      Report.Csv.write ~path:metrics
-        ~header:("time_s" :: m.Core.Spec.metric_names)
-        ~rows:
-          (List.map
-             (fun (t, values) -> t :: Array.to_list values)
-             m.Core.Spec.samples);
-      [ events; chrome; metrics ]
+  let metrics =
+    match outcome.Core.Spec.metrics with
+    | None -> []
+    | Some m ->
+        let csv = path "_metrics.csv" in
+        Report.Csv.write ~path:csv
+          ~header:("time_s" :: m.Core.Spec.metric_names)
+          ~rows:
+            (List.map
+               (fun (t, values) -> t :: Array.to_list values)
+               m.Core.Spec.samples);
+        [ csv ]
+  in
+  (json :: series) @ trace @ metrics

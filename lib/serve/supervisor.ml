@@ -101,10 +101,8 @@ let snapshot_path state_dir id =
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
 
 let quarantine_artifact ~dir ~job ~error ~backtrace ~attempts ~spec_json =
-  Artifacts.ensure_dir dir;
   let path = Filename.concat dir (job ^ ".json") in
-  let oc = open_out path in
-  output_string oc
+  Report.Csv.write_string ~path
     (Json.to_string
        (Json.Obj
           [
@@ -114,23 +112,12 @@ let quarantine_artifact ~dir ~job ~error ~backtrace ~attempts ~spec_json =
             ("attempts", Json.Number (float_of_int attempts));
             ("spec", spec_json);
           ]));
-  close_out oc;
   path
 
 let quarantine_spec ~path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> e
-  in
-  match Json.of_string contents with
-  | Error e -> Error e
-  | Ok json -> (
+  Result.bind (Json.of_file path) (fun json ->
       match Json.member "spec" json with
-      | None -> Error "quarantine artifact: no \"spec\" member"
+      | None -> Error (path ^ ": no \"spec\" member")
       | Some spec_json -> Core.Spec.of_json spec_json)
 
 let run ?(stop = Atomic.make false) ?(runner = default_runner)
@@ -243,18 +230,10 @@ let run ?(stop = Atomic.make false) ?(runner = default_runner)
                 Artifacts.sanitize (Filename.chop_suffix entry ".json")
               in
               if not (known id) then begin
-                let path = Filename.concat config.spool entry in
-                let contents =
-                  let ic = open_in_bin path in
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () ->
-                      really_input_string ic (in_channel_length ic))
-                in
-                match Json.of_string contents with
+                match Json.of_file (Filename.concat config.spool entry) with
                 | Error e ->
                     do_quarantine ~job:id
-                      ~error:("unparsable spool file: " ^ e) ~backtrace:""
+                      ~error:("unreadable spool file: " ^ e) ~backtrace:""
                       ~attempts:0 ~spec_json:Json.Null
                 | Ok spec_json ->
                     config.log (Printf.sprintf "job %s submitted" id);

@@ -84,4 +84,6 @@ val snapshot_path : string -> string -> string
     job's image. *)
 
 val quarantine_spec : path:string -> (Core.Spec.t, string) result
-(** Re-parse the spec embedded in a quarantine artifact, for replay. *)
+(** Re-parse the spec embedded in a quarantine artifact, for replay. A
+    file that cannot be read or parsed, or that holds no spec, is an
+    error naming the path. *)

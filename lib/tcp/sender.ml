@@ -238,7 +238,8 @@ let rec on_rto t =
     t.timeouts <- t.timeouts + 1;
     Rtt_estimator.backoff t.rtt;
     send_syn t;
-    arm_rto t
+    arm_rto t;
+    update_gauges t
   end
   else if flight_bytes t > 0 || t.nxt > t.una then begin
     t.timeouts <- t.timeouts + 1;

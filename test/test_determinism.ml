@@ -146,18 +146,20 @@ let test_many_flows_golden_from_image file image () =
   check_against_goldens spec
     (Core.Spec.run ~resume_from:(Filename.concat mf_golden_dir image) spec)
 
-(* The trace golden: what `rss_sim trace --spec examples/dumbbell_mixed.json`
-   writes through Serve.Artifacts.write_trace, the one writer the CLI
-   and this test share — three TCP flows, two with delayed starts,
-   under burst loss, with the event ring and the metrics registry
-   attached. The metrics CSV is committed whole under
+(* The trace golden: the trace files that `rss_sim run --spec F --out D`
+   writes for examples/dumbbell_mixed.json with "record_trace": true,
+   through Serve.Artifacts.write_outcome, the one writer the CLI, the
+   job service and this test share — three TCP flows, two with delayed
+   starts, under burst loss, with the event ring and the metrics
+   registry attached. The metrics CSV is committed whole under
    test/golden_trace/; the event CSV and the Chrome JSON (2 MB and
    7 MB) as MD5 digests, in md5sum's format, in dumbbell-mixed.md5.
    The registry columns pin every sender's counters and gauges at each
-   sample tick. Regenerate (only for a deliberate model change) with
-     rss_sim trace --spec examples/dumbbell_mixed.json --out test/golden_trace
+   sample tick. Regenerate (only for a deliberate model change) by
+   setting "record_trace": true in a copy F of the example and running
+     rss_sim run --spec F --out test/golden_trace
    then write the md5sum of the two large files to dumbbell-mixed.md5
-   and delete them. *)
+   and delete them and the outcome JSON. *)
 let trace_golden_dir = "golden_trace"
 
 let test_trace_golden () =
@@ -166,7 +168,7 @@ let test_trace_golden () =
       Core.Spec.record_trace = true }
   in
   let dir = mf_tmp "trace" in
-  let paths = Serve.Artifacts.write_trace ~dir spec (Core.Spec.run spec) in
+  let paths = Serve.Artifacts.write_outcome ~dir spec (Core.Spec.run spec) in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   let contents =
     List.map (fun path -> (Filename.basename path, read path)) paths

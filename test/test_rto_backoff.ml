@@ -141,6 +141,23 @@ let test_sender_restarts_after_early_blackout () =
   Alcotest.(check bool) "took multiple timeouts" true
     (Tcp.Sender.timeouts sender >= 3)
 
+(* While a lost SYN is retransmitted, the web100 CurRTO gauge reads the
+   backed-off timeout: every SYN is dropped, so at 1.5 s the first
+   timeout has doubled the initial 1 s RTO. *)
+let test_syn_retransmit_refreshes_cur_rto () =
+  let sched, path, conn = setup ~bytes:(50 * mss) () in
+  Netsim.Link.set_fault_hook path.Netsim.Topology.Duplex.a_to_b
+    (fun _now pkt ->
+      match pkt.Netsim.Packet.payload with
+      | Proto.Payload.Tcp h
+        when Proto.Tcp_header.has_flag h Proto.Tcp_header.Syn ->
+          []
+      | Proto.Payload.Tcp _ | Proto.Payload.Udp _ -> [ Sim.Time.zero ]);
+  Sim.Scheduler.run ~until:(Sim.Time.ms 1500) sched;
+  let ki name = List.assoc name Tcp.Sender.kis conn.Tcp.Connection.sender in
+  Alcotest.(check (float 0.)) "Timeouts" 1. (ki "Timeouts");
+  Alcotest.(check (float 0.)) "CurRTO in ms" 2000. (ki "CurRTO")
+
 let suite =
   [
     Alcotest.test_case "backoff doubles and clamps across a blackout" `Quick
@@ -149,4 +166,6 @@ let suite =
       test_karn_stale_duplicate_does_not_poison_rtt;
     Alcotest.test_case "sender restarts after blackout" `Quick
       test_sender_restarts_after_early_blackout;
+    Alcotest.test_case "CurRTO backs off with a retransmitted SYN" `Quick
+      test_syn_retransmit_refreshes_cur_rto;
   ]

@@ -397,6 +397,58 @@ let test_graceful_stop_drains_to_snapshot () =
   Alcotest.(check int) "restart completed" 1 stats2.Sup.completed;
   Alcotest.(check int) "restart resumed from snapshot" 1 stats2.Sup.resumed
 
+(* A spool entry that cannot be read is quarantined like an unparsable
+   one instead of killing the daemon. *)
+let test_unreadable_spool_entry_quarantined () =
+  let state_dir = tmp_dir "unreadable_state" in
+  let spool = tmp_dir "unreadable_spool" in
+  Unix.mkdir (Filename.concat spool "bad.json") 0o755;
+  let stats = Sup.run (base_config ~state_dir ~spool) in
+  Alcotest.(check int) "quarantined" 1 stats.Sup.quarantined;
+  Alcotest.(check int) "nothing completed" 0 stats.Sup.completed
+
+let test_quarantine_spec_names_unreadable_path () =
+  let dir = tmp_dir "replay_dir" in
+  match Sup.quarantine_spec ~path:dir with
+  | Ok _ -> Alcotest.fail "read a spec from a directory"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "%S names the path" e) true
+        (String.starts_with ~prefix:(dir ^ ": ") e)
+
+(* A traced job leaves the outcome JSON and the three trace files, the
+   same bytes the writer gives a by-hand run. *)
+let test_traced_job_writes_trace_artifacts () =
+  let state_dir = tmp_dir "traced_state" in
+  let spool = tmp_dir "traced_spool" in
+  let spec =
+    {
+      Core.Spec.default with
+      name = "traced";
+      duration = Sim.Time.ms 500;
+      record_series = false;
+      record_trace = true;
+    }
+  in
+  let stats = Sup.run ~specs:[ spec ] (base_config ~state_dir ~spool) in
+  Alcotest.(check int) "completed" 1 stats.Sup.completed;
+  let served = Filename.concat state_dir "outcomes" in
+  let by_hand =
+    Serve.Artifacts.write_outcome ~dir:(tmp_dir "traced_by_hand") spec
+      (Core.Spec.run spec)
+  in
+  Alcotest.(check (list string)) "files"
+    [
+      "traced_outcome.json"; "traced_events.csv"; "traced_trace.json";
+      "traced_metrics.csv";
+    ]
+    (List.map Filename.basename by_hand);
+  List.iter
+    (fun path ->
+      let name = Filename.basename path in
+      Alcotest.(check string) name (read_file path)
+        (read_file (Filename.concat served name)))
+    by_hand
+
 let suite =
   [
     Alcotest.test_case "journal round trip" `Quick test_journal_round_trip;
@@ -424,4 +476,10 @@ let suite =
       test_graceful_stop_drains_to_snapshot;
     Alcotest.test_case "a bad wheel kind in the image restarts clean" `Quick
       test_bad_wheel_kind_restarts_clean;
+    Alcotest.test_case "an unreadable spool entry is quarantined" `Quick
+      test_unreadable_spool_entry_quarantined;
+    Alcotest.test_case "quarantine_spec names an unreadable path" `Quick
+      test_quarantine_spec_names_unreadable_path;
+    Alcotest.test_case "a traced job writes the trace artifacts" `Quick
+      test_traced_job_writes_trace_artifacts;
   ]
